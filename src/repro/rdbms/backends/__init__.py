@@ -27,7 +27,7 @@ from repro.rdbms.backends.sqlite import SQLiteBackend
 
 __all__ = ['Backend', 'StoredRelation', 'MemoryBackend', 'SQLiteBackend',
            'BACKENDS', 'create_backend', 'create_shard_backends',
-           'default_backend_kind']
+           'default_backend_kind', 'shard_backend_specs']
 
 BACKENDS = {
     MemoryBackend.kind: MemoryBackend,
@@ -67,18 +67,14 @@ def create_backend(kind, schema) -> Backend:
     return factory(schema)
 
 
-def create_shard_backends(spec, schema, n_shards: int) -> list[Backend]:
-    """Instantiate one backend per shard for a sharded engine.
-
-    ``spec`` is ``None`` (the default kind for every shard), a single
-    backend *name* (a fresh instance of that kind per shard), or a
-    sequence of exactly ``n_shards`` names/instances — which is how hot
-    shards are kept on ``'memory'`` while cold shards run on
-    ``'sqlite'``.  Backend *instances* are only accepted inside the
-    per-shard sequence, and each must be distinct: one instance is one
-    shard's storage, and sharing it would make every shard write the
-    same tables.
-    """
+def shard_backend_specs(spec, n_shards: int) -> list:
+    """One backend spec per shard from a sharded engine's ``backends``
+    option: ``None`` (the default kind for every shard), a single
+    backend *name* (that kind for every shard), or a sequence of
+    exactly ``n_shards`` names/instances — which is how hot shards are
+    kept on ``'memory'`` while cold shards run on ``'sqlite'``.
+    Backend *instances* are only accepted inside the per-shard
+    sequence: one instance is one shard's storage."""
     if isinstance(spec, Backend):
         raise SchemaError(
             'a single Backend instance cannot serve every shard (each '
@@ -91,6 +87,15 @@ def create_shard_backends(spec, schema, n_shards: int) -> list[Backend]:
     if len(spec) != n_shards:
         raise SchemaError(
             f'{len(spec)} shard backends specified for {n_shards} shards')
+    return spec
+
+
+def create_shard_backends(spec, schema, n_shards: int) -> list[Backend]:
+    """Instantiate one backend per shard for a sharded engine
+    (``spec`` as for :func:`shard_backend_specs`).  Each instance in
+    the sequence must be distinct: sharing it would make every shard
+    write the same tables."""
+    spec = shard_backend_specs(spec, n_shards)
     instances = [kind for kind in spec if isinstance(kind, Backend)]
     if len(instances) != len({id(backend) for backend in instances}):
         raise SchemaError('the same Backend instance appears more than '

@@ -149,37 +149,23 @@ class Backend(ABC):
         source name → evaluation handle) and return the view rows."""
 
     @abstractmethod
-    def evaluate_incremental(self, entry: 'ViewEntry',
-                             sources: Mapping[str, object],
-                             view_handle, delta: Delta) -> DeltaSet:
-        """Evaluate ``∂put`` over ``S ∪ {v, +v, -v}``; constraint rules
-        carried by the incremental program are checked first (raising
-        :class:`ConstraintViolation`)."""
-
     def evaluate_incremental_batch(self, entry: 'ViewEntry',
                                    sources: Mapping[str, object],
                                    view_handle, delta: Delta, *,
                                    new_view_rows=None) -> DeltaSet:
-        """Evaluate ``∂put`` once over one transaction's *coalesced*
-        view delta.
+        """Evaluate ``∂put`` over ``S ∪ {v, +v, -v}`` once for one
+        transaction's *coalesced* view delta; constraint rules carried
+        by the incremental program are checked first (raising
+        :class:`ConstraintViolation`).
 
         The engine's batched pipeline composes every staged delta of a
         view (``Delta.then``) and calls this exactly once per touched
         view per transaction, with ``delta`` the merged multi-row
-        effective delta — instead of once per statement bucket.  When
-        ``new_view_rows`` is not ``None`` the strategy declares
+        effective delta — a single statement is a one-element batch.
+        When ``new_view_rows`` is not ``None`` the strategy declares
         ⊥-constraints that the incremental program does not carry, and
-        the backend must check them against ``(S, V')`` in the same
-        pass (raising :class:`ConstraintViolation` before staging ΔS).
-
-        The default delegates to :meth:`check_view_constraints` +
-        :meth:`evaluate_incremental`; backends override to exploit the
-        single-call shape (one plan context in memory, one multi-row
-        TEMP stage per relation on SQLite)."""
-        if new_view_rows is not None:
-            self.check_view_constraints(entry, sources, new_view_rows)
-        return self.evaluate_incremental(entry, sources, view_handle,
-                                         delta)
+        the backend must check them against ``(S, V')`` first (raising
+        :class:`ConstraintViolation` before staging ΔS)."""
 
     @abstractmethod
     def evaluate_putback(self, entry: 'ViewEntry',

@@ -104,11 +104,6 @@ class MemoryBackend(Backend):
                      ) -> frozenset:
         return self._interp_get(entry, sources)
 
-    def evaluate_incremental(self, entry, sources: Mapping[str, object],
-                             view_handle, delta: Delta) -> DeltaSet:
-        return self._interp_incremental(entry, sources, view_handle,
-                                        delta)
-
     def evaluate_incremental_batch(self, entry,
                                    sources: Mapping[str, object],
                                    view_handle, delta: Delta, *,

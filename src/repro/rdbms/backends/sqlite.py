@@ -506,8 +506,17 @@ class SQLiteBackend(Backend):
             return self._interp_get(entry, sources)
 
     @_locked
-    def evaluate_incremental(self, entry, sources: Mapping[str, object],
-                             view_handle, delta: Delta) -> DeltaSet:
+    def evaluate_incremental_batch(self, entry,
+                                   sources: Mapping[str, object],
+                                   view_handle, delta: Delta, *,
+                                   new_view_rows=None) -> DeltaSet:
+        """One SQL pass over the transaction's merged multi-row delta:
+        the whole batch of coalesced +v/-v rows stages as a single
+        multi-row TEMP shadow per relation and every view goal runs one
+        SELECT, no per-statement TEMP churn (asserted by the SQL-trace
+        test in tests/test_backends.py)."""
+        if new_view_rows is not None:
+            self.check_view_constraints(entry, sources, new_view_rows)
         prog = self._compiled[entry.name].incremental
         if prog is None:
             return self._interp_incremental(entry, sources, view_handle,
@@ -525,14 +534,6 @@ class SQLiteBackend(Backend):
             self._demote(name, 'incremental', exc)
             return self._interp_incremental(entry, sources, view_handle,
                                             delta)
-
-    # Batched execution: the inherited evaluate_incremental_batch
-    # (one evaluate_incremental call per transaction with the merged
-    # multi-row delta) already gives the SQL shape the batch pipeline
-    # wants — the whole batch of coalesced +v/-v rows stages as a
-    # single multi-row TEMP shadow per relation and every view goal
-    # runs one SELECT, no per-statement TEMP churn (asserted by the
-    # SQL-trace test in tests/test_backends.py).
 
     @_locked
     def evaluate_putback(self, entry, sources: Mapping[str, object],

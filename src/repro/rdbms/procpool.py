@@ -1,14 +1,25 @@
-"""Process-per-shard execution: worker processes owning one engine each.
+"""The shard protocol: one runtime, one client, two channels.
 
-Threads cannot beat the GIL on CPU-bound putback translation
-(BENCH_shard.json: 4 shards × 4 threads ≈ serial), so this module moves
-each shard of a :class:`~repro.rdbms.sharded.ShardedEngine` into a
-**worker process**.  The engine's transaction pipeline is already
-message-shaped — ``begin`` / ``apply_statements`` / ``flush_reads`` /
-``prepare_commit`` / ``apply_prepared`` are pure-data calls, and every
-value they carry (statements, deltas, strategies, compiled plans,
-library exceptions) pickles — so a worker is simply the same inner
-:class:`~repro.rdbms.engine.Engine` behind an RPC loop.
+A shard of a :class:`~repro.rdbms.sharded.ShardedEngine` is a
+:class:`WorkerRuntime` — an inner :class:`~repro.rdbms.engine.Engine`
+plus per-transaction working/prepared slots — driven by one client
+class (:class:`ProcessShard`) through a *channel*: ``submit(method,
+*args) → token``, ``drain(token) → result or raise``, per-shard FIFO,
+exactly one outcome per token.  The engine's transaction pipeline is
+already message-shaped — ``begin`` / ``apply_statements`` /
+``flush_reads`` / ``prepare_commit`` / ``apply_prepared`` are pure-data
+calls, and every value they carry (statements, deltas, strategies,
+compiled plans, library exceptions) pickles — so the same runtime
+serves either channel:
+
+* :class:`InlineChannel` calls it directly, on the coordinator's heap
+  (:class:`LocalShard`, ``execution='threads'``);
+* :class:`_RpcChannel` reaches it in a **worker process** over a pipe
+  (``execution='processes'``).  Threads cannot beat the GIL on
+  CPU-bound putback translation (BENCH_shard.json: 4 shards × 4
+  threads ≈ serial); a worker per shard can.
+
+The rest of this docstring is about the process transport.
 
 Wire protocol
 -------------
@@ -24,13 +35,13 @@ so the round trip is exact — see :mod:`repro.errors`).
 **Pipelining.**  The worker serves strictly in request order and every
 request gets exactly one reply, so the coordinator may submit several
 requests before draining any reply (:meth:`_RpcChannel.submit` /
-:meth:`_RpcChannel.drain`).  The sharded coordinator pipelines the
-statement fan-out — ``begin``, ``flush_reads`` and ``apply_statements``
-are fire-and-forget — and collects their outcomes at the next barrier
-*in submission order*, which is exactly the order the serial loop
-executes in, so the first error raised is the serial-identical one (the
-PR 5 thread contract, kept by construction: a pipelined call's effect
-and failure are both deterministic functions of its inputs).
+:meth:`_RpcChannel.drain`) — which is how it overlaps the workers
+without a thread of its own.  It pipelines the statement fan-out
+(``flush_reads`` and ``apply_statements`` are fire-and-forget) and
+scatters prepare, apply and the gathers, collecting outcomes *in
+submission order*, which is exactly the order the serial loop executes
+in, so the first error raised is the serial-identical one (a call's
+effect and failure are both deterministic functions of its inputs).
 
 Worker lifecycle
 ----------------
@@ -87,13 +98,15 @@ import pickle
 import threading
 import time
 import weakref
+from collections import deque
 from pathlib import Path
 from typing import Mapping, NamedTuple, Sequence
 
 from repro.errors import SchemaError, ShardUnavailableError
 from repro.rdbms import faults
-from repro.rdbms.backends import Backend, create_backend
+from repro.rdbms.backends import BACKENDS, Backend, create_backend
 from repro.rdbms.engine import Engine
+from repro.rdbms.metrics import GLOBAL, merge_snapshots
 
 __all__ = ['ProcessPool', 'ProcessShard', 'WorkerRuntime',
            'serve_connection']
@@ -118,17 +131,32 @@ def _dumps(obj) -> bytes:
 # ---------------------------------------------------------------------------
 
 
-class WorkerRuntime:
-    """One worker's state: the inner engine plus per-transaction
-    working/prepared slots, with every RPC method as a plain method.
+class _PreparedToken(NamedTuple):
+    """The prepare→apply handle: the runtime's slot id plus what apply
+    repair needs — the shard's pre-commit LSN and the frozen commit
+    record (``None`` without a WAL, when the batch is empty and nothing
+    will be appended, or when the runtime keeps no repair records)."""
 
-    Kept separate from the process entry point so the dispatch loop is
-    drivable in-process (a thread over a pipe) by the test suite."""
+    txn: int
+    lsn: int
+    record: tuple | None
+
+
+class WorkerRuntime:
+    """One shard's server side, whichever transport reaches it: the
+    inner engine plus per-transaction working/prepared slots, with
+    every protocol method as a plain method.  A worker process serves
+    one over its pipe (:func:`serve_connection`); an in-process shard
+    calls one directly (:class:`InlineChannel`).
+
+    ``repair_records=False`` skips freezing the commit record at
+    prepare — for a runtime that cannot die under its client, so no
+    apply is ever repaired."""
 
     def __init__(self, schema, backend_spec, *, batch_deltas: bool = True,
-                 index: int = 0, n_shards: int = 1,
-                 wal_path=None, wal_sync: bool = True):
-        self.index = index
+                 wal_path=None, wal_sync: bool = True,
+                 repair_records: bool = True):
+        self._repair_records = repair_records
         # With ``wal_path`` the worker owns its shard's log: the engine
         # appends each commit before storage (the commit point) and —
         # when the log already has records, i.e. this is a restart —
@@ -161,22 +189,21 @@ class WorkerRuntime:
         self.engine.flush_reads(working, target)
         return frozenset(working.rows(target))
 
-    def prepare_commit(self, txn: int) -> tuple:
+    def prepare_commit(self, txn: int) -> _PreparedToken:
         """Prepare, and reply with what apply repair needs: the shard's
         pre-commit LSN and the frozen commit record the apply phase
-        will append (``None`` without a WAL, or when the batch is empty
-        and nothing will be appended)."""
+        will append."""
         prepared = self.engine.prepare_commit(self._workings[txn])
         self._prepared[txn] = prepared
-        if self.engine.wal is None or not prepared.batch:
-            return (self.engine.commit_lsn, None)
-        return (self.engine.commit_lsn, prepared.wal_record())
+        record = None
+        if self._repair_records and self.engine.wal is not None \
+                and prepared.batch:
+            record = prepared.wal_record()
+        return _PreparedToken(txn, self.engine.commit_lsn, record)
 
-    def apply_prepared(self, txn: int) -> None:
-        prepared = self._prepared.pop(txn)
-        self._workings.pop(txn, None)
+    def _commit_point(self, commit, argument):
         try:
-            self.engine.apply_prepared(prepared)
+            return commit(argument)
         except OSError:
             # The WAL append — the commit point — failed (e.g. fsync
             # error): this worker can no longer make commits durable,
@@ -187,15 +214,15 @@ class WorkerRuntime:
                 os._exit(3)
             raise
 
+    def apply_prepared(self, txn: int) -> None:
+        prepared = self._prepared.pop(txn)
+        self._workings.pop(txn, None)
+        self._commit_point(self.engine.apply_prepared, prepared)
+
     def commit_batch(self, data: tuple) -> int:
         """Apply repair: commit a frozen record this worker prepared in
         a previous incarnation but died before appending."""
-        try:
-            return self.engine.commit_logged(data)
-        except OSError:
-            if WORKER_INDEX is not None:
-                os._exit(3)
-            raise
+        return self._commit_point(self.engine.commit_logged, data)
 
     def commit_lsn(self) -> int:
         return self.engine.commit_lsn
@@ -224,11 +251,18 @@ class WorkerRuntime:
         return self.engine.backend.has_cache(name)
 
     def define_view(self, strategy, report, use_incremental: bool,
-                    stats: Mapping[str, int], exist_ok: bool = False):
-        return self.engine.define_view(strategy, report=report,
-                                       validate_first=False,
-                                       use_incremental=use_incremental,
-                                       stats=stats, exist_ok=exist_ok)
+                    stats: Mapping[str, int], exist_ok: bool = False
+                    ) -> tuple:
+        """``(entry, created)`` — ``created`` is false when ``exist_ok``
+        adopted a view this shard already carried (its WAL replay
+        re-registered it), which a coordinator rolling back a failed
+        cluster-wide definition must then leave alone."""
+        created = not self.engine.is_view(strategy.view.name)
+        entry = self.engine.define_view(strategy, report=report,
+                                        validate_first=False,
+                                        use_incremental=use_incremental,
+                                        stats=stats, exist_ok=exist_ok)
+        return entry, created
 
     def drop_view(self, name: str) -> None:
         self.engine.drop_view(name)
@@ -237,11 +271,13 @@ class WorkerRuntime:
         return 'pong'
 
     def metrics(self) -> dict:
-        """The worker engine's metrics snapshot (plus this process's
-        GLOBAL series, e.g. evaluator plan seals) — how worker
-        counters travel back to the coordinator's merged
-        ``ShardedEngine.metrics()`` over the ordinary RPC channel."""
-        from repro.rdbms.metrics import GLOBAL, merge_snapshots
+        """The shard engine's metrics snapshot — plus, in a worker
+        process, that process's GLOBAL series (e.g. evaluator plan
+        seals), which is how they travel back to the coordinator's
+        merged ``ShardedEngine.metrics()`` over the ordinary channel.
+        (The coordinator adds its own process's GLOBAL once.)"""
+        if WORKER_INDEX is None:
+            return self.engine.metrics_snapshot()
         return merge_snapshots([self.engine.metrics_snapshot(),
                                 GLOBAL.snapshot()])
 
@@ -294,19 +330,14 @@ def serve_connection(runtime: WorkerRuntime, conn) -> None:
             try:
                 conn.send_bytes(_dumps(reply))
             except Exception as error:
-                # An unpicklable *result* must not kill the channel:
-                # the coordinator is blocked waiting for exactly this
-                # seq.
-                if reply[1]:
-                    conn.send_bytes(_dumps(
-                        (reply[0], False,
-                         SchemaError(f'worker reply for {method!r} did '
-                                     f'not serialise: {error}'))))
-                else:
-                    conn.send_bytes(_dumps(
-                        (reply[0], False,
-                         SchemaError(f'worker error for {method!r} did '
-                                     f'not serialise: {error}'))))
+                # An unpicklable *result* (or error) must not kill the
+                # channel: the coordinator is blocked waiting for
+                # exactly this seq.
+                what = 'reply' if reply[1] else 'error'
+                conn.send_bytes(_dumps(
+                    (reply[0], False,
+                     SchemaError(f'worker {what} for {method!r} did '
+                                 f'not serialise: {error}'))))
             if method == 'close':
                 closing = True
                 break
@@ -327,7 +358,7 @@ def _worker_main(conn, index: int, schema, backend_spec,
         except OSError:  # pragma: no cover - already closed
             pass
     runtime = WorkerRuntime(schema, backend_spec,
-                            batch_deltas=batch_deltas, index=index,
+                            batch_deltas=batch_deltas,
                             wal_path=wal_path, wal_sync=wal_sync)
     try:
         serve_connection(runtime, conn)
@@ -455,42 +486,160 @@ class _RpcChannel:
         return self.drain(self.submit(method, *args))
 
 
-class _PreparedToken(NamedTuple):
-    """ProcessShard's prepare→apply handle: the worker-side slot id
-    plus what apply repair needs — the shard's pre-commit LSN and the
-    frozen commit record (``None`` without a WAL, or when the batch is
-    empty and nothing will be appended)."""
+def _settle(outcome: tuple):
+    """Surface a stored ``(ok, payload)`` outcome."""
+    ok, payload = outcome
+    if ok:
+        return payload
+    raise payload
 
-    txn: int
-    lsn: int
-    record: tuple | None
+
+#: Runtime calls that touch no transaction state.  An in-process
+#: channel answers them at once on the calling thread: a read must
+#: never queue behind another transaction's in-flight prepare.
+_READS = frozenset({'rows', 'snapshot', 'count', 'has_cache',
+                    'commit_lsn', 'metrics', 'ping'})
+
+#: Runtime calls an in-process channel runs under the shard lock:
+#: storage reads exclude the apply phase's (and a bulk load's) writes.
+_LOCKED = frozenset({'rows', 'snapshot', 'load', 'apply_prepared'})
+
+
+class InlineChannel:
+    """The channel contract — ``submit``/``drain``, per-shard FIFO,
+    exactly one outcome per token, surfaced at ``drain`` — over a
+    runtime on the caller's heap.  No fault site fires here: the
+    injection hooks (``rpc.send``, ``worker.dispatch``) belong to the
+    process transport.
+
+    Without a ``pool`` every call executes inside ``submit``, on the
+    calling thread, and the token *is* its stored ``(ok, payload)``
+    outcome — no thread is ever created.  With one, calls other than
+    reads queue per shard, and ``drain`` (a) hands every *other*
+    shard's queue to the pool and (b) works this shard's queue off on
+    the calling thread up to the token — so the shards of one scatter
+    overlap, a lone call never leaves its thread, and no drain ever
+    waits for a free pool thread.  ``peers`` is the list of channels
+    sharing the pool."""
+
+    dead = None                         # this transport cannot die
+
+    def __init__(self, runtime: WorkerRuntime, pool=None,
+                 peers: 'list | None' = None):
+        self.runtime = runtime
+        self._pool = pool
+        self._peers = peers if peers is not None else []
+        self._peers.append(self)
+        self._lock = threading.RLock()   # readers vs apply, per shard
+        self._turn = threading.Lock()    # one queued call at a time
+        self._queue: deque = deque()     # [method, args, outcome]
+        self._newest = self._kicked = None
+
+    def _run(self, method: str, args: tuple) -> tuple:
+        try:
+            call = getattr(self.runtime, method)
+            if method in _LOCKED:
+                with self._lock:
+                    return True, call(*args)
+            return True, call(*args)
+        except Exception as error:
+            return False, error
+
+    def submit(self, method: str, *args):
+        if self._pool is None or method in _READS:
+            return self._run(method, args)
+        task = [method, args, None]
+        self._queue.append(task)
+        self._newest = task
+        return task
+
+    def drain(self, task: list):
+        """Finish a *queued* call (one run at ``submit`` returned its
+        ``(ok, payload)`` outcome as the token)."""
+        for peer in self._peers:
+            # One kick per batch of queued work, with a bounded
+            # mandate: the pool thread runs the peer's queue up to the
+            # call that is newest now and leaves — a lingering one
+            # could grab a later call of THIS channel and leave its
+            # drainer waiting with no thread free for the rest.
+            if peer is not self and peer._queue \
+                    and peer._kicked is not peer._newest:
+                peer._kicked = peer._newest
+                self._pool.submit(peer._work_off, peer._kicked)
+        while task[2] is None:
+            # Runs the oldest queued call, or waits out the pool
+            # thread that is running it.
+            self._step()
+        return _settle(task[2])
+
+    def _step(self) -> bool:
+        with self._turn:
+            if not self._queue:
+                return False
+            task = self._queue.popleft()
+            task[2] = self._run(task[0], task[1])
+            return True
+
+    def _work_off(self, upto: list) -> None:
+        while upto[2] is None and self._step():
+            pass
+
+    def close(self) -> None:
+        """Join the shared pool (bounding when per-thread backend
+        leases stop being created), then close the runtime.
+        Idempotent."""
+        if self._pool is not None:
+            self._pool.shutdown(wait=True)
+        self.runtime.close()
+
+
+def _check_backend_spec(spec) -> None:
+    """A process shard's backend is built inside its worker, from a
+    *kind name*.  Checked in the coordinator, before any fork: an
+    instance cannot cross it (SQLite connections are process-bound),
+    and a worker dying on a bad name would surface as an opaque
+    :class:`ShardUnavailableError` instead of the canonical error."""
+    if isinstance(spec, Backend):
+        raise SchemaError(
+            'process shards construct their backend inside the worker '
+            '(connections must not cross the fork); pass backend kind '
+            'names, not instances')
+    if spec is not None and spec not in BACKENDS:
+        raise SchemaError(f'unknown backend {spec!r}; expected one '
+                          f'of {sorted(BACKENDS)}')
 
 
 class ProcessShard:
-    """Coordinator-side client for one worker process.
+    """The shard client: one shard's protocol surface, spoken to a
+    :class:`WorkerRuntime` through a channel.
 
-    Presents the same surface as a local shard (see
-    ``LocalShard`` in :mod:`repro.rdbms.sharded`): the transaction
-    pipeline, scatter-gather reads, and catalog operations — plus the
-    pipelined ``queue_*`` variants the router uses, whose tokens the
-    cluster transaction collects and drains at its barriers.
+    Every method is built on one primitive — :meth:`submit` a call by
+    name, :meth:`drain` its token — so a coordinator overlaps shards by
+    submitting to each before draining any, with no thread of its own.
+    The synchronous methods (``prepare_commit``, ``rows``, …) are
+    ``drain(submit(...))``; ``queue_apply``/``queue_flush`` return the
+    token for the cluster transaction to drain at its barrier.
 
-    ``wal_path`` gives the worker a durable log (opened *inside* the
-    worker); restart then recovers committed state by replay, and
-    :meth:`apply_prepared` repairs a worker that died mid-apply (see
-    the module docstring's Durability section).  ``rpc_timeout`` bounds
+    This class runs the runtime in a **worker process** behind a pipe
+    (:class:`_RpcChannel`); :class:`LocalShard` swaps the lifecycle for
+    a runtime on the caller's heap and inherits every protocol method.
+
+    ``wal_path`` gives the runtime a durable log (opened *inside* the
+    worker); restart then recovers committed state by replay, and an
+    apply whose worker died is repaired (:meth:`_repair_apply`, see the
+    module docstring's Durability section).  ``rpc_timeout`` bounds
     each call's wait so a wedged worker surfaces as
     :class:`ShardUnavailableError`."""
+
+    #: The runtime lives across a boundary that can fail and is crossed
+    #: by value: journal what a replacement must replay, ask prepare for
+    #: repair records, freeze row sets before they are sent.
+    _volatile = True
 
     def __init__(self, index: int, schema, backend_spec, *,
                  batch_deltas: bool = True,
                  mp_context=None, wal_path=None, wal_sync: bool = True,
                  rpc_timeout: float | None = None):
-        if isinstance(backend_spec, Backend):
-            raise SchemaError(
-                'process shards construct their backend inside the '
-                'worker (connections must not cross the fork); pass a '
-                'backend kind name, not an instance')
         self.index = index
         self._schema = schema
         self._spec = backend_spec
@@ -498,29 +647,33 @@ class ProcessShard:
         self._wal_path = Path(wal_path) if wal_path is not None else None
         self._wal_sync = wal_sync
         self._rpc_timeout = rpc_timeout
-        self._ctx = mp_context or _default_context()
+        self._ctx = mp_context
         self._txn_counter = 0
         #: restarts so far — the worker's fault-plan ``generation``
         self.generation = 0
         #: RPC round-trips completed on channels already torn down; a
         #: restart replaces the channel (whose sequence counter starts
         #: over), so the cumulative count lives here — see
-        #: :attr:`rpc_requests`.
+        #: :meth:`metrics`.
         self._rpc_retired = 0
         # Recovery journal for WAL-less shards: the catalog calls a
         # restarted worker replays (latest load per table; views in
         # definition order).  With a WAL the log itself is the journal.
+        self._journaled = self._volatile and self._wal_path is None
         self._loads: dict[str, frozenset] = {}
         self._views: list[tuple] = []
-        self.channel: _RpcChannel | None = None
+        self.channel = None
         self.process = None
         self._spawn()
 
     # -- lifecycle ----------------------------------------------------
 
     def _spawn(self) -> None:
-        parent_conn, child_conn = self._ctx.Pipe(duplex=True)
-        process = self._ctx.Process(
+        """Bring up a runtime and set ``self.channel`` to reach it."""
+        _check_backend_spec(self._spec)
+        context = self._ctx or _default_context()
+        parent_conn, child_conn = context.Pipe(duplex=True)
+        process = context.Process(
             target=_worker_main,
             args=(child_conn, self.index, self._schema, self._spec,
                   self._batch_deltas, self._wal_path, self._wal_sync,
@@ -557,23 +710,6 @@ class ProcessShard:
         for view_args in self._views:
             self.channel.call('define_view', *view_args)
 
-    @property
-    def rpc_requests(self) -> int:
-        """Total RPC requests ever sent to this shard (across worker
-        generations)."""
-        current = self.channel._seq if self.channel is not None else 0
-        return self._rpc_retired + current
-
-    def metrics(self) -> 'dict | None':
-        """The worker's metrics snapshot (``None`` when the worker is
-        unreachable — a dead shard contributes nothing to the merge)."""
-        if self.channel is None or self.channel.dead:
-            return None
-        try:
-            return self.channel.call('metrics')
-        except ShardUnavailableError:
-            return None
-
     def _reap(self) -> None:
         if self.channel is not None:
             self._rpc_retired += self.channel._seq
@@ -597,6 +733,54 @@ class ProcessShard:
                 pass
         self._reap()
 
+    # -- the primitive ------------------------------------------------
+
+    def submit(self, method: str, *args):
+        """Start the call ``method(*args)`` without waiting for it;
+        :meth:`drain` of the returned token finishes it.  Exactly one
+        outcome per token: a request that could not even be sent (dead
+        channel) surfaces at ``drain`` like any other failure, so a
+        scatter always drains what it submitted.
+
+        ``method`` names the runtime method and ``args`` are its
+        arguments — except for the two calls with a client-side half
+        (finished in :meth:`drain`), which take what *this* side needs:
+        ``apply_prepared`` the whole prepare token (kept for repair;
+        the runtime gets its slot id) and ``load`` any iterable of rows
+        (journalled for a WAL-less restart).  A shard without a WAL
+        answers ``commit_lsn`` itself: nothing was ever logged."""
+        if method == 'commit_lsn' and self._wal_path is None:
+            return method, args, (True, 0)
+        if method == 'load' and self._volatile:
+            args = (args[0], frozenset(tuple(r) for r in args[1]))
+        wire = (args[0].txn,) if method == 'apply_prepared' else args
+        try:
+            ticket = self.channel.submit(method, *wire)
+        except ShardUnavailableError as error:
+            ticket = False, error
+        return method, args, ticket
+
+    def drain(self, token):
+        """The outcome of a submitted call: its result, or its raised
+        error — after this side's half of it: an ``apply_prepared``
+        that lost its worker is repaired, a ``load`` that succeeded is
+        journalled."""
+        method, args, ticket = token
+        try:
+            result = _settle(ticket) if type(ticket) is tuple \
+                else self.channel.drain(ticket)
+        except ShardUnavailableError:
+            if method != 'apply_prepared' \
+                    or not self._repair_apply(*args):
+                raise
+            return None
+        if method == 'load' and self._journaled:
+            self._loads[args[0]] = args[1]
+        return result
+
+    def _call(self, method: str, *args):
+        return self.drain(self.submit(method, *args))
+
     # -- transaction pipeline (pipelined where the router allows) -----
 
     def begin(self) -> int:
@@ -605,32 +789,24 @@ class ProcessShard:
         # barrier responsible for draining it.
         self._txn_counter += 1
         txn = self._txn_counter
-        self.channel.call('begin', txn)
+        self._call('begin', txn)
         return txn
 
-    def queue_apply(self, txn: int, target: str, statements) -> int:
-        return self.channel.submit('apply_statements', txn, target,
-                                   list(statements))
+    def queue_apply(self, txn: int, target: str, statements):
+        return self.submit('apply_statements', txn, target,
+                           list(statements))
 
-    def queue_flush(self, txn: int, target: str) -> int:
-        return self.channel.submit('flush_reads', txn, target)
-
-    def drain(self, token: int):
-        return self.channel.drain(token)
+    def queue_flush(self, txn: int, target: str):
+        return self.submit('flush_reads', txn, target)
 
     def txn_rows(self, txn: int, target: str) -> frozenset:
-        return self.channel.call('txn_rows', txn, target)
+        return self._call('txn_rows', txn, target)
 
     def prepare_commit(self, txn: int) -> _PreparedToken:
-        lsn, record = self.channel.call('prepare_commit', txn)
-        return _PreparedToken(txn, lsn, record)
+        return self._call('prepare_commit', txn)
 
     def apply_prepared(self, prepared: _PreparedToken) -> None:
-        try:
-            self.channel.call('apply_prepared', prepared.txn)
-        except ShardUnavailableError:
-            if not self._repair_apply(prepared):
-                raise
+        self._call('apply_prepared', prepared)
 
     def _repair_apply(self, token: _PreparedToken) -> bool:
         """A worker died (or its channel broke) *during* apply — after
@@ -662,49 +838,97 @@ class ProcessShard:
 
     @property
     def commit_lsn(self) -> int:
-        return self.channel.call('commit_lsn')
+        return self._call('commit_lsn')
 
     def abort(self, txn: int) -> None:
         if self.channel is not None and not self.channel.dead:
             try:
-                self.channel.call('abort', txn)
+                self._call('abort', txn)
             except ShardUnavailableError:
                 pass
 
     # -- storage / catalog --------------------------------------------
 
     def rows(self, name: str) -> frozenset:
-        return self.channel.call('rows', name)
+        return self._call('rows', name)
 
     def snapshot(self):
-        return self.channel.call('snapshot')
+        return self._call('snapshot')
 
     def load(self, name: str, rows) -> None:
-        rows = frozenset(tuple(r) for r in rows)
-        self.channel.call('load', name, rows)
-        if self._wal_path is None:      # with a WAL the log records it
-            self._loads[name] = rows
+        self._call('load', name, rows)
 
     def count(self, name: str) -> int:
-        return self.channel.call('count', name)
+        return self._call('count', name)
 
     def has_cache(self, name: str) -> bool:
-        return self.channel.call('has_cache', name)
+        return self._call('has_cache', name)
 
     def define_view(self, strategy, *, report=None,
                     use_incremental: bool = True, stats=None,
-                    exist_ok: bool = False):
+                    exist_ok: bool = False) -> tuple:
+        """``(entry, created)`` — see :meth:`WorkerRuntime.define_view`."""
         args = (strategy, report, use_incremental, dict(stats or {}),
                 exist_ok)
-        entry = self.channel.call('define_view', *args)
-        if self._wal_path is None:
+        entry, created = self._call('define_view', *args)
+        if created and self._journaled:
             self._views.append(args)
-        return entry
+        return entry, created
 
     def drop_view(self, name: str) -> None:
-        self.channel.call('drop_view', name)
+        self._call('drop_view', name)
         self._views = [args for args in self._views
                        if args[0].view.name != name]
+
+    def metrics(self) -> dict:
+        """The runtime's metrics snapshot (nothing when it is
+        unreachable — a dead shard contributes nothing to the merge)
+        plus, for a transport that can die, its own series: requests
+        ever sent (across worker generations), restarts, liveness."""
+        snapshots: list = []
+        if self.channel is not None and not self.channel.dead:
+            try:
+                snapshots.append(self._call('metrics'))
+            except ShardUnavailableError:
+                pass
+        if self._volatile:
+            sent = self.channel._seq if self.channel is not None else 0
+            snapshots.append({
+                'counters': {'rpc.requests': self._rpc_retired + sent,
+                             'procpool.restarts': self.generation},
+                'gauges': {'procpool.alive': float(self.alive)}})
+        return merge_snapshots(snapshots)
+
+
+class LocalShard(ProcessShard):
+    """The in-process shard: the same client over a runtime on the
+    caller's heap (:class:`InlineChannel`).  Lifecycle only — the
+    transport cannot die, so there is nothing to restart, journal or
+    repair.  ``pool``/``peers`` are the thread pool and channel list the
+    shards of one engine share (``None`` runs every call on the calling
+    thread)."""
+
+    _volatile = False
+    alive = True
+
+    def __init__(self, index: int, schema, backend, *, pool=None,
+                 peers: 'list | None' = None, **options):
+        self._pool, self._peers = pool, peers
+        super().__init__(index, schema, backend, **options)
+
+    def _spawn(self) -> None:
+        self.runtime = WorkerRuntime(
+            self._schema, self._spec, batch_deltas=self._batch_deltas,
+            wal_path=self._wal_path, wal_sync=self._wal_sync,
+            repair_records=False)
+        self.channel = InlineChannel(self.runtime, self._pool,
+                                     self._peers)
+
+    def restart(self) -> None:
+        """Nothing to replace."""
+
+    def close(self) -> None:
+        self.channel.close()
 
 
 def _default_context():
@@ -738,6 +962,8 @@ class ProcessPool:
                  batch_deltas: bool = True, wal_paths=None,
                  wal_sync: bool = True, rpc_timeout: float | None = None):
         context = _default_context()
+        for spec in backend_specs:      # all of them, before any fork
+            _check_backend_spec(spec)
         if wal_paths is not None and len(wal_paths) != len(backend_specs):
             raise SchemaError(
                 f'wal_paths must name one log per shard: got '
@@ -751,15 +977,6 @@ class ProcessPool:
             for index, spec in enumerate(backend_specs))
         self._finalizer = weakref.finalize(
             self, _shutdown_shards, self.shards, os.getpid())
-
-    def restart_dead(self) -> list[int]:
-        """Restart every dead worker; the restarted shard indices."""
-        restarted = []
-        for shard in self.shards:
-            if not shard.alive:
-                shard.restart()
-                restarted.append(shard.index)
-        return restarted
 
     def shutdown(self) -> None:
         if self._finalizer.detach() is not None:

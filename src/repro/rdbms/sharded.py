@@ -52,49 +52,85 @@ runs, ⊥-constraint checks, schema validation — everything that can
 fail) and applies the prepared storage batches only after *all* shards
 prepared, so an abort mid-transaction leaves every shard untouched.
 
-**Parallelism.**  ``ShardedEngine(parallelism=N)`` backs the pipeline
-with a thread pool: statement fan-out (``apply_statements`` per routed
-shard), the cluster flush gate, the two-phase ``prepare_commit`` and
-the apply phase all run concurrently across the shards a transaction
-touches, and ``get``/``rows`` scatter-gathers reads concurrently.
-Per-shard state keeps the fan-out safe: each shard is one inner engine
-with its own backend (SQLite backends lease one connection per worker
-thread), compiled plans are immutable and shared, and the engine
-pipeline holds no engine-global mutable state during prepare.  Results
-are bit-identical to ``parallelism=1``: workers run every task to
-completion and the coordinator joins them in the order the serial loop
-would have run, so the *first* error — in first-touched shard order —
-is the one raised, no matter which worker failed first (the fuzz
-oracle's ``parallel`` axis pins this).  Reads during an in-flight
-transaction's *prepare* phase see pre-transaction state and are never
-blocked (prepare stages in Python; only the apply phase writes
-storage, and it excludes readers per shard with a lock).  During the
-brief apply phase itself, consistency is per shard: a multi-shard
-scatter-gather racing the apply may combine shards from either side
-of the commit — cross-shard snapshot isolation for readers is future
-work.
+**Shard transports.**  The coordinator drives every shard through
+one client (:class:`~repro.rdbms.procpool.ProcessShard`) that speaks
+one primitive — ``submit(method, *args) → token``, ``drain(token) →
+result or raise`` — to one server-side object
+(:class:`~repro.rdbms.procpool.WorkerRuntime`: the shard's engine plus
+per-transaction slots).  Every phase is *submit to each shard, drain
+in serial order, raise the first error after draining all*: the order
+tokens are drained in is the order the serial loop would have run the
+calls, so the first error raised is the serial-identical one no matter
+which shard failed first (the fuzz oracle's ``sharded-parallel`` and
+``sharded-procs`` axes pin this).  The protocol:
 
-**Process execution.**  ``ShardedEngine(execution='processes')`` moves
-each shard into a worker *process* (:mod:`repro.rdbms.procpool`),
-escaping the GIL that makes the thread mode ≈ serial on CPU-bound
-putbacks.  The coordinator logic above is unchanged — routing, the
-flush gate, placement, 2PC — but each shard is driven through an RPC
-client instead of an inner engine: statement fan-out is *pipelined*
-(fire-and-forget submits whose outcomes are collected at the next
-barrier **in submission order**, which is the serial execution order,
-so the first error raised is serial-identical), while prepare, apply
-and scatter-gather reads are synchronous RPCs overlapped by the same
-thread pool (each blocks in ``recv``, releasing the GIL, so N workers
-genuinely compute in parallel).  A worker death surfaces as
-:class:`~repro.errors.ShardUnavailableError`: the cluster transaction
-aborts on every surviving shard (staging never touches storage, so
-abandoning it *is* rollback) and the pool restarts the worker.  Thread
-mode routes through the same :class:`LocalShard` client, so both modes
-run one code path and the differential fuzz oracle holds them
-bit-identical.
+======================  ==========  ==================================
+call                    awaited     may fail with
+======================  ==========  ==================================
+``begin``               at once     transport only
+``apply_statements``    at barrier  translation, schema validation
+``flush_reads``         at barrier  translation, ⊥-constraints
+``txn_rows``            at once     as ``flush_reads``
+``prepare_commit``      scatter     translation, ⊥-constraints, schema
+``apply_prepared``      scatter     storage I/O (worker death: repaired)
+``abort``               at once     never (best effort)
+``rows``, ``snapshot``  scatter     unknown relation
+``load``                scatter     schema validation, storage I/O
+``commit_lsn``          scatter     transport only
+``count``, ``has_cache``,
+``define_view``,
+``drop_view``,
+``metrics``             at once     schema (catalog calls)
+======================  ==========  ==================================
+
+*At barrier*: the statement fan-out is pipelined — routing submits
+(``queue_apply``/``queue_flush``) without waiting, and a barrier before
+any synchronous read, and before prepare, drains every outcome in
+submission order.  *Scatter*: :meth:`ShardedEngine._scatter`.  On top
+of the table every call may raise
+:class:`~repro.errors.ShardUnavailableError` when its transport can
+die.  The coordinator cannot tell which transport carries the calls;
+``execution`` picks it once, in the constructor:
+
+* ``'threads'`` — **in-process** (:class:`LocalShard`): the runtime
+  lives on the coordinator's heap.  *FIFO*: calls other than reads run
+  per shard in submission order.  *Lock*: reads (``rows``,
+  ``snapshot``, ``count``, …) run at once on the calling thread and
+  never wait behind another transaction's prepare — prepare stages in
+  Python; only ``apply_prepared`` and ``load`` write storage, and they
+  exclude ``rows``/``snapshot`` per shard with a lock.  During the
+  brief apply phase consistency is per shard: a multi-shard
+  scatter-gather racing the apply may combine shards from either side
+  of the commit (cross-shard snapshot isolation for readers is future
+  work).  *Liveness*: the transport cannot die — ``alive`` is always
+  true, ``restart`` does nothing, nothing is journalled or repaired.
+  ``parallelism=1`` (the default) runs every call inside ``submit`` on
+  the calling thread and never creates a thread.  ``parallelism=N``
+  lets N threads — the caller and a pool of N-1 — work a scatter's
+  shards concurrently (each shard is one engine with its own backend;
+  SQLite backends lease one connection per thread; compiled plans are
+  immutable and shared), with results bit-identical to ``1``.
+* ``'processes'`` — one **worker process** per shard
+  (:mod:`repro.rdbms.procpool`), escaping the GIL.  *FIFO*: the pipe,
+  with sequence-number dedup and reordering in the worker.  *Lock*: the
+  worker serves one call at a time, so a read simply waits its turn.
+  *Liveness*: ``rpc_timeout`` plus a liveness poll turn a dead or
+  wedged worker into :class:`~repro.errors.ShardUnavailableError`; the
+  cluster transaction aborts on every surviving shard (staging never
+  touches storage, so abandoning it *is* rollback) and the worker is
+  restarted.  No coordinator thread exists at any ``parallelism``:
+  overlap is *submit to all, then drain all* — each worker computes
+  while the coordinator waits on another's reply.  ``parallelism=1``
+  keeps one scatter RPC in flight at a time; the default (the shard
+  count) overlaps them.
+
+``BENCHMARK.json`` runs process shards only (``cluster-share``): the
+speed of in-process shards at ``parallelism > 1`` is not covered by it
+(``benchmarks/bench_shard.py`` gates that mode against the serial
+pipeline).
 
 **Fault tolerance.**  With ``wal_dir`` set, *both* executions are
-durable: thread mode logs in the shard engines, process mode threads
+durable: in-process shards log in their engines, process mode threads
 ``wal_dir/shard-<i>.wal`` into each worker — the worker's fsynced
 append is its commit point, a restarted worker replays the committed
 prefix, and a worker killed *mid-apply* is repaired from its prepare
@@ -113,28 +149,25 @@ partially committed).  Fault injection for all of this lives in
 from __future__ import annotations
 
 import tempfile
-import threading
 import time
-import zlib
-from abc import ABC, abstractmethod
-from bisect import bisect_right
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
-from typing import Callable, Iterable, Mapping, Sequence
+from typing import Iterable, Mapping, Sequence
 
 from repro.core.strategy import UpdateStrategy
 from repro.core.validation import ValidationReport, validate
-from repro.datalog.ast import (Lit, Program, Rule, Var, delta_base,
-                               is_delta_pred)
 from repro.errors import SchemaError, ShardUnavailableError
-from repro.rdbms.backends import (BACKENDS, Backend,
-                                  create_shard_backends)
+from repro.rdbms.backends import (create_shard_backends,
+                                  shard_backend_specs)
 from repro.rdbms.dml import (Delete, Insert, Statement, Update,
                              _apply_assignments, compile_where)
 from repro.rdbms.engine import (Engine, Transaction, ViewEntry,
                                 coalesce_buckets)
 from repro.rdbms.metrics import GLOBAL, MetricsRegistry, merge_snapshots
-from repro.rdbms.procpool import ProcessPool
+from repro.rdbms.placement import (HashPartitioner, Partitioner,
+                                   RangePartitioner, decide_placement,
+                                   resolve_key)
+from repro.rdbms.procpool import LocalShard, ProcessPool
 from repro.rdbms.replica import ReplicaEngine, ReplicaSet
 from repro.relational.database import Database
 from repro.relational.delta import Delta
@@ -144,164 +177,11 @@ __all__ = ['Partitioner', 'HashPartitioner', 'RangePartitioner',
            'LocalShard', 'ShardedEngine']
 
 
-# ---------------------------------------------------------------------------
-# Partitioners
-# ---------------------------------------------------------------------------
-
-
-class Partitioner(ABC):
-    """Maps a shard-key *value* to a shard index in ``[0, n_shards)``.
-
-    Implementations must respect value equality: ``x == y`` implies
-    ``shard_of(x) == shard_of(y)`` — WHERE clauses match rows with
-    ``==`` (where ``1 == 1.0 == True``), so a partitioner that told
-    equal values apart would route a keyed statement away from the
-    rows it matches."""
-
-    def __init__(self, n_shards: int):
-        if n_shards < 1:
-            raise SchemaError(f'need at least one shard, got {n_shards}')
-        self.n_shards = n_shards
-
-    @abstractmethod
-    def shard_of(self, value) -> int:
-        """The shard owning rows whose key equals ``value``."""
-
-
-class HashPartitioner(Partitioner):
-    """Stable hash partitioning: numbers by modulus, everything else
-    by CRC-32 of its ``repr`` — deliberately *not* Python's built-in
-    ``hash``, whose string seed changes per process and would make two
-    runs (or a differential test against a persisted SQLite shard)
-    disagree about row ownership.  Numeric values that compare equal
-    (``1``/``1.0``/``True``) normalise to the same shard."""
-
-    def shard_of(self, value) -> int:
-        # Normalise every numeric type onto one representative so
-        # ==-equal values (True/1/1.0/Decimal(1), and inf/Decimal
-        # ('Infinity') via the float step) share a shard; non-numerics
-        # fall through to the repr hash.
-        if isinstance(value, complex) and value.imag == 0:
-            value = value.real
-        if not isinstance(value, str):
-            try:
-                as_int = int(value)
-                if as_int == value:
-                    return as_int % self.n_shards
-            except (TypeError, ValueError, OverflowError):
-                pass
-            try:
-                value = float(value)
-            except (TypeError, ValueError, OverflowError):
-                pass
-        return zlib.crc32(repr(value).encode('utf-8')) % self.n_shards
-
-
-class RangePartitioner(Partitioner):
-    """Explicit key-range partitioning over ``len(boundaries) + 1``
-    shards: shard 0 owns values below ``boundaries[0]``, shard *i* owns
-    ``boundaries[i-1] <= value < boundaries[i]``, the last shard owns
-    the rest.  Boundaries must be sorted and mutually comparable with
-    every key value (one key type per partitioned schema)."""
-
-    def __init__(self, boundaries: Sequence):
-        boundaries = tuple(boundaries)
-        if list(boundaries) != sorted(boundaries) or \
-                any(a == b for a, b in zip(boundaries, boundaries[1:])):
-            raise SchemaError(f'range boundaries must be strictly '
-                              f'increasing, got {boundaries!r} (a '
-                              f'duplicate boundary would declare a '
-                              f'shard that can never own a row)')
-        super().__init__(len(boundaries) + 1)
-        self.boundaries = boundaries
-
-    def shard_of(self, value) -> int:
-        return bisect_right(self.boundaries, value)
-
-
-# ---------------------------------------------------------------------------
-# Shard clients
-# ---------------------------------------------------------------------------
-
-
-class LocalShard:
-    """In-process shard client: the thread-mode counterpart of
-    :class:`~repro.rdbms.procpool.ProcessShard`, presenting the same
-    surface over an inner engine on the coordinator's heap.  Reads and
-    the apply phase take the shard's lock (the per-shard writer/reader
-    exclusion of §"Parallelism"); transaction staging is lock-free."""
-
-    def __init__(self, index: int, engine: Engine):
-        self.index = index
-        self.engine = engine
-        self._lock = threading.RLock()
-
-    # -- transaction pipeline -----------------------------------------
-
-    def begin(self):
-        return self.engine.begin()
-
-    def apply_statements(self, handle, target: str, statements) -> None:
-        self.engine.apply_statements(handle, target, statements)
-
-    def flush_reads(self, handle, target: str) -> None:
-        self.engine.flush_reads(handle, target)
-
-    def txn_rows(self, handle, target: str) -> frozenset:
-        self.engine.flush_reads(handle, target)
-        return frozenset(handle.rows(target))
-
-    def prepare_commit(self, handle):
-        return self.engine.prepare_commit(handle)
-
-    def apply_prepared(self, prepared) -> None:
-        with self._lock:
-            self.engine.apply_prepared(prepared)
-
-    def abort(self, handle) -> None:
-        """Abandoning the working IS rollback — staging never touches
-        storage (§"Atomicity")."""
-
-    # -- storage / catalog --------------------------------------------
-
-    def rows(self, name: str) -> frozenset:
-        with self._lock:
-            return frozenset(self.engine.rows(name))
-
-    def snapshot(self) -> Database:
-        with self._lock:
-            return self.engine.database()
-
-    def load(self, name: str, rows) -> None:
-        with self._lock:
-            self.engine.load(name, rows)
-
-    def count(self, name: str) -> int:
-        return self.engine.backend.count(name)
-
-    def has_cache(self, name: str) -> bool:
-        return self.engine.backend.has_cache(name)
-
-    def define_view(self, strategy, *, report=None,
-                    use_incremental: bool = True, stats=None,
-                    exist_ok: bool = False):
-        return self.engine.define_view(strategy, report=report,
-                                       validate_first=False,
-                                       use_incremental=use_incremental,
-                                       stats=stats, exist_ok=exist_ok)
-
-    def drop_view(self, name: str) -> None:
-        self.engine.drop_view(name)
-
-    def close(self) -> None:
-        self.engine.close()
-
-
 class _ClusterTxn:
     """One cross-shard transaction's coordinator-side state: the
     per-shard transaction handles in **first-touched order** (the order
-    prepare joins in) and, under process execution, the submission-order
-    log of pipelined RPC tokens — drained at the next barrier in exactly
+    prepare joins in) and the submission-order log of pipelined
+    ``(shard, token)`` pairs — drained at the next barrier in exactly
     the order the serial loop would have executed the calls, so the
     first error to surface is the serial-identical one."""
 
@@ -309,52 +189,12 @@ class _ClusterTxn:
 
     def __init__(self):
         self.handles: dict[int, object] = {}
-        self.log: list[tuple[object, int]] = []
-
-
-def _process_backend_specs(spec, n_shards: int) -> list:
-    """Per-shard backend *kind names* for process execution, mirroring
-    :func:`~repro.rdbms.backends.create_shard_backends` — except that
-    prebuilt instances are rejected outright: a backend constructed in
-    the coordinator cannot cross the fork (SQLite connections are
-    process-bound), which is exactly why workers build their own."""
-    reject = ('process shards construct their backend inside the '
-              'worker (connections must not cross the fork); pass '
-              'backend kind names, not instances')
-    if isinstance(spec, Backend):
-        raise SchemaError(reject)
-    if spec is None or isinstance(spec, str):
-        spec = [spec] * n_shards
-    else:
-        spec = list(spec)
-    if len(spec) != n_shards:
-        raise SchemaError(
-            f'{len(spec)} shard backends specified for {n_shards} shards')
-    for kind in spec:
-        if isinstance(kind, Backend):
-            raise SchemaError(reject)
-        if kind is not None and kind not in BACKENDS:
-            # Fail here, in the coordinator, with the canonical error —
-            # a worker dying on a bad name would surface as an opaque
-            # ShardUnavailableError instead.
-            raise SchemaError(f'unknown backend {kind!r}; expected one '
-                              f'of {sorted(BACKENDS)}')
-    return spec
+        self.log: list[tuple[object, object]] = []
 
 
 # ---------------------------------------------------------------------------
 # The sharded engine
 # ---------------------------------------------------------------------------
-
-#: Set inside pool workers so nested coordinator calls (a worker that
-#: ends up back in ShardedEngine code) never re-submit to the pool —
-#: re-entrant submission from a full pool would deadlock.
-_IN_WORKER = threading.local()
-
-
-def _run_in_worker(thunk: Callable):
-    _IN_WORKER.active = True
-    return thunk()
 
 
 class ShardedEngine:
@@ -381,16 +221,17 @@ class ShardedEngine:
         declared shard key of each partitioned relation.  Relations
         without a key are *global*: stored wholly on ``global_shard``.
     parallelism:
-        Worker threads for the per-shard fan-out (capped at the shard
-        count).  Defaults to ``1`` under thread execution — the serial
-        baseline: every pipeline phase runs inline on the calling
-        thread, with identical results (§"Parallelism" in the module
-        docstring) — and to the shard count under process execution,
-        where the threads only overlap blocking RPCs.
+        How many shards a scatter keeps busy at once (capped at the
+        shard count; §"Shard transports" in the module docstring says
+        what that means on each transport).  Defaults to ``1`` under
+        thread execution — the serial baseline: every call runs inline
+        on the calling thread — and to the shard count under process
+        execution, where overlapping the workers is the whole point of
+        paying for them.  Results are identical at every value.
     execution:
-        ``'threads'`` (inner engines on the coordinator's heap, default)
-        or ``'processes'`` (one worker process per shard, §"Process
-        execution"); results are bit-identical either way.
+        The shard transport: ``'threads'`` (runtimes on the
+        coordinator's heap, default) or ``'processes'`` (one worker
+        process per shard); results are bit-identical either way.
     rpc_timeout:
         Process execution only: seconds each RPC waits for its reply
         before the shard surfaces as
@@ -471,8 +312,6 @@ class ShardedEngine:
             raise SchemaError(f'parallelism must be >= 1, '
                               f'got {parallelism}')
         self.parallelism = min(parallelism, shards)
-        self._pool: ThreadPoolExecutor | None = None
-        self._pool_lock = threading.Lock()
         self._transient_retries = transient_retries
         self._retry_backoff = retry_backoff
         # The exponential backoff is bounded twice (the uncapped
@@ -511,38 +350,41 @@ class ShardedEngine:
             base.mkdir(parents=True, exist_ok=True)
             wal_paths = [base / f'shard-{i}.wal'
                          for i in range(shards)]
-        self._wal_paths = tuple(wal_paths)
         if execution == 'processes':
-            self._procpool: ProcessPool | None = ProcessPool(
-                schema, _process_backend_specs(backends, shards),
-                batch_deltas=batch_deltas,
-                wal_paths=(wal_paths if wal_dir is not None else None),
+            #: owns the finalizer that reaps the workers on coordinator
+            #: GC and interpreter exit
+            self._reaper = ProcessPool(
+                schema, shard_backend_specs(backends, shards),
+                batch_deltas=batch_deltas, wal_paths=wal_paths,
                 wal_sync=wal_sync, rpc_timeout=rpc_timeout)
-            self.shards = self._procpool.shards
+            self.shards = self._reaper.shards
             #: the inner engines live in the workers under process
-            #: execution; thread-mode introspection goes via .engines
+            #: execution; in-process introspection goes via .engines
             self.engines: tuple[Engine, ...] = ()
         else:
-            self._procpool = None
-            shard_backends = create_shard_backends(backends, schema,
-                                                   shards)
-            self.engines = tuple(Engine(schema, backend=b,
-                                        batch_deltas=batch_deltas,
-                                        wal=path, wal_sync=wal_sync)
-                                 for b, path in zip(shard_backends,
-                                                    wal_paths))
-            for engine in self.engines:
-                # Planner statistics (define_view seed AND drift
-                # re-plans) come from cluster-wide aggregated counts,
-                # never from one shard's local sizes.  (Process workers
-                # cannot call back mid-transaction: their define_view
-                # seed is the aggregated stats the coordinator ships,
-                # and drift re-plans use local counts — which only ever
-                # changes a join order, never a result.)
-                engine.stats_provider = self._aggregated_stats
-            self.shards = tuple(LocalShard(index, engine)
-                                for index, engine
-                                in enumerate(self.engines))
+            pool = ThreadPoolExecutor(
+                max_workers=self.parallelism - 1,
+                thread_name_prefix='repro-shard') \
+                if self.parallelism > 1 else None
+            channels: list = []
+            self.shards = tuple(
+                LocalShard(index, schema, backend,
+                           batch_deltas=batch_deltas, wal_path=path,
+                           wal_sync=wal_sync, pool=pool, peers=channels)
+                for index, (backend, path) in enumerate(zip(
+                    create_shard_backends(backends, schema, shards),
+                    wal_paths)))
+            self.engines = tuple(shard.runtime.engine
+                                 for shard in self.shards)
+        for engine in self.engines:
+            # Planner statistics (define_view seed AND drift
+            # re-plans) come from cluster-wide aggregated counts,
+            # never from one shard's local sizes.  (Process workers
+            # cannot call back mid-transaction: their define_view
+            # seed is the aggregated stats the coordinator ships,
+            # and drift re-plans use local counts — which only ever
+            # changes a join order, never a result.)
+            engine.stats_provider = self._aggregated_stats
         #: one ReplicaSet per shard (empty tuple when read_replicas=0):
         #: reads fan across them, writes stay on the shard primaries.
         self.replica_sets: tuple[ReplicaSet, ...] = ()
@@ -553,7 +395,7 @@ class ShardedEngine:
             # checksum — with the ProcessShard client as the primary.
             primaries = self.engines or self.shards
             feeds = [engine.wal for engine in self.engines] \
-                or list(self._wal_paths)
+                or wal_paths
             self.replica_sets = tuple(
                 ReplicaSet(primary,
                            [ReplicaEngine(schema, feed)
@@ -564,65 +406,59 @@ class ShardedEngine:
         self._entries: dict[str, ViewEntry] = {}
         #: relation/view -> None (partitioned) or the pinned shard index
         self._placement: dict[str, int | None] = {}
-        self._key_pos: dict[str, int] = {}
-        self._key_attr: dict[str, str] = {}
+        #: partitioned relation/view -> (key position, key attribute)
+        self._keys: dict[str, tuple[int, str]] = {}
         #: unresolved key declarations for views defined later
         self._pending_keys: dict[str, str | int] = {}
         for name, key in dict(shard_keys or {}).items():
             if name in schema:
-                pos, attr = _resolve_key(schema[name], key)
                 self._placement[name] = None
-                self._key_pos[name] = pos
-                self._key_attr[name] = attr
+                self._keys[name] = resolve_key(schema[name], key)
             else:
                 self._pending_keys[name] = key
         for rel in schema.names():
             self._placement.setdefault(rel, self.global_shard)
 
-    # -- the worker pool ----------------------------------------------
+    # -- awaiting shards ----------------------------------------------
 
-    def _ensure_pool(self) -> ThreadPoolExecutor | None:
+    def _scatter(self, calls) -> list:
+        """Run ``(shard, method, *args)`` calls and return their
+        results in call order — the one way the coordinator awaits
+        several shards.  ``parallelism > 1`` submits every call before
+        draining any (the shards overlap; on worker processes or on
+        pool threads is the transport's business), drains ALL of them,
+        and raises the first error *in call order* — the error the
+        serial loop would have raised, whichever shard failed first.
+        ``parallelism=1`` keeps one call in flight at a time and stops
+        at the first error."""
         if self.parallelism <= 1:
-            return None
-        pool = self._pool
-        if pool is None:
-            with self._pool_lock:
-                pool = self._pool
-                if pool is None:
-                    pool = ThreadPoolExecutor(
-                        max_workers=self.parallelism,
-                        thread_name_prefix='repro-shard')
-                    self._pool = pool
-        return pool
+            return [shard.drain(shard.submit(method, *args))
+                    for shard, method, *args in calls]
+        return self._drain_all([(shard, shard.submit(method, *args))
+                                for shard, method, *args in calls])
 
-    def _pmap(self, thunks: Sequence[Callable]) -> list:
-        """Run ``thunks`` and return their results in order.
-
-        Parallel mode fans the thunks out to the pool, waits for ALL of
-        them, and raises the first exception *in thunk order* — the
-        error the serial loop would have raised, regardless of which
-        worker actually failed first.  Runs inline when there is
-        nothing to overlap (one thunk, ``parallelism=1``) or when the
-        calling thread is itself a pool worker (re-submitting from
-        inside the pool could exhaust it and deadlock)."""
-        if len(thunks) <= 1 or self.parallelism <= 1 \
-                or getattr(_IN_WORKER, 'active', False):
-            return [thunk() for thunk in thunks]
-        pool = self._ensure_pool()
-        futures = [pool.submit(_run_in_worker, thunk)
-                   for thunk in thunks]
-        results: list = []
-        first_error: BaseException | None = None
-        for future in futures:
+    @staticmethod
+    def _drain_all(pending) -> list:
+        """Drain every ``(shard, token)`` in order, then raise the
+        first failure — the serial-identical error.  Every token is
+        drained even after a failure (an undrained reply would sit in
+        its channel forever)."""
+        results, errors = [], []
+        for shard, token in pending:
             try:
-                results.append(future.result())
-            except BaseException as error:
-                if first_error is None:
-                    first_error = error
-                results.append(None)
-        if first_error is not None:
-            raise first_error
+                results.append(shard.drain(token))
+            except Exception as error:
+                errors.append(error)
+        if errors:
+            raise errors[0]
         return results
+
+    def _restart_dead(self) -> None:
+        """Replace every shard whose transport died, so the *next*
+        call finds a serving cluster."""
+        for shard in self.shards:
+            if not shard.alive:
+                shard.restart()
 
     # -- configuration introspection ----------------------------------
 
@@ -652,7 +488,7 @@ class ShardedEngine:
 
     def shard_key(self, name: str) -> str | None:
         """The declared shard-key attribute of a partitioned relation."""
-        return self._key_attr.get(name)
+        return self._keys.get(name, (None, None))[1]
 
     @property
     def unresolved_shard_keys(self) -> tuple[str, ...]:
@@ -671,9 +507,6 @@ class ShardedEngine:
         except KeyError:
             raise SchemaError(f'unknown relation {name!r}') from None
 
-    def _shard_of_row(self, name: str, row: tuple) -> int:
-        return self.partitioner.shard_of(row[self._key_pos[name]])
-
     def classifier(self, name: str):
         """The partition predicate of ``name`` — the row → shard map
         that :meth:`repro.relational.delta.Delta.split` routes deltas
@@ -681,29 +514,11 @@ class ShardedEngine:
         place = self._placement_of(name)
         if place is not None:
             return lambda row: place
-        key = self._key_pos[name]
+        key = self._keys[name][0]
         shard_of = self.partitioner.shard_of
         return lambda row: shard_of(row[key])
 
     # -- storage access ------------------------------------------------
-
-    def _read_shard(self, index: int, name: str) -> frozenset:
-        """One *primary* shard's contents of ``name``, copied under the
-        shard lock (worker-serialised for process shards) so an apply
-        phase cannot mutate the rows mid-copy.  Internal machinery
-        (migrations, diagnostics) reads here; replica routing happens
-        one level up, in :meth:`_read_routed`."""
-        return self.shards[index].rows(name)
-
-    def _read_routed(self, index: int, name: str,
-                     min_lsn: int | None) -> frozenset:
-        """One shard's contents for an external read: through the
-        shard's :class:`ReplicaSet` when replicas are attached (the
-        primary only sees the write path), else the primary."""
-        if self.replica_sets:
-            return frozenset(
-                self.replica_sets[index].read(name, min_lsn=min_lsn))
-        return self._read_shard(index, name)
 
     def _shard_min_lsns(self, min_lsn) -> list:
         """Normalise a read bound: ``None``, one int for every shard,
@@ -720,35 +535,30 @@ class ShardedEngine:
     def rows(self, name: str, *, min_lsn=None) -> frozenset:
         """Scatter-gather union of ``name`` across its shards (the
         whole relation/view, exactly as the single engine reports it).
-        Concurrent under ``parallelism > 1``: each shard's view cache
-        is read by its own worker.  With read replicas attached the
-        fan-out lands on them instead of the primaries; ``min_lsn``
-        (an int, or the per-shard tuple from :meth:`commit_lsns`) is
-        the read-your-writes bound."""
+        With read replicas attached the fan-out lands on them instead
+        of the primaries (which then only see the write path);
+        ``min_lsn`` (an int, or the per-shard tuple from
+        :meth:`commit_lsns`) is the read-your-writes bound.  A primary's
+        ``rows`` copies under the shard lock (or is serialised by the
+        worker), so an apply phase cannot mutate the rows mid-copy."""
         bounds = self._shard_min_lsns(min_lsn)
         place = self._placement_of(name)
-        if place is not None:
-            return self._read_routed(place, name, bounds[place])
-        parts = self._pmap([
-            (lambda index=index: self._read_routed(index, name,
-                                                   bounds[index]))
-            for index in range(self.n_shards)])
-        gathered: set = set()
-        for part in parts:
-            gathered |= part
-        return frozenset(gathered)
+        holders = range(self.n_shards) if place is None else (place,)
+        if self.replica_sets:
+            parts = [frozenset(self.replica_sets[index].read(
+                name, min_lsn=bounds[index])) for index in holders]
+        else:
+            parts = self._scatter((self.shards[index], 'rows', name)
+                                  for index in holders)
+        return parts[0] if place is not None \
+            else frozenset().union(*parts)
 
     def commit_lsns(self) -> tuple[int, ...]:
         """Per-shard committed LSNs (zeros without a WAL) — pass the
         tuple back to :meth:`rows` as ``min_lsn`` to read your own
-        writes through the replicas.  Uniform across executions: thread
-        mode reads the shard engines, process mode asks each worker
-        over RPC."""
-        if self.engines:
-            return tuple(engine.commit_lsn for engine in self.engines)
-        if self._procpool is not None and self._wal_paths[0] is not None:
-            return tuple(shard.commit_lsn for shard in self.shards)
-        return (0,) * self.n_shards
+        writes through the replicas."""
+        return tuple(self._scatter((shard, 'commit_lsn')
+                                   for shard in self.shards))
 
     @property
     def commit_lsn(self) -> tuple[int, ...]:
@@ -759,20 +569,16 @@ class ShardedEngine:
 
     def shard_rows(self, name: str) -> tuple[frozenset, ...]:
         """Per-shard contents of ``name`` (diagnostics and tests)."""
-        return tuple(self._read_shard(index, name)
-                     for index in range(self.n_shards))
+        return tuple(shard.rows(name) for shard in self.shards)
 
     def _gather_primary(self, name: str) -> frozenset:
         """Union of ``name`` over the *primary* shards — what internal
         machinery (row migrations, statistics) must read regardless of
         replica routing."""
         place = self._placement_of(name)
-        if place is not None:
-            return self._read_shard(place, name)
-        gathered: set = set()
-        for index in range(self.n_shards):
-            gathered |= self._read_shard(index, name)
-        return frozenset(gathered)
+        holders = range(self.n_shards) if place is None else (place,)
+        return frozenset().union(*(self.shards[index].rows(name)
+                                   for index in holders))
 
     def count(self, name: str) -> int:
         """Cluster-wide cardinality, aggregated from the per-shard
@@ -785,11 +591,9 @@ class ShardedEngine:
 
     def database(self) -> Database:
         """A frozen snapshot of the cluster-wide base-table state."""
-        snapshots = self._pmap([
-            (lambda client=client: client.snapshot())
-            for client in self.shards])
         merged: dict[str, set] = {}
-        for snapshot in snapshots:
+        for snapshot in self._scatter((shard, 'snapshot')
+                                      for shard in self.shards):
             for name in snapshot.names():
                 merged.setdefault(name, set()).update(snapshot[name])
         return Database.from_dict(merged)
@@ -808,27 +612,18 @@ class ShardedEngine:
         shares: dict[int, set] = {i: set() for i in range(self.n_shards)}
         for row in loaded:
             shares[classify(row)].add(row)
-        self._pmap([
-            (lambda index=index: self.shards[index].load(name,
-                                                         shares[index]))
-            for index in range(self.n_shards)])
+        self._scatter((shard, 'load', name, shares[index])
+                      for index, shard in enumerate(self.shards))
 
     def close(self) -> None:
-        """Shut the worker pool down (joining every worker, which
-        bounds when per-thread backend leases stop being created) and
-        close every shard — the backend's thread leases for local
-        shards, the worker process for process shards.  Idempotent."""
-        with self._pool_lock:
-            pool, self._pool = self._pool, None
-        if pool is not None:
-            pool.shutdown(wait=True)
+        """Close every replica set and every shard — an in-process
+        shard joins the pool threads and closes its engine (the
+        backend's thread leases), a process shard stops its worker.
+        Idempotent."""
         for replica_set in self.replica_sets:
             replica_set.close()
-        if self._procpool is not None:
-            self._procpool.shutdown()
-        else:
-            for client in self.shards:
-                client.close()
+        for shard in self.shards:
+            shard.close()
         if self._wal_tmpdir is not None:
             self._wal_tmpdir.cleanup()
             self._wal_tmpdir = None
@@ -874,148 +669,60 @@ class ShardedEngine:
             report = validate(strategy)
         get_program = report.view_definition if report is not None \
             else strategy.expected_get
-        placement, demotions = self._decide_placement(strategy,
-                                                      get_program)
+        placement, demotions = decide_placement(
+            strategy, get_program, self._pending_keys.get(name),
+            schema=self.schema, entries=self._entries,
+            placement=self._placement, keys=self._keys,
+            global_shard=self.global_shard)
         stats = self._aggregated_stats()
-        demoted: list[tuple[str, int, str]] = []
+        demoted: list[tuple[str, tuple[int, str]]] = []
+        created_on: list = []
         entry: ViewEntry | None = None
         try:
-            for client in self.shards:
-                created = client.define_view(
+            for shard in self.shards:
+                shard_entry, created = shard.define_view(
                     strategy, report=report,
                     use_incremental=use_incremental, stats=stats,
                     exist_ok=exist_ok)
-                if entry is None:
-                    # Shard 0's entry (a pickled copy under process
-                    # execution) is the cluster's catalog record.
-                    entry = created
+                if created:
+                    created_on.append(shard)
+                # Shard 0's entry (a pickled copy under process
+                # execution) is the cluster's catalog record.
+                entry = entry or shard_entry
             # Cluster bookkeeping runs only once every shard accepted
             # the view; demotions are ordered after that so a failed
             # define_view cannot leave bases demoted.
             for base in demotions:
-                undo = (base, self._key_pos[base], self._key_attr[base])
+                undo = (base, self._keys[base])
                 self._demote_to_global(base)
                 demoted.append(undo)
             self._entries[name] = entry
+            self._placement[name] = placement
             if placement is None:
-                pos, attr = _resolve_key(strategy.view,
-                                         self._pending_keys[name])
-                self._placement[name] = None
-                self._key_pos[name] = pos
-                self._key_attr[name] = attr
-            else:
-                self._placement[name] = placement
+                self._keys[name] = resolve_key(strategy.view,
+                                               self._pending_keys[name])
         except BaseException:
             # All-or-nothing across shards: a view registered on a
-            # subset of the shards (drop_view is a no-op on the rest)
-            # would wedge its name forever, and bases demoted for a
-            # view that never materialised must get their partitioned
-            # layout back.  A shard whose worker died is skipped (its
-            # restart replays a journal that never recorded this view).
-            for client in self.shards:
+            # subset of the shards would wedge its name forever, and
+            # bases demoted for a view that never materialised must get
+            # their partitioned layout back.  Only the shards on which
+            # THIS call created the view are rolled back — one that
+            # merely adopted a WAL-recovered view (``exist_ok``) keeps
+            # it, or the drop would durably delete a view this call
+            # never defined.  (The failing shard unregisters itself;
+            # one whose worker died is skipped — its restart replays a
+            # journal that never recorded this view.)
+            for shard in created_on:
                 try:
-                    client.drop_view(name)
+                    shard.drop_view(name)
                 except ShardUnavailableError:
                     pass
-            if self._procpool is not None:
-                self._procpool.restart_dead()
+            self._restart_dead()
             self._entries.pop(name, None)
-            for base, pos, attr in reversed(demoted):
-                self._repartition(base, pos, attr)
+            for base, key in reversed(demoted):
+                self._repartition(base, key)
             raise
         return self._entries[name]
-
-    def _decide_placement(self, strategy: UpdateStrategy,
-                          get_program: Program | None
-                          ) -> tuple[int | None, list[str]]:
-        """``(None, [])`` when the view can be routed shard-locally,
-        else ``(global shard index, bases to demote)`` — the demotions
-        are *decided* here but applied by the caller only after every
-        shard accepted the view, so a failed ``define_view`` cannot
-        leave the cluster degraded (§"Global fallback" in the module
-        docstring).
-
-        Shard-locality needs two proofs: every relation the putback can
-        reach is partitioned on the same-named attribute, and the
-        programs are *key-aligned* (:func:`_key_aligned`) — name
-        matching alone would accept rules that join through a non-key
-        variable and then route wrongly."""
-        name = strategy.view.name
-        update_closure: set[str] = set()
-        for updated in strategy.updated_relations():
-            update_closure.add(updated)
-            if updated in self._entries:
-                update_closure |= self._entries[updated].update_closure
-        # Only relations the programs actually *read* constrain the
-        # placement — the engine hands every schema relation to plan
-        # evaluation, but unreferenced ones cannot affect the result.
-        # ``get_program`` (the certified view definition when a report
-        # was given) is the program the engine will evaluate, so it —
-        # not ``strategy.expected_get`` — is what counts here.
-        referenced: set[str] = set()
-        for program in (strategy.putdelta, get_program):
-            if program is not None:
-                referenced |= program.edb_preds()
-        known = set(self.schema.names()) | set(self._entries)
-        source_names = referenced & known
-        base_closure: set[str] = set()
-        for source in source_names:
-            if source in self._entries:
-                base_closure |= self._entries[source].base_closure
-            else:
-                base_closure.add(source)
-        relevant = (update_closure | source_names | base_closure) - {name}
-
-        key_spec = self._pending_keys.get(name)
-        if key_spec is not None:
-            # A key declaration that does not resolve against the view
-            # schema is a configuration error, exactly as it is for
-            # base tables at construction — never a silent fallback.
-            view_pos, view_attr = _resolve_key(strategy.view, key_spec)
-            if all(
-                    self._placement.get(rel) is None
-                    and self._key_attr.get(rel) == view_attr
-                    for rel in relevant):
-                key_pos_of = {rel: self._key_pos[rel]
-                              for rel in relevant}
-                key_pos_of[name] = view_pos
-                if _key_aligned(strategy.putdelta, get_program, name,
-                                key_pos_of):
-                    return None, []
-
-        # Global fallback: pin the view, demote its base tables.
-        demotions: list[str] = []
-        for rel in sorted(relevant):
-            if self._placement.get(rel) is None:
-                holder = self._partitioned_view_over(rel)
-                if holder is not None:
-                    raise SchemaError(
-                        f'view {name!r} is not shard-local (its update '
-                        f'closure reaches {rel!r}, partitioned on '
-                        f'{self._key_attr.get(rel)!r}) but {rel!r} '
-                        f'already serves the shard-local view '
-                        f'{holder!r}; declare a co-partitioned shard '
-                        f'key for {name!r} or drop {rel!r} from '
-                        f'shard_keys')
-                if rel in self.schema:
-                    demotions.append(rel)
-                else:
-                    # A previously defined shard-local *view* source
-                    # cannot be re-placed — same conflict.
-                    raise SchemaError(
-                        f'view {name!r} is not shard-local but its '
-                        f'source view {rel!r} is; declare a '
-                        f'co-partitioned shard key for {name!r}')
-        return self.global_shard, demotions
-
-    def _partitioned_view_over(self, rel: str) -> str | None:
-        for view, entry in self._entries.items():
-            if self._placement.get(view) is not None:
-                continue
-            if rel in entry.base_closure or rel in entry.update_closure \
-                    or rel in entry.source_names:
-                return view
-        return None
 
     def _demote_to_global(self, base: str) -> None:
         """Re-place a partitioned base wholly onto the global shard
@@ -1034,16 +741,14 @@ class ShardedEngine:
             self.load(base, gathered)
             raise
         self._placement[base] = self.global_shard
-        self._key_pos.pop(base, None)
-        self._key_attr.pop(base, None)
+        self._keys.pop(base, None)
 
-    def _repartition(self, base: str, pos: int, attr: str) -> None:
+    def _repartition(self, base: str, key: tuple[int, str]) -> None:
         """Undo a demotion: restore the key declaration and spread the
         (now global-shard) rows back over the partitioned layout."""
         gathered = set(self._gather_primary(base))
         self._placement[base] = None
-        self._key_pos[base] = pos
-        self._key_attr[base] = attr
+        self._keys[base] = key
         self.load(base, gathered)
 
     def _aggregated_stats(self) -> dict[str, int]:
@@ -1065,28 +770,14 @@ class ShardedEngine:
     def metrics(self) -> dict:
         """One merged metrics snapshot for the whole cluster: the
         coordinator's own series (cluster phase timings, retry
-        traffic), every shard engine's snapshot (txn phases, WAL
-        append latency — worker processes ship theirs back over the
-        RPC channel; a dead worker contributes nothing), this
-        process's GLOBAL series (plan seals), the procpool's RPC/
-        restart counts, and each shard's replica-set routing stats.
-        See rdbms/metrics.py for the snapshot shape."""
+        traffic), this process's GLOBAL series (plan seals), every
+        shard's snapshot (txn phases, WAL append latency — a worker
+        process ships its own over the channel and adds its
+        transport's RPC/restart counts; a dead worker contributes
+        nothing), and each shard's replica-set routing stats.  See
+        rdbms/metrics.py for the snapshot shape."""
         snapshots: list = [self._metrics.snapshot(), GLOBAL.snapshot()]
-        if self._procpool is not None:
-            rpc = {'counters': {
-                'rpc.requests': sum(shard.rpc_requests
-                                    for shard in self.shards),
-                'procpool.restarts': sum(shard.generation
-                                         for shard in self.shards),
-            }, 'gauges': {
-                'procpool.alive': float(sum(shard.alive
-                                            for shard in self.shards)),
-            }, 'histograms': {}}
-            snapshots.append(rpc)
-            snapshots.extend(shard.metrics() for shard in self.shards)
-        else:
-            snapshots.extend(engine.metrics_snapshot()
-                             for engine in self.engines)
+        snapshots.extend(shard.metrics() for shard in self.shards)
         snapshots.extend(replica_set.metrics_snapshot()
                          for replica_set in self.replica_sets)
         return merge_snapshots(snapshots)
@@ -1132,22 +823,20 @@ class ShardedEngine:
         have stopped — both leave a partially applied batch only on
         storage-level I/O failure).
 
-        Under ``parallelism > 1`` the prepare phase runs concurrently
-        across the touched shards — it is embarrassingly parallel:
-        prepare only stages in Python and every already-prepared
-        shard's work is simply abandoned on abort, which *is* the
-        rollback (no shard storage was touched).  The coordinator
-        waits for every in-flight prepare and then joins in
-        first-touched order, so the raised error is deterministic and
-        serial-identical.
+        Prepare is embarrassingly parallel — it only stages in Python
+        and every already-prepared shard's work is simply abandoned on
+        abort, which *is* the rollback (no shard storage was touched) —
+        so under ``parallelism > 1`` the touched shards prepare
+        concurrently; the coordinator drains every in-flight prepare
+        and raises in first-touched order, so the error is
+        deterministic and serial-identical.
 
-        Under ``execution='processes'`` the statement fan-out is
-        additionally *pipelined*: routing submits RPCs without waiting
-        and a barrier before any synchronous read — and before the
-        prepare phase — drains every outcome in submission order, so
-        the first error surfaced is still the serial one.  Any failure
-        (including a worker death) aborts the transaction on every
-        shard and restarts dead workers before re-raising.
+        The statement fan-out is *pipelined*: routing submits without
+        waiting and a barrier before any synchronous read — and before
+        the prepare phase — drains every outcome in submission order,
+        so the first error surfaced is still the serial one.  Any
+        failure (including a worker death) aborts the transaction on
+        every shard and restarts dead workers before re-raising.
 
         ``transient_retries`` re-runs the transaction after a
         :class:`ShardUnavailableError` that aborted it *cleanly* —
@@ -1195,7 +884,6 @@ class ShardedEngine:
         timed = metrics.enabled
         started = time.perf_counter() if timed else 0.0
         txn = _ClusterTxn()
-        order: list = []
         try:
             for target, statements in batches:
                 self._route_bucket(txn, target, statements)
@@ -1204,11 +892,10 @@ class ShardedEngine:
                 routed = time.perf_counter()
                 metrics.observe('cluster.route_seconds',
                                 routed - started)
-            order = list(txn.handles.items())
-            prepared = self._pmap([
-                (lambda index=index, handle=handle:
-                 self.shards[index].prepare_commit(handle))
-                for index, handle in order])
+            order = [(self.shards[index], handle)
+                     for index, handle in txn.handles.items()]
+            prepared = self._scatter((shard, 'prepare_commit', handle)
+                                     for shard, handle in order)
             if timed:
                 metrics.observe('cluster.prepare_seconds',
                                 time.perf_counter() - routed)
@@ -1218,10 +905,8 @@ class ShardedEngine:
             raise
         apply_started = time.perf_counter() if timed else 0.0
         try:
-            self._pmap([
-                (lambda index=index, commit=commit:
-                 self.shards[index].apply_prepared(commit))
-                for (index, _), commit in zip(order, prepared)])
+            self._scatter((shard, 'apply_prepared', commit)
+                          for (shard, _), commit in zip(order, prepared))
             if timed:
                 metrics.counter('cluster.txns')
                 metrics.observe('cluster.apply_seconds',
@@ -1232,46 +917,32 @@ class ShardedEngine:
             # restarted so the cluster keeps serving.  Mark the error
             # as apply-phase so the transient-retry wrapper never
             # re-runs a transaction that may have partially committed.
-            if self._procpool is not None:
-                self._procpool.restart_dead()
+            self._restart_dead()
             if isinstance(error, ShardUnavailableError):
                 error.applied = True
             raise
 
     def _barrier(self, txn: _ClusterTxn) -> None:
         """Drain every pipelined outcome in submission order and raise
-        the first failure — the serial-identical error.  Every token is
-        drained even after a failure (an undrained reply would sit in
-        the channel forever)."""
+        the first failure (:meth:`_drain_all`)."""
         log, txn.log = txn.log, []
-        first_error: BaseException | None = None
-        for client, token in log:
-            try:
-                client.drain(token)
-            except Exception as error:
-                if first_error is None:
-                    first_error = error
-        if first_error is not None:
-            raise first_error
+        self._drain_all(log)
 
     def _abort(self, txn: _ClusterTxn) -> None:
         """Roll the cluster transaction back: drain what is still in
         flight (outcomes no longer matter), drop every shard's staged
         state, and restart any worker that died — so the *next*
         transaction finds a serving cluster."""
-        for client, token in txn.log:
-            try:
-                client.drain(token)
-            except Exception:
-                pass
-        txn.log = []
+        try:
+            self._barrier(txn)
+        except Exception:
+            pass
         for index, handle in txn.handles.items():
             try:
                 self.shards[index].abort(handle)
             except Exception:
                 pass
-        if self._procpool is not None:
-            self._procpool.restart_dead()
+        self._restart_dead()
 
     # -- routing internals --------------------------------------------
 
@@ -1282,31 +953,16 @@ class ShardedEngine:
 
     def _forward(self, txn: _ClusterTxn, target: str,
                  per_shard: dict[int, list[Statement]]) -> None:
-        if self._procpool is not None:
-            for index in sorted(per_shard):
-                statements = per_shard[index]
-                if statements:
-                    # Handle creation position fixes first-touched
-                    # (prepare) order; submit position fixes error
-                    # order — both on the routing thread.
-                    handle = self._handle(txn, index)
-                    client = self.shards[index]
-                    txn.log.append((client, client.queue_apply(
-                        handle, target, statements)))
-            return
-        thunks = []
         for index in sorted(per_shard):
             statements = per_shard[index]
             if statements:
-                # The handle MUST be created here, on the routing
-                # thread: its insertion position in ``txn.handles`` is
-                # the first-touched order that prepare joins in.
+                # Handle creation position fixes first-touched
+                # (prepare) order; submit position fixes error
+                # order — both on the routing thread.
                 handle = self._handle(txn, index)
-                thunks.append(
-                    lambda client=self.shards[index], handle=handle,
-                    statements=statements:
-                    client.apply_statements(handle, target, statements))
-        self._pmap(thunks)
+                shard = self.shards[index]
+                txn.log.append((shard, shard.queue_apply(
+                    handle, target, statements)))
 
     def _route_bucket(self, txn: _ClusterTxn, target: str,
                       statements: Sequence[Statement]) -> None:
@@ -1331,38 +987,27 @@ class ShardedEngine:
         # shards can surface in a different order than on a single
         # node — committing the same state but raising a different
         # error type, which the differential oracle forbids.  The
-        # drains are independent plan runs, one per shard: fan out
-        # (threads) or pipeline (processes — per-channel FIFO keeps
-        # each shard's gate ahead of this bucket's statements).
-        if self._procpool is not None:
-            for index, handle in list(txn.handles.items()):
-                client = self.shards[index]
-                txn.log.append((client,
-                                client.queue_flush(handle, target)))
-        else:
-            self._pmap([
-                (lambda client=self.shards[index], handle=handle:
-                 client.flush_reads(handle, target))
-                for index, handle in list(txn.handles.items())])
+        # drains are independent plan runs, one per shard, pipelined
+        # like the statements — per-shard FIFO keeps each shard's gate
+        # ahead of this bucket's statements.
+        for index, handle in txn.handles.items():
+            shard = self.shards[index]
+            txn.log.append((shard, shard.queue_flush(handle, target)))
         if place is not None:
-            handle = self._handle(txn, place)
-            client = self.shards[place]
-            if self._procpool is not None:
-                txn.log.append((client, client.queue_apply(
-                    handle, target, list(statements))))
-            else:
-                client.apply_statements(handle, target,
-                                        list(statements))
+            shard = self.shards[place]
+            txn.log.append((shard, shard.queue_apply(
+                self._handle(txn, place), target, statements)))
             return
-        key_attr = self._key_attr[target]
-        key_pos = self._key_pos[target]
+        key_pos, key_attr = self._keys[target]
         per_shard: dict[int, list[Statement]] = {}
 
         def stage(index: int, statement: Statement) -> None:
             per_shard.setdefault(index, []).append(statement)
 
-        def broadcast(statement: Statement) -> None:
-            for index in range(self.n_shards):
+        def stage_by_where(statement: Delete | Update) -> None:
+            routed = self._where_shard(target, statement.where, key_attr)
+            for index in range(self.n_shards) if routed is None \
+                    else (routed,):
                 stage(index, statement)
 
         for statement in statements:
@@ -1376,12 +1021,7 @@ class ShardedEngine:
                     stage(self.partitioner.shard_of(row[key_pos]),
                           statement)
             elif isinstance(statement, Delete):
-                routed = self._where_shard(target, statement.where,
-                                           key_attr)
-                if routed is None:
-                    broadcast(statement)
-                else:
-                    stage(routed, statement)
+                stage_by_where(statement)
             elif isinstance(statement, Update):
                 if key_attr in statement.assignments:
                     # Rows may change owner: derive centrally, then
@@ -1392,12 +1032,7 @@ class ShardedEngine:
                     per_shard = {}
                     self._route_moving_update(txn, target, statement)
                 else:
-                    routed = self._where_shard(target, statement.where,
-                                               key_attr)
-                    if routed is None:
-                        broadcast(statement)
-                    else:
-                        stage(routed, statement)
+                    stage_by_where(statement)
             else:
                 self._barrier(txn)   # in-flight failures rank first
                 raise SchemaError(f'unknown statement {statement!r}')
@@ -1430,19 +1065,18 @@ class ShardedEngine:
         the old row's owner, insertions by the new row's), and re-emit
         each shard's share as DELETE + INSERT statements.
 
-        The gather is a synchronous read, so under process execution
-        every pipelined outcome submitted before it must surface first
-        (:meth:`_barrier`) — a failed earlier translation stops the
-        derivation exactly where it stops the serial loop.  The
-        per-shard reads themselves stay serial in shard order: each
-        shard's flush errors must interleave with its rows' validation
-        errors the way the serial loop produces them."""
+        The gather is a synchronous read, so every pipelined outcome
+        submitted before it must surface first (:meth:`_barrier`) — a
+        failed earlier translation stops the derivation exactly where
+        it stops the serial loop.  The per-shard reads themselves stay
+        serial in shard order: each shard's flush errors must
+        interleave with its rows' validation errors the way the serial
+        loop produces them."""
         schema = self._target_schema(target)
-        key_attr = self._key_attr[target]
+        key_attr = self._keys[target][1]
         pinned = self._where_shard(target, statement.where, key_attr)
         shards = range(self.n_shards) if pinned is None else (pinned,)
-        if self._procpool is not None:
-            self._barrier(txn)
+        self._barrier(txn)
         victims: set = set()
         replacements: set = set()
         match = compile_where(statement.where, schema)
@@ -1467,148 +1101,3 @@ class ShardedEngine:
                  for row in sorted(part.deletions)] + \
                 [Insert(row) for row in sorted(part.insertions)]
         self._forward(txn, target, merged)
-
-
-# ---------------------------------------------------------------------------
-# Static key-alignment analysis
-# ---------------------------------------------------------------------------
-#
-# Matching key *attribute names* is necessary but not sufficient for
-# shard-local routing: a rule like ``+r1(X) :- r2(X), v(Y), not r1(X).``
-# references only relations partitioned on the same attribute, yet the
-# variable it writes ``r1`` with is not the view row's key — evaluating
-# it per shard against shard-local sources would silently diverge from
-# the single engine.  These helpers prove the stronger property the
-# routing argument actually needs: in every rule of the putback, the
-# ⊥-constraints, and the view definition, all partitioned atoms are
-# keyed by ONE shared variable, which intermediate predicates carry
-# through to the delta heads.
-
-
-def _rule_key_var(rule: Rule, key_pos_of: Mapping[str, int],
-                  carry: Mapping[str, int | None]) -> str | None:
-    """The single variable sitting at the key position of every
-    partitioned (or key-carrying intermediate) atom in ``rule``'s body,
-    or ``None`` when no such shared variable exists.  The variable must
-    occur in at least one *positive* atom so it is genuinely bound to a
-    shard-owned row."""
-    shared: str | None = None
-    positively_bound = False
-    for literal in rule.body:
-        if not isinstance(literal, Lit):
-            continue                      # builtins carry no key
-        atom = literal.atom
-        pred = delta_base(atom.pred) if is_delta_pred(atom.pred) \
-            else atom.pred
-        if pred in key_pos_of:
-            position = key_pos_of[pred]
-        elif atom.pred in carry:
-            position = carry[atom.pred]
-            if position is None:          # intermediate drops the key
-                return None
-        else:                             # unanalysable predicate
-            return None
-        argument = atom.args[position]
-        if not isinstance(argument, Var):
-            return None                   # constant/anonymous key
-        if shared is None:
-            shared = argument.name
-        elif argument.name != shared:
-            return None                   # two different join keys
-        if literal.positive:
-            positively_bound = True
-    if shared is None or not positively_bound:
-        return None
-    return shared
-
-
-def _carry_positions(program: Program,
-                     key_pos_of: Mapping[str, int]) -> dict[str,
-                                                            int | None]:
-    """For each intermediate (non-delta IDB) predicate: the head
-    position that provably carries the rule key through every defining
-    rule, or ``None`` when no position does (the predicate "drops" the
-    key and any rule using it is not shard-local)."""
-    rules_of: dict[str, list[Rule]] = {}
-    for rule in program.proper_rules():
-        if rule.head is not None and not is_delta_pred(rule.head.pred) \
-                and rule.head.pred not in key_pos_of:
-            rules_of.setdefault(rule.head.pred, []).append(rule)
-    carry: dict[str, int | None] = {}
-    pending = dict(rules_of)
-    progress = True
-    while pending and progress:           # nonrecursive → terminates
-        progress = False
-        for pred in list(pending):
-            rules = pending[pred]
-            depends = {literal.atom.pred for rule in rules
-                       for literal in rule.body
-                       if isinstance(literal, Lit)}
-            if depends & set(pending):
-                continue                  # a dependency is unresolved
-            positions: set[int] | None = None
-            for rule in rules:
-                key_var = _rule_key_var(rule, key_pos_of, carry)
-                if key_var is None:
-                    positions = set()
-                    break
-                here = {index for index, arg in enumerate(rule.head.args)
-                        if isinstance(arg, Var) and arg.name == key_var}
-                positions = here if positions is None \
-                    else positions & here
-            carry[pred] = min(positions) if positions else None
-            del pending[pred]
-            progress = True
-    for pred in pending:                  # unresolvable (defensive)
-        carry[pred] = None
-    return carry
-
-
-def _key_aligned(putdelta: Program, get_program: Program | None,
-                 view_name: str,
-                 key_pos_of: Mapping[str, int]) -> bool:
-    """Is every rule of the putback and the view definition routable by
-    the shared key — so that per-shard evaluation over shard-local
-    state provably equals the single engine's result restricted to the
-    shard?"""
-    for program in (putdelta, get_program):
-        if program is None:
-            continue
-        carry = _carry_positions(program, key_pos_of)
-        for rule in program.rules:
-            head = rule.head
-            if head is None:              # ⊥-constraint: body only
-                if _rule_key_var(rule, key_pos_of, carry) is None:
-                    return False
-                continue
-            if is_delta_pred(head.pred):
-                target = delta_base(head.pred)
-            elif head.pred in key_pos_of:
-                target = head.pred        # the view-definition head
-            else:
-                continue                  # intermediate: via ``carry``
-            key_var = _rule_key_var(rule, key_pos_of, carry)
-            if key_var is None:
-                return False
-            argument = head.args[key_pos_of[target]]
-            if not (isinstance(argument, Var)
-                    and argument.name == key_var):
-                return False
-    return True
-
-
-def _resolve_key(schema: RelationSchema, key: str | int) -> tuple[int, str]:
-    """Resolve a shard-key declaration (attribute name or position)
-    against a relation schema → ``(position, attribute name)``."""
-    if isinstance(key, int):
-        if not 0 <= key < schema.arity:
-            raise SchemaError(
-                f'shard key position {key} out of range for '
-                f'{schema.name!r} (arity {schema.arity})')
-        return key, schema.attributes[key]
-    try:
-        return schema.attributes.index(key), key
-    except ValueError:
-        raise SchemaError(
-            f'shard key {key!r} is not an attribute of '
-            f'{schema.name!r} {schema.attributes}') from None

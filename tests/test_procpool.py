@@ -5,7 +5,10 @@ orphaned workers after close / GC / context-manager exit).
 
 The randomized bit-identical-to-serial proof for process execution
 lives in ``tests/fuzz/test_differential.py`` (the ``sharded-procs``
-axis); these are the deterministic anchors.  The dispatch loop is
+axis); these are the deterministic anchors for what only the process
+transport can do — what it shares with the in-process one (the client
+contract, single-engine equivalence, clean shutdown) is checked once
+for both in ``tests/test_transport.py``.  The dispatch loop is
 exercised both in-process (``serve_connection`` on a thread, so
 coverage sees the worker side) and against real forked workers."""
 
@@ -25,13 +28,13 @@ from repro.errors import (ConstraintViolation, ContradictionError,
                           DatalogSyntaxError, ReproError, SchemaError,
                           ShardUnavailableError, ValidationError)
 from repro.rdbms import faults, procpool
-from repro.rdbms.backends import MemoryBackend
+from repro.rdbms.backends import MemoryBackend, shard_backend_specs
 from repro.rdbms.dml import Delete, Insert, Update
 from repro.rdbms.engine import Engine
 from repro.rdbms.procpool import (ProcessPool, ProcessShard,
                                   WorkerRuntime, _RpcChannel,
                                   serve_connection)
-from repro.rdbms.sharded import ShardedEngine, _process_backend_specs
+from repro.rdbms.sharded import ShardedEngine
 
 UNION_KEYS = {'v': 'a', 'r1': 'a', 'r2': 'a'}
 _SRC = str(Path(__file__).resolve().parent.parent / 'src')
@@ -201,17 +204,6 @@ class TestServeConnection:
         assert channel.drain(t1) is None
         assert channel.drain(t2) == 'pong'
 
-    def test_abort_discards_staged_state(self, served_runtime):
-        _, channel = served_runtime
-        channel.call('load', 'r1', frozenset({(1,)}))
-        channel.call('begin', 2)
-        channel.call('apply_statements', 2, 'r1', [Insert((8,))])
-        channel.call('abort', 2)
-        assert channel.call('rows', 'r1') == frozenset({(1,)})
-        # The slot really is gone: prepare on the aborted txn fails.
-        with pytest.raises(KeyError):
-            channel.call('prepare_commit', 2)
-
     def test_request_failure_is_a_reply_not_a_loop_exit(
             self, served_runtime):
         _, channel = served_runtime
@@ -277,18 +269,27 @@ class TestProcessShard:
         with pytest.raises(SchemaError, match='kind name'):
             ProcessShard(0, union_sources, backend)
 
-    def test_process_backend_specs_validate_coordinator_side(
-            self, union_sources):
+    def test_backend_specs_validate_before_any_fork(self, union_sources):
+        """Every shard's spec is checked in the coordinator, before the
+        first worker forks — a bad name must not surface as an opaque
+        ``ShardUnavailableError`` from a dying worker."""
+        def procs(backends, shards=2):
+            return ShardedEngine(union_sources, shards=shards,
+                                 backends=backends,
+                                 execution='processes')
+        before = multiprocessing.active_children()
         with pytest.raises(SchemaError, match='unknown backend'):
-            _process_backend_specs('no-such-backend', 2)
+            procs('no-such-backend')
+        with pytest.raises(SchemaError, match='unknown backend'):
+            procs(['memory', 'no-such-backend'])
         with pytest.raises(SchemaError, match='2 shards'):
-            _process_backend_specs(['memory'], 2)    # count mismatch
-        backend = MemoryBackend(union_sources)
+            procs(['memory'])                        # count mismatch
         with pytest.raises(SchemaError, match='not instances'):
-            _process_backend_specs([backend, 'memory'], 2)
+            procs(['memory', MemoryBackend(union_sources)])
+        assert multiprocessing.active_children() == before
         # Uniform names fan out; None means the backend default.
-        assert _process_backend_specs('sqlite', 3) == ['sqlite'] * 3
-        assert _process_backend_specs(None, 2) == [None, None]
+        assert shard_backend_specs('sqlite', 3) == ['sqlite'] * 3
+        assert shard_backend_specs(None, 2) == [None, None]
 
     def test_restart_replays_catalog(self, union_strategy):
         shard = ProcessShard(0, union_strategy.sources, 'memory')
@@ -348,18 +349,6 @@ class TestProcessPool:
         assert not any(s.alive for s in pool.shards)
         pool.shutdown()                            # detach() already ran
 
-    def test_restart_dead_reports_indices(self, union_sources):
-        pool = ProcessPool(union_sources, ['memory', 'memory',
-                                           'memory'])
-        try:
-            os.kill(pool.shards[1].process.pid, signal.SIGKILL)
-            pool.shards[1].process.join(5)
-            assert pool.restart_dead() == [1]
-            assert all(s.alive for s in pool.shards)
-            assert pool.restart_dead() == []
-        finally:
-            pool.shutdown()
-
 
 # ---------------------------------------------------------------------------
 # The process-backed sharded engine
@@ -367,45 +356,6 @@ class TestProcessPool:
 
 
 class TestProcessExecution:
-
-    def test_matches_single_engine(self, union_strategy):
-        single, sharded = _procs_pair(union_strategy)
-        try:
-            for txn in ([('v', [Insert((3,)), Insert((6,))])],
-                        [('v', [Delete({'a': 2})])],
-                        [('v', [Update({'a': 9}, {'a': 4})])],
-                        [('r1', [Insert((12,))]),
-                         ('v', [Delete({'a': 9})])]):
-                single.execute_many(txn)
-                sharded.execute_many(txn)
-                assert sharded.database() == single.database()
-                assert frozenset(sharded.rows('v')) == \
-                    frozenset(single.rows('v'))
-        finally:
-            single.close()
-            sharded.close()
-
-    def test_errors_raise_identically_and_roll_back(self,
-                                                    luxury_strategy):
-        single = Engine(luxury_strategy.sources)
-        sharded = ShardedEngine(luxury_strategy.sources, shards=3,
-                                shard_keys={'luxuryitems': 'iid',
-                                            'items': 'iid'},
-                                execution='processes')
-        try:
-            for engine in (single, sharded):
-                engine.load('items', [(1, 'watch', 5000),
-                                      (2, 'ring', 4000)])
-                engine.define_view(luxury_strategy,
-                                   validate_first=False)
-            txn = [('luxuryitems', [Insert((7, 'socks', 8))])]
-            for engine in (single, sharded):
-                with pytest.raises(ConstraintViolation):
-                    engine.execute_many(txn)
-            assert sharded.database() == single.database()
-        finally:
-            single.close()
-            sharded.close()
 
     def test_worker_killed_mid_prepare_rolls_back_cluster(
             self, union_strategy, monkeypatch):
@@ -470,31 +420,10 @@ class TestProcessExecution:
             single.close()
             sharded.close()
 
-    def test_close_leaves_no_workers(self, union_strategy):
-        _, sharded = _procs_pair(union_strategy)
-        processes = [shard.process for shard in sharded.shards]
-        sharded.close()
-        assert not any(p.is_alive() for p in processes)
-        sharded.close()                            # idempotent
-
-    def test_context_manager_closes_workers(self, union_sources):
-        with ShardedEngine(union_sources, shards=2,
-                           shard_keys=UNION_KEYS,
-                           execution='processes') as sharded:
-            processes = [shard.process for shard in sharded.shards]
-            assert all(p.is_alive() for p in processes)
-        assert not any(p.is_alive() for p in processes)
-
     def test_engine_context_manager(self, union_sources):
         with Engine(union_sources) as engine:
             engine.load('r1', [(1,)])
             assert frozenset(engine.rows('r1')) == {(1,)}
-
-    def test_thread_mode_context_manager(self, union_sources):
-        with ShardedEngine(union_sources, shards=2,
-                           shard_keys=UNION_KEYS) as sharded:
-            sharded.load('r1', [(1,), (2,)])
-        # Closed: the inner engines' backends are shut down.
 
     def test_worker_index_is_none_in_coordinator(self):
         assert procpool.WORKER_INDEX is None
@@ -735,6 +664,48 @@ class TestWalBackedWorkers:
                 assert shard._views == []
         finally:
             victim.close()
+
+    def test_worker_death_in_exist_ok_define_keeps_adopted_views(
+            self, luxury_strategy, tmp_path):
+        """The process twin of test_sharded's rollback reproduction: a
+        worker dying inside ``define_view(exist_ok=True)`` must not make
+        the coordinator drop the view from the shards that adopted
+        their WAL-recovered copy — after the failure, and after another
+        reopen, every shard still carries it."""
+        keys = {'luxuryitems': 'iid', 'items': 'iid'}
+
+        def reopen():
+            return ShardedEngine(luxury_strategy.sources, shards=2,
+                                 shard_keys=keys, execution='processes',
+                                 wal_dir=tmp_path, wal_sync=False)
+
+        def adopted(engine):
+            """Per shard: did it already carry the view?"""
+            return [not shard.define_view(luxury_strategy,
+                                          exist_ok=True)[1]
+                    for shard in engine.shards]
+
+        with reopen() as sharded:
+            sharded.load('items', [(1, 'watch', 5000), (2, 'ring', 4000)])
+            sharded.define_view(luxury_strategy, validate_first=False)
+        plan = faults.FaultPlan()
+        plan.kill_worker(shard=1, method='define_view')
+        with plan.installed():
+            sharded = reopen()      # both workers recover the view
+        try:
+            with pytest.raises(ShardUnavailableError):
+                sharded.define_view(luxury_strategy,
+                                    validate_first=False, exist_ok=True)
+            assert sharded.shards[1].generation == 1   # kill DID happen
+            assert adopted(sharded) == [True, True]
+        finally:
+            sharded.close()
+        with reopen() as sharded:   # and nothing was dropped durably
+            assert adopted(sharded) == [True, True]
+            sharded.define_view(luxury_strategy, validate_first=False,
+                                exist_ok=True)
+            assert sharded.rows('luxuryitems') == {(1, 'watch', 5000),
+                                                   (2, 'ring', 4000)}
 
     def test_kill_mid_apply_is_repaired_bit_identical(
             self, union_strategy, tmp_path):

@@ -65,7 +65,7 @@ class TestReplicaEngine:
             def poisoned(*args, **kwargs):      # pragma: no cover
                 raise AssertionError('replica ran a plan')
 
-            for method in ('evaluate_get', 'evaluate_incremental',
+            for method in ('evaluate_get',
                            'evaluate_incremental_batch',
                            'evaluate_putback',
                            'check_view_constraints'):

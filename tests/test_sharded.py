@@ -364,6 +364,49 @@ class TestPlacement:
         sharded.define_view(union_strategy, validate_first=False)
         assert sharded.placement('v') == 'partitioned'
 
+    def test_failed_exist_ok_define_keeps_adopted_views(
+            self, luxury_strategy, tmp_path, monkeypatch):
+        """A failed ``define_view(exist_ok=True)`` rolls back only the
+        shards on which that call *created* the view.  Shards that
+        merely adopted a WAL-recovered view must keep it: dropping it
+        there would append ``drop_view`` records and durably delete a
+        view the failed call never defined."""
+        keys = {'luxuryitems': 'iid', 'items': 'iid'}
+
+        def reopen():
+            return ShardedEngine(luxury_strategy.sources, shards=2,
+                                 shard_keys=keys, wal_dir=tmp_path,
+                                 wal_sync=False)
+
+        with reopen() as sharded:
+            sharded.load('items', [(1, 'watch', 5000), (2, 'ring', 4000)])
+            sharded.define_view(luxury_strategy, validate_first=False)
+        sharded = reopen()          # both shards recover the view
+        assert [e.is_view('luxuryitems') for e in sharded.engines] \
+            == [True, True]
+        original = Engine.define_view
+
+        def failing(engine_self, *args, **kwargs):
+            if engine_self is sharded.engines[1]:
+                raise RuntimeError('shard 1 is on fire')
+            return original(engine_self, *args, **kwargs)
+
+        monkeypatch.setattr(Engine, 'define_view', failing)
+        with pytest.raises(RuntimeError):
+            sharded.define_view(luxury_strategy, validate_first=False,
+                                exist_ok=True)
+        monkeypatch.undo()
+        assert [e.is_view('luxuryitems') for e in sharded.engines] \
+            == [True, True]
+        sharded.close()
+        with reopen() as sharded:   # and nothing was dropped durably
+            assert [e.is_view('luxuryitems') for e in sharded.engines] \
+                == [True, True]
+            sharded.define_view(luxury_strategy, validate_first=False,
+                                exist_ok=True)
+            assert sharded.rows('luxuryitems') == {(1, 'watch', 5000),
+                                                   (2, 'ring', 4000)}
+
     def test_failed_demotion_restores_partitioned_layout(
             self, union_strategy, monkeypatch):
         """A migration failure during global demotion restores the

@@ -1,0 +1,274 @@
+"""The shard transport contract, checked once for both transports.
+
+One client class (``ProcessShard``; ``LocalShard`` only swaps its
+lifecycle) speaks one primitive — ``submit``/``drain`` — to one runtime,
+over a pipe to a worker process or directly on the caller's heap.  The
+coordinator cannot tell which, so neither may these tests: every case
+runs unchanged against both, first on a bare shard client, then on a
+whole ``ShardedEngine``.  What only one transport can do (die, be
+repaired, time out) stays in ``test_procpool.py``; what only the
+in-process one can do (overlap on threads) in ``test_parallel.py``."""
+
+import threading
+
+import pytest
+
+from repro.errors import ConstraintViolation, SchemaError
+from repro.rdbms.backends import MemoryBackend
+from repro.rdbms.dml import Delete, Insert, Update
+from repro.rdbms.engine import Engine
+from repro.rdbms.procpool import LocalShard, ProcessShard
+from repro.rdbms.sharded import ShardedEngine
+
+UNION_KEYS = {'v': 'a', 'r1': 'a', 'r2': 'a'}
+TRANSPORTS = ['in-process', 'process']
+
+
+def _shard_threads() -> list:
+    return [thread.name for thread in threading.enumerate()
+            if thread.name.startswith('repro-shard')]
+
+
+@pytest.fixture(params=TRANSPORTS)
+def make_shard(request, union_sources, tmp_path):
+    """``make(index, wal=False)`` builds a shard client of the
+    parametrised transport; all are closed at teardown."""
+    made = []
+
+    def make(index: int = 0, wal: bool = False):
+        wal_path = tmp_path / f'shard-{index}.wal' if wal else None
+        if request.param == 'process':
+            shard = ProcessShard(index, union_sources, 'memory',
+                                 wal_path=wal_path, wal_sync=False)
+        else:
+            shard = LocalShard(index, union_sources,
+                               MemoryBackend(union_sources),
+                               wal_path=wal_path, wal_sync=False)
+        made.append(shard)
+        return shard
+
+    yield make
+    for shard in made:
+        shard.close()
+
+
+class TestShardClientContract:
+
+    def test_first_error_is_in_submission_order_across_shards(
+            self, make_shard):
+        """Two shards fail in one pipelined batch: draining in
+        submission order surfaces the first-submitted failure, every
+        token yields exactly one outcome, and both channels stay
+        aligned for the calls that follow."""
+        first, second = make_shard(0), make_shard(1)
+        for shard in (first, second):
+            shard.load('r1', [(1,)])
+        txn_b, txn_a = second.begin(), first.begin()
+        log = [(second, second.queue_apply(txn_b, 'nope',
+                                           [Insert((1,))])),
+               (first, first.queue_apply(txn_a, 'r1',
+                                         [Insert(('bad',))])),
+               (second, second.queue_flush(txn_b, 'r1'))]
+        with pytest.raises(SchemaError, match='nope'):
+            ShardedEngine._drain_all(log)
+        # Drained tokens are spent; the failures were replies, not
+        # channel breaks.
+        assert first.rows('r1') == second.rows('r1') == {(1,)}
+        outcome = first.submit('rows', 'r1')
+        assert first.drain(outcome) == {(1,)}
+
+    def test_abort_leaves_storage_untouched(self, make_shard):
+        shard = make_shard()
+        shard.load('r1', [(1,)])
+        txn = shard.begin()
+        shard.drain(shard.queue_apply(txn, 'r1', [Insert((8,))]))
+        shard.abort(txn)
+        assert shard.rows('r1') == {(1,)}
+        # The slot really is gone: prepare on the aborted txn fails.
+        with pytest.raises(KeyError):
+            shard.prepare_commit(txn)
+
+    def test_txn_rows_flushes_pending_translations(self, make_shard,
+                                                   union_strategy):
+        """A view insert is staged as a pending translation; reading a
+        source it writes, inside the transaction, must drain it first —
+        and storage must not see any of it before commit."""
+        shard = make_shard()
+        shard.load('r1', [(1,)])
+        shard.load('r2', [(2,)])
+        shard.define_view(union_strategy)
+        txn = shard.begin()
+        shard.drain(shard.queue_apply(txn, 'v', [Insert((3,))]))
+        assert shard.txn_rows(txn, 'r1') == {(1,), (3,)}
+        assert shard.txn_rows(txn, 'v') == {(1,), (2,), (3,)}
+        assert shard.rows('r1') == {(1,)}
+        shard.apply_prepared(shard.prepare_commit(txn))
+        assert shard.rows('r1') == {(1,), (3,)}
+
+    def test_commit_advances_the_lsn_by_exactly_one(self, make_shard):
+        """With a WAL, prepare reports the pre-commit LSN and apply —
+        the commit point — appends exactly one record.  The frozen
+        repair record rides along only where a repair can happen."""
+        shard = make_shard(wal=True)
+        shard.load('r1', [(1,)])
+        before = shard.commit_lsn
+        txn = shard.begin()
+        shard.drain(shard.queue_apply(txn, 'r1', [Insert((2,))]))
+        prepared = shard.prepare_commit(txn)
+        assert prepared.lsn == before == shard.commit_lsn
+        assert (prepared.record is None) == isinstance(shard, LocalShard)
+        shard.apply_prepared(prepared)
+        assert shard.commit_lsn == before + 1
+        # An empty transaction appends nothing.
+        empty = shard.begin()
+        shard.apply_prepared(shard.prepare_commit(empty))
+        assert shard.commit_lsn == before + 1
+
+    def test_without_a_wal_the_lsn_is_zero(self, make_shard):
+        shard = make_shard()
+        shard.load('r1', [(1,)])
+        assert shard.commit_lsn == 0
+        assert shard.drain(shard.submit('commit_lsn')) == 0
+
+    def test_define_view_reports_created_vs_adopted(self, make_shard,
+                                                    union_strategy):
+        shard = make_shard()
+        entry, created = shard.define_view(union_strategy)
+        assert created and entry.name == 'v'
+        again, created = shard.define_view(union_strategy, exist_ok=True)
+        assert not created and again.name == 'v'
+        with pytest.raises(SchemaError, match='already exists'):
+            shard.define_view(union_strategy)
+        shard.drop_view('v')
+        _, created = shard.define_view(union_strategy, exist_ok=True)
+        assert created
+
+    def test_catalog_and_storage_calls(self, make_shard, union_strategy):
+        shard = make_shard()
+        shard.load('r1', iter([(1,), (2,)]))       # any iterable
+        shard.load('r2', [(3,)])
+        assert shard.count('r1') == 2
+        assert not shard.has_cache('v')
+        shard.define_view(union_strategy)
+        assert shard.rows('v') == {(1,), (2,), (3,)}
+        assert shard.has_cache('v')
+        assert set(shard.snapshot()['r2']) == {(3,)}
+        assert shard.alive
+        assert 'counters' in shard.metrics()
+
+
+@pytest.fixture(params=TRANSPORTS)
+def execution(request) -> dict:
+    """``ShardedEngine`` options selecting the parametrised transport
+    (the in-process one with a thread pool, so its threads exist)."""
+    if request.param == 'process':
+        return {'execution': 'processes'}
+    return {'execution': 'threads', 'parallelism': 2}
+
+
+class TestClusterOnEitherTransport:
+
+    def test_matches_single_engine(self, union_strategy, execution):
+        single = Engine(union_strategy.sources)
+        sharded = ShardedEngine(union_strategy.sources, shards=3,
+                                shard_keys=UNION_KEYS, **execution)
+        try:
+            for engine in (single, sharded):
+                engine.load('r1', [(1,), (4,)])
+                engine.load('r2', [(2,), (5,)])
+                engine.define_view(union_strategy, validate_first=False)
+            for txn in ([('v', [Insert((3,)), Insert((6,))])],
+                        [('v', [Delete({'a': 2})])],
+                        [('v', [Update({'a': 9}, {'a': 4})])],
+                        [('r1', [Insert((12,))]),
+                         ('v', [Delete({'a': 9})])]):
+                single.execute_many(txn)
+                sharded.execute_many(txn)
+                assert sharded.database() == single.database()
+                assert frozenset(sharded.rows('v')) == \
+                    frozenset(single.rows('v'))
+        finally:
+            single.close()
+            sharded.close()
+
+    def test_errors_raise_identically_and_roll_back(self,
+                                                    luxury_strategy,
+                                                    execution):
+        single = Engine(luxury_strategy.sources)
+        sharded = ShardedEngine(luxury_strategy.sources, shards=3,
+                                shard_keys={'luxuryitems': 'iid',
+                                            'items': 'iid'},
+                                **execution)
+        try:
+            for engine in (single, sharded):
+                engine.load('items', [(1, 'watch', 5000),
+                                      (2, 'ring', 4000)])
+                engine.define_view(luxury_strategy,
+                                   validate_first=False)
+            txn = [('luxuryitems', [Insert((7, 'socks', 8))])]
+            for engine in (single, sharded):
+                with pytest.raises(ConstraintViolation):
+                    engine.execute_many(txn)
+            assert sharded.database() == single.database()
+        finally:
+            single.close()
+            sharded.close()
+
+    def test_close_leaves_no_thread_and_no_worker(self, union_strategy,
+                                                  execution):
+        """After ``close()`` (here: leaving the context manager) no
+        ``repro-shard*`` thread and no worker process survives, and a
+        second ``close()`` is a no-op."""
+        with ShardedEngine(union_strategy.sources, shards=2,
+                           shard_keys=UNION_KEYS,
+                           **execution) as sharded:
+            sharded.load('r1', [(0,), (1,), (2,), (3,)])
+            sharded.define_view(union_strategy, validate_first=False)
+            sharded.execute_many(
+                [('v', [Insert((i,)) for i in range(10, 20)])])
+            assert len(sharded.rows('v')) == 14
+            processes = [shard.process for shard in sharded.shards
+                         if shard.process is not None]
+        assert _shard_threads() == []
+        assert not any(process.is_alive() for process in processes)
+        sharded.close()
+
+
+class TestThreadBudget:
+    """Who may create threads: the in-process transport at
+    ``parallelism > 1``, and nobody else."""
+
+    def _workload(self, sharded, union_strategy):
+        sharded.load('r1', [(i,) for i in range(100)])
+        sharded.define_view(union_strategy, validate_first=False)
+        sharded.execute_many(                  # 500 rows, every shard
+            [('v', [Insert((i,)) for i in range(1000, 1500)])])
+        assert len(sharded.rows('v')) == 600   # partitioned gather
+        assert sharded.placement('v') == 'partitioned'
+
+    @pytest.mark.parametrize('parallelism', [1, 3])
+    def test_process_execution_creates_no_thread(self, union_strategy,
+                                                 parallelism):
+        sharded = ShardedEngine(union_strategy.sources, shards=3,
+                                shard_keys=UNION_KEYS,
+                                execution='processes',
+                                parallelism=parallelism)
+        try:
+            before = threading.active_count()
+            self._workload(sharded, union_strategy)
+            assert threading.active_count() == before
+            assert _shard_threads() == []
+        finally:
+            sharded.close()
+
+    def test_serial_in_process_execution_creates_no_thread(
+            self, union_strategy):
+        before = threading.active_count()
+        sharded = ShardedEngine(union_strategy.sources, shards=3,
+                                shard_keys=UNION_KEYS,
+                                execution='threads', parallelism=1)
+        try:
+            self._workload(sharded, union_strategy)
+            assert threading.active_count() == before
+        finally:
+            sharded.close()
