@@ -36,6 +36,7 @@ entirely.
 from __future__ import annotations
 
 import os
+from operator import itemgetter
 from typing import Sequence
 
 from repro.datalog.ast import Program, Rule
@@ -64,13 +65,24 @@ class IndexedRelation:
     an index build.  Instances can be *persistent* (owned by the RDBMS
     engine and shared across evaluations): :meth:`add` / :meth:`discard`
     keep every built index consistent under mutation, so repeated
-    incremental updates pay O(|Δ| · #indexes), not O(|R|)."""
+    incremental updates pay O(|Δ| · #indexes), not O(|R|) — except
+    that removing a row from a bucket of several rows is
+    ``list.remove``, O(bucket): a delete is only O(1) per index on
+    masks whose keys are (nearly) unique.
+
+    Index layout (compact: most buckets of a persistent index hold one
+    row): a mask's index maps the row's values at the mask — the bare
+    value for one position, a tuple for several, what
+    ``operator.itemgetter`` yields — to its bucket.  A bucket of one
+    row *is* that row; two or more rows share a ``list`` in insertion
+    order."""
 
     __slots__ = ('rows', '_indexes')
 
     def __init__(self, rows):
         self.rows = rows
-        self._indexes: dict[tuple[int, ...], dict] = {}
+        # mask -> (key getter, {key: row | [row, row, ...]})
+        self._indexes: dict[tuple[int, ...], tuple] = {}
 
     def contains(self, row: tuple) -> bool:
         return row in self.rows
@@ -81,21 +93,32 @@ class IndexedRelation:
         mask a view's compiled plan declares."""
         if not positions or positions in self._indexes:
             return
+        key_of = itemgetter(*positions)
         index: dict = {}
         for row in self.rows:
-            row_key = tuple(row[p] for p in positions)
-            index.setdefault(row_key, []).append(row)
-        self._indexes[positions] = index
+            key = key_of(row)
+            bucket = index.setdefault(key, row)
+            if bucket is not row:
+                _grow(index, key, bucket, row)
+        self._indexes[positions] = (key_of, index)
 
-    def lookup(self, positions: tuple[int, ...], key: tuple) -> Sequence[Row]:
-        """Rows whose values at ``positions`` equal ``key``."""
+    def lookup(self, positions: tuple[int, ...], key: tuple
+               ) -> Sequence[Row]:
+        """Rows whose values at ``positions`` equal ``key``, in
+        insertion order (the live bucket: do not mutate the relation
+        while iterating it)."""
         if not positions:
             return self.rows
-        index = self._indexes.get(positions)
-        if index is None:
+        entry = self._indexes.get(positions)
+        if entry is None:
             self.ensure_index(positions)
-            index = self._indexes[positions]
-        return index.get(key, ())
+            entry = self._indexes[positions]
+        bucket = entry[1].get(key[0] if len(positions) == 1 else key)
+        if bucket is None:
+            return ()
+        if bucket.__class__ is list:
+            return bucket
+        return (bucket,)
 
     def exists(self, positions: tuple[int, ...], key: tuple,
                arity: int) -> bool:
@@ -110,24 +133,39 @@ class IndexedRelation:
         if row in self.rows:
             return
         self.rows.add(row)
-        for positions, index in self._indexes.items():
-            key = tuple(row[p] for p in positions)
-            index.setdefault(key, []).append(row)
+        for key_of, index in self._indexes.values():
+            key = key_of(row)
+            bucket = index.setdefault(key, row)
+            if bucket is not row:
+                _grow(index, key, bucket, row)
 
     def discard(self, row: tuple) -> None:
         if row not in self.rows:
             return
         self.rows.discard(row)
-        for positions, index in self._indexes.items():
-            key = tuple(row[p] for p in positions)
-            bucket = index.get(key)
-            if bucket is not None:
-                try:
-                    bucket.remove(row)
-                except ValueError:
-                    pass
-                if not bucket:
-                    del index[key]
+        for key_of, index in self._indexes.values():
+            key = key_of(row)
+            bucket = index[key]
+            if bucket.__class__ is list:
+                bucket.remove(row)
+                if len(bucket) == 1:
+                    index[key], = bucket
+            else:
+                del index[key]
+
+    def clear(self) -> None:
+        """Drop every row and every index in place — whoever still
+        holds this handle holds nothing."""
+        self.rows = frozenset()
+        self._indexes = {}
+
+
+def _grow(index: dict, key, bucket, row: tuple) -> None:
+    """Add ``row`` to the occupied ``bucket`` of ``index[key]``."""
+    if bucket.__class__ is list:
+        bucket.append(row)
+    else:
+        index[key] = [bucket, row]
 
 
 # Backwards-compatible internal alias.

@@ -128,6 +128,15 @@ class Backend(ABC):
         the matching access structure now and maintain it across
         updates and cache rebuilds."""
 
+    def probe(self, name: str, positions: tuple[int, ...], key: tuple):
+        """The rows of stored relation ``name`` whose values at
+        ``positions`` equal ``key``, read from a hash index — what lets
+        statement derivation answer a column→value WHERE in
+        O(matches) — or None when the backend keeps no index Python
+        can read (derivation then iterates :meth:`rows`).  None by
+        default."""
+        return None
+
     # -- plan execution -----------------------------------------------
 
     def register_view(self, entry: 'ViewEntry') -> None:
@@ -186,8 +195,11 @@ class Backend(ABC):
         :class:`ConstraintViolation` on the first violation."""
 
     def close(self) -> None:
-        """Release backend resources (connections, files), including
-        every thread's leased resources (see :meth:`release_thread`)."""
+        """Release backend resources (connections, files, stored rows),
+        including every thread's leased resources (see
+        :meth:`release_thread`).  A closed backend serves no reads;
+        row sets :meth:`rows` handed out earlier stay valid for their
+        holder."""
 
     # -- per-thread resource leasing ----------------------------------
     #

@@ -93,6 +93,27 @@ class MemoryBackend(Backend):
         elif name in self._caches:
             self._caches[name].ensure_index(positions)
 
+    def probe(self, name: str, positions: tuple[int, ...], key: tuple):
+        # First use of a mask builds its index and registers it as a
+        # hint, so a re-materialised cache comes back with it.
+        if positions not in self._index_hints.get(name, ()):
+            self.add_index_hint(name, positions)
+        return self._relation(name).lookup(positions, key)
+
+    # -- lifecycle ----------------------------------------------------
+
+    def close(self) -> None:
+        """Empty every stored relation in place, then forget it: plan
+        contexts and evaluation handles that still reference one (some
+        sit in reference cycles only the cycle collector frees) hold
+        an empty object, so a closed engine's rows and indexes are
+        returned by reference counting."""
+        for store in (self._tables, self._caches):
+            for relation in store.values():
+                relation.clear()
+            store.clear()
+        self._index_hints.clear()
+
     # -- plan execution -----------------------------------------------
 
     def eval_handle(self, name: str):

@@ -91,9 +91,12 @@ def compile_where(where: Where, schema: RelationSchema):
 
     Semantically :func:`match_where` with the per-row work hoisted:
     mapping conditions compare tuple positions directly instead of
-    building a column→value dict per row — WHERE evaluation is a scan
-    over the whole (shard-local) relation, so this runs once per row
-    of the target.  An unknown column raises from the first row the
+    building a column→value dict per row.  The predicate is what
+    decides a match on every path: it runs once per row of the
+    (shard-local) target when the WHERE is answered by a scan, and
+    once per row of the probed bucket when a hash index narrowed the
+    candidates first (see :meth:`_RunningState.matching`).  An
+    unknown column raises from the first row the
     predicate is applied to, never eagerly: the single engine stays
     silent on an empty relation, and the sharded router's broadcast
     semantics depend on reproducing exactly that data-dependent
@@ -143,10 +146,18 @@ def _apply_assignments(row: tuple, assignments: Mapping[str, object],
 
 class _RunningState:
     """The view state mid-sequence — ``(current \\ minus) ∪ plus`` —
-    without ever copying ``current`` (it can be a large live table)."""
+    without ever copying ``current`` (it can be a large live table).
 
-    def __init__(self, current):
+    ``probe(positions, key)`` — :meth:`IndexedRelation.lookup
+    <repro.datalog.evaluator.IndexedRelation.lookup>` of the relation
+    whose rows ``current`` is — lets a column→value WHERE read one hash
+    bucket instead of iterating ``current``; it may answer None for
+    "no index after all"."""
+
+    def __init__(self, current, probe=None, metrics=None):
         self.current = current
+        self.probe = probe
+        self.metrics = metrics
         self.plus: set = set()
         self.minus: set = set()
 
@@ -159,23 +170,60 @@ class _RunningState:
                 yield row
 
     def matching(self, where, schema: RelationSchema) -> list:
-        """Rows satisfying ``where``; fully keyed equality conditions use
-        a membership probe instead of a scan."""
+        """Rows satisfying ``where``.  A fully keyed mapping is a
+        membership probe; any other mapping over known columns with
+        hashable values reads the bucket of ``current``'s hash index on
+        exactly those columns — O(matches) — when a ``probe`` was
+        given; everything else (callable, ``None``, an unknown column,
+        an unhashable value, no index) iterates ``current``."""
+        metrics = self.metrics
         if isinstance(where, Mapping) and \
                 set(where) == set(schema.attributes):
+            if metrics is not None:
+                metrics.counter('dml.where_probes')
             row = tuple(where[a] for a in schema.attributes)
             return [row] if self.contains(row) else []
         match = compile_where(where, schema)
-        # Flat list comprehensions over the overlay parts: this is the
-        # whole-relation scan of an unindexed WHERE, the hottest loop
-        # of keyed UPDATE/DELETE statements.
         current, plus, minus = self.current, self.plus, self.minus
-        matched = [row for row in current
+        # The bucket only narrows the candidates (it holds every row
+        # equal to the key under ``==``, since equal values hash
+        # equal); ``match`` still decides, exactly as in the scan.
+        candidates = self._bucket(where, schema)
+        if metrics is not None:
+            metrics.counter('dml.where_scans' if candidates is None
+                            else 'dml.where_probes')
+        if candidates is None:
+            candidates = current
+        # Flat list comprehensions over the overlay parts: for an
+        # unindexed WHERE this is the whole-relation scan.
+        matched = [row for row in candidates
                    if row not in minus and match(row)]
         if plus:
             matched += [row for row in plus
                         if row not in current and match(row)]
         return matched
+
+    def _bucket(self, where, schema: RelationSchema):
+        """The rows of ``current`` a column→value ``where`` can match,
+        from the hash index on its column set — or None when only a
+        scan can answer it."""
+        if self.probe is None or not where \
+                or not isinstance(where, Mapping):
+            return None
+        attributes = schema.attributes
+        try:
+            pairs = sorted((attributes.index(attr), expected)
+                           for attr, expected in where.items())
+        except ValueError:
+            # Unknown column: the scan raises lazily, per row, and
+            # stays silent on an empty relation.
+            return None
+        key = tuple(expected for _, expected in pairs)
+        try:
+            hash(key)
+        except TypeError:
+            return None
+        return self.probe(tuple(position for position, _ in pairs), key)
 
     def contains(self, row: tuple) -> bool:
         if row in self.plus:
@@ -218,7 +266,8 @@ def _statement_deltas(statement: Statement, state: _RunningState,
 
 
 def derive_view_delta(statements: Sequence[Statement], current,
-                      schema: RelationSchema) -> Delta:
+                      schema: RelationSchema, *, probe=None,
+                      metrics=None) -> Delta:
     """Algorithm 2: fold a statement sequence into one view delta.
 
     Each statement's (δ⁺, δ⁻) is derived against the *running* view state
@@ -229,6 +278,16 @@ def derive_view_delta(statements: Sequence[Statement], current,
     so later statements take precedence.  The returned delta is effective
     with respect to ``current`` (insertions not yet present, deletions
     present), and ``current`` is never copied.
+
+    ``current`` is any sized row collection with fast membership.  When
+    it is the row set of an :class:`~repro.datalog.evaluator.
+    IndexedRelation`, pass that relation's ``lookup`` as ``probe`` and
+    column→value WHEREs read one hash bucket instead of iterating
+    ``current`` (a ``probe`` that returns None sends that statement
+    back to the scan); the derived delta is the same either way.
+    ``metrics`` (a :class:`~repro.rdbms.metrics.MetricsRegistry`)
+    counts, per UPDATE/DELETE statement, which path answered its
+    WHERE: ``dml.where_probes`` or ``dml.where_scans``.
     """
     if len(statements) == 1 and isinstance(statements[0], Insert):
         # The single-tuple INSERT bucket is the hot shape of OLTP-style
@@ -238,7 +297,7 @@ def derive_view_delta(statements: Sequence[Statement], current,
         if row in current:
             return _NO_CHANGE
         return Delta(frozenset((row,)), _EMPTY_ROWS)
-    state = _RunningState(current)
+    state = _RunningState(current, probe, metrics)
     for statement in statements:
         d_plus, d_minus = _statement_deltas(statement, state, schema)
         state.apply(d_plus, d_minus)

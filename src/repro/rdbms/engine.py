@@ -54,6 +54,7 @@ from __future__ import annotations
 
 import threading
 from dataclasses import dataclass, field
+from functools import partial
 from time import perf_counter
 from typing import Iterable, Mapping, Sequence
 
@@ -280,14 +281,27 @@ class _Working:
         self._materialized[name] = overlay
         return overlay
 
+    def _unstaged(self, name: str) -> bool:
+        """Does the transaction still read ``name`` straight from the
+        backend's storage (nothing staged, no copied overlay)?"""
+        delta = self.deltas.get(name)
+        return (delta is None or delta.is_empty()) \
+            and name not in self._materialized
+
     def relation_for_eval(self, name: str):
         """What evaluation should read for ``name``: the backend's
         stored relation when unstaged, else the staged rows."""
-        delta = self.deltas.get(name)
-        if (delta is None or delta.is_empty()) \
-                and name not in self._materialized:
+        if self._unstaged(name):
             return self.engine.eval_handle(name)
         return self.rows(name)
+
+    def probe(self, name: str, positions: tuple[int, ...], key: tuple):
+        """:meth:`Backend.probe` while :meth:`rows` is still the stored
+        relation; None (no index: scan) once it is the transaction's
+        copied overlay, a plain set."""
+        if self._unstaged(name):
+            return self.engine.backend.probe(name, positions, key)
+        return None
 
     def pre_state(self, name: str) -> tuple:
         """``(eval handle, row set)`` of ``name`` *before* any pending
@@ -295,9 +309,7 @@ class _Working:
         an unstaged view this is the backend's live storage (no copy,
         stable until commit); once staged, a frozen copy is taken so
         later overlay updates cannot drift under the handle."""
-        delta = self.deltas.get(name)
-        if (delta is None or delta.is_empty()) \
-                and name not in self._materialized:
+        if self._unstaged(name):
             return (self.engine.eval_handle(name), self.engine.rows(name))
         frozen = frozenset(self.rows(name))
         return (frozen, frozen)
@@ -376,8 +388,11 @@ class Engine:
         #: :meth:`_maybe_replan`.  A coordinator embedding this engine
         #: (the sharded engine) overrides it with cluster-wide
         #: aggregated counts, so one shard's local sizes never drive a
-        #: join order or a spurious re-plan.
-        self.stats_provider = self._relation_stats
+        #: join order or a spurious re-plan.  None means this engine's
+        #: own :meth:`_relation_stats` — not stored here as a bound
+        #: method, a reference cycle that would keep a dropped engine
+        #: (and its backend's rows) alive until a full collection.
+        self.stats_provider = None
         #: Post-commit hooks: each callable receives the applied
         #: :class:`PreparedCommit` after storage is updated (never
         #: during WAL replay — recovery must not re-publish).  The peer
@@ -668,7 +683,7 @@ class Engine:
                                              set(self._views))))
         lvgn = is_lvgn(strategy.putdelta, name)
         if stats is None:
-            stats = self.stats_provider()
+            stats = self._planner_stats()
         incremental_program = None
         incremental_plan = None
         if use_incremental:
@@ -744,6 +759,10 @@ class Engine:
             self._wal_defines.pop(name, None)
             self._wal_append('drop_view', name)
 
+    def _planner_stats(self) -> dict[str, int]:
+        """Cardinalities from :attr:`stats_provider`, else local."""
+        return (self.stats_provider or self._relation_stats)()
+
     def _relation_stats(self) -> dict[str, int]:
         """Observed cardinalities the planner seeds its join order with:
         current base-table sizes plus any already-materialised view."""
@@ -778,7 +797,7 @@ class Engine:
                 if rel in self._views and not self.backend.has_cache(rel):
                     continue
                 if stats is None:
-                    stats = self.stats_provider()
+                    stats = self._planner_stats()
                 if rel not in stats:
                     continue
                 seeded = max(entry.stats_seed.get(rel, 0), 1)
@@ -899,18 +918,18 @@ class Engine:
         # ``target``, translate any pending view delta that could still
         # write it (a no-op for the common same-view statement runs).
         self._flush_for_read(working, target)
-        if target in self._views:
-            entry = self._views[target]
-            delta = derive_view_delta(statements, working.rows(target),
-                                      entry.schema)
-            if delta.is_empty():
-                return
+        is_view = target in self._views
+        schema = self._views[target].schema if is_view \
+            else self.schema[target]
+        delta = derive_view_delta(statements, working.rows(target), schema,
+                                  probe=partial(working.probe, target),
+                                  metrics=self.metrics)
+        if not is_view:
+            working.stage(target, delta, is_view=False,
+                          origins=('<direct>',))
+        elif not delta.is_empty():
             self._defer_view_delta(working, target, delta,
                                    origins=(target,))
-            return
-        schema = self.schema[target]
-        delta = derive_view_delta(statements, working.rows(target), schema)
-        working.stage(target, delta, is_view=False, origins=('<direct>',))
 
     def _defer_view_delta(self, working: _Working, name: str,
                           delta: Delta, origins: Iterable[str]) -> None:

@@ -26,6 +26,44 @@ def _union_engine(union_strategy, backend):
 
 
 # ---------------------------------------------------------------------------
+# Memory backend lifecycle
+# ---------------------------------------------------------------------------
+
+
+class TestMemoryClose:
+
+    def test_close_empties_every_stored_relation(self, luxury_strategy):
+        """Evaluation handles outlive the engine (plan contexts of the
+        first, unsealed executions sit in reference cycles): after
+        ``close()`` none of them holds a row or an index, so the data
+        is freed by reference counting — checked with the cycle
+        collector off."""
+        import gc
+        gc.disable()
+        try:
+            engine = Engine(luxury_strategy.sources, backend='memory')
+            engine.load('items', [(1, 'watch', 5000), (2, 'gum', 5)])
+            engine.define_view(luxury_strategy, validate_first=False)
+            engine.insert('luxuryitems', (3, 'yacht', 90000))
+            engine.update('luxuryitems', {'iname': 'boat'},
+                          where={'iid': 3})
+            backend = engine.backend
+            handles = [backend.eval_handle(name)
+                       for name in ('items', 'luxuryitems')]
+            held = backend.rows('items')
+            assert all(h.rows for h in handles)
+            assert any(h._indexes for h in handles)
+            engine.close()
+            assert not any(h.rows or h._indexes for h in handles)
+            assert not backend._tables and not backend._caches
+            assert len(held) == 3            # a reader's set stays valid
+            with pytest.raises(SchemaError):
+                backend.rows('items')        # closed: serves no reads
+        finally:
+            gc.enable()
+
+
+# ---------------------------------------------------------------------------
 # Factory / configuration
 # ---------------------------------------------------------------------------
 

@@ -1,11 +1,16 @@
 """DML statement and Algorithm 2 (view delta derivation) tests."""
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
+from repro.core.strategy import UpdateStrategy
+from repro.datalog.evaluator import IndexedRelation
 from repro.errors import SchemaError, ViewUpdateError
 from repro.rdbms.dml import (Delete, Insert, Update, compile_where,
                              derive_view_delta, match_where)
-from repro.relational.schema import RelationSchema
+from repro.rdbms.engine import Engine
+from repro.relational.schema import DatabaseSchema, RelationSchema
 
 SCHEMA = RelationSchema('v', ('a', 'b'), ('int', 'string'))
 
@@ -153,3 +158,201 @@ class TestAlgorithm2Merging:
             [Insert((7, 'q')), Delete({'a': 7, 'b': 'q'})],
             frozenset(), SCHEMA)
         assert delta.is_empty()
+
+
+# -- probe ≡ scan -------------------------------------------------------
+#
+# ``derive_view_delta`` over a plain set iterates it for every WHERE;
+# given an IndexedRelation's ``lookup`` it reads one hash bucket for
+# column→value WHEREs.  The two must be indistinguishable.
+
+WIDE = RelationSchema('w', ('k', 's', 'f'), ('int', 'string', 'float'))
+NAN = float('nan')
+
+
+def _big_k(row):
+    return row['k'] > 1
+
+
+def _next_k(row):
+    return row['k'] + 1
+
+
+_KEYS = st.sampled_from([0, 1, 2, 3, 1.0, True, 9])
+_TAGS = st.sampled_from(['x', 'y'])
+_FLOATS = st.sampled_from([0.0, 1.0, 1, NAN])
+_ROWS = st.tuples(st.integers(0, 3), _TAGS, _FLOATS)
+_WHERES = st.one_of(
+    st.builds(lambda k: {'k': k}, _KEYS),                    # key
+    st.builds(lambda s: {'s': s}, _TAGS),                    # non-key
+    st.builds(lambda k, s: {'k': k, 's': s}, _KEYS, _TAGS),  # multi
+    st.builds(lambda k, s: {'s': s, 'k': k}, _KEYS, _TAGS),
+    st.builds(lambda r: dict(zip(WIDE.attributes, r)), _ROWS),  # full row
+    st.builds(lambda k: {'zzz': 1, 'k': k}, _KEYS),          # unknown first
+    st.builds(lambda k: {'k': k, 'zzz': 1}, _KEYS),          # unknown last
+    st.sampled_from([None, {}, _big_k, {'f': NAN}, {'f': float('nan')},
+                     {'f': 1}, {'k': [1]}, {'k': 1, 's': {'x'}}]))
+_ASSIGNMENTS = st.sampled_from([
+    {'s': 'z'}, {'k': 5}, {'f': 2}, {'k': _next_k}, {'k': 1, 's': 'x'},
+    {'zzz': 1}, {'k': 'bad'}, {}])
+_STATEMENTS = st.one_of(
+    st.builds(Insert, st.one_of(_ROWS, _ROWS, _ROWS,
+                                st.just(('bad', 'x', 1.0)))),
+    st.builds(Delete, _WHERES),
+    st.builds(Update, _ASSIGNMENTS, _WHERES))
+
+
+def _outcome(statements, current, **keywords):
+    try:
+        delta = derive_view_delta(statements, current, WIDE, **keywords)
+    except (SchemaError, ViewUpdateError) as error:
+        return type(error), str(error)
+    return delta.insertions, delta.deletions
+
+
+class _CountingSet(set):
+    """A set that counts how often it is iterated."""
+
+    iterations = 0
+
+    def __iter__(self):
+        self.iterations += 1
+        return super().__iter__()
+
+
+class TestProbeEqualsScan:
+
+    @given(st.lists(_ROWS, max_size=12),
+           st.lists(_STATEMENTS, min_size=1, max_size=5))
+    def test_same_delta_or_same_error(self, rows, statements):
+        relation = IndexedRelation(set(rows))
+        assert _outcome(statements, relation.rows,
+                        probe=relation.lookup) \
+            == _outcome(statements, set(rows))
+
+    def test_mapping_where_never_iterates_an_indexed_relation(self):
+        rows = _CountingSet({(k, s, 0.0) for k in range(50) for s in 'xy'})
+        relation = IndexedRelation(rows)
+        relation.ensure_index((0,))      # the build is the one iteration
+        relation.ensure_index((0, 1))
+        built = rows.iterations
+        statements = [Insert((7, 'z', 0.0)),
+                      Update({'f': 2.0}, {'k': 7}),
+                      Delete({'s': 'x', 'k': 7}),
+                      Delete({'k': 1.0})]
+        delta = derive_view_delta(statements, rows, WIDE,
+                                  probe=relation.lookup)
+        assert rows.iterations == built
+        assert delta.insertions == {(7, 'z', 2.0), (7, 'y', 2.0)}
+        assert delta.deletions == {(7, 'x', 0.0), (7, 'y', 0.0),
+                                   (1, 'x', 0.0), (1, 'y', 0.0)}
+
+    @pytest.mark.parametrize('where', [
+        None, _big_k, {}, {'zzz': 1}, {'k': [1]}])
+    def test_other_shapes_scan_even_with_a_probe(self, where):
+        rows = _CountingSet({(1, 'x', 0.0)})
+        relation = IndexedRelation(rows)
+
+        def probe(positions, key):
+            raise AssertionError('probed')
+        try:
+            derive_view_delta([Delete(where)], rows, WIDE, probe=probe)
+        except SchemaError:
+            pass                         # the unknown column, from row 1
+        assert rows.iterations == 1 and not relation._indexes
+
+
+# -- the same, through a memory engine, as counts ------------------------
+
+def _luxury_engine(n, **options):
+    """A memory engine over ``items`` with ``n`` rows, all of them in
+    the materialised ``luxuryitems`` view, and both stored relations'
+    row sets swapped for iteration-counting ones."""
+    from tests.conftest import LUXURY_GET, LUXURY_PUTDELTA
+    sources = DatabaseSchema.build(
+        items={'iid': 'int', 'iname': 'string', 'price': 'int'},
+        audit={'iid': 'int'})
+    engine = Engine(sources, backend='memory', **options)
+    engine.load('items', [(i, f'item{i}', 2000 + i) for i in range(n)])
+    engine.define_view(UpdateStrategy.parse(
+        'luxuryitems', sources, LUXURY_PUTDELTA, expected_get=LUXURY_GET),
+        validate_first=False)
+    assert len(engine.rows('luxuryitems')) == n
+    stored = [engine.backend.eval_handle(name)
+              for name in ('luxuryitems', 'items')]
+    for relation in stored:
+        relation.rows = _CountingSet(relation.rows)
+    return engine, stored
+
+
+def _keyed_round(engine, key):
+    """One statement of each indexed shape: keyed UPDATE, keyed DELETE,
+    and a DELETE on a column that is no key."""
+    engine.update('luxuryitems', {'iname': 'marked'}, where={'iid': key})
+    engine.update('luxuryitems', {'iname': 'marked'},
+                  where={'iid': key + 1})
+    engine.delete('luxuryitems', where={'iid': key + 2})
+    engine.delete('luxuryitems', where={'iname': 'marked'})
+
+
+class TestIndexProbedEngineStatements:
+
+    @pytest.mark.parametrize('n', [2_000, 64_000])
+    def test_mapping_where_iterates_no_stored_relation(self, n):
+        engine, stored = _luxury_engine(n)
+        _keyed_round(engine, 10)         # warm-up: builds the indexes
+        for relation in stored:
+            relation.rows.iterations = 0
+        _keyed_round(engine, 20)
+        assert [relation.rows.iterations for relation in stored] == [0, 0]
+        gone = {10, 11, 12, 20, 21, 22}
+        assert engine.rows('items') == {
+            (i, f'item{i}', 2000 + i) for i in range(n) if i not in gone}
+        assert engine.rows('luxuryitems') == engine.rows('items')
+        counters = engine.metrics.snapshot()['counters']
+        assert counters['dml.where_probes'] == 8
+        assert 'dml.where_scans' not in counters
+
+    def test_callable_where_still_scans(self):
+        engine, (view, _items) = _luxury_engine(50)
+        engine.delete('luxuryitems', where=lambda row: row['iid'] == 7)
+        assert view.rows.iterations == 1
+        counters = engine.metrics.snapshot()['counters']
+        assert counters['dml.where_scans'] == 1
+        assert 'dml.where_probes' not in counters
+        assert (7, 'item7', 2007) not in engine.rows('items')
+
+    @pytest.mark.parametrize('batch_deltas', [True, False])
+    def test_staged_view_falls_back_to_the_overlay_scan(self, batch_deltas):
+        """A second bucket on a view the transaction already wrote reads
+        the copied overlay, which has no index: scan, same result."""
+        engine, (view, _items) = _luxury_engine(
+            50, batch_deltas=batch_deltas)
+        engine.execute_many([
+            ('luxuryitems', [Update({'iname': 'first'}, {'iid': 3})]),
+            ('audit', [Insert((3,))]),
+            ('luxuryitems', [Update({'price': 9000}, {'iname': 'first'}),
+                             Delete({'iid': 4})]),
+        ])
+        counters = engine.metrics.snapshot()['counters']
+        assert counters['dml.where_probes'] == 1
+        assert counters['dml.where_scans'] == 2
+        expected = {(i, f'item{i}', 2000 + i) for i in range(50)
+                    if i not in (3, 4)} | {(3, 'first', 9000)}
+        assert engine.rows('items') == expected
+        assert engine.rows('luxuryitems') == expected
+
+    def test_rematerialised_cache_comes_back_indexed(self):
+        """A mask statement derivation probed is an index hint: the
+        cache a foreign base write dropped is rebuilt with it."""
+        engine, _stored = _luxury_engine(50)
+        engine.update('luxuryitems', {'iname': 'x'}, where={'iid': 3})
+        engine.insert('items', (99, 'direct', 5000))     # drops the cache
+        assert not engine.backend.has_cache('luxuryitems')
+        engine.rows('luxuryitems')
+        rebuilt = engine.backend.eval_handle('luxuryitems')
+        assert (0,) in rebuilt._indexes
+        rebuilt.rows = _CountingSet(rebuilt.rows)
+        engine.delete('luxuryitems', where={'iid': 99})
+        assert rebuilt.rows.iterations == 0
+        assert (99, 'direct', 5000) not in engine.rows('items')

@@ -614,3 +614,33 @@ class TestDropView:
             engine.drop_view('v')
         engine.drop_view('w')           # leaf view drops fine
         engine.drop_view('v')           # now unreferenced
+
+
+class TestLifecycle:
+
+    def test_dropped_engine_is_freed_without_the_cycle_collector(
+            self, luxury_strategy):
+        """An engine references itself nowhere: closing it and dropping
+        the last reference frees it and its backend by reference
+        counting alone (a cycle would hold every stored row until the
+        next full collection, which a busy process may never run)."""
+        import gc
+        import weakref
+        gc.collect()
+        gc.disable()
+        try:
+            engine = Engine(luxury_strategy.sources)
+            engine.load('items', [(1, 'watch', 5000)])
+            engine.define_view(luxury_strategy, validate_first=False)
+            engine.insert('luxuryitems', (2, 'yacht', 90000))
+            with engine.transaction() as txn:
+                txn.update('luxuryitems', {'iname': 'boat'},
+                           where={'iid': 2})
+            assert engine.rows('items') == {(1, 'watch', 5000),
+                                            (2, 'boat', 90000)}
+            alive = [weakref.ref(engine), weakref.ref(engine.backend)]
+            engine.close()
+            del engine, txn
+            assert [ref() for ref in alive] == [None, None]
+        finally:
+            gc.enable()

@@ -1,6 +1,8 @@
 """Evaluator tests: joins, negation, builtins, laziness, indexes."""
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from repro.datalog.evaluator import (IndexedRelation, constraint_violations,
                                      evaluate, evaluate_query, holds)
@@ -272,6 +274,81 @@ class TestIndexedRelation:
         rel = IndexedRelation({(1,)})
         rel.add((1,))
         assert rel.rows == {(1,)}
+
+    def test_bucket_keeps_insertion_order_across_shrink_and_regrow(self):
+        rel = IndexedRelation(set())
+        rel.ensure_index((0,))
+        for tag in 'abc':
+            rel.add((1, tag))
+        assert list(rel.lookup((0,), (1,))) == [(1, 'a'), (1, 'b'),
+                                                (1, 'c')]
+        rel.discard((1, 'a'))
+        rel.discard((1, 'b'))
+        assert list(rel.lookup((0,), (1,))) == [(1, 'c')]
+        rel.add((1, 'd'))
+        rel.add((1, 'a'))
+        assert list(rel.lookup((0,), (1,))) == [(1, 'c'), (1, 'd'),
+                                                (1, 'a')]
+
+    def test_single_column_mask_is_keyed_by_the_bare_value(self):
+        """``1``, ``1.0`` and ``True`` are one key, as under ``==``."""
+        rel = IndexedRelation({(1, 'a'), (2, 'b')})
+        for key in (1, 1.0, True):
+            assert list(rel.lookup((0,), (key,))) == [(1, 'a')]
+        assert list(rel.lookup((0, 1), (1.0, 'a'))) == [(1, 'a')]
+
+    def test_clear_empties_rows_and_indexes_in_place(self):
+        rows = {(1, 'a'), (1, 'b')}
+        rel = IndexedRelation(rows)
+        rel.ensure_index((0,))
+        rel.clear()
+        assert not rel.rows and not rel._indexes
+        assert rows == {(1, 'a'), (1, 'b')}      # the holder's set stays
+
+    @given(st.data())
+    def test_indexes_follow_any_interleaving_of_add_and_discard(self, data):
+        """Model test: after every step each built index equals one
+        rebuilt from ``rows``, every bucket iterates in insertion
+        order, and an emptied bucket leaves no key behind."""
+        value = st.integers(0, 2)
+        row = st.tuples(value, value, st.sampled_from('xy'))
+        masks = [(0,), (1,), (0, 1), (1, 2)]
+        rel = IndexedRelation(set(data.draw(st.lists(row, max_size=6))))
+        order: dict = {}                # mask -> rows, oldest first
+
+        def key_of(mask, r):
+            return tuple(r[p] for p in mask)
+
+        steps = data.draw(st.lists(st.tuples(
+            st.sampled_from(['add', 'discard', 'index']), row,
+            st.sampled_from(masks)), max_size=30))
+        for op, r, mask in steps:
+            if op == 'index':
+                if mask not in order:
+                    order[mask] = list(rel.rows)   # the build's order
+                rel.ensure_index(mask)
+            elif op == 'add':
+                if r not in rel.rows:
+                    for rows in order.values():
+                        rows.append(r)
+                rel.add(r)
+            else:
+                for rows in order.values():
+                    if r in rows:
+                        rows.remove(r)
+                rel.discard(r)
+            assert set(rel._indexes) == set(order)
+            fresh = IndexedRelation(set(rel.rows))
+            for mask, rows in order.items():
+                assert set(rows) == rel.rows
+                fresh.ensure_index(mask)
+                built, rebuilt = rel._indexes[mask][1], \
+                    fresh._indexes[mask][1]
+                assert set(built) == set(rebuilt)      # no stale key
+                for key in {key_of(mask, r) for r in rows}:
+                    expected = [r for r in rows if key_of(mask, r) == key]
+                    assert list(rel.lookup(mask, key)) == expected
+                    assert set(fresh.lookup(mask, key)) == set(expected)
 
     def test_evaluate_accepts_indexed_relations(self):
         program = parse_program('v(X) :- r(X), not s(X).')

@@ -25,7 +25,7 @@ import pytest
 from repro.errors import ConstraintViolation, ShardUnavailableError
 from repro.rdbms import procpool
 from repro.rdbms import sharded as sharded_mod
-from repro.rdbms.dml import Insert
+from repro.rdbms.dml import Delete, Insert, Update
 from repro.rdbms.engine import Engine
 from repro.rdbms.metrics import (MERGED_RESERVOIR_SIZE, RESERVOIR_SIZE,
                                  MetricsRegistry, merge_snapshots,
@@ -229,6 +229,35 @@ class TestEngineMetrics:
         finally:
             engine.close()
 
+    @pytest.mark.parametrize('backend, keyed', [
+        ('memory', 'dml.where_probes'), ('sqlite', 'dml.where_scans')])
+    def test_where_path_counted_once_per_statement(self, luxury_strategy,
+                                                   backend, keyed):
+        """Which path answered each UPDATE/DELETE's WHERE: a hash probe
+        (the memory backend's index; full-row membership anywhere) or a
+        scan of the relation (callables; every mapping on SQLite, whose
+        Python-side row image has no index)."""
+        def dml_counters():
+            return {name: value for name, value in
+                    engine.metrics_snapshot()['counters'].items()
+                    if name.startswith('dml.')}
+
+        engine = _luxury_engine(luxury_strategy, backend=backend)
+        try:
+            engine.insert('luxuryitems', (3, 'yacht', 90_000))
+            assert dml_counters() == {}
+            engine.execute('luxuryitems', [
+                Update({'iname': 'boat'}, {'iid': 3}),
+                Delete({'iname': 'boat'})])
+            assert dml_counters() == {keyed: 2}
+            engine.delete('luxuryitems', where=lambda row: row['iid'] == 1)
+            engine.delete('luxuryitems',
+                          where={'iid': 2, 'iname': 'ring', 'price': 4000})
+            other = ({'dml.where_probes', 'dml.where_scans'} - {keyed}).pop()
+            assert dml_counters() == {keyed: 3, other: 1}
+        finally:
+            engine.close()
+
     def test_disabled_engine_registry_stays_empty(self, luxury_strategy):
         engine = Engine(luxury_strategy.sources)
         engine.metrics.enabled = False
@@ -236,6 +265,8 @@ class TestEngineMetrics:
         engine.define_view(luxury_strategy, validate_first=False)
         try:
             engine.insert('luxuryitems', (3, 'yacht', 90_000))
+            engine.update('luxuryitems', {'iname': 'boat'},
+                          where={'iid': 3})
             snap = engine.metrics.snapshot()
             assert snap['counters'] == {}
             assert snap['histograms'] == {}
@@ -286,6 +317,25 @@ class TestShardedMetrics:
                 before.get('cluster.aborts', 0) + 1
             assert counters.get('cluster.txns', 0) == \
                 before.get('cluster.txns', 0)
+        finally:
+            sharded.close()
+
+    @pytest.mark.parametrize('execution', ['threads', 'processes'])
+    def test_where_path_counters_merge_cluster_wide(self, luxury_strategy,
+                                                    execution):
+        sharded = ShardedEngine(luxury_strategy.sources, shards=2,
+                                shard_keys={'items': 'iid',
+                                            'luxuryitems': 'iid'},
+                                execution=execution)
+        sharded.load('items', [(i, 'watch', 5000 + i) for i in range(6)])
+        sharded.define_view(luxury_strategy, validate_first=False)
+        try:
+            for i in range(6):      # one keyed statement per txn, on the
+                sharded.execute_many([          # shard that owns the key
+                    ('luxuryitems', [Update({'iname': 'x'}, {'iid': i})])])
+            counters = sharded.metrics()['counters']
+            assert counters.get('dml.where_probes', 0) \
+                + counters.get('dml.where_scans', 0) == 6
         finally:
             sharded.close()
 
