@@ -45,10 +45,12 @@ class CheckResult:
     detail: str = ''
     witness: Database | None = None
     elapsed: float = 0.0
+    instances: int = 0      # candidate databases the solver verified
 
     def __str__(self) -> str:
         status = 'PASS' if self.passed else 'FAIL'
-        text = f'[{status}] {self.name} ({self.elapsed:.3f}s)'
+        text = (f'[{status}] {self.name} ({self.elapsed:.3f}s, '
+                f'{self.instances} instances)')
         if self.detail:
             text += f' — {self.detail}'
         return text
@@ -144,8 +146,8 @@ def _run_check(name: str, goal: str, program: Program, strategy,
     elapsed = time.perf_counter() - started
     if result.is_sat:
         return CheckResult(name, False, fail_detail, result.witness,
-                           elapsed)
-    return CheckResult(name, True, '', None, elapsed)
+                           elapsed, result.instances)
+    return CheckResult(name, True, '', None, elapsed, result.instances)
 
 
 def validate(strategy: UpdateStrategy, *,
@@ -216,6 +218,10 @@ def validate(strategy: UpdateStrategy, *,
             set(strategy.sources.names()),
             schema=strategy.sources.extend(strategy.view), config=config)
         derive_elapsed = time.perf_counter() - derive_started
+        derive_instances = sum(
+            result.instances for result in (derivation.phi3_result,
+                                            derivation.phi12_result)
+            if result is not None)
         if not derivation.ok:
             # Drop the failed expected-get checks' verdicts from blocking —
             # the derivation verdict subsumes them.
@@ -227,12 +233,12 @@ def validate(strategy: UpdateStrategy, *,
                  else (derivation.phi12_result.witness
                        if derivation.phi12_result and
                        derivation.phi12_result.is_sat else None)),
-                derive_elapsed))
+                derive_elapsed, derive_instances))
             return finish()
         checks.append(CheckResult(
             'existence of a view definition satisfying GetPut (derived)',
             True, 'steady-state view constructed from φ2', None,
-            derive_elapsed))
+            derive_elapsed, derive_instances))
         get_program = derivation.get_program
         report.derived_get = derivation.get_program
         # The derived get must itself satisfy GetPut; when the expected

@@ -14,15 +14,20 @@ SAT answer is always sound):
 
 1. **Canonical-instance enumeration** — the query is unfolded into clauses
    (conjunctions of positive EDB atoms, builtins, and negated checks);
-   for each clause, variable partitions are enumerated (merging variables
-   in every way, up to a size cap), comparison constraints are solved by
-   synthesizing witness values, and the frozen positive atoms become a
-   candidate database.  This mirrors the canonical-database argument
-   underlying GNFO's finite model property and finds tiny witnesses fast.
+   each clause's ``=`` builtins are applied once, the ways of merging the
+   resulting variable classes are enumerated (every partition, up to a
+   size cap), comparison constraints are solved by synthesizing witness
+   values, and the frozen positive atoms become a candidate database —
+   verified once per check, however many clauses and partitions reach
+   it.  This mirrors the canonical-database argument underlying GNFO's
+   finite model property and finds tiny witnesses fast.
 2. **Randomized search** — random small databases over the program's
    constant pool plus fresh values, as a safety net for clauses whose
    canonical instance violates a constraint that a different instance
    would satisfy.
+
+Both run on one :class:`~repro.datalog.plan.ExecutionPlan`, compiled once
+per check.
 
 A ``SAT`` verdict carries the witness database.  An ``UNSAT`` verdict is
 *bounded*: no model exists within the explored space.  For LVGN-Datalog
@@ -34,14 +39,16 @@ the fragment it mirrors the paper's semi-decision via a theorem prover.
 from __future__ import annotations
 
 import itertools
+import operator
 import random
 from dataclasses import dataclass, field
 from enum import Enum
 from typing import Iterable, Iterator, Sequence
 
-from repro.datalog.ast import (Atom, BuiltinLit, Const, Lit, Literal,
-                               Program, Rule, Var)
-from repro.datalog.evaluator import constraint_violations, evaluate
+from repro.datalog.ast import (Atom, BuiltinLit, Const, Literal, Program,
+                               Rule, Var, delta_base)
+from repro.datalog.evaluator import execute_constraints, execute_plan
+from repro.datalog.plan import ExecutionPlan, compile_program
 from repro.errors import ReproError, SchemaError
 from repro.relational.database import Database
 from repro.relational.schema import AttributeType, DatabaseSchema
@@ -62,7 +69,7 @@ class SolverConfig:
     seconds" ballpark."""
 
     max_clauses: int = 4000
-    max_partition_vars: int = 7
+    max_partition_vars: int = 7     # equality classes of one clause
     max_partitions_per_clause: int = 880
     random_trials: int = 120
     max_relation_size: int = 3
@@ -88,6 +95,7 @@ class SatResult:
     witness: Database | None = None
     goal: str | None = None
     method: str = ''
+    instances: int = 0      # candidate databases verified by the search
 
     @property
     def is_sat(self) -> bool:
@@ -174,7 +182,7 @@ def unfold_to_clauses(program: Program, goal: str,
 
 
 # ---------------------------------------------------------------------------
-# Variable partitions
+# Class partitions
 # ---------------------------------------------------------------------------
 
 
@@ -193,30 +201,27 @@ def _set_partitions(items: list[str]) -> Iterator[list[list[str]]]:
                    partition[i + 1:])
 
 
-def _candidate_partitions(variables: list[str], config: SolverConfig,
+def _candidate_partitions(classes: list[str], config: SolverConfig,
                           rng: random.Random
                           ) -> Iterator[list[list[str]]]:
-    if len(variables) <= config.max_partition_vars:
-        count = 0
-        for partition in _set_partitions(variables):
-            yield partition
-            count += 1
-            if count >= config.max_partitions_per_clause:
-                return
+    """Ways of merging a clause's equality-closed variable classes."""
+    if len(classes) <= config.max_partition_vars:
+        yield from itertools.islice(_set_partitions(classes),
+                                    config.max_partitions_per_clause)
         return
-    # Too many variables for exhaustive enumeration: identity partition,
+    # Too many classes for exhaustive enumeration: identity partition,
     # all single-pair merges, and a handful of random coarser partitions.
-    yield [[v] for v in variables]
-    for a, b in itertools.combinations(variables, 2):
-        merged = [[x] for x in variables if x not in (a, b)]
+    yield [[c] for c in classes]
+    for a, b in itertools.combinations(classes, 2):
+        merged = [[x] for x in classes if x not in (a, b)]
         yield merged + [[a, b]]
     for _ in range(32):
         blocks: list[list[str]] = []
-        for v in variables:
+        for c in classes:
             if blocks and rng.random() < 0.35:
-                rng.choice(blocks).append(v)
+                rng.choice(blocks).append(c)
             else:
-                blocks.append([v])
+                blocks.append([c])
         yield blocks
 
 
@@ -226,6 +231,9 @@ def _candidate_partitions(variables: list[str], config: SolverConfig,
 
 
 _FRESH_BASE = {'int': 10_000, 'float': 10_000.0, 'string': 'zz'}
+
+_OPS = {'=': operator.eq, '<>': operator.ne, '<': operator.lt,
+        '<=': operator.le, '>': operator.gt, '>=': operator.ge}
 
 
 def _type_of_value(value) -> str:
@@ -329,12 +337,8 @@ def _respects(value, lowers: list, uppers: list) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# Candidate construction from a clause + partition
+# Candidate construction from a clause + class partition
 # ---------------------------------------------------------------------------
-
-
-class _Inconsistent(ReproError):
-    pass
 
 
 class _UnionFind:
@@ -354,183 +358,177 @@ class _UnionFind:
             self.parent[ra] = rb
 
 
-def _build_assignment(clause: Clause, partition: list[list[str]],
-                      types: dict[str, str], fresh_offset: int
-                      ) -> dict[str, object] | None:
-    """Assign a concrete value to every clause variable, honouring the
-    partition, equalities, disequalities and comparisons.  Returns None
-    when inconsistent (caller tries the next partition)."""
+@dataclass
+class _ClosedClause:
+    """A clause with its ``=`` builtins applied once: the variable classes
+    they induce (named by their least member) and every other builtin read
+    over those classes, so nothing here depends on the partition tried."""
+
+    classes: list[str]
+    pinned: dict[str, object] = field(default_factory=dict)  # class = const
+    types: dict[str, str] = field(default_factory=dict)
+    # class <> class, class <> constant
+    diseq: list[tuple[str, str]] = field(default_factory=list)
+    diseq_const: list[tuple[str, object]] = field(default_factory=list)
+    # Per class: (('const', value) | ('var', class), strict?) entries.
+    lowers: dict[str, list] = field(default_factory=dict)
+    uppers: dict[str, list] = field(default_factory=dict)
+    # Positive atoms as (pred, ((class | None, constant), ...)).
+    atoms: list[tuple[str, tuple]] = field(default_factory=list)
+
+
+def _close_clause(clause: Clause, types: dict[str, str]
+                  ) -> _ClosedClause | None:
+    """Equality-close ``clause``; None when its builtins are inconsistent
+    whatever the partition."""
     variables = sorted(clause.variables())
     uf = _UnionFind(variables)
-    for block in partition:
-        for other in block[1:]:
-            uf.union(block[0], other)
-
-    const_of: dict[str, object] = {}
-    diseq: list[tuple[str, str]] = []          # var-class vs var-class
-    diseq_const: list[tuple[str, object]] = []  # var-class vs constant
-    # Bounds per variable class: lists of (('const', value) | ('var', name),
-    # strict?) entries.
-    lowers: dict[str, list] = {}
-    uppers: dict[str, list] = {}
+    others: list[BuiltinLit] = []
+    for b in clause.builtins:
+        blt = b if b.positive else b.normalized()
+        if blt.op == '=' and isinstance(blt.left, Var) \
+                and isinstance(blt.right, Var):
+            uf.union(blt.left.name, blt.right.name)
+        else:
+            others.append(blt)
+    least: dict[str, str] = {}
+    class_of = {var: least.setdefault(uf.find(var), var)
+                for var in variables}
+    closed = _ClosedClause(sorted(least.values()))
+    for var in variables:
+        if var in types:
+            closed.types.setdefault(class_of[var], types[var])
 
     def operand(term):
         if isinstance(term, Const):
             return ('const', term.value)
-        return ('var', term.name)
+        return ('var', class_of[term.name])
 
-    def add_bound(kind: dict, var: str, other, strict: bool) -> None:
-        kind.setdefault(var, []).append((other, strict))
-
-    for b in clause.builtins:
-        blt = b if b.positive else b.normalized()
-        left = operand(blt.left)
-        right = operand(blt.right)
-        if blt.op == '=':
-            if left[0] == 'const' and right[0] == 'const':
-                if left[1] != right[1]:
-                    return None
-            elif left[0] == 'var' and right[0] == 'var':
-                uf.union(left[1], right[1])
-            else:
-                var = left[1] if left[0] == 'var' else right[1]
-                const = left[1] if left[0] == 'const' else right[1]
-                const_of.setdefault(var, const)
-                if const_of[var] != const:
-                    return None
-        elif blt.op == '<>':
-            if left[0] == 'const' and right[0] == 'const':
+    for blt in others:
+        left, right = operand(blt.left), operand(blt.right)
+        if left[0] == right[0] == 'const':
+            if not _OPS[blt.op](left[1], right[1]):
+                return None
+        elif blt.op in ('=', '<>'):
+            if left[0] == right[0]:             # only '<>' relates two classes
                 if left[1] == right[1]:
                     return None
-            elif left[0] == 'var' and right[0] == 'var':
-                diseq.append((left[1], right[1]))
-            else:
-                var = left[1] if left[0] == 'var' else right[1]
-                const = left[1] if left[0] == 'const' else right[1]
-                diseq_const.append((var, const))
+                closed.diseq.append((left[1], right[1]))
+                continue
+            cls, const = (left[1], right[1]) if left[0] == 'var' \
+                else (right[1], left[1])
+            if blt.op == '<>':
+                closed.diseq_const.append((cls, const))
+            elif closed.pinned.setdefault(cls, const) != const:
+                return None
         else:
             strict = blt.op in ('<', '>')
-            if blt.op in ('<', '<='):
-                smaller, larger = left, right
-            else:
-                smaller, larger = right, left
-            if smaller[0] == 'const' and larger[0] == 'const':
-                if strict and not smaller[1] < larger[1]:
-                    return None
-                if not strict and not smaller[1] <= larger[1]:
-                    return None
-            elif smaller[0] == 'var':
-                add_bound(uppers, smaller[1], larger, strict)
-                if larger[0] == 'var':
-                    add_bound(lowers, larger[1], smaller, strict)
-            else:
-                add_bound(lowers, larger[1], smaller, strict)
+            smaller, larger = (left, right) if blt.op in ('<', '<=') \
+                else (right, left)
+            if smaller[0] == 'var':
+                closed.uppers.setdefault(smaller[1], []).append(
+                    (larger, strict))
+            if larger[0] == 'var':
+                closed.lowers.setdefault(larger[1], []).append(
+                    (smaller, strict))
+    for atom in clause.pos_atoms:
+        closed.atoms.append((atom.pred, tuple(
+            (None, term.value) if isinstance(term, Const)
+            else (class_of[term.name], None) for term in atom.args)))
+    return closed
 
-    # Re-canonicalise constants after the unions above.
-    resolved: dict[str, object] = {}
-    for var, const in const_of.items():
-        root = uf.find(var)
-        if root in resolved and resolved[root] != const:
-            return None
-        resolved[root] = const
 
-    def class_bounds(kind: dict, root: str, assignment: dict) -> list:
-        """Concrete (value, strict) bounds for a class, resolving variable
-        bounds via already-assigned classes (unassigned ones are deferred
-        to the residual check)."""
-        bounds = []
-        for var in variables:
-            if uf.find(var) != root:
-                continue
-            for other, strict in kind.get(var, ()):
+def _instance(closed: _ClosedClause, blocks: Iterable[Iterable[str]]
+              ) -> frozenset | None:
+    """The canonical instance of ``closed`` with every block of ``blocks``
+    merged into one class: its positive atoms as ``(pred, row)`` facts
+    over values honouring pinned constants, disequalities and
+    comparisons; None when inconsistent (caller tries the next
+    partition).  Values are a function of the merged classes alone, so
+    one class structure always yields the same facts."""
+    merged = sorted(sorted(block) for block in blocks)
+    name = {cls: block[0] for block in merged for cls in block}
+    value: dict[str, object] = {}
+    for block in merged:
+        consts = [closed.pinned[cls] for cls in block if cls in closed.pinned]
+        if consts:
+            if any(const != consts[0] for const in consts):
+                return None
+            value[block[0]] = consts[0]
+
+    def bounds(kind: dict, block: list[str]) -> list:
+        """Concrete (value, strict) bounds of a merged class; bounds by a
+        class not yet assigned are deferred to the residual check."""
+        found = []
+        for cls in block:
+            for other, strict in kind.get(cls, ()):
                 if other[0] == 'const':
-                    bounds.append((other[1], strict))
-                else:
-                    other_root = uf.find(other[1])
-                    if other_root in assignment:
-                        bounds.append((assignment[other_root], strict))
-                    elif other_root in resolved:
-                        bounds.append((resolved[other_root], strict))
-        return bounds
+                    found.append((other[1], strict))
+                elif name[other[1]] in value:
+                    found.append((value[name[other[1]]], strict))
+        return found
 
-    assignment: dict[str, object] = {}
-    fresh_index = fresh_offset
-    roots = sorted({uf.find(v) for v in variables})
-    for root in roots:
-        if root in resolved:
-            assignment[root] = resolved[root]
-    for root in roots:
-        if root in assignment:
+    fresh_index = 1
+    for block in merged:
+        if block[0] in value:
             continue
-        type_name = types.get(root, None)
-        if type_name is None:
-            # Any member of the class may carry the type hint.
-            for var in variables:
-                if uf.find(var) == root and var in types:
-                    type_name = types[var]
-                    break
-            type_name = type_name or 'string'
-        lo = class_bounds(lowers, root, assignment)
-        hi = class_bounds(uppers, root, assignment)
-        value = _synthesize(lo, hi, type_name, fresh_index)
+        type_name = next((closed.types[cls] for cls in block
+                          if cls in closed.types), 'string')
+        synthesized = _synthesize(bounds(closed.lowers, block),
+                                  bounds(closed.uppers, block),
+                                  type_name, fresh_index)
         fresh_index += 7
-        if value is None:
+        if synthesized is None:
             return None
-        assignment[root] = value
+        value[block[0]] = synthesized
 
     # Residual checks over the complete assignment.
-    full = {v: assignment[uf.find(v)] for v in variables}
-    for a, b in diseq:
+    full = {cls: value[name[cls]] for cls in closed.classes}
+    for a, b in closed.diseq:
         if full[a] == full[b]:
             return None
-    for var, const in diseq_const:
-        if full[var] == const:
+    for cls, const in closed.diseq_const:
+        if full[cls] == const:
             return None
     try:
-        for var, bounds in lowers.items():
-            for other, strict in bounds:
+        for cls, entries in closed.lowers.items():
+            for other, strict in entries:
                 low = other[1] if other[0] == 'const' else full[other[1]]
-                if full[var] < low or (strict and full[var] == low):
+                if full[cls] < low or (strict and full[cls] == low):
                     return None
-        for var, bounds in uppers.items():
-            for other, strict in bounds:
+        for cls, entries in closed.uppers.items():
+            for other, strict in entries:
                 high = other[1] if other[0] == 'const' else full[other[1]]
-                if full[var] > high or (strict and full[var] == high):
+                if full[cls] > high or (strict and full[cls] == high):
                     return None
     except TypeError:
         return None
+    return frozenset(
+        (pred, tuple(const if cls is None else full[cls]
+                     for cls, const in terms))
+        for pred, terms in closed.atoms)
 
-    return full
+
+def _value_type(declared: AttributeType) -> str:
+    if declared == AttributeType.INT:
+        return 'int'
+    if declared == AttributeType.FLOAT:
+        return 'float'
+    return 'string'
 
 
-def _infer_types(program: Program, schema: DatabaseSchema | None,
+def _infer_types(schema: DatabaseSchema | None,
                  clause: Clause) -> dict[str, str]:
     """Best-effort type per clause variable: schema column type where the
     variable occurs, else the type of a constant it is compared with."""
     types: dict[str, str] = {}
-
-    def schema_type(pred: str, pos: int) -> str | None:
-        if schema is None:
-            return None
-        from repro.datalog.ast import delta_base
-        name = delta_base(pred)
-        if name not in schema:
-            return None
-        declared = schema[name].types[pos]
-        if declared == AttributeType.DATE:
-            return 'string'
-        if declared == AttributeType.FLOAT:
-            return 'float'
-        if declared == AttributeType.INT:
-            return 'int'
-        return 'string'
-
     for atom in clause.pos_atoms + clause.neg_atoms:
-        for pos, term in enumerate(atom.args):
+        name = delta_base(atom.pred)
+        if schema is None or name not in schema:
+            continue
+        for term, declared in zip(atom.args, schema[name].types):
             if isinstance(term, Var):
-                inferred = schema_type(atom.pred, pos)
-                if inferred:
-                    types.setdefault(term.name, inferred)
+                types.setdefault(term.name, _value_type(declared))
     for b in clause.builtins:
         terms = (b.left, b.right)
         consts = [t for t in terms if isinstance(t, Const)]
@@ -545,22 +543,14 @@ def _infer_types(program: Program, schema: DatabaseSchema | None,
 # ---------------------------------------------------------------------------
 
 
-def _verify(program: Program, goal: str, candidate: Database,
-            constraints: Program | None) -> bool:
+def _verify(plan: ExecutionPlan, goal: str,
+            candidate: dict[str, set]) -> bool:
     """Exact check: the goal is derivable and no constraint is violated."""
     try:
-        idb = evaluate(program, candidate)
-    except (SchemaError, ReproError):
+        return bool(execute_plan(plan, candidate, goals=(goal,))[goal]) \
+            and not execute_constraints(plan, candidate)
+    except ReproError:
         return False
-    if not idb[goal]:
-        return False
-    if constraints is not None and constraints.constraints():
-        try:
-            if constraint_violations(constraints, candidate):
-                return False
-        except (SchemaError, ReproError):
-            return False
-    return True
 
 
 # ---------------------------------------------------------------------------
@@ -588,7 +578,8 @@ def _value_pool(program: Program, schema: DatabaseSchema | None
 
 def _random_database(rng: random.Random, arities: dict[str, int],
                      types_by_pred: dict[str, tuple[str, ...]],
-                     pools: dict[str, list], max_size: int) -> Database:
+                     pools: dict[str, list], max_size: int
+                     ) -> dict[str, set]:
     data: dict[str, set] = {}
     for pred, arity in arities.items():
         rows: set[tuple] = set()
@@ -600,7 +591,7 @@ def _random_database(rng: random.Random, arities: dict[str, int],
                 row.append(rng.choice(pools[type_name]))
             rows.add(tuple(row))
         data[pred] = rows
-    return Database.from_dict(data)
+    return data
 
 
 # ---------------------------------------------------------------------------
@@ -622,7 +613,6 @@ def check_satisfiable(program: Program, goal: str, *,
     randomized candidates even when no clause mentions them.
     """
     config = config or SolverConfig()
-    rng = random.Random(config.seed)
 
     constraint_rules = list(program.constraints())
     if constraints is not None:
@@ -634,41 +624,35 @@ def check_satisfiable(program: Program, goal: str, *,
                          if constraints is not None else ()) +
                         tuple(constraint_rules))
     eval_program = Program(tuple(dict.fromkeys(all_rules.rules)))
-
-    clauses = unfold_to_clauses(program, goal, config.max_clauses)
+    try:
+        plan = compile_program(eval_program)
+    except ReproError:
+        # No candidate can be evaluated, so none is a witness.
+        return SatResult(SatStatus.UNSAT, None, goal, 'bounded search')
 
     # -- pass 1: canonical instances -------------------------------------
-    for clause in clauses:
-        variables = sorted(clause.variables())
-        types = _infer_types(program, schema, clause)
-        fresh_offset = 1
-        for partition in _candidate_partitions(variables, config, rng):
-            try:
-                assignment = _build_assignment(clause, partition, types,
-                                               fresh_offset)
-            except _Inconsistent:
-                assignment = None
-            fresh_offset += len(variables) * 7 + 1
-            if assignment is None:
+    rng = random.Random(config.seed)
+    verified: set[frozenset] = set()
+    for clause in unfold_to_clauses(program, goal, config.max_clauses):
+        closed = _close_clause(clause, _infer_types(schema, clause))
+        if closed is None:
+            continue
+        for blocks in _candidate_partitions(closed.classes, config, rng):
+            facts = _instance(closed, blocks)
+            if facts is None or facts in verified:
                 continue
-            data: dict[str, set] = {}
-            ok = True
-            for atom in clause.pos_atoms:
-                row = []
-                for term in atom.args:
-                    if isinstance(term, Const):
-                        row.append(term.value)
-                    else:
-                        row.append(assignment[term.name])
-                data.setdefault(atom.pred, set()).add(tuple(row))
-            if not ok:
-                continue
-            candidate = Database.from_dict(data)
-            if _verify(eval_program, goal, candidate, eval_program):
-                return SatResult(SatStatus.SAT, candidate, goal,
-                                 'canonical instance')
+            verified.add(facts)
+            candidate: dict[str, set] = {}
+            for pred, row in facts:
+                candidate.setdefault(pred, set()).add(row)
+            if _verify(plan, goal, candidate):
+                return SatResult(SatStatus.SAT, Database.from_dict(candidate),
+                                 goal, 'canonical instance', len(verified))
 
     # -- pass 2: randomized search ------------------------------------------
+    # Its own stream, so these instances depend on (program, config) only
+    # and not on how many draws pass 1 happened to make.
+    rng = random.Random(config.seed)
     arities = dict(program.arities())
     if constraints is not None:
         for pred, arity in constraints.arities().items():
@@ -681,24 +665,18 @@ def check_satisfiable(program: Program, goal: str, *,
     pools = _value_pool(all_rules, schema)
     types_by_pred: dict[str, tuple[str, ...]] = {}
     if schema is not None:
-        from repro.datalog.ast import delta_base
-        for pred, arity in edb_arities_only.items():
+        for pred in edb_arities_only:
             base = delta_base(pred)
             if base in schema:
-                mapped = []
-                for declared in schema[base].types:
-                    if declared == AttributeType.INT:
-                        mapped.append('int')
-                    elif declared == AttributeType.FLOAT:
-                        mapped.append('float')
-                    else:
-                        mapped.append('string')
-                types_by_pred[pred] = tuple(mapped)
-    for _ in range(config.random_trials):
+                types_by_pred[pred] = tuple(map(_value_type,
+                                                schema[base].types))
+    for trial in range(config.random_trials):
         candidate = _random_database(rng, edb_arities_only, types_by_pred,
                                      pools, config.max_relation_size)
-        if _verify(eval_program, goal, candidate, eval_program):
-            return SatResult(SatStatus.SAT, candidate, goal,
-                             'randomized search')
+        if _verify(plan, goal, candidate):
+            return SatResult(SatStatus.SAT, Database.from_dict(candidate),
+                             goal, 'randomized search',
+                             len(verified) + trial + 1)
 
-    return SatResult(SatStatus.UNSAT, None, goal, 'bounded search')
+    return SatResult(SatStatus.UNSAT, None, goal, 'bounded search',
+                     len(verified) + config.random_trials)
