@@ -51,7 +51,8 @@ from repro.errors import SafetyError
 __all__ = ['ExecutionPlan', 'RulePlan', 'ConstraintPlan', 'Step',
            'ScanStep', 'ProbeStep', 'NegationStep', 'CompareStep',
            'BindStep', 'compile_program', 'compile_rule',
-           'schedule_body', 'plan_cache_info', 'clear_plan_cache']
+           'schedule_body', 'schedule_static', 'plan_cache_info',
+           'clear_plan_cache']
 
 #: Sentinel slot index marking a constant operand in a key template.
 CONST = -1
@@ -277,7 +278,7 @@ def _binds(literal: Literal) -> set[str]:
 def schedule_body(body: Sequence[Literal]) -> list[Literal]:
     """Order body literals so each is evaluable when reached (greedy,
     order-preserving).  This is the schedule the binarizer relies on;
-    the planner's cost-aware variant is :func:`_schedule_static`.
+    the planner's cost-aware variant is :func:`schedule_static`.
     """
     remaining = list(body)
     ordered: list[Literal] = []
@@ -306,7 +307,7 @@ def _bound_position_count(atom: Atom, bound: set[str]) -> int:
     return count
 
 
-def _schedule_static(body: Sequence[Literal], initial_bound: frozenset,
+def schedule_static(body: Sequence[Literal], initial_bound: frozenset,
                      idb: frozenset,
                      stats: Mapping[str, int] | None = None
                      ) -> list[Literal]:
@@ -462,7 +463,7 @@ def _compile_steps(body: Sequence[Literal], slots: _Slots,
                    idb: frozenset,
                    stats: Mapping[str, int] | None = None
                    ) -> tuple[Step, ...]:
-    ordered = _schedule_static(body, initial_bound, idb, stats)
+    ordered = schedule_static(body, initial_bound, idb, stats)
     bound: set[str] = set(initial_bound)
     steps: list[Step] = []
     for literal in ordered:

@@ -14,14 +14,25 @@ Execution model
 ---------------
 
 Compiled queries reference relations by their unqualified names.  At
-evaluation time, every input the engine's transaction has *staged*
-(view deltas ``+v``/``-v``, overlay states of already-written
-relations) is loaded into a ``TEMP`` table of the same name — SQLite
-resolves unqualified names against the ``temp`` schema first, so staged
-state transparently shadows the stored tables, exactly like the
-evaluator's EDB-shadowing semantics.  Unstaged relations are read in
-place; in the steady state an incremental update therefore stages only
-the O(|ΔV|) delta rows.
+evaluation time, every input the engine's transaction has *staged* is
+put in place under that name in the ``temp`` schema:
+
+* the view deltas ``+v``/``-v`` fill the staging tables
+  ``delta_ins_v``/``delta_del_v``, which shadow nothing.  They are
+  created once per leased connection and view, filled with one
+  ``executemany`` and emptied after the evaluation — no DDL on the
+  transaction path, so the connection's prepared statements survive
+  from one transaction to the next;
+* the overlay state of a relation the transaction already wrote is
+  loaded into a ``TEMP`` table of the relation's own name — SQLite
+  resolves unqualified names against ``temp`` first, so it shadows the
+  stored table exactly like the evaluator's EDB-shadowing semantics —
+  and dropped again: a leftover shadow would hide the table.
+
+Unstaged relations are read in place.  The lowering lists the staged
+deltas first and joins with ``CROSS JOIN`` (:mod:`repro.sql.translate`),
+so in the steady state an incremental update stages the O(|ΔV|) delta
+rows, loops over them, and reaches stored relations by key or index.
 
 Programs the SQL lowering cannot express (an unbound builtin operand,
 an operator outside the translatable fragment) fall back, per program,
@@ -42,7 +53,8 @@ from contextlib import contextmanager
 from dataclasses import dataclass, field
 from typing import Iterable, Mapping
 
-from repro.datalog.ast import Program, Rule, delete_pred, insert_pred
+from repro.datalog.ast import (Program, Rule, delete_pred, insert_pred,
+                               is_delta_pred)
 from repro.datalog.pretty import pretty_rule
 from repro.errors import ConstraintViolation, ReproError, SchemaError
 from repro.rdbms.backends.base import Backend, StoredRelation
@@ -50,7 +62,8 @@ from repro.relational.database import Database
 from repro.relational.delta import Delta, DeltaSet
 from repro.relational.schema import DatabaseSchema
 from repro.sql.translate import (SQLITE, ColumnNamer, constraint_to_sql,
-                                 query_to_sql, sql_ident)
+                                 query_to_sql, quote_ident, sql_ident,
+                                 sql_table)
 
 __all__ = ['SQLiteBackend']
 
@@ -77,7 +90,7 @@ class _CompiledView:
 
 
 def _quoted(columns: Iterable[str]) -> str:
-    return ', '.join(f'"{c}"' for c in columns)
+    return ', '.join(map(quote_ident, columns))
 
 
 #: Distinguishes the shared-cache in-memory databases of concurrently
@@ -106,10 +119,10 @@ class SQLiteBackend(Backend):
     use, closed by :meth:`release_thread`/:meth:`close`).  In-memory
     databases use a named shared-cache URI so every lease sees the same
     data; the constructing thread's connection is kept open for the
-    backend's lifetime to anchor the database.  TEMP staging shadows
-    are per-connection, hence naturally per-thread.  All access is
-    serialised on a per-backend mutex — concurrency comes from the
-    sharded engine running *distinct* backends in parallel."""
+    backend's lifetime to anchor the database.  TEMP staging tables
+    and shadows are per-connection, hence naturally per-thread.  All
+    access is serialised on a per-backend mutex — concurrency comes
+    from the sharded engine running *distinct* backends in parallel."""
 
     kind = 'sqlite'
 
@@ -184,6 +197,8 @@ class SQLiteBackend(Backend):
                     if stale is not getattr(self, '_root_conn', None):
                         stale.close()
         self._tls.conn = conn
+        #: delta relation -> columns of its staging table on this lease
+        self._tls.stages = {}
         return conn
 
     @property
@@ -221,10 +236,10 @@ class SQLiteBackend(Backend):
         # (REAL affinity would coerce the ints `validate_tuple` accepts
         # for float columns); the all-column primary key gives set
         # semantics and keyed deletes.
-        cols = ', '.join(f'"{c}"' for c in columns)
+        cols = _quoted(columns)
         self._conn.execute(
-            f'CREATE TABLE "{sql_ident(name)}" ({cols}, '
-            f'PRIMARY KEY ({_quoted(columns)})) WITHOUT ROWID')
+            f'CREATE TABLE {sql_table(name)} ({cols}, '
+            f'PRIMARY KEY ({cols})) WITHOUT ROWID')
 
     def _columns_of(self, name: str) -> tuple[str, ...]:
         if name in self._view_attrs:
@@ -234,14 +249,13 @@ class SQLiteBackend(Backend):
         raise SchemaError(f'unknown relation {name!r}')
 
     def _build_indexes(self, name: str) -> None:
-        ident = sql_ident(name)
         columns = self._columns_of(name)
         for positions in self._index_hints.get(name, ()):
             suffix = '_'.join(str(p) for p in positions)
+            index = quote_ident(f'ix_{sql_ident(name)}_{suffix}')
             cols = _quoted(columns[p] for p in positions)
-            self._conn.execute(
-                f'CREATE INDEX IF NOT EXISTS "ix_{ident}_{suffix}" '
-                f'ON "{ident}" ({cols})')
+            self._conn.execute(f'CREATE INDEX IF NOT EXISTS {index} '
+                               f'ON {sql_table(name)} ({cols})')
 
     # -- storage ------------------------------------------------------
 
@@ -250,13 +264,13 @@ class SQLiteBackend(Backend):
 
     @_locked
     def load(self, name: str, rows: set) -> None:
-        ident = sql_ident(name)
+        table = sql_table(name)
         arity = len(self._columns_of(name))
         marks = ', '.join('?' * arity)
         cur = self._conn.cursor()
         cur.execute('BEGIN')
-        cur.execute(f'DELETE FROM "{ident}"')
-        cur.executemany(f'INSERT OR IGNORE INTO "{ident}" '
+        cur.execute(f'DELETE FROM {table}')
+        cur.executemany(f'INSERT OR IGNORE INTO {table} '
                         f'VALUES ({marks})', list(rows))
         cur.execute('COMMIT')
         self._cache_rows(name, frozenset(rows))
@@ -269,7 +283,7 @@ class SQLiteBackend(Backend):
                 raise SchemaError(
                     f'unknown or unmaterialised relation {name!r}')
             cur = self._conn.execute(
-                f'SELECT * FROM "{sql_ident(name)}"')
+                f'SELECT * FROM {sql_table(name)}')
             cached = frozenset(map(tuple, cur))
         self._cache_rows(name, cached)
         return cached
@@ -288,19 +302,19 @@ class SQLiteBackend(Backend):
             raise SchemaError(
                 f'unknown or unmaterialised relation {name!r}')
         (n,), = self._conn.execute(
-            f'SELECT COUNT(*) FROM "{sql_ident(name)}"')
+            f'SELECT COUNT(*) FROM {sql_table(name)}')
         return n
 
     def _apply_one(self, cur, name: str, delta: Delta) -> None:
-        ident = sql_ident(name)
+        table = sql_table(name)
         columns = self._columns_of(name)
         marks = ', '.join('?' * len(columns))
-        where = ' AND '.join(f'"{c}" = ?' for c in columns)
+        where = ' AND '.join(f'{quote_ident(c)} = ?' for c in columns)
         if delta.deletions:
-            cur.executemany(f'DELETE FROM "{ident}" WHERE {where}',
+            cur.executemany(f'DELETE FROM {table} WHERE {where}',
                             list(delta.deletions))
         if delta.insertions:
-            cur.executemany(f'INSERT OR IGNORE INTO "{ident}" '
+            cur.executemany(f'INSERT OR IGNORE INTO {table} '
                             f'VALUES ({marks})', list(delta.insertions))
 
     @_locked
@@ -336,14 +350,14 @@ class SQLiteBackend(Backend):
     @_locked
     def store_cache(self, name: str, rows: Iterable[tuple]) -> None:
         rows = set(rows)
-        ident = sql_ident(name)
-        self._conn.execute(f'DROP TABLE IF EXISTS "{ident}"')
+        table = sql_table(name)
+        self._conn.execute(f'DROP TABLE IF EXISTS {table}')
         self._create_table(name, self._columns_of(name))
         arity = len(self._columns_of(name))
         marks = ', '.join('?' * arity)
         cur = self._conn.cursor()
         cur.execute('BEGIN')
-        cur.executemany(f'INSERT OR IGNORE INTO "{ident}" '
+        cur.executemany(f'INSERT OR IGNORE INTO {table} '
                         f'VALUES ({marks})', list(rows))
         cur.execute('COMMIT')
         self._cache_names.add(name)
@@ -354,7 +368,7 @@ class SQLiteBackend(Backend):
     def drop_cache(self, name: str) -> None:
         if name in self._cache_names:
             self._conn.execute(
-                f'DROP TABLE IF EXISTS "{sql_ident(name)}"')
+                f'DROP TABLE IF EXISTS {sql_table(name)}')
             self._cache_names.discard(name)
         self._rows_cache.pop(name, None)
 
@@ -429,29 +443,54 @@ class SQLiteBackend(Backend):
                 staged[name] = ()             # undefined EDB: empty
         return staged
 
+    def _ensure_stage(self, cur, name: str,
+                      columns: tuple[str, ...]) -> None:
+        """The calling lease's staging table for delta relation
+        ``name`` exists with ``columns`` — created on the lease's first
+        use of it, and again when a redefined view changed columns."""
+        stages = self._tls.stages
+        known = stages.get(name)
+        if known == columns:
+            return
+        table = sql_table(name)
+        if known is not None:
+            del stages[name]
+            cur.execute(f'DROP TABLE temp.{table}')
+        cur.execute(f'CREATE TEMP TABLE {table} ({_quoted(columns)})')
+        stages[name] = columns
+
     @contextmanager
     def _staged(self, prog: _ProgramSQL, inputs: Mapping[str, object]):
-        """A cursor with every staged input loaded as a TEMP shadow of
-        its relation name; the shadows are dropped on exit."""
-        staged = self._staging_plan(prog, inputs)
+        """A cursor with every staged input in place under its relation
+        name.  View deltas fill the lease's staging tables, which are
+        only emptied on exit; any other staged relation is loaded as a
+        TEMP shadow of its name and dropped on exit — left behind, an
+        empty shadow would hide the stored table."""
         cur = self._conn.cursor()
-        created: list[str] = []
+        filled: list[str] = []
+        shadows: list[str] = []
         try:
-            for name, rows in staged.items():
-                ident = sql_ident(name)
+            for name, rows in self._staging_plan(prog, inputs).items():
+                table = sql_table(name)
                 columns = prog.columns[name]
-                cur.execute(f'CREATE TEMP TABLE "{ident}" '
-                            f'({_quoted(columns)})')
-                created.append(ident)
+                if is_delta_pred(name):
+                    self._ensure_stage(cur, name, columns)
+                    if rows:
+                        filled.append(table)
+                else:
+                    cur.execute(f'CREATE TEMP TABLE {table} '
+                                f'({_quoted(columns)})')
+                    shadows.append(table)
                 if rows:
                     marks = ', '.join('?' * len(columns))
-                    cur.executemany(
-                        f'INSERT OR IGNORE INTO temp."{ident}" '
-                        f'VALUES ({marks})', list(rows))
+                    cur.executemany(f'INSERT INTO temp.{table} '
+                                    f'VALUES ({marks})', rows)
             yield cur
         finally:
-            for ident in created:
-                cur.execute(f'DROP TABLE IF EXISTS temp."{ident}"')
+            for table in filled:
+                cur.execute(f'DELETE FROM temp.{table}')
+            for table in shadows:
+                cur.execute(f'DROP TABLE IF EXISTS temp.{table}')
 
     @staticmethod
     def _check_constraints_on(cur, prog: _ProgramSQL) -> None:
@@ -511,10 +550,10 @@ class SQLiteBackend(Backend):
                                    view_handle, delta: Delta, *,
                                    new_view_rows=None) -> DeltaSet:
         """One SQL pass over the transaction's merged multi-row delta:
-        the whole batch of coalesced +v/-v rows stages as a single
-        multi-row TEMP shadow per relation and every view goal runs one
-        SELECT, no per-statement TEMP churn (asserted by the SQL-trace
-        test in tests/test_backends.py)."""
+        the whole batch of coalesced +v/-v rows fills the lease's
+        staging tables with one ``executemany`` per relation and every
+        view goal runs one SELECT — no DDL and no per-statement staging
+        (asserted by the SQL-trace tests in tests/test_backends.py)."""
         if new_view_rows is not None:
             self.check_view_constraints(entry, sources, new_view_rows)
         prog = self._compiled[entry.name].incremental
@@ -581,20 +620,39 @@ class SQLiteBackend(Backend):
         that executes interpreted because SQL lowering failed."""
         return list(self._compiled[view].fallbacks)
 
-    def compiled_sql(self, view: str) -> dict[str, str]:
-        """The cached SQL texts for ``view`` (debugging / tests)."""
-        out: dict[str, str] = {}
+    def _lowered(self, view: str):
+        """``(program, {key: sql})`` per lowered program of ``view``."""
         compiled = self._compiled[view]
         for label, prog in (('get', compiled.get),
                             ('incremental', compiled.incremental),
                             ('putback', compiled.putback)):
             if prog is None:
                 continue
-            for goal, sql in prog.delta_sql:
-                out[f'{label}:{goal}'] = sql
-            for rule, sql in prog.constraint_sql:
-                out[f'{label}:⊥:{pretty_rule(rule)}'] = sql
+            texts = {f'{label}:{goal}': sql for goal, sql in prog.delta_sql}
+            texts.update((f'{label}:⊥:{pretty_rule(rule)}', sql)
+                         for rule, sql in prog.constraint_sql)
+            yield prog, texts
+
+    def compiled_sql(self, view: str) -> dict[str, str]:
+        """The cached SQL texts for ``view`` (debugging / tests)."""
+        out: dict[str, str] = {}
+        for _prog, texts in self._lowered(view):
+            out.update(texts)
         return out
+
+    @_locked
+    def query_plans(self, view: str) -> dict[str, list[str]]:
+        """SQLite's ``EXPLAIN QUERY PLAN`` detail lines for every cached
+        SQL text of ``view`` (keys as in :meth:`compiled_sql`), taken
+        with empty staging tables in place.  Introspection for tests
+        and operators — nothing on the transaction path asks."""
+        plans: dict[str, list[str]] = {}
+        for prog, texts in self._lowered(view):
+            with self._staged(prog, {}) as cur:
+                for key, sql in texts.items():
+                    plans[key] = [row[3] for row in cur.execute(
+                        'EXPLAIN QUERY PLAN ' + sql)]
+        return plans
 
     def close(self) -> None:
         """Close every thread's leased connection (idempotent)."""

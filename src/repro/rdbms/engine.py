@@ -778,11 +778,15 @@ class Engine:
         size has drifted >10× from the cardinalities they were planned
         with (the ROADMAP's "plan-level statistics" open item).
 
-        Memory backend only: its join orders are fixed at compile time,
-        whereas the SQLite backend already delegates planning to
-        SQLite's own optimizer at every execution.  Plans are immutable
-        and the compile is memoized, so re-planning is just swapping the
-        entry's plan references — in-flight evaluations are unaffected.
+        Memory backend only: its join orders are fixed at compile time.
+        The SQL lowering takes one thing from the static schedule — the
+        staged deltas ``+v``/``-v`` are listed first and SQLite is made
+        to keep them outermost (``CROSS JOIN``), which no cardinality
+        drift changes; how the stored relations inside that loop are
+        reached is SQLite's own optimizer's choice at every execution.
+        Plans are immutable and the compile is memoized, so re-planning
+        is just swapping the entry's plan references — in-flight
+        evaluations are unaffected.
         """
         if self.backend.kind != 'memory':
             return

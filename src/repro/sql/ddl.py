@@ -5,7 +5,7 @@ from __future__ import annotations
 from repro.datalog.ast import Program
 from repro.relational.schema import (AttributeType, DatabaseSchema,
                                      RelationSchema)
-from repro.sql.translate import ColumnNamer, query_to_sql
+from repro.sql.translate import ColumnNamer, query_to_sql, quote_ident
 
 __all__ = ['create_table', 'create_schema', 'create_view']
 
@@ -19,9 +19,9 @@ _SQL_TYPES = {
 
 def create_table(relation: RelationSchema) -> str:
     columns = ',\n  '.join(
-        f'{attr} {_SQL_TYPES[type_name]}'
+        f'{quote_ident(attr)} {_SQL_TYPES[type_name]}'
         for attr, type_name in zip(relation.attributes, relation.types))
-    return f'CREATE TABLE {relation.name} (\n  {columns}\n);'
+    return f'CREATE TABLE {quote_ident(relation.name)} (\n  {columns}\n);'
 
 
 def create_schema(schema: DatabaseSchema) -> str:
@@ -31,11 +31,6 @@ def create_schema(schema: DatabaseSchema) -> str:
 def create_view(view: RelationSchema, get_program: Program,
                 sources: DatabaseSchema) -> str:
     """``CREATE VIEW <name> AS <sql-defining-query>`` (§6.1)."""
-    from repro.datalog.transform import rename_predicates
-    # The defining query's own goal CTE must not shadow the view name.
-    defining_goal = f'{view.name}_def'
-    mapping = {pred: f'{pred}_def' for pred in get_program.idb_preds()}
-    renamed = rename_predicates(get_program, mapping)
-    namer = ColumnNamer(sources, extra={defining_goal: view.attributes})
-    body = query_to_sql(renamed, defining_goal, namer)
-    return (f'CREATE OR REPLACE VIEW {view.name} AS\n{body};')
+    namer = ColumnNamer(sources, extra={view.name: view.attributes})
+    body = query_to_sql(get_program, view.name, namer)
+    return f'CREATE OR REPLACE VIEW {quote_ident(view.name)} AS\n{body};'

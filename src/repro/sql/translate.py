@@ -1,39 +1,65 @@
 """Translation of nonrecursive Datalog queries to SQL (§6.1).
 
-Nonrecursive Datalog with negation maps onto SQL directly: each IDB
-predicate becomes a CTE (``WITH`` clause) holding the ``UNION`` of its
-rules; each rule becomes a ``SELECT`` with
+Nonrecursive Datalog with negation maps onto SQL directly.  Each rule
+becomes a ``SELECT DISTINCT`` with
 
-* one ``FROM`` alias per positive body atom,
-* ``WHERE`` equalities for join variables / constants,
-* builtin predicates as comparisons, and
+* one ``FROM`` alias per positive body atom over a stored or staged
+  relation, listed in the join order the plan compiler would run
+  (:func:`repro.datalog.plan.schedule_static` — staged deltas
+  ``+v``/``-v``, statically small, first) and joined with the dialect's
+  separator: ``CROSS JOIN`` on SQLite, which its planner documents as
+  order-preserving, so the delta drives the loop and stored relations
+  are probed through their keys and indexes;
+* ``WHERE`` equalities for join variables / constants;
+* builtin predicates as comparisons; and
 * ``NOT EXISTS`` subqueries for negated atoms (unbound anonymous
   variables inside a negated atom simply contribute no condition —
   the ¬∃ semantics).
 
+An auxiliary (IDB) predicate ``p`` is unfolded at its use site wherever
+SQL can probe instead of materialise:
+
+* ``not p(...)`` becomes one correlated ``NOT EXISTS`` over the body of
+  each rule defining ``p`` (¬(∃b₁ ∨ ∃b₂) = ¬∃b₁ ∧ ¬∃b₂) with the rule's
+  head bound by the enclosing row, recursively;
+* a positive ``p(...)`` all of whose variables shared with the head or
+  another literal are bound by a ``FROM`` item becomes a correlated
+  ``EXISTS`` semi-join the same way (under ``SELECT DISTINCT`` join and
+  semi-join agree);
+* a positive ``p(...)`` that has to *bind* such a variable is read from
+  ``FROM`` as a CTE holding the ``UNION`` of ``p``'s rules.
+
+The ``WITH`` clause of a statement holds exactly the CTEs it still
+reads, and only the goal's dependency cone is lowered at all, so
+per-goal queries (one per delta relation, one per constraint) stay
+independent and minimal.
+
 Column naming uses the relation schema when available and ``c0..cN``
-otherwise.  Two output dialects are supported: PostgreSQL (the paper's
-target, the default) and SQLite (the storage backend of
-:mod:`repro.rdbms.backends.sqlite`, which executes compiled plans as
-SQL).  The ``WITH`` clause of a translated query contains only the
-CTEs in the goal's dependency cone, so per-goal queries (one per delta
-relation, one per constraint) stay independent and minimal.
+otherwise; relation and column names are always rendered as quoted
+identifiers (a relation may be called ``order``).  Two output dialects
+are supported: PostgreSQL (the paper's target, the default) and SQLite
+(the storage backend of :mod:`repro.rdbms.backends.sqlite`, which
+executes compiled plans as SQL).
 """
 
 from __future__ import annotations
 
+import itertools
+from collections import Counter
 from dataclasses import dataclass
 
 from repro.datalog.ast import (Atom, BuiltinLit, Const, Lit, Program, Rule,
-                               Var, is_anonymous)
+                               Var, delta_base, is_anonymous)
 from repro.datalog.dependency import stratify
+from repro.datalog.plan import schedule_static
 from repro.errors import TransformationError
 from repro.relational.schema import DatabaseSchema
 
 __all__ = ['SqlDialect', 'POSTGRES', 'SQLITE', 'dialect_by_name',
-           'sql_literal', 'rule_to_select', 'query_to_sql',
-           'constraint_witness', 'constraint_to_sql', 'plan_to_sql',
-           'program_to_ctes', 'relevant_predicates', 'ColumnNamer']
+           'sql_literal', 'sql_ident', 'quote_ident', 'sql_table',
+           'rule_to_select', 'query_to_sql', 'constraint_witness',
+           'constraint_to_sql', 'plan_to_sql', 'relevant_predicates',
+           'ColumnNamer']
 
 
 @dataclass(frozen=True)
@@ -43,11 +69,18 @@ class SqlDialect:
     name: str
     true_literal: str = 'TRUE'
     false_literal: str = 'FALSE'
+    #: Separator of ``FROM`` items.  They are listed in the planner's
+    #: join order; an engine that re-orders joins from statistics of
+    #: its own (PostgreSQL analyses its temp tables) gets the plain
+    #: comma, one that has none gets a join keyword it honours.
+    join: str = ', '
 
 
 POSTGRES = SqlDialect('postgresql')
-#: SQLite has no boolean literals before 3.23 and stores 1/0 regardless.
-SQLITE = SqlDialect('sqlite', true_literal='1', false_literal='0')
+#: SQLite has no boolean literals before 3.23 and stores 1/0 regardless;
+#: it never re-orders the operands of a ``CROSS JOIN``.
+SQLITE = SqlDialect('sqlite', true_literal='1', false_literal='0',
+                    join=' CROSS JOIN ')
 
 _DIALECTS = {d.name: d for d in (POSTGRES, SQLITE)}
 
@@ -81,13 +114,25 @@ def sql_literal(value, dialect: SqlDialect = POSTGRES) -> str:
 
 
 def sql_ident(name: str) -> str:
-    """Render a predicate name as a SQL identifier (delta prefixes and the
-    ``__nu`` suffix become readable name parts)."""
+    """A predicate name as the name of its SQL relation (delta prefixes
+    become readable name parts)."""
     if name.startswith('+'):
         return f'delta_ins_{name[1:]}'
     if name.startswith('-'):
         return f'delta_del_{name[1:]}'
     return name
+
+
+def quote_ident(name: str) -> str:
+    """``name`` as a quoted SQL identifier: keywords (``order``,
+    ``group``) and mixed case are legal relation and column names."""
+    escaped = name.replace('"', '""')
+    return f'"{escaped}"'
+
+
+def sql_table(pred: str) -> str:
+    """The quoted SQL relation name of predicate ``pred``."""
+    return quote_ident(sql_ident(pred))
 
 
 class ColumnNamer:
@@ -105,7 +150,6 @@ class ColumnNamer:
         self.extra = extra or {}
 
     def columns(self, pred: str, arity: int) -> tuple[str, ...]:
-        from repro.datalog.ast import delta_base
         if pred in self.extra:
             return self.extra[pred]
         base = delta_base(pred)
@@ -116,21 +160,14 @@ class ColumnNamer:
         return tuple(f'c{i}' for i in range(arity))
 
 
-def _expr_map(rule: Rule, namer: ColumnNamer,
-              aliases: list[tuple[str, Atom]],
-              dialect: SqlDialect) -> dict[str, str]:
-    """Map each variable to a SQL expression (alias.column or literal)."""
-    exprs: dict[str, str] = {}
-    for alias, atom in aliases:
-        cols = namer.columns(atom.pred, atom.arity)
-        for col, term in zip(cols, atom.args):
-            if isinstance(term, Var) and term.name not in exprs:
-                exprs[term.name] = f'{alias}.{col}'
-    # Equalities can bind further variables (X = 'a', X = Y).
+def _bind_equalities(body, exprs: dict[str, str],
+                     dialect: SqlDialect) -> None:
+    """Positive equalities bind further variables (``X = 'a'``,
+    ``X = Y``): complete ``exprs`` to its closure under them."""
     changed = True
     while changed:
         changed = False
-        for literal in rule.body:
+        for literal in body:
             if not isinstance(literal, BuiltinLit) or literal.op != '=' \
                     or not literal.positive:
                 continue
@@ -140,96 +177,224 @@ def _expr_map(rule: Rule, namer: ColumnNamer,
                     if isinstance(b, Const):
                         exprs[a.name] = sql_literal(b.value, dialect)
                         changed = True
-                    elif isinstance(b, Var) and b.name in exprs:
+                    elif b.name in exprs:
                         exprs[a.name] = exprs[b.name]
                         changed = True
-    return exprs
 
 
-def _term_expr(term, exprs: dict[str, str],
-               dialect: SqlDialect) -> str | None:
-    if isinstance(term, Const):
-        return sql_literal(term.value, dialect)
-    if term.name in exprs:
-        return exprs[term.name]
-    return None
+def _where(conditions: list[str]) -> str:
+    return ' WHERE ' + ' AND '.join(conditions) if conditions else ''
+
+
+class _Lowering:
+    """The lowering of one SQL statement: the constraint-free program
+    defining its IDB predicates, naming, dialect, the counter that
+    keeps every ``FROM`` alias of the statement distinct (subqueries
+    are standardised apart from the rows they correlate with), and the
+    IDB predicates the statement reads as CTEs."""
+
+    def __init__(self, program: Program, namer: ColumnNamer,
+                 dialect: SqlDialect):
+        self.program = program
+        self.namer = namer
+        self.dialect = dialect
+        self.idb = frozenset(program.idb_preds())
+        self.order = stratify(program)     # also rejects recursion
+        self.ctes: set[str] = set()
+        self._aliases = itertools.count()
+
+    # -- statements -----------------------------------------------------
+
+    def statement(self, select: str) -> str:
+        """``select`` under a ``WITH`` clause of exactly the CTEs it
+        reads (lowering a CTE's body may reference further ones)."""
+        bodies: dict[str, str] = {}
+        while self.ctes - bodies.keys():
+            for pred in sorted(self.ctes - bodies.keys()):
+                bodies[pred] = self.union(pred)
+        if not bodies:
+            return select
+        with_items = ',\n'.join(
+            f'{sql_table(pred)} AS (\n{bodies[pred]}\n)'
+            for pred in self.order if pred in bodies)
+        return f'WITH {with_items}\n{select}'
+
+    def union(self, pred: str) -> str:
+        """The ``UNION`` of the rules defining IDB predicate ``pred``."""
+        rules = self.program.rules_for(pred)
+        columns = self.namer.columns(pred, rules[0].head.arity)
+        return '\nUNION\n'.join(self.select(rule, columns)
+                                for rule in rules)
+
+    def select(self, rule: Rule,
+               head_columns: tuple[str, ...] | None = None) -> str:
+        """One rule as a ``SELECT DISTINCT`` statement."""
+        exprs: dict[str, str] = {}
+        sources, conditions = self._body(rule, exprs)
+        if head_columns is None:
+            head_columns = tuple(f'c{i}' for i in range(rule.head.arity))
+        select_items = []
+        for col, term in zip(head_columns, rule.head.args):
+            expr = self._term(term, exprs)
+            if expr is None:
+                raise TransformationError(
+                    f'head term {term} of rule {rule} is unbound')
+            select_items.append(f'{expr} AS {quote_ident(col)}')
+        select = 'SELECT DISTINCT ' + ', '.join(select_items)
+        if sources:
+            select += '\n  FROM ' + self.dialect.join.join(sources)
+        if conditions:
+            select += '\n  WHERE ' + '\n    AND '.join(conditions)
+        return select
+
+    # -- rule bodies ----------------------------------------------------
+
+    def _table(self, pred: str) -> str:
+        if pred in self.idb:
+            self.ctes.add(pred)
+        return sql_table(pred)
+
+    def _term(self, term, exprs: dict[str, str]) -> str | None:
+        if isinstance(term, Const):
+            return sql_literal(term.value, self.dialect)
+        return exprs.get(term.name)
+
+    def _joined(self, rule: Rule, bound) -> set[int]:
+        """Which positive literals of ``rule`` (by ``id``) become
+        ``FROM`` items: every atom over a stored or staged relation,
+        plus each IDB atom that has to *bind* a variable the head or
+        another literal reads — the others are semi-joins
+        (:meth:`_membership`).  ``_anon*`` names count like any other:
+        machine-derived rules carry them into heads."""
+        positives = [l for l in rule.body
+                     if isinstance(l, Lit) and l.positive]
+        joined = [l for l in positives if l.atom.pred not in self.idb]
+        semi = [l for l in positives if l.atom.pred in self.idb]
+        if semi:
+            uses = Counter(var.name
+                           for part in (rule.head, *rule.body)
+                           if part is not None for var in part.variables())
+        while semi:
+            known = dict.fromkeys(bound, '')
+            for literal in joined:
+                known.update(dict.fromkeys(literal.var_names(), ''))
+            _bind_equalities(rule.body, known, self.dialect)
+            binder = next((l for l in semi
+                           if any(name not in known and uses[name] > 1
+                                  for name in l.var_names())), None)
+            if binder is None:
+                break
+            semi.remove(binder)
+            joined.append(binder)
+        return {id(l) for l in joined}
+
+    def _body(self, rule: Rule,
+              exprs: dict[str, str]) -> tuple[list[str], list[str]]:
+        """The ``FROM`` items and ``WHERE`` conditions of ``rule``'s
+        body.  ``exprs`` maps the variables the enclosing row already
+        binds (none at the top level) to SQL expressions and is
+        completed in place."""
+        joined = self._joined(rule, exprs)
+        sources: list[str] = []
+        conditions: list[str] = []
+        # FROM lists the joins in the order the plan compiler would run
+        # them — staged deltas outermost — and the dialect's join
+        # keyword makes the engine keep it.
+        for literal in schedule_static(rule.body, frozenset(exprs),
+                                       self.idb):
+            if id(literal) not in joined:
+                continue
+            atom = literal.atom
+            alias = f't{next(self._aliases)}'
+            sources.append(f'{self._table(atom.pred)} {alias}')
+            cols = self.namer.columns(atom.pred, atom.arity)
+            for col, term in zip(cols, atom.args):
+                place = f'{alias}.{quote_ident(col)}'
+                if isinstance(term, Const):
+                    conditions.append(
+                        f'{place} = {sql_literal(term.value, self.dialect)}')
+                elif term.name in exprs:
+                    conditions.append(f'{exprs[term.name]} = {place}')
+                else:
+                    exprs[term.name] = place
+        _bind_equalities(rule.body, exprs, self.dialect)
+        for literal in rule.body:
+            if isinstance(literal, BuiltinLit):
+                conditions += self._comparison(literal, exprs, rule)
+            elif id(literal) not in joined:
+                conditions.append(self._membership(literal, exprs, rule))
+        return sources, conditions
+
+    def _comparison(self, literal: BuiltinLit, exprs: dict[str, str],
+                    rule: Rule) -> list[str]:
+        left = self._term(literal.left, exprs)
+        right = self._term(literal.right, exprs)
+        if left is None or right is None:
+            raise TransformationError(
+                f'builtin {literal} has an unbound operand in rule {rule}')
+        if literal.op == '=' and literal.positive and left == right:
+            return []  # tautology introduced by the expression map
+        clause = f'{left} {literal.op} {right}'
+        return [clause if literal.positive else f'NOT ({clause})']
+
+    def _membership(self, literal: Lit, exprs: dict[str, str],
+                    rule: Rule) -> str:
+        """A negated atom, or a positive IDB atom that binds nothing,
+        as (``NOT``) ``EXISTS`` — over the relation itself, or for an
+        IDB predicate over the body of each rule defining it
+        (¬(∃b₁ ∨ ∃b₂) = ¬∃b₁ ∧ ¬∃b₂), correlated with this row."""
+        atom = literal.atom
+        args: list[str | None] = []        # None matches anything
+        for term in atom.args:
+            expr = self._term(term, exprs)
+            if expr is None and not literal.positive \
+                    and not is_anonymous(term):
+                raise TransformationError(
+                    f'negated atom {atom} has unbound variable {term} '
+                    f'in rule {rule}')
+            args.append(expr)
+        if atom.pred in self.idb:
+            subqueries = [self._correlated(definition, args)
+                          for definition in self.program.rules_for(atom.pred)]
+        else:
+            cols = self.namer.columns(atom.pred, atom.arity)
+            subqueries = [f'SELECT 1 FROM {sql_table(atom.pred)} s' + _where(
+                [f's.{quote_ident(col)} = {expr}'
+                 for col, expr in zip(cols, args) if expr is not None])]
+        if not literal.positive:
+            return ' AND '.join(f'NOT EXISTS ({s})' for s in subqueries)
+        exists = ' OR '.join(f'EXISTS ({s})' for s in subqueries)
+        return f'({exists})' if len(subqueries) > 1 else exists
+
+    def _correlated(self, definition: Rule,
+                    args: list[str | None]) -> str:
+        """``SELECT 1`` over the body of ``definition`` for the rows
+        whose head matches ``args`` — the head's variables are bound by
+        the enclosing row before the body is lowered."""
+        exprs: dict[str, str] = {}
+        conditions: list[str] = []
+        for term, outer in zip(definition.head.args, args):
+            if outer is None:
+                continue
+            inner = self._term(term, exprs)
+            if inner is None:
+                exprs[term.name] = outer
+            else:                       # constant or repeated variable
+                conditions.append(f'{inner} = {outer}')
+        sources, body_conditions = self._body(definition, exprs)
+        select = 'SELECT 1'
+        if sources:
+            select += ' FROM ' + self.dialect.join.join(sources)
+        return select + _where(conditions + body_conditions)
 
 
 def rule_to_select(rule: Rule, namer: ColumnNamer,
                    head_columns: tuple[str, ...] | None = None,
                    dialect: SqlDialect = POSTGRES) -> str:
-    """One rule as a ``SELECT`` statement."""
-    positives = [l.atom for l in rule.body
-                 if isinstance(l, Lit) and l.positive]
-    aliases = [(f't{i}', atom) for i, atom in enumerate(positives)]
-    exprs = _expr_map(rule, namer, aliases, dialect)
-    conditions: list[str] = []
-
-    # Join conditions: repeated variables and constants inside atoms.
-    seen: dict[str, str] = {}
-    for alias, atom in aliases:
-        cols = namer.columns(atom.pred, atom.arity)
-        for col, term in zip(cols, atom.args):
-            place = f'{alias}.{col}'
-            if isinstance(term, Const):
-                conditions.append(
-                    f'{place} = {sql_literal(term.value, dialect)}')
-            else:
-                if term.name in seen and seen[term.name] != place:
-                    conditions.append(f'{seen[term.name]} = {place}')
-                else:
-                    seen.setdefault(term.name, place)
-
-    op_map = {'=': '=', '<': '<', '>': '>', '<=': '<=', '>=': '>='}
-    for literal in rule.body:
-        if isinstance(literal, BuiltinLit):
-            left = _term_expr(literal.left, exprs, dialect)
-            right = _term_expr(literal.right, exprs, dialect)
-            if left is None or right is None:
-                raise TransformationError(
-                    f'builtin {literal} has an unbound operand in rule '
-                    f'{rule}')
-            clause = f'{left} {op_map[literal.op]} {right}'
-            if literal.op == '=' and literal.positive and left == right:
-                continue  # tautology introduced by the expression map
-            conditions.append(clause if literal.positive
-                              else f'NOT ({clause})')
-        elif not literal.positive:
-            atom = literal.atom
-            cols = namer.columns(atom.pred, atom.arity)
-            sub_conditions = []
-            for col, term in zip(cols, atom.args):
-                if isinstance(term, Var) and is_anonymous(term) \
-                        and term.name not in exprs:
-                    continue  # wildcard inside ¬∃
-                expr = _term_expr(term, exprs, dialect)
-                if expr is None:
-                    raise TransformationError(
-                        f'negated atom {atom} has unbound variable {term} '
-                        f'in rule {rule}')
-                sub_conditions.append(f's.{col} = {expr}')
-            where = (' WHERE ' + ' AND '.join(sub_conditions)
-                     if sub_conditions else '')
-            conditions.append(
-                f'NOT EXISTS (SELECT 1 FROM {sql_ident(atom.pred)} s'
-                f'{where})')
-
-    if head_columns is None:
-        head_columns = tuple(f'c{i}' for i in range(rule.head.arity))
-    select_items = []
-    for col, term in zip(head_columns, rule.head.args):
-        expr = _term_expr(term, exprs, dialect)
-        if expr is None:
-            raise TransformationError(
-                f'head term {term} of rule {rule} is unbound')
-        select_items.append(f'{expr} AS {col}')
-    select = 'SELECT DISTINCT ' + ', '.join(select_items)
-    if aliases:
-        select += '\n  FROM ' + ', '.join(
-            f'{sql_ident(atom.pred)} {alias}' for alias, atom in aliases)
-    if conditions:
-        select += '\n  WHERE ' + '\n    AND '.join(conditions)
-    return select
+    """One rule as a ``SELECT`` statement, every body predicate read as
+    a relation of its own name."""
+    return _Lowering(Program(()), namer, dialect).select(rule,
+                                                         head_columns)
 
 
 def _dependency_cone(program: Program, goals) -> Program:
@@ -241,48 +406,27 @@ def _dependency_cone(program: Program, goals) -> Program:
 
 def relevant_predicates(program: Program, goals) -> set[str]:
     """The IDB predicates in the dependency cone of ``goals``: the goals
-    themselves plus every IDB predicate they transitively read.  Only
-    these need a CTE in a query computing the goals."""
+    themselves plus every IDB predicate they transitively read.  Rules
+    outside the cone never reach a query computing the goals."""
     return _dependency_cone(program, goals).idb_preds()
-
-
-def program_to_ctes(program: Program, namer: ColumnNamer,
-                    dialect: SqlDialect = POSTGRES) -> list[tuple[str,
-                                                                  str]]:
-    """``(name, select)`` pairs for every IDB predicate, in evaluation
-    order (ready to join into a ``WITH`` clause)."""
-    proper = program.without_constraints()
-    arities = proper.arities()
-    ctes: list[tuple[str, str]] = []
-    for pred in stratify(proper):
-        cols = namer.columns(pred, arities[pred])
-        selects = [rule_to_select(rule, namer, cols, dialect)
-                   for rule in proper.rules_for(pred)]
-        ctes.append((sql_ident(pred), '\nUNION\n'.join(selects)))
-    return ctes
 
 
 def query_to_sql(program: Program, goal: str,
                  namer: ColumnNamer | None = None,
                  schema: DatabaseSchema | None = None,
                  dialect: SqlDialect = POSTGRES) -> str:
-    """A complete ``WITH ... SELECT`` statement for a Datalog query.
+    """A complete ``[WITH ...] SELECT`` statement for a Datalog query.
 
-    The ``WITH`` clause is pruned to the goal's dependency cone, so a
-    program defining many delta relations compiles into one lean query
-    per goal rather than one query carrying every CTE — and rules
-    outside the cone may contain constructs SQL lowering rejects
+    Only the goal's dependency cone is lowered, so a program defining
+    many delta relations compiles into one lean query per goal — and
+    rules outside the cone may contain constructs SQL lowering rejects
     without poisoning the query.
     """
-    namer = namer or ColumnNamer(schema)
     cone = _dependency_cone(program, {goal})
     if goal not in cone.idb_preds():
         raise TransformationError(f'no rules define {goal!r}')
-    ctes = program_to_ctes(cone, namer, dialect)
-    goal_ident = sql_ident(goal)
-    with_items = ',\n'.join(f'{name} AS (\n{body}\n)'
-                            for name, body in ctes)
-    return f'WITH {with_items}\nSELECT * FROM {goal_ident}'
+    lowering = _Lowering(cone, namer or ColumnNamer(schema), dialect)
+    return lowering.statement(lowering.union(goal))
 
 
 def constraint_witness(rule: Rule, goal: str = '__viol__'
@@ -315,16 +459,10 @@ def constraint_to_sql(program: Program, rule: Rule,
     The query returns one row per violation witness — wrap it in
     ``EXISTS`` or fetch a row to report.
     """
-    namer = namer or ColumnNamer(schema)
     witness, head_cols = constraint_witness(rule)
-    ctes = program_to_ctes(_dependency_cone(program, rule.body_preds()),
-                           namer, dialect)
-    select = rule_to_select(witness, namer, head_cols, dialect)
-    if not ctes:
-        return select
-    with_items = ',\n'.join(f'{name} AS (\n{body}\n)'
-                            for name, body in ctes)
-    return f'WITH {with_items}\n{select}'
+    lowering = _Lowering(_dependency_cone(program, rule.body_preds()),
+                         namer or ColumnNamer(schema), dialect)
+    return lowering.statement(lowering.select(witness, head_cols))
 
 
 def plan_to_sql(plan, goal: str,

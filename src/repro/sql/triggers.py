@@ -29,7 +29,9 @@ from repro.datalog.ast import (Program, delete_pred, delta_base,
 from repro.datalog.pretty import pretty_rule
 from repro.errors import ValidationError
 from repro.sql.ddl import create_view
-from repro.sql.translate import ColumnNamer, program_to_ctes, query_to_sql
+from repro.sql.translate import (ColumnNamer, constraint_witness,
+                                 query_to_sql, quote_ident, sql_ident,
+                                 sql_literal, sql_table)
 
 __all__ = ['compile_strategy_to_sql', 'trigger_program',
            'constraint_checks_sql', 'delta_queries_sql']
@@ -55,7 +57,6 @@ def constraint_checks_sql(strategy: UpdateStrategy) -> list[tuple[str, str]]:
     by the caller.
     """
     from repro.datalog.transform import rename_predicates
-    from repro.sql.translate import constraint_witness
     view = strategy.view.name
     updated = f'{view}_updated'
     checks: list[tuple[str, str]] = []
@@ -108,70 +109,67 @@ def delta_queries_sql(strategy: UpdateStrategy, *,
 def trigger_program(strategy: UpdateStrategy, *,
                     incremental: bool = True) -> str:
     """The trigger procedure + trigger DDL for one updatable view."""
-    view = strategy.view.name
-    cols = strategy.view.attributes
-    col_list = ', '.join(cols)
+    name = strategy.view.name
+    view = quote_ident(name)
+    ins, dele = sql_table(insert_pred(name)), sql_table(delete_pred(name))
+    updated = quote_ident(f'{name}_updated')
+    procedure = quote_ident(f'{name}_update_strategy')
+    col_list = ', '.join(map(quote_ident, strategy.view.attributes))
     lines: list[str] = []
-    lines.append(f'-- Trigger machinery for updatable view {view}')
-    lines.append(f'CREATE TEMP TABLE IF NOT EXISTS delta_ins_{view} '
-                 f'(LIKE {view});')
-    lines.append(f'CREATE TEMP TABLE IF NOT EXISTS delta_del_{view} '
-                 f'(LIKE {view});')
+    lines.append(f'-- Trigger machinery for updatable view {name}')
+    lines.append(f'CREATE TEMP TABLE IF NOT EXISTS {ins} (LIKE {view});')
+    lines.append(f'CREATE TEMP TABLE IF NOT EXISTS {dele} (LIKE {view});')
     lines.append('')
-    lines.append(f'CREATE OR REPLACE FUNCTION {view}_update_strategy()')
+    lines.append(f'CREATE OR REPLACE FUNCTION {procedure}()')
     lines.append('RETURNS trigger LANGUAGE plpgsql AS $$')
     lines.append('BEGIN')
     lines.append('  -- Step 1: derive view deltas from the DML statement')
     lines.append('  IF TG_OP = \'INSERT\' OR TG_OP = \'UPDATE\' THEN')
-    lines.append(f'    INSERT INTO delta_ins_{view} SELECT NEW.*;')
-    lines.append(f'    DELETE FROM delta_del_{view} d WHERE ROW(d.*) = '
-                 f'ROW(NEW.*);')
+    lines.append(f'    INSERT INTO {ins} SELECT NEW.*;')
+    lines.append(f'    DELETE FROM {dele} d WHERE ROW(d.*) = ROW(NEW.*);')
     lines.append('  END IF;')
     lines.append('  IF TG_OP = \'DELETE\' OR TG_OP = \'UPDATE\' THEN')
-    lines.append(f'    INSERT INTO delta_del_{view} SELECT OLD.*;')
-    lines.append(f'    DELETE FROM delta_ins_{view} d WHERE ROW(d.*) = '
-                 f'ROW(OLD.*);')
+    lines.append(f'    INSERT INTO {dele} SELECT OLD.*;')
+    lines.append(f'    DELETE FROM {ins} d WHERE ROW(d.*) = ROW(OLD.*);')
     lines.append('  END IF;')
     lines.append('')
-    lines.append(f'  -- Updated view contents: ({view} \\ Δ-) ∪ Δ+')
-    lines.append(f'  CREATE TEMP TABLE {view}_updated AS')
+    lines.append(f'  -- Updated view contents: ({name} \\ Δ-) ∪ Δ+')
+    lines.append(f'  CREATE TEMP TABLE {updated} AS')
     lines.append(f'    SELECT {col_list} FROM {view}')
-    lines.append(f'    EXCEPT SELECT {col_list} FROM delta_del_{view}')
-    lines.append(f'    UNION  SELECT {col_list} FROM delta_ins_{view};')
+    lines.append(f'    EXCEPT SELECT {col_list} FROM {dele}')
+    lines.append(f'    UNION  SELECT {col_list} FROM {ins};')
     lines.append('')
     lines.append('  -- Step 2: integrity constraints on the updated view')
     for text, query in constraint_checks_sql(strategy):
         indented = '\n    '.join(query.splitlines())
         lines.append(f'  IF EXISTS (\n    {indented}\n  ) THEN')
-        lines.append(f'    RAISE EXCEPTION \'Invalid view update: '
-                     f'constraint "{text}" violated\';')
+        message = f'Invalid view update: constraint "{text}" violated'
+        lines.append(f'    RAISE EXCEPTION {sql_literal(message)};')
         lines.append('  END IF;')
     lines.append('')
     lines.append('  -- Step 3: compute and apply source delta relations')
     for pred, query in delta_queries_sql(strategy,
                                          incremental=incremental):
-        base = delta_base(pred)
-        from repro.sql.translate import sql_ident
-        temp = sql_ident(pred)
+        base = quote_ident(delta_base(pred))
+        result = quote_ident(f'{sql_ident(pred)}_result')
         indented = '\n    '.join(query.splitlines())
-        lines.append(f'  CREATE TEMP TABLE {temp}_result AS\n    '
-                     f'{indented};')
+        lines.append(f'  CREATE TEMP TABLE {result} AS\n    {indented};')
         if pred.startswith('-'):
             lines.append(f'  DELETE FROM {base} WHERE ROW({base}.*) IN '
-                         f'(SELECT ROW(r.*) FROM {temp}_result r);')
+                         f'(SELECT ROW(r.*) FROM {result} r);')
         else:
-            lines.append(f'  INSERT INTO {base} SELECT * FROM '
-                         f'{temp}_result;')
-        lines.append(f'  DROP TABLE {temp}_result;')
-    lines.append(f'  DROP TABLE {view}_updated;')
+            lines.append(f'  INSERT INTO {base} SELECT * FROM {result};')
+        lines.append(f'  DROP TABLE {result};')
+    lines.append(f'  DROP TABLE {updated};')
     lines.append('  RETURN NULL;')
     lines.append('END;')
     lines.append('$$;')
     lines.append('')
-    lines.append(f'CREATE TRIGGER {view}_update_strategy_trigger')
+    lines.append(f'CREATE TRIGGER '
+                 f'{quote_ident(f"{name}_update_strategy_trigger")}')
     lines.append(f'INSTEAD OF INSERT OR UPDATE OR DELETE ON {view}')
     lines.append('FOR EACH ROW')
-    lines.append(f'EXECUTE PROCEDURE {view}_update_strategy();')
+    lines.append(f'EXECUTE PROCEDURE {procedure}();')
     return '\n'.join(lines)
 
 

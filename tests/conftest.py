@@ -14,28 +14,40 @@ from repro.relational.schema import DatabaseSchema
 try:
     from hypothesis import HealthCheck, settings as hyp_settings
 
+    def _registered(profile: str) -> bool:
+        try:
+            hyp_settings.get_profile(profile)
+        except Exception:
+            return False
+        return True
+
     # Idempotence guard: some tests re-import this module under the
     # ``tests.conftest`` name, which must not re-register profiles
-    # mid-test (hypothesis deprecation).
-    try:
-        hyp_settings.get_profile('ci')
-    except Exception:
+    # mid-test (hypothesis deprecation).  The guard asks for ``long``,
+    # a name Hypothesis does not ship — recent releases (6.1xx) come
+    # with a ``ci`` profile of their own.
+    if not _registered('long'):
         _CHECKS = [HealthCheck.too_slow, HealthCheck.data_too_large,
                    HealthCheck.filter_too_much]
-        # ``ci`` — the bounded smoke the CI matrix selects with
-        # ``--hypothesis-profile=ci``; ``dev`` — the default local
-        # run; ``long`` — the deep differential run
-        # (``REPRO_FUZZ=long``), sized so the sharded-vs-single oracle
-        # sees well over 200 generated transactions.
-        hyp_settings.register_profile('ci', max_examples=10,
-                                      deadline=None,
-                                      suppress_health_check=_CHECKS)
+        # ``dev`` — the default local run; ``long`` — the deep
+        # differential run (``REPRO_FUZZ=long``), sized so the
+        # sharded-vs-single oracle sees well over 200 generated
+        # transactions.
         hyp_settings.register_profile('dev', max_examples=25,
                                       deadline=None,
                                       suppress_health_check=_CHECKS)
         hyp_settings.register_profile('long', max_examples=150,
                                       deadline=None,
                                       suppress_health_check=_CHECKS)
+        # ``ci`` — what the CI matrix selects with
+        # ``--hypothesis-profile=ci``.  Where Hypothesis ships one
+        # (derandomised, 100 examples, no deadline) CI has been running
+        # that, so it is left alone: replacing it with the ten-example
+        # smoke below would weaken CI.  Older releases get the smoke.
+        if not _registered('ci'):
+            hyp_settings.register_profile('ci', max_examples=10,
+                                          deadline=None,
+                                          suppress_health_check=_CHECKS)
         hyp_settings.load_profile(
             'long' if os.environ.get('REPRO_FUZZ') == 'long' else 'dev')
 except ImportError:                              # pragma: no cover

@@ -1,17 +1,25 @@
 """Storage backend tests: the Backend interface, the SQLite backend's
-SQL execution, interpreter fallback, and the cross-backend differential
-anchor (identical workloads must yield bit-identical base states)."""
+SQL execution, staging and query plans, interpreter fallback, and the
+cross-backend differential anchor (identical workloads must yield
+bit-identical base states)."""
 
+import re
 import sqlite3
+import threading
+from contextlib import contextmanager
 
 import pytest
 
-from repro.benchsuite.catalog import entry_by_name
+from repro.benchsuite.catalog import ALL_ENTRIES, entry_by_name
 from repro.benchsuite.workload import build_engine, update_statement
+from repro.core.lvgn import is_lvgn
+from repro.core.strategy import UpdateStrategy
 from repro.errors import ConstraintViolation, SchemaError
 from repro.rdbms.backends import (MemoryBackend, SQLiteBackend,
                                   create_backend, default_backend_kind)
+from repro.rdbms.dml import Insert
 from repro.rdbms.engine import Engine
+from repro.relational.schema import DatabaseSchema
 
 DIFFERENTIAL_VIEWS = ('luxuryitems', 'officeinfo', 'outstanding_task',
                       'vw_brands')
@@ -295,39 +303,6 @@ class TestCrossBackendDifferential:
             assert engine.database() == reference.database(), key
             assert engine.rows(view) == reference.rows(view), key
 
-    def test_one_temp_stage_per_relation_per_transaction(
-            self, luxury_strategy):
-        """The batched pipeline stages the whole transaction's delta as
-        one multi-row TEMP shadow per relation and commits in one SQL
-        transaction — asserted via the SQL trace of a 100-statement
-        view transaction."""
-        from repro.rdbms.dml import Insert
-        engine = Engine(luxury_strategy.sources, backend='sqlite')
-        engine.load('items', [(1, 'watch', 5000)])
-        engine.define_view(luxury_strategy, validate_first=False)
-        engine.rows('luxuryitems')
-        engine.insert('luxuryitems', (2, 'ring', 2000))      # warm up
-        statements: list = []
-        engine.backend._conn.set_trace_callback(statements.append)
-        try:
-            engine.execute_many([
-                ('luxuryitems', [Insert((100 + i, f'item{i}', 2000 + i))])
-                for i in range(100)])
-        finally:
-            engine.backend._conn.set_trace_callback(None)
-        temp_creates: dict[str, int] = {}
-        for sql in statements:
-            if sql.startswith('CREATE TEMP TABLE'):
-                name = sql.split('"')[1]
-                temp_creates[name] = temp_creates.get(name, 0) + 1
-        assert temp_creates, 'expected TEMP staging in the trace'
-        # One multi-row stage per staged relation for the whole
-        # 100-statement transaction, not one per statement.
-        assert set(temp_creates.values()) == {1}, temp_creates
-        assert sum(1 for sql in statements if sql == 'BEGIN') == 1
-        assert engine.rows('items') >= {(100 + i, f'item{i}', 2000 + i)
-                                        for i in range(100)}
-
     def test_random_statement_sequences_union(self, union_strategy):
         """Property-style sweep on the union view: every prefix of a
         mixed insert/delete sequence leaves both backends in the same
@@ -345,3 +320,286 @@ class TestCrossBackendDifferential:
             fast, slow = engines
             assert fast.database() == slow.database()
             assert fast.rows('v') == slow.rows('v')
+
+
+# ---------------------------------------------------------------------------
+# Identifiers
+# ---------------------------------------------------------------------------
+
+
+class TestKeywordNamedRelations:
+    """The lowering quotes what the backend's DDL quotes: a base table
+    called ``order`` used to lose the SQL tier without an error (every
+    plan demoted at first use, ``near "order": syntax error``)."""
+
+    SOURCES = DatabaseSchema.build(order={'oid': 'int', 'group': 'int'})
+    PUTDELTA = """
+        ⊥ :- select(O, T), not T > 100.
+        +order(O, T) :- select(O, T), not order(O, T).
+        -order(O, T) :- order(O, T), T > 100, not select(O, T).
+    """
+    GET = 'select(O, T) :- order(O, T), T > 100.'
+
+    def _engine(self, backend):
+        strategy = UpdateStrategy.parse('select', self.SOURCES,
+                                        self.PUTDELTA,
+                                        expected_get=self.GET)
+        engine = Engine(self.SOURCES, backend=backend)
+        engine.load('order', [(1, 500), (2, 50), (3, 300)])
+        engine.define_view(strategy, validate_first=False)
+        assert engine.rows('select') == {(1, 500), (3, 300)}
+        engine.insert('select', (4, 900))
+        engine.update('select', {'group': 700}, where={'oid': 1})
+        engine.delete('select', where={'group': 300})
+        with pytest.raises(ConstraintViolation):
+            engine.insert('select', (5, 5))
+        return engine
+
+    def test_sql_tier_survives_and_agrees_with_memory(self):
+        sqlite_engine = self._engine('sqlite')
+        assert sqlite_engine.backend.lowering_fallbacks('select') == []
+        memory = self._engine('memory')
+        assert sqlite_engine.database() == memory.database()
+        assert sqlite_engine.rows('select') == memory.rows('select') \
+            == {(1, 700), (4, 900)}
+
+
+# ---------------------------------------------------------------------------
+# Staging: no DDL on the transaction path
+# ---------------------------------------------------------------------------
+
+
+@contextmanager
+def _traced(backend):
+    """The SQL statements the calling thread's lease executes."""
+    statements: list[str] = []
+    backend._conn.set_trace_callback(statements.append)
+    try:
+        yield statements
+    finally:
+        backend._conn.set_trace_callback(None)
+
+
+def _temp_tables(backend) -> dict[str, int]:
+    """``{table: row count}`` of the calling lease's temp schema."""
+    conn = backend._conn
+    names = [name for (name,) in conn.execute(
+        "SELECT name FROM temp.sqlite_master WHERE type = 'table'")]
+    return {name: conn.execute(
+                f'SELECT COUNT(*) FROM temp."{name}"').fetchone()[0]
+            for name in names}
+
+
+def _luxury_engine(luxury_strategy) -> Engine:
+    engine = Engine(luxury_strategy.sources, backend='sqlite')
+    engine.load('items', [(1, 'watch', 5000)])
+    engine.define_view(luxury_strategy, validate_first=False)
+    engine.rows('luxuryitems')
+    engine.insert('luxuryitems', (2, 'ring', 2000))          # warm up
+    return engine
+
+
+class TestStaging:
+
+    STAGES = {'delta_ins_luxuryitems': 0, 'delta_del_luxuryitems': 0}
+
+    @staticmethod
+    def _staging(statements, verb: str) -> dict[str, int]:
+        """How many traced statements start with ``verb`` per staging
+        table (an ``executemany`` traces once per row)."""
+        counts: dict[str, int] = {}
+        for sql in statements:
+            match = re.match(verb + r' temp\."(delta_\w+)"', sql)
+            if match:
+                counts[match[1]] = counts.get(match[1], 0) + 1
+        return counts
+
+    def test_no_ddl_after_the_first_transaction(self, luxury_strategy):
+        """A view INSERT, a keyed UPDATE and a 100-row batch: zero
+        CREATE / DROP statements, every non-empty delta relation staged
+        once (as many traced row inserts as it has rows) and emptied
+        once, one SQL transaction for the commit."""
+        engine = _luxury_engine(luxury_strategy)
+        backend = engine.backend
+        batch = [('luxuryitems', [Insert((100 + i, f'item{i}', 2000 + i))])
+                 for i in range(100)]
+        for run, staged in (
+                (lambda: engine.insert('luxuryitems', (3, 'yacht', 90000)),
+                 {'delta_ins_luxuryitems': 1}),
+                (lambda: engine.update('luxuryitems', {'iname': 'boat'},
+                                       where={'iid': 3}),
+                 {'delta_ins_luxuryitems': 1, 'delta_del_luxuryitems': 1}),
+                (lambda: engine.execute_many(batch),
+                 {'delta_ins_luxuryitems': 100})):
+            with _traced(backend) as statements:
+                run()
+            assert not [sql for sql in statements
+                        if sql.startswith(('CREATE', 'DROP'))], statements
+            assert self._staging(statements, 'INSERT INTO') == staged
+            assert self._staging(statements, 'DELETE FROM') \
+                == dict.fromkeys(staged, 1)
+            assert statements.count('BEGIN') == 1
+            assert _temp_tables(backend) == self.STAGES
+        assert engine.rows('items') >= {(100 + i, f'item{i}', 2000 + i)
+                                        for i in range(100)}
+        assert (3, 'boat', 90000) in engine.rows('items')
+
+    def test_failed_evaluations_leave_staging_empty(self, luxury_strategy):
+        from dataclasses import replace
+        engine = _luxury_engine(luxury_strategy)
+        backend = engine.backend
+        with pytest.raises(ConstraintViolation):
+            engine.insert('luxuryitems', (4, 'gum', 5))
+        assert _temp_tables(backend) == self.STAGES
+        # SQL that fails at execution time demotes the program to the
+        # interpreter — after the staged rows are gone again.
+        compiled = backend._compiled['luxuryitems']
+        broken = tuple((goal, 'SELECT * FROM no_such_relation')
+                       for goal, _ in compiled.incremental.delta_sql)
+        compiled.incremental = replace(compiled.incremental,
+                                       delta_sql=broken)
+        engine.insert('luxuryitems', (5, 'pearl', 7000))
+        assert compiled.incremental is None
+        assert (5, 'pearl', 7000) in engine.rows('items')
+        assert _temp_tables(backend) == self.STAGES
+
+    def test_every_lease_stages_in_its_own_tables(self, luxury_strategy):
+        engine = _luxury_engine(luxury_strategy)
+        backend = engine.backend
+        seen = {}
+
+        def worker():
+            seen['fresh'] = _temp_tables(backend)
+            engine.insert('luxuryitems', (6, 'tiara', 8000))
+            seen['used'] = _temp_tables(backend)
+            backend.release_thread()
+            seen['leases'] = backend.leased_threads()
+            # A new lease of the same thread starts from nothing and
+            # stages again.
+            seen['released'] = _temp_tables(backend)
+            engine.insert('luxuryitems', (7, 'crown', 9000))
+            seen['again'] = _temp_tables(backend)
+            backend.release_thread()
+
+        thread = threading.Thread(target=worker)
+        thread.start()
+        thread.join()
+        assert seen == {'fresh': {}, 'used': self.STAGES, 'leases': 1,
+                        'released': {}, 'again': self.STAGES}
+        assert backend.leased_threads() == 1
+        assert engine.rows('items') >= {(6, 'tiara', 8000),
+                                        (7, 'crown', 9000)}
+
+    def test_redefined_view_with_other_columns_restages(self):
+        sources = DatabaseSchema.build(r={'a': 'int'},
+                                       p={'a': 'int', 'b': 'int'})
+        narrow = UpdateStrategy.parse('v', sources, """
+            +r(X) :- v(X), not r(X).
+            -r(X) :- r(X), not v(X).
+        """, expected_get='v(X) :- r(X).')
+        wide = UpdateStrategy.parse('v', sources, """
+            +p(X, Y) :- v(X, Y), not p(X, Y).
+            -p(X, Y) :- p(X, Y), not v(X, Y).
+        """, expected_get='v(X, Y) :- p(X, Y).')
+        engine = Engine(sources, backend='sqlite')
+        engine.define_view(narrow, validate_first=False)
+        engine.insert('v', (1,))
+        engine.drop_view('v')
+        engine.define_view(wide, validate_first=False)
+        engine.insert('v', (2, 3))
+        engine.delete('v', where={'a': 2})
+        engine.insert('v', (4, 5))
+        assert engine.rows('r') == {(1,)} and engine.rows('p') == {(4, 5)}
+        assert engine.backend.lowering_fallbacks('v') == []
+        columns = [row[1] for row in engine.backend._conn.execute(
+            'PRAGMA temp.table_info("delta_ins_v")')]
+        assert columns == ['a', 'b']
+
+    def test_overlay_shadow_is_dropped_after_use(self, luxury_strategy):
+        """A transaction that writes ``items`` and then updates the view
+        over it evaluates against a TEMP shadow called ``items``; left
+        behind (even empty) it would hide the stored table."""
+        engine = _luxury_engine(luxury_strategy)
+        backend = engine.backend
+        with _traced(backend) as statements:
+            with engine.transaction() as txn:
+                txn.insert('items', (8, 'brooch', 3000))
+                txn.insert('luxuryitems', (9, 'cufflinks', 4000))
+        assert 'CREATE TEMP TABLE "items" ("iid", "iname", "price")' \
+            in statements
+        assert _temp_tables(backend) == self.STAGES
+        stored = set(backend._conn.execute('SELECT * FROM "items"'))
+        assert stored == engine.rows('items') >= {(8, 'brooch', 3000),
+                                                  (9, 'cufflinks', 4000)}
+
+
+# ---------------------------------------------------------------------------
+# The plan gate
+# ---------------------------------------------------------------------------
+
+
+def _plan_offences(backend, view: str) -> list[tuple[str, str]]:
+    """``(statement, detail line)`` for every step of ``view``'s ∂put
+    goals and ⊥-checks where SQLite scans a stored base table or view
+    cache, materialises a subquery, or builds an automatic index — the
+    places where the lowering lost O(|Δ|)."""
+    texts = backend.compiled_sql(view)
+    offences = []
+    for key, details in backend.query_plans(view).items():
+        if not key.startswith('incremental:'):
+            continue
+        relation_of = {alias: relation for relation, alias in re.findall(
+            r'"((?:[^"]|"")+)" (t\d+|s)\b', texts[key])}
+        for detail in details:
+            scan = re.match(r'SCAN (\w+)', detail)
+            if 'MATERIALIZE' in detail or 'AUTOMATIC' in detail \
+                    or (scan and backend._stored(
+                        relation_of.get(scan[1], scan[1]))):
+                offences.append((key, detail))
+    return offences
+
+
+class TestPlanGate:
+    """ROADMAP 3d: ask SQLite how it runs each lowered ∂put statement.
+    General-path strategies legitimately scan (their ∂put re-derives
+    the view), so nothing raises at ``define_view`` — the gate is the
+    LVGN fragment, where the paper's O(|Δ|) claim lives."""
+
+    @staticmethod
+    def _engine(entry) -> Engine:
+        engine = build_engine(entry, 60, incremental=True,
+                              backend='sqlite')
+        engine.rows(entry.name)              # the cache a ∂put reads
+        return engine
+
+    def test_query_plans_cover_every_lowered_statement(self):
+        engine = self._engine(entry_by_name('outstanding_task'))
+        backend = engine.backend
+        plans = backend.query_plans('outstanding_task')
+        assert plans.keys() == backend.compiled_sql(
+            'outstanding_task').keys()
+        assert plans['incremental:-tasks'][0] == 'SCAN t0'   # the delta
+        assert all(any(line.startswith(('SCAN', 'SEARCH'))
+                       for line in details)
+                   for details in plans.values())
+        # Introspection leaves no staging residue behind.
+        assert not any(_temp_tables(backend).values())
+        assert set(_temp_tables(backend)) == {
+            'delta_ins_outstanding_task', 'delta_del_outstanding_task'}
+
+    @pytest.mark.parametrize(
+        'entry', [e for e in ALL_ENTRIES if e.expressible
+                  and is_lvgn(e.strategy().putdelta, e.name)],
+        ids=lambda e: e.name)
+    def test_lvgn_incremental_plans_probe_stored_relations(self, entry):
+        engine = self._engine(entry)
+        assert engine.view(entry.name).use_incremental
+        assert engine.backend.lowering_fallbacks(entry.name) == []
+        assert _plan_offences(engine.backend, entry.name) == []
+
+    def test_gate_sees_a_scan(self):
+        """The gate is not vacuous: a general-path entry trips it."""
+        engine = self._engine(entry_by_name('tracks1'))
+        offences = _plan_offences(engine.backend, 'tracks1')
+        assert any('SCAN' in detail for _key, detail in offences)
+        assert any('MATERIALIZE' in detail for _key, detail in offences)

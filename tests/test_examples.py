@@ -42,8 +42,8 @@ def test_invalid_strategies():
 
 def test_sql_export():
     out = run_example('sql_export.py')
-    assert 'CREATE TABLE items' in out
-    assert 'INSTEAD OF INSERT OR UPDATE OR DELETE ON luxuryitems' in out
+    assert 'CREATE TABLE "items"' in out
+    assert 'INSTEAD OF INSERT OR UPDATE OR DELETE ON "luxuryitems"' in out
     assert 'bytes of compiled SQL' in out
 
 
