@@ -19,8 +19,8 @@ Configurations:
 * ``served-group``      — group commit on: concurrent submissions
   coalesce into one batched delta run (the PR 3/5 coalescing machinery
   applied *across* clients).
-* ``served-threads``    — group commit over a 4-shard thread-mode
-  ``ShardedEngine`` (parallelism 4).
+* ``served-inline``     — group commit over a 4-shard in-process
+  ``ShardedEngine`` (every shard call on the writer's thread).
 * ``served-procs``      — group commit over the same shards in worker
   *processes* (``execution='processes'``): on an N-core host the
   batch's prepare fans out across real cores; on a 1-core host it
@@ -122,8 +122,7 @@ def _build_engine(kind: str, strategy, size: int):
             strategy.sources, partitioner=partitioner,
             backends='memory',
             shard_keys={'luxuryitems': 'iid', 'items': 'iid'},
-            execution='processes' if kind == 'procs' else 'threads',
-            parallelism=SHARDS)
+            execution='processes' if kind == 'procs' else 'inline')
     engine.load('items', _base_rows(size))
     engine.define_view(strategy, validate_first=False)
     engine.rows('luxuryitems')
@@ -168,7 +167,7 @@ CONFIGS = (
     ('direct-single', 'single', None),
     ('served-nogroup', 'single', False),
     ('served-group', 'single', True),
-    ('served-threads', 'threads', True),
+    ('served-inline', 'inline', True),
     ('served-procs', 'procs', True),
 )
 
@@ -273,7 +272,7 @@ def _main(argv=None) -> int:
         'txns_per_client': txns, 'cpu_count': os.cpu_count(),
         'note': ('group commit coalesces concurrent small transactions '
                  'into one batched delta run; served-procs beats '
-                 'served-threads on multi-core hosts, where the '
+                 'served-inline on multi-core hosts, where the '
                  'grouped prepare fans out across worker processes — '
                  'on a 1-core host both measure coordination overhead '
                  'only'),

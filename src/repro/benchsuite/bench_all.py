@@ -1,15 +1,14 @@
 """``bench_all``: every engine configuration, one comparable summary.
 
 Runs the same key-local OLTP mix (write transactions of ``stmts``
-inserts, each followed by view reads) across the seven engine
+inserts, each followed by view reads) across the six engine
 configurations this repo ships —
 
 * ``memory``   — single :class:`~repro.rdbms.engine.Engine`, memory
   backend (the baseline every speedup is relative to);
 * ``sqlite``   — single engine, SQLite backend;
 * ``sharded``  — :class:`~repro.rdbms.sharded.ShardedEngine`, two
-  thread shards, serial pipeline;
-* ``parallel`` — two thread shards, thread-pooled fan-out;
+  in-process shards;
 * ``procs``    — two worker *processes* (pipelined pickle RPC);
 * ``replica``  — single WAL-backed engine with delta-fed read
   replicas serving the reads;
@@ -61,8 +60,7 @@ __all__ = ['CONFIGS', 'OVERHEAD_CEILING', 'run_bench_all',
            'run_overhead', 'build_summary', 'check_summary', 'main']
 
 #: Every configuration the summary must cover, in baseline-first order.
-CONFIGS = ('memory', 'sqlite', 'sharded', 'parallel', 'procs',
-           'replica', 'peers')
+CONFIGS = ('memory', 'sqlite', 'sharded', 'procs', 'replica', 'peers')
 
 #: The gated bound on instrumented/uninstrumented hot-path time (the
 #: per-transaction hooks are a handful of ``perf_counter`` calls and
@@ -106,11 +104,10 @@ def _build(config: str, strategy: UpdateStrategy, size: int,
         engine.define_view(strategy, validate_first=False)
         return {'engine': engine, 'read': lambda: engine.rows('luxuryitems'),
                 'close': engine.close}
-    if config in ('sharded', 'parallel', 'procs'):
+    if config in ('sharded', 'procs'):
         engine = ShardedEngine(
             schema, shards=2, shard_keys=SHARD_KEYS,
-            parallelism=2 if config == 'parallel' else None,
-            execution='processes' if config == 'procs' else 'threads')
+            execution='processes' if config == 'procs' else 'inline')
         engine.load('items', rows)
         engine.define_view(strategy, validate_first=False)
         return {'engine': engine, 'read': lambda: engine.rows('luxuryitems'),

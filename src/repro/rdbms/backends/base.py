@@ -145,6 +145,13 @@ class Backend(ABC):
         form (the SQLite backend lowers them to SQL here)."""
 
     @abstractmethod
+    def unregister_view(self, name: str) -> None:
+        """Called when view ``name`` is dropped: forget everything kept
+        under the name — its cache, its index hints, its compiled form
+        — so a later view of that name (possibly with other columns)
+        starts from nothing.  A no-op for unknown names."""
+
+    @abstractmethod
     def eval_handle(self, name: str):
         """What plan evaluation should read for an *unstaged* relation:
         an object the interpreter accepts directly (memory hands out its
@@ -196,24 +203,11 @@ class Backend(ABC):
 
     def close(self) -> None:
         """Release backend resources (connections, files, stored rows),
-        including every thread's leased resources (see
-        :meth:`release_thread`).  A closed backend serves no reads;
+        including what the backend leased per calling thread (SQLite
+        connections must not cross threads, so that backend opens one
+        per thread on first use).  A closed backend serves no reads;
         row sets :meth:`rows` handed out earlier stay valid for their
         holder."""
-
-    # -- per-thread resource leasing ----------------------------------
-    #
-    # Some storage substrates hold thread-affine resources (SQLite
-    # connections must not cross threads).  Backends acquire such
-    # resources implicitly, per calling thread, on first use — the
-    # *lease* — and a thread that is done with the backend (a worker
-    # leaving a pool) releases its lease explicitly.  Backends without
-    # thread-affine state need nothing: the default is a no-op.
-
-    def release_thread(self) -> None:
-        """Release resources leased to the *calling* thread (no-op by
-        default).  Safe to call on a thread that never used the
-        backend; :meth:`close` releases every thread's lease."""
 
     # -- interpreted execution (shared fallback) ----------------------
     #

@@ -93,6 +93,10 @@ class MemoryBackend(Backend):
         elif name in self._caches:
             self._caches[name].ensure_index(positions)
 
+    def unregister_view(self, name: str) -> None:
+        self.drop_cache(name)
+        self._index_hints.pop(name, None)
+
     def probe(self, name: str, positions: tuple[int, ...], key: tuple):
         # First use of a mask builds its index and registers it as a
         # hint, so a re-materialised cache comes back with it.

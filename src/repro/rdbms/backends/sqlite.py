@@ -99,11 +99,11 @@ _MEMDB_IDS = itertools.count()
 
 
 def _locked(method):
-    """Serialise a backend method on the instance mutex.  One SQLite
-    backend is one shard's storage: cross-shard parallelism runs on
-    distinct backends, while within a backend the mutex keeps leased
-    connections from tripping over shared-cache table locks (and keeps
-    the Python-side row cache consistent)."""
+    """Serialise a backend method on the instance mutex.  The threads
+    sharing one backend (a server's readers and its writer) each lease
+    a connection; the mutex keeps those from tripping over
+    shared-cache table locks (and keeps the Python-side row cache
+    consistent)."""
     @functools.wraps(method)
     def wrapper(self, *args, **kwargs):
         with self._mutex:
@@ -116,13 +116,14 @@ class SQLiteBackend(Backend):
 
     Thread model: SQLite connections are thread-affine, so the backend
     *leases* one connection per calling thread (created lazily on first
-    use, closed by :meth:`release_thread`/:meth:`close`).  In-memory
-    databases use a named shared-cache URI so every lease sees the same
-    data; the constructing thread's connection is kept open for the
-    backend's lifetime to anchor the database.  TEMP staging tables
-    and shadows are per-connection, hence naturally per-thread.  All
-    access is serialised on a per-backend mutex — concurrency comes
-    from the sharded engine running *distinct* backends in parallel."""
+    use; closed by :meth:`close`, or when the next lease is made once
+    its thread has exited).  In-memory databases use a named
+    shared-cache URI so every lease sees the same data; the
+    constructing thread's connection is kept open for the backend's
+    lifetime to anchor the database.  TEMP staging tables and shadows
+    are per-connection, hence naturally per-thread.  All access is
+    serialised on a per-backend mutex — shards run concurrently as
+    worker processes, each with its own backend."""
 
     kind = 'sqlite'
 
@@ -204,18 +205,6 @@ class SQLiteBackend(Backend):
     @property
     def _conn(self) -> sqlite3.Connection:
         return self._lease_connection()
-
-    def release_thread(self) -> None:
-        """Close the calling thread's leased connection (the root
-        lease stays open — it anchors in-memory databases)."""
-        conn = getattr(self._tls, 'conn', None)
-        if conn is None:
-            return
-        self._tls.conn = None
-        with self._mutex:
-            self._leases.pop(threading.get_ident(), None)
-        if conn is not self._root_conn:
-            conn.close()
 
     def leased_threads(self) -> int:
         """How many threads currently hold a connection lease."""
@@ -401,6 +390,13 @@ class SQLiteBackend(Backend):
             goals=entry.strategy.putdelta_plan.delta_goals,
             label='putback', compiled=compiled)
         self._compiled[entry.name] = compiled
+
+    @_locked
+    def unregister_view(self, name: str) -> None:
+        self.drop_cache(name)
+        self._index_hints.pop(name, None)
+        self._view_attrs.pop(name, None)
+        self._compiled.pop(name, None)
 
     def _lower_query(self, program: Program, namer: ColumnNamer,
                      goals, label: str,

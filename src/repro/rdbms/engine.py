@@ -742,10 +742,10 @@ class Engine:
         no-op for unknown names, so coordinators can use it to roll
         back a partially propagated ``define_view``.  Refuses when
         another view still reads ``name`` as a source — dropping it
-        would leave the catalog with dangling references.  Backend
-        residue of the registration (index hints, compiled SQL) is not
-        undone; it is correctness-neutral and overwritten if the name
-        is redefined."""
+        would leave the catalog with dangling references.  The backend
+        forgets what it kept under the name too (cache, index hints,
+        compiled SQL): a hint that outlived its view would index a
+        column position a narrower redefinition no longer has."""
         for other, entry in self._views.items():
             if other == name:
                 continue
@@ -755,7 +755,7 @@ class Engine:
                     f'cannot drop view {name!r}: view {other!r} reads '
                     f'or updates it')
         if self._views.pop(name, None) is not None:
-            self.backend.drop_cache(name)
+            self.backend.unregister_view(name)
             self._wal_defines.pop(name, None)
             self._wal_append('drop_view', name)
 

@@ -405,9 +405,6 @@ class Peer:
         return [delta for delta in self._tail[view]
                 if delta.lsn > after]
 
-    def outbox_lsn(self, view: str) -> int:
-        return self._outbox[view].last_lsn
-
     def rows(self, view: str) -> frozenset:
         return frozenset(tuple(row) for row in self.engine.rows(view))
 

@@ -13,11 +13,11 @@ compiled plans, library exceptions) pickles — so the same runtime
 serves either channel:
 
 * :class:`InlineChannel` calls it directly, on the coordinator's heap
-  (:class:`LocalShard`, ``execution='threads'``);
+  and the calling thread (:class:`LocalShard`, ``execution='inline'``);
 * :class:`_RpcChannel` reaches it in a **worker process** over a pipe
-  (``execution='processes'``).  Threads cannot beat the GIL on
-  CPU-bound putback translation (BENCH_shard.json: 4 shards × 4
-  threads ≈ serial); a worker per shard can.
+  (``execution='processes'``) — the one way shards run concurrently:
+  threads cannot beat the GIL on CPU-bound putback translation, a
+  worker per shard can.
 
 The rest of this docstring is about the process transport.
 
@@ -54,22 +54,20 @@ one, surfaced by the per-call RPC timeout — appears as
 the cluster transaction on every other shard and restarts the worker so
 the next transaction finds a serving shard.
 
-**Durability.**  With a WAL configured (``wal_path``, threaded down
-from ``ShardedEngine(wal_dir=...)``), each worker opens its own
-``shard-<i>.wal`` *inside the worker process*: the fsynced append in
-``Engine.apply_prepared`` is the shard's commit point, and a restarted
-worker replays the committed prefix through ``Engine.apply_wal_record``
-— no committed transaction is lost to a crash.  The prepare reply
+**Durability.**  Every worker has a log: ``wal_path`` (threaded down
+from ``ShardedEngine(wal_dir=...)``, or a directory the engine owns
+when none is given) is opened *inside the worker process*, the append
+in ``Engine.apply_prepared`` is the shard's commit point, and a
+restarted worker replays the committed prefix through
+``Engine.apply_wal_record`` — the one way a worker is recovered, and no
+committed transaction is lost to a crash.  The prepare reply
 additionally carries the shard's pre-commit LSN and the frozen commit
 record, so a worker that dies *mid-apply* is repaired exactly
 (:meth:`ProcessShard._repair_apply`): after the restart's replay the
 coordinator checks whether the append — the commit point — made it; if
 not, it re-commits the record it kept, and the cluster transaction
 succeeds instead of losing a commit its sibling shards already
-applied.  Without a WAL, restart falls back to replaying the recorded
-catalog setup (latest ``load`` per base table, ``define_view`` in
-definition order) and committed deltas since the last load are lost —
-the pre-WAL contract.
+applied.
 
 Deterministic fault injection (:mod:`repro.rdbms.faults`) hooks the
 RPC send path (``rpc.send``) and the worker dispatch loop
@@ -98,7 +96,6 @@ import pickle
 import threading
 import time
 import weakref
-from collections import deque
 from pathlib import Path
 from typing import Mapping, NamedTuple, Sequence
 
@@ -344,11 +341,11 @@ def serve_connection(runtime: WorkerRuntime, conn) -> None:
 
 
 def _worker_main(conn, index: int, schema, backend_spec,
-                 batch_deltas: bool, wal_path=None,
-                 wal_sync: bool = True, generation: int = 0) -> None:
+                 batch_deltas: bool, wal_path, wal_sync: bool,
+                 generation: int) -> None:
     """Process entry point: drop inherited sibling pipe ends, build the
-    engine *in this process* (replaying the shard's WAL when one is
-    configured and has records), serve until told to stop."""
+    engine *in this process* (replaying the shard's WAL when it has
+    records), serve until told to stop."""
     global WORKER_INDEX
     WORKER_INDEX = index
     faults.set_identity(shard=index, generation=generation)
@@ -477,10 +474,8 @@ class _RpcChannel:
                         f'worker died mid-request ({error!r})'
                     ) from error
                 self._replies[seq] = (ok, payload)
-            ok, payload = self._replies.pop(token)
-        if ok:
-            return payload
-        raise payload
+            outcome = self._replies.pop(token)
+        return _settle(outcome)
 
     def call(self, method: str, *args):
         return self.drain(self.submit(method, *args))
@@ -494,48 +489,31 @@ def _settle(outcome: tuple):
     raise payload
 
 
-#: Runtime calls that touch no transaction state.  An in-process
-#: channel answers them at once on the calling thread: a read must
-#: never queue behind another transaction's in-flight prepare.
-_READS = frozenset({'rows', 'snapshot', 'count', 'has_cache',
-                    'commit_lsn', 'metrics', 'ping'})
-
 #: Runtime calls an in-process channel runs under the shard lock:
 #: storage reads exclude the apply phase's (and a bulk load's) writes.
 _LOCKED = frozenset({'rows', 'snapshot', 'load', 'apply_prepared'})
 
 
 class InlineChannel:
-    """The channel contract — ``submit``/``drain``, per-shard FIFO,
-    exactly one outcome per token, surfaced at ``drain`` — over a
-    runtime on the caller's heap.  No fault site fires here: the
-    injection hooks (``rpc.send``, ``worker.dispatch``) belong to the
-    process transport.
-
-    Without a ``pool`` every call executes inside ``submit``, on the
-    calling thread, and the token *is* its stored ``(ok, payload)``
-    outcome — no thread is ever created.  With one, calls other than
-    reads queue per shard, and ``drain`` (a) hands every *other*
-    shard's queue to the pool and (b) works this shard's queue off on
-    the calling thread up to the token — so the shards of one scatter
-    overlap, a lone call never leaves its thread, and no drain ever
-    waits for a free pool thread.  ``peers`` is the list of channels
-    sharing the pool."""
+    """The channel contract — one outcome per submitted call, surfaced
+    when its token is drained — over a runtime on the caller's heap:
+    every call executes inside ``submit``, on the calling thread, and
+    the token *is* its stored ``(ok, payload)`` outcome.  No thread is
+    ever created and nothing ever waits in a queue, so a reader on
+    another thread (:class:`~repro.rdbms.serve.ViewServer` has its own)
+    is never held up by a transaction's prepare — prepare stages in
+    Python; only the storage calls in :data:`_LOCKED` exclude each
+    other, per shard.  No fault site fires here: the injection hooks
+    (``rpc.send``, ``worker.dispatch``) belong to the process
+    transport."""
 
     dead = None                         # this transport cannot die
 
-    def __init__(self, runtime: WorkerRuntime, pool=None,
-                 peers: 'list | None' = None):
+    def __init__(self, runtime: WorkerRuntime):
         self.runtime = runtime
-        self._pool = pool
-        self._peers = peers if peers is not None else []
-        self._peers.append(self)
         self._lock = threading.RLock()   # readers vs apply, per shard
-        self._turn = threading.Lock()    # one queued call at a time
-        self._queue: deque = deque()     # [method, args, outcome]
-        self._newest = self._kicked = None
 
-    def _run(self, method: str, args: tuple) -> tuple:
+    def submit(self, method: str, *args) -> tuple:
         try:
             call = getattr(self.runtime, method)
             if method in _LOCKED:
@@ -544,53 +522,6 @@ class InlineChannel:
             return True, call(*args)
         except Exception as error:
             return False, error
-
-    def submit(self, method: str, *args):
-        if self._pool is None or method in _READS:
-            return self._run(method, args)
-        task = [method, args, None]
-        self._queue.append(task)
-        self._newest = task
-        return task
-
-    def drain(self, task: list):
-        """Finish a *queued* call (one run at ``submit`` returned its
-        ``(ok, payload)`` outcome as the token)."""
-        for peer in self._peers:
-            # One kick per batch of queued work, with a bounded
-            # mandate: the pool thread runs the peer's queue up to the
-            # call that is newest now and leaves — a lingering one
-            # could grab a later call of THIS channel and leave its
-            # drainer waiting with no thread free for the rest.
-            if peer is not self and peer._queue \
-                    and peer._kicked is not peer._newest:
-                peer._kicked = peer._newest
-                self._pool.submit(peer._work_off, peer._kicked)
-        while task[2] is None:
-            # Runs the oldest queued call, or waits out the pool
-            # thread that is running it.
-            self._step()
-        return _settle(task[2])
-
-    def _step(self) -> bool:
-        with self._turn:
-            if not self._queue:
-                return False
-            task = self._queue.popleft()
-            task[2] = self._run(task[0], task[1])
-            return True
-
-    def _work_off(self, upto: list) -> None:
-        while upto[2] is None and self._step():
-            pass
-
-    def close(self) -> None:
-        """Join the shared pool (bounding when per-thread backend
-        leases stop being created), then close the runtime.
-        Idempotent."""
-        if self._pool is not None:
-            self._pool.shutdown(wait=True)
-        self.runtime.close()
 
 
 def _check_backend_spec(spec) -> None:
@@ -624,27 +555,23 @@ class ProcessShard:
     (:class:`_RpcChannel`); :class:`LocalShard` swaps the lifecycle for
     a runtime on the caller's heap and inherits every protocol method.
 
-    ``wal_path`` gives the runtime a durable log (opened *inside* the
-    worker); restart then recovers committed state by replay, and an
-    apply whose worker died is repaired (:meth:`_repair_apply`, see the
+    ``wal_path`` is the runtime's durable log (opened *inside* the
+    worker) — required, because the log is how a worker is recovered:
+    :meth:`restart` brings committed state back by replay, and an apply
+    whose worker died is repaired (:meth:`_repair_apply`, see the
     module docstring's Durability section).  ``rpc_timeout`` bounds
     each call's wait so a wedged worker surfaces as
     :class:`ShardUnavailableError`."""
 
-    #: The runtime lives across a boundary that can fail and is crossed
-    #: by value: journal what a replacement must replay, ask prepare for
-    #: repair records, freeze row sets before they are sent.
-    _volatile = True
-
-    def __init__(self, index: int, schema, backend_spec, *,
-                 batch_deltas: bool = True,
-                 mp_context=None, wal_path=None, wal_sync: bool = True,
+    def __init__(self, index: int, schema, backend_spec, *, wal_path,
+                 batch_deltas: bool = True, mp_context=None,
+                 wal_sync: bool = True,
                  rpc_timeout: float | None = None):
         self.index = index
         self._schema = schema
         self._spec = backend_spec
         self._batch_deltas = batch_deltas
-        self._wal_path = Path(wal_path) if wal_path is not None else None
+        self._wal_path = wal_path
         self._wal_sync = wal_sync
         self._rpc_timeout = rpc_timeout
         self._ctx = mp_context
@@ -656,12 +583,6 @@ class ProcessShard:
         #: over), so the cumulative count lives here — see
         #: :meth:`metrics`.
         self._rpc_retired = 0
-        # Recovery journal for WAL-less shards: the catalog calls a
-        # restarted worker replays (latest load per table; views in
-        # definition order).  With a WAL the log itself is the journal.
-        self._journaled = self._volatile and self._wal_path is None
-        self._loads: dict[str, frozenset] = {}
-        self._views: list[tuple] = []
         self.channel = None
         self.process = None
         self._spawn()
@@ -673,11 +594,13 @@ class ProcessShard:
         _check_backend_spec(self._spec)
         context = self._ctx or _default_context()
         parent_conn, child_conn = context.Pipe(duplex=True)
+        # ``Path(None)`` raises here, before the fork: no worker starts
+        # without a log.
         process = context.Process(
             target=_worker_main,
             args=(child_conn, self.index, self._schema, self._spec,
-                  self._batch_deltas, self._wal_path, self._wal_sync,
-                  self.generation),
+                  self._batch_deltas, Path(self._wal_path),
+                  self._wal_sync, self.generation),
             name=f'repro-shard-{self.index}', daemon=True)
         process.start()
         child_conn.close()                 # the worker owns that end
@@ -694,21 +617,11 @@ class ProcessShard:
 
     def restart(self) -> None:
         """Replace a dead (or wedged — ``_reap`` terminates it) worker
-        with a fresh one.  With a WAL configured the new worker replays
-        the committed prefix of ``shard-<i>.wal`` itself during
-        construction — no committed transaction is lost.  Without one,
-        the recorded catalog setup is replayed instead and committed
-        deltas since the last bulk load are lost (the pre-WAL
-        contract)."""
+        with a fresh one, which replays the committed prefix of its log
+        during construction: no committed transaction is lost."""
         self._reap()
         self.generation += 1
         self._spawn()
-        if self._wal_path is not None:
-            return                  # the log replay rebuilt everything
-        for name, rows in self._loads.items():
-            self.channel.call('load', name, rows)
-        for view_args in self._views:
-            self.channel.call('define_view', *view_args)
 
     def _reap(self) -> None:
         if self.channel is not None:
@@ -743,16 +656,10 @@ class ProcessShard:
         scatter always drains what it submitted.
 
         ``method`` names the runtime method and ``args`` are its
-        arguments — except for the two calls with a client-side half
-        (finished in :meth:`drain`), which take what *this* side needs:
-        ``apply_prepared`` the whole prepare token (kept for repair;
-        the runtime gets its slot id) and ``load`` any iterable of rows
-        (journalled for a WAL-less restart).  A shard without a WAL
-        answers ``commit_lsn`` itself: nothing was ever logged."""
-        if method == 'commit_lsn' and self._wal_path is None:
-            return method, args, (True, 0)
-        if method == 'load' and self._volatile:
-            args = (args[0], frozenset(tuple(r) for r in args[1]))
+        arguments (which must pickle) — except for ``apply_prepared``,
+        the one call with a client-side half: it takes the whole
+        prepare token, kept for repair in :meth:`drain`, and the
+        runtime gets the token's slot id."""
         wire = (args[0].txn,) if method == 'apply_prepared' else args
         try:
             ticket = self.channel.submit(method, *wire)
@@ -762,21 +669,17 @@ class ProcessShard:
 
     def drain(self, token):
         """The outcome of a submitted call: its result, or its raised
-        error — after this side's half of it: an ``apply_prepared``
-        that lost its worker is repaired, a ``load`` that succeeded is
-        journalled."""
+        error — except that an ``apply_prepared`` that lost its worker
+        is repaired first (:meth:`_repair_apply`)."""
         method, args, ticket = token
         try:
-            result = _settle(ticket) if type(ticket) is tuple \
+            return _settle(ticket) if type(ticket) is tuple \
                 else self.channel.drain(ticket)
         except ShardUnavailableError:
             if method != 'apply_prepared' \
                     or not self._repair_apply(*args):
                 raise
             return None
-        if method == 'load' and self._journaled:
-            self._loads[args[0]] = args[1]
-        return result
 
     def _call(self, method: str, *args):
         return self.drain(self.submit(method, *args))
@@ -810,18 +713,16 @@ class ProcessShard:
 
     def _repair_apply(self, token: _PreparedToken) -> bool:
         """A worker died (or its channel broke) *during* apply — after
-        sibling shards may already have applied.  With a WAL the
-        outcome is decidable: restart the worker (its constructor
-        replays the committed prefix) and compare LSNs against the
-        prepare reply.  The append — the commit point — either made it
+        sibling shards may already have applied.  The log makes the
+        outcome decidable: restart the worker (its constructor replays
+        the committed prefix) and compare LSNs against the prepare
+        reply.  The append — the commit point — either made it
         (``lsn == token.lsn + 1``: done) or it did not (``lsn ==
         token.lsn``: re-commit the frozen record the coordinator kept).
         Either way the cluster transaction *succeeds*, keeping the
         shards convergent.  Returns ``False`` — caller re-raises — when
-        repair is impossible (no WAL, an unexpected LSN, or the
-        restarted worker failing too)."""
-        if self._wal_path is None:
-            return False
+        repair is impossible (an unexpected LSN, or the restarted
+        worker failing too)."""
         try:
             self.restart()
             lsn = self.commit_lsn
@@ -868,67 +769,54 @@ class ProcessShard:
                     use_incremental: bool = True, stats=None,
                     exist_ok: bool = False) -> tuple:
         """``(entry, created)`` — see :meth:`WorkerRuntime.define_view`."""
-        args = (strategy, report, use_incremental, dict(stats or {}),
-                exist_ok)
-        entry, created = self._call('define_view', *args)
-        if created and self._journaled:
-            self._views.append(args)
-        return entry, created
+        return self._call('define_view', strategy, report,
+                          use_incremental, dict(stats or {}), exist_ok)
 
     def drop_view(self, name: str) -> None:
         self._call('drop_view', name)
-        self._views = [args for args in self._views
-                       if args[0].view.name != name]
 
     def metrics(self) -> dict:
         """The runtime's metrics snapshot (nothing when it is
         unreachable — a dead shard contributes nothing to the merge)
-        plus, for a transport that can die, its own series: requests
-        ever sent (across worker generations), restarts, liveness."""
+        plus this transport's own series: requests ever sent (across
+        worker generations), restarts, liveness."""
         snapshots: list = []
         if self.channel is not None and not self.channel.dead:
             try:
                 snapshots.append(self._call('metrics'))
             except ShardUnavailableError:
                 pass
-        if self._volatile:
-            sent = self.channel._seq if self.channel is not None else 0
-            snapshots.append({
-                'counters': {'rpc.requests': self._rpc_retired + sent,
-                             'procpool.restarts': self.generation},
-                'gauges': {'procpool.alive': float(self.alive)}})
+        sent = self.channel._seq if self.channel is not None else 0
+        snapshots.append({
+            'counters': {'rpc.requests': self._rpc_retired + sent,
+                         'procpool.restarts': self.generation},
+            'gauges': {'procpool.alive': float(self.alive)}})
         return merge_snapshots(snapshots)
 
 
 class LocalShard(ProcessShard):
     """The in-process shard: the same client over a runtime on the
     caller's heap (:class:`InlineChannel`).  Lifecycle only — the
-    transport cannot die, so there is nothing to restart, journal or
-    repair.  ``pool``/``peers`` are the thread pool and channel list the
-    shards of one engine share (``None`` runs every call on the calling
-    thread)."""
+    transport cannot die, so there is nothing to restart or repair,
+    and ``wal_path`` may be ``None``: no log."""
 
-    _volatile = False
     alive = True
-
-    def __init__(self, index: int, schema, backend, *, pool=None,
-                 peers: 'list | None' = None, **options):
-        self._pool, self._peers = pool, peers
-        super().__init__(index, schema, backend, **options)
 
     def _spawn(self) -> None:
         self.runtime = WorkerRuntime(
             self._schema, self._spec, batch_deltas=self._batch_deltas,
             wal_path=self._wal_path, wal_sync=self._wal_sync,
             repair_records=False)
-        self.channel = InlineChannel(self.runtime, self._pool,
-                                     self._peers)
+        self.channel = InlineChannel(self.runtime)
 
     def restart(self) -> None:
         """Nothing to replace."""
 
     def close(self) -> None:
-        self.channel.close()
+        self.runtime.close()
+
+    def metrics(self) -> dict:
+        return self._call('metrics')
 
 
 def _default_context():
@@ -959,22 +847,21 @@ class ProcessPool:
     pid-guarded ``weakref.finalize``, which Python also runs atexit)."""
 
     def __init__(self, schema, backend_specs: Sequence, *,
-                 batch_deltas: bool = True, wal_paths=None,
+                 wal_paths: Sequence, batch_deltas: bool = True,
                  wal_sync: bool = True, rpc_timeout: float | None = None):
         context = _default_context()
         for spec in backend_specs:      # all of them, before any fork
             _check_backend_spec(spec)
-        if wal_paths is not None and len(wal_paths) != len(backend_specs):
+        if len(wal_paths) != len(backend_specs):
             raise SchemaError(
                 f'wal_paths must name one log per shard: got '
                 f'{len(wal_paths)} for {len(backend_specs)} shards')
         self.shards = tuple(
-            ProcessShard(index, schema, spec, batch_deltas=batch_deltas,
-                         mp_context=context,
-                         wal_path=(None if wal_paths is None
-                                   else wal_paths[index]),
+            ProcessShard(index, schema, spec, wal_path=wal_path,
+                         batch_deltas=batch_deltas, mp_context=context,
                          wal_sync=wal_sync, rpc_timeout=rpc_timeout)
-            for index, spec in enumerate(backend_specs))
+            for index, (spec, wal_path)
+            in enumerate(zip(backend_specs, wal_paths)))
         self._finalizer = weakref.finalize(
             self, _shutdown_shards, self.shards, os.getpid())
 

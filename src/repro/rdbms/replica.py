@@ -333,9 +333,6 @@ class ReplicaSet:
         applied)."""
         return sum(replica.catch_up() for replica in self.replicas)
 
-    def max_applied_lsn(self) -> int:
-        return max((r.applied_lsn for r in self.replicas), default=0)
-
     def close(self) -> None:
         """Close the replicas, quarantined ones included (the
         primary's owner closes the primary)."""

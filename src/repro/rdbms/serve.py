@@ -76,7 +76,8 @@ class Receipt:
     #: the engine's commit point after this transaction applied — an
     #: int (Engine) or per-shard tuple (ShardedEngine); pass it back to
     #: :meth:`ViewServer.rows` as ``min_lsn`` to read your own write
-    #: through the replicas.  0 when the engine has no WAL.
+    #: through the replicas.  0 where nothing is logged: an engine or
+    #: in-process shard without a WAL (a process shard always has one).
     lsn: object = 0
 
 

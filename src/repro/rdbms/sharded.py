@@ -61,7 +61,7 @@ per-transaction slots).  Every phase is *submit to each shard, drain
 in serial order, raise the first error after draining all*: the order
 tokens are drained in is the order the serial loop would have run the
 calls, so the first error raised is the serial-identical one no matter
-which shard failed first (the fuzz oracle's ``sharded-parallel`` and
+which shard failed first (the fuzz oracle's ``sharded-batched`` and
 ``sharded-procs`` axes pin this).  The protocol:
 
 ======================  ==========  ==================================
@@ -89,53 +89,44 @@ any synchronous read, and before prepare, drains every outcome in
 submission order.  *Scatter*: :meth:`ShardedEngine._scatter`.  On top
 of the table every call may raise
 :class:`~repro.errors.ShardUnavailableError` when its transport can
-die.  The coordinator cannot tell which transport carries the calls;
-``execution`` picks it once, in the constructor:
+die.  The coordinator cannot tell which transport carries the calls and
+never creates a thread on either; ``execution`` picks one, in the
+constructor:
 
-* ``'threads'`` — **in-process** (:class:`LocalShard`): the runtime
-  lives on the coordinator's heap.  *FIFO*: calls other than reads run
-  per shard in submission order.  *Lock*: reads (``rows``,
-  ``snapshot``, ``count``, …) run at once on the calling thread and
-  never wait behind another transaction's prepare — prepare stages in
+* ``'inline'`` — **in-process** (:class:`LocalShard`, the default):
+  the runtime lives on the coordinator's heap and every call runs
+  inside ``submit``, on the calling thread — a scatter *is* the serial
+  loop.  *Lock*: a reader on another thread (``ViewServer`` has its
+  own) never waits behind a transaction's prepare — prepare stages in
   Python; only ``apply_prepared`` and ``load`` write storage, and they
   exclude ``rows``/``snapshot`` per shard with a lock.  During the
   brief apply phase consistency is per shard: a multi-shard
   scatter-gather racing the apply may combine shards from either side
   of the commit (cross-shard snapshot isolation for readers is future
   work).  *Liveness*: the transport cannot die — ``alive`` is always
-  true, ``restart`` does nothing, nothing is journalled or repaired.
-  ``parallelism=1`` (the default) runs every call inside ``submit`` on
-  the calling thread and never creates a thread.  ``parallelism=N``
-  lets N threads — the caller and a pool of N-1 — work a scatter's
-  shards concurrently (each shard is one engine with its own backend;
-  SQLite backends lease one connection per thread; compiled plans are
-  immutable and shared), with results bit-identical to ``1``.
-* ``'processes'`` — one **worker process** per shard
-  (:mod:`repro.rdbms.procpool`), escaping the GIL.  *FIFO*: the pipe,
-  with sequence-number dedup and reordering in the worker.  *Lock*: the
-  worker serves one call at a time, so a read simply waits its turn.
-  *Liveness*: ``rpc_timeout`` plus a liveness poll turn a dead or
-  wedged worker into :class:`~repro.errors.ShardUnavailableError`; the
-  cluster transaction aborts on every surviving shard (staging never
-  touches storage, so abandoning it *is* rollback) and the worker is
-  restarted.  No coordinator thread exists at any ``parallelism``:
-  overlap is *submit to all, then drain all* — each worker computes
-  while the coordinator waits on another's reply.  ``parallelism=1``
-  keeps one scatter RPC in flight at a time; the default (the shard
-  count) overlaps them.
-
-``BENCHMARK.json`` runs process shards only (``cluster-share``): the
-speed of in-process shards at ``parallelism > 1`` is not covered by it
-(``benchmarks/bench_shard.py`` gates that mode against the serial
-pipeline).
+  true, ``restart`` does nothing, nothing is repaired.
+* ``'processes'`` — one **worker process** per shard, escaping the
+  GIL; the one way shards run concurrently (wire protocol and worker
+  lifecycle: :mod:`repro.rdbms.procpool`).  *Lock*: the worker serves
+  one call at a time, so a read simply waits its turn.  *Overlap*: a
+  scatter's calls are all in flight before the first is drained — each
+  worker computes while the coordinator waits on another's reply.
+  *Liveness*: a dead or wedged worker surfaces as
+  :class:`~repro.errors.ShardUnavailableError`; the cluster transaction
+  aborts on every surviving shard (staging never touches storage, so
+  abandoning it *is* rollback) and the worker is restarted from its
+  log.
 
 **Fault tolerance.**  With ``wal_dir`` set, *both* executions are
-durable: in-process shards log in their engines, process mode threads
-``wal_dir/shard-<i>.wal`` into each worker — the worker's fsynced
-append is its commit point, a restarted worker replays the committed
-prefix, and a worker killed *mid-apply* is repaired from its prepare
-reply (:meth:`~repro.rdbms.procpool.ProcessShard._repair_apply`), so a
-SIGKILL anywhere in the 2PC loses no committed transaction.
+durable: each shard logs to ``wal_dir/shard-<i>.wal`` — in its engine
+inline, *inside the worker* in process mode, where the fsynced append
+is the commit point, a restarted worker replays the committed prefix,
+and a worker killed *mid-apply* is repaired from its prepare reply
+(:meth:`~repro.rdbms.procpool.ProcessShard._repair_apply`): a SIGKILL
+anywhere in the 2PC loses no committed transaction.  A process cluster
+*without* ``wal_dir`` recovers its workers the same way, from unsynced
+logs in a temporary directory the engine owns and removes on
+:meth:`ShardedEngine.close` — nothing outlives the engine.
 ``commit_lsns()`` and read-replica routing work uniformly across both
 modes (process-mode replicas tail the shard logs by file path).
 ``rpc_timeout`` turns a *wedged* worker into
@@ -148,9 +139,11 @@ partially committed).  Fault injection for all of this lives in
 
 from __future__ import annotations
 
+import os
+import shutil
 import tempfile
 import time
-from concurrent.futures import ThreadPoolExecutor
+import weakref
 from pathlib import Path
 from typing import Iterable, Mapping, Sequence
 
@@ -175,6 +168,15 @@ from repro.relational.schema import DatabaseSchema, RelationSchema
 
 __all__ = ['Partitioner', 'HashPartitioner', 'RangePartitioner',
            'LocalShard', 'ShardedEngine']
+
+
+def _remove_owned_logs(path: str, owner_pid: int) -> None:
+    """The finalizer of an engine-owned log directory.  Pid-guarded
+    like the worker pool's: a forked worker inherits it, and its exit
+    must not delete the logs its siblings — and its own successor —
+    recover from."""
+    if os.getpid() == owner_pid:
+        shutil.rmtree(path, ignore_errors=True)
 
 
 class _ClusterTxn:
@@ -220,18 +222,11 @@ class ShardedEngine:
         ``{relation_or_view: attribute name (or position)}`` — the
         declared shard key of each partitioned relation.  Relations
         without a key are *global*: stored wholly on ``global_shard``.
-    parallelism:
-        How many shards a scatter keeps busy at once (capped at the
-        shard count; §"Shard transports" in the module docstring says
-        what that means on each transport).  Defaults to ``1`` under
-        thread execution — the serial baseline: every call runs inline
-        on the calling thread — and to the shard count under process
-        execution, where overlapping the workers is the whole point of
-        paying for them.  Results are identical at every value.
     execution:
-        The shard transport: ``'threads'`` (runtimes on the
-        coordinator's heap, default) or ``'processes'`` (one worker
-        process per shard); results are bit-identical either way.
+        The shard transport: ``'inline'`` (runtimes on the
+        coordinator's heap, every call on the calling thread; default)
+        or ``'processes'`` (one worker process per shard, overlapped);
+        results are bit-identical either way.
     rpc_timeout:
         Process execution only: seconds each RPC waits for its reply
         before the shard surfaces as
@@ -255,8 +250,7 @@ class ShardedEngine:
                  shard_keys: Mapping[str, str | int] | None = None,
                  batch_deltas: bool = True,
                  global_shard: int = 0,
-                 parallelism: int | None = None,
-                 execution: str = 'threads',
+                 execution: str = 'inline',
                  wal_dir=None,
                  wal_sync: bool = True,
                  read_replicas: int = 0,
@@ -267,8 +261,8 @@ class ShardedEngine:
                  retry_backoff: float = 0.05,
                  retry_backoff_cap: float = 2.0,
                  retry_max_wait: float = 15.0):
-        if execution not in ('threads', 'processes'):
-            raise SchemaError(f"execution must be 'threads' or "
+        if execution not in ('inline', 'processes'):
+            raise SchemaError(f"execution must be 'inline' or "
                               f"'processes', got {execution!r}")
         if transient_retries < 0:
             raise SchemaError(f'transient_retries must be >= 0, '
@@ -303,15 +297,6 @@ class ShardedEngine:
         self.global_shard = global_shard
         self.batch_deltas = batch_deltas
         self.execution = execution
-        if parallelism is None:
-            # Threads default to the serial baseline; processes default
-            # to full fan-out — overlapping the workers is the whole
-            # point of paying for them.
-            parallelism = shards if execution == 'processes' else 1
-        if parallelism < 1:
-            raise SchemaError(f'parallelism must be >= 1, '
-                              f'got {parallelism}')
-        self.parallelism = min(parallelism, shards)
         self._transient_retries = transient_retries
         self._retry_backoff = retry_backoff
         # The exponential backoff is bounded twice (the uncapped
@@ -332,19 +317,20 @@ class ShardedEngine:
         #: live behind the RPC boundary, so the peer network hooks the
         #: coordinator and republishes by diffing the shared view.
         self.commit_listeners: list = []
-        # Durability + read replicas (both executions): each shard logs
-        # to ``wal_dir/shard-<i>.wal`` — opened by the shard engine in
-        # thread mode, *inside the worker* in process mode; replicas
-        # tail their shard's log (in-process or by file path).
-        # ``read_replicas`` without an explicit wal_dir uses an owned
-        # temporary directory — the replication substrate without the
-        # durability contract.
-        self._wal_tmpdir = None
+        # Each shard logs to ``wal_dir/shard-<i>.wal`` — opened by the
+        # shard engine inline, *inside the worker* in process mode.
+        # Process shards (recovered from their logs) and read replicas
+        # (fed by them) need logs even when no ``wal_dir`` asks for
+        # durability: in a temporary directory the engine owns, and
+        # unsynced — a directory removed on close buys no durability.
+        self._remove_owned_logs = None
         wal_paths: list = [None] * shards
-        if wal_dir is None and read_replicas:
-            self._wal_tmpdir = tempfile.TemporaryDirectory(
-                prefix='repro-wal-')
-            wal_dir = self._wal_tmpdir.name
+        if wal_dir is None and (read_replicas
+                                or execution == 'processes'):
+            wal_dir = tempfile.mkdtemp(prefix='repro-wal-')
+            wal_sync = False
+            self._remove_owned_logs = weakref.finalize(
+                self, _remove_owned_logs, wal_dir, os.getpid())
         if wal_dir is not None:
             base = Path(wal_dir)
             base.mkdir(parents=True, exist_ok=True)
@@ -355,22 +341,17 @@ class ShardedEngine:
             #: GC and interpreter exit
             self._reaper = ProcessPool(
                 schema, shard_backend_specs(backends, shards),
-                batch_deltas=batch_deltas, wal_paths=wal_paths,
+                wal_paths=wal_paths, batch_deltas=batch_deltas,
                 wal_sync=wal_sync, rpc_timeout=rpc_timeout)
             self.shards = self._reaper.shards
             #: the inner engines live in the workers under process
             #: execution; in-process introspection goes via .engines
             self.engines: tuple[Engine, ...] = ()
         else:
-            pool = ThreadPoolExecutor(
-                max_workers=self.parallelism - 1,
-                thread_name_prefix='repro-shard') \
-                if self.parallelism > 1 else None
-            channels: list = []
             self.shards = tuple(
                 LocalShard(index, schema, backend,
                            batch_deltas=batch_deltas, wal_path=path,
-                           wal_sync=wal_sync, pool=pool, peers=channels)
+                           wal_sync=wal_sync)
                 for index, (backend, path) in enumerate(zip(
                     create_shard_backends(backends, schema, shards),
                     wal_paths)))
@@ -389,7 +370,7 @@ class ShardedEngine:
         #: reads fan across them, writes stay on the shard primaries.
         self.replica_sets: tuple[ReplicaSet, ...] = ()
         if read_replicas:
-            # Thread mode shares the primary's WriteAheadLog instance
+            # Inline mode shares the primary's WriteAheadLog instance
             # (exact lag); process mode tails the worker's log by file
             # path — same committed prefix, torn tails excluded by
             # checksum — with the ProcessShard client as the primary.
@@ -424,16 +405,10 @@ class ShardedEngine:
     def _scatter(self, calls) -> list:
         """Run ``(shard, method, *args)`` calls and return their
         results in call order — the one way the coordinator awaits
-        several shards.  ``parallelism > 1`` submits every call before
-        draining any (the shards overlap; on worker processes or on
-        pool threads is the transport's business), drains ALL of them,
-        and raises the first error *in call order* — the error the
-        serial loop would have raised, whichever shard failed first.
-        ``parallelism=1`` keeps one call in flight at a time and stops
-        at the first error."""
-        if self.parallelism <= 1:
-            return [shard.drain(shard.submit(method, *args))
-                    for shard, method, *args in calls]
+        several shards: submit every call, then :meth:`_drain_all`.
+        Worker processes overlap between the submits and the drains;
+        an in-process shard runs each call inside ``submit``, so there
+        this *is* the serial loop."""
         return self._drain_all([(shard, shard.submit(method, *args))
                                 for shard, method, *args in calls])
 
@@ -482,9 +457,6 @@ class ShardedEngine:
         """``'partitioned'`` or the pinned (global) shard index."""
         place = self._placement_of(name)
         return 'partitioned' if place is None else place
-
-    def is_partitioned(self, name: str) -> bool:
-        return self._placement_of(name) is None
 
     def shard_key(self, name: str) -> str | None:
         """The declared shard-key attribute of a partitioned relation."""
@@ -554,7 +526,8 @@ class ShardedEngine:
             else frozenset().union(*parts)
 
     def commit_lsns(self) -> tuple[int, ...]:
-        """Per-shard committed LSNs (zeros without a WAL) — pass the
+        """Per-shard committed LSNs (zeros where a shard keeps no log:
+        in-process shards without ``wal_dir``) — pass the
         tuple back to :meth:`rows` as ``min_lsn`` to read your own
         writes through the replicas."""
         return tuple(self._scatter((shard, 'commit_lsn')
@@ -617,16 +590,15 @@ class ShardedEngine:
 
     def close(self) -> None:
         """Close every replica set and every shard — an in-process
-        shard joins the pool threads and closes its engine (the
-        backend's thread leases), a process shard stops its worker.
-        Idempotent."""
+        shard closes its engine (the backend's thread leases), a
+        process shard stops its worker — then remove the log directory
+        if the engine owns it.  Idempotent."""
         for replica_set in self.replica_sets:
             replica_set.close()
         for shard in self.shards:
             shard.close()
-        if self._wal_tmpdir is not None:
-            self._wal_tmpdir.cleanup()
-            self._wal_tmpdir = None
+        if self._remove_owned_logs is not None:
+            self._remove_owned_logs()
 
     def __enter__(self) -> 'ShardedEngine':
         return self
@@ -711,7 +683,7 @@ class ShardedEngine:
             # it, or the drop would durably delete a view this call
             # never defined.  (The failing shard unregisters itself;
             # one whose worker died is skipped — its restart replays a
-            # journal that never recorded this view.)
+            # log that never recorded this view.)
             for shard in created_on:
                 try:
                     shard.drop_view(name)
@@ -817,36 +789,27 @@ class ShardedEngine:
         The apply phase carries the same trust the single engine
         places in ``Backend.apply_deltas``: a storage-level I/O
         failure there is not compensated (durable cross-shard 2PC
-        logs are out of scope for this reproduction; under
-        ``parallelism > 1`` every shard's apply is attempted even if a
-        sibling's storage write fails, where the serial loop would
-        have stopped — both leave a partially applied batch only on
-        storage-level I/O failure).
+        logs are out of scope for this reproduction; every shard's
+        apply is attempted even if a sibling's storage write fails —
+        a partially applied batch is left only on storage-level I/O
+        failure).
 
-        Prepare is embarrassingly parallel — it only stages in Python
-        and every already-prepared shard's work is simply abandoned on
-        abort, which *is* the rollback (no shard storage was touched) —
-        so under ``parallelism > 1`` the touched shards prepare
-        concurrently; the coordinator drains every in-flight prepare
-        and raises in first-touched order, so the error is
-        deterministic and serial-identical.
-
-        The statement fan-out is *pipelined*: routing submits without
-        waiting and a barrier before any synchronous read — and before
-        the prepare phase — drains every outcome in submission order,
-        so the first error surfaced is still the serial one.  Any
+        How each phase is awaited — the pipelined statement fan-out and
+        its barriers, the prepare and apply scatters — is the module
+        docstring's protocol table.  Prepare only stages in Python, so
+        abandoning every prepared shard's work *is* the rollback: any
         failure (including a worker death) aborts the transaction on
         every shard and restarts dead workers before re-raising.
 
         ``transient_retries`` re-runs the transaction after a
         :class:`ShardUnavailableError` that aborted it *cleanly* —
-        nothing was committed anywhere, and the restarted worker (with
-        a WAL) recovered its full committed state, so a fresh attempt
-        is exactly a new transaction.  A failure in the apply phase is
-        never retried: sibling shards may already have applied (and
-        with a WAL the repair path has already made every repairable
-        case *succeed*), so what reaches the caller from apply is a
-        genuine partial-commit report."""
+        nothing was committed anywhere, and the restarted worker
+        recovered its full committed state from its log, so a fresh
+        attempt is exactly a new transaction.  A failure in the apply
+        phase is never retried: sibling shards may already have applied
+        (and the repair path has already made every repairable case
+        *succeed*), so what reaches the caller from apply is a genuine
+        partial-commit report."""
         if self.batch_deltas:
             batches = coalesce_buckets(batches)
         metrics = self._metrics

@@ -44,7 +44,7 @@ import threading
 import time
 import zlib
 from pathlib import Path
-from typing import Callable, Iterable, Iterator, NamedTuple
+from typing import Iterable, Iterator, NamedTuple
 
 from repro.errors import SchemaError
 from repro.rdbms import faults
@@ -108,6 +108,33 @@ def encode_record(kind: str, data: object) -> bytes:
     return _FRAME.pack(len(payload), zlib.crc32(payload)) + payload
 
 
+def _read_header(handle, path) -> int:
+    """Check an open log file's magic line and return the starting LSN
+    its header records, leaving ``handle`` at the first frame."""
+    header = handle.read(len(MAGIC) + _HEADER.size)
+    if len(header) < len(MAGIC) + _HEADER.size \
+            or not header.startswith(MAGIC):
+        raise SchemaError(f'{path} is not a repro WAL file')
+    (start_lsn,) = _HEADER.unpack(header[len(MAGIC):])
+    return start_lsn
+
+
+def _frames(handle) -> Iterator[bytes]:
+    """The payloads of the committed prefix, from the first frame on:
+    stops at end of file or at the first incomplete or checksum-failing
+    frame (a torn tail)."""
+    read, size = handle.read, _FRAME.size      # replicas scan whole logs
+    while True:
+        frame = read(size)
+        if len(frame) < size:
+            return
+        length, crc = _FRAME.unpack(frame)
+        payload = read(length)
+        if len(payload) < length or zlib.crc32(payload) != crc:
+            return
+        yield payload
+
+
 def read_start_lsn(path: str | Path) -> int:
     """The file's header ``start_lsn`` alone (no frame scan).  A
     file-tailing reader compares this against its own applied position
@@ -116,40 +143,24 @@ def read_start_lsn(path: str | Path) -> int:
     reader that was mid-history."""
     try:
         with open(path, 'rb') as handle:
-            header = handle.read(len(MAGIC) + _HEADER.size)
+            return _read_header(handle, path)
     except FileNotFoundError:
         return 0
-    if len(header) < len(MAGIC) + _HEADER.size \
-            or not header.startswith(MAGIC):
-        raise SchemaError(f'{path} is not a repro WAL file')
-    (start_lsn,) = _HEADER.unpack(header[len(MAGIC):])
-    return start_lsn
 
 
 def scan_tail(path: str | Path) -> _Tail:
     """Scan a log file's frames (without unpickling payloads) to find
     the committed prefix: its last LSN and end offset."""
     with open(path, 'rb') as handle:
-        header = handle.read(len(MAGIC) + _HEADER.size)
-        if len(header) < len(MAGIC) + _HEADER.size \
-                or not header.startswith(MAGIC):
-            raise SchemaError(f'{path} is not a repro WAL file')
-        (start_lsn,) = _HEADER.unpack(header[len(MAGIC):])
+        start_lsn = _read_header(handle, path)
         lsn = start_lsn
-        offset = len(header)
-        while True:
-            frame = handle.read(_FRAME.size)
-            if len(frame) < _FRAME.size:
-                torn = len(frame) > 0
-                break
-            length, crc = _FRAME.unpack(frame)
-            payload = handle.read(length)
-            if len(payload) < length or zlib.crc32(payload) != crc:
-                torn = True
-                break
+        offset = handle.tell()
+        for payload in _frames(handle):
             lsn += 1
-            offset += _FRAME.size + length
-        return _Tail(start_lsn, lsn, offset, torn)
+            offset += _FRAME.size + len(payload)
+        # Anything past the prefix is a torn frame.
+        return _Tail(start_lsn, lsn, offset,
+                     torn=offset < os.fstat(handle.fileno()).st_size)
 
 
 def read_records(path: str | Path, *,
@@ -165,19 +176,8 @@ def read_records(path: str | Path, *,
     except FileNotFoundError:
         return
     with handle:
-        header = handle.read(len(MAGIC) + _HEADER.size)
-        if len(header) < len(MAGIC) + _HEADER.size \
-                or not header.startswith(MAGIC):
-            raise SchemaError(f'{path} is not a repro WAL file')
-        (lsn,) = _HEADER.unpack(header[len(MAGIC):])
-        while True:
-            frame = handle.read(_FRAME.size)
-            if len(frame) < _FRAME.size:
-                return
-            length, crc = _FRAME.unpack(frame)
-            payload = handle.read(length)
-            if len(payload) < length or zlib.crc32(payload) != crc:
-                return
+        lsn = _read_header(handle, path)
+        for payload in _frames(handle):
             lsn += 1
             if lsn > after:
                 kind, data = pickle.loads(payload)
@@ -196,18 +196,14 @@ class WriteAheadLog:
 
     Opening an existing file recovers it: the tail is scanned, a torn
     final record is truncated (see module docstring), and appends
-    continue at ``last_lsn + 1``.
-
-    In-process subscribers (:meth:`subscribe`) get every appended
-    record pushed synchronously; out-of-process readers tail the file
-    with :func:`read_records`.
+    continue at ``last_lsn + 1``.  Readers — in this process or
+    another — tail the file with :func:`read_records`.
     """
 
     def __init__(self, path: str | Path, *, sync: bool = True):
         self.path = Path(path)
         self.sync = sync
         self._lock = threading.RLock()
-        self._subscribers: list[Callable[[WalRecord], None]] = []
         self._closed = False
         self._failed = False
         #: appends/bytes are cumulative for this handle;
@@ -289,14 +285,10 @@ class WriteAheadLog:
                 metrics.observe('wal.append_seconds',
                                 time.perf_counter() - started)
             self._last_lsn += 1
-            lsn = self._last_lsn
             self.stats['appends'] += 1
             self.stats['bytes'] += len(encoded)
             self.stats['last_record_bytes'] = len(encoded)
-        record = WalRecord(lsn, kind, data)
-        for callback in list(self._subscribers):
-            callback(record)
-        return lsn
+            return self._last_lsn
 
     def _tear_and_die(self, encoded: bytes) -> None:  # pragma: no cover
         """The ``tear`` fault action: persist *half* the frame, then
@@ -309,11 +301,6 @@ class WriteAheadLog:
         except OSError:
             pass
         os.kill(os.getpid(), signal.SIGKILL)
-
-    def subscribe(self, callback: Callable[[WalRecord], None]) -> None:
-        """Push every subsequent append to ``callback`` (in-process
-        subscription; the callback runs on the appending thread)."""
-        self._subscribers.append(callback)
 
     def records(self, *, after: int = 0) -> Iterator[WalRecord]:
         """The committed records with LSN > ``after`` (a fresh read

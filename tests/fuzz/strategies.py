@@ -364,14 +364,13 @@ def build_engines(workload: Workload, *,
     workload's base data and the view materialised.
 
     The core matrix covers memory-vs-SQLite × batched-vs-stmt ×
-    sharded-vs-single × parallel-vs-serial × threads-vs-processes ×
-    replicated-vs-direct with seven entries (one per axis endpoint —
-    ``sharded-parallel`` drives the same mixed-backend shards through
-    the thread pool, ``sharded-procs`` through worker *processes*,
-    ``replica`` serves every read from a WAL-fed
-    :class:`_ReplicatedEngine` replica); ``extended`` completes the
-    cross with the remaining costly combinations for the deep
-    (``REPRO_FUZZ=long``) runs.
+    sharded-vs-single × inline-vs-processes × replicated-vs-direct
+    with six entries (one per axis endpoint — ``sharded-batched``
+    drives mixed-backend shards inline, ``sharded-procs`` the same
+    shards as overlapped worker *processes*, ``replica`` serves every
+    read from a WAL-fed :class:`_ReplicatedEngine` replica);
+    ``extended`` completes the cross with the remaining costly
+    combinations for the deep (``REPRO_FUZZ=long``) runs.
     """
     strategy = _strategy(workload.view)
     configs: dict[str, object] = {}
@@ -380,12 +379,11 @@ def build_engines(workload: Workload, *,
         return Engine(strategy.sources, backend=backend,
                       batch_deltas=batch)
 
-    def sharded(batch: bool, parallelism: int = 1) -> ShardedEngine:
+    def sharded(batch: bool) -> ShardedEngine:
         return ShardedEngine(strategy.sources,
                              backends=list(SHARD_BACKENDS),
                              shard_keys=SHARD_KEYS[workload.view],
-                             batch_deltas=batch,
-                             parallelism=parallelism)
+                             batch_deltas=batch)
 
     def procs(batch: bool) -> ShardedEngine:
         return ShardedEngine(strategy.sources,
@@ -395,8 +393,7 @@ def build_engines(workload: Workload, *,
                              execution='processes')
 
     # Process-backed engines fork FIRST, before any other config has
-    # lazily created thread pools or SQLite connections the child
-    # would pointlessly inherit.
+    # opened SQLite connections the child would pointlessly inherit.
     configs['sharded-procs'] = procs(True)
     if extended:
         configs['sharded-procs-stmt'] = procs(False)
@@ -405,11 +402,9 @@ def build_engines(workload: Workload, *,
     configs['memory-stmt'] = single('memory', False)
     configs['sqlite-batched'] = single('sqlite', True)
     configs['sharded-batched'] = sharded(True)
-    configs['sharded-parallel'] = sharded(True, parallelism=2)
     if extended:
         configs['sqlite-stmt'] = single('sqlite', False)
         configs['sharded-stmt'] = sharded(False)
-        configs['sharded-parallel-stmt'] = sharded(False, parallelism=3)
 
     for engine in configs.values():
         for name in strategy.sources.names():

@@ -6,7 +6,7 @@ oracle — no committed transaction is ever lost, no aborted transaction
 ever leaks, and the per-shard LSN vectors match exactly.
 
 The oracle is the *same* WAL-backed sharded configuration run with
-thread execution: identical routing, identical logs, zero injected
+inline execution: identical routing, identical logs, zero injected
 faults (the fault sites — ``worker.dispatch``, ``rpc.send`` — only
 exist on the process path, so one plan can stay installed for the
 whole run without touching the oracle).  Kill rules are inherited by
@@ -72,7 +72,7 @@ def _plan_for(fault: str, seed: int) -> faults.FaultPlan:
 
 def run_chaos(view: str, seed: int, fault: str) -> bool:
     """One chaos scenario: the faulted process cluster vs the
-    fault-free thread oracle on the ``(view, seed)`` workload.
+    fault-free inline oracle on the ``(view, seed)`` workload.
     Returns whether the fault actually fired (for corpus vetting)."""
     workload = random_workload(view, seed)
     strategy = _strategy(view)
@@ -81,8 +81,8 @@ def run_chaos(view: str, seed: int, fault: str) -> bool:
         base = Path(tmp)
         with plan.installed():
             # The victim forks FIRST (workers inherit the installed
-            # plan and nothing else); the oracle's thread pools and
-            # logs come after, out of the children's address space.
+            # plan and nothing else); the oracle's engines and logs
+            # come after, out of the children's address space.
             victim = ShardedEngine(strategy.sources, shards=3,
                                    shard_keys=SHARD_KEYS[view],
                                    execution='processes',
@@ -92,7 +92,7 @@ def run_chaos(view: str, seed: int, fault: str) -> bool:
                                    retry_backoff=0.01)
             oracle = ShardedEngine(strategy.sources, shards=3,
                                    shard_keys=SHARD_KEYS[view],
-                                   execution='threads',
+                                   execution='inline',
                                    wal_dir=base / 'oracle',
                                    wal_sync=False)
             try:

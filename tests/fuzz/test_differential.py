@@ -3,9 +3,8 @@ state, or raises the same error, on randomized workloads.
 
 Configurations compared (see ``strategies.build_engines``): memory vs
 SQLite storage, batched vs statement-at-a-time translation, sharded
-(3 mixed-backend shards) vs single engine, thread-pooled parallel vs
-serial sharded execution, process-per-shard workers
-(``execution='processes'``) vs everything in-process, and a WAL-fed
+(3 mixed-backend shards) vs single engine, overlapped process-per-shard
+workers (``execution='processes'``) vs everything in-process, and a WAL-fed
 read replica (reads served from delta shipping, never from plan
 re-execution) vs direct execution.  After every transaction the
 committed base tables, the materialised view caches, and the
@@ -46,7 +45,7 @@ def run_differential(workload: Workload, *, extended: bool = False,
                      keep_engines: bool = False) -> dict:
     """Execute the workload on every configuration, asserting identical
     outcomes after each transaction.  Engines are closed on the way out
-    (they hold thread pools and SQLite connections); pass
+    (they hold worker processes and SQLite connections); pass
     ``keep_engines`` for extra assertions on live engines — the caller
     then owns the close."""
     engines = build_engines(workload, extended=extended)
@@ -98,9 +97,9 @@ def run_differential(workload: Workload, *, extended: bool = False,
 @settings(deadline=None)
 def test_all_modes_agree(view, seed):
     """The core matrix: memory/SQLite × batched/stmt × sharded/single
-    × parallel/serial × threads/processes leave identical committed
-    base tables and view caches, and raise identically, on every
-    generated transaction sequence."""
+    × inline/processes leave identical committed base tables and view
+    caches, and raise identically, on every generated transaction
+    sequence."""
     run_differential(random_workload(view, seed))
 
 
@@ -127,11 +126,10 @@ def test_seed_corpus_deterministic(view, seed):
     try:
         # Sharded placement really was shard-local — the partitioned
         # paths (routing, scatter-gather, fan-back) were exercised, not
-        # the global-fallback degenerate case — and the parallel engine
-        # agreed while actually running with a pool.
+        # the global-fallback degenerate case.
         assert engines['sharded-batched'].placement(view) \
             == 'partitioned'
-        assert engines['sharded-parallel'].parallelism == 2
+        assert engines['sharded-batched'].execution == 'inline'
         # The process-backed engine really ran with worker processes
         # (and shard-local placement), not a degenerate fallback.
         assert engines['sharded-procs'].execution == 'processes'

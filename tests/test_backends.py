@@ -466,27 +466,22 @@ class TestStaging:
     def test_every_lease_stages_in_its_own_tables(self, luxury_strategy):
         engine = _luxury_engine(luxury_strategy)
         backend = engine.backend
-        seen = {}
+        seen = []
 
-        def worker():
-            seen['fresh'] = _temp_tables(backend)
-            engine.insert('luxuryitems', (6, 'tiara', 8000))
-            seen['used'] = _temp_tables(backend)
-            backend.release_thread()
-            seen['leases'] = backend.leased_threads()
-            # A new lease of the same thread starts from nothing and
-            # stages again.
-            seen['released'] = _temp_tables(backend)
-            engine.insert('luxuryitems', (7, 'crown', 9000))
-            seen['again'] = _temp_tables(backend)
-            backend.release_thread()
+        def worker(row):
+            fresh = _temp_tables(backend)
+            engine.insert('luxuryitems', row)
+            seen.append((fresh, _temp_tables(backend),
+                         backend.leased_threads()))
 
-        thread = threading.Thread(target=worker)
-        thread.start()
-        thread.join()
-        assert seen == {'fresh': {}, 'used': self.STAGES, 'leases': 1,
-                        'released': {}, 'again': self.STAGES}
-        assert backend.leased_threads() == 1
+        # Two threads, one after the other: each lease starts from
+        # nothing and stages for itself, and the first thread's lease
+        # is closed when the second one is made (it has exited).
+        for row in ((6, 'tiara', 8000), (7, 'crown', 9000)):
+            thread = threading.Thread(target=worker, args=(row,))
+            thread.start()
+            thread.join()
+        assert seen == [({}, self.STAGES, 2)] * 2
         assert engine.rows('items') >= {(6, 'tiara', 8000),
                                         (7, 'crown', 9000)}
 

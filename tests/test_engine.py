@@ -592,6 +592,33 @@ class TestDropView:
         engine.define_view(union_strategy, validate_first=False)
         assert engine.rows('v') == {(1,), (2,), (4,)}
 
+    @pytest.mark.parametrize('backend', ['memory', 'sqlite'])
+    def test_drop_view_forgets_the_index_hints(self, backend):
+        """A ``WHERE {'b': …}`` update indexes ``v`` on position 1; the
+        hint must go with the view, or a one-column ``v`` defined later
+        is indexed on a position it does not have."""
+        sources = DatabaseSchema.build(r={'a': 'int'},
+                                       p={'a': 'int', 'b': 'int'})
+        wide = UpdateStrategy.parse('v', sources, """
+            +p(X, Y) :- v(X, Y), not p(X, Y).
+            -p(X, Y) :- p(X, Y), not v(X, Y).
+        """, expected_get='v(X, Y) :- p(X, Y).')
+        narrow = UpdateStrategy.parse('v', sources, """
+            +r(X) :- v(X), not r(X).
+            -r(X) :- r(X), not v(X).
+        """, expected_get='v(X) :- r(X).')
+        engine = Engine(sources, backend=backend)
+        engine.load('p', [(1, 2), (3, 4)])
+        engine.define_view(wide, validate_first=False)
+        engine.update('v', {'a': 5}, where={'b': 2})
+        engine.backend.add_index_hint('v', (1,))    # as a plan would
+        engine.drop_view('v')
+        engine.define_view(narrow, validate_first=False)
+        engine.insert('v', (7,))
+        assert engine.rows('v') == engine.rows('r') == {(7,)}
+        assert engine.rows('p') == {(5, 2), (3, 4)}
+        engine.close()
+
     def test_drop_view_is_noop_for_unknown(self, union_strategy):
         engine = union_engine(union_strategy)
         engine.drop_view('nope')        # no error

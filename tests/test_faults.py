@@ -132,11 +132,13 @@ class TestHookSites:
     """Each production hook actually consults the plan (smoke-level:
     the full behaviours live in the subsystem test files)."""
 
-    def test_rpc_send_drop_breaks_the_channel(self, union_sources):
+    def test_rpc_send_drop_breaks_the_channel(self, union_sources,
+                                              tmp_path):
         from repro.rdbms.procpool import ProcessShard
         plan = FaultPlan()
         plan.drop_rpc(method='ping')
-        shard = ProcessShard(0, union_sources, 'memory')
+        shard = ProcessShard(0, union_sources, 'memory',
+                             wal_path=tmp_path / 'shard-0.wal')
         try:
             with plan.installed():
                 with pytest.raises(ShardUnavailableError):

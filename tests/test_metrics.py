@@ -320,7 +320,7 @@ class TestShardedMetrics:
         finally:
             sharded.close()
 
-    @pytest.mark.parametrize('execution', ['threads', 'processes'])
+    @pytest.mark.parametrize('execution', ['inline', 'processes'])
     def test_where_path_counters_merge_cluster_wide(self, luxury_strategy,
                                                     execution):
         sharded = ShardedEngine(luxury_strategy.sources, shards=2,

@@ -1,22 +1,23 @@
-"""Concurrency suite for the thread-pooled sharded engine.
+"""Concurrency suite for the sharded engine.
 
-What ``ShardedEngine(parallelism=N)`` must guarantee, and what these
+The coordinator creates no thread: in-process shards run every call on
+the calling thread, worker processes are overlapped by submitting to
+all before draining any.  What must hold around that, and what these
 tests pin:
 
-* committed state and raise behavior are bit-identical to the serial
-  (``parallelism=1``) pipeline — including WHICH constraint violation
+* overlapped worker processes commit the state, and raise the error,
+  of the in-process serial loop — including WHICH constraint violation
   surfaces when several shards fail in the same transaction (the
-  coordinator joins prepares in first-touched order);
-* an abort while sibling shards are still mid-prepare waits for every
-  in-flight worker and leaves every shard untouched;
-* readers are never blocked by an in-flight transaction's prepare
-  phase and observe pre-transaction state (only the apply phase takes
-  the per-shard locks);
-* the fan-out is real: two shards' prepares genuinely overlap in time
-  (a barrier that only opens when both are in-flight);
-* SQLite shards work from pool worker threads — connections are
-  leased per thread (the thread-affinity regression) and released
-  deterministically.
+  coordinator drains prepares in first-touched order);
+* an abort after a sibling shard already prepared leaves every shard
+  untouched;
+* readers on other threads (``ViewServer`` has its own) are never
+  blocked by an in-flight transaction's prepare phase and observe
+  pre-transaction state (only the apply phase takes the per-shard
+  locks);
+* SQLite storage works from whichever thread calls — connections are
+  leased per thread (the thread-affinity regression);
+* the planner's caches are safe under concurrent compiles and re-plans.
 """
 
 from __future__ import annotations
@@ -62,46 +63,35 @@ class GateBackend(MemoryBackend):
             new_view_rows=new_view_rows)
 
 
-class BarrierBackend(MemoryBackend):
-    """Blocks ∂put evaluation on a shared barrier: the barrier opens
-    only when every participating shard is in-flight simultaneously —
-    true overlap, not interleaving."""
-
-    def __init__(self, schema, barrier: threading.Barrier):
-        super().__init__(schema)
-        self.armed = False
-        self.barrier = barrier
-
-    def evaluate_incremental_batch(self, entry, sources, view_handle,
-                                   delta, *, new_view_rows=None):
-        if self.armed:
-            self.barrier.wait(timeout=WAIT)
-        return super().evaluate_incremental_batch(
-            entry, sources, view_handle, delta,
-            new_view_rows=new_view_rows)
-
-
-def build_engine(luxury_strategy, *, parallelism, backends=None,
-                 shards=2):
+def build_engine(luxury_strategy, *, execution='inline', backends=None):
     """Two range shards of ``luxuryitems``: iid < 100 on shard 0."""
-    boundaries = [100 * (i + 1) for i in range(shards - 1)]
     engine = ShardedEngine(
         luxury_strategy.sources,
-        partitioner=RangePartitioner(boundaries),
+        partitioner=RangePartitioner([100]),
         backends=backends,
         shard_keys={'luxuryitems': 'iid', 'items': 'iid'},
-        parallelism=parallelism)
+        execution=execution)
     engine.load('items', BASE_ROWS)
     engine.define_view(luxury_strategy, validate_first=False)
     engine.rows('luxuryitems')
     return engine
 
 
+def build_single(luxury_strategy):
+    """The single-engine oracle over the same rows."""
+    engine = Engine(luxury_strategy.sources)
+    engine.load('items', BASE_ROWS)
+    engine.define_view(luxury_strategy, validate_first=False)
+    return engine
+
+
 class TestParallelEquivalence:
 
     def test_parallel_matches_serial(self, luxury_strategy):
-        serial = build_engine(luxury_strategy, parallelism=1)
-        parallel = build_engine(luxury_strategy, parallelism=2)
+        """Worker processes, overlapped, against the in-process serial
+        loop."""
+        parallel = build_engine(luxury_strategy, execution='processes')
+        serial = build_engine(luxury_strategy)
         txns = [
             [('luxuryitems', [Insert((7, 'tiara', 9000))]),
              ('luxuryitems', [Insert((107, 'bust', 8000))])],
@@ -119,20 +109,15 @@ class TestParallelEquivalence:
         serial.close()
         parallel.close()
 
-    def test_parallelism_capped_at_shards(self, luxury_strategy):
-        engine = build_engine(luxury_strategy, parallelism=64)
-        assert engine.parallelism == 2
-        engine.close()
 
-    def test_parallelism_must_be_positive(self, luxury_strategy):
-        with pytest.raises(SchemaError):
-            build_engine(luxury_strategy, parallelism=0)
+#: Both shard transports: the serial loop and overlapped workers.
+EXECUTIONS = ('inline', 'processes')
 
 
 class TestDeterministicFirstViolation:
 
-    def _witness(self, luxury_strategy, parallelism, txn):
-        engine = build_engine(luxury_strategy, parallelism=parallelism)
+    def _witness(self, luxury_strategy, execution, txn):
+        engine = build_engine(luxury_strategy, execution=execution)
         before = engine.database()
         with pytest.raises(ConstraintViolation) as err:
             engine.execute_many(txn)
@@ -144,13 +129,13 @@ class TestDeterministicFirstViolation:
             self, luxury_strategy):
         """Both shards violate inside one (coalesced) bucket: the
         fan-out forwards shards in sorted order, so shard 0 is
-        first-touched and its witness must surface — serial and
-        parallel alike, even though parallel workers may finish in
-        either order."""
+        first-touched and its witness must surface — from the serial
+        loop and from overlapped workers alike, even though the workers
+        may finish in either order."""
         txn = [('luxuryitems', [Insert((150, 'cheap_hi', 10))]),
                ('luxuryitems', [Insert((50, 'cheap_lo', 20))])]
-        witnesses = {self._witness(luxury_strategy, p, txn)
-                     for p in (1, 2, 2)}
+        witnesses = {self._witness(luxury_strategy, execution, txn)
+                     for execution in EXECUTIONS}
         assert len(witnesses) == 1
         assert 'cheap_lo' in witnesses.pop()   # shard 0 sorts first
 
@@ -158,13 +143,13 @@ class TestDeterministicFirstViolation:
             self, luxury_strategy):
         """Separated buckets (no coalescing): shard 1's working is
         created first, so its violation wins over shard 0's — the
-        serial first-staged drain order, preserved by the parallel
-        prepare join."""
+        serial first-staged drain order, preserved by the scatter's
+        drain order."""
         txn = [('luxuryitems', [Insert((150, 'cheap_hi', 10))]),
                ('items', [Insert((160, 'plain', 50))]),
                ('luxuryitems', [Insert((50, 'cheap_lo', 20))])]
-        witnesses = {self._witness(luxury_strategy, p, txn)
-                     for p in (1, 2, 2)}
+        witnesses = {self._witness(luxury_strategy, execution, txn)
+                     for execution in EXECUTIONS}
         assert len(witnesses) == 1
         assert 'cheap_hi' in witnesses.pop()   # shard 1 touched first
 
@@ -173,11 +158,12 @@ class TestMidFlightAbort:
 
     def test_abort_waits_for_inflight_prepare_and_rolls_back(
             self, luxury_strategy):
-        """Shard 0's prepare is held at the gate while shard 1's
-        prepare fails: the coordinator must wait for shard 0, raise
-        shard 1's violation, and leave both shards untouched."""
+        """Shard 0's prepare is held at the gate, and shard 1's
+        prepare fails once it is through: the coordinator must raise
+        shard 1's violation and leave both shards untouched — shard 0
+        had prepared."""
         gated = GateBackend(luxury_strategy.sources)
-        engine = build_engine(luxury_strategy, parallelism=2,
+        engine = build_engine(luxury_strategy,
                               backends=[gated, 'memory'])
         before = engine.database()
         before_view = engine.rows('luxuryitems')
@@ -217,7 +203,7 @@ class TestConcurrentReads:
         blocked and sees pre-transaction state; after commit it sees
         the update."""
         gated = GateBackend(luxury_strategy.sources)
-        engine = build_engine(luxury_strategy, parallelism=2,
+        engine = build_engine(luxury_strategy,
                               backends=[gated, 'memory'])
         before_view = engine.rows('luxuryitems')
         gated.armed = True
@@ -239,45 +225,25 @@ class TestConcurrentReads:
 
 
 class TestTrueOverlap:
-
-    def test_two_shards_prepare_simultaneously(self, luxury_strategy):
-        """The barrier opens only if BOTH shards' prepares are
-        in-flight at the same moment — serial execution would time
-        out.  This is the proof the fan-out actually overlaps."""
-        barrier = threading.Barrier(2)
-        backends = [BarrierBackend(luxury_strategy.sources, barrier),
-                    BarrierBackend(luxury_strategy.sources, barrier)]
-        engine = build_engine(luxury_strategy, parallelism=2,
-                              backends=backends)
-        for backend in backends:
-            backend.armed = True
-        engine.execute_many([
-            ('luxuryitems', [Insert((11, 'sceptre', 5000))]),
-            ('luxuryitems', [Insert((111, 'globe', 5000))]),
-        ])
-        for backend in backends:
-            backend.armed = False
-        assert not barrier.broken
-        assert {(11, 'sceptre', 5000), (111, 'globe', 5000)} \
-            <= engine.rows('luxuryitems')
-        engine.close()
+    """Readers on their own threads, truly overlapping the writer."""
 
     def test_stress_concurrent_readers_and_transactions(
             self, luxury_strategy):
-        """Transactions against a parallel engine while reader threads
+        """Transactions against a sharded engine while reader threads
         hammer scatter-gather ``rows``: no exceptions, and the final
-        state equals the serial reference."""
-        parallel = build_engine(luxury_strategy, parallelism=2)
-        serial = build_engine(luxury_strategy, parallelism=1)
+        state equals the single engine's, which nobody reads
+        meanwhile."""
+        sharded = build_engine(luxury_strategy)
+        single = build_single(luxury_strategy)
         stop = threading.Event()
         errors: list = []
 
         def reader():
             while not stop.is_set():
                 try:
-                    rows = parallel.rows('luxuryitems')
+                    rows = sharded.rows('luxuryitems')
                     assert isinstance(rows, frozenset)
-                    parallel.count('items')
+                    sharded.count('items')
                 except Exception as exc:      # pragma: no cover
                     errors.append(exc)
                     return
@@ -290,31 +256,33 @@ class TestTrueOverlap:
                 txn = [('luxuryitems',
                         [Insert((n + 10, f'a{n}', 2000 + n)),
                          Insert((n + 210, f'b{n}', 3000 + n))])]
-                parallel.execute_many(txn)
-                serial.execute_many(txn)
+                sharded.execute_many(txn)
+                single.execute_many(txn)
         finally:
             stop.set()
             for thread in readers:
                 thread.join(WAIT)
         assert not errors
-        assert parallel.database() == serial.database()
-        assert parallel.rows('luxuryitems') == serial.rows('luxuryitems')
-        parallel.close()
-        serial.close()
+        assert sharded.database() == single.database()
+        assert sharded.rows('luxuryitems') == single.rows('luxuryitems')
+        sharded.close()
+        single.close()
 
 
 class TestSQLiteThreadAffinity:
 
     def test_sqlite_shard_from_worker_thread(self, luxury_strategy):
         """The regression that motivated per-thread leasing: a SQLite
-        shard driven by pool workers used to die with SQLite's
+        shard driven from a thread other than the one that built it (a
+        ``ViewServer`` writer, say) used to die with SQLite's
         cross-thread ProgrammingError."""
-        engine = build_engine(luxury_strategy, parallelism=2,
+        engine = build_engine(luxury_strategy,
                               backends=['sqlite', 'sqlite'])
-        engine.execute_many([
-            ('luxuryitems', [Insert((12, 'fan', 4000))]),
-            ('luxuryitems', [Insert((112, 'lamp', 4500))]),
-        ])
+        with ThreadPoolExecutor(1) as pool:
+            pool.submit(engine.execute_many, [
+                ('luxuryitems', [Insert((12, 'fan', 4000))]),
+                ('luxuryitems', [Insert((112, 'lamp', 4500))]),
+            ]).result()
         assert {(12, 'fan', 4000), (112, 'lamp', 4500)} \
             <= engine.rows('luxuryitems')
         engine.close()
@@ -332,36 +300,10 @@ class TestSQLiteThreadAffinity:
         assert seen == {(1, 'x'), (2, 'y')}
         assert engine.backend.leased_threads() >= 2
         engine.close()
-
-    def test_release_thread_is_deterministic(self):
-        from repro.relational.schema import DatabaseSchema
-        schema = DatabaseSchema.build(t={'a': 'int'})
-        engine = Engine(schema, backend='sqlite')
-        engine.load('t', {(1,)})
-        backend = engine.backend
-        released = threading.Event()
-
-        def use_and_release():
-            # A write must touch SQLite (reads may be served from the
-            # Python-side row cache without ever leasing a connection).
-            engine.insert('t', (2,))
-            before = backend.leased_threads()
-            assert before >= 2            # root lease + this worker
-            backend.release_thread()
-            assert backend.leased_threads() == before - 1
-            released.set()
-
-        worker = threading.Thread(target=use_and_release)
-        worker.start()
-        worker.join(WAIT)
-        assert released.is_set()
-        # The root lease survives; the worker's write is visible.
-        assert engine.rows('t') == {(1,), (2,)}
-        engine.close()
         # close() is idempotent, and a lease after close refuses.
         engine.close()
         with pytest.raises(SchemaError):
-            backend.rows('t')
+            engine.backend.rows('t')
 
 
 class TestPlannerLocking:

@@ -263,11 +263,24 @@ class TestServeConnection:
 
 class TestProcessShard:
 
-    def test_backend_instances_rejected(self, union_sources):
+    def test_backend_instances_rejected(self, union_sources, tmp_path):
         """Connections must not cross the fork: only kind names."""
         backend = MemoryBackend(union_sources)
         with pytest.raises(SchemaError, match='kind name'):
-            ProcessShard(0, union_sources, backend)
+            ProcessShard(0, union_sources, backend,
+                         wal_path=tmp_path / 'shard-0.wal')
+
+    def test_no_worker_starts_without_a_log(self, union_sources):
+        """The log is how a worker is recovered, so it is not optional:
+        leaving it out, or passing ``None``, fails before any fork."""
+        before = multiprocessing.active_children()
+        with pytest.raises(TypeError, match='wal_path'):
+            ProcessShard(0, union_sources, 'memory')
+        with pytest.raises(TypeError):
+            ProcessShard(0, union_sources, 'memory', wal_path=None)
+        with pytest.raises(TypeError, match='wal_paths'):
+            ProcessPool(union_sources, ['memory'])
+        assert multiprocessing.active_children() == before
 
     def test_backend_specs_validate_before_any_fork(self, union_sources):
         """Every shard's spec is checked in the coordinator, before the
@@ -291,8 +304,10 @@ class TestProcessShard:
         assert shard_backend_specs('sqlite', 3) == ['sqlite'] * 3
         assert shard_backend_specs(None, 2) == [None, None]
 
-    def test_restart_replays_catalog(self, union_strategy):
-        shard = ProcessShard(0, union_strategy.sources, 'memory')
+    def test_restart_replays_catalog(self, union_strategy, tmp_path):
+        shard = ProcessShard(0, union_strategy.sources, 'memory',
+                             wal_path=tmp_path / 'shard-0.wal',
+                             wal_sync=False)
         try:
             shard.load('r1', [(1,), (2,)])
             shard.load('r2', [(3,)])
@@ -307,21 +322,10 @@ class TestProcessShard:
         finally:
             shard.close()
 
-    def test_drop_view_trims_the_replay_journal(self, union_strategy):
-        shard = ProcessShard(0, union_strategy.sources, 'memory')
-        try:
-            shard.define_view(union_strategy)
-            shard.drop_view('v')
-            assert shard._views == []
-            os.kill(shard.process.pid, signal.SIGKILL)
-            shard.process.join(5)
-            shard.restart()
-            assert not shard.has_cache('v')
-        finally:
-            shard.close()
-
-    def test_close_is_idempotent_and_reaps(self, union_sources):
-        shard = ProcessShard(0, union_sources, 'memory')
+    def test_close_is_idempotent_and_reaps(self, union_sources,
+                                           tmp_path):
+        shard = ProcessShard(0, union_sources, 'memory',
+                             wal_path=tmp_path / 'shard-0.wal')
         process = shard.process
         shard.close()
         assert not process.is_alive()
@@ -331,10 +335,12 @@ class TestProcessShard:
 
 class TestProcessPool:
 
-    def test_pool_gc_reaps_workers(self, union_sources):
+    def test_pool_gc_reaps_workers(self, union_sources, tmp_path):
         """Dropping the last reference shuts the workers down (the
         ``weakref.finalize``) — no orphans from forgotten pools."""
-        pool = ProcessPool(union_sources, ['memory', 'memory'])
+        pool = ProcessPool(union_sources, ['memory', 'memory'],
+                           wal_paths=[tmp_path / 'a.wal',
+                                      tmp_path / 'b.wal'])
         processes = [shard.process for shard in pool.shards]
         assert all(p.is_alive() for p in processes)
         del pool
@@ -343,8 +349,9 @@ class TestProcessPool:
             process.join(timeout=5)
         assert not any(p.is_alive() for p in processes)
 
-    def test_shutdown_idempotent(self, union_sources):
-        pool = ProcessPool(union_sources, ['memory'])
+    def test_shutdown_idempotent(self, union_sources, tmp_path):
+        pool = ProcessPool(union_sources, ['memory'],
+                           wal_paths=[tmp_path / 'a.wal'])
         pool.shutdown()
         assert not any(s.alive for s in pool.shards)
         pool.shutdown()                            # detach() already ran
@@ -567,7 +574,9 @@ class TestProcessExecution:
             'from repro.relational.schema import DatabaseSchema\n'
             'from repro.rdbms.procpool import ProcessPool\n'
             'schema = DatabaseSchema.build(r1={"a": "int"})\n'
-            'pool = ProcessPool(schema, ["memory", "memory"])\n'
+            'pool = ProcessPool(schema, ["memory", "memory"],\n'
+            f'                   wal_paths=[{str(tmp_path / "a.wal")!r},\n'
+            f'                              {str(tmp_path / "b.wal")!r}])\n'
             'print(len([s for s in pool.shards if s.alive]))\n',
             encoding='utf-8')
         result = subprocess.run([sys.executable, str(script)],
@@ -609,31 +618,30 @@ class TestWalBackedWorkers:
 
     def test_commit_lsns_uniform_across_executions(self, union_strategy,
                                                    tmp_path):
-        """``commit_lsns()`` works identically for thread and process
+        """``commit_lsns()`` works identically for inline and process
         execution: same routing → same per-shard LSN vector."""
-        threads = self._wal_cluster(union_strategy, tmp_path / 't',
-                                    execution='threads')
+        inline = self._wal_cluster(union_strategy, tmp_path / 't',
+                                   execution='inline')
         procs = self._wal_cluster(union_strategy, tmp_path / 'p')
         try:
             for txn in self.TXNS:
-                threads.execute_many(txn)
+                inline.execute_many(txn)
                 procs.execute_many(txn)
-            assert procs.commit_lsns() == threads.commit_lsns()
+            assert procs.commit_lsns() == inline.commit_lsns()
             assert any(procs.commit_lsns())
             assert procs.commit_lsn == procs.commit_lsns()  # alias
         finally:
-            threads.close()
+            inline.close()
             procs.close()
 
     def test_external_sigkill_loses_no_committed_transaction(
             self, union_strategy, tmp_path):
         """Kill a worker from outside between transactions: the next
         touching transaction aborts (and auto-restarts the worker from
-        its log), after which state and LSNs match the thread-mode
-        oracle exactly — committed deltas survived, unlike the
-        catalog-replay fallback."""
+        its log), after which state and LSNs match the inline-mode
+        oracle exactly — committed deltas survived."""
         oracle = self._wal_cluster(union_strategy, tmp_path / 'o',
-                                   execution='threads')
+                                   execution='inline')
         victim = self._wal_cluster(union_strategy, tmp_path / 'v')
         try:
             first = self.TXNS[0]
@@ -653,16 +661,6 @@ class TestWalBackedWorkers:
                 == frozenset(oracle.rows('v'))
         finally:
             oracle.close()
-            victim.close()
-
-    def test_wal_shards_skip_the_catalog_journal(self, union_strategy,
-                                                 tmp_path):
-        victim = self._wal_cluster(union_strategy, tmp_path / 'v')
-        try:
-            for shard in victim.shards:
-                assert shard._loads == {}       # the log IS the journal
-                assert shard._views == []
-        finally:
             victim.close()
 
     def test_worker_death_in_exist_ok_define_keeps_adopted_views(
@@ -715,7 +713,7 @@ class TestWalBackedWorkers:
         transaction SUCCEEDS — and the full workload's committed state
         and LSN vector are bit-identical to the fault-free oracle."""
         oracle = self._wal_cluster(union_strategy, tmp_path / 'o',
-                                   execution='threads')
+                                   execution='inline')
         plan = faults.FaultPlan()
         # Shard 1's second apply dispatch: mid-workload, after it has
         # already committed once.  The kill fires BEFORE the append —
@@ -744,7 +742,7 @@ class TestWalBackedWorkers:
         append never committed) and the repair path re-commits — same
         oracle-identical outcome."""
         oracle = self._wal_cluster(union_strategy, tmp_path / 'o',
-                                   execution='threads')
+                                   execution='inline')
         plan = faults.FaultPlan()
         # Shard 1's WAL appends: load(r1) is 1, load(r2) is 2,
         # define_view is 3, first commit is 4 — tear the 5th append,
@@ -769,7 +767,7 @@ class TestWalBackedWorkers:
         (``os._exit(3)``) rather than serve non-durable commits, and
         the repair path restarts it and re-commits."""
         oracle = self._wal_cluster(union_strategy, tmp_path / 'o',
-                                   execution='threads')
+                                   execution='inline')
         plan = faults.FaultPlan()
         # Shard 1's 5th fsync = its second commit (see above).
         plan.fail_fsync(shard=1, hit=5)
@@ -785,3 +783,104 @@ class TestWalBackedWorkers:
         finally:
             oracle.close()
             victim.close()
+
+
+class TestOwnedLogs:
+    """A process cluster built *without* ``wal_dir`` still gives every
+    worker a log — in a directory the engine owns — so there is one way
+    to recover a worker: a kill between transactions loses nothing, a
+    kill mid-apply is repaired, and the directory goes with the engine
+    (never with a worker)."""
+
+    COMMITTED = TestWalBackedWorkers.TXNS[:3]
+    NEXT = TestWalBackedWorkers.TXNS[3]
+
+    def _ready(self, engine, union_strategy):
+        engine.load('r1', [(0,), (1,), (2,)])
+        engine.load('r2', [(4,), (5,)])
+        engine.define_view(union_strategy, validate_first=False)
+        return engine
+
+    def _single(self, union_strategy):
+        return self._ready(Engine(union_strategy.sources), union_strategy)
+
+    def _cluster(self, union_strategy, **kwargs):
+        return self._ready(
+            ShardedEngine(union_strategy.sources, shards=3,
+                          shard_keys=UNION_KEYS, execution='processes',
+                          **kwargs), union_strategy)
+
+    @pytest.mark.parametrize('transient_retries', [0, 1])
+    def test_sigkill_loses_no_committed_transaction(
+            self, union_strategy, transient_retries):
+        """Three commits, then one worker is SIGKILLed: the next
+        transaction fails with ``ShardUnavailableError`` (or is retried
+        behind the caller's back), and the restarted worker has every
+        one of the three commits — state equals the single engine's."""
+        single = self._single(union_strategy)
+        sharded = self._cluster(union_strategy,
+                                transient_retries=transient_retries,
+                                retry_backoff=0.01)
+        try:
+            for txn in self.COMMITTED:
+                single.execute_many(txn)
+                sharded.execute_many(txn)
+            committed = single.database()
+            os.kill(sharded.shards[1].process.pid, signal.SIGKILL)
+            sharded.shards[1].process.join(5)
+            if transient_retries:
+                sharded.execute_many(self.NEXT)     # masked
+            else:
+                with pytest.raises(ShardUnavailableError):
+                    sharded.execute_many(self.NEXT)
+                assert sharded.database() == committed
+                sharded.execute_many(self.NEXT)
+            single.execute_many(self.NEXT)
+            assert sharded.shards[1].generation == 1
+            assert sharded.database() == single.database()
+            assert frozenset(sharded.rows('v')) \
+                == frozenset(single.rows('v'))
+        finally:
+            single.close()
+            sharded.close()
+
+    def test_kill_mid_apply_is_repaired(self, union_strategy):
+        """A worker killed inside the apply phase — its siblings have
+        applied — is restarted from its log and re-commits the record
+        the coordinator kept: the transaction succeeds, it is not a
+        partial-commit report."""
+        single = self._single(union_strategy)
+        plan = faults.FaultPlan()
+        plan.kill_worker(shard=1, method='apply_prepared', hit=2)
+        with plan.installed():
+            sharded = self._cluster(union_strategy)
+        try:
+            for txn in TestWalBackedWorkers.TXNS:
+                single.execute_many(txn)
+                sharded.execute_many(txn)       # no exception: repaired
+            assert sharded.shards[1].generation == 1   # kill DID happen
+            assert sharded.database() == single.database()
+            assert frozenset(sharded.rows('v')) \
+                == frozenset(single.rows('v'))
+        finally:
+            single.close()
+            sharded.close()
+
+    def test_log_directory_goes_with_the_engine_not_with_a_worker(
+            self, union_strategy):
+        sharded = self._cluster(union_strategy)
+        try:
+            logs = Path(sharded.shards[0]._wal_path).parent
+            names = sorted(path.name for path in logs.iterdir())
+            assert names == ['shard-0.wal', 'shard-1.wal', 'shard-2.wal']
+            # An orderly worker exit runs that process's exit handlers;
+            # a kill runs none.  Neither may take the logs along.
+            sharded.shards[0].channel.call('close')
+            sharded.shards[0].process.join(5)
+            os.kill(sharded.shards[2].process.pid, signal.SIGKILL)
+            sharded.shards[2].process.join(5)
+            assert sorted(path.name for path in logs.iterdir()) == names
+        finally:
+            sharded.close()
+        assert not logs.exists()
+        sharded.close()                         # idempotent

@@ -6,9 +6,10 @@ over a pipe to a worker process or directly on the caller's heap.  The
 coordinator cannot tell which, so neither may these tests: every case
 runs unchanged against both, first on a bare shard client, then on a
 whole ``ShardedEngine``.  What only one transport can do (die, be
-repaired, time out) stays in ``test_procpool.py``; what only the
-in-process one can do (overlap on threads) in ``test_parallel.py``."""
+repaired, time out) stays in ``test_procpool.py``; what other threads
+may do to an in-process shard meanwhile in ``test_parallel.py``."""
 
+import inspect
 import threading
 
 import pytest
@@ -24,26 +25,24 @@ UNION_KEYS = {'v': 'a', 'r1': 'a', 'r2': 'a'}
 TRANSPORTS = ['in-process', 'process']
 
 
-def _shard_threads() -> list:
-    return [thread.name for thread in threading.enumerate()
-            if thread.name.startswith('repro-shard')]
-
-
 @pytest.fixture(params=TRANSPORTS)
 def make_shard(request, union_sources, tmp_path):
     """``make(index, wal=False)`` builds a shard client of the
-    parametrised transport; all are closed at teardown."""
+    parametrised transport; all are closed at teardown.  A process
+    shard always has a log (that is how its worker is recovered), so
+    ``wal`` only decides for the in-process one."""
     made = []
 
     def make(index: int = 0, wal: bool = False):
-        wal_path = tmp_path / f'shard-{index}.wal' if wal else None
+        wal_path = tmp_path / f'shard-{index}.wal'
         if request.param == 'process':
             shard = ProcessShard(index, union_sources, 'memory',
                                  wal_path=wal_path, wal_sync=False)
         else:
             shard = LocalShard(index, union_sources,
                                MemoryBackend(union_sources),
-                               wal_path=wal_path, wal_sync=False)
+                               wal_path=wal_path if wal else None,
+                               wal_sync=False)
         made.append(shard)
         return shard
 
@@ -124,7 +123,9 @@ class TestShardClientContract:
         shard.apply_prepared(shard.prepare_commit(empty))
         assert shard.commit_lsn == before + 1
 
+    @pytest.mark.parametrize('make_shard', ['in-process'], indirect=True)
     def test_without_a_wal_the_lsn_is_zero(self, make_shard):
+        """In-process only: a process shard always has a log."""
         shard = make_shard()
         shard.load('r1', [(1,)])
         assert shard.commit_lsn == 0
@@ -159,11 +160,9 @@ class TestShardClientContract:
 
 @pytest.fixture(params=TRANSPORTS)
 def execution(request) -> dict:
-    """``ShardedEngine`` options selecting the parametrised transport
-    (the in-process one with a thread pool, so its threads exist)."""
-    if request.param == 'process':
-        return {'execution': 'processes'}
-    return {'execution': 'threads', 'parallelism': 2}
+    """``ShardedEngine`` options selecting the parametrised transport."""
+    return {'execution': 'processes' if request.param == 'process'
+            else 'inline'}
 
 
 class TestClusterOnEitherTransport:
@@ -217,8 +216,9 @@ class TestClusterOnEitherTransport:
     def test_close_leaves_no_thread_and_no_worker(self, union_strategy,
                                                   execution):
         """After ``close()`` (here: leaving the context manager) no
-        ``repro-shard*`` thread and no worker process survives, and a
-        second ``close()`` is a no-op."""
+        thread and no worker process survives, and a second ``close()``
+        is a no-op."""
+        before = set(threading.enumerate())
         with ShardedEngine(union_strategy.sources, shards=2,
                            shard_keys=UNION_KEYS,
                            **execution) as sharded:
@@ -229,46 +229,52 @@ class TestClusterOnEitherTransport:
             assert len(sharded.rows('v')) == 14
             processes = [shard.process for shard in sharded.shards
                          if shard.process is not None]
-        assert _shard_threads() == []
+        assert set(threading.enumerate()) == before
         assert not any(process.is_alive() for process in processes)
         sharded.close()
 
 
 class TestThreadBudget:
-    """Who may create threads: the in-process transport at
-    ``parallelism > 1``, and nobody else."""
+    """Who may create threads: nobody.  In-process shards run every
+    call on the calling thread; worker processes are overlapped by
+    submitting to all before draining any."""
 
-    def _workload(self, sharded, union_strategy):
-        sharded.load('r1', [(i,) for i in range(100)])
-        sharded.define_view(union_strategy, validate_first=False)
-        sharded.execute_many(                  # 500 rows, every shard
-            [('v', [Insert((i,)) for i in range(1000, 1500)])])
-        assert len(sharded.rows('v')) == 600   # partitioned gather
-        assert sharded.placement('v') == 'partitioned'
-
-    @pytest.mark.parametrize('parallelism', [1, 3])
-    def test_process_execution_creates_no_thread(self, union_strategy,
-                                                 parallelism):
-        sharded = ShardedEngine(union_strategy.sources, shards=3,
-                                shard_keys=UNION_KEYS,
-                                execution='processes',
-                                parallelism=parallelism)
+    @pytest.mark.parametrize('shards', [1, 2, 4])
+    def test_no_shard_thread_ever(self, union_strategy, execution,
+                                  shards):
+        before = set(threading.enumerate())
+        sharded = ShardedEngine(union_strategy.sources, shards=shards,
+                                shard_keys=UNION_KEYS, **execution)
         try:
-            before = threading.active_count()
-            self._workload(sharded, union_strategy)
-            assert threading.active_count() == before
-            assert _shard_threads() == []
+            assert set(threading.enumerate()) == before
+            sharded.load('r1', [(i,) for i in range(100)])
+            sharded.define_view(union_strategy, validate_first=False)
+            sharded.execute_many(              # 500 rows, every shard
+                [('v', [Insert((i,)) for i in range(1000, 1500)])])
+            assert len(sharded.rows('v')) == 600   # partitioned gather
+            assert sharded.placement('v') == 'partitioned'
+            assert set(threading.enumerate()) == before
         finally:
             sharded.close()
+        assert set(threading.enumerate()) == before
 
-    def test_serial_in_process_execution_creates_no_thread(
-            self, union_strategy):
-        before = threading.active_count()
-        sharded = ShardedEngine(union_strategy.sources, shards=3,
-                                shard_keys=UNION_KEYS,
-                                execution='threads', parallelism=1)
-        try:
-            self._workload(sharded, union_strategy)
-            assert threading.active_count() == before
-        finally:
-            sharded.close()
+
+class TestOptionSurface:
+
+    def test_sharded_engine_keyword_set_is_pinned(self):
+        """Every keyword doubles the configurations the oracles must
+        cover: adding one is a deliberate diff to this set."""
+        parameters = inspect.signature(ShardedEngine.__init__).parameters
+        assert {name for name, parameter in parameters.items()
+                if parameter.kind is parameter.KEYWORD_ONLY} == {
+            'shards', 'backends', 'partitioner', 'shard_keys',
+            'batch_deltas', 'global_shard', 'execution', 'wal_dir',
+            'wal_sync', 'read_replicas', 'read_policy',
+            'replica_max_lag', 'rpc_timeout', 'transient_retries',
+            'retry_backoff', 'retry_backoff_cap', 'retry_max_wait'}
+
+    def test_the_thread_pool_options_are_gone(self, union_sources):
+        with pytest.raises(TypeError, match='parallelism'):
+            ShardedEngine(union_sources, parallelism=2)
+        with pytest.raises(SchemaError, match="'inline' or 'processes'"):
+            ShardedEngine(union_sources, execution='threads')
