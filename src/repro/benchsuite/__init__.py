@@ -1,12 +1,9 @@
 """The paper's evaluation suite: the 32-view Table 1 catalog, workload
 generators, and the harnesses regenerating Table 1 and Figure 6."""
 
-from repro.benchsuite.bench_all import (build_summary, check_summary,
-                                        run_bench_all, run_overhead)
 from repro.benchsuite.catalog import (ALL_ENTRIES, FIGURE6_VIEWS,
                                       entry_by_id, entry_by_name)
 from repro.benchsuite.entry import BenchmarkEntry, PaperRow
-from repro.benchsuite.harness import BenchCase, CaseResult, run_cases
 from repro.benchsuite.runner import (Fig6Point, Table1Row, format_fig6,
                                      format_table1, run_fig6, run_table1)
 from repro.benchsuite.workload import build_engine, update_statement
@@ -14,7 +11,4 @@ from repro.benchsuite.workload import build_engine, update_statement
 __all__ = ['ALL_ENTRIES', 'FIGURE6_VIEWS', 'entry_by_id', 'entry_by_name',
            'BenchmarkEntry', 'PaperRow', 'Fig6Point', 'Table1Row',
            'format_fig6', 'format_table1', 'run_fig6', 'run_table1',
-           'build_engine', 'update_statement',
-           'BenchCase', 'CaseResult', 'run_cases',
-           'run_bench_all', 'run_overhead', 'build_summary',
-           'check_summary']
+           'build_engine', 'update_statement']

@@ -18,7 +18,7 @@ from __future__ import annotations
 import argparse
 import sys
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from repro.benchsuite.catalog import ALL_ENTRIES, FIGURE6_VIEWS, \
     entry_by_name
@@ -207,7 +207,6 @@ class BackendPoint:
     materialize_seconds: float    # first engine.rows(view)
     update_seconds: float         # median single-tuple view INSERT
     sql_fallbacks: int            # plans running interpreted on sqlite
-    update_latency: dict = field(default_factory=dict)  # P50/P95/P99
 
 
 def run_backends(views=None, size: int = 20_000, *, repeats: int = 5,
@@ -215,65 +214,26 @@ def run_backends(views=None, size: int = 20_000, *, repeats: int = 5,
                  progress=None) -> list[BackendPoint]:
     """The backend comparison: per view and backend, the view
     materialisation time and the steady-state incremental update time —
-    interpreter over indexed sets vs. compiled SQL on SQLite.
-
-    Every (view, backend) pair is one case of a single seeded
-    :func:`repro.benchsuite.harness.run_cases` run — updates
-    interleave through rotation-fair rounds, one single-tuple view
-    INSERT per round, so the medians and P50/P95/P99 come from the
-    same warm-cache conditions for every backend."""
-    from repro.benchsuite.harness import BenchCase, run_cases
-
-    views = list(views or FIGURE6_VIEWS)
-    materialized: dict[str, float] = {}
-    fallbacks: dict[str, int] = {}
-
-    def make_case(view: str, backend: str) -> BenchCase:
-        name = f'{view}[{backend}]'
+    interpreter over indexed sets vs. compiled SQL on SQLite."""
+    points: list[BackendPoint] = []
+    for view in views or FIGURE6_VIEWS:
         entry = entry_by_name(view)
-
-        def setup():
+        for backend in backends:
             engine = build_engine(entry, size, incremental=True,
                                   strategy=entry.strategy(),
                                   backend=backend)
-            started = time.perf_counter()
-            engine.rows(view)
-            materialized[name] = time.perf_counter() - started
-            fallbacks[name] = 0
-            if hasattr(engine.backend, 'lowering_fallbacks'):
-                fallbacks[name] = len(
-                    engine.backend.lowering_fallbacks(view))
-            return {'engine': engine, 'next_id': 7_000_000}
-
-        def op(ctx, round_index):
-            ctx['next_id'] += 1
-            row = update_statement(entry, ctx['engine'],
-                                   ctx['next_id'])
-            started = time.perf_counter()
-            ctx['engine'].insert(view, row)
-            return time.perf_counter() - started
-
-        def teardown(ctx):
-            ctx['engine'].close()
-
-        return BenchCase(name=name, setup=setup, op=op,
-                         teardown=teardown, warmup=1,
-                         meta={'view': view, 'backend': backend})
-
-    cases = [make_case(view, backend)
-             for view in views for backend in backends]
-    results = {r.name: r for r in run_cases(cases, rounds=repeats,
-                                            seed=7)}
-    points: list[BackendPoint] = []
-    for view in views:
-        for backend in backends:
-            name = f'{view}[{backend}]'
-            result = results[name]
-            samples = sorted(result.samples)
-            t_upd = samples[len(samples) // 2]
-            point = BackendPoint(view, backend, size,
-                                 materialized[name], t_upd,
-                                 fallbacks[name], result.latency)
+            try:
+                started = time.perf_counter()
+                engine.rows(view)
+                materialized = time.perf_counter() - started
+                fallbacks = 0
+                if hasattr(engine.backend, 'lowering_fallbacks'):
+                    fallbacks = len(engine.backend.lowering_fallbacks(view))
+                point = BackendPoint(
+                    view, backend, size, materialized,
+                    _measure_update(engine, entry, 0, repeats), fallbacks)
+            finally:
+                engine.close()
             points.append(point)
             if progress is not None:
                 progress(point)

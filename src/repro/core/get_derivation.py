@@ -35,6 +35,7 @@ from repro.datalog.ast import (Atom, BuiltinLit, Const, Lit, Literal,
                                Program, Rule, Var, delta_base,
                                is_delete_pred, is_delta_pred, is_insert_pred)
 from repro.datalog.pretty import pretty_rule
+from repro.datalog.safety import bound_variables
 from repro.datalog.transform import tidy_program
 from repro.errors import FragmentError, TransformationError, ValidationError
 from repro.fol.datalog_to_fol import literal_to_fol, term_to_fol
@@ -56,12 +57,6 @@ class Condition:
     origin: str
     view_literal: Lit | None
     residue: tuple[Literal, ...]
-
-    @property
-    def polarity(self) -> str:
-        if self.view_literal is None:
-            return 'none'
-        return 'positive' if self.view_literal.positive else 'negative'
 
 
 @dataclass
@@ -205,8 +200,13 @@ def phi12_check_program(analysis: SteadyStateAnalysis) -> Program:
 
 
 def _residue_to_fol(condition: Condition) -> Formula:
-    """FO conjunction of the residue (intermediates stay opaque atoms)."""
-    return make_and(literal_to_fol(l) for l in condition.residue)
+    """FO conjunction of the residue (intermediates stay opaque atoms).
+    The head equalities bind the view literal's variables as a positive
+    atom would."""
+    bound = bound_variables(Rule(None, (
+        Lit(condition.view_literal.atom), *condition.residue)))
+    return make_and(literal_to_fol(l, bound=bound)
+                    for l in condition.residue)
 
 
 def phi2_formula(analysis: SteadyStateAnalysis,

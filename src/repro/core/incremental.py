@@ -145,9 +145,6 @@ def binarize(program: Program, *, prefix: str = '__b'
         current: Atom | None = None
         bound: list[Var] = []
 
-        def bound_tuple() -> tuple[Var, ...]:
-            return tuple(bound)
-
         pending: list[Literal] = []
 
         def flush_step(next_literal: Literal | None) -> None:

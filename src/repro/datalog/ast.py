@@ -23,7 +23,7 @@ dictionary keys and set members, shared freely, and safely cached.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, Iterator, Mapping, Sequence, Union
+from typing import Iterable, Iterator, Mapping, Union
 
 __all__ = [
     'Term', 'Var', 'Const', 'Atom', 'Literal', 'BuiltinLit', 'Lit', 'Rule',
@@ -428,9 +428,3 @@ class Program:
 
     def __str__(self) -> str:
         return '\n'.join(str(r) for r in self.rules)
-
-
-def _sequence_to_program(rules: Sequence[Rule] | Program) -> Program:
-    if isinstance(rules, Program):
-        return rules
-    return Program(tuple(rules))

@@ -23,7 +23,7 @@ on the plan.  Sealing is what makes the per-transaction delta loops of
 the RDBMS engine cheap — the same immutable plan is shared by every
 thread of the parallel sharded engine, so one seal pays off across all
 shards.  ``REPRO_SEALED=0`` disables sealing (the differential tests
-and ``benchmarks/bench_hotpath.py`` compare the two tiers).
+compare the two tiers).
 
 Semantics are set-based, matching §3.1.  The historical entry points
 (:func:`evaluate`, :func:`evaluate_rule`, :func:`evaluate_query`,
@@ -42,8 +42,7 @@ from typing import Sequence
 from repro.datalog.ast import Program, Rule
 from repro.datalog.plan import (BindStep, CompareStep, ExecutionPlan,
                                 NegationStep, ProbeStep, RulePlan,
-                                ScanStep, compile_program, compile_rule,
-                                schedule_body)
+                                ScanStep, compile_program, compile_rule)
 from repro.errors import SchemaError
 from repro.relational.database import Database
 
@@ -52,10 +51,6 @@ __all__ = ['evaluate', 'evaluate_rule', 'evaluate_query',
            'execute_constraints', 'IndexedRelation']
 
 Row = tuple
-
-# Backwards-compatible alias: the binarizer schedules bodies with the
-# same order-preserving greedy pass the evaluator historically used.
-_schedule = schedule_body
 
 
 class IndexedRelation:
@@ -166,10 +161,6 @@ def _grow(index: dict, key, bucket, row: tuple) -> None:
         bucket.append(row)
     else:
         index[key] = [bucket, row]
-
-
-# Backwards-compatible internal alias.
-_IndexedRelation = IndexedRelation
 
 
 class _Unbound:
@@ -285,11 +276,6 @@ class _PlanContext:
                 break
         self._probe_cache[key] = result
         return result
-
-    def set_relation(self, name: str, rows) -> None:
-        self._store[name] = IndexedRelation(rows)
-        self._materialized.add(name)
-        self._probe_cache.clear()       # probes may depend on old rows
 
     def snapshot(self, names) -> Database:
         return Database({name: frozenset(self._store[name].rows)

@@ -102,8 +102,8 @@ class ProbeStep:
 
 @dataclass(frozen=True, slots=True)
 class NegationStep:
-    """A negated atom, reached with every non-anonymous variable bound;
-    unbound anonymous variables act as wildcards."""
+    """A negated atom, reached with every variable the body binds
+    bound; the anonymous ones nothing binds act as wildcards."""
 
     pred: str
     arity: int
@@ -249,13 +249,19 @@ class ExecutionPlan:
 # ---------------------------------------------------------------------------
 
 
-def _ready(literal: Literal, bound: set[str]) -> bool:
-    """Can ``literal`` be evaluated once ``bound`` variables are known?"""
+def _ready(literal: Literal, bound: set[str],
+           bindable: frozenset) -> bool:
+    """Can ``literal`` be evaluated once ``bound`` variables are known?
+    ``bindable`` holds every name the body binds (:func:`_bindable`):
+    inside a negated atom an underscore-named variable is a wildcard
+    only when it is not among them — otherwise the negation waits for
+    it like for any other name, whatever the literal order (the reading
+    of :meth:`repro.sql.translate._Lowering._membership`)."""
     if isinstance(literal, Lit):
         if literal.positive:
             return True
         required = {t.name for t in literal.atom.variables()
-                    if not is_anonymous(t)}
+                    if not is_anonymous(t) or t.name in bindable}
         return required <= bound
     if literal.op == '=' and literal.positive:
         left_ok = not isinstance(literal.left, Var) \
@@ -275,6 +281,11 @@ def _binds(literal: Literal) -> set[str]:
     return set()
 
 
+def _bindable(body: Sequence[Literal]) -> frozenset:
+    """The names some positive literal or ``=`` of ``body`` binds."""
+    return frozenset().union(*map(_binds, body))
+
+
 def schedule_body(body: Sequence[Literal]) -> list[Literal]:
     """Order body literals so each is evaluable when reached (greedy,
     order-preserving).  This is the schedule the binarizer relies on;
@@ -283,10 +294,11 @@ def schedule_body(body: Sequence[Literal]) -> list[Literal]:
     remaining = list(body)
     ordered: list[Literal] = []
     bound: set[str] = set()
+    bindable = _bindable(body)
     while remaining:
         progressed = False
         for i, literal in enumerate(remaining):
-            if _ready(literal, bound):
+            if _ready(literal, bound, bindable):
                 ordered.append(literal)
                 bound |= _binds(literal)
                 del remaining[i]
@@ -325,12 +337,13 @@ def schedule_static(body: Sequence[Literal], initial_bound: frozenset,
     ordered: list[Literal] = []
     bound: set[str] = set(initial_bound)
     sizes = stats or {}
+    bindable = _bindable(body)
     while remaining:
         filter_index = None
         best_index = None
         best_score = None
         for i, literal in enumerate(remaining):
-            if not _ready(literal, bound):
+            if not _ready(literal, bound, bindable):
                 continue
             is_join = isinstance(literal, Lit) and literal.positive \
                 and not literal.var_names() <= bound
@@ -627,11 +640,10 @@ def compile_program(program: Program, *, check_safety: bool = True,
     Plans are memoized (bounded LRU) keyed by program equality (and the
     ``stats`` seed, when given), so callers that re-parse equal
     programs still share one plan; pass ``cache=False`` to force a
-    fresh compilation (used by benchmarks to measure the compile cost
-    itself).  ``stats`` seeds the greedy join order with observed
-    relation cardinalities — the engine passes current base-relation
-    sizes at ``define_view`` time so scheduling ties break toward the
-    estimated-smallest scan.
+    fresh compilation (a plan nothing else has run or sealed).  ``stats``
+    seeds the greedy join order with observed relation cardinalities —
+    the engine passes current base-relation sizes at ``define_view``
+    time so scheduling ties break toward the estimated-smallest scan.
 
     The cached path is thread-safe: concurrent callers (per-shard
     worker threads re-planning the same view) are serialised by

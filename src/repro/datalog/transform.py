@@ -16,10 +16,6 @@ __all__ = ['simplify_rule', 'simplify_program', 'prune_unreachable',
            'rename_rule_variables', 'tidy_program', 'rename_predicates']
 
 
-def _substitute_rule(rule: Rule, binding: dict[str, Term]) -> Rule:
-    return rule.substitute(binding)
-
-
 def eliminate_var_equalities(rule: Rule) -> Rule:
     """Remove positive ``X = Y`` literals by substitution.
 

@@ -15,8 +15,9 @@ into equalities against a canonical variable tuple.
 from __future__ import annotations
 
 from repro.datalog.ast import (Atom, BuiltinLit, Const, Lit, Program, Rule,
-                               Var)
+                               Var, is_anonymous)
 from repro.datalog.dependency import check_nonrecursive
+from repro.datalog.safety import bound_variables
 from repro.errors import TransformationError
 from repro.fol.formula import (BOTTOM, FoAtom, FoCmp, FoConst, FoEq, FoTerm,
                                FoVar, Formula, Not, free_variables, make_and,
@@ -34,11 +35,12 @@ def term_to_fol(term) -> FoTerm:
     raise TransformationError(f'unknown Datalog term {term!r}')
 
 
-def literal_to_fol(literal, idb_unfold=None) -> Formula:
+def literal_to_fol(literal, idb_unfold=None, bound=frozenset()) -> Formula:
     """Translate one body literal.
 
     ``idb_unfold(pred, args) -> Formula | None`` supplies unfolding for IDB
-    predicates; ``None`` keeps the atom opaque (EDB).
+    predicates; ``None`` keeps the atom opaque (EDB).  ``bound`` names the
+    variables a positive literal or ``=`` of the enclosing body binds.
     """
     if isinstance(literal, Lit):
         args = tuple(term_to_fol(t) for t in literal.atom.args)
@@ -50,10 +52,12 @@ def literal_to_fol(literal, idb_unfold=None) -> Formula:
         if literal.positive:
             return inner
         # Anonymous variables inside a negated atom are existentially
-        # quantified *inside* the negation: not r(X, _) ≡ ¬∃Y r(X, Y).
-        from repro.datalog.ast import is_anonymous
+        # quantified *inside* the negation: not r(X, _) ≡ ¬∃Y r(X, Y) —
+        # unless the body binds the name elsewhere, which makes it an
+        # ordinary variable (the evaluator's and the SQL lowering's
+        # reading, whatever the literal order).
         anon = tuple(FoVar(t.name) for t in literal.atom.args
-                     if is_anonymous(t))
+                     if is_anonymous(t) and t.name not in bound)
         if anon:
             inner = make_exists(anon, inner)
         return Not(inner)
@@ -97,7 +101,8 @@ def rule_body_to_fol(rule: Rule, head_vars: tuple[FoVar, ...],
     equalities: list[Formula] = []
     for canon, term in zip(head_vars, renamed.head.args):
         equalities.append(FoEq(canon, term_to_fol(term)))
-    body = [literal_to_fol(l, idb_unfold) for l in renamed.body]
+    positive = bound_variables(renamed)
+    body = [literal_to_fol(l, idb_unfold, positive) for l in renamed.body]
     conjunction = make_and(equalities + body)
     bound = sorted(free_variables(conjunction) - head_names)
     return make_exists(tuple(FoVar(n) for n in bound), conjunction)

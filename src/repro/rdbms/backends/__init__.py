@@ -11,9 +11,9 @@ implementations ship:
   lowered to SQL once per view (the paper's run-inside-the-database
   deployment style).
 
-``create_backend`` resolves a backend by name; the engine (and the
-benchsuite) read the default from the ``REPRO_BACKEND`` environment
-variable, which is how CI runs the whole test suite over each backend.
+``create_backend`` resolves a backend by name; the engine reads the
+default from the ``REPRO_BACKEND`` environment variable, which is how
+CI runs the whole test suite over each backend.
 """
 
 from __future__ import annotations

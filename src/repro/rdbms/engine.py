@@ -47,7 +47,7 @@ could still write — or reads as a source.  Constraint checks
 consequently see the transaction's *net* effect — SQL's
 deferred-constraint semantics.  ``Engine(..., batch_deltas=False)``
 restores statement-at-a-time translation (one plan run per bucket),
-which ``benchmarks/bench_batch.py`` uses as the baseline.
+the reference the differential fuzz compares the batched pipeline to.
 """
 
 from __future__ import annotations
@@ -412,8 +412,8 @@ class Engine:
         #: Hot-path instrumentation (see rdbms/metrics.py): transaction
         #: phase timings, plan compiles/replans, WAL append latency.
         #: ``engine.metrics.enabled = False`` turns every hook into a
-        #: single attribute check — the overhead is gated in CI by
-        #: ``bench_all``'s instrumented-vs-disabled comparison.
+        #: single attribute check (pinned as call counts by
+        #: ``tests/test_metrics.py::TestInstrumentationCost``).
         self.metrics = MetricsRegistry()
         if self.wal is not None:
             self.wal.metrics = self.metrics

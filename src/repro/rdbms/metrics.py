@@ -9,9 +9,8 @@ One :class:`MetricsRegistry` per ``Engine`` / ``ShardedEngine`` /
   (``replica.in_rotation``, ``replica.lag``).
 * **histograms** — streaming latency/size distributions.  Each keeps
   exact ``count``/``sum``/``min``/``max`` plus a bounded reservoir of
-  recent samples from which percentiles are computed on demand (via
-  ``repro.benchsuite.latency`` — imported lazily so this module stays
-  stdlib-only on the hot path and free of import cycles).
+  recent samples from which percentiles are computed on demand
+  (:func:`summarize_latencies`).
 
 Snapshots are plain dicts (picklable — worker processes ship theirs
 back over the existing RPC channel) and :func:`merge_snapshots` folds
@@ -19,20 +18,24 @@ any number of them into one cluster-wide view: counters sum, gauges
 sum (every current use is additive: rotation sizes, lags), histogram
 aggregates combine and reservoirs concatenate (capped).
 
-Instrumentation cost is gated in CI (``bench_all`` measures the
-instrumented hot path against ``registry.enabled = False``); hook
-sites check ``enabled`` *before* calling ``time.perf_counter`` so a
-disabled registry costs one attribute load per site.
+Hook sites check ``enabled`` *before* calling ``time.perf_counter``,
+so a disabled registry costs one attribute load per site: zero clock
+reads and zero registry writes per transaction, and a pinned number of
+writes when enabled (``tests/test_metrics.py::TestInstrumentationCost``).
 """
 
 from __future__ import annotations
 
+import statistics
 import threading
+from typing import Iterable, Sequence
 
 __all__ = [
     'MetricsRegistry',
     'GLOBAL',
     'merge_snapshots',
+    'percentile',
+    'summarize_latencies',
     'summarize_snapshot',
 ]
 
@@ -119,13 +122,6 @@ class MetricsRegistry:
                 },
             }
 
-    def reset(self) -> None:
-        """Drop every series (bench harness isolation)."""
-        with self._lock:
-            self._counters.clear()
-            self._gauges.clear()
-            self._hists.clear()
-
 
 #: Process-wide registry for series that do not belong to any single
 #: engine instance (e.g. ``plan.seals`` from the evaluator's code-gen
@@ -168,14 +164,46 @@ def merge_snapshots(snapshots) -> dict:
             'histograms': hists}
 
 
+def percentile(samples: Sequence[float], q: float) -> float:
+    """The ``q``-th percentile (``0 <= q <= 100``) of ``samples`` by
+    linear interpolation between closest ranks (NumPy's ``linear``, SQL's
+    ``percentile_cont``): stable for small samples, where the
+    nearest-rank estimator jumps a whole sample at a time."""
+    if not samples:
+        raise ValueError('percentile of an empty sample set')
+    if not 0 <= q <= 100:
+        raise ValueError(f'percentile must be in [0, 100], got {q}')
+    ordered = sorted(samples)
+    if len(ordered) == 1:
+        return ordered[0]
+    rank = (len(ordered) - 1) * (q / 100.0)
+    low = int(rank)
+    frac = rank - low
+    if frac == 0:
+        return ordered[low]
+    return ordered[low] + (ordered[low + 1] - ordered[low]) * frac
+
+
+def summarize_latencies(seconds: Iterable[float]) -> dict:
+    """Summarise per-operation latencies (in seconds) in milliseconds:
+    P50/P95/P99, mean, max and the sample count."""
+    samples = [s * 1000.0 for s in seconds]
+    return {
+        'n': len(samples),
+        'mean_ms': statistics.fmean(samples),
+        'p50_ms': percentile(samples, 50),
+        'p95_ms': percentile(samples, 95),
+        'p99_ms': percentile(samples, 99),
+        'max_ms': max(samples),
+    }
+
+
 def summarize_snapshot(snapshot: dict) -> dict:
     """Replace each histogram's raw reservoir with a latency-style
     percentile summary (JSON/report friendly).  Values are kept in
     the unit they were observed in; the summary's ``*_ms`` keys
     therefore read as milliseconds only for seconds-valued series
     (sizes keep their unit, scaled by 1000 — use ``mean`` instead)."""
-    from repro.benchsuite.latency import summarize_latencies
-
     out = {'counters': dict(snapshot.get('counters', {})),
            'gauges': dict(snapshot.get('gauges', {})),
            'histograms': {}}

@@ -89,8 +89,7 @@ class ViewServer:
         async with ViewServer(engine, max_inflight=64) as server:
             receipt = await server.submit([('v', [Insert(row)])])
 
-    ``group_commit=False`` degrades to one engine run per submission
-    (the baseline ``bench_serve.py`` measures group commit against).
+    ``max_group=1`` degrades to one engine run per submission.
 
     **Reads.**  :meth:`rows` serves ``get`` without ever queueing
     behind the committer: reads run on their own executor
@@ -102,8 +101,8 @@ class ViewServer:
     """
 
     def __init__(self, engine, *, max_inflight: int = 64,
-                 group_commit: bool = True, max_group: int = 32,
-                 replicas=None, read_threads: int = 1):
+                 max_group: int = 32, replicas=None,
+                 read_threads: int = 1):
         if max_inflight < 1:
             raise SchemaError(f'max_inflight must be >= 1, '
                               f'got {max_inflight}')
@@ -114,7 +113,6 @@ class ViewServer:
                               f'got {read_threads}')
         self.engine = engine
         self.max_inflight = max_inflight
-        self.group_commit = group_commit
         self.max_group = max_group
         self.replicas = replicas
         self.read_threads = read_threads
@@ -285,7 +283,7 @@ class ViewServer:
             if item is _STOP:
                 return
             group = [item]
-            while self.group_commit and len(group) < self.max_group:
+            while len(group) < self.max_group:
                 try:
                     nxt = self._queue.get_nowait()
                 except asyncio.QueueEmpty:

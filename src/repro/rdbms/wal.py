@@ -208,7 +208,7 @@ class WriteAheadLog:
         self._failed = False
         #: appends/bytes are cumulative for this handle;
         #: ``last_record_bytes`` is the size of the latest record —
-        #: what the replication-cost benchmark samples.
+        #: what the O(|Δ|) record-size tests sample.
         self.stats = {'appends': 0, 'bytes': 0, 'last_record_bytes': 0,
                       'truncated_tails': 0, 'append_failures': 0}
         #: Optional MetricsRegistry (set by the owning engine).  When

@@ -63,9 +63,6 @@ class Database:
     def names(self) -> set[str]:
         return set(self.relations)
 
-    def nonempty_names(self) -> set[str]:
-        return {n for n, rows in self.relations.items() if rows}
-
     def total_size(self) -> int:
         return sum(len(rows) for rows in self.relations.values())
 

@@ -9,7 +9,6 @@ import pytest
 
 from repro.benchsuite.catalog import (ALL_ENTRIES, FIGURE6_VIEWS,
                                       entry_by_id, entry_by_name)
-from repro.benchsuite.latency import percentile, summarize_latencies
 from repro.benchsuite.runner import (format_fig6, format_table1, run_fig6,
                                      run_table1)
 from repro.benchsuite.workload import build_engine, update_statement
@@ -127,38 +126,3 @@ class TestFig6Runner:
         assert engines[0].rows('works') == engines[1].rows('works')
         assert engines[0].rows('officeinfo') == \
             engines[1].rows('officeinfo')
-
-
-class TestLatencySummaries:
-    """The P50/P95/P99 estimator the BENCH JSONs are built on."""
-
-    def test_percentile_interpolates_linearly(self):
-        samples = [10.0, 20.0, 30.0, 40.0, 50.0]
-        assert percentile(samples, 0) == 10.0
-        assert percentile(samples, 50) == 30.0
-        assert percentile(samples, 100) == 50.0
-        assert percentile(samples, 25) == 20.0
-        assert percentile(samples, 90) == pytest.approx(46.0)
-
-    def test_percentile_order_independent(self):
-        assert percentile([3.0, 1.0, 2.0], 50) == 2.0
-
-    def test_percentile_single_sample(self):
-        assert percentile([7.5], 99) == 7.5
-
-    def test_percentile_rejects_bad_input(self):
-        with pytest.raises(ValueError, match='empty'):
-            percentile([], 50)
-        with pytest.raises(ValueError, match=r'\[0, 100\]'):
-            percentile([1.0], 101)
-        with pytest.raises(ValueError, match=r'\[0, 100\]'):
-            percentile([1.0], -1)
-
-    def test_summarize_converts_to_milliseconds(self):
-        summary = summarize_latencies([0.001, 0.002, 0.003, 0.010])
-        assert summary['n'] == 4
-        assert summary['p50_ms'] == pytest.approx(2.5)
-        assert summary['max_ms'] == pytest.approx(10.0)
-        assert summary['mean_ms'] == pytest.approx(4.0)
-        assert summary['p95_ms'] <= summary['p99_ms'] <= \
-            summary['max_ms']

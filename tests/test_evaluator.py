@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from repro.datalog import evaluator
 from repro.datalog.evaluator import (IndexedRelation, constraint_violations,
                                      evaluate, evaluate_query, holds)
 from repro.datalog.parser import parse_program
@@ -77,6 +78,21 @@ class TestNegation:
         program = parse_program('v(X) :- r(X), not s(X, _).')
         out = evaluate(program, db(r={(1,), (2,)}, s={(2, 'x')}))
         assert out['v'] == {(1,)}
+
+    @pytest.mark.parametrize('sealing', [True, False],
+                             ids=['sealed', 'generic'])
+    @pytest.mark.parametrize('body', ['t(X), not aux(X, _y), s(_y, _)',
+                                      't(X), s(_y, _), not aux(X, _y)',
+                                      's(_y, _), t(X), not aux(X, _y)'])
+    def test_underscore_name_bound_elsewhere_is_no_wildcard(
+            self, body, sealing, monkeypatch):
+        # s(_y, _) binds _y, so the negation reads that value — not "any"
+        # — wherever it stands in the body (the second run is sealed).
+        monkeypatch.setattr(evaluator, '_SEALING', sealing)
+        program = parse_program(f'p(X) :- {body}.')
+        edb = db(t={(1,), (3,)}, aux={(1, 5), (3, 7)}, s={(7, 0), (9, 0)})
+        for _ in range(2):
+            assert evaluate(program, edb)['p'] == {(1,), (3,)}
 
     def test_idb_shadowing(self):
         # When the program defines v, an EDB relation named v is hidden.

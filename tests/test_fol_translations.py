@@ -92,6 +92,15 @@ class TestDatalogToFolRoundTrip:
                               [Database.from_dict(
                                   {'r': {(1,), (2,)}, 's': {(2, 0)}})])
 
+    @pytest.mark.parametrize('body', ['t(X), not aux(X, _y), s(_y, _)',
+                                      't(X), s(_y, _), not aux(X, _y)',
+                                      's(_y, _), t(X), not aux(X, _y)'])
+    def test_underscore_name_bound_outside_the_negation(self, body):
+        # Quantified with the rule's other variables, not inside the ¬.
+        round_trip_equivalent(f'p(X) :- {body}.', 'p', [Database.from_dict(
+            {'t': {(1,), (3,)}, 'aux': {(1, 5), (3, 7)},
+             's': {(7, 0), (9, 0)}})])
+
     def test_repeated_head_variable(self):
         round_trip_equivalent('v(X, X) :- r(X).', 'v', small_dbs('r'))
 

@@ -23,12 +23,14 @@ import threading
 import pytest
 
 from repro.errors import ConstraintViolation, ShardUnavailableError
+from repro.rdbms import engine as engine_mod
 from repro.rdbms import procpool
 from repro.rdbms import sharded as sharded_mod
 from repro.rdbms.dml import Delete, Insert, Update
 from repro.rdbms.engine import Engine
 from repro.rdbms.metrics import (MERGED_RESERVOIR_SIZE, RESERVOIR_SIZE,
                                  MetricsRegistry, merge_snapshots,
+                                 percentile, summarize_latencies,
                                  summarize_snapshot)
 from repro.rdbms.replica import ReplicaEngine, ReplicaSet
 from repro.rdbms.serve import Receipt, ViewServer
@@ -171,13 +173,40 @@ class TestRegistry:
         assert pct['p50_ms'] == pytest.approx(50.0, abs=1.0)
         assert pct['p99_ms'] == pytest.approx(99.0, abs=1.5)
 
-    def test_reset_drops_everything(self):
-        reg = MetricsRegistry()
-        reg.counter('c')
-        reg.observe('h', 1.0)
-        reg.reset()
-        assert reg.snapshot() == {'counters': {}, 'gauges': {},
-                                  'histograms': {}}
+
+class TestLatencySummaries:
+    """The P50/P95/P99 estimator behind ``summarize_snapshot``."""
+
+    def test_percentile_interpolates_linearly(self):
+        samples = [10.0, 20.0, 30.0, 40.0, 50.0]
+        assert percentile(samples, 0) == 10.0
+        assert percentile(samples, 50) == 30.0
+        assert percentile(samples, 100) == 50.0
+        assert percentile(samples, 25) == 20.0
+        assert percentile(samples, 90) == pytest.approx(46.0)
+
+    def test_percentile_order_independent(self):
+        assert percentile([3.0, 1.0, 2.0], 50) == 2.0
+
+    def test_percentile_single_sample(self):
+        assert percentile([7.5], 99) == 7.5
+
+    def test_percentile_rejects_bad_input(self):
+        with pytest.raises(ValueError, match='empty'):
+            percentile([], 50)
+        with pytest.raises(ValueError, match=r'\[0, 100\]'):
+            percentile([1.0], 101)
+        with pytest.raises(ValueError, match=r'\[0, 100\]'):
+            percentile([1.0], -1)
+
+    def test_summarize_converts_to_milliseconds(self):
+        summary = summarize_latencies([0.001, 0.002, 0.003, 0.010])
+        assert summary['n'] == 4
+        assert summary['p50_ms'] == pytest.approx(2.5)
+        assert summary['max_ms'] == pytest.approx(10.0)
+        assert summary['mean_ms'] == pytest.approx(4.0)
+        assert summary['p95_ms'] <= summary['p99_ms'] <= \
+            summary['max_ms']
 
 
 # ---------------------------------------------------------------------------
@@ -272,6 +301,41 @@ class TestEngineMetrics:
             assert snap['histograms'] == {}
         finally:
             engine.close()
+
+
+class TestInstrumentationCost:
+    """What the hooks cost one transaction, as counts: a disabled
+    registry is an attribute load per site — no clock read in
+    ``rdbms/engine.py``, no registry call — and an enabled one makes a
+    pinned number of each."""
+
+    @pytest.mark.parametrize('enabled, expected', [
+        (False, {}),
+        (True, {'perf_counter': 8, 'observe': 4, 'counter': 2})])
+    def test_calls_per_view_insert(self, luxury_strategy, monkeypatch,
+                                   enabled, expected):
+        calls = {}
+
+        def count_calls(owner, name):
+            inner = getattr(owner, name)
+
+            def wrapper(*args, **kwargs):
+                calls[name] = calls.get(name, 0) + 1
+                return inner(*args, **kwargs)
+            monkeypatch.setattr(owner, name, wrapper)
+
+        engine = _luxury_engine(luxury_strategy)
+        try:
+            for iid in (3, 4):                  # both plan tiers warm
+                engine.insert('luxuryitems', (iid, 'yacht', 90_000))
+            engine.metrics.enabled = enabled
+            count_calls(engine_mod, 'perf_counter')
+            for method in ('counter', 'gauge', 'observe'):
+                count_calls(MetricsRegistry, method)
+            engine.insert('luxuryitems', (5, 'tiara', 70_000))
+        finally:
+            engine.close()
+        assert calls == expected
 
 
 # ---------------------------------------------------------------------------

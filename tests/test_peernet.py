@@ -163,6 +163,27 @@ class TestPropagation:
         finally:
             net.close()
 
+    def test_outbox_record_bytes_track_delta_not_view(self, tmp_path):
+        """Link cost is O(|Δ|): a one-row view INSERT appends the same
+        bytes to ``share-<view>.wal`` over 10 000 shared rows as over
+        100 (``test_wal.py``'s record-size property, for the outbox)."""
+        sizes = {}
+        for n in (100, 10_000):
+            def seeded(directory, n=n):
+                engine = plain_factory(directory)
+                engine.load('works', [(f'w{i}', 'hq', 'p', 'e')
+                                      for i in range(n)])
+                return engine
+
+            peer = Peer('a', seeded, tmp_path / str(n), shares=(VIEW,))
+            try:
+                peer.engine.execute(VIEW, [Insert(('new', 'lab'))])
+                assert peer.stats['published'] == 2     # all of V, then Δ
+                sizes[n] = peer._outbox[VIEW].stats['last_record_bytes']
+            finally:
+                peer.close()
+        assert sizes[100] == sizes[10_000]
+
     def test_share_requires_the_view(self, tmp_path):
         def no_view(directory):
             return Engine(STRATEGY.sources)

@@ -7,6 +7,7 @@ driving its own ``asyncio.run`` — the server only lives inside the
 coroutine anyway."""
 
 import asyncio
+import inspect
 import threading
 
 import pytest
@@ -44,6 +45,15 @@ class TestLifecycle:
         with pytest.raises(SchemaError, match='max_group'):
             ViewServer(engine, max_group=0)
         engine.close()
+
+    def test_keyword_set_is_pinned(self):
+        """Every keyword doubles the configurations to cover: adding
+        one is a deliberate diff to this set (``group_commit`` left —
+        ``max_group=1`` is that server)."""
+        parameters = inspect.signature(ViewServer.__init__).parameters
+        assert {name for name, parameter in parameters.items()
+                if parameter.kind is parameter.KEYWORD_ONLY} == {
+            'max_inflight', 'max_group', 'replicas', 'read_threads'}
 
     def test_submit_requires_running_server(self, union_strategy):
         engine = _union_engine(union_strategy)
@@ -190,8 +200,7 @@ class TestGroupCommit:
         clients = 4
 
         async def main():
-            async with ViewServer(served,
-                                  group_commit=False) as server:
+            async with ViewServer(served, max_group=1) as server:
                 submits = [asyncio.ensure_future(
                     server.submit([('v', [Insert((30 + i,))])]))
                     for i in range(clients)]

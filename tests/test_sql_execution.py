@@ -204,6 +204,12 @@ SHAPES = {
         q(X, _y) :- t(X), aux(X, _y).
         p(_y) :- s(_y, _), aux(_, _y).
     """,
+    'underscore-named variable bound outside the negation reading it': """
+        aux(X, Y) :- r(X, Y).
+        q(X) :- t(X), not aux(X, _y), s(_y, _).
+        p(X) :- t(X), s(_y, _), not aux(X, _y).
+        w(X) :- s(_y, _), t(X), not aux(X, _y).
+    """,
     'auxiliary predicate over no relation': """
         aux(X) :- X = 2.
         q(X) :- t(X), not aux(X).
