@@ -29,6 +29,8 @@ Quickstart::
     engine.insert('v', (3,))             # lands in r1
 """
 
+import logging
+
 from repro.core.incremental import incrementalize
 from repro.core.lvgn import classify, is_lvgn
 from repro.core.strategy import UpdateStrategy
@@ -49,6 +51,9 @@ from repro.relational.schema import (AttributeType, DatabaseSchema,
 from repro.sql.triggers import compile_strategy_to_sql
 
 __version__ = '1.0.0'
+
+# Library convention: silent unless the application configures logging.
+logging.getLogger(__name__).addHandler(logging.NullHandler())
 
 __all__ = [
     'incrementalize', 'classify', 'is_lvgn', 'UpdateStrategy',

@@ -76,18 +76,21 @@ class Backend(ABC):
 
     @abstractmethod
     def rows(self, name: str):
-        """Current contents of a base table or a stored view cache, as a
-        set-like object.  Treat the result as read-only; it may be live
-        backend state (memory) or a frozen copy (SQLite)."""
+        """Current contents of a base table or a stored view cache: the
+        backend's own live ``set``, on every backend — read-only for
+        the caller, updated in place by each commit.  The same object
+        is returned until the relation is reloaded or its cache rebuilt;
+        a reader that needs a stable snapshot copies it.  On another
+        thread ``frozenset(rows)`` is one step under the GIL and never
+        sees a half-built set, but it may fall between a commit's
+        deletions and its insertions."""
 
     @abstractmethod
     def snapshot(self) -> Database:
         """A frozen snapshot of all base tables."""
 
     def count(self, name: str) -> int:
-        """Cardinality of a stored table or view cache.  The default
-        counts :meth:`rows`; backends with a cheaper native count
-        (``COUNT(*)``) override."""
+        """Cardinality of a stored table or view cache."""
         return len(self.rows(name))
 
     @abstractmethod

@@ -45,10 +45,10 @@ from __future__ import annotations
 
 import functools
 import itertools
+import logging
 import os
 import sqlite3
 import threading
-from collections import OrderedDict
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from typing import Iterable, Mapping
@@ -66,6 +66,10 @@ from repro.sql.translate import (SQLITE, ColumnNamer, constraint_to_sql,
                                  sql_table)
 
 __all__ = ['SQLiteBackend']
+
+#: A program that runs interpreted instead of as SQL says so here, once,
+#: when it is lowered or demoted — nothing per transaction logs.
+_log = logging.getLogger(__name__)
 
 
 @dataclass
@@ -102,8 +106,8 @@ def _locked(method):
     """Serialise a backend method on the instance mutex.  The threads
     sharing one backend (a server's readers and its writer) each lease
     a connection; the mutex keeps those from tripping over
-    shared-cache table locks (and keeps the Python-side row cache
-    consistent)."""
+    shared-cache table locks (and makes each commit's update of the
+    Python-side row images one step for the other backend methods)."""
     @functools.wraps(method)
     def wrapper(self, *args, **kwargs):
         with self._mutex:
@@ -123,12 +127,15 @@ class SQLiteBackend(Backend):
     lifetime to anchor the database.  TEMP staging tables and shadows
     are per-connection, hence naturally per-thread.  All access is
     serialised on a per-backend mutex — shards run concurrently as
-    worker processes, each with its own backend."""
+    worker processes, each with its own backend.
+
+    Row images: SQLite holds the truth, and next to it every stored
+    relation that has been loaded, materialised or read has one Python
+    ``set`` of its rows.  :meth:`rows` returns that set itself (the
+    :class:`Backend` contract: live, read-only); a commit updates it in
+    place, O(|Δ|), after its SQL ``COMMIT`` succeeded."""
 
     kind = 'sqlite'
-
-    #: how many relations' row images the Python-side read cache holds
-    ROWS_CACHE_RELATIONS = 64
 
     def __init__(self, schema: DatabaseSchema, path: str = ':memory:'):
         super().__init__(schema)
@@ -153,11 +160,11 @@ class SQLiteBackend(Backend):
         self._view_attrs: dict[str, tuple[str, ...]] = {}
         self._compiled: dict[str, _CompiledView] = {}
         self._index_hints: dict[str, set[tuple[int, ...]]] = {}
-        # Python-side row images of stored tables, maintained O(|Δ|)
-        # across commits; purely a bounded LRU read cache, rebuilt from
-        # SQLite on miss, so SQLite remains the source of truth and the
-        # Python footprint stays capped for bigger-than-memory data.
-        self._rows_cache: OrderedDict[str, frozenset] = OrderedDict()
+        # One live Python-side row image per stored relation — what
+        # rows() returns.  Built by load / store_cache (or from SQLite
+        # on the first read that finds none) and from then on updated
+        # in place, O(|Δ|), after each successful COMMIT.
+        self._images: dict[str, set] = {}
         for rel in schema:
             self._create_table(rel.name, rel.attributes)
 
@@ -211,23 +218,17 @@ class SQLiteBackend(Backend):
         with self._mutex:
             return len(self._leases)
 
-    def _cache_rows(self, name: str, rows: frozenset) -> None:
-        cache = self._rows_cache
-        cache[name] = rows
-        cache.move_to_end(name)
-        while len(cache) > self.ROWS_CACHE_RELATIONS:
-            cache.popitem(last=False)
-
     # -- DDL helpers --------------------------------------------------
 
     def _create_table(self, name: str, columns: tuple[str, ...]) -> None:
         # Columns carry no type affinity so values round-trip exactly
         # (REAL affinity would coerce the ints `validate_tuple` accepts
         # for float columns); the all-column primary key gives set
-        # semantics and keyed deletes.
+        # semantics and keyed deletes.  IF NOT EXISTS: a file-backed
+        # database reopens with its base tables in place.
         cols = _quoted(columns)
         self._conn.execute(
-            f'CREATE TABLE {sql_table(name)} ({cols}, '
+            f'CREATE TABLE IF NOT EXISTS {sql_table(name)} ({cols}, '
             f'PRIMARY KEY ({cols})) WITHOUT ROWID')
 
     def _columns_of(self, name: str) -> tuple[str, ...]:
@@ -262,37 +263,24 @@ class SQLiteBackend(Backend):
         cur.executemany(f'INSERT OR IGNORE INTO {table} '
                         f'VALUES ({marks})', list(rows))
         cur.execute('COMMIT')
-        self._cache_rows(name, frozenset(rows))
+        self._images[name] = set(rows)
 
     @_locked
     def rows(self, name: str):
-        cached = self._rows_cache.get(name)
-        if cached is None:
+        image = self._images.get(name)
+        if image is None:
             if not self._stored(name):
                 raise SchemaError(
                     f'unknown or unmaterialised relation {name!r}')
             cur = self._conn.execute(
                 f'SELECT * FROM {sql_table(name)}')
-            cached = frozenset(map(tuple, cur))
-        self._cache_rows(name, cached)
-        return cached
+            image = self._images[name] = set(map(tuple, cur))
+        return image
 
     @_locked
     def snapshot(self) -> Database:
         return Database({name: self.rows(name)
                          for name in sorted(self._base_names)})
-
-    @_locked
-    def count(self, name: str) -> int:
-        cached = self._rows_cache.get(name)
-        if cached is not None:
-            return len(cached)
-        if not self._stored(name):
-            raise SchemaError(
-                f'unknown or unmaterialised relation {name!r}')
-        (n,), = self._conn.execute(
-            f'SELECT COUNT(*) FROM {sql_table(name)}')
-        return n
 
     def _apply_one(self, cur, name: str, delta: Delta) -> None:
         table = sql_table(name)
@@ -315,7 +303,8 @@ class SQLiteBackend(Backend):
     def apply_deltas(self, deltas) -> None:
         """One SQL transaction for the whole commit batch: either every
         relation's delta is durably applied or none is; the Python-side
-        row images are refreshed only after a successful COMMIT."""
+        row images are updated, in place, only after a successful
+        COMMIT."""
         cur = self._conn.cursor()
         cur.execute('BEGIN')
         try:
@@ -326,10 +315,10 @@ class SQLiteBackend(Backend):
             raise
         cur.execute('COMMIT')
         for name, delta, _is_cache in deltas:
-            cached = self._rows_cache.get(name)
-            if cached is not None:
-                self._cache_rows(name, (cached - delta.deletions)
-                                 | delta.insertions)
+            image = self._images.get(name)
+            if image is not None:
+                image -= delta.deletions
+                image |= delta.insertions
 
     # -- view caches --------------------------------------------------
 
@@ -350,7 +339,7 @@ class SQLiteBackend(Backend):
                         f'VALUES ({marks})', list(rows))
         cur.execute('COMMIT')
         self._cache_names.add(name)
-        self._cache_rows(name, frozenset(rows))
+        self._images[name] = rows
         self._build_indexes(name)
 
     @_locked
@@ -359,7 +348,7 @@ class SQLiteBackend(Backend):
             self._conn.execute(
                 f'DROP TABLE IF EXISTS {sql_table(name)}')
             self._cache_names.discard(name)
-        self._rows_cache.pop(name, None)
+        self._images.pop(name, None)
 
     # -- indexes ------------------------------------------------------
 
@@ -390,6 +379,9 @@ class SQLiteBackend(Backend):
             goals=entry.strategy.putdelta_plan.delta_goals,
             label='putback', compiled=compiled)
         self._compiled[entry.name] = compiled
+        for label, reason in compiled.fallbacks:
+            _log.warning('%s of view %r does not lower to SQL, runs '
+                         'interpreted (%s)', label, entry.name, reason)
 
     @_locked
     def unregister_view(self, name: str) -> None:
@@ -525,6 +517,8 @@ class SQLiteBackend(Backend):
         compiled = self._compiled[view]
         setattr(compiled, label, None)
         compiled.fallbacks.append((label, f'runtime: {exc}'))
+        _log.warning('%s of view %r failed as SQL, runs interpreted '
+                     'from now on (%s)', label, view, exc)
 
     @_locked
     def evaluate_get(self, entry, sources: Mapping[str, object]
@@ -659,10 +653,10 @@ class SQLiteBackend(Backend):
             for _thread, conn in self._leases.values():
                 conn.close()
             self._leases.clear()
-            # Stale Python-side row images must not outlive the
-            # database they mirror: post-close reads should fail,
-            # not answer from cache.
-            self._rows_cache.clear()
+            # The row images must not outlive the database they
+            # mirror: post-close reads should fail, not answer from
+            # one (a set handed out earlier stays its holder's).
+            self._images.clear()
             try:
                 self._root_conn.close()
             except sqlite3.ProgrammingError:   # already closed above

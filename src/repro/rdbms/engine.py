@@ -52,6 +52,7 @@ the reference the differential fuzz compares the batched pipeline to.
 
 from __future__ import annotations
 
+import logging
 import threading
 from dataclasses import dataclass, field
 from functools import partial
@@ -90,6 +91,10 @@ REPLAN_DRIFT_FACTOR = 10.0
 #: sharded engine — on the per-transaction hot path.
 REPLAN_CHECK_INTERVAL = 16
 
+#: Off the transaction path: only a view falling back from ∂put to the
+#: full putback (at ``define_view`` or a drift re-plan) logs here.
+_log = logging.getLogger(__name__)
+
 
 @dataclass
 class ViewEntry:
@@ -120,6 +125,10 @@ class ViewEntry:
     stats_seed: Mapping[str, int] = field(default_factory=dict)
     replans: int = 0
     drift_probes: int = 0
+    #: Why incrementalization last failed for this view (the view then
+    #: runs the O(|S|) full putback, or keeps its previous ∂put plan on
+    #: a re-plan); None when it never did.
+    incremental_error: str | None = None
 
     @property
     def name(self) -> str:
@@ -266,8 +275,8 @@ class _Working:
 
         The overlay is built at most once per relation and then updated
         in place by :meth:`stage` (O(|Δ|) per statement, not O(|R|)).
-        Treat the result as read-only; it may be live backend state or
-        the transaction's mutable overlay."""
+        Treat the result as read-only; it is the backend's live set
+        (:meth:`Backend.rows`) or the transaction's mutable overlay."""
         overlay = self._materialized.get(name)
         if overlay is not None:
             return overlay
@@ -306,9 +315,10 @@ class _Working:
     def pre_state(self, name: str) -> tuple:
         """``(eval handle, row set)`` of ``name`` *before* any pending
         delta — what the batched plan run reads as the old view.  For
-        an unstaged view this is the backend's live storage (no copy,
-        stable until commit); once staged, a frozen copy is taken so
-        later overlay updates cannot drift under the handle."""
+        an unstaged view this is the backend's live set (no copy; on
+        every backend it changes only at commit); once staged, a frozen
+        copy is taken so later overlay updates cannot drift under the
+        handle."""
         if self._unstaged(name):
             return (self.engine.eval_handle(name), self.engine.rows(name))
         frozen = frozenset(self.rows(name))
@@ -592,8 +602,9 @@ class Engine:
     def rows(self, name: str, *, min_lsn: int | None = None):
         """Contents of a base table or (materialized) view.
 
-        Treat the result as read-only; depending on the backend it is
-        live storage state or a frozen copy.  ``min_lsn`` is the
+        Treat the result as read-only: it is the backend's live set
+        (:meth:`Backend.rows`), updated in place by later commits —
+        copy it to keep a snapshot.  ``min_lsn`` is the
         read-your-writes bound replica routing honors; on the primary
         every own commit is trivially visible, so it is accepted and
         ignored here (uniform read signature across Engine /
@@ -686,13 +697,16 @@ class Engine:
             stats = self._planner_stats()
         incremental_program = None
         incremental_plan = None
+        incremental_error = None
         if use_incremental:
             try:
                 incremental_program, incremental_plan = incrementalize_plan(
                     strategy.putdelta, name, lvgn=lvgn, stats=stats)
-            except Exception:
-                incremental_program = None  # fall back to full put
-                incremental_plan = None
+            except Exception as exc:    # fall back to full put
+                incremental_error = f'{type(exc).__name__}: {exc}'
+                _log.warning('view %r: incrementalization failed, every '
+                             'update runs the full putback (%s)',
+                             name, incremental_error)
         closure: set[str] = set()
         for source in source_names:
             if source in self._views:
@@ -715,7 +729,8 @@ class Engine:
                           source_names=source_names,
                           base_closure=frozenset(closure),
                           update_closure=frozenset(update_closure),
-                          stats_seed=dict(stats))
+                          stats_seed=dict(stats),
+                          incremental_error=incremental_error)
         self._views[name] = entry
         try:
             self.backend.register_view(entry)
@@ -820,8 +835,12 @@ class Engine:
                         incrementalize_plan(entry.strategy.putdelta,
                                             entry.name, lvgn=entry.lvgn,
                                             stats=stats)
-                except Exception:
-                    pass  # keep the old incremental plan
+                except Exception as exc:  # keep the old incremental plan
+                    entry.incremental_error = f'{type(exc).__name__}: {exc}'
+                    _log.warning('view %r: re-incrementalization on '
+                                 'drifted statistics failed, keeping the '
+                                 'previous ∂put plan (%s)', entry.name,
+                                 entry.incremental_error)
             entry.stats_seed = dict(stats)
             entry.replans += 1
             entry.drift_probes = 0

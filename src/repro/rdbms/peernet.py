@@ -30,8 +30,9 @@ module builds that network on top of :class:`~repro.rdbms.engine.Engine`
   receiving a delta whose origins include itself acknowledges without
   applying — a two-way or cyclic share topology converges instead of
   ping-ponging.  Deltas additionally carry their *root* — the
-  ``(peer, lsn)`` of the originating publication, preserved through
-  relays — and receivers keep durable per-root apply watermarks, so a
+  ``(peer, view, lsn)`` of the originating publication, preserved
+  through relays — and receivers keep durable per-root apply
+  watermarks, one per ``(peer, view)`` outbox, so a
   copy of the same root delta arriving over a second path (a mesh is
   full of them) is acknowledged as stale instead of re-applied; see
   :class:`ShareDelta` for why per-link watermarks alone cannot catch
@@ -65,7 +66,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable, Iterable, Sequence
 
-from repro.errors import ReproError
+from repro.errors import ReproError, SchemaError
 from repro.rdbms import faults
 from repro.rdbms.dml import Delete, Insert
 from repro.rdbms.metrics import MetricsRegistry
@@ -76,8 +77,11 @@ __all__ = ['Peer', 'PeerNetwork', 'PeerGap', 'PeerCrashed', 'ShareDelta',
 
 #: Watermark acknowledgement note embedded in apply transactions'
 #: commit records (and the sidecar WAL):
-#: ``(_ACK, (sender, view), lsn, root)``.  ``_ROOT`` notes re-emit the
-#: per-root apply watermarks through checkpoints.
+#: ``(_ACK, (sender, view), lsn, root)``.  ``_ROOT`` notes —
+#: ``(_ROOT, (peer, view), lsn)`` — re-emit the per-root apply
+#: watermarks through checkpoints.  Logs written before roots named
+#: their view hold ``(peer, lsn)`` roots and ``(_ROOT, peer, lsn)``
+#: notes; those recover under the key ``(peer,)``, their own.
 _ACK = 'peer_ack'
 _ROOT = 'peer_root'
 
@@ -99,10 +103,11 @@ class PeerCrashed(ReproError):
 class ShareDelta:
     """One published view delta — the unit of inter-peer shipping.
 
-    ``root`` identifies the *originating* publication — ``(peer,
-    outbox lsn)`` where the user transaction happened — and is
-    preserved verbatim as the delta is relayed through intermediate
-    peers.  Receivers keep a durable per-root watermark: in a mesh or
+    ``root`` identifies the *originating* publication — ``(peer, view,
+    outbox lsn)`` where the user transaction happened, the LSN being
+    that view's outbox sequence — and is preserved verbatim as the
+    delta is relayed through intermediate peers.  Receivers keep a
+    durable watermark per root outbox ``(peer, view)``: in a mesh or
     cyclic topology the same root delta arrives over several paths,
     and per-link LSN watermarks cannot recognise the copies.  Without
     the root mark a relayed copy of an old insert arriving *after* the
@@ -117,7 +122,7 @@ class ShareDelta:
     origins: frozenset         # peers this delta has passed through
     insertions: frozenset
     deletions: frozenset
-    root: tuple = None         # (origin peer, origin outbox lsn)
+    root: tuple = None         # (origin peer, origin view, outbox lsn)
 
 
 class Peer:
@@ -140,6 +145,12 @@ class Peer:
         self._factory = engine_factory
         self.shares = tuple(shares)
         self.engine = engine_factory(self.directory)
+        for view in self.shares:
+            if not self.engine.is_view(view):
+                self.engine.close()     # nothing else is open yet
+                raise SchemaError(
+                    f'peer {name!r} shares {view!r} but its engine '
+                    f'does not define that view')
         self.stats = {'published': 0, 'applied': 0, 'duplicates': 0,
                       'echoes': 0, 'stale': 0, 'reconciliations': 0,
                       'sidecar_acks': 0}
@@ -150,8 +161,8 @@ class Peer:
                                     sync=False)
         self._watermarks: dict[tuple[str, str], int] = {}
         # Per-root apply watermarks (see :class:`ShareDelta.root`):
-        # ``origin peer -> newest origin lsn applied``.
-        self._applied_roots: dict[str, int] = {}
+        # ``(origin peer, origin view) -> newest origin lsn applied``.
+        self._applied_roots: dict[tuple, int] = {}
         self._recover_watermarks()
         # While applying a received delta, the origins and root it
         # carried — commits cascading out of the apply inherit them
@@ -164,11 +175,6 @@ class Peer:
         self._tail: dict[str, list[ShareDelta]] = {}
         self._published: dict[str, frozenset] = {}
         for view in self.shares:
-            if not self.engine.is_view(view):
-                from repro.errors import SchemaError
-                raise SchemaError(
-                    f'peer {name!r} shares {view!r} but its engine '
-                    f'does not define that view')
             self._load_outbox(view)
             self._reconcile(view)
         # Embed acks in the engine's own commit records when it can
@@ -203,18 +209,20 @@ class Peer:
                 if root is not None:
                     self._advance_root(tuple(root))
             elif note[0] == _ROOT:
-                self._advance_root((note[1], note[2]))
+                _, key, lsn = note
+                key = (key,) if isinstance(key, str) else tuple(key)
+                self._advance_root(key + (lsn,))
 
     def _advance_root(self, root: tuple) -> None:
-        peer, lsn = root
-        if lsn > self._applied_roots.get(peer, 0):
-            self._applied_roots[peer] = lsn
+        key, lsn = tuple(root[:-1]), root[-1]
+        if lsn > self._applied_roots.get(key, 0):
+            self._applied_roots[key] = lsn
 
     def _checkpoint_watermarks(self) -> Iterable[tuple[str, object]]:
         for key, lsn in sorted(self._watermarks.items()):
             yield ('note', (_ACK, key, lsn))
-        for peer, lsn in sorted(self._applied_roots.items()):
-            yield ('note', (_ROOT, peer, lsn))
+        for key, lsn in sorted(self._applied_roots.items()):
+            yield ('note', (_ROOT, key, lsn))
 
     def _load_outbox(self, view: str) -> None:
         outbox = WriteAheadLog(self.directory / f'share-{view}.wal',
@@ -256,7 +264,7 @@ class Peer:
                  root: tuple | None = None) -> None:
         outbox = self._outbox[view]
         if root is None:        # an original publication: we are root
-            root = (self.name, outbox.last_lsn + 1)
+            root = (self.name, view, outbox.last_lsn + 1)
         lsn = outbox.append(
             'note', (tuple(sorted(origins)), root, insertions,
                      deletions))
@@ -354,8 +362,8 @@ class Peer:
             self._watermarks[key] = delta.lsn
             self.stats['echoes'] += 1
             return 'echo'
-        if delta.root is not None and delta.root[1] \
-                <= self._applied_roots.get(delta.root[0], 0):
+        if delta.root is not None and delta.root[-1] \
+                <= self._applied_roots.get(tuple(delta.root[:-1]), 0):
             # A relayed copy of a root delta we already applied over
             # another path; re-applying it here could resurrect rows
             # the root has since deleted (the relay raced the delete).

@@ -3,6 +3,11 @@ randomized workloads and deterministic fault injection must converge
 **bit-identically** to a fault-free oracle — a single engine that
 applied every transaction directly.
 
+Every pair of peers shares ``officeinfo``; each pair additionally
+draws whether it shares ``luxuryitems`` too (1–2 views per link), so a
+receiver sees several outboxes of one sender — each numbered from 1 —
+and a second view's rows reach exactly the peers its links connect.
+
 Peers own disjoint key spaces (rows are prefixed with their
 originating peer), the precondition for convergence without global
 coordination: all cross-peer operations commute, and each key's
@@ -33,11 +38,17 @@ from repro.rdbms import faults                                     # noqa: E402
 from repro.rdbms.dml import Delete, Insert                         # noqa: E402
 from repro.rdbms.engine import Engine                              # noqa: E402
 from repro.rdbms.peernet import PeerNetwork, converged             # noqa: E402
+from repro.relational.schema import DatabaseSchema                 # noqa: E402
 
 from .strategies import _strategy                                  # noqa: E402
 
 VIEW = 'officeinfo'
+SECOND = 'luxuryitems'
+STRATEGIES = (_strategy(VIEW), _strategy(SECOND))
+SCHEMA = DatabaseSchema(tuple(rel for strategy in STRATEGIES
+                              for rel in strategy.sources))
 PEERS = ('p0', 'p1', 'p2')
+PAIRS = tuple((a, b) for i, a in enumerate(PEERS) for b in PEERS[i + 1:])
 LINKS = tuple(f'{a}->{b}' for a in PEERS for b in PEERS if a != b)
 
 PEER_FAULTS = ('drop', 'dup', 'reorder', 'delay', 'outage', 'crash')
@@ -86,14 +97,26 @@ def _plan_for(fault: str, rng: random.Random) -> faults.FaultPlan:
     return plan
 
 
-def _factory(strategy):
-    def build(directory: Path) -> Engine:
-        engine = Engine(strategy.sources,
-                        wal=directory / 'engine.wal', wal_sync=False)
-        engine.define_view(strategy, validate_first=False,
-                           exist_ok=True)
-        return engine
-    return build
+def _engine(wal=None) -> Engine:
+    engine = Engine(SCHEMA, wal=wal, wal_sync=False)
+    for strategy in STRATEGIES:
+        engine.define_view(strategy, validate_first=False, exist_ok=True)
+    return engine
+
+
+def _factory(directory: Path) -> Engine:
+    return _engine(directory / 'engine.wal')
+
+
+def _reach(pairs) -> dict:
+    """peer -> the peers whose ``SECOND`` rows reach it (itself and
+    whoever the sharing pairs connect it to, relays included)."""
+    reach = {name: {name} for name in PEERS}
+    for _ in PEERS:
+        for a, b in pairs:
+            reach[a] |= reach[b]
+            reach[b] |= reach[a]
+    return reach
 
 
 def _check_monotonic(net, previous: dict) -> dict:
@@ -116,22 +139,28 @@ def run_peer_chaos(seed: int, fault: str) -> bool:
     """One chaos scenario: the faulted mesh vs the fault-free
     single-engine oracle on the same seeded workload.  Returns whether
     the fault actually fired (for corpus vetting)."""
-    strategy = _strategy(VIEW)
     rng = random.Random(seed)
     plan = _plan_for(fault, random.Random(seed ^ 0x5EED5))
+    # Its own stream, so the officeinfo workload of a seed is what it
+    # was when that was the only shared view.
+    second_rng = random.Random(seed ^ 0x2F1E5)
+    second_pairs = [pair for pair in PAIRS if second_rng.random() < 0.5]
+    reach = _reach(second_pairs)
     clock = _Clock()
     with tempfile.TemporaryDirectory(prefix='repro-peer-chaos-') as tmp:
         base = Path(tmp)
         net = PeerNetwork(retry_backoff=0.01, quarantine_after=3,
                           clock=clock, sleep=clock.sleep)
-        oracle = Engine(strategy.sources)
-        oracle.define_view(strategy, validate_first=False)
+        oracle = _engine()
         try:
             for name in PEERS:
-                net.add_peer(name, _factory(strategy), base / name,
-                             shares=(VIEW,))
+                net.add_peer(name, _factory, base / name,
+                             shares=(VIEW, SECOND))
             net.share(VIEW, PEERS)
+            for pair in second_pairs:
+                net.share(SECOND, pair)
             live = {name: [] for name in PEERS}   # each peer's own rows
+            items = {name: [] for name in PEERS}  # ... of SECOND
             counter = 0
             watermarks: dict = {}
             with plan.installed():
@@ -150,6 +179,22 @@ def run_peer_chaos(seed: int, fault: str) -> bool:
                         statements = [Insert(row)]
                     net.peers[owner].engine.execute(VIEW, statements)
                     oracle.execute(VIEW, statements)
+                    if second_rng.random() < 0.5:
+                        owner = second_rng.choice(PEERS)
+                        owned = items[owner]
+                        if owned and second_rng.random() < 0.35:
+                            victim = owned.pop(
+                                second_rng.randrange(len(owned)))
+                            statements = [Delete({'iid': victim[0]})]
+                        else:
+                            counter += 1
+                            row = (PEERS.index(owner) * 1000 + counter,
+                                   f'{owner}:item', 5000 + counter)
+                            owned.append(row)
+                            statements = [Insert(row)]
+                        net.peers[owner].engine.execute(SECOND,
+                                                        statements)
+                        oracle.execute(SECOND, statements)
                     for _ in range(rng.randint(0, 2)):
                         net.pump()
                     watermarks = _check_monotonic(net, watermarks)
@@ -160,16 +205,26 @@ def run_peer_chaos(seed: int, fault: str) -> bool:
             assert net.settle(), f'mesh failed to drain under {fault}'
             watermarks = _check_monotonic(net, watermarks)
             expected = frozenset(tuple(r) for r in oracle.rows(VIEW))
+            # A SECOND row reaches the peers its owner is linked to.
+            expected_second = {
+                name: frozenset(
+                    row for row in oracle.rows(SECOND)
+                    if PEERS[row[0] // 1000] in reach[name])
+                for name in PEERS}
             for name, peer in net.peers.items():
                 assert peer.rows(VIEW) == expected, (
                     f'peer {name} diverged from the fault-free oracle '
                     f'under {fault} (seed {seed})')
+                assert peer.rows(SECOND) == expected_second[name], (
+                    f'peer {name} diverged on {SECOND} under {fault} '
+                    f'(seed {seed}, shared by {second_pairs})')
             assert converged(net.peers.values(), VIEW)
             # Crash recovery must also hold for a *final* restart:
             # every peer rebuilt from its logs still agrees.
             for name in PEERS:
                 restarted = net.restart_peer(name)
                 assert restarted.rows(VIEW) == expected
+                assert restarted.rows(SECOND) == expected_second[name]
             _check_monotonic(net, watermarks)
             return plan.fired() > 0
         finally:

@@ -581,6 +581,61 @@ class TestReplanOnDrift:
         assert entry.replans == 1         # stats re-seeded, no churn
 
 
+class TestIncrementalFallbackSaysSo:
+    """A view that cannot be incrementalized still works — on the
+    O(|S|) full putback — and the reason is kept on its entry and
+    logged once, off the transaction path."""
+
+    def test_define_view_records_and_logs_the_reason(
+            self, union_strategy, monkeypatch, caplog):
+        import repro.rdbms.engine as engine_mod
+
+        def boom(*args, **kwargs):
+            raise RuntimeError('no ∂put for you')
+
+        monkeypatch.setattr(engine_mod, 'incrementalize_plan', boom)
+        engine = Engine(union_strategy.sources)
+        engine.load('r1', [(1,)])
+        with caplog.at_level('WARNING', logger='repro.rdbms.engine'):
+            entry = engine.define_view(union_strategy,
+                                       validate_first=False)
+            engine.insert('v', (3,))        # the update path is silent
+        assert entry.use_incremental is False
+        assert entry.incremental_plan is None
+        assert entry.incremental_error == 'RuntimeError: no ∂put for you'
+        record, = caplog.records
+        assert record.name == 'repro.rdbms.engine'
+        assert "'v'" in record.getMessage() \
+            and 'no ∂put for you' in record.getMessage()
+        assert engine.rows('r1') == {(1,), (3,)}
+
+    def test_incrementalizable_view_has_no_error(self, union_strategy,
+                                                 caplog):
+        with caplog.at_level('WARNING', logger='repro'):
+            entry = union_engine(union_strategy).view('v')
+        assert entry.use_incremental and entry.incremental_error is None
+        assert not caplog.records
+
+    def test_failed_replan_keeps_the_old_plan_and_says_so(
+            self, monkeypatch, caplog):
+        import repro.rdbms.engine as engine_mod
+        engine, entry = TestReplanOnDrift()._join_engine(backend='memory')
+        old_plan = entry.incremental_plan
+
+        def boom(*args, **kwargs):
+            raise RuntimeError('drifted too far')
+
+        monkeypatch.setattr(engine_mod, 'incrementalize_plan', boom)
+        engine.load('big', [(i,) for i in range(3)])
+        with caplog.at_level('WARNING', logger='repro.rdbms.engine'):
+            engine.delete('j', where={'a': 1})
+        assert entry.replans == 1
+        assert entry.incremental_plan is old_plan
+        assert entry.incremental_error == 'RuntimeError: drifted too far'
+        assert len(caplog.records) == 1
+        assert engine.rows('small') == {(0,), (2,)}
+
+
 class TestDropView:
 
     def test_drop_view_frees_the_name(self, union_strategy):

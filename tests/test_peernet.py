@@ -17,6 +17,7 @@ from pathlib import Path
 
 import pytest
 
+from repro.benchsuite.catalog import entry_by_name
 from repro.errors import SchemaError
 from repro.rdbms import faults
 from repro.rdbms.dml import Delete, Insert
@@ -24,7 +25,9 @@ from repro.rdbms.engine import Engine
 from repro.rdbms.peernet import (Peer, PeerCrashed, PeerGap, PeerNetwork,
                                  ShareDelta, converged)
 from repro.rdbms.sharded import ShardedEngine
+from repro.rdbms.wal import WriteAheadLog
 from repro.core.strategy import UpdateStrategy
+from repro.relational.generators import random_database
 from repro.relational.schema import DatabaseSchema
 
 VIEW = 'officeinfo'
@@ -65,6 +68,40 @@ def sharded_factory(directory: Path) -> ShardedEngine:
                            wal_sync=False)
     engine.define_view(STRATEGY, validate_first=False, exist_ok=True)
     return engine
+
+
+#: The Figure 6 catalog views; their source relations are disjoint, so
+#: one engine can hold all four.
+FOUR_VIEWS = ('luxuryitems', 'officeinfo', 'outstanding_task',
+              'vw_brands')
+
+
+def catalog_factory(views, n=0, only=None):
+    """A restartable plain peer engine defining the catalog ``views``
+    over the union of their sources, loaded (on first construction)
+    with the entries' random data at scale ``n`` — every relation, or
+    just those named in ``only``."""
+    entries = [entry_by_name(view) for view in views]
+    strategies = [entry.strategy() for entry in entries]
+    schema = DatabaseSchema(tuple(
+        rel for strategy in strategies for rel in strategy.sources))
+
+    def build(directory: Path) -> Engine:
+        engine = Engine(schema, wal=directory / 'engine.wal',
+                        wal_sync=False)
+        if n and not engine.is_view(views[0]):
+            for entry, strategy in zip(entries, strategies):
+                data = random_database(
+                    strategy.sources, entry.sizes(n), seed=7,
+                    column_pools=entry.column_pools)
+                for name in strategy.sources.names():
+                    if only is None or name in only:
+                        engine.load(name, data[name])
+        for strategy in strategies:
+            engine.define_view(strategy, validate_first=False,
+                               exist_ok=True)
+        return engine
+    return build
 
 
 class FakeClock:
@@ -136,6 +173,41 @@ class TestPropagation:
             assert frozenset(
                 net.peers['b'].engine.rows('works')) == frozenset(
                 {('n1', 'o1', 'n/a', 'n/a')})
+        finally:
+            net.close()
+
+    def test_four_views_between_two_peers(self, tmp_path):
+        """Each shared view has its own outbox, so every view's first
+        delta is ``@1``: the root mark names the view, or applying
+        ``luxuryitems@1`` makes every other view's ``@1`` look like a
+        stale relay and the receiver drops it without an error (three
+        of four views never arrived).  The receiver starts with
+        ``flow`` only — ``outstanding_task``'s inclusion constraint
+        rightly rejects tasks of unknown flows."""
+        net = PeerNetwork()
+        try:
+            a = net.add_peer('a', catalog_factory(FOUR_VIEWS, 200),
+                             tmp_path / 'a', shares=FOUR_VIEWS)
+            b = net.add_peer('b', catalog_factory(FOUR_VIEWS, 200,
+                                                  only=('flow',)),
+                             tmp_path / 'b', shares=FOUR_VIEWS)
+            for view in FOUR_VIEWS:
+                net.share(view, ('a', 'b'))
+            assert net.settle()
+            for view in FOUR_VIEWS:
+                assert a.rows(view) and b.rows(view) == a.rows(view), view
+            assert a.stats['stale'] == b.stats['stale'] == 0
+            # ... and keeps flowing, both ways, on every view's own
+            # sequence.
+            b.engine.insert('officeinfo', ('b:bob', 'lab'))
+            a.engine.insert('vw_brands', (10_000_001, 'acme', 'domestic'))
+            a.engine.delete('officeinfo', where=dict(zip(
+                ('wname', 'office'), min(a.rows('officeinfo')))))
+            assert net.settle()
+            for view in FOUR_VIEWS:
+                assert converged((a, b), view), view
+            assert ('b:bob', 'lab') in a.rows('officeinfo')
+            assert a.stats['stale'] == b.stats['stale'] == 0
         finally:
             net.close()
 
@@ -250,6 +322,48 @@ class TestWatermarks:
         finally:
             again.close()
 
+    def test_logs_written_before_roots_named_their_view(self, tmp_path):
+        """An existing peer directory holds ``(peer, lsn)`` roots (in
+        ack notes and in its outbox) and ``('peer_root', peer, lsn)``
+        checkpoint notes.  They recover as their own watermark,
+        ``(peer,)``: old relays are still judged against it, new
+        ``(peer, view, lsn)`` roots start from nothing, and the peer
+        keeps publishing."""
+        old_root = ('x', 2)
+        peer = Peer('b', plain_factory, tmp_path / 'b', shares=(VIEW,))
+        assert peer.receive(ShareDelta(
+            'x', VIEW, 1, frozenset('x'), frozenset({('n1', 'o1')}),
+            frozenset(), old_root)) == 'applied'
+        peer.close()
+        with WriteAheadLog(tmp_path / 'b' / 'peer-state.wal',
+                           sync=False) as state:
+            state.append('note', ('peer_root', 'y', 7))
+        again = Peer('b', plain_factory, tmp_path / 'b', shares=(VIEW,))
+        try:
+            assert again.watermark('x', VIEW) == 1
+            assert again._applied_roots == {('x',): 2, ('y',): 7}
+            assert [d.root for d in again.pending(VIEW, 0)] == [old_root]
+            relay = ShareDelta('z', VIEW, 1, frozenset('xz'),
+                               frozenset({('n0', 'o0')}), frozenset(),
+                               ('x', 1))
+            assert again.receive(relay) == 'stale'
+            fresh = ShareDelta('x', VIEW, 2, frozenset('x'),
+                               frozenset({('n2', 'o2')}), frozenset(),
+                               ('x', VIEW, 1))
+            assert again.receive(fresh) == 'applied'
+            again.engine.execute(VIEW, [Insert(('b:own', 'hq'))])
+            assert [d.root for d in again.pending(VIEW, 0)] == [
+                old_root, ('x', VIEW, 1), ('b', VIEW, 3)]
+            again.engine.checkpoint()
+        finally:
+            again.close()
+        third = Peer('b', plain_factory, tmp_path / 'b', shares=(VIEW,))
+        try:
+            assert third._applied_roots == {
+                ('x',): 2, ('y',): 7, ('x', VIEW): 1}
+        finally:
+            third.close()
+
     def test_noop_reapply_still_acks_durably(self, tmp_path):
         """Idempotent redelivery whose apply changes nothing writes no
         commit record — the ack must reach the sidecar, or a restart
@@ -332,6 +446,45 @@ class TestEchoSuppression:
             assert net.peers['c'].stats['stale'] >= 1
             assert converged(net.peers.values(), VIEW)
             assert net.peers['c'].rows(VIEW) == frozenset()
+        finally:
+            net.close()
+
+    def test_stale_relay_is_caught_per_view_on_two_views(self, tmp_path):
+        """The same race with a second shared view whose outbox runs
+        through the same LSNs: the per-``(peer, view)`` root watermark
+        still recognises b's late relay of the deleted ``officeinfo``
+        row as stale, and takes nothing of ``luxuryitems`` for it."""
+        views = ('officeinfo', 'luxuryitems')
+        names = ('a', 'b', 'c')
+        clock = FakeClock()
+        net = PeerNetwork(quarantine_after=2, clock=clock,
+                          sleep=clock.sleep)
+        try:
+            for name in names:
+                net.add_peer(name, catalog_factory(views),
+                             tmp_path / name, shares=views)
+            for view in views:
+                net.share(view, names)
+            a, c = net.peers['a'], net.peers['c']
+            watch, yacht = (1, 'watch', 5000), (2, 'yacht', 90000)
+            plan = faults.FaultPlan()
+            plan.stall_link(link='b->c', once=False)
+            with plan.installed():
+                a.engine.insert('luxuryitems', watch)
+                a.engine.insert('officeinfo', ('n1', 'o1'))
+                net.settle(max_rounds=30)
+                assert c.rows('officeinfo') == {('n1', 'o1')}
+                a.engine.delete('officeinfo', where={'wname': 'n1'})
+                a.engine.insert('luxuryitems', yacht)
+                net.settle(max_rounds=30)
+                assert c.rows('officeinfo') == frozenset()
+            net.heal()
+            assert net.settle()
+            assert c.stats['stale'] >= 1
+            for view in views:
+                assert converged(net.peers.values(), view)
+            assert c.rows('officeinfo') == frozenset()
+            assert c.rows('luxuryitems') == {watch, yacht}
         finally:
             net.close()
 
