@@ -34,7 +34,7 @@ from repro.datalog.pretty import pretty_rule
 from repro.errors import ConstraintViolation
 from repro.relational.database import Database
 from repro.relational.delta import Delta, DeltaSet
-from repro.relational.schema import DatabaseSchema
+from repro.relational.schema import DatabaseSchema, RelationSchema
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle with engine.py
     from repro.rdbms.engine import ViewEntry
@@ -73,6 +73,13 @@ class Backend(ABC):
     def load(self, name: str, rows: set) -> None:
         """Replace the contents of base table ``name`` (rows are already
         schema-validated by the engine)."""
+
+    def check_storable(self, schema: RelationSchema, rows) -> None:
+        """Raise :class:`SchemaError` when a row of ``rows`` (already
+        valid for ``schema``) holds a value this backend's medium
+        cannot keep.  The engine asks while a commit or a bulk load can
+        still fail — before the log append, before storage is touched.
+        Nothing is refused by default: Python sets hold any value."""
 
     @abstractmethod
     def rows(self, name: str):
@@ -133,10 +140,14 @@ class Backend(ABC):
 
     def probe(self, name: str, positions: tuple[int, ...], key: tuple):
         """The rows of stored relation ``name`` whose values at
-        ``positions`` equal ``key``, read from a hash index — what lets
-        statement derivation answer a column→value WHERE in
-        O(matches) — or None when the backend keeps no index Python
-        can read (derivation then iterates :meth:`rows`).  None by
+        ``positions`` equal ``key``, read from a hash index or the
+        backend's own index — what lets statement derivation answer a
+        column→value WHERE in O(matches) — or None when there is no
+        index on exactly these columns or the key cannot be looked up
+        (derivation then iterates :meth:`rows`).  The answer may hold
+        rows that are only ``==`` to the stored ones (SQLite returns
+        ``True`` as ``1``) and only narrows the candidates: the
+        caller's predicate still decides every match.  None by
         default."""
         return None
 

@@ -60,7 +60,8 @@ from repro.errors import ConstraintViolation, ReproError, SchemaError
 from repro.rdbms.backends.base import Backend, StoredRelation
 from repro.relational.database import Database
 from repro.relational.delta import Delta, DeltaSet
-from repro.relational.schema import DatabaseSchema
+from repro.relational.schema import (AttributeType, DatabaseSchema,
+                                     RelationSchema)
 from repro.sql.translate import (SQLITE, ColumnNamer, constraint_to_sql,
                                  query_to_sql, quote_ident, sql_ident,
                                  sql_table)
@@ -96,6 +97,15 @@ class _CompiledView:
 def _quoted(columns: Iterable[str]) -> str:
     return ', '.join(map(quote_ident, columns))
 
+
+def _equals(columns: Iterable[str]) -> str:
+    """``"c1" = ? AND "c2" = ? …`` — a keyed WHERE over ``columns``."""
+    return ' AND '.join(f'{quote_ident(c)} = ?' for c in columns)
+
+
+#: What :meth:`SQLiteBackend.check_storable` holds numeric columns to.
+_NUMERIC = (AttributeType.INT, AttributeType.FLOAT)
+_INT64_MIN, _INT64_MAX = -2 ** 63, 2 ** 63 - 1
 
 #: Distinguishes the shared-cache in-memory databases of concurrently
 #: living backends (the URI *names* the database process-wide).
@@ -133,7 +143,15 @@ class SQLiteBackend(Backend):
     relation that has been loaded, materialised or read has one Python
     ``set`` of its rows.  :meth:`rows` returns that set itself (the
     :class:`Backend` contract: live, read-only); a commit updates it in
-    place, O(|Δ|), after its SQL ``COMMIT`` succeeded."""
+    place, O(|Δ|), after its SQL ``COMMIT`` succeeded.  The image
+    answers client reads, ``INSERT`` membership and ``effective_on``;
+    it has no index, so a column→value ``WHERE`` asks SQLite instead
+    (:meth:`probe`: one ``SELECT`` on the primary key or an index the
+    plans hinted — no index is ever created for a statement) and only
+    scans the image where SQLite has no access path either.  The two
+    hold the same rows because :meth:`check_storable` lets the engine
+    refuse, before it logs anything, what SQLite would not keep as
+    given."""
 
     kind = 'sqlite'
 
@@ -252,18 +270,58 @@ class SQLiteBackend(Backend):
     def _stored(self, name: str) -> bool:
         return name in self._base_names or name in self._cache_names
 
-    @_locked
-    def load(self, name: str, rows: set) -> None:
-        table = sql_table(name)
-        arity = len(self._columns_of(name))
-        marks = ', '.join('?' * arity)
+    @contextmanager
+    def _transaction(self):
+        """A cursor inside ``BEGIN`` … ``COMMIT`` on the calling lease,
+        rolled back when the body raises — whatever a row that fails to
+        bind leaves half-done is undone, and the lease is out of the
+        SQL transaction either way.  Callers write the Python-side row
+        images only after it exits cleanly."""
         cur = self._conn.cursor()
         cur.execute('BEGIN')
-        cur.execute(f'DELETE FROM {table}')
-        cur.executemany(f'INSERT OR IGNORE INTO {table} '
-                        f'VALUES ({marks})', list(rows))
+        try:
+            yield cur
+        except BaseException:
+            cur.execute('ROLLBACK')
+            raise
         cur.execute('COMMIT')
+
+    def _insert_all(self, cur, name: str, rows) -> None:
+        marks = ', '.join('?' * len(self._columns_of(name)))
+        cur.executemany(f'INSERT OR IGNORE INTO {sql_table(name)} '
+                        f'VALUES ({marks})', list(rows))
+
+    @_locked
+    def load(self, name: str, rows: set) -> None:
+        with self._transaction() as cur:
+            cur.execute(f'DELETE FROM {sql_table(name)}')
+            self._insert_all(cur, name, rows)
         self._images[name] = set(rows)
+
+    def check_storable(self, schema: RelationSchema, rows) -> None:
+        """SQLite's INTEGER is 64 bits wide, a NaN binds as NULL (which
+        ``INSERT OR IGNORE`` then drops on the ``NOT NULL`` key without
+        a word) and TEXT must encode as UTF-8: a row holding anything
+        else would raise from — or vanish in — :meth:`apply_deltas`,
+        after the log already has it.  One pass per column, its test
+        chosen by the column's type."""
+        for p, kind in enumerate(schema.types):
+            if kind in _NUMERIC:
+                refused = [row[p] for row in rows
+                           if not (_INT64_MIN <= row[p] <= _INT64_MAX
+                                   or isinstance(row[p], float)
+                                   and row[p] == row[p])]
+            else:
+                try:                  # the whole column in one encode
+                    ''.join([row[p] for row in rows]).encode()
+                    continue
+                except UnicodeEncodeError as exc:
+                    refused = [exc.object[exc.start]]
+            if refused:
+                raise SchemaError(
+                    f'{schema.name}.{schema.attributes[p]}: SQLite stores '
+                    f'no integer outside 64 bits, no NaN and no text that '
+                    f'is not UTF-8, got {refused[0]!r}')
 
     @_locked
     def rows(self, name: str):
@@ -283,16 +341,12 @@ class SQLiteBackend(Backend):
                          for name in sorted(self._base_names)})
 
     def _apply_one(self, cur, name: str, delta: Delta) -> None:
-        table = sql_table(name)
-        columns = self._columns_of(name)
-        marks = ', '.join('?' * len(columns))
-        where = ' AND '.join(f'{quote_ident(c)} = ?' for c in columns)
         if delta.deletions:
-            cur.executemany(f'DELETE FROM {table} WHERE {where}',
+            where = _equals(self._columns_of(name))
+            cur.executemany(f'DELETE FROM {sql_table(name)} WHERE {where}',
                             list(delta.deletions))
         if delta.insertions:
-            cur.executemany(f'INSERT OR IGNORE INTO {table} '
-                            f'VALUES ({marks})', list(delta.insertions))
+            self._insert_all(cur, name, delta.insertions)
 
     @_locked
     def apply_delta(self, name: str, delta: Delta, *,
@@ -305,15 +359,9 @@ class SQLiteBackend(Backend):
         relation's delta is durably applied or none is; the Python-side
         row images are updated, in place, only after a successful
         COMMIT."""
-        cur = self._conn.cursor()
-        cur.execute('BEGIN')
-        try:
+        with self._transaction() as cur:
             for name, delta, _is_cache in deltas:
                 self._apply_one(cur, name, delta)
-        except BaseException:
-            cur.execute('ROLLBACK')
-            raise
-        cur.execute('COMMIT')
         for name, delta, _is_cache in deltas:
             image = self._images.get(name)
             if image is not None:
@@ -328,19 +376,15 @@ class SQLiteBackend(Backend):
     @_locked
     def store_cache(self, name: str, rows: Iterable[tuple]) -> None:
         rows = set(rows)
-        table = sql_table(name)
-        self._conn.execute(f'DROP TABLE IF EXISTS {table}')
-        self._create_table(name, self._columns_of(name))
-        arity = len(self._columns_of(name))
-        marks = ', '.join('?' * arity)
-        cur = self._conn.cursor()
-        cur.execute('BEGIN')
-        cur.executemany(f'INSERT OR IGNORE INTO {table} '
-                        f'VALUES ({marks})', list(rows))
-        cur.execute('COMMIT')
+        # DDL is transactional in SQLite: a row that fails to bind
+        # brings the replaced table (and its indexes) back.
+        with self._transaction() as cur:
+            cur.execute(f'DROP TABLE IF EXISTS {sql_table(name)}')
+            self._create_table(name, self._columns_of(name))
+            self._insert_all(cur, name, rows)
+            self._build_indexes(name)
         self._cache_names.add(name)
         self._images[name] = rows
-        self._build_indexes(name)
 
     @_locked
     def drop_cache(self, name: str) -> None:
@@ -357,6 +401,28 @@ class SQLiteBackend(Backend):
         self._index_hints.setdefault(name, set()).add(positions)
         if self._stored(name):
             self._build_indexes(name)
+
+    @_locked
+    def probe(self, name: str, positions: tuple[int, ...], key: tuple):
+        """One ``SELECT`` on the calling thread's lease, answered only
+        where SQLite already has an access path on exactly these
+        columns: a leading prefix of the all-column primary key, or a
+        mask the plans hinted (:meth:`add_index_hint` built its index).
+        None — the caller scans the row image — for any other column
+        set, a relation that is not stored, and a key SQLite cannot
+        bind.  Never creates an index: one per probed column set costs
+        every insert its maintenance (README, *Storage backends*)."""
+        if not self._stored(name) or (
+                positions != tuple(range(len(positions)))
+                and positions not in self._index_hints.get(name, ())):
+            return None
+        columns = self._columns_of(name)
+        try:
+            return self._conn.execute(
+                f'SELECT * FROM {sql_table(name)} WHERE '
+                + _equals(columns[p] for p in positions), key).fetchall()
+        except (sqlite3.Error, OverflowError, UnicodeEncodeError):
+            return None
 
     # -- compile-once SQL lowering ------------------------------------
 

@@ -329,6 +329,14 @@ class _Working:
         clash = delta.contradictions()
         if clash:
             raise ContradictionError(name, clash)
+        # Everything a commit logs and applies was staged here first:
+        # refuse now what the backend cannot hold — once the log has
+        # the row it is too late, and a view row would otherwise fail
+        # to bind when the backend stages it for ∂put.
+        engine = self.engine
+        engine.backend.check_storable(
+            engine._views[name].schema if is_view else engine.schema[name],
+            delta.insertions)
         prior = self.deltas.get(name)
         if prior is None:
             self.deltas[name] = _StagedDelta(delta)
@@ -627,6 +635,7 @@ class Engine:
         loaded = {tuple(r) for r in rows}
         for row in loaded:
             self.schema[name].validate_tuple(row)
+        self.backend.check_storable(self.schema[name], loaded)
         self._wal_append('load', (name, frozenset(loaded)))
         self.backend.load(name, loaded)
         self._invalidate_dependents({name})
@@ -1082,6 +1091,8 @@ class Engine:
         self._flush_pending(working)
         # Validate every inserted base row before touching storage, so a
         # schema error cannot leave a half-applied transaction behind.
+        # (Whether the backend can hold them was asked when each delta
+        # was staged — :meth:`_Working.stage`.)
         for name, delta in working.deltas.items():
             if name not in self._views:
                 for row in delta.insertions:

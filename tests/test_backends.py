@@ -3,6 +3,7 @@ SQL execution, staging and query plans, interpreter fallback, and the
 cross-backend differential anchor (identical workloads must yield
 bit-identical base states)."""
 
+import functools
 import re
 import sqlite3
 import sys
@@ -18,9 +19,9 @@ from repro.core.strategy import UpdateStrategy
 from repro.errors import ConstraintViolation, SchemaError
 from repro.rdbms.backends import (MemoryBackend, SQLiteBackend,
                                   create_backend, default_backend_kind)
-from repro.rdbms.dml import Insert
+from repro.rdbms.dml import Delete, Insert, Update, derive_view_delta
 from repro.rdbms.engine import Engine
-from repro.relational.schema import DatabaseSchema
+from repro.relational.schema import DatabaseSchema, RelationSchema
 
 DIFFERENTIAL_VIEWS = ('luxuryitems', 'officeinfo', 'outstanding_task',
                       'vw_brands')
@@ -213,7 +214,7 @@ class TestSQLiteEngine:
         """A ⊥-rule whose variables are all anonymous still lowers to a
         valid witness query (its SELECT head is the constant 1)."""
         from repro.core.strategy import UpdateStrategy
-        from repro.relational.schema import DatabaseSchema
+        from repro.relational.schema import DatabaseSchema, RelationSchema
         sources = DatabaseSchema.build(r1={'a': 'int'},
                                        junk={'a': 'int'})
         strategy = UpdateStrategy.parse('v', sources, """
@@ -412,6 +413,411 @@ class TestSqliteRowImage:
         assert not failures
         assert all(taken)
         assert engine.rows('luxuryitems') == final
+        engine.close()
+
+
+# ---------------------------------------------------------------------------
+# What a backend cannot hold is refused before anything is written
+# ---------------------------------------------------------------------------
+
+WIDE = RelationSchema('w', ('k', 's', 'f'), ('int', 'string', 'float'))
+NAN = float('nan')
+
+#: Valid for ``w(k int, s string, f float)``, and nothing SQLite keeps:
+#: a 65-bit integer (in either numeric column), a NaN (binds as NULL,
+#: which ``INSERT OR IGNORE`` drops without a word) and a lone
+#: surrogate (no UTF-8 encoding).
+UNSTORABLE = [(2 ** 70, 'x', 2.0), (3, 'x', NAN),
+              (3, 'x', -2 ** 63 - 1), (3, '\ud800', 2.0)]
+STORABLE = {(2 ** 63 - 1, 'é\x00', float('inf')), (-2 ** 63, '', 1),
+            (0, 'x', True), (1, 'x', 1e300)}
+
+
+class TestStorableValues:
+
+    @staticmethod
+    def _engine(backend) -> Engine:
+        engine = Engine(DatabaseSchema([WIDE]), backend=backend)
+        engine.load('w', STORABLE)
+        return engine
+
+    @pytest.mark.parametrize('row', UNSTORABLE, ids=repr)
+    def test_memory_holds_what_sqlite_refuses(self, row):
+        engine = self._engine('memory')
+        engine.insert('w', row)
+        assert row in engine.rows('w')
+        engine.load('w', [row])
+        assert engine.rows('w') == {row}
+
+    @pytest.mark.parametrize('row', UNSTORABLE, ids=repr)
+    def test_sqlite_refuses_at_prepare_and_load(self, row):
+        engine = self._engine('sqlite')
+        backend = engine.backend
+        try:
+            image = engine.rows('w')
+            assert image == STORABLE == _table_rows(backend, 'w')
+            with pytest.raises(SchemaError, match='SQLite stores'):
+                engine.insert('w', row)
+            with pytest.raises(SchemaError, match='SQLite stores'):
+                engine.execute_many([('w', [Insert((5, 'ok', 5.0)),
+                                            Insert(row)])])
+            with pytest.raises(SchemaError, match='SQLite stores'):
+                engine.load('w', [(5, 'ok', 5.0), row])
+            assert engine.rows('w') is image
+            assert image == STORABLE == _table_rows(backend, 'w')
+            assert not backend._conn.in_transaction
+            engine.insert('w', (5, 'ok', 5.0))
+            assert image == STORABLE | {(5, 'ok', 5.0)} \
+                == _table_rows(backend, 'w')
+        finally:
+            engine.close()
+
+    def test_view_rows_are_checked_like_base_rows(self, luxury_strategy):
+        engine = _luxury_engine(luxury_strategy)
+        try:
+            before = {name: set(engine.rows(name))
+                      for name in ('items', 'luxuryitems')}
+            with pytest.raises(SchemaError, match='SQLite stores'):
+                engine.insert('luxuryitems', (3, 'yacht', 2 ** 70))
+            with pytest.raises(SchemaError, match='SQLite stores'):
+                engine.update('luxuryitems', {'iname': '\udfff'},
+                              where={'iid': 1})
+            for name, rows in before.items():
+                assert engine.rows(name) == rows \
+                    == _table_rows(engine.backend, name)
+        finally:
+            engine.close()
+
+    @pytest.mark.parametrize('failing', ['load', 'store_cache'])
+    def test_failed_bulk_write_rolls_back(self, union_strategy, failing):
+        """A row that fails to bind mid-``executemany`` (a ``frozenset``,
+        injected past the engine's checks): the SQL transaction is
+        rolled back — table, indexes, image and ``in_transaction`` as
+        before — and the next commit succeeds."""
+        engine = _union_engine(union_strategy, 'sqlite')
+        backend = engine.backend
+        try:
+            backend.add_index_hint('v', (0,))
+            images = {name: engine.rows(name) for name in ('r1', 'v')}
+            before = {name: set(image) for name, image in images.items()}
+            indexes = _indexes(backend)
+            with pytest.raises(sqlite3.Error):
+                if failing == 'load':
+                    backend.load('r1', {(7,), (frozenset({8}),)})
+                else:
+                    backend.store_cache('v', {(7,), (frozenset({8}),)})
+            assert not backend._conn.in_transaction
+            for name, image in images.items():
+                assert backend.rows(name) is image
+                assert image == before[name] == _table_rows(backend, name)
+            assert backend.has_cache('v') and _indexes(backend) == indexes
+            engine.insert('v', (9,))
+            for name, image in images.items():
+                assert image == before[name] | {(9,)} \
+                    == _table_rows(backend, name)
+        finally:
+            engine.close()
+
+
+# ---------------------------------------------------------------------------
+# SQLite probe: a keyed WHERE is one SELECT on an access path SQLite has
+# ---------------------------------------------------------------------------
+
+#: A view column that takes part in no ⊥-constraint — safe to UPDATE.
+SAFE_COLUMN = {'luxuryitems': 'iname', 'officeinfo': 'office',
+               'outstanding_task': 'title', 'vw_brands': 'bname'}
+
+
+class _CountingSet(set):
+    """A set that counts how often it is iterated."""
+
+    iterations = 0
+
+    def __iter__(self):
+        self.iterations += 1
+        return super().__iter__()
+
+
+def _scan(rows, positions, key) -> set:
+    return {row for row in rows
+            if all(row[p] == k for p, k in zip(positions, key))}
+
+
+def _indexes(backend) -> set:
+    return set(backend._conn.execute(
+        "SELECT name, tbl_name, sql FROM sqlite_master "
+        "WHERE type = 'index'"))
+
+
+def _probe_texts(statements) -> list[str]:
+    return [sql for sql in statements
+            if re.match(r'SELECT \* FROM "[^"]+" WHERE ', sql)]
+
+
+def _wide_backend() -> SQLiteBackend:
+    """``w(k, s, f)`` with the plans' hint on ``f``: ``k`` and
+    ``(k, s)`` are primary-key prefixes, ``f`` is hinted, ``s`` alone
+    has no access path."""
+    backend = SQLiteBackend(DatabaseSchema([WIDE]))
+    backend.add_index_hint('w', (2,))
+    backend.load('w', {(1, 'x', 0.5), (1, 'y', 2), (2, 'x', 0.5),
+                       (3, 'z', 7.0)})
+    return backend
+
+
+class TestSqliteProbe:
+    """ROADMAP 3b as counts: a column→value WHERE on a primary-key
+    prefix or a hinted mask costs one indexed ``SELECT`` and no pass
+    over the row image; anything else is the scan it always was."""
+
+    @pytest.mark.parametrize('n', [200, 20_000])
+    def test_keyed_statements_never_iterate_the_row_image(self, n):
+        entry = entry_by_name('luxuryitems')
+        engine = build_engine(entry, n, backend='sqlite')
+        try:
+            backend = engine.backend
+            first, second = sorted(engine.rows('luxuryitems'))[:2]
+            for name in ('luxuryitems', 'items'):
+                backend._images[name] = _CountingSet(backend._images[name])
+            engine.execute('luxuryitems', [
+                Update({'iname': 'marked'}, {'iid': first[0]})])
+            engine.execute('luxuryitems', [Delete({'iid': second[0]})])
+            assert [backend._images[name].iterations
+                    for name in ('luxuryitems', 'items')] == [0, 0]
+            counters = engine.metrics.snapshot()['counters']
+            assert counters['dml.where_probes'] == 2
+            assert 'dml.where_scans' not in counters
+            marked = (first[0], 'marked', first[2])
+            for name in ('luxuryitems', 'items'):
+                rows = engine.rows(name)
+                assert marked in rows and first not in rows \
+                    and second not in rows
+                assert rows == _table_rows(backend, name)
+        finally:
+            engine.close()
+
+    @pytest.mark.parametrize('view', DIFFERENTIAL_VIEWS)
+    def test_every_probe_is_a_search_and_creates_no_index(self, view):
+        """The key column of each Figure 6 view and every mask its
+        plans hinted: SQLite answers each probe text with ``SEARCH``,
+        and ``sqlite_master`` holds the indexes it held before."""
+        engine = build_engine(entry_by_name(view), 60, backend='sqlite')
+        try:
+            backend = engine.backend
+            key_column = engine.view(view).schema.attributes[0]
+            victim = min(engine.rows(view))
+            masks = {(view, (0,))} | {
+                (name, mask)
+                for name, hinted in backend._index_hints.items()
+                for mask in hinted}
+            for name, _mask in masks:
+                engine.rows(name)            # materialised before tracing
+            before = _indexes(backend)
+            with _traced(backend) as statements:
+                engine.update(view, {SAFE_COLUMN[view]: 'marked'},
+                              where={key_column: victim[0]})
+                engine.delete(view, where={key_column: victim[0]})
+                for name, mask in sorted(masks):
+                    rows = engine.rows(name)
+                    key = tuple(min(rows)[p] for p in mask)
+                    assert set(backend.probe(name, mask, key)) \
+                        == _scan(rows, mask, key) != set()
+            probes = _probe_texts(statements)
+            assert len(probes) == 2 + len(masks)
+            for sql in probes:
+                details = [row[3] for row in backend._conn.execute(
+                    'EXPLAIN QUERY PLAN ' + sql)]
+                assert details and all(
+                    detail.startswith('SEARCH') for detail in details), \
+                    (sql, details)
+            assert not [sql for sql in statements if 'INDEX' in sql]
+            assert _indexes(backend) == before
+        finally:
+            engine.close()
+
+    def test_keyed_update_is_one_select_and_no_ddl(self, luxury_strategy):
+        engine = _luxury_engine(luxury_strategy)
+        with _traced(engine.backend) as statements:
+            engine.update('luxuryitems', {'iname': 'band'},
+                          where={'iid': 2})
+        assert len(_probe_texts(statements)) == 1
+        assert len([sql for sql in statements
+                    if sql.startswith('SELECT * FROM "luxuryitems"')]) == 1
+        assert not [sql for sql in statements
+                    if sql.startswith(('CREATE', 'DROP', 'ALTER'))]
+        assert (2, 'band', 2000) in engine.rows('items')
+        engine.close()
+
+    @pytest.mark.parametrize('name, positions, key', [
+        ('w', (1,), ('x',)),                # no prefix, no hint
+        ('w', (0, 2), (1, 0.5)),
+        ('nowhere', (0,), (1,)),            # not stored
+        ('w', (0,), (2 ** 70,)),            # SQLite cannot bind these
+        ('w', (2,), (2 ** 70,)),
+        ('w', (0,), ('\ud800',)),
+        ('w', (0,), ({1},)),
+    ])
+    def test_no_access_path_or_no_binding_answers_none(self, name,
+                                                       positions, key):
+        backend = _wide_backend()
+        try:
+            assert backend.probe(name, positions, key) is None
+            assert not backend._conn.in_transaction
+        finally:
+            backend.close()
+
+    @pytest.mark.parametrize('where, matched', [
+        ({'k': 1}, {(1, 'x', 0.5), (1, 'y', 2)}),
+        ({'k': 1.0}, {(1, 'x', 0.5), (1, 'y', 2)}),
+        ({'k': True}, {(1, 'x', 0.5), (1, 'y', 2)}),
+        ({'k': '1'}, set()),
+        ({'k': None}, set()),
+        ({'k': NAN}, set()),
+        ({'f': NAN}, set()),
+        ({'f': 2.0}, {(1, 'y', 2)}),
+        ({'f': 0.5}, {(1, 'x', 0.5), (2, 'x', 0.5)}),
+        ({'s': 'y', 'k': 1}, {(1, 'y', 2)}),
+        ({'s': 'x'}, {(1, 'x', 0.5), (2, 'x', 0.5)}),       # scans
+        ({'k': 2 ** 70}, set()),                             # scans
+        ({'f': 0.5, 'k': 1}, {(1, 'x', 0.5)}),               # scans
+    ])
+    def test_probe_and_scan_derive_the_same_delta(self, where, matched):
+        backend = _wide_backend()
+        try:
+            rows = backend.rows('w')
+            for statement in (Delete(where), Update({'s': 'new'}, where)):
+                probed = derive_view_delta(
+                    [statement], rows, WIDE,
+                    probe=functools.partial(backend.probe, 'w'))
+                assert probed == derive_view_delta([statement], rows, WIDE)
+                assert probed.deletions == matched
+        finally:
+            backend.close()
+
+    def test_staged_targets_and_unhashable_values_are_not_probed(
+            self, luxury_strategy):
+        """The second bucket on a view the transaction already wrote
+        reads the copied overlay, and an unhashable value can equal no
+        stored one: neither reaches the backend."""
+        engine = _luxury_engine(luxury_strategy)
+        backend = engine.backend
+        calls = []
+        real = backend.probe
+        backend.probe = lambda *args: calls.append(args) or real(*args)
+        engine.execute_many([
+            ('luxuryitems', [Update({'iname': 'first'}, {'iid': 1})]),
+            ('items', [Insert((7, 'gum', 5))]),
+            ('luxuryitems', [Update({'iname': 'second'}, {'iid': 2})])])
+        assert calls == [('luxuryitems', (0,), (1,))]
+        engine.delete('luxuryitems', where={'iid': [1]})
+        assert len(calls) == 1
+        assert engine.rows('items') == {(1, 'first', 5000),
+                                        (2, 'second', 2000),
+                                        (7, 'gum', 5)}
+        counters = engine.metrics.snapshot()['counters']
+        assert (counters['dml.where_probes'],
+                counters['dml.where_scans']) == (1, 2)
+        engine.close()
+
+    def test_probe_survives_rebuilds_and_a_reopened_file(self, tmp_path):
+        sources = DatabaseSchema.build(r={'a': 'int'},
+                                       p={'a': 'int', 'b': 'int'})
+        narrow = UpdateStrategy.parse('v', sources, """
+            +r(X) :- v(X), not r(X).
+            -r(X) :- r(X), not v(X).
+        """, expected_get='v(X) :- r(X).')
+        wide = UpdateStrategy.parse('v', sources, """
+            +p(X, Y) :- v(X, Y), not p(X, Y).
+            -p(X, Y) :- p(X, Y), not v(X, Y).
+        """, expected_get='v(X, Y) :- p(X, Y).')
+        path = str(tmp_path / 'probe.db')
+
+        def keyed_delete(engine, key):
+            """One keyed DELETE on ``v``: probed, never scanned."""
+            scans = engine.metrics.snapshot()['counters'].get(
+                'dml.where_scans', 0)
+            engine.delete('v', where={'a': key})
+            counters = engine.metrics.snapshot()['counters']
+            assert counters.get('dml.where_scans', 0) == scans
+            assert all(row[0] != key for row in engine.rows('v'))
+
+        engine = Engine(sources, backend=SQLiteBackend(sources, path))
+        engine.load('r', [(i,) for i in range(5)])
+        engine.load('p', [(i, i * i) for i in range(5)])
+        engine.define_view(narrow, validate_first=False)
+        assert engine.backend.probe('v', (0,), (1,)) is None  # no cache
+        engine.rows('v')
+        keyed_delete(engine, 1)
+        engine.backend.drop_cache('v')
+        assert engine.backend.probe('v', (0,), (2,)) is None
+        keyed_delete(engine, 2)              # rematerialised, probed
+        engine.drop_view('v')
+        engine.define_view(wide, validate_first=False)
+        assert engine.backend.probe('v', (0, 1), (3, 9)) is None
+        engine.rows('v')
+        assert engine.backend.probe('v', (0, 1), (3, 9)) == [(3, 9)]
+        assert engine.backend.probe('v', (1,), (9,)) is None
+        keyed_delete(engine, 3)
+        engine.close()
+
+        reopened = Engine(sources, backend=SQLiteBackend(sources, path))
+        try:
+            assert reopened.backend.probe('p', (0,), (4,)) == [(4, 16)]
+            reopened.define_view(wide, validate_first=False)
+            keyed_delete(reopened, 4)
+            assert reopened.rows('p') == {(0, 0), (1, 1), (2, 4)}
+            assert reopened.rows('r') == {(0,), (3,), (4,)}
+        finally:
+            reopened.close()
+
+    def test_readers_read_while_a_writer_probes(self):
+        """Four threads call ``engine.rows(view)`` while the writer
+        commits 300 keyed UPDATEs — each one a ``SELECT`` on the
+        writer's lease, under the backend mutex: nothing raises."""
+        entry = entry_by_name('luxuryitems')
+        engine = build_engine(entry, 1000, backend='sqlite')
+        initial = frozenset(engine.rows('luxuryitems'))
+        keys = sorted({row[0] for row in initial})[:300]
+        size = len(initial)
+        assert len(keys) == 300 and len({row[0] for row in initial}) == size
+        taken = [0] * 4
+        failures: list = []
+        done = threading.Event()
+
+        def reader(slot: int):
+            try:
+                while not done.is_set():
+                    snap = frozenset(engine.rows('luxuryitems'))
+                    taken[slot] += 1
+                    if not size - 1 <= len(snap) <= size:
+                        failures.append(len(snap))
+            except BaseException as exc:           # noqa: BLE001
+                failures.append(exc)
+
+        threads = [threading.Thread(target=reader, args=(slot,))
+                   for slot in range(4)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)         # switch threads mid-probe
+        try:
+            for thread in threads:
+                thread.start()
+            for key in keys:
+                engine.update('luxuryitems', {'iname': 'marked'},
+                              where={'iid': key})
+        finally:
+            done.set()
+            for thread in threads:
+                thread.join(timeout=60)
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert not failures
+        assert all(taken)
+        assert engine.rows('luxuryitems') == {
+            (row[0], 'marked', row[2]) if row[0] in set(keys) else row
+            for row in initial}
+        counters = engine.metrics.snapshot()['counters']
+        assert counters['dml.where_probes'] == 300
+        assert 'dml.where_scans' not in counters
         engine.close()
 
 

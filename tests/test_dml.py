@@ -1,5 +1,7 @@
 """DML statement and Algorithm 2 (view delta derivation) tests."""
 
+from functools import partial
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -7,6 +9,7 @@ from hypothesis import strategies as st
 from repro.core.strategy import UpdateStrategy
 from repro.datalog.evaluator import IndexedRelation
 from repro.errors import SchemaError, ViewUpdateError
+from repro.rdbms.backends import SQLiteBackend
 from repro.rdbms.dml import (Delete, Insert, Update, compile_where,
                              derive_view_delta, match_where)
 from repro.rdbms.engine import Engine
@@ -229,6 +232,20 @@ class TestProbeEqualsScan:
         assert _outcome(statements, relation.rows,
                         probe=relation.lookup) \
             == _outcome(statements, set(rows))
+        # The same through SQLite's own indexes: ``k`` and ``(k, s)``
+        # are primary-key prefixes, ``s`` and ``f`` hinted.  It stores
+        # no NaN (the engine refuses one), a WHERE may still hold one.
+        stored = {row for row in rows if row[2] == row[2]}
+        backend = SQLiteBackend(DatabaseSchema([WIDE]))
+        try:
+            backend.add_index_hint('w', (1,))
+            backend.add_index_hint('w', (2,))
+            backend.load('w', stored)
+            assert _outcome(statements, backend.rows('w'),
+                            probe=partial(backend.probe, 'w')) \
+                == _outcome(statements, set(stored))
+        finally:
+            backend.close()
 
     def test_mapping_where_never_iterates_an_indexed_relation(self):
         rows = _CountingSet({(k, s, 0.0) for k in range(50) for s in 'xy'})

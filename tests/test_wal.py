@@ -261,6 +261,57 @@ class TestEngineRecovery:
             engine.close()
 
 
+class TestUnstorableValuesNeverReachTheLog:
+    """The append is the commit point, so what the backend cannot hold
+    must be refused before it: at the parent ``(2**70, 2.0)`` raised
+    ``OverflowError`` *after* the append — every reopen then raised it
+    again from replay — and ``(3, nan)`` committed, was never in the
+    table, and was gone after a reopen."""
+
+    SCHEMA = DatabaseSchema.build(r={'a': 'int', 'b': 'float'})
+
+    @pytest.mark.parametrize('row', [(2 ** 70, 2.0), (3, float('nan')),
+                                     (3, 2 ** 63)], ids=repr)
+    @pytest.mark.parametrize('statement', ['insert', 'load'])
+    def test_sqlite_refuses_before_the_append(self, tmp_path, row,
+                                              statement):
+        path = tmp_path / 'e.wal'
+        engine = Engine(self.SCHEMA, backend='sqlite', wal=path,
+                        wal_sync=False)
+        engine.load('r', [(1, 1.0)])
+        engine.insert('r', (2, 2.5))
+        lsn = engine.commit_lsn
+        with pytest.raises(SchemaError, match='SQLite stores'):
+            if statement == 'insert':
+                engine.insert('r', row)
+            else:
+                engine.load('r', [(4, 4.0), row])
+        assert engine.commit_lsn == lsn
+        engine.insert('r', (5, 5.0))         # the next transaction commits
+        assert engine.commit_lsn == lsn + 1
+        model = {(1, 1.0), (2, 2.5), (5, 5.0)}
+        assert engine.rows('r') == model
+        engine.close()
+        reopened = Engine(self.SCHEMA, backend='sqlite', wal=path,
+                          wal_sync=False)
+        try:
+            assert reopened.rows('r') == model
+            assert reopened.commit_lsn == lsn + 1
+        finally:
+            reopened.close()
+
+    def test_memory_logs_and_holds_them(self, tmp_path):
+        engine = Engine(self.SCHEMA, backend='memory',
+                        wal=tmp_path / 'e.wal', wal_sync=False)
+        try:
+            engine.insert('r', (2 ** 70, 2.0))
+            engine.insert('r', (3, 2 ** 63))
+            assert engine.commit_lsn == 2
+            assert engine.rows('r') == {(2 ** 70, 2.0), (3, 2 ** 63)}
+        finally:
+            engine.close()
+
+
 class TestCrashRecovery:
     """Real SIGKILLs: a child process dies at a precise point in the
     commit path and the parent recovers from its log."""
