@@ -14,7 +14,7 @@ against :class:`~repro.datalog.evaluator.IndexedRelation` objects:
 The engine's transaction pipeline is backend-agnostic: it stages deltas
 in Python, hands the backend *evaluation handles* for whatever each
 evaluation must read (see :meth:`Backend.eval_handle`), and commits the
-accumulated deltas through :meth:`Backend.apply_delta`.
+accumulated deltas through :meth:`Backend.apply_deltas`.
 
 Two implementations ship: :class:`~repro.rdbms.backends.memory.
 MemoryBackend` (indexed Python sets, the original engine substrate) and
@@ -101,19 +101,13 @@ class Backend(ABC):
         return len(self.rows(name))
 
     @abstractmethod
-    def apply_delta(self, name: str, delta: Delta, *,
-                    is_cache: bool) -> None:
-        """Apply one committed delta in place (deletions first, then
-        insertions — matching set semantics ``(R \\ Δ⁻) ∪ Δ⁺``)."""
-
     def apply_deltas(self, deltas: Sequence[tuple[str, Delta, bool]]
                      ) -> None:
-        """Apply one transaction's deltas — ``(name, delta, is_cache)``
-        triples.  Backends with a durable medium override this to make
-        the whole batch atomic (the SQLite backend wraps it in one SQL
-        transaction); the default applies them in order."""
-        for name, delta, is_cache in deltas:
-            self.apply_delta(name, delta, is_cache=is_cache)
+        """Apply one transaction's committed deltas in place —
+        ``(name, delta, is_cache)`` triples, each deletions first, then
+        insertions (set semantics ``(R \\ Δ⁻) ∪ Δ⁺``).  A backend with
+        a durable medium makes the whole batch atomic (the SQLite
+        backend wraps it in one SQL transaction)."""
 
     # -- view caches --------------------------------------------------
 
@@ -208,20 +202,10 @@ class Backend(ABC):
         against the same staged inputs first (one staging/freeze pass
         for both steps), raising :class:`ConstraintViolation`."""
 
-    @abstractmethod
-    def check_view_constraints(self, entry: 'ViewEntry',
-                               sources: Mapping[str, object],
-                               new_view_rows) -> None:
-        """Check the strategy's ⊥-constraints on ``(S, V')``, raising
-        :class:`ConstraintViolation` on the first violation."""
-
     def close(self) -> None:
-        """Release backend resources (connections, files, stored rows),
-        including what the backend leased per calling thread (SQLite
-        connections must not cross threads, so that backend opens one
-        per thread on first use).  A closed backend serves no reads;
-        row sets :meth:`rows` handed out earlier stay valid for their
-        holder."""
+        """Release backend resources (the SQLite connection, stored
+        rows).  A closed backend serves no reads; row sets :meth:`rows`
+        handed out earlier stay valid for their holder."""
 
     # -- interpreted execution (shared fallback) ----------------------
     #

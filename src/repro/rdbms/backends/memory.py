@@ -63,13 +63,13 @@ class MemoryBackend(Backend):
         return Database({name: frozenset(rel.rows)
                          for name, rel in self._tables.items()})
 
-    def apply_delta(self, name: str, delta: Delta, *,
-                    is_cache: bool) -> None:
-        relation = self._caches[name] if is_cache else self._tables[name]
-        for row in delta.deletions:
-            relation.discard(row)
-        for row in delta.insertions:
-            relation.add(row)
+    def apply_deltas(self, deltas) -> None:
+        for name, delta, is_cache in deltas:
+            relation = (self._caches if is_cache else self._tables)[name]
+            for row in delta.deletions:
+                relation.discard(row)
+            for row in delta.insertions:
+                relation.add(row)
 
     # -- view caches --------------------------------------------------
 
@@ -154,8 +154,3 @@ class MemoryBackend(Backend):
                          check_constraints: bool = False) -> DeltaSet:
         return self._interp_putback(entry, sources, new_view_rows,
                                     check_constraints=check_constraints)
-
-    def check_view_constraints(self, entry,
-                               sources: Mapping[str, object],
-                               new_view_rows) -> None:
-        self._interp_check_constraints(entry, sources, new_view_rows)

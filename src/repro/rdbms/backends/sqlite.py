@@ -13,16 +13,19 @@ is the ``CREATE TRIGGER``, statement execution is pure ``SELECT``.
 Execution model
 ---------------
 
-Compiled queries reference relations by their unqualified names.  At
-evaluation time, every input the engine's transaction has *staged* is
-put in place under that name in the ``temp`` schema:
+The backend runs on one SQLite connection, opened by the constructor
+and used only under the backend's mutex — one session, as the paper's
+triggers run in one.  Compiled queries reference relations by their
+unqualified names.  At evaluation time, every input the engine's
+transaction has *staged* is put in place under that name in the
+``temp`` schema:
 
 * the view deltas ``+v``/``-v`` fill the staging tables
   ``delta_ins_v``/``delta_del_v``, which shadow nothing.  They are
-  created once per leased connection and view, filled with one
-  ``executemany`` and emptied after the evaluation — no DDL on the
-  transaction path, so the connection's prepared statements survive
-  from one transaction to the next;
+  created once per view, filled with one ``executemany`` and emptied
+  after the evaluation — no DDL on the transaction path, so the
+  connection's prepared statements survive from one transaction to the
+  next;
 * the overlay state of a relation the transaction already wrote is
   loaded into a ``TEMP`` table of the relation's own name — SQLite
   resolves unqualified names against ``temp`` first, so it shadows the
@@ -38,15 +41,14 @@ Programs the SQL lowering cannot express (an unbound builtin operand,
 an operator outside the translatable fragment) fall back, per program,
 to the shared interpreted execution of :class:`~repro.rdbms.backends.
 base.Backend` — rows are pulled out of SQLite and the compiled
-:class:`ExecutionPlan` runs in process.
+:class:`ExecutionPlan` runs in process.  So does a program whose SQL
+fails when it runs (:meth:`SQLiteBackend._demote`), from then on.
 """
 
 from __future__ import annotations
 
 import functools
-import itertools
 import logging
-import os
 import sqlite3
 import threading
 from contextlib import contextmanager
@@ -107,20 +109,18 @@ def _equals(columns: Iterable[str]) -> str:
 _NUMERIC = (AttributeType.INT, AttributeType.FLOAT)
 _INT64_MIN, _INT64_MAX = -2 ** 63, 2 ** 63 - 1
 
-#: Distinguishes the shared-cache in-memory databases of concurrently
-#: living backends (the URI *names* the database process-wide).
-_MEMDB_IDS = itertools.count()
-
 
 def _locked(method):
-    """Serialise a backend method on the instance mutex.  The threads
-    sharing one backend (a server's readers and its writer) each lease
-    a connection; the mutex keeps those from tripping over
-    shared-cache table locks (and makes each commit's update of the
-    Python-side row images one step for the other backend methods)."""
+    """Run a backend method under the instance mutex, the only way the
+    connection is used: the threads sharing one backend (a server's
+    readers and its writer) take turns on it, and each commit's update
+    of the Python-side row images is one step for the other methods.
+    A closed backend refuses with :class:`SchemaError`."""
     @functools.wraps(method)
     def wrapper(self, *args, **kwargs):
         with self._mutex:
+            if self._closed:
+                raise SchemaError(f'backend for {self.path!r} is closed')
             return method(self, *args, **kwargs)
     return wrapper
 
@@ -128,16 +128,13 @@ def _locked(method):
 class SQLiteBackend(Backend):
     """Relational storage + SQL plan execution on a SQLite database.
 
-    Thread model: SQLite connections are thread-affine, so the backend
-    *leases* one connection per calling thread (created lazily on first
-    use; closed by :meth:`close`, or when the next lease is made once
-    its thread has exited).  In-memory databases use a named
-    shared-cache URI so every lease sees the same data; the
-    constructing thread's connection is kept open for the backend's
-    lifetime to anchor the database.  TEMP staging tables and shadows
-    are per-connection, hence naturally per-thread.  All access is
-    serialised on a per-backend mutex — shards run concurrently as
-    worker processes, each with its own backend.
+    Thread model: one connection, opened by the constructor and closed
+    by :meth:`close`, and every method that touches it holds the
+    backend mutex — so whichever thread calls, no two statements ever
+    run on it at once.  That is what makes ``check_same_thread=False``
+    sound: the connection crosses threads, but never concurrently.
+    Shards run concurrently as worker processes, each with its own
+    backend.
 
     Row images: SQLite holds the truth, and next to it every stored
     relation that has been loaded, materialised or read has one Python
@@ -159,20 +156,12 @@ class SQLiteBackend(Backend):
         super().__init__(schema)
         self.path = path
         self._mutex = threading.RLock()
-        self._tls = threading.local()
-        #: thread ident -> (thread object, leased connection)
-        self._leases: dict[int, tuple] = {}
         self._closed = False
-        if path == ':memory:':
-            # A plain ':memory:' database is private to its connection;
-            # per-thread leases need the named shared-cache form.
-            self._uri = (f'file:repro-mem-{os.getpid()}-'
-                         f'{next(_MEMDB_IDS)}?mode=memory&cache=shared')
-        else:
-            self._uri = None
-        # The root lease anchors a shared-cache memory database for the
-        # backend's lifetime; it is closed only by close().
-        self._root_conn = self._lease_connection()
+        self._conn = sqlite3.connect(path, isolation_level=None,
+                                     check_same_thread=False)
+        self._conn.execute('PRAGMA synchronous=OFF')
+        #: delta relation -> columns of its staging table
+        self._stages: dict[str, tuple[str, ...]] = {}
         self._base_names = frozenset(rel.name for rel in schema)
         self._cache_names: set[str] = set()
         self._view_attrs: dict[str, tuple[str, ...]] = {}
@@ -185,56 +174,6 @@ class SQLiteBackend(Backend):
         self._images: dict[str, set] = {}
         for rel in schema:
             self._create_table(rel.name, rel.attributes)
-
-    # -- per-thread connection leasing --------------------------------
-
-    def _connect(self) -> sqlite3.Connection:
-        # check_same_thread=False: our leasing discipline already keeps
-        # each connection on its own thread during use, and it lets
-        # close() release every lease no matter which thread calls it.
-        conn = sqlite3.connect(self._uri or self.path,
-                               isolation_level=None,
-                               check_same_thread=False,
-                               uri=self._uri is not None)
-        conn.execute('PRAGMA synchronous=OFF')
-        return conn
-
-    def _lease_connection(self) -> sqlite3.Connection:
-        """The calling thread's leased connection, created on first
-        use.  Leases of threads that have exited are closed here —
-        deterministic cleanup without a background reaper."""
-        conn = getattr(self._tls, 'conn', None)
-        if conn is not None:
-            if not self._closed:
-                return conn
-            # close() ran on another thread: this lease is already a
-            # closed connection — drop it and fail like any post-close
-            # use, not with a raw sqlite3.ProgrammingError.
-            self._tls.conn = None
-        with self._mutex:
-            if self._closed:
-                raise SchemaError(f'backend for {self.path!r} is closed')
-            conn = self._connect()
-            self._leases[threading.get_ident()] = \
-                (threading.current_thread(), conn)
-            for ident, (thread, stale) in list(self._leases.items()):
-                if not thread.is_alive():
-                    del self._leases[ident]
-                    if stale is not getattr(self, '_root_conn', None):
-                        stale.close()
-        self._tls.conn = conn
-        #: delta relation -> columns of its staging table on this lease
-        self._tls.stages = {}
-        return conn
-
-    @property
-    def _conn(self) -> sqlite3.Connection:
-        return self._lease_connection()
-
-    def leased_threads(self) -> int:
-        """How many threads currently hold a connection lease."""
-        with self._mutex:
-            return len(self._leases)
 
     # -- DDL helpers --------------------------------------------------
 
@@ -272,10 +211,10 @@ class SQLiteBackend(Backend):
 
     @contextmanager
     def _transaction(self):
-        """A cursor inside ``BEGIN`` … ``COMMIT`` on the calling lease,
-        rolled back when the body raises — whatever a row that fails to
-        bind leaves half-done is undone, and the lease is out of the
-        SQL transaction either way.  Callers write the Python-side row
+        """A cursor inside ``BEGIN`` … ``COMMIT``, rolled back when the
+        body raises — whatever a row that fails to bind leaves
+        half-done is undone, and the connection is out of the SQL
+        transaction either way.  Callers write the Python-side row
         images only after it exits cleanly."""
         cur = self._conn.cursor()
         cur.execute('BEGIN')
@@ -349,11 +288,6 @@ class SQLiteBackend(Backend):
             self._insert_all(cur, name, delta.insertions)
 
     @_locked
-    def apply_delta(self, name: str, delta: Delta, *,
-                    is_cache: bool) -> None:
-        self.apply_deltas([(name, delta, is_cache)])
-
-    @_locked
     def apply_deltas(self, deltas) -> None:
         """One SQL transaction for the whole commit batch: either every
         relation's delta is durably applied or none is; the Python-side
@@ -404,14 +338,14 @@ class SQLiteBackend(Backend):
 
     @_locked
     def probe(self, name: str, positions: tuple[int, ...], key: tuple):
-        """One ``SELECT`` on the calling thread's lease, answered only
-        where SQLite already has an access path on exactly these
-        columns: a leading prefix of the all-column primary key, or a
-        mask the plans hinted (:meth:`add_index_hint` built its index).
-        None — the caller scans the row image — for any other column
-        set, a relation that is not stored, and a key SQLite cannot
-        bind.  Never creates an index: one per probed column set costs
-        every insert its maintenance (README, *Storage backends*)."""
+        """One ``SELECT``, answered only where SQLite already has an
+        access path on exactly these columns: a leading prefix of the
+        all-column primary key, or a mask the plans hinted
+        (:meth:`add_index_hint` built its index).  None — the caller
+        scans the row image — for any other column set, a relation that
+        is not stored, and a key SQLite cannot bind.  Never creates an
+        index: one per probed column set costs every insert its
+        maintenance (README, *Storage backends*)."""
         if not self._stored(name) or (
                 positions != tuple(range(len(positions)))
                 and positions not in self._index_hints.get(name, ())):
@@ -499,10 +433,10 @@ class SQLiteBackend(Backend):
 
     def _ensure_stage(self, cur, name: str,
                       columns: tuple[str, ...]) -> None:
-        """The calling lease's staging table for delta relation
-        ``name`` exists with ``columns`` — created on the lease's first
-        use of it, and again when a redefined view changed columns."""
-        stages = self._tls.stages
+        """The staging table for delta relation ``name`` exists with
+        ``columns`` — created on its first use, and again when a
+        redefined view changed columns."""
+        stages = self._stages
         known = stages.get(name)
         if known == columns:
             return
@@ -516,7 +450,7 @@ class SQLiteBackend(Backend):
     @contextmanager
     def _staged(self, prog: _ProgramSQL, inputs: Mapping[str, object]):
         """A cursor with every staged input in place under its relation
-        name.  View deltas fill the lease's staging tables, which are
+        name.  View deltas fill the staging tables, which are
         only emptied on exit; any other staged relation is loaded as a
         TEMP shadow of its name and dropped on exit — left behind, an
         empty shadow would hide the stored table."""
@@ -558,7 +492,14 @@ class SQLiteBackend(Backend):
                                           tuple(witness))
 
     @staticmethod
-    def _deltas_on(cur, prog: _ProgramSQL, entry) -> DeltaSet:
+    def _view_rows_on(cur, prog: _ProgramSQL) -> frozenset:
+        (_, sql), = prog.delta_sql
+        return frozenset(tuple(r) for r in cur.execute(sql))
+
+    def _deltas_on(self, cur, prog: _ProgramSQL, entry,
+                   check_constraints: bool) -> DeltaSet:
+        if check_constraints:
+            self._check_constraints_on(cur, prog)
         output = {goal: {tuple(r) for r in cur.execute(sql)}
                   for goal, sql in prog.delta_sql}
         return DeltaSet.from_database(
@@ -586,19 +527,29 @@ class SQLiteBackend(Backend):
         _log.warning('%s of view %r failed as SQL, runs interpreted '
                      'from now on (%s)', label, view, exc)
 
+    def _sql_or_interpreted(self, entry, label: str,
+                            inputs: Mapping[str, object], on_sql,
+                            interpret):
+        """``on_sql(cursor, program)`` over the ``label`` program of
+        ``entry`` with ``inputs`` staged — or ``interpret()`` when that
+        program did not lower, or when its SQL fails now (it is then
+        demoted for good)."""
+        prog = getattr(self._compiled[entry.name], label)
+        if prog is None:
+            return interpret()
+        try:
+            with self._staged(prog, inputs) as cur:
+                return on_sql(cur, prog)
+        except sqlite3.Error as exc:
+            self._demote(entry.name, label, exc)
+            return interpret()
+
     @_locked
     def evaluate_get(self, entry, sources: Mapping[str, object]
                      ) -> frozenset:
-        prog = self._compiled[entry.name].get
-        if prog is None:
-            return self._interp_get(entry, sources)
-        try:
-            (_, sql), = prog.delta_sql
-            with self._staged(prog, sources) as cur:
-                return frozenset(tuple(r) for r in cur.execute(sql))
-        except sqlite3.Error as exc:
-            self._demote(entry.name, 'get', exc)
-            return self._interp_get(entry, sources)
+        return self._sql_or_interpreted(
+            entry, 'get', sources, self._view_rows_on,
+            lambda: self._interp_get(entry, sources))
 
     @_locked
     def evaluate_incremental_batch(self, entry,
@@ -606,68 +557,53 @@ class SQLiteBackend(Backend):
                                    view_handle, delta: Delta, *,
                                    new_view_rows=None) -> DeltaSet:
         """One SQL pass over the transaction's merged multi-row delta:
-        the whole batch of coalesced +v/-v rows fills the lease's
-        staging tables with one ``executemany`` per relation and every
-        view goal runs one SELECT — no DDL and no per-statement staging
+        the whole batch of coalesced +v/-v rows fills the staging
+        tables with one ``executemany`` per relation and every view
+        goal runs one SELECT — no DDL and no per-statement staging
         (asserted by the SQL-trace tests in tests/test_backends.py)."""
         if new_view_rows is not None:
             self.check_view_constraints(entry, sources, new_view_rows)
-        prog = self._compiled[entry.name].incremental
-        if prog is None:
-            return self._interp_incremental(entry, sources, view_handle,
-                                            delta)
         name = entry.name
         inputs = dict(sources)
         inputs[insert_pred(name)] = delta.insertions
         inputs[delete_pred(name)] = delta.deletions
         inputs[name] = view_handle
-        try:
-            with self._staged(prog, inputs) as cur:
-                self._check_constraints_on(cur, prog)
-                return self._deltas_on(cur, prog, entry)
-        except sqlite3.Error as exc:
-            self._demote(name, 'incremental', exc)
-            return self._interp_incremental(entry, sources, view_handle,
-                                            delta)
+        return self._sql_or_interpreted(
+            entry, 'incremental', inputs,
+            lambda cur, prog: self._deltas_on(cur, prog, entry, True),
+            lambda: self._interp_incremental(entry, sources, view_handle,
+                                             delta))
 
     @_locked
     def evaluate_putback(self, entry, sources: Mapping[str, object],
                          new_view_rows, *,
                          check_constraints: bool = False) -> DeltaSet:
-        prog = self._compiled[entry.name].putback
-        if prog is None:
-            return self._interp_putback(entry, sources, new_view_rows,
-                                        check_constraints=check_constraints)
         inputs = dict(sources)
         inputs[entry.name] = new_view_rows
-        try:
-            with self._staged(prog, inputs) as cur:
-                if check_constraints:
-                    self._check_constraints_on(cur, prog)
-                return self._deltas_on(cur, prog, entry)
-        except sqlite3.Error as exc:
-            self._demote(entry.name, 'putback', exc)
-            return self._interp_putback(entry, sources, new_view_rows,
-                                        check_constraints=check_constraints)
+        return self._sql_or_interpreted(
+            entry, 'putback', inputs,
+            lambda cur, prog: self._deltas_on(cur, prog, entry,
+                                              check_constraints),
+            lambda: self._interp_putback(
+                entry, sources, new_view_rows,
+                check_constraints=check_constraints))
 
     @_locked
     def check_view_constraints(self, entry,
                                sources: Mapping[str, object],
                                new_view_rows) -> None:
+        """Check the strategy's ⊥-constraints on ``(S, V')`` — the
+        putback program's ⊥-rules, which a general-path ∂put does not
+        carry — raising :class:`ConstraintViolation` on the first."""
         prog = self._compiled[entry.name].putback
-        if prog is None:
-            self._interp_check_constraints(entry, sources, new_view_rows)
-            return
-        if not prog.constraint_sql:
+        if prog is not None and not prog.constraint_sql:
             return                    # nothing to check: skip staging
         inputs = dict(sources)
         inputs[entry.name] = new_view_rows
-        try:
-            with self._staged(prog, inputs) as cur:
-                self._check_constraints_on(cur, prog)
-        except sqlite3.Error as exc:
-            self._demote(entry.name, 'putback', exc)
-            self._interp_check_constraints(entry, sources, new_view_rows)
+        self._sql_or_interpreted(
+            entry, 'putback', inputs, self._check_constraints_on,
+            lambda: self._interp_check_constraints(entry, sources,
+                                                   new_view_rows))
 
     # -- introspection / lifecycle ------------------------------------
 
@@ -711,20 +647,14 @@ class SQLiteBackend(Backend):
         return plans
 
     def close(self) -> None:
-        """Close every thread's leased connection (idempotent)."""
+        """Close the connection (idempotent); every later call of a
+        method that would use it raises :class:`SchemaError`."""
         with self._mutex:
             if self._closed:
                 return
             self._closed = True
-            for _thread, conn in self._leases.values():
-                conn.close()
-            self._leases.clear()
             # The row images must not outlive the database they
             # mirror: post-close reads should fail, not answer from
             # one (a set handed out earlier stays its holder's).
             self._images.clear()
-            try:
-                self._root_conn.close()
-            except sqlite3.ProgrammingError:   # already closed above
-                pass
-        self._tls.conn = None
+            self._conn.close()

@@ -308,15 +308,18 @@ class ReplicaSet:
         ``metrics()`` view: monotonic series become ``replica.*``
         counters, the rotation/lag state becomes gauges.  ``lag`` is
         the worst in-rotation lag at call time (a file-tail scan per
-        replica — operator path, not hot path)."""
+        replica — operator path, not hot path).  The counters sum over
+        quarantined replicas too: leaving the rotation must not make a
+        counter go down."""
         with self._lock:
             stats = dict(self.stats)
             rotation = list(self.replicas)
+            every = rotation + self._quarantined
         counters = {f'replica.{key}': value
                     for key, value in stats.items()
                     if key not in ('in_rotation', 'quarantined')}
-        records = sum(r.stats['records_applied'] for r in rotation)
-        seconds = sum(r.stats['catch_up_seconds'] for r in rotation)
+        records = sum(r.stats['records_applied'] for r in every)
+        seconds = sum(r.stats['catch_up_seconds'] for r in every)
         counters['replica.records_applied'] = records
         counters['replica.catch_up_seconds'] = seconds
         gauges = {

@@ -590,8 +590,8 @@ class ShardedEngine:
 
     def close(self) -> None:
         """Close every replica set and every shard — an in-process
-        shard closes its engine (the backend's thread leases), a
-        process shard stops its worker — then remove the log directory
+        shard closes its engine (the backend's connection), a process
+        shard stops its worker — then remove the log directory
         if the engine owns it.  Idempotent."""
         for replica_set in self.replica_sets:
             replica_set.close()

@@ -209,6 +209,21 @@ class TestSQLiteEngine:
         with pytest.raises(SchemaError):
             backend.rows('nope')
 
+    def test_closed_backend_refuses_every_use(self, union_strategy):
+        from repro.relational.delta import Delta
+        engine = _union_engine(union_strategy, 'sqlite')
+        backend = engine.backend
+        engine.close()
+        engine.close()                      # idempotent
+        backend.close()
+        delta = Delta(frozenset({(9,)}), frozenset())
+        for use in (lambda: backend.rows('r1'),
+                    lambda: backend.probe('r1', (0,), (1,)),
+                    lambda: backend.load('r1', {(1,)}),
+                    lambda: backend.apply_deltas([('r1', delta, False)])):
+            with pytest.raises(SchemaError, match='is closed'):
+                use()
+
     @pytest.mark.parametrize('backend', ['memory', 'sqlite'])
     def test_all_anonymous_constraint_witness(self, backend):
         """A ⊥-rule whose variables are all anonymous still lowers to a
@@ -229,31 +244,75 @@ class TestSQLiteEngine:
             engine.insert('v', (5,))
         assert engine.rows('r1') == set()
 
-    def test_runtime_sql_error_demotes_to_interpreter(self,
-                                                      union_strategy,
+    #: entry point -> (view, incremental?, program it runs, field broken)
+    DEMOTIONS = {
+        'get': ('luxuryitems', True, 'get', 'delta_sql'),
+        'incremental': ('luxuryitems', True, 'incremental', 'delta_sql'),
+        'putback': ('luxuryitems', False, 'putback', 'delta_sql'),
+        # A general-path ∂put carries no ⊥-rule: the engine asks
+        # check_view_constraints, which runs the putback program's.
+        'constraints': ('vw_customers', True, 'putback', 'constraint_sql'),
+    }
+
+    @staticmethod
+    def _demotion_workload(engine, view: str) -> None:
+        """The first read (``get``), then two view DELETEs, each one
+        read back."""
+        engine.rows(view)
+        for _ in range(2):
+            victim = min(engine.rows(view))
+            engine.delete(view, where=dict(
+                zip(engine.view(view).schema.attributes, victim)))
+            engine.rows(view)
+
+    @pytest.mark.parametrize('entry_point', DEMOTIONS)
+    def test_runtime_sql_error_demotes_to_interpreter(self, entry_point,
                                                       caplog):
         """SQL that compiled but fails at execution time falls back to
         the interpreter (and stays demoted) instead of leaking a raw
-        sqlite3 error — and says so, once, on the backend's logger."""
+        sqlite3 error — and says so, once, on the backend's logger —
+        whichever evaluation runs it; the answer is the memory
+        backend's and no staged row is left behind."""
         from dataclasses import replace
-        engine = _union_engine(union_strategy, 'sqlite')
-        compiled = engine.backend._compiled['v']
-        prog = compiled.incremental
-        broken = tuple((goal, 'SELECT * FROM no_such_relation')
-                       for goal, _ in prog.delta_sql)
-        compiled.incremental = replace(prog, delta_sql=broken)
-        with caplog.at_level('WARNING', logger='repro.rdbms.backends.sqlite'):
-            engine.insert('v', (3,))
-            engine.insert('v', (5,))        # already demoted: silent
-        assert {(3,), (5,)} <= engine.rows('r1')
-        record, = caplog.records
-        assert record.name == 'repro.rdbms.backends.sqlite'
-        assert "'v'" in record.getMessage() \
-            and 'no_such_relation' in record.getMessage()
-        assert compiled.incremental is None
-        assert any(label == 'incremental' and 'runtime' in reason
-                   for label, reason
-                   in engine.backend.lowering_fallbacks('v'))
+        view, incremental, label, field = self.DEMOTIONS[entry_point]
+        entry = entry_by_name(view)
+        engine = build_engine(entry, 60, incremental=incremental,
+                              backend='sqlite')
+        reference = build_engine(entry, 60, incremental=incremental,
+                                 backend='memory')
+        backend = engine.backend
+        try:
+            assert engine.view(view).use_incremental == incremental
+            if entry_point == 'constraints':
+                assert not engine.view(view).incremental_plan \
+                    .constraint_plans
+            compiled = backend._compiled[view]
+            prog = getattr(compiled, label)
+            assert getattr(prog, field)
+            broken = tuple((key, 'SELECT * FROM no_such_relation')
+                           for key, _ in getattr(prog, field))
+            setattr(compiled, label, replace(prog, **{field: broken}))
+            before = backend.lowering_fallbacks(view)
+            with caplog.at_level('WARNING',
+                                 logger='repro.rdbms.backends.sqlite'):
+                self._demotion_workload(engine, view)
+            self._demotion_workload(reference, view)
+            assert engine.database() == reference.database()
+            assert engine.rows(view) == reference.rows(view)
+            record, = caplog.records
+            assert record.name == 'repro.rdbms.backends.sqlite'
+            assert repr(view) in record.getMessage() \
+                and 'no_such_relation' in record.getMessage()
+            assert getattr(compiled, label) is None
+            (gained_label, reason), = \
+                backend.lowering_fallbacks(view)[len(before):]
+            assert gained_label == label and reason.startswith('runtime:')
+            staged = _temp_tables(backend)
+            assert all(name.startswith('delta_') for name in staged)
+            assert not any(staged.values())
+        finally:
+            engine.close()
+            reference.close()
 
 
 # ---------------------------------------------------------------------------
@@ -773,7 +832,7 @@ class TestSqliteProbe:
     def test_readers_read_while_a_writer_probes(self):
         """Four threads call ``engine.rows(view)`` while the writer
         commits 300 keyed UPDATEs — each one a ``SELECT`` on the
-        writer's lease, under the backend mutex: nothing raises."""
+        backend's connection, under the backend mutex: nothing raises."""
         entry = entry_by_name('luxuryitems')
         engine = build_engine(entry, 1000, backend='sqlite')
         initial = frozenset(engine.rows('luxuryitems'))
@@ -950,7 +1009,7 @@ class TestKeywordNamedRelations:
 
 @contextmanager
 def _traced(backend):
-    """The SQL statements the calling thread's lease executes."""
+    """The SQL statements the backend's connection executes."""
     statements: list[str] = []
     backend._conn.set_trace_callback(statements.append)
     try:
@@ -960,7 +1019,7 @@ def _traced(backend):
 
 
 def _temp_tables(backend) -> dict[str, int]:
-    """``{table: row count}`` of the calling lease's temp schema."""
+    """``{table: row count}`` of the connection's temp schema."""
     conn = backend._conn
     names = [name for (name,) in conn.execute(
         "SELECT name FROM temp.sqlite_master WHERE type = 'table'")]
@@ -1042,27 +1101,26 @@ class TestStaging:
         assert (5, 'pearl', 7000) in engine.rows('items')
         assert _temp_tables(backend) == self.STAGES
 
-    def test_every_lease_stages_in_its_own_tables(self, luxury_strategy):
+    def test_another_thread_finds_the_staging_tables_in_place(
+            self, luxury_strategy):
+        """One connection for every thread: an INSERT from a thread
+        that never used the backend stages into the tables the
+        constructing thread's transactions created — no DDL."""
         engine = _luxury_engine(luxury_strategy)
         backend = engine.backend
-        seen = []
-
-        def worker(row):
-            fresh = _temp_tables(backend)
-            engine.insert('luxuryitems', row)
-            seen.append((fresh, _temp_tables(backend),
-                         backend.leased_threads()))
-
-        # Two threads, one after the other: each lease starts from
-        # nothing and stages for itself, and the first thread's lease
-        # is closed when the second one is made (it has exited).
-        for row in ((6, 'tiara', 8000), (7, 'crown', 9000)):
-            thread = threading.Thread(target=worker, args=(row,))
+        with _traced(backend) as statements:
+            thread = threading.Thread(
+                target=engine.insert,
+                args=('luxuryitems', (6, 'tiara', 8000)))
             thread.start()
-            thread.join()
-        assert seen == [({}, self.STAGES, 2)] * 2
-        assert engine.rows('items') >= {(6, 'tiara', 8000),
-                                        (7, 'crown', 9000)}
+            thread.join(timeout=60)
+        assert not thread.is_alive()
+        assert self._staging(statements, 'INSERT INTO') \
+            == {'delta_ins_luxuryitems': 1}
+        assert not [sql for sql in statements
+                    if sql.startswith('CREATE TEMP TABLE')]
+        assert _temp_tables(backend) == self.STAGES
+        assert (6, 'tiara', 8000) in engine.rows('items')
 
     def test_redefined_view_with_other_columns_restages(self):
         sources = DatabaseSchema.build(r={'a': 'int'},

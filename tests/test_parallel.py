@@ -15,8 +15,8 @@ tests pin:
   blocked by an in-flight transaction's prepare phase and observe
   pre-transaction state (only the apply phase takes the per-shard
   locks);
-* SQLite storage works from whichever thread calls — connections are
-  leased per thread (the thread-affinity regression);
+* SQLite storage works from whichever thread calls, on the backend's
+  one connection (the thread-affinity regression);
 * the planner's caches are safe under concurrent compiles and re-plans.
 """
 
@@ -272,10 +272,9 @@ class TestTrueOverlap:
 class TestSQLiteThreadAffinity:
 
     def test_sqlite_shard_from_worker_thread(self, luxury_strategy):
-        """The regression that motivated per-thread leasing: a SQLite
-        shard driven from a thread other than the one that built it (a
-        ``ViewServer`` writer, say) used to die with SQLite's
-        cross-thread ProgrammingError."""
+        """A SQLite shard driven from a thread other than the one that
+        built it (a ``ViewServer`` writer, say) used to die with
+        SQLite's cross-thread ProgrammingError."""
         engine = build_engine(luxury_strategy,
                               backends=['sqlite', 'sqlite'])
         with ThreadPoolExecutor(1) as pool:
@@ -288,8 +287,8 @@ class TestSQLiteThreadAffinity:
         engine.close()
 
     def test_engine_usable_from_foreign_thread(self):
-        """A plain SQLite-backed Engine crosses threads freely: each
-        thread leases its own connection."""
+        """A plain SQLite-backed Engine crosses threads freely: every
+        thread takes its turn on the backend's one connection."""
         from repro.relational.schema import DatabaseSchema
         schema = DatabaseSchema.build(t={'a': 'int', 'b': 'string'})
         engine = Engine(schema, backend='sqlite')
@@ -298,12 +297,47 @@ class TestSQLiteThreadAffinity:
             pool.submit(engine.insert, 't', (2, 'y')).result()
             seen = pool.submit(engine.rows, 't').result()
         assert seen == {(1, 'x'), (2, 'y')}
-        assert engine.backend.leased_threads() >= 2
         engine.close()
-        # close() is idempotent, and a lease after close refuses.
+        # close() is idempotent, and any use after close refuses.
         engine.close()
         with pytest.raises(SchemaError):
             engine.backend.rows('t')
+
+    def test_one_connection_across_server_threads(self, luxury_strategy,
+                                                  monkeypatch):
+        """A ``ViewServer``'s committer thread and its two reader
+        threads, all busy at once, share the backend's connection:
+        ``sqlite3.connect`` runs once, in the constructor."""
+        import asyncio
+        import sqlite3
+        from repro.rdbms.serve import ViewServer
+        connect = sqlite3.connect
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return connect(*args, **kwargs)
+
+        monkeypatch.setattr(sqlite3, 'connect', counted)
+        engine = Engine(luxury_strategy.sources, backend='sqlite')
+        engine.load('items', BASE_ROWS)
+        engine.define_view(luxury_strategy, validate_first=False)
+        inserted = {(20 + i, f'gem{i}', 6000 + i) for i in range(8)}
+
+        async def main():
+            async with ViewServer(engine, read_threads=2) as server:
+                await asyncio.gather(
+                    *(server.submit([('luxuryitems', [Insert(row)])])
+                      for row in sorted(inserted)),
+                    *(server.rows(name) for name in ('luxuryitems',
+                                                     'items') * 4))
+                return await server.rows('luxuryitems')
+
+        try:
+            assert inserted <= asyncio.run(main())
+        finally:
+            engine.close()
+        assert len(calls) == 1
 
 
 class TestPlannerLocking:

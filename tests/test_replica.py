@@ -307,6 +307,31 @@ class TestReplicaSet:
             router.close()
             primary.close()
 
+    def test_metrics_counters_survive_quarantine(self, luxury_strategy,
+                                                 tmp_path):
+        """Regression: every ``replica.*`` counter of
+        ``metrics_snapshot()`` is monotonic — quarantining a replica
+        takes it out of the rotation, not out of the totals."""
+        primary, router = self._set(luxury_strategy, tmp_path, n=2,
+                                    max_lag=1_000_000)
+        try:
+            for iid in range(4, 9):
+                primary.insert('luxuryitems', (iid, f'item{iid}', 90_000))
+            router.catch_up()
+            snapshots = [router.metrics_snapshot()['counters']]
+            router.quarantine(router.replicas[0])
+            snapshots.append(router.metrics_snapshot()['counters'])
+            assert router.reinstate() == 1
+            snapshots.append(router.metrics_snapshot()['counters'])
+            assert snapshots[0]['replica.records_applied'] > 0
+            for before, after in zip(snapshots, snapshots[1:]):
+                assert before.keys() == after.keys()
+                for key, value in before.items():
+                    assert after[key] >= value, key
+        finally:
+            router.close()
+            primary.close()
+
     def test_stalled_tail_degrades_read_without_quarantine(
             self, luxury_strategy, tmp_path):
         """A catch-up pass that applies nothing (stalled tail) keeps
