@@ -662,4 +662,7 @@ def plan_cache_info():
 
 
 def clear_plan_cache() -> None:
+    """Drop every cached plan and the code sealed for their rules."""
+    from repro.datalog.evaluator import _factory_code
     _compile_cached.cache_clear()
+    _factory_code.cache_clear()

@@ -18,16 +18,33 @@ SAT answer is always sound):
    resulting variable classes are enumerated (every partition, up to a
    size cap), comparison constraints are solved by synthesizing witness
    values, and the frozen positive atoms become a candidate database —
-   verified once per check, however many clauses and partitions reach
+   judged once per check, however many clauses and partitions reach
    it.  This mirrors the canonical-database argument underlying GNFO's
    finite model property and finds tiny witnesses fast.
 2. **Randomized search** — random small databases over the program's
    constant pool plus fresh values, as a safety net for clauses whose
    canonical instance violates a constraint that a different instance
-   would satisfy.
+   would satisfy.  The draws go to the EDB relations in name order, so
+   they depend on the program and the configuration only.
 
-Both run on one :class:`~repro.datalog.plan.ExecutionPlan`, compiled once
-per check.
+Both passes form one stream of candidates, judged in doubling batches
+(1, 2, 4, … candidates) by one plan compiled once per check in
+*world-tagged* form: every relational atom gains a leading world
+variable, every ⊥-rule derives ``#violated(W)``, and a rule with no
+positive atom is guarded by ``#worlds(W)`` (``#`` never occurs in a
+parsed name).  A batch is one database whose facts carry their
+candidate's index as the world, so one run materialises the goal's IDB
+cone bottom-up for every candidate at once, and a second, over the
+worlds where the goal held, finds the violated ones.
+
+The answer is exactly the one-candidate-at-a-time loop's: the first
+candidate :func:`_verify` accepts, with the same ``method`` and
+``instances``.  A world the batch rejects, :func:`_verify` rejects:
+stratified Datalog gives one answer under any evaluation order once
+evaluation completes.  A world the batch accepts is confirmed by
+:func:`_verify` on the plain plan, compiled only when first needed.  A
+batch whose evaluation raises is bisected, and a lone candidate is left
+to :func:`_verify`, which reads an evaluation error as "no witness".
 
 A ``SAT`` verdict carries the witness database.  An ``UNSAT`` verdict is
 *bounded*: no model exists within the explored space.  For LVGN-Datalog
@@ -45,8 +62,8 @@ from dataclasses import dataclass, field
 from enum import Enum
 from typing import Iterable, Iterator, Sequence
 
-from repro.datalog.ast import (Atom, BuiltinLit, Const, Literal, Program,
-                               Rule, Var, delta_base)
+from repro.datalog.ast import (Atom, BuiltinLit, Const, Lit, Literal,
+                               Program, Rule, Var, delta_base)
 from repro.datalog.evaluator import execute_constraints, execute_plan
 from repro.datalog.plan import ExecutionPlan, compile_program
 from repro.errors import ReproError, SchemaError
@@ -291,6 +308,11 @@ def _synthesize(lowers: list, uppers: list, type_name: str, fresh_index: int):
     When unconstrained, returns a fresh value outside the usual constant
     pools (so negated equalities against constants hold).
     """
+    if not lowers and not uppers:
+        base = _FRESH_BASE[type_name]
+        if type_name == 'string':
+            return f'{base}{fresh_index}'
+        return base + fresh_index
     try:
         low = max(lowers, key=lambda b: b[0]) if lowers else None
         high = min(uppers, key=lambda b: b[0]) if uppers else None
@@ -315,12 +337,7 @@ def _synthesize(lowers: list, uppers: list, type_name: str, fresh_index: int):
         return _midpoint(low[0], high[0], type_name)
     if low is not None:
         return _above(low[0], type_name)
-    if high is not None:
-        return _below(high[0], type_name)
-    base = _FRESH_BASE[type_name]
-    if type_name == 'string':
-        return f'{base}{fresh_index}'
-    return base + fresh_index
+    return _below(high[0], type_name)
 
 
 def _respects(value, lowers: list, uppers: list) -> bool:
@@ -456,27 +473,29 @@ def _instance(closed: _ClosedClause, blocks: Iterable[Iterable[str]]
                 return None
             value[block[0]] = consts[0]
 
-    def bounds(kind: dict, block: list[str]) -> list:
-        """Concrete (value, strict) bounds of a merged class; bounds by a
-        class not yet assigned are deferred to the residual check."""
-        found = []
-        for cls in block:
-            for other, strict in kind.get(cls, ()):
-                if other[0] == 'const':
-                    found.append((other[1], strict))
-                elif name[other[1]] in value:
-                    found.append((value[name[other[1]]], strict))
-        return found
-
+    bounded = closed.lowers or closed.uppers
     fresh_index = 1
     for block in merged:
         if block[0] in value:
             continue
-        type_name = next((closed.types[cls] for cls in block
-                          if cls in closed.types), 'string')
-        synthesized = _synthesize(bounds(closed.lowers, block),
-                                  bounds(closed.uppers, block),
-                                  type_name, fresh_index)
+        type_name = 'string'
+        for cls in block:
+            if cls in closed.types:
+                type_name = closed.types[cls]
+                break
+        # Concrete (value, strict) lower and upper bounds of the merged
+        # class; a bound by a class not yet assigned is left to the
+        # residual check.
+        found: tuple[list, list] = ([], [])
+        if bounded:
+            for kind, out in zip((closed.lowers, closed.uppers), found):
+                for cls in block:
+                    for (tag, other), strict in kind.get(cls, ()):
+                        if tag == 'const':
+                            out.append((other, strict))
+                        elif name[other] in value:
+                            out.append((value[name[other]], strict))
+        synthesized = _synthesize(*found, type_name, fresh_index)
         fresh_index += 7
         if synthesized is None:
             return None
@@ -490,23 +509,25 @@ def _instance(closed: _ClosedClause, blocks: Iterable[Iterable[str]]
     for cls, const in closed.diseq_const:
         if full[cls] == const:
             return None
-    try:
-        for cls, entries in closed.lowers.items():
-            for other, strict in entries:
-                low = other[1] if other[0] == 'const' else full[other[1]]
-                if full[cls] < low or (strict and full[cls] == low):
-                    return None
-        for cls, entries in closed.uppers.items():
-            for other, strict in entries:
-                high = other[1] if other[0] == 'const' else full[other[1]]
-                if full[cls] > high or (strict and full[cls] == high):
-                    return None
-    except TypeError:
-        return None
-    return frozenset(
-        (pred, tuple(const if cls is None else full[cls]
-                     for cls, const in terms))
-        for pred, terms in closed.atoms)
+    if bounded:
+        try:
+            for cls, entries in closed.lowers.items():
+                for other, strict in entries:
+                    low = other[1] if other[0] == 'const' else full[other[1]]
+                    if full[cls] < low or (strict and full[cls] == low):
+                        return None
+            for cls, entries in closed.uppers.items():
+                for other, strict in entries:
+                    high = other[1] if other[0] == 'const' \
+                        else full[other[1]]
+                    if full[cls] > high or (strict and full[cls] == high):
+                        return None
+        except TypeError:
+            return None
+    return frozenset([
+        (pred, tuple([const if cls is None else full[cls]
+                      for cls, const in terms]))
+        for pred, terms in closed.atoms])
 
 
 def _value_type(declared: AttributeType) -> str:
@@ -553,6 +574,95 @@ def _verify(plan: ExecutionPlan, goal: str,
         return False
 
 
+#: Reserved names of the world-tagged program; ``#`` never occurs in a
+#: parsed name.
+_WORLD = Var('#W')
+_WORLDS, _VIOLATED = '#worlds', '#violated'
+
+
+def _tag(rule: Rule) -> Rule:
+    """``rule`` read inside one world: every relational atom gains the
+    leading world variable, a ⊥-rule derives ``#violated(W)``, and a body
+    without a positive atom is guarded by ``#worlds(W)``."""
+    body = tuple(Lit(Atom(lit.atom.pred, (_WORLD,) + lit.atom.args),
+                     lit.positive) if isinstance(lit, Lit) else lit
+                 for lit in rule.body)
+    if not rule.positive_atoms():
+        body = (Lit(Atom(_WORLDS, (_WORLD,))),) + body
+    head = Atom(_VIOLATED, ()) if rule.head is None else rule.head
+    return Rule(Atom(head.pred, (_WORLD,) + head.args), body)
+
+
+class _Worlds:
+    """One check program judging a batch of candidates in one run.
+
+    The batch is one database whose facts carry their candidate's index
+    as a leading column, the world; the tagged program evaluates every
+    world at once and apart from the others.  Raises what compiling the
+    program raises: tagging binds the world in every body and adds no
+    recursion, so both compile or neither does."""
+
+    def __init__(self, program: Program, goal: str):
+        self.program, self.goal = program, goal
+        self.tagged = compile_program(Program(tuple(map(_tag,
+                                                        program.rules))))
+        self.goal_cone = self._cone(goal) or (goal,)
+        self.violated_cone = self._cone(_VIOLATED)
+        self.plan: ExecutionPlan | None = None      # untagged, on demand
+
+    def _cone(self, root: str) -> tuple[str, ...]:
+        """The IDB predicates ``root`` depends on, bottom-up: run in this
+        order, every probe meets a materialised relation."""
+        seen: set[str] = set()
+        stack = [root]
+        while stack:
+            pred = stack.pop()
+            if pred in self.tagged.idb and pred not in seen:
+                seen.add(pred)
+                stack += [body_pred for rule_plan in
+                          self.tagged.rules_for(pred)
+                          for body_pred in rule_plan.rule.body_preds()]
+        return tuple(pred for pred in self.tagged.order if pred in seen)
+
+    def accepted(self, batch: list[dict[str, set]]) -> list[int]:
+        """The worlds of ``batch`` where the goal holds and no constraint
+        is violated, in order; raises what evaluation raises."""
+        edb: dict[str, set] = {_WORLDS: {(world,)
+                                         for world in range(len(batch))}}
+        for world, candidate in enumerate(batch):
+            for pred, rows in candidate.items():
+                edb.setdefault(pred, set()).update(
+                    (world,) + row for row in rows)
+        held = {row[0] for row in execute_plan(
+            self.tagged, edb, goals=self.goal_cone)[self.goal]}
+        if held and self.violated_cone:
+            edb = {pred: {row for row in rows if row[0] in held}
+                   for pred, rows in edb.items()}
+            held -= {row[0] for row in execute_plan(
+                self.tagged, edb, goals=self.violated_cone)[_VIOLATED]}
+        return sorted(held)
+
+    def first(self, batch: list[dict[str, set]]) -> int | None:
+        """The index of the first candidate of ``batch`` that
+        :func:`_verify` accepts, or None — why the batch's answer is
+        exactly that is argued in the module docstring."""
+        try:
+            accepted = self.accepted(batch)
+        except ReproError:
+            if len(batch) > 1:
+                half = len(batch) // 2
+                for offset, part in ((0, batch[:half]), (half, batch[half:])):
+                    found = self.first(part)
+                    if found is not None:
+                        return offset + found
+                return None
+            accepted = [0]
+        if accepted and self.plan is None:
+            self.plan = compile_program(self.program)
+        return next((world for world in accepted
+                     if _verify(self.plan, self.goal, batch[world])), None)
+
+
 # ---------------------------------------------------------------------------
 # Randomized search
 # ---------------------------------------------------------------------------
@@ -582,15 +692,11 @@ def _random_database(rng: random.Random, arities: dict[str, int],
                      ) -> dict[str, set]:
     data: dict[str, set] = {}
     for pred, arity in arities.items():
-        rows: set[tuple] = set()
-        for _ in range(rng.randint(0, max_size)):
-            row = []
-            col_types = types_by_pred.get(pred)
-            for pos in range(arity):
-                type_name = col_types[pos] if col_types else 'string'
-                row.append(rng.choice(pools[type_name]))
-            rows.add(tuple(row))
-        data[pred] = rows
+        col_types = types_by_pred.get(pred)
+        columns = [pools[col_types[pos] if col_types else 'string']
+                   for pos in range(arity)]
+        data[pred] = {tuple([rng.choice(column) for column in columns])
+                      for _ in range(rng.randint(0, max_size))}
     return data
 
 
@@ -625,58 +731,66 @@ def check_satisfiable(program: Program, goal: str, *,
                         tuple(constraint_rules))
     eval_program = Program(tuple(dict.fromkeys(all_rules.rules)))
     try:
-        plan = compile_program(eval_program)
+        worlds = _Worlds(eval_program, goal)
     except ReproError:
         # No candidate can be evaluated, so none is a witness.
         return SatResult(SatStatus.UNSAT, None, goal, 'bounded search')
 
-    # -- pass 1: canonical instances -------------------------------------
-    rng = random.Random(config.seed)
-    verified: set[frozenset] = set()
-    for clause in unfold_to_clauses(program, goal, config.max_clauses):
-        closed = _close_clause(clause, _infer_types(schema, clause))
-        if closed is None:
-            continue
-        for blocks in _candidate_partitions(closed.classes, config, rng):
-            facts = _instance(closed, blocks)
-            if facts is None or facts in verified:
+    def canonical() -> Iterator[tuple[str, dict[str, set]]]:
+        rng = random.Random(config.seed)
+        verified: set[frozenset] = set()
+        for clause in unfold_to_clauses(program, goal, config.max_clauses):
+            closed = _close_clause(clause, _infer_types(schema, clause))
+            if closed is None:
                 continue
-            verified.add(facts)
-            candidate: dict[str, set] = {}
-            for pred, row in facts:
-                candidate.setdefault(pred, set()).add(row)
-            if _verify(plan, goal, candidate):
-                return SatResult(SatStatus.SAT, Database.from_dict(candidate),
-                                 goal, 'canonical instance', len(verified))
+            for blocks in _candidate_partitions(closed.classes, config, rng):
+                facts = _instance(closed, blocks)
+                if facts is None or facts in verified:
+                    continue
+                verified.add(facts)
+                candidate: dict[str, set] = {}
+                for pred, row in facts:
+                    candidate.setdefault(pred, set()).add(row)
+                yield 'canonical instance', candidate
 
-    # -- pass 2: randomized search ------------------------------------------
-    # Its own stream, so these instances depend on (program, config) only
-    # and not on how many draws pass 1 happened to make.
-    rng = random.Random(config.seed)
-    arities = dict(program.arities())
-    if constraints is not None:
-        for pred, arity in constraints.arities().items():
-            arities.setdefault(pred, arity)
-    if edb_arities:
-        for pred, arity in edb_arities.items():
-            arities.setdefault(pred, arity)
-    edb_names = set(arities) - eval_program.idb_preds()
-    edb_arities_only = {p: arities[p] for p in edb_names}
-    pools = _value_pool(all_rules, schema)
-    types_by_pred: dict[str, tuple[str, ...]] = {}
-    if schema is not None:
-        for pred in edb_arities_only:
-            base = delta_base(pred)
-            if base in schema:
-                types_by_pred[pred] = tuple(map(_value_type,
-                                                schema[base].types))
-    for trial in range(config.random_trials):
-        candidate = _random_database(rng, edb_arities_only, types_by_pred,
-                                     pools, config.max_relation_size)
-        if _verify(plan, goal, candidate):
+    def randomized() -> Iterator[tuple[str, dict[str, set]]]:
+        # Its own stream, so these instances depend on (program, config)
+        # only and not on how many draws pass 1 happened to make.
+        rng = random.Random(config.seed)
+        arities = dict(program.arities())
+        if constraints is not None:
+            for pred, arity in constraints.arities().items():
+                arities.setdefault(pred, arity)
+        if edb_arities:
+            for pred, arity in edb_arities.items():
+                arities.setdefault(pred, arity)
+        # Sorted: which relation takes which draws must not depend on
+        # set order, that is, on PYTHONHASHSEED.
+        edb_names = sorted(set(arities) - eval_program.idb_preds())
+        edb_arities_only = {p: arities[p] for p in edb_names}
+        pools = _value_pool(all_rules, schema)
+        types_by_pred: dict[str, tuple[str, ...]] = {}
+        if schema is not None:
+            for pred in edb_arities_only:
+                base = delta_base(pred)
+                if base in schema:
+                    types_by_pred[pred] = tuple(map(_value_type,
+                                                    schema[base].types))
+        for _ in range(config.random_trials):
+            yield 'randomized search', _random_database(
+                rng, edb_arities_only, types_by_pred, pools,
+                config.max_relation_size)
+
+    # Judge the candidates in doubling batches; ``judged`` counts those
+    # before the batch, so a witness's ``instances`` is its position.
+    stream = itertools.chain(canonical(), randomized())
+    judged, size = 0, 1
+    while batch := list(itertools.islice(stream, size)):
+        found = worlds.first([candidate for _, candidate in batch])
+        if found is not None:
+            method, candidate = batch[found]
             return SatResult(SatStatus.SAT, Database.from_dict(candidate),
-                             goal, 'randomized search',
-                             len(verified) + trial + 1)
-
-    return SatResult(SatStatus.UNSAT, None, goal, 'bounded search',
-                     len(verified) + config.random_trials)
+                             goal, method, judged + found + 1)
+        judged += len(batch)
+        size *= 2
+    return SatResult(SatStatus.UNSAT, None, goal, 'bounded search', judged)

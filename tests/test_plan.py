@@ -328,6 +328,33 @@ class TestSealedExecutor:
             rule_plan = plan.constraint_plans[0].rule_plan
             assert callable(rule_plan.sealed[0])
 
+    def test_rule_sealed_in_two_plans_compiles_once(self, monkeypatch):
+        """A rule sealed again in another plan reuses the compiled code,
+        and each generated function still names its own rule."""
+        from repro.datalog import evaluator as ev
+        from repro.datalog.plan import clear_plan_cache
+        if not ev._SEALING:
+            pytest.skip('the whole run pins the generic tier')
+        compiled = []
+
+        def counting(source, *args):
+            compiled.append(source)
+            return compile(source, *args)
+
+        clear_plan_cache()
+        monkeypatch.setattr(ev, 'compile', counting, raising=False)
+        program = parse_program('v(X) :- r(X, Y), Y > 2.  w(X) :- r(X, 5).')
+        plans = [compile_program(program, cache=False) for _ in range(2)]
+        for plan in plans:
+            for _ in range(2):          # past the seal threshold
+                plan.evaluate(db(r={(1, 3), (2, 5)}))
+        assert len(compiled) == 2
+        for plan in plans:
+            for pred in ('v', 'w'):
+                rule_plan = plan.rule_plans[pred][0]
+                assert rule_plan.sealed[0].__code__.co_filename \
+                    == f'<sealed {rule_plan.rule}>'
+
     def test_repro_sealed_env_disables(self, monkeypatch):
         import subprocess, sys
         code = ('from repro.datalog import evaluator as ev; '

@@ -1,17 +1,25 @@
 """How much work one satisfiability check does, as counts: one plan
-compile per check, each distinct canonical instance verified once, and
-the class-partition enumerator reaching exactly the class structures the
-former partition-of-all-variables enumerator reached."""
+compile per check, each distinct canonical instance judged once, plan
+runs logarithmic in the candidates judged, the batched judge answering
+what a candidate-by-candidate loop answers, and the class-partition
+enumerator reaching exactly the class structures the former
+partition-of-all-variables enumerator reached."""
 
+import json
+import math
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 from hypothesis import given, settings, strategies as st
 
 from repro.benchsuite.catalog import entry_by_name
 from repro.core.validation import validate
-from repro.datalog.ast import Atom, BuiltinLit, Const, Var
+from repro.datalog.ast import Atom, BuiltinLit, Const, Lit, Program, Rule, Var
 from repro.datalog.parser import parse_program
-from repro.datalog.plan import plan_cache_info
+from repro.datalog.plan import compile_program, plan_cache_info
 from repro.fol import solver
 from repro.fol.solver import Clause, SolverConfig
 
@@ -70,23 +78,29 @@ def _order_preserving_form(candidate) -> frozenset:
                      for pred, rows in candidate.items() for row in rows)
 
 
-def test_each_canonical_instance_verified_once(monkeypatch):
-    verified: list = []
+def test_each_canonical_instance_judged_once(monkeypatch):
+    judged: list = []
     per_check: list[list] = []
-    real_verify, real_check = solver._verify, solver.check_satisfiable
+    nested = [0]            # a raising batch's halves are not new batches
+    real_first, real_check = solver._Worlds.first, solver.check_satisfiable
 
-    def recording_verify(plan, goal, candidate):
-        verified.append(_order_preserving_form(candidate))
-        return real_verify(plan, goal, candidate)
+    def recording_first(worlds, batch):
+        if not nested[0]:
+            judged.extend(map(_order_preserving_form, batch))
+        nested[0] += 1
+        try:
+            return real_first(worlds, batch)
+        finally:
+            nested[0] -= 1
 
     def recording_check(*args, **kwargs):
-        del verified[:]
+        del judged[:]
         result = real_check(*args, **kwargs)
-        assert result.instances == len(verified)
-        per_check.append(list(verified))
+        assert result.instances == len(judged)
+        per_check.append(list(judged))
         return result
 
-    monkeypatch.setattr(solver, '_verify', recording_verify)
+    monkeypatch.setattr(solver._Worlds, 'first', recording_first)
     monkeypatch.setattr('repro.core.validation.check_satisfiable',
                         recording_check)
     canonical_only = SolverConfig(random_trials=0)
@@ -97,6 +111,132 @@ def test_each_canonical_instance_verified_once(monkeypatch):
     assert max(map(len, per_check)) > 1000
     for forms in per_check:
         assert len(set(forms)) == len(forms)
+
+
+# -- batched verification -----------------------------------------------
+
+
+def _zero_ary(pred, body, *first):
+    """``pred() :- first, body``: the parser reads no zero-arity atom."""
+    return Rule(Atom(pred, ()),
+                first + parse_program(f'h(0) :- {body}.').rules[0].body)
+
+
+# Negation, ``<`` against constants, a body without a positive atom,
+# zero-arity heads, and ⊥-rules, one of which reads an IDB predicate.
+P_RULES = parse_program('''
+    p(X) :- r(X, Y), not s(Y).
+    p(X) :- s(X), X < 5.
+    p(X) :- X = 3, not s(3).
+    p(Y) :- r(X, Y), not r(Y, X), X < Y.
+''').rules
+GOAL_RULES = [
+    parse_program('q(X) :- p(X), s(X).').rules,
+    (_zero_ary('q', 'p(X), not r(X, X)'),),
+    (_zero_ary('t', 'not s(1)'),
+     _zero_ary('q', 'p(X)', Lit(Atom('t', ())))),
+]
+CONSTRAINTS = parse_program('⊥ :- r(X, Y), s(X), Y < 2.  '
+                            '⊥ :- s(X), not p(X).').rules
+# 'a' raises SchemaError wherever it meets ``<``.
+VALUE = st.sampled_from([0, 1, 2, 3, 4, 6, 'a'])
+CANDIDATE = st.fixed_dictionaries({
+    'r': st.sets(st.tuples(VALUE, VALUE), max_size=3),
+    's': st.sets(st.tuples(VALUE), max_size=2)})
+
+
+@st.composite
+def check_programs(draw):
+    rules = draw(st.lists(st.sampled_from(P_RULES), min_size=1, max_size=4,
+                          unique=True))
+    rules += draw(st.sampled_from(GOAL_RULES))
+    rules += draw(st.lists(st.sampled_from(CONSTRAINTS), max_size=1))
+    return Program(tuple(rules))
+
+
+@settings(deadline=None, max_examples=300)
+@given(check_programs(), st.lists(CANDIDATE, min_size=1, max_size=40))
+def test_batch_answers_what_a_plain_loop_answers(program, batch):
+    plan = compile_program(program)
+    expected = next((index for index, candidate in enumerate(batch)
+                     if solver._verify(plan, 'q', candidate)), None)
+    assert solver._Worlds(program, 'q').first(batch) == expected
+
+
+def _plan_runs(monkeypatch) -> list:
+    runs: list = []
+    real = solver.execute_plan
+
+    def counting(*args, **kwargs):
+        runs.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(solver, 'execute_plan', counting)
+    return runs
+
+
+def test_plan_runs_grow_with_log_of_candidates(monkeypatch):
+    runs = _plan_runs(monkeypatch)
+    args = ', '.join('ABCDEF')
+    result = solver.check_satisfiable(
+        parse_program(f'q(A) :- r({args}), not r({args}).'), 'q',
+        config=SolverConfig(random_trials=97))
+    # 203 partitions of six classes, then 97 random databases.
+    assert not result.is_sat and result.instances == 300
+    assert len(runs) <= math.ceil(math.log2(300)) + 2
+
+
+def test_raising_candidate_costs_log_runs(monkeypatch):
+    batch = [{'r': {(5 + index,)}} for index in range(256)]
+    batch[100] = {'r': {('a',)}}
+    worlds = solver._Worlds(parse_program('q(X) :- r(X), X < 5.'), 'q')
+    runs = _plan_runs(monkeypatch)
+    assert worlds.first(batch) is None
+    assert len(runs) <= 2 * math.log2(len(batch)) + 2
+    batch[200] = {'r': {(4,)}}
+    assert worlds.first(batch) == 200
+
+
+_SEED_PROBE = '''
+import json
+from repro.core import validation
+from repro.core.strategy import UpdateStrategy
+import test_mutation_soundness as mutants
+
+results = []
+real = validation.check_satisfiable
+
+def recording(program, goal, **kwargs):
+    result = real(program, goal, **kwargs)
+    witness = result.witness.relations.items() if result.is_sat else ()
+    results.append([goal, result.method, result.instances,
+                    sorted((name, sorted(map(repr, rows)))
+                           for name, rows in witness)])
+    return result
+
+validation.check_satisfiable = recording
+for mutation in ('forgets_to_unretire', 'deletes_history_instead_of_inserting'):
+    validation.validate(UpdateStrategy.parse(
+        'ced', mutants.CED_SOURCES, mutants.CED_MUTANTS[mutation],
+        expected_get=mutants.CED_GET), config=mutants.FAST)
+print(json.dumps(results))
+'''
+
+
+def test_answers_do_not_depend_on_hash_seed():
+    """The random pass hands draws to relations in name order, so two
+    interpreters with different string hashes find the same witnesses."""
+    tests = Path(__file__).parent
+    outputs = []
+    for seed in ('0', '1'):
+        env = dict(os.environ, PYTHONHASHSEED=seed,
+                   PYTHONPATH=os.pathsep.join([str(tests.parent / 'src'),
+                                               str(tests)]))
+        outputs.append(json.loads(subprocess.run(
+            [sys.executable, '-c', _SEED_PROBE], env=env, check=True,
+            capture_output=True, text=True).stdout))
+    assert any(witness for *_, witness in outputs[0])
+    assert outputs[0] == outputs[1]
 
 
 # -- enumeration differential -------------------------------------------
