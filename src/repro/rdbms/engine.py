@@ -411,9 +411,11 @@ class Engine:
         #: method, a reference cycle that would keep a dropped engine
         #: (and its backend's rows) alive until a full collection.
         self.stats_provider = None
-        #: Post-commit hooks: each callable receives the applied
-        #: :class:`PreparedCommit` after storage is updated (never
-        #: during WAL replay — recovery must not re-publish).  The peer
+        #: Post-commit hooks: each callable receives a sequence of
+        #: applied :class:`PreparedCommit` objects — ``(prepared,)``
+        #: here, one per shard that applied on a sharded engine — after
+        #: storage is updated, only for a non-empty batch and never
+        #: during WAL replay (recovery must not re-publish).  The peer
         #: network subscribes here to ship committed view deltas.
         self.commit_listeners: list = []
         #: Durable notes collected while replaying the WAL (from
@@ -1150,7 +1152,7 @@ class Engine:
         # instead.
         if prepared.batch and not self._wal_replaying:
             for listener in self.commit_listeners:
-                listener(prepared)
+                listener((prepared,))
 
     def _commit(self, working: _Working) -> None:
         self.apply_prepared(self.prepare_commit(working))

@@ -10,10 +10,14 @@ module builds that network on top of :class:`~repro.rdbms.engine.Engine`
 (or :class:`~repro.rdbms.sharded.ShardedEngine`) peers:
 
 - **Publication.**  A :class:`Peer` subscribes to its engine's
-  ``commit_listeners``; after every committed transaction it derives the
-  delta of each shared view and appends it to a durable per-share
-  *outbox* WAL.  The outbox LSN is the message sequence number for
-  every link fanning out from that share.
+  ``commit_listeners``, which hand it every committed transaction's
+  applied commits — one on a plain engine, one per shard that applied
+  on a sharded one.  A shared view whose cache every such commit kept
+  publishes the commits' staged cache deltas as they are (O(|Δ|)); a
+  view changed any other way is diffed against the last published
+  state.  Each delta is appended to a durable per-share *outbox* WAL,
+  whose LSN is the message sequence number for every link fanning out
+  from that share.
 - **At-least-once delivery, exactly-once effect.**  The network
   redelivers until acknowledged; the receiver keeps one monotonic LSN
   watermark per ``(sender, view)`` link and drops anything at or below
@@ -173,10 +177,20 @@ class Peer:
         # Durable per-share outboxes + their in-memory tails.
         self._outbox: dict[str, WriteAheadLog] = {}
         self._tail: dict[str, list[ShareDelta]] = {}
-        self._published: dict[str, frozenset] = {}
+        #: The outbox fold: each share's last *published* state,
+        #: updated in place by every publication.
+        self._published: dict[str, set] = {}
         for view in self.shares:
             self._load_outbox(view)
-            self._reconcile(view)
+            # Anti-entropy against our own engine: a crash between
+            # commit and publication (or a freshly created peer with
+            # loaded initial data) leaves the committed view apart from
+            # the fold — publish the difference.  Its origin provenance
+            # is gone, but re-applying rows a peer already has is a
+            # no-op (set semantics): at worst a redundant message,
+            # never a ping-pong.
+            if self._publish_current(view, frozenset((self.name,))):
+                self.stats['reconciliations'] += 1
         # Embed acks in the engine's own commit records when it can
         # carry them (plain Engine with a WAL); survive its checkpoint
         # compaction by re-emitting watermarks into every snapshot.
@@ -229,33 +243,17 @@ class Peer:
                                sync=False)
         self._outbox[view] = outbox
         tail: list[ShareDelta] = []
-        published: frozenset = frozenset()
+        published: set = set()
         for record in outbox.records():
             origins, root, insertions, deletions = record.data
-            tail.append(ShareDelta(self.name, view, record.lsn,
-                                   frozenset(origins),
-                                   frozenset(insertions),
-                                   frozenset(deletions), root))
-            published = (published - frozenset(deletions)) \
-                | frozenset(insertions)
+            delta = ShareDelta(self.name, view, record.lsn,
+                               frozenset(origins), frozenset(insertions),
+                               frozenset(deletions), root)
+            tail.append(delta)
+            published -= delta.deletions
+            published |= delta.insertions
         self._tail[view] = tail
         self._published[view] = published
-
-    def _reconcile(self, view: str) -> None:
-        """Anti-entropy against our own engine: the outbox fold is the
-        last *published* state; the engine holds the last *committed*
-        state.  A crash between commit and publication (or a freshly
-        created peer with loaded initial data) leaves a difference —
-        publish it.  Origin provenance of the lost delta is gone, but
-        re-applying rows a peer already has is a no-op (set semantics),
-        so the worst case is a redundant message, never a ping-pong."""
-        current = frozenset(tuple(row) for row in self.engine.rows(view))
-        published = self._published[view]
-        if current == published:
-            return
-        self._publish(view, current - published, published - current,
-                      frozenset((self.name,)))
-        self.stats['reconciliations'] += 1
 
     # -- publication ---------------------------------------------------
 
@@ -271,58 +269,54 @@ class Peer:
         self._tail[view].append(ShareDelta(self.name, view, lsn,
                                            origins, insertions,
                                            deletions, root))
-        self._published[view] = (self._published[view] - deletions) \
-            | insertions
+        published = self._published[view]
+        published -= deletions
+        published |= insertions
         self.stats['published'] += 1
 
-    def _on_commit(self, event) -> None:
-        """Post-commit hook: derive and publish each shared view's
-        delta.  ``event`` is the applied
-        :class:`~repro.rdbms.engine.PreparedCommit` (plain engine) or
-        the tuple of written target names (sharded engine)."""
+    def _on_commit(self, commits) -> None:
+        """Post-commit hook: publish each shared view's delta from the
+        applied :class:`~repro.rdbms.engine.PreparedCommit` objects of
+        one transaction (one per engine that applied it).  A view whose
+        cache every commit that changed it kept ships the union of the
+        staged cache deltas — each *is* its engine's share of the view
+        delta; a view changed any other way is diffed."""
         origins = self._applying_origins | {self.name}
         root = self._applying_root
-        batch = getattr(event, 'batch', None)
-        if batch is not None:
-            changed = event.changed_bases
-            cached = {name: delta for name, delta, is_cache in batch
-                      if is_cache}
-            for view in self.shares:
-                entry = self.engine.view(view)
-                if (not (changed & entry.base_closure)
-                        and view not in cached):
-                    continue
-                if view in cached and view in event.keep:
-                    # The commit maintained the view's cache
-                    # incrementally — its staged delta *is* the view
-                    # delta, no recomputation needed.
-                    delta = cached[view]
-                    self._publish_diff(view,
-                                       frozenset(delta.insertions),
-                                       frozenset(delta.deletions),
-                                       origins, root)
-                else:
+        shipped = [{name: delta for name, delta, is_cache in commit.batch
+                    if is_cache} for commit in commits]
+        for view in self.shares:
+            closure = self.engine.view(view).base_closure
+            deltas = []
+            for commit, cached in zip(commits, shipped):
+                if view in cached and view in commit.keep:
+                    deltas.append(cached[view])
+                elif view in cached or commit.changed_bases & closure:
                     self._publish_current(view, origins, root)
-        else:
-            written = set(event)
-            for view in self.shares:
-                entry = self.engine.view(view)
-                if written & entry.base_closure or view in written:
-                    self._publish_current(view, origins, root)
+                    break
+            else:
+                self._publish_diff(
+                    view,
+                    frozenset().union(*(d.insertions for d in deltas)),
+                    frozenset().union(*(d.deletions for d in deltas)),
+                    origins, root)
 
     def _publish_current(self, view: str, origins: frozenset,
-                         root: tuple | None = None) -> None:
-        current = frozenset(tuple(row) for row in self.engine.rows(view))
+                         root: tuple | None = None) -> bool:
+        """Publish the committed view's difference from the fold."""
+        current = self.rows(view)
         published = self._published[view]
-        self._publish_diff(view, current - published,
-                           published - current, origins, root)
+        return self._publish_diff(view, current - published,
+                                  frozenset(published - current),
+                                  origins, root)
 
     def _publish_diff(self, view: str, insertions: frozenset,
                       deletions: frozenset, origins: frozenset,
-                      root: tuple | None = None) -> None:
+                      root: tuple | None = None) -> bool:
         if not insertions and not deletions:
-            return
+            return False
         self._publish(view, insertions, deletions, origins, root)
+        return True
 
     # -- receiving -----------------------------------------------------
 

@@ -129,10 +129,10 @@ def _dumps(obj) -> bytes:
 
 
 class _PreparedToken(NamedTuple):
-    """The prepare→apply handle: the runtime's slot id plus what apply
-    repair needs — the shard's pre-commit LSN and the frozen commit
-    record (``None`` without a WAL, when the batch is empty and nothing
-    will be appended, or when the runtime keeps no repair records)."""
+    """The prepare→apply handle: the runtime's slot id, the shard's
+    pre-commit LSN and the frozen commit record — what apply repair
+    re-commits, and what the coordinator hands its commit listeners
+    (``None`` when the batch is empty: nothing will be appended)."""
 
     txn: int
     lsn: int
@@ -144,16 +144,10 @@ class WorkerRuntime:
     inner engine plus per-transaction working/prepared slots, with
     every protocol method as a plain method.  A worker process serves
     one over its pipe (:func:`serve_connection`); an in-process shard
-    calls one directly (:class:`InlineChannel`).
-
-    ``repair_records=False`` skips freezing the commit record at
-    prepare — for a runtime that cannot die under its client, so no
-    apply is ever repaired."""
+    calls one directly (:class:`InlineChannel`)."""
 
     def __init__(self, schema, backend_spec, *, batch_deltas: bool = True,
-                 wal_path=None, wal_sync: bool = True,
-                 repair_records: bool = True):
-        self._repair_records = repair_records
+                 wal_path=None, wal_sync: bool = True):
         # With ``wal_path`` the worker owns its shard's log: the engine
         # appends each commit before storage (the commit point) and —
         # when the log already has records, i.e. this is a restart —
@@ -187,15 +181,11 @@ class WorkerRuntime:
         return frozenset(working.rows(target))
 
     def prepare_commit(self, txn: int) -> _PreparedToken:
-        """Prepare, and reply with what apply repair needs: the shard's
-        pre-commit LSN and the frozen commit record the apply phase
-        will append."""
+        """Prepare, and reply with the shard's pre-commit LSN and the
+        frozen commit record the apply phase will append."""
         prepared = self.engine.prepare_commit(self._workings[txn])
         self._prepared[txn] = prepared
-        record = None
-        if self._repair_records and self.engine.wal is not None \
-                and prepared.batch:
-            record = prepared.wal_record()
+        record = prepared.wal_record() if prepared.batch else None
         return _PreparedToken(txn, self.engine.commit_lsn, record)
 
     def _commit_point(self, commit, argument):
@@ -805,8 +795,7 @@ class LocalShard(ProcessShard):
     def _spawn(self) -> None:
         self.runtime = WorkerRuntime(
             self._schema, self._spec, batch_deltas=self._batch_deltas,
-            wal_path=self._wal_path, wal_sync=self._wal_sync,
-            repair_records=False)
+            wal_path=self._wal_path, wal_sync=self._wal_sync)
         self.channel = InlineChannel(self.runtime)
 
     def restart(self) -> None:

@@ -154,8 +154,8 @@ from repro.rdbms.backends import (create_shard_backends,
                                   shard_backend_specs)
 from repro.rdbms.dml import (Delete, Insert, Statement, Update,
                              _apply_assignments, compile_where)
-from repro.rdbms.engine import (Engine, Transaction, ViewEntry,
-                                coalesce_buckets)
+from repro.rdbms.engine import (Engine, PreparedCommit, Transaction,
+                                ViewEntry, coalesce_buckets, unpack_commit)
 from repro.rdbms.metrics import GLOBAL, MetricsRegistry, merge_snapshots
 from repro.rdbms.placement import (HashPartitioner, Partitioner,
                                    RangePartitioner, decide_placement,
@@ -310,12 +310,13 @@ class ShardedEngine:
         #: (route/prepare/apply), transaction counts, retry traffic.
         #: :meth:`metrics` merges this with every shard's own snapshot.
         self._metrics = MetricsRegistry()
-        #: Post-commit hooks: each callable receives the committed
-        #: transaction's bucket targets (a tuple of relation names)
-        #: after the cluster apply phase.  The coordinator-side
-        #: analogue of ``Engine.commit_listeners`` — worker engines
-        #: live behind the RPC boundary, so the peer network hooks the
-        #: coordinator and republishes by diffing the shared view.
+        #: Post-commit hooks, with ``Engine.commit_listeners``'
+        #: contract: each callable receives the applied
+        #: :class:`~repro.rdbms.engine.PreparedCommit` of every shard
+        #: that committed a non-empty batch, once, after the cluster
+        #: apply phase — rebuilt from the frozen commit records the
+        #: prepare replies carry, since worker engines live behind the
+        #: RPC boundary.
         self.commit_listeners: list = []
         # Each shard logs to ``wal_dir/shard-<i>.wal`` — opened by the
         # shard engine inline, *inside the worker* in process mode.
@@ -817,10 +818,8 @@ class ShardedEngine:
         waited = 0.0
         while True:
             try:
-                self._execute_cluster(batches)
-                for listener in self.commit_listeners:
-                    listener(tuple(target for target, _ in batches))
-                return
+                tokens = self._execute_cluster(batches)
+                break
             except ShardUnavailableError as error:
                 if getattr(error, 'applied', False) \
                         or attempts >= self._transient_retries:
@@ -840,9 +839,17 @@ class ShardedEngine:
                 waited += delay
                 metrics.counter('retry.attempts')
                 time.sleep(delay)
+        # Outside the retry loop: a listener's failure is not the
+        # transaction's, which has committed.
+        commits = tuple(PreparedCommit(*unpack_commit(token.record))
+                        for token in tokens if token.record is not None)
+        if commits:
+            for listener in self.commit_listeners:
+                listener(commits)
 
-    def _execute_cluster(self, batches) -> None:
-        """One attempt of the routed 2PC (see :meth:`execute_many`)."""
+    def _execute_cluster(self, batches) -> list:
+        """One attempt of the routed 2PC (see :meth:`execute_many`);
+        returns the touched shards' prepare tokens."""
         metrics = self._metrics
         timed = metrics.enabled
         started = time.perf_counter() if timed else 0.0
@@ -884,6 +891,7 @@ class ShardedEngine:
             if isinstance(error, ShardUnavailableError):
                 error.applied = True
             raise
+        return prepared
 
     def _barrier(self, txn: _ClusterTxn) -> None:
         """Drain every pipelined outcome in submission order and raise

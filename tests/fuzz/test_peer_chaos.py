@@ -7,6 +7,9 @@ Every pair of peers shares ``officeinfo``; each pair additionally
 draws whether it shares ``luxuryitems`` too (1–2 views per link), so a
 receiver sees several outboxes of one sender — each numbered from 1 —
 and a second view's rows reach exactly the peers its links connect.
+``p2`` is a two-shard :class:`ShardedEngine` (both views shard-local),
+so every fault also runs the sharded peer's publication from its
+shards' commit records, and its crash restart from the shard logs.
 
 Peers own disjoint key spaces (rows are prefixed with their
 originating peer), the precondition for convergence without global
@@ -38,9 +41,10 @@ from repro.rdbms import faults                                     # noqa: E402
 from repro.rdbms.dml import Delete, Insert                         # noqa: E402
 from repro.rdbms.engine import Engine                              # noqa: E402
 from repro.rdbms.peernet import PeerNetwork, converged             # noqa: E402
+from repro.rdbms.sharded import ShardedEngine                      # noqa: E402
 from repro.relational.schema import DatabaseSchema                 # noqa: E402
 
-from .strategies import _strategy                                  # noqa: E402
+from .strategies import SHARD_KEYS, _strategy                      # noqa: E402
 
 VIEW = 'officeinfo'
 SECOND = 'luxuryitems'
@@ -108,6 +112,21 @@ def _factory(directory: Path) -> Engine:
     return _engine(directory / 'engine.wal')
 
 
+def _sharded_factory(directory: Path) -> ShardedEngine:
+    """``p2``: two inline shards, both views shard-local, restarted
+    from the shard logs under ``directory``."""
+    engine = ShardedEngine(SCHEMA, shards=2, execution='inline',
+                           shard_keys={**SHARD_KEYS[VIEW],
+                                       **SHARD_KEYS[SECOND]},
+                           wal_dir=directory / 'shards', wal_sync=False)
+    for strategy in STRATEGIES:
+        engine.define_view(strategy, validate_first=False, exist_ok=True)
+    return engine
+
+
+FACTORIES = {'p0': _factory, 'p1': _factory, 'p2': _sharded_factory}
+
+
 def _reach(pairs) -> dict:
     """peer -> the peers whose ``SECOND`` rows reach it (itself and
     whoever the sharing pairs connect it to, relays included)."""
@@ -154,7 +173,7 @@ def run_peer_chaos(seed: int, fault: str) -> bool:
         oracle = _engine()
         try:
             for name in PEERS:
-                net.add_peer(name, _factory, base / name,
+                net.add_peer(name, FACTORIES[name], base / name,
                              shares=(VIEW, SECOND))
             net.share(VIEW, PEERS)
             for pair in second_pairs:

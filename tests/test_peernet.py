@@ -70,6 +70,35 @@ def sharded_factory(directory: Path) -> ShardedEngine:
     return engine
 
 
+#: A second view over ``works``: the staff phone book.  Its putback
+#: writes ``works`` — so an update of ``staff`` changes the shared
+#: ``officeinfo`` without touching it.
+STAFF = UpdateStrategy.parse('staff', STRATEGY.sources, """
+    known(N, P) :- works(N, _, P, _).
+    +works(N, O, P, E) :- staff(N, P), not known(N, P),
+        O = 'hq', E = 'n/a'.
+    -works(N, O, P, E) :- works(N, O, P, E), not staff(N, P).
+""", expected_get="staff(N, P) :- works(N, _, P, _).")
+
+EXECUTIONS = ('inline', 'processes')
+
+
+def keyed_factory(execution: str):
+    """A restartable sharded peer engine whose ``works``, ``officeinfo``
+    and ``staff`` are all partitioned on ``wname`` (shard-local)."""
+    def build(directory: Path) -> ShardedEngine:
+        engine = ShardedEngine(
+            STRATEGY.sources, shards=2, execution=execution,
+            shard_keys={'works': 'wname', VIEW: 'wname',
+                        'staff': 'wname'},
+            wal_dir=directory / 'shards', wal_sync=False)
+        for strategy in (STRATEGY, STAFF):
+            engine.define_view(strategy, validate_first=False,
+                               exist_ok=True)
+        return engine
+    return build
+
+
 #: The Figure 6 catalog views; their source relations are disjoint, so
 #: one engine can hold all four.
 FOUR_VIEWS = ('luxuryitems', 'officeinfo', 'outstanding_task',
@@ -255,6 +284,22 @@ class TestPropagation:
             finally:
                 peer.close()
         assert sizes[100] == sizes[10_000]
+
+    def test_outbox_fold_is_updated_in_place(self, tmp_path):
+        """The fold of published deltas is one set, updated by every
+        publication — not a copy of the view rebuilt per commit."""
+        peer = Peer('a', plain_factory, tmp_path / 'a', shares=(VIEW,))
+        try:
+            fold = peer._published[VIEW]
+            for statements in ([Insert(('n1', 'o1'))],
+                               [Insert(('n2', 'o2'))],
+                               [Delete({'wname': 'n1'})]):
+                peer.engine.execute(VIEW, statements)
+                assert peer._published[VIEW] is fold
+                assert fold == peer.rows(VIEW)
+            assert peer.stats['published'] == 3
+        finally:
+            peer.close()
 
     def test_share_requires_the_view(self, tmp_path):
         def no_view(directory):
@@ -700,6 +745,90 @@ class TestShardedPeers:
             assert converged(net.peers.values(), VIEW)
         finally:
             net.close()
+
+    @staticmethod
+    def _writer_and_reader(tmp_path, execution):
+        net = PeerNetwork()
+        net.add_peer('s', keyed_factory(execution), tmp_path / 's',
+                     shares=(VIEW,))
+        net.add_peer('r', plain_factory, tmp_path / 'r', shares=(VIEW,))
+        net.share(VIEW, ('s', 'r'))
+        return net, net.peers['s'], net.peers['r']
+
+    @pytest.mark.parametrize('execution', EXECUTIONS)
+    def test_update_through_another_view_is_published(self, tmp_path,
+                                                      execution):
+        """A ``staff`` INSERT reaches the shared ``officeinfo`` through
+        the putback of a view that is not shared: the shard's commit
+        changed a base under ``officeinfo``, so the peer publishes."""
+        net, writer, reader = self._writer_and_reader(tmp_path,
+                                                      execution)
+        try:
+            writer.engine.insert('staff', ('s:9', 'p9'))
+            assert writer.rows(VIEW) == {('s:9', 'hq')}
+            assert net.settle()
+            assert reader.rows(VIEW) == {('s:9', 'hq')}
+            writer.engine.delete('staff', where={'wname': 's:9'})
+            assert net.settle()
+            assert reader.rows(VIEW) == frozenset()
+        finally:
+            net.close()
+
+    @pytest.mark.parametrize('execution', EXECUTIONS)
+    def test_mixed_transaction_across_shards_is_diffed(self, tmp_path,
+                                                       execution):
+        """One transaction: ``officeinfo`` DML on one shard keeps that
+        shard's cache, a direct ``works`` INSERT on the other does not
+        — the peer diffs the view instead of shipping one shard's
+        delta."""
+        net, writer, reader = self._writer_and_reader(tmp_path,
+                                                      execution)
+        try:
+            shard_of = writer.engine.partitioner.shard_of
+            names = [f's:{i}' for i in range(64)]
+            first = next(name for name in names if shard_of(name) == 0)
+            second = next(name for name in names if shard_of(name) == 1)
+            writer.engine.execute_many([
+                (VIEW, [Insert((first, 'lab'))]),
+                ('works', [Insert((second, 'hq', 'p', 'e'))])])
+            assert net.settle()
+            assert converged(net.peers.values(), VIEW)
+            assert reader.rows(VIEW) == {(first, 'lab'), (second, 'hq')}
+        finally:
+            net.close()
+
+    @pytest.mark.parametrize('execution', EXECUTIONS)
+    def test_kept_caches_publish_deltas_not_views(self, tmp_path,
+                                                  execution):
+        """Keyed ``officeinfo`` commits on a sharded writer ship the
+        shards' staged cache deltas: no commit re-reads the view, and
+        an outbox record costs the same over 10 000 shared rows as
+        over 100 (the sharded twin of
+        ``test_outbox_record_bytes_track_delta_not_view``)."""
+        sizes = {}
+        for n in (100, 10_000):
+            def seeded(directory, n=n):
+                engine = keyed_factory(execution)(directory)
+                engine.load('works', [(f'w{i}', 'hq', 'p', 'e')
+                                      for i in range(n)])
+                return engine
+
+            peer = Peer('s', seeded, tmp_path / str(n), shares=(VIEW,))
+            try:
+                diffs = []
+                publish_current = peer._publish_current
+                peer._publish_current = lambda *args: (
+                    diffs.append(args) or publish_current(*args))
+                for i in range(6):
+                    peer.engine.execute(VIEW, [Insert((f'new{i}', 'lab'))])
+                peer.engine.execute(VIEW, [Delete({'wname': 'new0'})])
+                assert diffs == []
+                assert peer.stats['published'] == 8     # all of V, 7 Δ
+                assert peer.rows(VIEW) == peer._published[VIEW]
+                sizes[n] = peer._outbox[VIEW].stats['last_record_bytes']
+            finally:
+                peer.close()
+        assert sizes[100] == sizes[10_000]
 
 
 class TestExistOk:

@@ -17,7 +17,7 @@ import pytest
 from repro.errors import ConstraintViolation, SchemaError
 from repro.rdbms.backends import MemoryBackend
 from repro.rdbms.dml import Delete, Insert, Update
-from repro.rdbms.engine import Engine
+from repro.rdbms.engine import Engine, unpack_commit
 from repro.rdbms.procpool import LocalShard, ProcessShard
 from repro.rdbms.sharded import ShardedEngine
 
@@ -106,8 +106,11 @@ class TestShardClientContract:
 
     def test_commit_advances_the_lsn_by_exactly_one(self, make_shard):
         """With a WAL, prepare reports the pre-commit LSN and apply —
-        the commit point — appends exactly one record.  The frozen
-        repair record rides along only where a repair can happen."""
+        the commit point — appends exactly one record.  On both
+        transports the token carries the frozen commit whenever the
+        batch is non-empty (what apply repair re-commits and commit
+        listeners receive), and ``None`` for the empty transaction,
+        which appends nothing."""
         shard = make_shard(wal=True)
         shard.load('r1', [(1,)])
         before = shard.commit_lsn
@@ -115,12 +118,17 @@ class TestShardClientContract:
         shard.drain(shard.queue_apply(txn, 'r1', [Insert((2,))]))
         prepared = shard.prepare_commit(txn)
         assert prepared.lsn == before == shard.commit_lsn
-        assert (prepared.record is None) == isinstance(shard, LocalShard)
+        batch, changed_bases, keep, note = unpack_commit(prepared.record)
+        assert [(name, delta.insertions, delta.deletions, is_cache)
+                for name, delta, is_cache in batch] == [
+            ('r1', {(2,)}, frozenset(), False)]
+        assert (changed_bases, keep, note) == ({'r1'}, frozenset(), None)
         shard.apply_prepared(prepared)
         assert shard.commit_lsn == before + 1
-        # An empty transaction appends nothing.
         empty = shard.begin()
-        shard.apply_prepared(shard.prepare_commit(empty))
+        prepared = shard.prepare_commit(empty)
+        assert prepared.record is None
+        shard.apply_prepared(prepared)
         assert shard.commit_lsn == before + 1
 
     @pytest.mark.parametrize('make_shard', ['in-process'], indirect=True)
