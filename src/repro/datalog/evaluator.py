@@ -38,7 +38,7 @@ from __future__ import annotations
 import os
 from functools import lru_cache
 from operator import itemgetter
-from typing import Sequence
+from typing import Collection
 
 from repro.datalog.ast import Program, Rule
 from repro.datalog.plan import (BindStep, CompareStep, ExecutionPlan,
@@ -61,23 +61,28 @@ class IndexedRelation:
     an index build.  Instances can be *persistent* (owned by the RDBMS
     engine and shared across evaluations): :meth:`add` / :meth:`discard`
     keep every built index consistent under mutation, so repeated
-    incremental updates pay O(|Δ| · #indexes), not O(|R|) — except
-    that removing a row from a bucket of several rows is
-    ``list.remove``, O(bucket): a delete is only O(1) per index on
-    masks whose keys are (nearly) unique.
+    incremental updates pay O(|Δ| · #indexes), not O(|R|).
 
     Index layout (compact: most buckets of a persistent index hold one
     row): a mask's index maps the row's values at the mask — the bare
     value for one position, a tuple for several, what
-    ``operator.itemgetter`` yields — to its bucket.  A bucket of one
-    row *is* that row; two or more rows share a ``list`` in insertion
-    order."""
+    ``operator.itemgetter`` yields — to its bucket, which has one of
+    three shapes, each iterating in insertion order:
+
+    * one row: the bare row itself;
+    * several rows never deleted from: a ``list`` (the shape a build,
+      a load and an insert-only relation keep);
+    * several rows after a delete: a ``dict`` keyed by row (values
+      ``None``).  A list becomes one on its first delete — O(bucket),
+      once — and every delete from it is then O(1).
+
+    A bucket shrinking to one row collapses back to the bare row."""
 
     __slots__ = ('rows', '_indexes')
 
     def __init__(self, rows):
         self.rows = rows
-        # mask -> (key getter, {key: row | [row, row, ...]})
+        # mask -> (key getter, {key: row | [row, ...] | {row: None, ...}})
         self._indexes: dict[tuple[int, ...], tuple] = {}
 
     def contains(self, row: tuple) -> bool:
@@ -99,7 +104,7 @@ class IndexedRelation:
         self._indexes[positions] = (key_of, index)
 
     def lookup(self, positions: tuple[int, ...], key: tuple
-               ) -> Sequence[Row]:
+               ) -> Collection[Row]:
         """Rows whose values at ``positions`` equal ``key``, in
         insertion order (the live bucket: do not mutate the relation
         while iterating it)."""
@@ -112,7 +117,7 @@ class IndexedRelation:
         bucket = entry[1].get(key[0] if len(positions) == 1 else key)
         if bucket is None:
             return ()
-        if bucket.__class__ is list:
+        if bucket.__class__ is list or bucket.__class__ is dict:
             return bucket
         return (bucket,)
 
@@ -143,7 +148,10 @@ class IndexedRelation:
             key = key_of(row)
             bucket = index[key]
             if bucket.__class__ is list:
-                bucket.remove(row)
+                # First delete from this bucket: re-key it by row, once.
+                bucket = index[key] = dict.fromkeys(bucket)
+            if bucket.__class__ is dict:
+                del bucket[row]
                 if len(bucket) == 1:
                     index[key], = bucket
             else:
@@ -160,6 +168,8 @@ def _grow(index: dict, key, bucket, row: tuple) -> None:
     """Add ``row`` to the occupied ``bucket`` of ``index[key]``."""
     if bucket.__class__ is list:
         bucket.append(row)
+    elif bucket.__class__ is dict:
+        bucket[row] = None
     else:
         index[key] = [bucket, row]
 

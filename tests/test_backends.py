@@ -941,6 +941,41 @@ class TestCrossBackendDifferential:
             assert engine.database() == reference.database(), key
             assert engine.rows(view) == reference.rows(view), key
 
+    def test_batch_over_a_crowded_tag_bucket(self):
+        """One ``execute_many`` through ``vw_brands``' tag index, whose
+        ``imported`` bucket a committed delete already re-keyed by row
+        on memory: three inserts with that tag, a DELETE on the tag,
+        the same inserts again, an UPDATE on one key.  Both backends
+        end row for row alike."""
+        entry = entry_by_name('vw_brands')
+        fresh = [(20_000_000 + i, f'fresh{i}', 'imported') for i in range(3)]
+        engines = {}
+        for backend in ('memory', 'sqlite'):
+            engine = build_engine(entry, 300, backend=backend)
+            bid, bname, tag = engine.view('vw_brands').schema.attributes
+            engine.backend.add_index_hint('vw_brands', (2,))
+            victim = min(row for row in engine.rows('vw_brands')
+                         if row[2] == 'imported')
+            engine.delete('vw_brands', where={bid: victim[0],
+                                              bname: victim[1]})
+            if backend == 'memory':
+                index = engine.backend.eval_handle(
+                    'vw_brands')._indexes[(2,)][1]
+                assert index['imported'].__class__ is dict
+            engine.execute_many([('vw_brands', [
+                *map(Insert, fresh), Delete({tag: 'imported'}),
+                *map(Insert, fresh),
+                Update({bname: 'renamed'}, {bid: fresh[0][0]})])])
+            engines[backend] = engine
+        memory, sqlite_engine = engines.values()
+        assert sorted(index['imported']) == [
+            (fresh[0][0], 'renamed', 'imported'), *fresh[1:]]
+        assert sorted(memory.rows('vw_brands')) \
+            == sorted(sqlite_engine.rows('vw_brands'))
+        assert memory.database() == sqlite_engine.database()
+        for engine in engines.values():
+            engine.close()
+
     def test_random_statement_sequences_union(self, union_strategy):
         """Property-style sweep on the union view: every prefix of a
         mixed insert/delete sequence leaves both backends in the same

@@ -10,8 +10,8 @@ from repro.core.strategy import UpdateStrategy
 from repro.datalog.evaluator import IndexedRelation
 from repro.errors import SchemaError, ViewUpdateError
 from repro.rdbms.backends import SQLiteBackend
-from repro.rdbms.dml import (Delete, Insert, Update, compile_where,
-                             derive_view_delta, match_where)
+from repro.rdbms.dml import (Delete, Insert, Update, _RunningState,
+                             compile_where, derive_view_delta, match_where)
 from repro.rdbms.engine import Engine
 from repro.relational.schema import DatabaseSchema, RelationSchema
 
@@ -263,6 +263,25 @@ class TestProbeEqualsScan:
         assert delta.insertions == {(7, 'z', 2.0), (7, 'y', 2.0)}
         assert delta.deletions == {(7, 'x', 0.0), (7, 'y', 0.0),
                                    (1, 'x', 0.0), (1, 'y', 0.0)}
+
+    def test_matching_copies_the_probed_bucket(self):
+        """``lookup`` hands out the live bucket; ``matching`` returns a
+        list of its own, so the caller may mutate the relation next.
+        Iterating a ``dict`` bucket that changes size raises
+        ``RuntimeError`` (a ``list`` one would silently skip rows)."""
+        rows = {(k, 'x', 0.0) for k in range(6)}
+        relation = IndexedRelation(set(rows))
+        relation.ensure_index((1,))
+        relation.discard((0, 'x', 0.0))        # re-keys the bucket by row
+        bucket = relation.lookup((1,), ('x',))
+        assert bucket.__class__ is dict
+        state = _RunningState(relation.rows, probe=relation.lookup)
+        matched = state.matching({'s': 'x'}, WIDE)
+        assert matched.__class__ is list and matched is not bucket
+        for row in matched:
+            relation.discard(row)
+        assert sorted(matched) == sorted(rows - {(0, 'x', 0.0)})
+        assert not relation.rows and not relation._indexes[(1,)][1]
 
     @pytest.mark.parametrize('where', [
         None, _big_k, {}, {'zzz': 1}, {'k': [1]}])

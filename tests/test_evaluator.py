@@ -16,6 +16,23 @@ def db(**relations):
     return Database.from_dict(relations)
 
 
+class _Counted:
+    """A value that counts every ``==`` asked of any instance."""
+
+    calls = 0
+    __slots__ = ('value',)
+
+    def __init__(self, value):
+        self.value = value
+
+    def __hash__(self):
+        return hash(self.value)
+
+    def __eq__(self, other):
+        _Counted.calls += 1
+        return isinstance(other, _Counted) and self.value == other.value
+
+
 class TestBasicEvaluation:
 
     def test_copy_rule(self):
@@ -305,6 +322,41 @@ class TestIndexedRelation:
         rel.add((1, 'a'))
         assert list(rel.lookup((0,), (1,))) == [(1, 'c'), (1, 'd'),
                                                 (1, 'a')]
+        rel.discard((1, 'd'))              # list -> dict, order kept
+        rel.add((1, 'e'))
+        bucket = rel.lookup((0,), (1,))
+        assert bucket.__class__ is dict
+        assert list(bucket) == [(1, 'c'), (1, 'a'), (1, 'e')]
+
+    @pytest.mark.parametrize('k', [500, 2_000])
+    def test_discarding_a_crowded_bucket_compares_no_rows(self, k):
+        """Deleting all k rows of one bucket, newest first, is O(k) in
+        total: no row of the bucket is compared with another (a
+        ``list.remove`` per delete would make ~k²/2 comparisons)."""
+        rows = [(_Counted(i), 'same') for i in range(k)]
+        rel = IndexedRelation(set(rows))
+        rel.ensure_index((1,))
+        newest_first = list(rel.lookup((1,), ('same',)))[::-1]
+        _Counted.calls = 0
+        for row in newest_first:
+            rel.discard(row)
+        assert _Counted.calls <= k
+        assert not rel.rows and not rel._indexes[(1,)][1]
+
+    @given(st.lists(st.tuples(st.integers(0, 2), st.integers(0, 9)),
+                    max_size=40))
+    def test_insert_only_relation_keeps_list_buckets(self, rows):
+        """A relation that is only built and added to — a solver world,
+        a load, a plan run's snapshot — never pays for a dict bucket."""
+        half = len(rows) // 2
+        rel = IndexedRelation(set(rows[:half]))
+        for mask in ((0,), (1,), (0, 1)):
+            rel.ensure_index(mask)
+        for row in rows[half:]:
+            rel.add(row)
+        for _key_of, index in rel._indexes.values():
+            assert not any(bucket.__class__ is dict
+                           for bucket in index.values())
 
     def test_single_column_mask_is_keyed_by_the_bare_value(self):
         """``1``, ``1.0`` and ``True`` are one key, as under ``==``."""
@@ -325,19 +377,29 @@ class TestIndexedRelation:
     def test_indexes_follow_any_interleaving_of_add_and_discard(self, data):
         """Model test: after every step each built index equals one
         rebuilt from ``rows``, every bucket iterates in insertion
-        order, and an emptied bucket leaves no key behind."""
+        order (across a list bucket's conversion to a dict), an emptied
+        bucket leaves no key behind, and a bucket a discard touched is
+        never a list while it holds several rows."""
         value = st.integers(0, 2)
-        row = st.tuples(value, value, st.sampled_from('xy'))
+        row = st.tuples(value, value, st.sampled_from('wxyz'))
         masks = [(0,), (1,), (0, 1), (1, 2)]
-        rel = IndexedRelation(set(data.draw(st.lists(row, max_size=6))))
+        rel = IndexedRelation(set(data.draw(st.lists(row, max_size=12))))
         order: dict = {}                # mask -> rows, oldest first
+        touched: set = set()            # (mask, key) a discard hit
 
         def key_of(mask, r):
             return tuple(r[p] for p in mask)
 
-        steps = data.draw(st.lists(st.tuples(
-            st.sampled_from(['add', 'discard', 'index']), row,
-            st.sampled_from(masks)), max_size=30))
+        def bucket_of(mask, key):
+            return rel._indexes[mask][1].get(
+                key[0] if len(mask) == 1 else key)
+
+        first = data.draw(st.lists(st.sampled_from(masks), unique=True,
+                                   min_size=1))
+        steps = [('index', None, mask) for mask in first] \
+            + data.draw(st.lists(st.tuples(
+                st.sampled_from(['add', 'discard', 'index']), row,
+                st.sampled_from(masks)), max_size=40))
         for op, r, mask in steps:
             if op == 'index':
                 if mask not in order:
@@ -349,10 +411,17 @@ class TestIndexedRelation:
                         rows.append(r)
                 rel.add(r)
             else:
-                for rows in order.values():
+                for built_mask, rows in order.items():
                     if r in rows:
                         rows.remove(r)
+                        touched.add((built_mask, key_of(built_mask, r)))
                 rel.discard(r)
+            for touched_mask, key in list(touched):
+                bucket = bucket_of(touched_mask, key)
+                if bucket is None or bucket.__class__ is tuple:
+                    touched.discard((touched_mask, key))   # fresh again
+                else:
+                    assert bucket.__class__ is dict
             assert set(rel._indexes) == set(order)
             fresh = IndexedRelation(set(rel.rows))
             for mask, rows in order.items():
