@@ -28,6 +28,15 @@ Replicas tail the log either in-process (sharing the primary's
 signal) or by file path alone — a separate process pointed at the same
 log file replays the identical committed prefix, torn tails excluded
 by checksum.
+
+Either way a replica keeps a cursor, the
+:class:`~repro.rdbms.wal.LogPosition` just past the last record it
+applied, and each read of the log resumes there: a catch-up checksums
+and unpickles only the frames committed since, never the log's prefix
+(the initial ``load`` records included), and a file tail's lag walks
+only those frames.  A checkpoint rewrites the file under a new header
+``start_lsn``; a cursor taken on the old file no longer matches it, and
+the read falls back to the whole new file (the snapshot prefix).
 """
 
 from __future__ import annotations
@@ -39,7 +48,7 @@ from pathlib import Path
 from repro.errors import SchemaError
 from repro.rdbms import faults
 from repro.rdbms.engine import Engine
-from repro.rdbms.wal import (WriteAheadLog, read_records, read_start_lsn,
+from repro.rdbms.wal import (LogPosition, WriteAheadLog, read_records,
                              scan_tail)
 from repro.relational.database import Database
 from repro.relational.schema import DatabaseSchema
@@ -52,8 +61,9 @@ class ReplicaEngine:
 
     ``wal`` is the primary's :class:`WriteAheadLog` (in-process; lag is
     then exact and free) or a path to its log file (file-tail; lag
-    scans the file's frames).  ``catch_up()`` applies every committed
-    record past the replica's ``applied_lsn``; reads are served from
+    walks the frames past the replica's cursor).  ``catch_up()``
+    applies every committed record past the replica's
+    ``applied_lsn``; reads are served from
     whatever LSN the replica has applied — call sites wanting
     freshness bounds go through :class:`ReplicaSet`.
     """
@@ -61,15 +71,14 @@ class ReplicaEngine:
     def __init__(self, schema: DatabaseSchema,
                  wal: str | Path | WriteAheadLog, *,
                  backend: str | None = 'memory'):
-        if isinstance(wal, WriteAheadLog):
-            self._wal = wal
-            self._path = wal.path
-        else:
-            self._wal = None
-            self._path = Path(wal)
+        self._wal = wal if isinstance(wal, WriteAheadLog) else None
+        self._path = Path(wal) if self._wal is None else wal.path
         self._engine = Engine(schema, backend=backend)
         self._lock = threading.RLock()
         self.applied_lsn = 0
+        #: the log position just past the record ``applied_lsn`` names
+        #: (None before the first): where the next read resumes
+        self._position: LogPosition | None = None
         self.stats = {'catch_ups': 0, 'records_applied': 0,
                       'commits_applied': 0, 'catch_up_seconds': 0.0,
                       'rotations': 0}
@@ -81,11 +90,13 @@ class ReplicaEngine:
         return self._engine
 
     def tail_lsn(self) -> int:
-        """The newest committed LSN in the log being tailed."""
+        """The newest committed LSN in the log being tailed (a file
+        tail walks only the frames past its position, unpickling
+        none)."""
         if self._wal is not None:
             return self._wal.last_lsn
         try:
-            return scan_tail(self._path).last_lsn
+            return scan_tail(self._path, since=self._position).last_lsn
         except FileNotFoundError:
             return 0
 
@@ -96,31 +107,41 @@ class ReplicaEngine:
     def catch_up(self, upto: int | None = None) -> int:
         """Apply committed records past ``applied_lsn`` (all of them,
         or stop once ``upto`` is reached).  Returns the number of
-        records applied.  O(|Δ|) per record: deltas go straight to the
-        backend, no plan runs.
+        records applied.  O(|Δ|) per record: the read resumes at the
+        replica's cursor, so only the new frames are checksummed and
+        unpickled, and their deltas go straight to the backend, no plan
+        runs.
 
         **Rotation handling.**  The primary's ``checkpoint()``
-        atomically replaces the log file with a snapshot prefix whose
-        header ``start_lsn`` jumps past a mid-history tailer.  The
-        snapshot's records do not correspond to historical states
-        record-by-record (each ``load`` replaces one whole table), so
-        an ``upto`` bound must not stop *inside* it — that would leave
-        some tables from the snapshot and others from the old history,
-        a state the primary never had.  When the header LSN has jumped
-        past ``applied_lsn``, the early-stop is suspended until the
+        atomically replaces the log file with a snapshot prefix under a
+        new header ``start_lsn`` (the old log's last LSN; every
+        checkpoint raises it).  A header that differs from the cursor's
+        is a rotation: the read starts over at the new header and
+        replays the whole snapshot.  The snapshot's records do not
+        correspond to historical states record-by-record (each
+        ``load`` replaces one whole table), so an ``upto`` bound must
+        not stop *inside* it — that would leave some tables from the
+        snapshot and others from the old history, a state the primary
+        never had.  After a rotation, and on a first read of a
+        compacted file, the early-stop is suspended until the
         end-of-snapshot ``checkpoint`` sentinel is consumed."""
         if faults.fire('replica.catch_up') == 'stall':
             return 0                   # injected stalled tail: no-op
-        applied = 0
+        applied, in_snapshot = 0, False
         started = time.perf_counter()
         with self._lock:
-            in_snapshot = read_start_lsn(self._path) > self.applied_lsn
-            if in_snapshot and self.applied_lsn:
-                self.stats['rotations'] += 1
-            for record in read_records(self._path,
-                                       after=self.applied_lsn):
+            resumed = self._position
+            header = resumed.start_lsn if resumed else 0
+            for record in read_records(self._path, since=resumed):
+                if record.end.start_lsn != header:
+                    # The read started over at a new header: a
+                    # checkpoint rewrote the file (or the first read
+                    # found a compacted one).
+                    header = record.end.start_lsn
+                    in_snapshot = True
+                    self.stats['rotations'] += resumed is not None
                 self._engine.apply_wal_record(record.kind, record.data)
-                self.applied_lsn = record.lsn
+                self.applied_lsn, self._position = record.lsn, record.end
                 applied += 1
                 if record.kind == 'commit':
                     self.stats['commits_applied'] += 1
@@ -233,6 +254,14 @@ class ReplicaSet:
             self._cursor += 1
         return replica
 
+    def _unmet(self, replica: ReplicaEngine, min_lsn: int | None) -> bool:
+        """Whether ``replica`` misses a read's freshness bound: behind
+        ``min_lsn`` when given, else more than ``max_lag`` records
+        behind the log (a negative ``max_lag`` bounds nothing)."""
+        if min_lsn is not None:
+            return replica.applied_lsn < min_lsn
+        return self.max_lag >= 0 and replica.lag() > self.max_lag
+
     def read(self, name: str, *, min_lsn: int | None = None):
         """Route one read.  Serves from the primary when the set has no
         (healthy) replicas or the routed replica cannot meet the
@@ -243,18 +272,10 @@ class ReplicaSet:
             if replica is None:
                 break                       # no healthy replica left
             try:
-                behind = (min_lsn is not None
-                          and replica.applied_lsn < min_lsn)
-                stale = min_lsn is None and self.max_lag >= 0 \
-                    and replica.lag() > self.max_lag
-                if behind or stale:
+                if self._unmet(replica, min_lsn):
                     replica.catch_up(upto=min_lsn)
                     self.stats['catch_ups'] += 1
-                    still_behind = (min_lsn is not None
-                                    and replica.applied_lsn < min_lsn)
-                    still_stale = (min_lsn is None
-                                   and replica.lag() > self.max_lag)
-                    if still_behind or still_stale:
+                    if self._unmet(replica, min_lsn):
                         # Stalled tail: the bound is unmet and another
                         # pass would apply nothing new.  Degrade this
                         # read to the primary; the replica stays in
@@ -307,8 +328,8 @@ class ReplicaSet:
         rdbms/metrics.py) so a coordinator can fold it into a merged
         ``metrics()`` view: monotonic series become ``replica.*``
         counters, the rotation/lag state becomes gauges.  ``lag`` is
-        the worst in-rotation lag at call time (a file-tail scan per
-        replica — operator path, not hot path).  The counters sum over
+        the worst in-rotation lag at call time (a file tail walks the
+        frames past its cursor, unpickling none).  The counters sum over
         quarantined replicas too: leaving the rotation must not make a
         counter go down."""
         with self._lock:
@@ -318,10 +339,8 @@ class ReplicaSet:
         counters = {f'replica.{key}': value
                     for key, value in stats.items()
                     if key not in ('in_rotation', 'quarantined')}
-        records = sum(r.stats['records_applied'] for r in every)
-        seconds = sum(r.stats['catch_up_seconds'] for r in every)
-        counters['replica.records_applied'] = records
-        counters['replica.catch_up_seconds'] = seconds
+        for key in ('records_applied', 'catch_up_seconds'):
+            counters[f'replica.{key}'] = sum(r.stats[key] for r in every)
         gauges = {
             'replica.in_rotation': float(stats['in_rotation']),
             'replica.quarantined': float(stats['quarantined']),

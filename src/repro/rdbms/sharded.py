@@ -513,18 +513,22 @@ class ShardedEngine:
         ``min_lsn`` (an int, or the per-shard tuple from
         :meth:`commit_lsns`) is the read-your-writes bound.  A primary's
         ``rows`` copies under the shard lock (or is serialised by the
-        worker), so an apply phase cannot mutate the rows mid-copy."""
+        worker), so an apply phase cannot mutate the rows mid-copy.
+        The snapshot is built in one pass over the reads: each
+        replica's live set is copied once, straight into the result
+        (a pinned relation's part, already frozen on a primary, is
+        returned as it is)."""
         bounds = self._shard_min_lsns(min_lsn)
         place = self._placement_of(name)
         holders = range(self.n_shards) if place is None else (place,)
         if self.replica_sets:
-            parts = [frozenset(self.replica_sets[index].read(
-                name, min_lsn=bounds[index])) for index in holders]
+            reads = [self.replica_sets[index].read(
+                name, min_lsn=bounds[index]) for index in holders]
         else:
-            parts = self._scatter((self.shards[index], 'rows', name)
+            reads = self._scatter((self.shards[index], 'rows', name)
                                   for index in holders)
-        return parts[0] if place is not None \
-            else frozenset().union(*parts)
+        return frozenset(reads[0]) if place is not None \
+            else frozenset().union(*reads)
 
     def commit_lsns(self) -> tuple[int, ...]:
         """Per-shard committed LSNs (zeros where a shard keeps no log:

@@ -32,6 +32,13 @@ after it is truncated, never half-applied.  Readers
 (:func:`read_records`) independently stop at the same point, so a
 file-tailing replica in another process can never observe a torn
 record either.
+
+**Resuming.**  Every read walks frames through one loop
+(:func:`_frames`) and knows the :class:`LogPosition` just past each
+frame.  Handed back as ``since=``, a position makes the next read seek
+there and checksum only the frames appended since — unless the header
+``start_lsn`` changed, i.e. a checkpoint rewrote the file, and the read
+starts over at the header.
 """
 
 from __future__ import annotations
@@ -49,8 +56,8 @@ from typing import Iterable, Iterator, NamedTuple
 from repro.errors import SchemaError
 from repro.rdbms import faults
 
-__all__ = ['WalRecord', 'WriteAheadLog', 'read_records', 'scan_tail',
-           'encode_record', 'read_start_lsn', 'RECORD_KINDS']
+__all__ = ['LogPosition', 'WalRecord', 'WriteAheadLog', 'read_records',
+           'scan_tail', 'encode_record', 'read_start_lsn', 'RECORD_KINDS']
 
 MAGIC = b'REPROWAL1\n'
 _HEADER = struct.Struct('>Q')    # starting LSN
@@ -81,21 +88,31 @@ def _fsync_dir(path: Path) -> None:
         os.close(fd)
 
 
+class LogPosition(NamedTuple):
+    """Where a read of a log file stopped: the header's ``start_lsn``,
+    the byte offset just past the last frame read, and that frame's
+    LSN.  A reader handed it back (``since=``) resumes there instead of
+    at byte 0 — unless the header's ``start_lsn`` has changed, which
+    means a checkpoint rewrote the file (every checkpoint raises it:
+    the old log's last LSN becomes the new header, and it always writes
+    at least the sentinel), and the read starts over at the header.
+    :func:`scan_tail` also says whether bytes that are no committed
+    frame follow (``torn``)."""
+
+    start_lsn: int
+    end_offset: int
+    last_lsn: int
+    torn: bool = False
+
+
 class WalRecord(NamedTuple):
-    """One committed log record."""
+    """One committed log record and the position just past it (where
+    a tail that has applied it resumes)."""
 
     lsn: int
     kind: str
     data: object
-
-
-class _Tail(NamedTuple):
-    """What :func:`scan_tail` learns about a log file."""
-
-    start_lsn: int
-    last_lsn: int
-    end_offset: int       # byte offset just past the committed prefix
-    torn: bool            # bytes beyond the prefix (a torn tail)
+    end: LogPosition
 
 
 def encode_record(kind: str, data: object) -> bytes:
@@ -108,22 +125,27 @@ def encode_record(kind: str, data: object) -> bytes:
     return _FRAME.pack(len(payload), zlib.crc32(payload)) + payload
 
 
-def _read_header(handle, path) -> int:
-    """Check an open log file's magic line and return the starting LSN
-    its header records, leaving ``handle`` at the first frame."""
+def _resume(handle, path, since: LogPosition | None) -> LogPosition:
+    """Check an open log file's magic line, then seek to where a walk
+    starts: ``since`` when it was taken on this file (same header
+    ``start_lsn``), else the first frame.  Returns that position."""
     header = handle.read(len(MAGIC) + _HEADER.size)
     if len(header) < len(MAGIC) + _HEADER.size \
             or not header.startswith(MAGIC):
         raise SchemaError(f'{path} is not a repro WAL file')
     (start_lsn,) = _HEADER.unpack(header[len(MAGIC):])
-    return start_lsn
+    if since is None or since.start_lsn != start_lsn:
+        return LogPosition(start_lsn, handle.tell(), start_lsn)
+    handle.seek(since.end_offset)
+    return since
 
 
-def _frames(handle) -> Iterator[bytes]:
-    """The payloads of the committed prefix, from the first frame on:
-    stops at end of file or at the first incomplete or checksum-failing
-    frame (a torn tail)."""
-    read, size = handle.read, _FRAME.size      # replicas scan whole logs
+def _frames(handle, at: LogPosition) -> Iterator[tuple[LogPosition, bytes]]:
+    """The one frame walker: each committed payload from ``at`` on,
+    with the position just past it.  Stops at end of file or at the
+    first incomplete or checksum-failing frame (a torn tail)."""
+    read, size = handle.read, _FRAME.size
+    start_lsn, offset, lsn, _ = at
     while True:
         frame = read(size)
         if len(frame) < size:
@@ -132,56 +154,55 @@ def _frames(handle) -> Iterator[bytes]:
         payload = read(length)
         if len(payload) < length or zlib.crc32(payload) != crc:
             return
-        yield payload
+        offset += size + length
+        lsn += 1
+        yield LogPosition(start_lsn, offset, lsn), payload
 
 
 def read_start_lsn(path: str | Path) -> int:
-    """The file's header ``start_lsn`` alone (no frame scan).  A
-    file-tailing reader compares this against its own applied position
-    to detect that :meth:`WriteAheadLog.checkpoint` atomically replaced
-    the file with a snapshot prefix: the header LSN jumps past any
-    reader that was mid-history."""
+    """The file's header ``start_lsn`` alone (no frame scan) — it
+    jumps whenever :meth:`WriteAheadLog.checkpoint` atomically replaces
+    the file with a snapshot prefix."""
     try:
         with open(path, 'rb') as handle:
-            return _read_header(handle, path)
+            return _resume(handle, path, None).start_lsn
     except FileNotFoundError:
         return 0
 
 
-def scan_tail(path: str | Path) -> _Tail:
-    """Scan a log file's frames (without unpickling payloads) to find
-    the committed prefix: its last LSN and end offset."""
+def scan_tail(path: str | Path, *,
+              since: LogPosition | None = None) -> LogPosition:
+    """Walk a log file's frames (without unpickling payloads) to find
+    the committed prefix: its last LSN and end offset.  ``since``
+    skips the frames before a position an earlier read reached."""
     with open(path, 'rb') as handle:
-        start_lsn = _read_header(handle, path)
-        lsn = start_lsn
-        offset = handle.tell()
-        for payload in _frames(handle):
-            lsn += 1
-            offset += _FRAME.size + len(payload)
+        end = _resume(handle, path, since)
+        for end, _ in _frames(handle, end):
+            pass
         # Anything past the prefix is a torn frame.
-        return _Tail(start_lsn, lsn, offset,
-                     torn=offset < os.fstat(handle.fileno()).st_size)
+        return end._replace(
+            torn=end.end_offset < os.fstat(handle.fileno()).st_size)
 
 
-def read_records(path: str | Path, *,
-                 after: int = 0) -> Iterator[WalRecord]:
+def read_records(path: str | Path, *, after: int = 0,
+                 since: LogPosition | None = None) -> Iterator[WalRecord]:
     """The committed records with LSN > ``after``, from a fresh read
     handle — safe to call from another thread or process while the
     writer appends, and across checkpoints (a compacted file's records
     all carry fresh LSNs, so a reader that was mid-history simply
-    replays the snapshot prefix).  Stops silently at a torn tail: a
+    replays the snapshot prefix).  ``since`` (a record's ``end``)
+    resumes past the frames already read: only new frames are
+    checksummed and unpickled.  Stops silently at a torn tail: a
     reader can never observe a half-written record."""
     try:
         handle = open(path, 'rb')
     except FileNotFoundError:
         return
     with handle:
-        lsn = _read_header(handle, path)
-        for payload in _frames(handle):
-            lsn += 1
-            if lsn > after:
+        for end, payload in _frames(handle, _resume(handle, path, since)):
+            if end.last_lsn > after:
                 kind, data = pickle.loads(payload)
-                yield WalRecord(lsn, kind, data)
+                yield WalRecord(end.last_lsn, kind, data, end)
 
 
 class WriteAheadLog:

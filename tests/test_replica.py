@@ -10,15 +10,16 @@ execution mode, including post-SIGKILL replay) lives in
 anchors."""
 
 import asyncio
+import types
 
 import pytest
 
 from repro.errors import SchemaError
-from repro.rdbms import faults
+from repro.rdbms import faults, wal
 from repro.rdbms.dml import Insert
 from repro.rdbms.engine import Engine
 from repro.rdbms.replica import ReplicaEngine, ReplicaSet
-from repro.rdbms.wal import read_records, read_start_lsn
+from repro.rdbms.wal import encode_record, read_records, read_start_lsn
 from repro.rdbms.serve import ViewServer
 from repro.rdbms.sharded import ShardedEngine
 
@@ -149,6 +150,126 @@ class TestReplicaEngine:
             replica.catch_up(upto=first)
             assert replica.database() == primary.database()
             assert replica.applied_lsn >= read_start_lsn(path)
+        finally:
+            replica.close()
+            primary.close()
+
+    def test_checkpoint_while_caught_up_is_a_rotation(
+            self, luxury_strategy, tmp_path):
+        """Regression: a checkpoint taken while the replica has applied
+        every record writes a header ``start_lsn`` *equal* to its
+        ``applied_lsn``, so "header past applied" missed it — no
+        rotation counted, and an ``upto`` bound inside the snapshot
+        honoured.  The header's change against the replica's position
+        is what reveals the rewrite."""
+        path = tmp_path / 'p.wal'
+        primary = _primary(luxury_strategy, path)
+        replica = ReplicaEngine(luxury_strategy.sources, path)
+        try:
+            replica.catch_up()
+            primary.checkpoint()
+            snapshot_end = primary.commit_lsn
+            primary.insert('luxuryitems', (4, 'yacht', 90_000))
+            replica.catch_up(upto=replica.applied_lsn + 1)
+            assert replica.stats['rotations'] == 1
+            assert replica.applied_lsn == snapshot_end
+            replica.catch_up()
+            assert replica.database() == primary.database()
+        finally:
+            replica.close()
+            primary.close()
+
+    @pytest.mark.parametrize('read_between', [False, True])
+    def test_back_to_back_checkpoints(self, luxury_strategy, tmp_path,
+                                      read_between):
+        """Two checkpoints with no commit between them still give two
+        different headers (each writes at least its sentinel), so a
+        replica that read between them sees two rotations, and one that
+        did not sees one."""
+        path = tmp_path / 'p.wal'
+        primary = _primary(luxury_strategy, path)
+        replica = ReplicaEngine(luxury_strategy.sources, path)
+        try:
+            replica.catch_up()
+            primary.checkpoint()
+            if read_between:
+                replica.catch_up()
+            primary.checkpoint()
+            primary.insert('luxuryitems', (4, 'yacht', 90_000))
+            replica.catch_up()
+            assert replica.stats['rotations'] == 1 + read_between
+            assert replica.applied_lsn == primary.commit_lsn
+            assert replica.database() == primary.database()
+        finally:
+            replica.close()
+            primary.close()
+
+    def test_resumes_after_a_torn_frame_is_truncated(self,
+                                                     luxury_strategy,
+                                                     tmp_path):
+        """A torn final frame stops the replica *before* it; the
+        primary reopening truncates the frame and appends over the same
+        bytes, and the replica resumes at its position to the primary's
+        state."""
+        path = tmp_path / 'p.wal'
+        primary = _primary(luxury_strategy, path)
+        replica = ReplicaEngine(luxury_strategy.sources, path)
+        try:
+            primary.insert('luxuryitems', (4, 'yacht', 90_000))
+            replica.catch_up()
+            primary.close()
+            frame = encode_record('drop_view', 'luxuryitems')
+            with open(path, 'ab') as handle:
+                handle.write(frame[:len(frame) // 2])
+            assert replica.catch_up() == 0
+            assert replica.lag() == 0
+            primary = Engine(luxury_strategy.sources, wal=path,
+                             wal_sync=False)
+            assert primary.wal.stats['truncated_tails'] == 1
+            primary.insert('luxuryitems', (5, 'jet', 80_000))
+            assert replica.lag() == 1
+            assert replica.catch_up() == 1
+            assert replica.stats['rotations'] == 0
+            assert replica.database() == primary.database()
+            assert frozenset(replica.rows('luxuryitems')) \
+                == frozenset(primary.rows('luxuryitems'))
+        finally:
+            replica.close()
+            primary.close()
+
+    @pytest.mark.parametrize('feed', ['shared', 'path'])
+    @pytest.mark.parametrize('n', [100, 10_000])
+    def test_catch_up_checks_only_new_frames(self, luxury_strategy,
+                                             tmp_path, monkeypatch, feed,
+                                             n):
+        """Catch-up is O(|Δ|) per transaction whatever the log holds
+        before it, as a count: after k commits a caught-up replica
+        checksums exactly k frames, at a 100-row and at a 10 000-row
+        initial ``load``, tailing the shared log or the file path."""
+        path = tmp_path / 'p.wal'
+        primary = Engine(luxury_strategy.sources, wal=path,
+                         wal_sync=False)
+        primary.load('items', [(iid, f'item{iid}', 10 * iid)
+                               for iid in range(n)])
+        primary.define_view(luxury_strategy, validate_first=False)
+        replica = ReplicaEngine(luxury_strategy.sources,
+                                primary.wal if feed == 'shared' else path)
+        try:
+            replica.catch_up()
+            for iid in range(n, n + 3):
+                primary.insert('luxuryitems', (iid, 'yacht', 90_000))
+            checked = []
+            crc32 = wal.zlib.crc32
+
+            def counting(payload):
+                checked.append(len(payload))
+                return crc32(payload)
+
+            monkeypatch.setattr(wal, 'zlib',
+                                types.SimpleNamespace(crc32=counting))
+            assert replica.catch_up() == 3
+            assert len(checked) == 3
+            assert replica.database() == primary.database()
         finally:
             replica.close()
             primary.close()
@@ -425,6 +546,43 @@ class TestShardedReplicas:
             assert (4, 'yacht', 90_000) in routed
             assert sum(rs.stats['replica_reads']
                        for rs in engine.replica_sets) > 0
+        finally:
+            engine.close()
+
+    @pytest.mark.parametrize('execution', ['inline', 'processes'])
+    @pytest.mark.parametrize('keys', [{'luxuryitems': 'iid',
+                                       'items': 'iid'}, {}],
+                             ids=['partitioned', 'pinned'])
+    def test_routed_read_is_a_snapshot(self, luxury_strategy, tmp_path,
+                                       execution, keys):
+        """``rows`` returns a snapshot, never a replica's live set: a
+        later commit, and the read that makes the replicas apply it,
+        leave a value returned earlier as it was.  Each value is the
+        union of the shards' parts."""
+        engine = ShardedEngine(luxury_strategy.sources, shards=2,
+                               shard_keys=keys, execution=execution,
+                               wal_dir=tmp_path, wal_sync=False,
+                               read_replicas=1,
+                               replica_max_lag=1_000_000)
+        try:
+            engine.load('items', [(1, 'watch', 5000), (2, 'ring', 4000),
+                                  (3, 'cap', 10)])
+            engine.define_view(luxury_strategy, validate_first=False)
+            seen = engine.rows('luxuryitems',
+                               min_lsn=engine.commit_lsns())
+            assert type(seen) is frozenset
+            assert seen == frozenset().union(
+                *engine.shard_rows('luxuryitems'))
+            before = set(seen)
+            engine.insert('luxuryitems', (4, 'yacht', 90_000))
+            engine.delete('luxuryitems', where={'iid': 1})
+            after = engine.rows('luxuryitems',
+                                min_lsn=engine.commit_lsns())
+            assert (4, 'yacht', 90_000) in after
+            assert (1, 'watch', 5000) not in after
+            assert seen == before
+            assert after == frozenset().union(
+                *engine.shard_rows('luxuryitems'))
         finally:
             engine.close()
 
