@@ -15,7 +15,9 @@ Sites and their actions
 
 ===================  =====================================================
 ``rpc.send``         Coordinator-side, before each RPC frame is written
-                     (``method``/``shard`` in context).  Actions:
+                     (``method``/``shard`` in context; a one-message
+                     ``commit_local`` is named ``prepare_commit``, the
+                     phase it carries that a rule addresses).  Actions:
                      ``delay`` (sleep), ``drop`` (raise
                      :class:`InjectedFault` — the channel then surfaces
                      ``ShardUnavailableError``), ``dup`` (the frame is
@@ -24,7 +26,10 @@ Sites and their actions
                      sent after a later one — the worker must restore
                      FIFO before dispatching).
 ``worker.dispatch``  Worker-side, before each RPC method executes
-                     (``method`` plus the worker identity).  Actions:
+                     (``method`` plus the worker identity), and inside
+                     ``commit_local`` before each of its phases, under
+                     the phase's own name (``apply_statements``,
+                     ``prepare_commit``, ``apply_prepared``).  Actions:
                      ``kill`` (SIGKILL self — the crash the WAL must
                      survive), ``hang`` (sleep; what RPC timeouts must
                      surface as a wedged worker).

@@ -6,9 +6,10 @@ plus per-transaction working/prepared slots — driven by one client
 class (:class:`ProcessShard`) through a *channel*: ``submit(method,
 *args) → token``, ``drain(token) → result or raise``, per-shard FIFO,
 exactly one outcome per token.  The engine's transaction pipeline is
-already message-shaped — ``begin`` / ``apply_statements`` /
-``flush_reads`` / ``prepare_commit`` / ``apply_prepared`` are pure-data
-calls, and every value they carry (statements, deltas, strategies,
+already message-shaped — ``apply_statements`` / ``flush_reads`` /
+``prepare_commit`` / ``apply_prepared`` are pure-data calls (a
+transaction's slot opens on its first call; there is no ``begin``
+message), and every value they carry (statements, deltas, strategies,
 compiled plans, library exceptions) pickles — so the same runtime
 serves either channel:
 
@@ -18,6 +19,10 @@ serves either channel:
   (``execution='processes'``) — the one way shards run concurrently:
   threads cannot beat the GIL on CPU-bound putback translation, a
   worker per shard can.
+
+A transaction whose one participant shard routing can prove needs no
+prepare vote: :meth:`WorkerRuntime.commit_local` stages, prepares and
+commits it in one call — one message instead of four round trips.
 
 The rest of this docstring is about the process transport.
 
@@ -67,17 +72,26 @@ record, so a worker that dies *mid-apply* is repaired exactly
 coordinator checks whether the append — the commit point — made it; if
 not, it re-commits the record it kept, and the cluster transaction
 succeeds instead of losing a commit its sibling shards already
-applied.
+applied.  A one-message commit is decided from the log the same way
+(:meth:`ProcessShard._repair_local`): the client keeps the shard's LSN
+from the replies that tell it, and when the request went out but no
+reply came, the restarted worker's LSN says whether the append made it
+— then the record is read back from the log — or the worker holds
+exactly the pre-transaction state, and the request is sent once more.
 
 Deterministic fault injection (:mod:`repro.rdbms.faults`) hooks the
 RPC send path (``rpc.send``) and the worker dispatch loop
 (``worker.dispatch``); a plan installed before the pool forks is
-inherited by every worker.
+inherited by every worker.  Inside ``commit_local`` each phase fires
+``worker.dispatch`` under its two-phase name, and ``rpc.send`` names
+the request ``prepare_commit`` — a rule addresses a phase the same way
+on either path.
 
 Fork hygiene: a forked worker inherits the coordinator's file
-descriptors for every *other* worker's pipe.  Each worker closes those
-inherited ends on startup (:data:`_COORDINATOR_CONNS`), otherwise a
-sibling's death would never surface as EOF on the coordinator side; and
+descriptors for every worker's pipe, its own included.  Each worker
+closes those inherited ends on startup (:data:`_COORDINATOR_CONNS`),
+otherwise a sibling's death — or the coordinator's — would never
+surface as EOF on the other side; and
 every shutdown finalizer is pid-guarded so a worker's own exit cannot
 run the coordinator's cleanup against its siblings.
 
@@ -104,6 +118,7 @@ from repro.rdbms import faults
 from repro.rdbms.backends import BACKENDS, Backend, create_backend
 from repro.rdbms.engine import Engine
 from repro.rdbms.metrics import GLOBAL, merge_snapshots
+from repro.rdbms.wal import read_records
 
 __all__ = ['ProcessPool', 'ProcessShard', 'WorkerRuntime',
            'serve_connection']
@@ -129,10 +144,11 @@ def _dumps(obj) -> bytes:
 
 
 class _PreparedToken(NamedTuple):
-    """The prepare→apply handle: the runtime's slot id, the shard's
-    pre-commit LSN and the frozen commit record — what apply repair
-    re-commits, and what the coordinator hands its commit listeners
-    (``None`` when the batch is empty: nothing will be appended)."""
+    """The prepare→apply handle: the runtime's slot id (0 from a
+    one-message commit, which keeps no slot), the shard's pre-commit
+    LSN and the frozen commit record — what apply repair re-commits,
+    and what the coordinator hands its commit listeners (``None`` when
+    the batch is empty: nothing is appended)."""
 
     txn: int
     lsn: int
@@ -158,45 +174,59 @@ class WorkerRuntime:
                              wal=wal_path, wal_sync=wal_sync)
         self._workings: dict[int, object] = {}
         self._prepared: dict[int, object] = {}
+        #: Storage writes (a commit, a bulk load) exclude storage reads,
+        #: per shard — what lets an in-process reader on another thread
+        #: skip every staging and prepare (uncontended in a worker).
+        self._storage = threading.RLock()
 
     # -- transaction pipeline -----------------------------------------
 
-    def begin(self, txn: int) -> None:
-        self._workings[txn] = self.engine.begin()
+    def _working(self, txn: int):
+        """Transaction ``txn``'s working slot, opened on first touch —
+        there is no ``begin`` round trip."""
+        working = self._workings.get(txn)
+        if working is None:
+            working = self._workings[txn] = self.engine.begin()
+        return working
 
     def apply_statements(self, txn: int, target: str,
                          statements: Sequence) -> None:
-        self.engine.apply_statements(self._workings[txn], target,
+        self.engine.apply_statements(self._working(txn), target,
                                      statements)
 
     def flush_reads(self, txn: int, target: str) -> None:
-        self.engine.flush_reads(self._workings[txn], target)
+        self.engine.flush_reads(self._working(txn), target)
 
     def txn_rows(self, txn: int, target: str) -> frozenset:
         """The transaction's view of ``target`` (flushing pending
         translations first) — the coordinator's cross-shard read for
         key-moving UPDATE derivation."""
-        working = self._workings[txn]
+        working = self._working(txn)
         self.engine.flush_reads(working, target)
         return frozenset(working.rows(target))
+
+    def _prepare(self, txn: int, working) -> tuple:
+        prepared = self.engine.prepare_commit(working)
+        record = prepared.wal_record() if prepared.batch else None
+        return prepared, _PreparedToken(txn, self.engine.commit_lsn, record)
 
     def prepare_commit(self, txn: int) -> _PreparedToken:
         """Prepare, and reply with the shard's pre-commit LSN and the
         frozen commit record the apply phase will append."""
-        prepared = self.engine.prepare_commit(self._workings[txn])
-        self._prepared[txn] = prepared
-        record = prepared.wal_record() if prepared.batch else None
-        return _PreparedToken(txn, self.engine.commit_lsn, record)
+        self._prepared[txn], token = self._prepare(txn, self._workings[txn])
+        return token
 
-    def _commit_point(self, commit, argument):
+    def _apply(self, commit, argument):
+        """Run a storage write — the commit point — under the storage
+        lock.  If the WAL append fails (e.g. an fsync error) this
+        worker can no longer make commits durable and its log may have
+        a torn tail: it dies and recovers from the log rather than limp
+        along, and the coordinator decides the in-flight transaction
+        from that log."""
         try:
-            return commit(argument)
+            with self._storage:
+                return commit(argument)
         except OSError:
-            # The WAL append — the commit point — failed (e.g. fsync
-            # error): this worker can no longer make commits durable,
-            # and its log may have a torn tail.  Die and recover from
-            # the log rather than limp along; the coordinator repairs
-            # the in-flight transaction from its prepare reply.
             if WORKER_INDEX is not None:
                 os._exit(3)
             raise
@@ -204,12 +234,32 @@ class WorkerRuntime:
     def apply_prepared(self, txn: int) -> None:
         prepared = self._prepared.pop(txn)
         self._workings.pop(txn, None)
-        self._commit_point(self.engine.apply_prepared, prepared)
+        self._apply(self.engine.apply_prepared, prepared)
+
+    def commit_local(self, buckets: Sequence) -> _PreparedToken:
+        """The whole transaction of a lone participant in one call:
+        stage every ``(target, statements)`` bucket, prepare and
+        commit — what ``apply_statements`` … ``apply_prepared`` do
+        over four round trips (one participant needs no prepare vote).
+        Replies with the token a prepare would: the pre-commit LSN and
+        the record the commit appended.  Only the commit takes the
+        storage lock, so a reader never waits on the staging.  In a
+        worker process each phase fires ``worker.dispatch`` under its
+        two-phase name, so a fault rule addresses it either way."""
+        working = self.engine.begin()
+        for target, statements in buckets:
+            _phase('apply_statements')
+            self.engine.apply_statements(working, target, statements)
+        _phase('prepare_commit')
+        prepared, token = self._prepare(0, working)
+        _phase('apply_prepared')
+        self._apply(self.engine.apply_prepared, prepared)
+        return token
 
     def commit_batch(self, data: tuple) -> int:
         """Apply repair: commit a frozen record this worker prepared in
         a previous incarnation but died before appending."""
-        return self._commit_point(self.engine.commit_logged, data)
+        return self._apply(self.engine.commit_logged, data)
 
     def commit_lsn(self) -> int:
         return self.engine.commit_lsn
@@ -223,13 +273,16 @@ class WorkerRuntime:
     # -- storage / catalog --------------------------------------------
 
     def rows(self, name: str) -> frozenset:
-        return frozenset(self.engine.rows(name))
+        with self._storage:
+            return frozenset(self.engine.rows(name))
 
     def snapshot(self):
-        return self.engine.database()
+        with self._storage:
+            return self.engine.database()
 
     def load(self, name: str, rows) -> None:
-        self.engine.load(name, rows)
+        with self._storage:
+            self.engine.load(name, rows)
 
     def count(self, name: str) -> int:
         return self.engine.backend.count(name)
@@ -277,6 +330,13 @@ class WorkerRuntime:
             raise SchemaError(f'unknown worker RPC method {method!r}')
         faults.fire('worker.dispatch', method=method)
         return getattr(self, method)(*args)
+
+
+def _phase(method: str) -> None:
+    """Fire ``worker.dispatch`` for a phase inside a call — in a worker
+    process only, like every fault site of the process transport."""
+    if WORKER_INDEX is not None:
+        faults.fire('worker.dispatch', method=method)
 
 
 def serve_connection(runtime: WorkerRuntime, conn) -> None:
@@ -359,6 +419,17 @@ def _worker_main(conn, index: int, schema, backend_spec,
 # ---------------------------------------------------------------------------
 
 
+#: The name a fault rule addresses a request by, where it differs from
+#: the method: a one-message commit is the request that carries the
+#: prepare.
+_FAULT_NAMES = {'commit_local': 'prepare_commit'}
+
+#: Calls that may write a shard's log: sending one makes the client
+#: forget the LSN it knew (:attr:`ProcessShard._lsn`).
+_WRITES_LOG = frozenset({'load', 'define_view', 'drop_view', 'commit_batch',
+                         'apply_prepared', 'commit_local'})
+
+
 class _RpcChannel:
     """Pipelined request/reply over one connection.
 
@@ -407,8 +478,9 @@ class _RpcChannel:
             payload = _dumps((seq, method, args))
             self._seq = seq
             try:
-                action = faults.fire('rpc.send', method=method,
-                                     shard=self.shard)
+                action = faults.fire(
+                    'rpc.send', method=_FAULT_NAMES.get(method, method),
+                    shard=self.shard)
                 if action == 'reorder':
                     self._held.append(payload)
                     return seq
@@ -479,11 +551,6 @@ def _settle(outcome: tuple):
     raise payload
 
 
-#: Runtime calls an in-process channel runs under the shard lock:
-#: storage reads exclude the apply phase's (and a bulk load's) writes.
-_LOCKED = frozenset({'rows', 'snapshot', 'load', 'apply_prepared'})
-
-
 class InlineChannel:
     """The channel contract — one outcome per submitted call, surfaced
     when its token is drained — over a runtime on the caller's heap:
@@ -491,8 +558,8 @@ class InlineChannel:
     the token *is* its stored ``(ok, payload)`` outcome.  No thread is
     ever created and nothing ever waits in a queue, so a reader on
     another thread (:class:`~repro.rdbms.serve.ViewServer` has its own)
-    is never held up by a transaction's prepare — prepare stages in
-    Python; only the storage calls in :data:`_LOCKED` exclude each
+    is never held up by a transaction's staging or prepare — they run
+    in Python; only the runtime's storage writes and reads exclude each
     other, per shard.  No fault site fires here: the injection hooks
     (``rpc.send``, ``worker.dispatch``) belong to the process
     transport."""
@@ -501,15 +568,10 @@ class InlineChannel:
 
     def __init__(self, runtime: WorkerRuntime):
         self.runtime = runtime
-        self._lock = threading.RLock()   # readers vs apply, per shard
 
     def submit(self, method: str, *args) -> tuple:
         try:
-            call = getattr(self.runtime, method)
-            if method in _LOCKED:
-                with self._lock:
-                    return True, call(*args)
-            return True, call(*args)
+            return True, getattr(self.runtime, method)(*args)
         except Exception as error:
             return False, error
 
@@ -547,9 +609,10 @@ class ProcessShard:
 
     ``wal_path`` is the runtime's durable log (opened *inside* the
     worker) — required, because the log is how a worker is recovered:
-    :meth:`restart` brings committed state back by replay, and an apply
-    whose worker died is repaired (:meth:`_repair_apply`, see the
-    module docstring's Durability section).  ``rpc_timeout`` bounds
+    :meth:`restart` brings committed state back by replay, and a commit
+    whose worker died is decided from it (:meth:`_repair_apply`,
+    :meth:`_repair_local`, see the module docstring's Durability
+    section).  ``rpc_timeout`` bounds
     each call's wait so a wedged worker surfaces as
     :class:`ShardUnavailableError`."""
 
@@ -566,6 +629,12 @@ class ProcessShard:
         self._rpc_timeout = rpc_timeout
         self._ctx = mp_context
         self._txn_counter = 0
+        #: The shard log's LSN after the last commit this client saw
+        #: through (its prepare token or its reply tells it), ``None``
+        #: once a call that may write the log is sent.  A one-message
+        #: commit keeps it as the pre-commit LSN its crash outcome is
+        #: decided against.
+        self._lsn: int | None = None
         #: restarts so far — the worker's fault-plan ``generation``
         self.generation = 0
         #: RPC round-trips completed on channels already torn down; a
@@ -592,9 +661,12 @@ class ProcessShard:
                   self._batch_deltas, Path(self._wal_path),
                   self._wal_sync, self.generation),
             name=f'repro-shard-{self.index}', daemon=True)
+        # Registered before the fork, so the worker closes its inherited
+        # duplicate of this end too: a coordinator that dies then
+        # leaves its worker an EOF, not a pipe it holds open itself.
+        _COORDINATOR_CONNS.add(parent_conn)
         process.start()
         child_conn.close()                 # the worker owns that end
-        _COORDINATOR_CONNS.add(parent_conn)
         self.channel = _RpcChannel(parent_conn, self.index,
                                    timeout=self._rpc_timeout,
                                    liveness=process.is_alive)
@@ -610,6 +682,7 @@ class ProcessShard:
         with a fresh one, which replays the committed prefix of its log
         during construction: no committed transaction is lost."""
         self._reap()
+        self._lsn = None
         self.generation += 1
         self._spawn()
 
@@ -646,11 +719,15 @@ class ProcessShard:
         scatter always drains what it submitted.
 
         ``method`` names the runtime method and ``args`` are its
-        arguments (which must pickle) — except for ``apply_prepared``,
-        the one call with a client-side half: it takes the whole
-        prepare token, kept for repair in :meth:`drain`, and the
-        runtime gets the token's slot id."""
-        wire = (args[0].txn,) if method == 'apply_prepared' else args
+        arguments (which must pickle) — except for the two calls with a
+        client-side half, kept for repair in :meth:`drain`:
+        ``apply_prepared`` takes the whole prepare token (the runtime
+        gets its slot id), ``commit_local`` the pre-commit LSN ahead of
+        its buckets."""
+        wire = (args[0].txn,) if method == 'apply_prepared' \
+            else args[1:] if method == 'commit_local' else args
+        if method in _WRITES_LOG:
+            self._lsn = None
         try:
             ticket = self.channel.submit(method, *wire)
         except ShardUnavailableError as error:
@@ -659,17 +736,25 @@ class ProcessShard:
 
     def drain(self, token):
         """The outcome of a submitted call: its result, or its raised
-        error — except that an ``apply_prepared`` that lost its worker
-        is repaired first (:meth:`_repair_apply`)."""
+        error — except that a commit that lost its worker is decided
+        from the shard's log first (:meth:`_repair_apply`;
+        :meth:`_repair_local` once its request had gone out — one that
+        could not be sent is a clean abort)."""
         method, args, ticket = token
         try:
-            return _settle(ticket) if type(ticket) is tuple \
+            result = _settle(ticket) if type(ticket) is tuple \
                 else self.channel.drain(ticket)
-        except ShardUnavailableError:
-            if method != 'apply_prepared' \
-                    or not self._repair_apply(*args):
+        except ShardUnavailableError as error:
+            if method == 'apply_prepared' and self._repair_apply(*args):
+                result = None
+            elif method == 'commit_local' and type(ticket) is not tuple:
+                result = self._repair_local(error, *args)
+            else:
                 raise
-            return None
+        if method in ('apply_prepared', 'commit_local'):
+            committed = args[0] if method == 'apply_prepared' else result
+            self._lsn = committed.lsn + (committed.record is not None)
+        return result
 
     def _call(self, method: str, *args):
         return self.drain(self.submit(method, *args))
@@ -677,13 +762,10 @@ class ProcessShard:
     # -- transaction pipeline (pipelined where the router allows) -----
 
     def begin(self) -> int:
-        # Synchronous (one RTT per first touch): begin cannot fail
-        # logically, and a fire-and-forget token here would have no
-        # barrier responsible for draining it.
+        """A fresh transaction id: the runtime opens the slot when the
+        transaction's first call reaches it."""
         self._txn_counter += 1
-        txn = self._txn_counter
-        self._call('begin', txn)
-        return txn
+        return self._txn_counter
 
     def queue_apply(self, txn: int, target: str, statements):
         return self.submit('apply_statements', txn, target,
@@ -700,6 +782,42 @@ class ProcessShard:
 
     def apply_prepared(self, prepared: _PreparedToken) -> None:
         self._call('apply_prepared', prepared)
+
+    def commit_local(self, buckets) -> _PreparedToken:
+        """Stage, prepare and commit a one-participant transaction in
+        one request (:meth:`WorkerRuntime.commit_local`); the token is
+        what its listeners receive.  The pre-commit LSN goes with the
+        request, client-side: it decides the outcome if no reply comes
+        (:meth:`_repair_local`) — asked for first when a call that may
+        have written the log left it unknown."""
+        lsn = self._lsn
+        if lsn is None:
+            lsn = self._call('commit_lsn')
+        return self.drain(self.submit('commit_local', lsn, buckets))
+
+    def _repair_local(self, error: ShardUnavailableError, lsn: int,
+                      buckets) -> _PreparedToken:
+        """A one-message commit was sent and no reply came.  Restart
+        the worker (its constructor replays the committed prefix) and
+        read its LSN: one past ``lsn`` means the append — the commit
+        point — made it, and the record is read back from the log for
+        the listeners; ``lsn`` itself means the worker holds exactly
+        the pre-transaction state, so the request is sent once more
+        and its outcome is the transaction's.  Anything else leaves the
+        outcome unknown: ``error`` is re-raised marked ``applied``, so
+        the transaction is never retried."""
+        try:
+            self.restart()
+            recovered = self.channel.call('commit_lsn')
+            if recovered == lsn + 1:
+                for record in read_records(self._wal_path, after=lsn):
+                    return _PreparedToken(0, lsn, record.data)
+            if recovered == lsn:
+                return self.channel.call('commit_local', buckets)
+        except ShardUnavailableError:
+            pass
+        error.applied = True
+        raise error
 
     def _repair_apply(self, token: _PreparedToken) -> bool:
         """A worker died (or its channel broke) *during* apply — after

@@ -9,9 +9,9 @@ base table by a declared shard key across N inner
 :class:`~repro.rdbms.engine.Engine` instances, each with its own
 :class:`~repro.rdbms.backends.base.Backend` — hot shards on
 ``MemoryBackend``, cold shards on ``SQLiteBackend`` — and composes the
-engine's reusable transaction pipeline (``begin`` /
-``apply_statements`` / ``prepare_commit`` / ``apply_prepared``) rather
-than reimplementing it.
+engine's reusable transaction pipeline (``apply_statements`` /
+``prepare_commit`` / ``apply_prepared``) rather than reimplementing
+it.
 
 **Partitioning.**  ``shard_keys`` declares, per relation (and per
 view), the attribute whose value a :class:`Partitioner` maps to a shard
@@ -51,6 +51,13 @@ per-shard view caches.
 runs, ⊥-constraint checks, schema validation — everything that can
 fail) and applies the prepared storage batches only after *all* shards
 prepared, so an abort mid-transaction leaves every shard untouched.
+Routing runs once per transaction and holds the per-shard statement
+work until something needs the shards: when it has proved a single
+participant, that shard stages, prepares and commits in one message
+(``commit_local`` — one participant needs no prepare vote, and its own
+append is the transaction's one commit point); any other transaction,
+and one with a key-moving UPDATE (whose derivation reads the shards),
+takes the two-phase path.
 
 **Shard transports.**  The coordinator drives every shard through
 one client (:class:`~repro.rdbms.procpool.ProcessShard`) that speaks
@@ -67,7 +74,8 @@ which shard failed first (the fuzz oracle's ``sharded-batched`` and
 ======================  ==========  ==================================
 call                    awaited     may fail with
 ======================  ==========  ==================================
-``begin``               at once     transport only
+``commit_local``        at once     as the next three (worker death:
+                                    decided from the log)
 ``apply_statements``    at barrier  translation, schema validation
 ``flush_reads``         at barrier  translation, ⊥-constraints
 ``txn_rows``            at once     as ``flush_reads``
@@ -83,8 +91,9 @@ call                    awaited     may fail with
 ``metrics``             at once     schema (catalog calls)
 ======================  ==========  ==================================
 
-*At barrier*: the statement fan-out is pipelined — routing submits
-(``queue_apply``/``queue_flush``) without waiting, and a barrier before
+*At barrier*: the statement fan-out is pipelined — a transaction's
+first call on a shard opens its slot there, and routing submits
+(``queue_apply``/``queue_flush``) without waiting; a barrier before
 any synchronous read, and before prepare, drains every outcome in
 submission order.  *Scatter*: :meth:`ShardedEngine._scatter`.  On top
 of the table every call may raise
@@ -98,8 +107,9 @@ constructor:
   inside ``submit``, on the calling thread — a scatter *is* the serial
   loop.  *Lock*: a reader on another thread (``ViewServer`` has its
   own) never waits behind a transaction's prepare — prepare stages in
-  Python; only ``apply_prepared`` and ``load`` write storage, and they
-  exclude ``rows``/``snapshot`` per shard with a lock.  During the
+  Python; only a commit (``apply_prepared``, the last phase of
+  ``commit_local``) and ``load`` write storage, and they exclude
+  ``rows``/``snapshot`` per shard with a lock.  During the
   brief apply phase consistency is per shard: a multi-shard
   scatter-gather racing the apply may combine shards from either side
   of the commit (cross-shard snapshot isolation for readers is future
@@ -123,7 +133,16 @@ inline, *inside the worker* in process mode, where the fsynced append
 is the commit point, a restarted worker replays the committed prefix,
 and a worker killed *mid-apply* is repaired from its prepare reply
 (:meth:`~repro.rdbms.procpool.ProcessShard._repair_apply`): a SIGKILL
-anywhere in the 2PC loses no committed transaction.  A process cluster
+anywhere in the 2PC loses no committed transaction.  A one-message
+commit whose worker died after the request went out is decided from
+the restarted worker's LSN
+(:meth:`~repro.rdbms.procpool.ProcessShard._repair_local`): one past
+the pre-commit LSN the client kept means it committed (the record is
+read back from the log for the listeners), the same LSN means nothing
+happened and the request is sent once more; a send that failed is a
+clean abort.  What no log covers yet is the *coordinator* dying
+between two shards' applies: that leaves a multi-shard transaction
+half-committed (ROADMAP item 15).  A process cluster
 *without* ``wal_dir`` recovers its workers the same way, from unsynced
 logs in a temporary directory the engine owns and removes on
 :meth:`ShardedEngine.close` — nothing outlives the engine.
@@ -182,15 +201,19 @@ def _remove_owned_logs(path: str, owner_pid: int) -> None:
 class _ClusterTxn:
     """One cross-shard transaction's coordinator-side state: the
     per-shard transaction handles in **first-touched order** (the order
-    prepare joins in) and the submission-order log of pipelined
+    prepare joins in); the statement work routed but not yet sent, as
+    ``(shard index, target, statements)`` with ``statements`` ``None``
+    for a flush gate (``routed`` is ``None`` once the transaction has
+    gone to its shards); and the submission-order log of pipelined
     ``(shard, token)`` pairs — drained at the next barrier in exactly
     the order the serial loop would have executed the calls, so the
     first error to surface is the serial-identical one."""
 
-    __slots__ = ('handles', 'log')
+    __slots__ = ('handles', 'routed', 'log')
 
     def __init__(self):
         self.handles: dict[int, object] = {}
+        self.routed: list | None = []
         self.log: list[tuple[object, object]] = []
 
 
@@ -781,7 +804,9 @@ class ShardedEngine:
                                                    Sequence[Statement]]]
                      ) -> None:
         """One atomic transaction across shards: route every bucket,
-        then two-phase commit — prepare every touched shard (every
+        then commit — in one message when routing proved a single
+        participant, else by two-phase commit: prepare every touched
+        shard (every
         *logical* failure mode: translation, ⊥-constraints, schema
         validation), apply only when all prepared.  Shards prepare in
         *first-touched* order — the order their first bucket was
@@ -814,7 +839,8 @@ class ShardedEngine:
         phase is never retried: sibling shards may already have applied
         (and the repair path has already made every repairable case
         *succeed*), so what reaches the caller from apply is a genuine
-        partial-commit report."""
+        partial-commit report.  Nor is a one-message commit whose
+        outcome its shard's log could not decide."""
         if self.batch_deltas:
             batches = coalesce_buckets(batches)
         metrics = self._metrics
@@ -852,7 +878,7 @@ class ShardedEngine:
                 listener(commits)
 
     def _execute_cluster(self, batches) -> list:
-        """One attempt of the routed 2PC (see :meth:`execute_many`);
+        """One attempt of the routed commit (see :meth:`execute_many`);
         returns the touched shards' prepare tokens."""
         metrics = self._metrics
         timed = metrics.enabled
@@ -861,6 +887,18 @@ class ShardedEngine:
         try:
             for target, statements in batches:
                 self._route_bucket(txn, target, statements)
+            if txn.routed is not None and len(txn.handles) == 1:
+                # Routing proved one participant: it stages, prepares
+                # and commits in one message, with no prepare vote.
+                # (Its flush gates are dropped: the shard's own
+                # apply_statements runs the same gate first.)
+                (index,) = txn.handles
+                prepared = [self.shards[index].commit_local(
+                    [(target, statements)
+                     for _, target, statements in txn.routed
+                     if statements is not None])]
+                metrics.counter('cluster.txns')
+                return prepared
             self._barrier(txn)
             if timed:
                 routed = time.perf_counter()
@@ -898,25 +936,31 @@ class ShardedEngine:
         return prepared
 
     def _barrier(self, txn: _ClusterTxn) -> None:
-        """Drain every pipelined outcome in submission order and raise
-        the first failure (:meth:`_drain_all`)."""
+        """Send the routed work, then drain every pipelined outcome in
+        submission order and raise the first failure
+        (:meth:`_drain_all`)."""
+        routed, txn.routed = txn.routed or (), None
+        for work in routed:
+            self._send(txn, *work)
         log, txn.log = txn.log, []
         self._drain_all(log)
 
     def _abort(self, txn: _ClusterTxn) -> None:
         """Roll the cluster transaction back: drain what is still in
         flight (outcomes no longer matter), drop every shard's staged
-        state, and restart any worker that died — so the *next*
-        transaction finds a serving cluster."""
-        try:
-            self._barrier(txn)
-        except Exception:
-            pass
-        for index, handle in txn.handles.items():
+        state — none when nothing was sent — and restart any worker
+        that died, so the *next* transaction finds a serving
+        cluster."""
+        if txn.routed is None:
             try:
-                self.shards[index].abort(handle)
+                self._barrier(txn)
             except Exception:
                 pass
+            for index, handle in txn.handles.items():
+                try:
+                    self.shards[index].abort(handle)
+                except Exception:
+                    pass
         self._restart_dead()
 
     # -- routing internals --------------------------------------------
@@ -926,18 +970,33 @@ class ShardedEngine:
             txn.handles[index] = self.shards[index].begin()
         return txn.handles[index]
 
+    def _queue(self, txn: _ClusterTxn, index: int, target: str,
+               statements: list | None = None) -> None:
+        """Route a bucket's share — or, ``statements`` ``None``, a
+        flush gate — to shard ``index``: held in ``txn.routed`` until
+        the transaction goes to its shards, sent at once after that.
+        Handle creation position fixes first-touched (prepare) order;
+        queue position fixes error order — both on the routing
+        thread."""
+        self._handle(txn, index)
+        if txn.routed is None:
+            self._send(txn, index, target, statements)
+        else:
+            txn.routed.append((index, target, statements))
+
+    def _send(self, txn: _ClusterTxn, index: int, target: str,
+              statements: list | None) -> None:
+        shard, handle = self.shards[index], txn.handles[index]
+        txn.log.append((shard, shard.queue_flush(handle, target)
+                        if statements is None
+                        else shard.queue_apply(handle, target,
+                                               statements)))
+
     def _forward(self, txn: _ClusterTxn, target: str,
                  per_shard: dict[int, list[Statement]]) -> None:
         for index in sorted(per_shard):
-            statements = per_shard[index]
-            if statements:
-                # Handle creation position fixes first-touched
-                # (prepare) order; submit position fixes error
-                # order — both on the routing thread.
-                handle = self._handle(txn, index)
-                shard = self.shards[index]
-                txn.log.append((shard, shard.queue_apply(
-                    handle, target, statements)))
+            if per_shard[index]:
+                self._queue(txn, index, target, per_shard[index])
 
     def _route_bucket(self, txn: _ClusterTxn, target: str,
                       statements: Sequence[Statement]) -> None:
@@ -965,13 +1024,10 @@ class ShardedEngine:
         # drains are independent plan runs, one per shard, pipelined
         # like the statements — per-shard FIFO keeps each shard's gate
         # ahead of this bucket's statements.
-        for index, handle in txn.handles.items():
-            shard = self.shards[index]
-            txn.log.append((shard, shard.queue_flush(handle, target)))
+        for index in list(txn.handles):
+            self._queue(txn, index, target)
         if place is not None:
-            shard = self.shards[place]
-            txn.log.append((shard, shard.queue_apply(
-                self._handle(txn, place), target, statements)))
+            self._queue(txn, place, target, statements)
             return
         key_pos, key_attr = self._keys[target]
         per_shard: dict[int, list[Statement]] = {}

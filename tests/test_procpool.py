@@ -72,7 +72,7 @@ class TestWireProtocol:
         statements = [Insert((1,)), Delete({'a': 2}),
                       Update({'a': 3}, {'a': 1})]
         requests = [
-            (1, 'begin', (7,)),
+            (1, 'commit_local', ([('v', statements)],)),
             (2, 'apply_statements', (7, 'v', statements)),
             (3, 'flush_reads', (7, 'v')),
             (4, 'txn_rows', (7, 'v')),
@@ -178,7 +178,6 @@ class TestServeConnection:
         channel.call('load', 'r1', frozenset({(1,)}))
         channel.call('load', 'r2', frozenset({(2,)}))
         channel.call('define_view', union_strategy, None, True, {})
-        channel.call('begin', 1)
         channel.call('apply_statements', 1, 'v', [Insert((3,))])
         assert channel.call('txn_rows', 1, 'v') == \
             frozenset({(1,), (2,), (3,)})
@@ -187,6 +186,10 @@ class TestServeConnection:
         assert channel.call('rows', 'r1') == frozenset({(1,), (3,)})
         assert channel.call('count', 'r1') == 2
         assert channel.call('has_cache', 'v')
+        # The one-message transaction: staged, prepared and committed.
+        token = channel.call('commit_local', [('v', [Insert((6,))])])
+        assert token.record is not None
+        assert channel.call('rows', 'r1') == frozenset({(1,), (3,), (6,)})
         snapshot = channel.call('snapshot')
         assert set(snapshot['r2']) == {(2,)}
         channel.call('drop_view', 'v')
@@ -196,7 +199,6 @@ class TestServeConnection:
         """Several requests in flight at once; drains return each
         token's own reply even when collected out of order."""
         _, channel = served_runtime
-        channel.call('begin', 5)
         t1 = channel.submit('load', 'r1', frozenset({(9,)}))
         t2 = channel.submit('ping')
         t3 = channel.submit('rows', 'r1')
@@ -541,26 +543,31 @@ class TestProcessExecution:
             sharded.close()
 
     def test_reordered_rpc_frames_dispatch_fifo(self, union_strategy):
-        """A held-back ``begin`` delivered after its transaction's
-        ``apply_statements`` must be re-sequenced worker-side — the
-        dispatch order is FIFO by sequence number, not arrival order
-        (dispatching the statements first would hit a missing
-        transaction slot)."""
+        """A held-back flush gate delivered after the statements that
+        follow it on the same shard must be re-sequenced worker-side —
+        the dispatch order is FIFO by sequence number, not arrival
+        order — and the transaction commits as on a single engine."""
+        single = Engine(union_strategy.sources)
         sharded = ShardedEngine(union_strategy.sources, shards=3,
                                 shard_keys=UNION_KEYS,
                                 execution='processes')
         plan = faults.FaultPlan()
-        plan.reorder_rpc(method='begin')
+        plan.reorder_rpc(shard=0, method='flush_reads')
+        txn = [('v', [Insert((3,)), Insert((4,))]),   # shards 0, 1
+               ('r1', [Delete({'a': 3})])]            # gates, shard 0
         try:
-            sharded.load('r1', [(0,), (1,), (2,)])
-            sharded.define_view(union_strategy, validate_first=False)
+            for engine in (single, sharded):
+                engine.load('r1', [(0,), (1,), (2,)])
+                engine.define_view(union_strategy, validate_first=False)
             with plan.installed():
-                sharded.execute_many(
-                    [('v', [Insert((3,)), Insert((4,)), Insert((5,))])])
+                sharded.execute_many(txn)
+            single.execute_many(txn)
             assert plan.fired('rpc.send') == 1
+            assert sharded.database() == single.database()
             assert frozenset(sharded.rows('v')) == \
-                frozenset({(0,), (1,), (2,), (3,), (4,), (5,)})
+                frozenset(single.rows('v'))
         finally:
+            single.close()
             sharded.close()
 
     def test_no_orphans_at_interpreter_exit(self, tmp_path):
@@ -780,6 +787,182 @@ class TestWalBackedWorkers:
             assert victim.shards[1].generation == 1
             assert victim.commit_lsns() == oracle.commit_lsns()
             assert victim.database() == oracle.database()
+        finally:
+            oracle.close()
+            victim.close()
+
+
+class TestOneMessageCommit:
+    """A transaction that routing proves has one participant shard is
+    one request: the worker stages, prepares and commits in one call.
+    Its crash outcome is decided from the shard's log, so a kill at any
+    point of that call ends exactly where the fault-free inline oracle
+    does — same state, same LSNs, one listener record per committed
+    transaction."""
+
+    _wal_cluster = TestWalBackedWorkers._wal_cluster
+    #: One transaction over every shard: afterwards every client knows
+    #: its shard's LSN from the prepare tokens.
+    WARM = [('v', [Insert((30,)), Insert((31,)), Insert((32,))])]
+    #: Every transaction's one participant is shard 1.
+    LOCAL = (
+        [('v', [Insert((7,))])],
+        [('v', [Delete({'a': 1})])],
+        [('v', [Insert((10,)), Insert((13,))]), ('r1', [Delete({'a': 7})])],
+        [('r2', [Insert((16,))])],
+    )
+
+    def _pair(self, union_strategy, tmp_path, plan=None, **kwargs):
+        """(inline oracle, process victim — forked under ``plan``), each
+        recording what its commit listeners receive."""
+        oracle = self._wal_cluster(union_strategy, tmp_path / 'o',
+                                   execution='inline')
+        with (plan or faults.FaultPlan()).installed():
+            victim = self._wal_cluster(union_strategy, tmp_path / 'v',
+                                       **kwargs)
+        records = {}
+        for name, engine in (('oracle', oracle), ('victim', victim)):
+            records[name] = []
+            engine.commit_listeners.append(records[name].append)
+        return oracle, victim, records
+
+    @staticmethod
+    def _assert_converged(oracle, victim, records):
+        assert victim.database() == oracle.database()
+        assert victim.commit_lsns() == oracle.commit_lsns()
+        assert victim.shard_rows('v') == oracle.shard_rows('v')
+        assert records['victim'] == records['oracle']
+
+    def test_requests_per_transaction(self, union_strategy, tmp_path):
+        """One request for a one-shard transaction (two-phase commit
+        sent four: begin, statements, prepare, apply) and three per
+        participant for a two-shard one — and the result is the inline
+        cluster's, listener records included."""
+        oracle, victim, records = self._pair(union_strategy, tmp_path)
+
+        def requests() -> int:
+            return victim.metrics()['counters']['rpc.requests']
+
+        try:
+            for engine in (oracle, victim):
+                engine.execute_many(self.WARM)
+            sent = []
+            for txn in TestWalBackedWorkers.TXNS + self.LOCAL:
+                oracle.execute_many(txn)
+                before = requests()
+                victim.execute_many(txn)
+                # Reading the count costs one ``metrics`` request per
+                # shard itself.
+                sent.append(requests() - before - victim.n_shards)
+            two_shard, one_shard, one_shard_two_targets = sent[:3]
+            assert two_shard == 2 * 3
+            assert one_shard == one_shard_two_targets == 1
+            assert sent[4:] == [1] * len(self.LOCAL)
+            self._assert_converged(oracle, victim, records)
+        finally:
+            oracle.close()
+            victim.close()
+
+    @pytest.mark.parametrize('phase', ['apply_statements', 'prepare_commit',
+                                       'apply_prepared'])
+    def test_kill_before_the_commit_point_resends(
+            self, union_strategy, tmp_path, phase, monkeypatch):
+        """SIGKILL inside the one call — while staging, at prepare, or
+        just before the WAL append — in the second transaction: the
+        restarted worker's log shows the pre-transaction LSN, so the
+        request is sent once more, and the transaction commits."""
+        reads = []
+        monkeypatch.setattr(procpool, 'read_records',
+                            lambda *a, **k: reads.append(a) or iter(()))
+        plan = faults.FaultPlan()
+        plan.kill_worker(shard=1, method=phase, hit=2)
+        oracle, victim, records = self._pair(union_strategy, tmp_path,
+                                             plan)
+        try:
+            for txn in self.LOCAL:
+                oracle.execute_many(txn)
+                victim.execute_many(txn)        # no exception: resent
+            assert victim.shards[1].generation == 1   # kill DID happen
+            assert reads == []
+            self._assert_converged(oracle, victim, records)
+            assert len(records['victim']) == len(self.LOCAL)
+        finally:
+            oracle.close()
+            victim.close()
+
+    def test_death_after_the_append_reads_the_record_back(
+            self, union_strategy, tmp_path, monkeypatch):
+        """The worker dies after its append — the commit point — but
+        before replying (a failed fsync: the frame is written, the
+        worker exits).  The restarted worker's log is one record past
+        the pre-transaction LSN: the transaction committed, and its
+        record is read back from the log for the listeners — not sent
+        again."""
+        reads = []
+        read_records = procpool.read_records
+
+        def counted(*args, **kwargs):
+            reads.append(args)
+            return read_records(*args, **kwargs)
+
+        monkeypatch.setattr(procpool, 'read_records', counted)
+        plan = faults.FaultPlan()
+        # Shard 1's fsyncs: the new log's header, load(r1), load(r2),
+        # define_view, the first commit — the 6th is the second commit.
+        plan.fail_fsync(shard=1, hit=6)
+        oracle, victim, records = self._pair(union_strategy, tmp_path,
+                                             plan)
+        try:
+            for txn in self.LOCAL:
+                oracle.execute_many(txn)
+                victim.execute_many(txn)
+            assert victim.shards[1].generation == 1
+            assert len(reads) == 1
+            self._assert_converged(oracle, victim, records)
+            assert len(records['victim']) == len(self.LOCAL)
+        finally:
+            oracle.close()
+            victim.close()
+
+    def test_a_resent_failure_is_the_transactions_outcome(
+            self, union_strategy, tmp_path):
+        """The kill lands in a transaction that fails on its own (a
+        row of the wrong arity): the resent request raises what the
+        inline cluster raises, and nothing commits."""
+        plan = faults.FaultPlan()
+        plan.kill_worker(shard=1, method='apply_statements', hit=1)
+        oracle, victim, records = self._pair(union_strategy, tmp_path,
+                                             plan)
+        bad = [('v', [Insert((7,))]), ('r1', [Insert((10, 'x'))])]
+        try:
+            for engine in (oracle, victim):
+                with pytest.raises(SchemaError):
+                    engine.execute_many(bad)
+            assert victim.shards[1].generation == 1
+            self._assert_converged(oracle, victim, records)
+            assert records['victim'] == []
+        finally:
+            oracle.close()
+            victim.close()
+
+    def test_dropped_request_is_a_clean_abort(self, union_strategy,
+                                              tmp_path):
+        """``rpc.send`` addresses the one request by the phase it
+        carries, ``prepare_commit``.  A send that fails never reached
+        the worker: a clean abort, which ``transient_retries`` masks."""
+        plan = faults.FaultPlan()
+        plan.drop_rpc(shard=1, method='prepare_commit', hit=2)
+        oracle, victim, records = self._pair(
+            union_strategy, tmp_path, transient_retries=1,
+            retry_backoff=0.01)
+        try:
+            with plan.installed():      # rpc.send fires coordinator-side
+                for txn in self.LOCAL:
+                    oracle.execute_many(txn)
+                    victim.execute_many(txn)
+            assert plan.fired('rpc.send') == 1
+            assert victim.metrics()['counters']['retry.attempts'] == 1
+            self._assert_converged(oracle, victim, records)
         finally:
             oracle.close()
             victim.close()

@@ -10,7 +10,10 @@ repaired, time out) stays in ``test_procpool.py``; what other threads
 may do to an in-process shard meanwhile in ``test_parallel.py``."""
 
 import inspect
+import subprocess
+import sys
 import threading
+from pathlib import Path
 
 import pytest
 
@@ -125,7 +128,10 @@ class TestShardClientContract:
         assert (changed_bases, keep, note) == ({'r1'}, frozenset(), None)
         shard.apply_prepared(prepared)
         assert shard.commit_lsn == before + 1
+        # ``begin`` only names a transaction; its first call opens the
+        # runtime's slot — here a flush that stages nothing.
         empty = shard.begin()
+        shard.drain(shard.queue_flush(empty, 'r1'))
         prepared = shard.prepare_commit(empty)
         assert prepared.record is None
         shard.apply_prepared(prepared)
@@ -265,6 +271,62 @@ class TestThreadBudget:
         finally:
             sharded.close()
         assert set(threading.enumerate()) == before
+
+
+class TestCoordinatorCrash:
+    """ROADMAP item 15(a): the *coordinator* exits (``os._exit``, no
+    shutdown) in the middle of a commit, and a cluster reopened over
+    the same logs must hold the transaction wholly or not at all."""
+
+    CHILD = Path(__file__).resolve().parent / '_coordinator_crash_child.py'
+    LOADED = {'r1': {(0,), (1,), (2,)}, 'r2': {(4,), (5,)}}
+
+    def _crash_and_reopen(self, union_strategy, execution, tmp_path,
+                          case):
+        # Reading the output to the end also waits for process
+        # workers, which serve what is already in their pipe first.
+        proc = subprocess.run(
+            [sys.executable, str(self.CHILD), str(tmp_path),
+             execution['execution'], case],
+            capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        with ShardedEngine(union_strategy.sources, shards=3,
+                           shard_keys=UNION_KEYS, wal_dir=tmp_path,
+                           wal_sync=False, **execution) as reopened:
+            reopened.define_view(union_strategy, validate_first=False,
+                                 exist_ok=True)
+            database = reopened.database()
+            return ({name: set(database[name]) for name in self.LOADED},
+                    set(reopened.rows('v')))
+
+    def _outcomes(self, inserted):
+        """The two whole outcomes: the transaction absent, or present."""
+        absent = dict(self.LOADED)
+        present = dict(self.LOADED, r1=self.LOADED['r1'] | inserted)
+        return [(state, state['r1'] | state['r2'])
+                for state in (absent, present)]
+
+    def test_one_shard_commit_is_all_or_nothing(self, union_strategy,
+                                                execution, tmp_path):
+        """The one-message commit has one commit point, the shard's
+        own append: the coordinator exiting after sending it leaves
+        ``(7,)`` wholly present or wholly absent."""
+        assert self._crash_and_reopen(
+            union_strategy, execution, tmp_path, 'one-shard') \
+            in self._outcomes({(7,)})
+
+    @pytest.mark.xfail(strict=True, reason=(
+        'ROADMAP item 15: a coordinator that exits between two shards\' '
+        'applies leaves a cross-shard transaction half-committed'))
+    def test_two_shard_commit_is_all_or_nothing(self, union_strategy,
+                                                execution, tmp_path):
+        """ROADMAP's repro: ``(7,)`` and ``(8,)`` commit on shards 1
+        and 2, and the coordinator exits after the first apply was
+        sent.  Today the reopened cluster shows ``(7,)`` without
+        ``(8,)``; a durable commit decision flips this test."""
+        assert self._crash_and_reopen(
+            union_strategy, execution, tmp_path, 'two-shard') \
+            in self._outcomes({(7,), (8,)})
 
 
 class TestOptionSurface:
