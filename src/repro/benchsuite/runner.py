@@ -8,9 +8,6 @@
   memory|sqlite]`` — re-runs the Figure 6 sweep (original vs
   incrementalized view update time against base table size) for the
   four benchmark views, on either storage backend.
-* ``python -m repro.benchsuite.runner backends [--size N]`` — the
-  backend axis: one steady-state single-tuple view update per view,
-  interpreter (memory) vs compiled SQL (sqlite), side by side.
 """
 
 from __future__ import annotations
@@ -28,8 +25,7 @@ from repro.core.validation import validate
 from repro.sql.triggers import compile_strategy_to_sql
 
 __all__ = ['Table1Row', 'run_table1', 'run_fig6', 'format_table1',
-           'Fig6Point', 'format_fig6', 'BackendPoint', 'run_backends',
-           'format_backends', 'main']
+           'Fig6Point', 'format_fig6', 'main']
 
 
 # ---------------------------------------------------------------------------
@@ -193,67 +189,6 @@ def format_fig6(points: list[Fig6Point]) -> str:
 
 
 # ---------------------------------------------------------------------------
-# Backend axis
-# ---------------------------------------------------------------------------
-
-
-@dataclass
-class BackendPoint:
-    """Steady-state cost of one view on one backend."""
-
-    view: str
-    backend: str
-    base_size: int
-    materialize_seconds: float    # first engine.rows(view)
-    update_seconds: float         # median single-tuple view INSERT
-    sql_fallbacks: int            # plans running interpreted on sqlite
-
-
-def run_backends(views=None, size: int = 20_000, *, repeats: int = 5,
-                 backends=('memory', 'sqlite'),
-                 progress=None) -> list[BackendPoint]:
-    """The backend comparison: per view and backend, the view
-    materialisation time and the steady-state incremental update time —
-    interpreter over indexed sets vs. compiled SQL on SQLite."""
-    points: list[BackendPoint] = []
-    for view in views or FIGURE6_VIEWS:
-        entry = entry_by_name(view)
-        for backend in backends:
-            engine = build_engine(entry, size, incremental=True,
-                                  strategy=entry.strategy(),
-                                  backend=backend)
-            try:
-                started = time.perf_counter()
-                engine.rows(view)
-                materialized = time.perf_counter() - started
-                fallbacks = 0
-                if hasattr(engine.backend, 'lowering_fallbacks'):
-                    fallbacks = len(engine.backend.lowering_fallbacks(view))
-                point = BackendPoint(
-                    view, backend, size, materialized,
-                    _measure_update(engine, entry, 0, repeats), fallbacks)
-            finally:
-                engine.close()
-            points.append(point)
-            if progress is not None:
-                progress(point)
-    return points
-
-
-def format_backends(points: list[BackendPoint]) -> str:
-    lines = [f'{"view":<18} {"backend":<8} {"n":>8} {"get (s)":>9} '
-             f'{"update (µs)":>12} {"SQL?":>5}']
-    lines.append('-' * len(lines[0]))
-    for p in points:
-        native = ('-' if p.backend != 'sqlite'
-                  else ('part' if p.sql_fallbacks else 'yes'))
-        lines.append(f'{p.view:<18} {p.backend:<8} {p.base_size:>8} '
-                     f'{p.materialize_seconds:>9.4f} '
-                     f'{p.update_seconds * 1e6:>12.1f} {native:>5}')
-    return '\n'.join(lines)
-
-
-# ---------------------------------------------------------------------------
 # CLI
 # ---------------------------------------------------------------------------
 
@@ -275,16 +210,10 @@ def main(argv=None) -> int:
                     default=None,
                     help='storage backend (default: REPRO_BACKEND or '
                          'memory)')
-    bk = sub.add_parser('backends',
-                        help='compare storage backends on the Figure 6 '
-                             'views')
-    bk.add_argument('--size', type=int, default=20_000)
-    bk.add_argument('--views', nargs='+', default=list(FIGURE6_VIEWS))
-    bk.add_argument('--repeats', type=int, default=5)
     args = parser.parse_args(argv)
     if args.command == 'table1':
         print(format_table1(run_table1(quick=args.quick)))
-    elif args.command == 'fig6':
+    else:
         points = run_fig6(args.views, tuple(args.sizes),
                           repeats=args.repeats, backend=args.backend,
                           progress=lambda p: print(
@@ -293,14 +222,6 @@ def main(argv=None) -> int:
                               f'inc {p.incremental_seconds:.5f}s',
                               file=sys.stderr))
         print(format_fig6(points))
-    else:
-        points = run_backends(args.views, args.size, repeats=args.repeats,
-                              progress=lambda p: print(
-                                  f'  {p.view} [{p.backend}]: '
-                                  f'get {p.materialize_seconds:.4f}s, '
-                                  f'update {p.update_seconds:.5f}s',
-                                  file=sys.stderr))
-        print(format_backends(points))
     return 0
 
 

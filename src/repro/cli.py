@@ -143,8 +143,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     bench = sub.add_parser('bench', help="regenerate the paper's "
                                          'evaluation artifacts')
-    bench.add_argument('experiment', choices=['table1', 'fig6',
-                                              'backends'])
+    bench.add_argument('experiment', choices=['table1', 'fig6'])
     bench.add_argument('--backend', choices=['memory', 'sqlite'],
                        help='storage backend for fig6 (default: '
                             'REPRO_BACKEND or memory)')

@@ -134,10 +134,10 @@ class Backend(ABC):
 
     def probe(self, name: str, positions: tuple[int, ...], key: tuple):
         """The rows of stored relation ``name`` whose values at
-        ``positions`` equal ``key``, read from a hash index or the
-        backend's own index — what lets statement derivation answer a
-        column→value WHERE in O(matches) — or None when there is no
-        index on exactly these columns or the key cannot be looked up
+        ``positions`` equal ``key``, answered by the backend itself — a
+        hash-index bucket, or a query the database evaluates — so that
+        statement derivation need not iterate :meth:`rows` for a
+        column→value WHERE; or None when the backend cannot answer
         (derivation then iterates :meth:`rows`).  The answer may hold
         rows that are only ``==`` to the stored ones (SQLite returns
         ``True`` as ``1``) and only narrows the candidates: the

@@ -143,12 +143,11 @@ class SQLiteBackend(Backend):
     place, O(|Δ|), after its SQL ``COMMIT`` succeeded.  The image
     answers client reads, ``INSERT`` membership and ``effective_on``;
     it has no index, so a column→value ``WHERE`` asks SQLite instead
-    (:meth:`probe`: one ``SELECT`` on the primary key or an index the
-    plans hinted — no index is ever created for a statement) and only
-    scans the image where SQLite has no access path either.  The two
-    hold the same rows because :meth:`check_storable` lets the engine
-    refuse, before it logs anything, what SQLite would not keep as
-    given."""
+    (:meth:`probe`: one ``SELECT``, a search on the primary key or an
+    index the plans hinted and a scan in C elsewhere — no index is ever
+    created for a statement).  The two hold the same rows because
+    :meth:`check_storable` lets the engine refuse, before it logs
+    anything, what SQLite would not keep as given."""
 
     kind = 'sqlite'
 
@@ -338,17 +337,15 @@ class SQLiteBackend(Backend):
 
     @_locked
     def probe(self, name: str, positions: tuple[int, ...], key: tuple):
-        """One ``SELECT``, answered only where SQLite already has an
-        access path on exactly these columns: a leading prefix of the
-        all-column primary key, or a mask the plans hinted
-        (:meth:`add_index_hint` built its index).  None — the caller
-        scans the row image — for any other column set, a relation that
-        is not stored, and a key SQLite cannot bind.  Never creates an
-        index: one per probed column set costs every insert its
-        maintenance (README, *Storage backends*)."""
-        if not self._stored(name) or (
-                positions != tuple(range(len(positions)))
-                and positions not in self._index_hints.get(name, ())):
+        """One ``SELECT`` for any column set: SQLite's planner SEARCHes
+        a leading prefix of the all-column primary key or a mask the
+        plans hinted (:meth:`add_index_hint` built its index) and SCANs
+        the table, in C, otherwise.  None — the caller scans the row
+        image — only for a relation that is not stored and a key SQLite
+        cannot bind.  Never creates an index: one per probed column set
+        costs every insert its maintenance (README, *Storage
+        backends*)."""
+        if not self._stored(name):
             return None
         columns = self._columns_of(name)
         try:

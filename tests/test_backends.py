@@ -4,6 +4,7 @@ cross-backend differential anchor (identical workloads must yield
 bit-identical base states)."""
 
 import functools
+import itertools
 import re
 import sqlite3
 import sys
@@ -625,9 +626,9 @@ def _wide_backend() -> SQLiteBackend:
 
 
 class TestSqliteProbe:
-    """ROADMAP 3b as counts: a column→value WHERE on a primary-key
-    prefix or a hinted mask costs one indexed ``SELECT`` and no pass
-    over the row image; anything else is the scan it always was."""
+    """ROADMAP 3b as counts: a column→value WHERE costs one ``SELECT``
+    and no pass over the row image — indexed on a primary-key prefix or
+    a hinted mask, a scan in C on any other column set."""
 
     @pytest.mark.parametrize('n', [200, 20_000])
     def test_keyed_statements_never_iterate_the_row_image(self, n):
@@ -708,8 +709,8 @@ class TestSqliteProbe:
         engine.close()
 
     @pytest.mark.parametrize('name, positions, key', [
-        ('w', (1,), ('x',)),                # no prefix, no hint
-        ('w', (0, 2), (1, 0.5)),
+        ('w', (1,), ('\ud800',)),           # SQLite cannot bind these,
+        ('w', (0, 2), (1, 2 ** 70)),        # whatever the column set
         ('nowhere', (0,), (1,)),            # not stored
         ('w', (0,), (2 ** 70,)),            # SQLite cannot bind these
         ('w', (2,), (2 ** 70,)),
@@ -725,6 +726,59 @@ class TestSqliteProbe:
         finally:
             backend.close()
 
+    @pytest.mark.parametrize('positions, key, expected', [
+        ((1,), ('x',), [(1, 'x', 0.5), (2, 'x', 0.5)]),   # no prefix, no hint
+        ((0, 2), (1, 0.5), [(1, 'x', 0.5)]),
+    ])
+    def test_any_other_column_set_is_answered_by_sqlite(self, positions,
+                                                        key, expected):
+        backend = _wide_backend()
+        try:
+            before = _indexes(backend)
+            assert sorted(backend.probe('w', positions, key)) == expected
+            assert not backend._conn.in_transaction
+            assert _indexes(backend) == before
+        finally:
+            backend.close()
+
+    @pytest.mark.parametrize('n', [200, 20_000])
+    def test_non_key_sweep_is_one_select_scanned_in_c(self, n):
+        """The benchmark's sweep, ``DELETE … WHERE iname = ?``, on a
+        column with no access path: one ``SELECT`` that SQLite plans as
+        ``SCAN`` — O(|V|), in C — no pass over either row image, and no
+        index created for it."""
+        engine = build_engine(entry_by_name('luxuryitems'), n,
+                              backend='sqlite')
+        try:
+            backend = engine.backend
+            rows = engine.rows('luxuryitems')
+            name = min(rows)[1]
+            swept = _scan(rows, (1,), (name,))
+            for relation in ('luxuryitems', 'items'):
+                backend._images[relation] = _CountingSet(
+                    backend._images[relation])
+            before = _indexes(backend)
+            with _traced(backend) as statements:
+                engine.delete('luxuryitems', where={'iname': name})
+            assert [backend._images[relation].iterations
+                    for relation in ('luxuryitems', 'items')] == [0, 0]
+            probes = _probe_texts(statements)
+            assert len(probes) == 1
+            details = [row[3] for row in backend._conn.execute(
+                'EXPLAIN QUERY PLAN ' + probes[0])]
+            assert len(details) == 1 and details[0].startswith('SCAN'), \
+                details
+            assert _indexes(backend) == before
+            counters = engine.metrics.snapshot()['counters']
+            assert counters['dml.where_probes'] == 1
+            assert 'dml.where_scans' not in counters
+            for relation in ('luxuryitems', 'items'):
+                assert not swept & engine.rows(relation)
+                assert engine.rows(relation) == _table_rows(backend,
+                                                            relation)
+        finally:
+            engine.close()
+
     @pytest.mark.parametrize('where, matched', [
         ({'k': 1}, {(1, 'x', 0.5), (1, 'y', 2)}),
         ({'k': 1.0}, {(1, 'x', 0.5), (1, 'y', 2)}),
@@ -736,9 +790,9 @@ class TestSqliteProbe:
         ({'f': 2.0}, {(1, 'y', 2)}),
         ({'f': 0.5}, {(1, 'x', 0.5), (2, 'x', 0.5)}),
         ({'s': 'y', 'k': 1}, {(1, 'y', 2)}),
-        ({'s': 'x'}, {(1, 'x', 0.5), (2, 'x', 0.5)}),       # scans
-        ({'k': 2 ** 70}, set()),                             # scans
-        ({'f': 0.5, 'k': 1}, {(1, 'x', 0.5)}),               # scans
+        ({'s': 'x'}, {(1, 'x', 0.5), (2, 'x', 0.5)}),       # SCAN in C
+        ({'k': 2 ** 70}, set()),                   # cannot bind: scans
+        ({'f': 0.5, 'k': 1}, {(1, 'x', 0.5)}),
     ])
     def test_probe_and_scan_derive_the_same_delta(self, where, matched):
         backend = _wide_backend()
@@ -750,6 +804,33 @@ class TestSqliteProbe:
                     probe=functools.partial(backend.probe, 'w'))
                 assert probed == derive_view_delta([statement], rows, WIDE)
                 assert probed.deletions == matched
+        finally:
+            backend.close()
+
+    @pytest.mark.parametrize('key', [1, 1.0, True, '1', None, NAN, -0.0,
+                                     2 ** 70, '\ud800', b'x'])
+    def test_every_column_set_and_key_probes_as_it_scans(self, key):
+        """Each non-empty column subset of ``w`` holding ``key`` in every
+        column: the probe answers whatever SQLite can bind, and the
+        delta derived from its rows is the one the scan derives."""
+        backend = _wide_backend()
+        backend.load('w', backend.rows('w') | {
+            (0, '1', 1.0), (1, '1', -0.0), (1, '1', 1), (0, 'z', 0.0)})
+        bindable = key not in (2 ** 70, '\ud800')
+        try:
+            rows = backend.rows('w')
+            for size in (1, 2, 3):
+                for positions in itertools.combinations(range(3), size):
+                    answer = backend.probe('w', positions, (key,) * size)
+                    assert (answer is not None) == bindable, positions
+                    where = {WIDE.attributes[p]: key for p in positions}
+                    for statement in (Delete(where),
+                                      Update({'s': 'new'}, where)):
+                        probed = derive_view_delta(
+                            [statement], rows, WIDE,
+                            probe=functools.partial(backend.probe, 'w'))
+                        assert probed == derive_view_delta(
+                            [statement], rows, WIDE), (positions, statement)
         finally:
             backend.close()
 
@@ -815,7 +896,7 @@ class TestSqliteProbe:
         assert engine.backend.probe('v', (0, 1), (3, 9)) is None
         engine.rows('v')
         assert engine.backend.probe('v', (0, 1), (3, 9)) == [(3, 9)]
-        assert engine.backend.probe('v', (1,), (9,)) is None
+        assert engine.backend.probe('v', (1,), (9,)) == [(3, 9)]
         keyed_delete(engine, 3)
         engine.close()
 
