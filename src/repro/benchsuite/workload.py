@@ -13,9 +13,6 @@ fresh single-tuple view INSERT that satisfies the entry's constraints.
 
 from __future__ import annotations
 
-import random
-
-from repro.benchsuite.catalog import entry_by_name
 from repro.benchsuite.entry import BenchmarkEntry
 from repro.core.strategy import UpdateStrategy
 from repro.rdbms.engine import Engine

@@ -29,15 +29,15 @@ tables does not spuriously invalidate every strategy.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
-from repro.datalog.ast import (Atom, BuiltinLit, Const, Lit, Literal,
-                               Program, Rule, Var, delta_base,
-                               is_delete_pred, is_delta_pred, is_insert_pred)
+from repro.datalog.ast import (Atom, BuiltinLit, Lit, Literal, Program, Rule,
+                               Var, delta_base, is_delete_pred,
+                               is_delta_pred)
 from repro.datalog.pretty import pretty_rule
 from repro.datalog.safety import bound_variables
 from repro.datalog.transform import tidy_program
-from repro.errors import FragmentError, TransformationError, ValidationError
+from repro.errors import FragmentError, TransformationError
 from repro.fol.datalog_to_fol import literal_to_fol, term_to_fol
 from repro.fol.fol_to_datalog import fol_to_datalog
 from repro.fol.formula import (FoEq, FoVar, Formula, free_variables,

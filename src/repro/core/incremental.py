@@ -31,7 +31,6 @@ from repro.datalog.ast import (Atom, BuiltinLit, Lit, Literal, Program,
                                Rule, Var, delete_pred, delta_base,
                                insert_pred, is_delta_pred)
 from repro.datalog.dependency import stratify
-from repro.datalog.safety import bound_variables
 from repro.datalog.transform import tidy_program
 from repro.errors import FragmentError, TransformationError
 

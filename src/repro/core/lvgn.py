@@ -17,7 +17,7 @@ this feeds the Table 1 columns ``LVGN-Datalog`` / ``NR-Datalog``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from repro.datalog.ast import (BuiltinLit, Const, Lit, Program, Rule, Var,
                                is_anonymous, is_delta_pred)

@@ -16,7 +16,7 @@ and :class:`ConstraintViolation` when ``(S, V')`` violates a constraint.
 from __future__ import annotations
 
 import textwrap
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from repro.datalog.ast import (Program, Rule, delta_base, is_delta_pred)
 from repro.datalog.dependency import check_nonrecursive
@@ -240,10 +240,6 @@ class UpdateStrategy:
         """Non-delta, non-constraint rules (auxiliary IDB definitions)."""
         return tuple(r for r in self.putdelta.proper_rules()
                      if not is_delta_pred(r.head.pred))
-
-    def delta_rules(self) -> tuple[Rule, ...]:
-        return tuple(r for r in self.putdelta.proper_rules()
-                     if is_delta_pred(r.head.pred))
 
     def program_size(self) -> int:
         """Lines of Datalog code (rule count), the paper's Table 1 metric."""

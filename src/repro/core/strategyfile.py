@@ -34,14 +34,12 @@ import re
 from pathlib import Path
 
 from repro.core.strategy import UpdateStrategy
-from repro.datalog.parser import parse_program
 from repro.datalog.pretty import pretty
 from repro.errors import DatalogSyntaxError, SchemaError
 from repro.relational.schema import (AttributeType, DatabaseSchema,
                                      RelationSchema)
 
-__all__ = ['loads_strategy', 'load_strategy', 'dumps_strategy',
-           'dump_strategy']
+__all__ = ['loads_strategy', 'load_strategy', 'dumps_strategy']
 
 _DECL_RE = re.compile(
     r'^\.\s*(source|view)\s+([a-z][A-Za-z0-9_]*)\s*\((.*)\)\s*\.\s*$')
@@ -151,7 +149,3 @@ def dumps_strategy(strategy: UpdateStrategy) -> str:
         lines.append('')
     lines.append(pretty(strategy.putdelta))
     return '\n'.join(lines) + '\n'
-
-
-def dump_strategy(strategy: UpdateStrategy, path: str | Path) -> None:
-    Path(path).write_text(dumps_strategy(strategy), encoding='utf-8')

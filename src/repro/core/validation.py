@@ -29,7 +29,7 @@ from repro.core.lvgn import FragmentReport, classify
 from repro.core.putget import getput_check_programs, putget_check_program
 from repro.core.strategy import UpdateStrategy
 from repro.errors import ValidationError
-from repro.fol.solver import (SatResult, SolverConfig, check_satisfiable)
+from repro.fol.solver import SolverConfig, check_satisfiable
 from repro.relational.database import Database
 
 __all__ = ['CheckResult', 'ValidationReport', 'validate',

@@ -29,7 +29,7 @@ __all__ = [
     'Term', 'Var', 'Const', 'Atom', 'Literal', 'BuiltinLit', 'Lit', 'Rule',
     'Program', 'COMPARISON_OPS', 'BUILTIN_OPS', 'insert_pred', 'delete_pred',
     'is_insert_pred', 'is_delete_pred', 'is_delta_pred', 'delta_base',
-    'is_anonymous', 'fresh_var_factory', 'substitute_term',
+    'is_anonymous', 'substitute_term',
 ]
 
 # ---------------------------------------------------------------------------
@@ -84,14 +84,6 @@ def substitute_term(term: Term, binding: Mapping[str, Term]) -> Term:
     if isinstance(term, Var):
         return binding.get(term.name, term)
     return term
-
-
-def fresh_var_factory(prefix: str = 'FV') -> Iterator[Var]:
-    """Yield an endless supply of fresh variables ``FV0, FV1, ...``."""
-    counter = 0
-    while True:
-        yield Var(f'{prefix}{counter}')
-        counter += 1
 
 
 # ---------------------------------------------------------------------------
@@ -156,9 +148,6 @@ class Atom:
 
     def var_names(self) -> set[str]:
         return {t.name for t in self.args if isinstance(t, Var)}
-
-    def is_ground(self) -> bool:
-        return all(isinstance(t, Const) for t in self.args)
 
     def substitute(self, binding: Mapping[str, Term]) -> 'Atom':
         return Atom(self.pred, tuple(substitute_term(t, binding)
@@ -282,10 +271,6 @@ class Rule:
         return tuple(l.atom for l in self.body
                      if isinstance(l, Lit) and l.positive)
 
-    def negative_atoms(self) -> tuple[Atom, ...]:
-        return tuple(l.atom for l in self.body
-                     if isinstance(l, Lit) and not l.positive)
-
     def builtins(self) -> tuple[BuiltinLit, ...]:
         return tuple(l for l in self.body if isinstance(l, BuiltinLit))
 
@@ -303,23 +288,6 @@ class Rule:
     def substitute(self, binding: Mapping[str, Term]) -> 'Rule':
         head = None if self.head is None else self.head.substitute(binding)
         return Rule(head, tuple(l.substitute(binding) for l in self.body))
-
-    def rename_apart(self, taken: set[str],
-                     prefix: str = 'R') -> 'Rule':
-        """Rename this rule's variables away from ``taken`` (standardizing
-        apart before unfolding)."""
-        binding: dict[str, Term] = {}
-        counter = 0
-        for name in sorted(self.variables()):
-            if name in taken:
-                while f'{prefix}{counter}' in taken or \
-                        f'{prefix}{counter}' in self.variables():
-                    counter += 1
-                binding[name] = Var(f'{prefix}{counter}')
-                counter += 1
-        if not binding:
-            return self
-        return self.substitute(binding)
 
     def __str__(self) -> str:
         head = '⊥' if self.head is None else str(self.head)

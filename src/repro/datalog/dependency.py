@@ -15,7 +15,7 @@ from repro.datalog.ast import Lit, Program
 from repro.errors import RecursionError_
 
 __all__ = ['dependency_graph', 'is_nonrecursive', 'check_nonrecursive',
-           'stratify', 'depends_on_view', 'FALSUM']
+           'stratify', 'FALSUM']
 
 FALSUM = '⊥'
 
@@ -70,14 +70,3 @@ def stratify(program: Program) -> list[str]:
     idb = program.idb_preds()
     order = [p for p in nx.topological_sort(graph) if p in idb]
     return order
-
-
-def depends_on_view(program: Program, view: str) -> set[str]:
-    """IDB predicates whose value can change when relation ``view``
-    changes (i.e. predicates reachable from ``view`` in the dependency
-    graph).  Used by the incrementalizer."""
-    graph = dependency_graph(program)
-    if view not in graph:
-        return set()
-    reachable = nx.descendants(graph, view)
-    return reachable & program.idb_preds()

@@ -41,9 +41,9 @@ from operator import itemgetter
 from typing import Collection
 
 from repro.datalog.ast import Program, Rule
-from repro.datalog.plan import (BindStep, CompareStep, ExecutionPlan,
-                                NegationStep, ProbeStep, RulePlan,
-                                ScanStep, compile_program, compile_rule)
+from repro.datalog.plan import (CompareStep, ExecutionPlan, NegationStep,
+                                ProbeStep, RulePlan, ScanStep,
+                                compile_program, compile_rule)
 from repro.errors import SchemaError
 from repro.relational.database import Database
 

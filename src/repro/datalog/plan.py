@@ -32,6 +32,14 @@ the caller supplies ``stats`` (a ``{relation: row count}`` mapping —
 the engine passes current base-table sizes at ``define_view`` time),
 then by source order.  Set semantics make the results independent of
 the order; only running time differs.
+
+The plan cache is one per process: :func:`compile_program` memoizes in
+``_compile_cached``, an LRU keyed by the program, ``check_safety`` and
+the frozen ``stats`` seed, which every engine, validation run and
+solver check in the process shares and :func:`clear_plan_cache`
+empties.  A forked shard worker starts with a copy of the
+coordinator's cache as it stood at the fork; what either compiles
+afterwards stays in its own copy.
 """
 
 from __future__ import annotations
@@ -226,22 +234,6 @@ class ExecutionPlan:
     def holds(self, edb, goal: str) -> bool:
         from repro.datalog.evaluator import execute_plan
         return bool(execute_plan(self, edb, goals=(goal,))[goal])
-
-    # -- lowering (delegated to the SQL translator) ---------------------
-
-    def to_sql(self, goal: str, *, namer=None, schema=None,
-               dialect=None) -> str:
-        """Lower ``goal`` to a ``WITH ... SELECT`` statement over the
-        plan's source program; see :func:`repro.sql.translate.
-        plan_to_sql`.  ``dialect`` is a :class:`~repro.sql.translate.
-        SqlDialect` or its name ('postgresql', 'sqlite')."""
-        from repro.sql.translate import (POSTGRES, dialect_by_name,
-                                         plan_to_sql)
-        if dialect is None:
-            dialect = POSTGRES
-        elif isinstance(dialect, str):
-            dialect = dialect_by_name(dialect)
-        return plan_to_sql(self, goal, namer, schema, dialect)
 
 
 # ---------------------------------------------------------------------------

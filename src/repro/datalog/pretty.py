@@ -7,8 +7,8 @@ this round-trip down.
 
 from __future__ import annotations
 
-from repro.datalog.ast import (Atom, BuiltinLit, Const, Lit, Literal,
-                               Program, Rule, Term, Var)
+from repro.datalog.ast import (Atom, Lit, Literal, Program, Rule, Term,
+                               Var)
 
 __all__ = ['pretty', 'pretty_rule', 'pretty_literal', 'pretty_term']
 

@@ -7,8 +7,6 @@ readable and free of redundant literals, without changing semantics.
 
 from __future__ import annotations
 
-import re
-
 from repro.datalog.ast import (Atom, BuiltinLit, Const, Lit, Literal,
                                Program, Rule, Term, Var)
 

@@ -120,7 +120,3 @@ class ShardUnavailableError(ReproError):
 
 class TransformationError(ReproError):
     """A formula transformation (SRNF/RANF/FO→Datalog) cannot proceed."""
-
-
-class SolverLimitError(ReproError):
-    """The bounded satisfiability search exceeded its configured limits."""

@@ -1,5 +1,5 @@
-"""First-order logic substrate: formulas, fragment checks, translations,
-and the bounded satisfiability solver (§4, Appendices A/B)."""
+"""First-order logic substrate: formulas, translations, and the bounded
+satisfiability solver (§4, Appendices A/B)."""
 
 from repro.fol.datalog_to_fol import predicate_to_fol, rule_body_to_fol
 from repro.fol.fol_to_datalog import fol_to_datalog, ranf_to_datalog
@@ -7,7 +7,6 @@ from repro.fol.formula import (BOTTOM, TOP, And, Bottom, Exists, FoAtom,
                                FoCmp, FoConst, FoEq, FoVar, Forall, Formula,
                                Not, Or, Top, free_variables, make_and,
                                make_exists, make_or, substitute)
-from repro.fol.guarded import is_gnfo, why_not_gnfo
 from repro.fol.normalize import (NOT_SAFE, is_safe_range, range_restricted,
                                  to_ranf, to_srnf)
 from repro.fol.solver import (SatResult, SatStatus, SolverConfig,
@@ -18,7 +17,7 @@ __all__ = [
     'ranf_to_datalog', 'BOTTOM', 'TOP', 'And', 'Bottom', 'Exists', 'FoAtom',
     'FoCmp', 'FoConst', 'FoEq', 'FoVar', 'Forall', 'Formula', 'Not', 'Or',
     'Top', 'free_variables', 'make_and', 'make_exists', 'make_or',
-    'substitute', 'is_gnfo', 'why_not_gnfo', 'NOT_SAFE', 'is_safe_range',
-    'range_restricted', 'to_ranf', 'to_srnf', 'SatResult', 'SatStatus',
-    'SolverConfig', 'check_satisfiable', 'unfold_to_clauses',
+    'substitute', 'NOT_SAFE', 'is_safe_range', 'range_restricted',
+    'to_ranf', 'to_srnf', 'SatResult', 'SatStatus', 'SolverConfig',
+    'check_satisfiable', 'unfold_to_clauses',
 ]

@@ -14,8 +14,8 @@ into equalities against a canonical variable tuple.
 
 from __future__ import annotations
 
-from repro.datalog.ast import (Atom, BuiltinLit, Const, Lit, Program, Rule,
-                               Var, is_anonymous)
+from repro.datalog.ast import (BuiltinLit, Const, Lit, Program, Rule, Var,
+                               is_anonymous)
 from repro.datalog.dependency import check_nonrecursive
 from repro.datalog.safety import bound_variables
 from repro.errors import TransformationError

@@ -11,7 +11,7 @@ earlier ones.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Mapping, Sequence, Union
+from typing import Callable, Mapping, Sequence, Union
 
 from repro.errors import SchemaError, ViewUpdateError
 from repro.relational.delta import Delta

@@ -73,7 +73,7 @@ from repro.rdbms.dml import (Delete, Insert, Statement, Update,
 from repro.rdbms.metrics import MetricsRegistry
 from repro.rdbms.wal import WriteAheadLog
 from repro.relational.database import Database
-from repro.relational.delta import Delta, DeltaSet
+from repro.relational.delta import Delta
 from repro.relational.schema import DatabaseSchema, RelationSchema
 
 __all__ = ['Engine', 'Transaction', 'ViewEntry', 'PreparedCommit',

@@ -116,13 +116,14 @@ def decide_placement(strategy: UpdateStrategy,
                      schema: DatabaseSchema,
                      entries: Mapping[str, ViewEntry],
                      placement: Mapping[str, int | None],
-                     keys: Mapping[str, tuple[int, str]],
-                     global_shard: int) -> tuple[int | None, list[str]]:
+                     keys: Mapping[str, tuple[int, str]]
+                     ) -> tuple[int | None, list[str]]:
     """``(None, [])`` when the view can be routed shard-locally, else
-    ``(global shard index, bases to demote)`` — the demotions are
-    *decided* here but applied by the caller only after every shard
-    accepted the view, so a failed ``define_view`` cannot leave the
-    cluster degraded (§"Global fallback" in :mod:`repro.rdbms.sharded`).
+    ``(0, bases to demote)``: the view goes to shard 0, the global
+    shard.  The demotions are *decided* here but applied by the caller
+    only after every shard accepted the view, so a failed
+    ``define_view`` cannot leave the cluster degraded (§"Global
+    fallback" in :mod:`repro.rdbms.sharded`).
 
     ``key_spec`` is the view's declared shard key (``None`` when it has
     none); the keyword arguments are the coordinator's catalog: base
@@ -198,7 +199,7 @@ def decide_placement(strategy: UpdateStrategy,
                     f'view {name!r} is not shard-local but its '
                     f'source view {rel!r} is; declare a '
                     f'co-partitioned shard key for {name!r}')
-    return global_shard, demotions
+    return 0, demotions
 
 
 def _partitioned_view_over(rel: str, entries: Mapping[str, ViewEntry],

@@ -10,11 +10,9 @@ O(|Δ|) per transaction regardless of |DB|.  That is the paper's
 incremental-view machinery doing double duty as the replication
 protocol.
 
-:class:`ReplicaSet` is the read-routing policy in front of a primary
-and N replicas:
+:class:`ReplicaSet` routes reads over a primary and N replicas:
 
-* ``round-robin`` — spread reads evenly;
-* ``freshest`` — always read the replica with the highest applied LSN;
+* unbounded reads rotate round-robin over the replicas;
 * ``min_lsn=`` per read — the read-your-writes bound: a session that
   committed at LSN n passes ``min_lsn=n`` and is guaranteed to never
   observe a replica behind its own write (the routed replica catches
@@ -45,7 +43,6 @@ import threading
 import time
 from pathlib import Path
 
-from repro.errors import SchemaError
 from repro.rdbms import faults
 from repro.rdbms.engine import Engine
 from repro.rdbms.wal import (LogPosition, WriteAheadLog, read_records,
@@ -186,9 +183,8 @@ class ReplicaEngine:
 class ReplicaSet:
     """Read-routing over one primary and its replicas.
 
-    ``policy`` picks the replica for an unbounded read: ``round-robin``
-    rotates, ``freshest`` takes the highest applied LSN.  ``max_lag``
-    bounds staleness (a routed replica further behind catches up before
+    Reads rotate round-robin over the replicas.  ``max_lag`` bounds
+    staleness (a routed replica further behind catches up before
     serving); ``read(..., min_lsn=n)`` additionally guarantees
     read-your-writes for a session that committed at LSN n.  Writes
     never route here — they stay on the primary, whose WAL feeds every
@@ -213,16 +209,9 @@ class ReplicaSet:
     gauges with them.
     """
 
-    POLICIES = ('round-robin', 'freshest')
-
-    def __init__(self, primary, replicas, *,
-                 policy: str = 'round-robin', max_lag: int = 0):
-        if policy not in self.POLICIES:
-            raise SchemaError(f'unknown read policy {policy!r} '
-                              f'(expected one of {self.POLICIES})')
+    def __init__(self, primary, replicas, *, max_lag: int = 0):
         self.primary = primary
         self.replicas = list(replicas)
-        self.policy = policy
         self.max_lag = max_lag
         self._lock = threading.Lock()
         self._cursor = 0
@@ -248,8 +237,6 @@ class ReplicaSet:
         with self._lock:
             if not self.replicas:
                 return None
-            if self.policy == 'freshest':
-                return max(self.replicas, key=lambda r: r.applied_lsn)
             replica = self.replicas[self._cursor % len(self.replicas)]
             self._cursor += 1
         return replica

@@ -31,9 +31,9 @@ relation partitioned on a *different* key (or not partitioned at all)
 cannot be routed shard-locally; running it on one shard against
 partitioned sources would be silently wrong.  Such views fall back to
 a documented single-shard **global** placement, detected at
-:meth:`define_view` time: the view is pinned to ``global_shard`` and
-every base table underneath it is demoted to global placement too (its
-rows migrate to the global shard).  Demotion refuses — with a
+:meth:`define_view` time: the view is pinned to the global shard,
+shard 0, and every base table underneath it is demoted to global
+placement too (its rows migrate to shard 0).  Demotion refuses — with a
 :class:`~repro.errors.SchemaError` — when a base is already serving an
 existing shard-local view, since one relation cannot be both
 partitioned and pinned.
@@ -244,7 +244,7 @@ class ShardedEngine:
     shard_keys:
         ``{relation_or_view: attribute name (or position)}`` — the
         declared shard key of each partitioned relation.  Relations
-        without a key are *global*: stored wholly on ``global_shard``.
+        without a key are *global*: stored wholly on shard 0.
     execution:
         The shard transport: ``'inline'`` (runtimes on the
         coordinator's heap, every call on the calling thread; default)
@@ -272,12 +272,10 @@ class ShardedEngine:
                  partitioner: Partitioner | None = None,
                  shard_keys: Mapping[str, str | int] | None = None,
                  batch_deltas: bool = True,
-                 global_shard: int = 0,
                  execution: str = 'inline',
                  wal_dir=None,
                  wal_sync: bool = True,
                  read_replicas: int = 0,
-                 read_policy: str = 'round-robin',
                  replica_max_lag: int = 0,
                  rpc_timeout: float | None = 120.0,
                  transient_retries: int = 0,
@@ -314,10 +312,6 @@ class ShardedEngine:
             raise SchemaError(
                 f'partitioner covers {self.partitioner.n_shards} shards '
                 f'but {shards} were requested')
-        if not 0 <= global_shard < shards:
-            raise SchemaError(f'global_shard {global_shard} out of range '
-                              f'for {shards} shards')
-        self.global_shard = global_shard
         self.batch_deltas = batch_deltas
         self.execution = execution
         self._transient_retries = transient_retries
@@ -405,7 +399,6 @@ class ShardedEngine:
                 ReplicaSet(primary,
                            [ReplicaEngine(schema, feed)
                             for _ in range(read_replicas)],
-                           policy=read_policy,
                            max_lag=replica_max_lag)
                 for primary, feed in zip(primaries, feeds))
         self._entries: dict[str, ViewEntry] = {}
@@ -422,7 +415,7 @@ class ShardedEngine:
             else:
                 self._pending_keys[name] = key
         for rel in schema.names():
-            self._placement.setdefault(rel, self.global_shard)
+            self._placement.setdefault(rel, 0)
 
     # -- awaiting shards ----------------------------------------------
 
@@ -481,21 +474,6 @@ class ShardedEngine:
         """``'partitioned'`` or the pinned (global) shard index."""
         place = self._placement_of(name)
         return 'partitioned' if place is None else place
-
-    def shard_key(self, name: str) -> str | None:
-        """The declared shard-key attribute of a partitioned relation."""
-        return self._keys.get(name, (None, None))[1]
-
-    @property
-    def unresolved_shard_keys(self) -> tuple[str, ...]:
-        """``shard_keys`` entries naming neither a base table nor any
-        view defined so far.  Such entries are legitimate *before* the
-        named view's ``define_view`` call; one still listed after all
-        views are defined is a typo (e.g. ``'item'`` for ``'items'``)
-        that silently left the intended relation on global placement —
-        assert this is empty after setup."""
-        return tuple(sorted(name for name in self._pending_keys
-                            if name not in self._entries))
 
     def _placement_of(self, name: str) -> int | None:
         try:
@@ -672,8 +650,7 @@ class ShardedEngine:
         placement, demotions = decide_placement(
             strategy, get_program, self._pending_keys.get(name),
             schema=self.schema, entries=self._entries,
-            placement=self._placement, keys=self._keys,
-            global_shard=self.global_shard)
+            placement=self._placement, keys=self._keys)
         stats = self._aggregated_stats()
         demoted: list[tuple[str, tuple[int, str]]] = []
         created_on: list = []
@@ -725,8 +702,8 @@ class ShardedEngine:
         return self._entries[name]
 
     def _demote_to_global(self, base: str) -> None:
-        """Re-place a partitioned base wholly onto the global shard
-        (the rows migrate; the key declaration is dropped).  The
+        """Re-place a partitioned base wholly onto shard 0, the global
+        shard (the rows migrate; the key declaration is dropped).  The
         gathered copy is the recovery source: if any shard's load
         fails mid-migration, the partitioned layout is restored from
         it rather than leaving rows duplicated or half-moved."""
@@ -734,13 +711,13 @@ class ShardedEngine:
         try:
             for index, client in enumerate(self.shards):
                 client.load(base, gathered
-                            if index == self.global_shard else ())
+                            if index == 0 else ())
         except BaseException:
             # _placement has not flipped yet, so a plain reload routes
             # the gathered copy back through the partitioned layout.
             self.load(base, gathered)
             raise
-        self._placement[base] = self.global_shard
+        self._placement[base] = 0
         self._keys.pop(base, None)
 
     def _repartition(self, base: str, key: tuple[int, str]) -> None:
@@ -1047,7 +1024,7 @@ class ShardedEngine:
                 if len(row) <= key_pos:
                     # Arity error: forward anywhere, the shard's schema
                     # validation produces the canonical SchemaError.
-                    stage(self.global_shard, statement)
+                    stage(0, statement)
                 else:
                     stage(self.partitioner.shard_of(row[key_pos]),
                           statement)

@@ -57,7 +57,7 @@ from repro.errors import SchemaError
 from repro.rdbms import faults
 
 __all__ = ['LogPosition', 'WalRecord', 'WriteAheadLog', 'read_records',
-           'scan_tail', 'encode_record', 'read_start_lsn', 'RECORD_KINDS']
+           'scan_tail', 'encode_record', 'RECORD_KINDS']
 
 MAGIC = b'REPROWAL1\n'
 _HEADER = struct.Struct('>Q')    # starting LSN
@@ -157,17 +157,6 @@ def _frames(handle, at: LogPosition) -> Iterator[tuple[LogPosition, bytes]]:
         offset += size + length
         lsn += 1
         yield LogPosition(start_lsn, offset, lsn), payload
-
-
-def read_start_lsn(path: str | Path) -> int:
-    """The file's header ``start_lsn`` alone (no frame scan) — it
-    jumps whenever :meth:`WriteAheadLog.checkpoint` atomically replaces
-    the file with a snapshot prefix."""
-    try:
-        with open(path, 'rb') as handle:
-            return _resume(handle, path, None).start_lsn
-    except FileNotFoundError:
-        return 0
 
 
 def scan_tail(path: str | Path, *,

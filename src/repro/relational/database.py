@@ -11,9 +11,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Iterable, Iterator, Mapping
 
-from repro.errors import SchemaError
-from repro.relational.schema import DatabaseSchema
-
 __all__ = ['Database']
 
 Row = tuple
@@ -85,11 +82,6 @@ class Database:
         return Database({n: rows for n, rows in self.relations.items()
                          if n not in names})
 
-    def restrict(self, names: Iterable[str]) -> 'Database':
-        keep = set(names)
-        return Database({n: rows for n, rows in self.relations.items()
-                         if n in keep})
-
     def merge(self, other: 'Database') -> 'Database':
         """Union per-relation; shared names are unioned tuple-wise."""
         merged = dict(self.relations)
@@ -100,17 +92,6 @@ class Database:
     def rename(self, mapping: Mapping[str, str]) -> 'Database':
         return Database({mapping.get(n, n): rows
                          for n, rows in self.relations.items()})
-
-    # -- validation -----------------------------------------------------------
-
-    def conforms_to(self, schema: DatabaseSchema) -> None:
-        """Raise :class:`SchemaError` when a relation does not fit."""
-        for name, rows in self.relations.items():
-            if name not in schema:
-                raise SchemaError(f'relation {name!r} not in schema')
-            rel = schema[name]
-            for row in rows:
-                rel.validate_tuple(row)
 
     # -- dunder -----------------------------------------------------------------
 

@@ -16,8 +16,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Iterable, Iterator, Mapping, Sequence
 
-from repro.datalog.ast import (delete_pred, delta_base, insert_pred,
-                               is_delete_pred, is_delta_pred, is_insert_pred)
+from repro.datalog.ast import (delta_base, is_delete_pred, is_delta_pred,
+                               is_insert_pred)
 from repro.errors import ContradictionError
 from repro.relational.database import Database
 
@@ -89,9 +89,6 @@ class Delta:
     def union(self, other: 'Delta') -> 'Delta':
         return Delta(self.insertions | other.insertions,
                      self.deletions | other.deletions)
-
-    def invert(self) -> 'Delta':
-        return Delta(self.deletions, self.insertions)
 
     def split(self, classify) -> dict:
         """Partition the delta by a row predicate: ``classify(row)``
@@ -208,9 +205,6 @@ class DeltaSet:
     def total_size(self) -> int:
         return sum(len(d) for d in self.deltas.values())
 
-    def is_contradictory(self) -> bool:
-        return any(d.contradictions() for d in self.deltas.values())
-
     def contradictions(self) -> dict[str, frozenset]:
         return {name: d.contradictions()
                 for name, d in self.deltas.items() if d.contradictions()}
@@ -260,14 +254,6 @@ class DeltaSet:
             for name in part:
                 merged[name] = merged.get(name, Delta()).union(part[name])
         return cls(merged)
-
-    def as_database(self) -> Database:
-        """Render the delta set as a database of ``+r``/``-r`` relations."""
-        data: dict[str, frozenset] = {}
-        for name, delta in self.deltas.items():
-            data[insert_pred(name)] = delta.insertions
-            data[delete_pred(name)] = delta.deletions
-        return Database(data)
 
     def __str__(self) -> str:
         if self.is_empty():

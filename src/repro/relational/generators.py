@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import random
 import string
-from typing import Callable, Iterable
 
 from repro.relational.database import Database
 from repro.relational.schema import AttributeType, DatabaseSchema

@@ -55,10 +55,9 @@ from repro.datalog.plan import schedule_static
 from repro.errors import TransformationError
 from repro.relational.schema import DatabaseSchema
 
-__all__ = ['SqlDialect', 'POSTGRES', 'SQLITE', 'dialect_by_name',
-           'sql_literal', 'sql_ident', 'quote_ident', 'sql_table',
-           'rule_to_select', 'query_to_sql', 'constraint_witness',
-           'constraint_to_sql', 'plan_to_sql', 'relevant_predicates',
+__all__ = ['SqlDialect', 'POSTGRES', 'SQLITE', 'sql_literal', 'sql_ident',
+           'quote_ident', 'sql_table', 'rule_to_select', 'query_to_sql',
+           'constraint_witness', 'constraint_to_sql', 'plan_to_sql',
            'ColumnNamer']
 
 
@@ -81,18 +80,6 @@ POSTGRES = SqlDialect('postgresql')
 #: it never re-orders the operands of a ``CROSS JOIN``.
 SQLITE = SqlDialect('sqlite', true_literal='1', false_literal='0',
                     join=' CROSS JOIN ')
-
-_DIALECTS = {d.name: d for d in (POSTGRES, SQLITE)}
-
-
-def dialect_by_name(name: str) -> SqlDialect:
-    try:
-        return _DIALECTS[name]
-    except KeyError:
-        raise TransformationError(
-            f'unknown SQL dialect {name!r}; expected one of '
-            f'{sorted(_DIALECTS)}') from None
-
 
 def sql_literal(value, dialect: SqlDialect = POSTGRES) -> str:
     """Render a constant as a SQL literal.
@@ -402,13 +389,6 @@ def _dependency_cone(program: Program, goals) -> Program:
     (reusing the evaluator's :func:`prune_unreachable`)."""
     from repro.datalog.transform import prune_unreachable
     return prune_unreachable(program.without_constraints(), set(goals))
-
-
-def relevant_predicates(program: Program, goals) -> set[str]:
-    """The IDB predicates in the dependency cone of ``goals``: the goals
-    themselves plus every IDB predicate they transitively read.  Rules
-    outside the cone never reach a query computing the goals."""
-    return _dependency_cone(program, goals).idb_preds()
 
 
 def query_to_sql(program: Program, goal: str,

@@ -22,7 +22,6 @@ column; this library executes the equivalent pipeline natively in
 from __future__ import annotations
 
 from repro.core.incremental import incrementalize
-from repro.core.lvgn import is_lvgn
 from repro.core.strategy import UpdateStrategy
 from repro.datalog.ast import (Program, delete_pred, delta_base,
                                insert_pred)

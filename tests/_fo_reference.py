@@ -6,8 +6,8 @@ plus the formula's own constants — the standard finite-model semantics
 underlying safe-range queries (Appendix B) and the GNFO satisfiability
 arguments (Lemma 3.1).
 
-This module is the independent referee for the translation pipeline: the
-test suite checks ``Datalog → FO → Datalog`` round-trips against it, so a
+Only tests use it: it is the independent referee ``test_interpret.py``
+checks ``predicate_to_fol``, ``to_srnf`` and ``to_ranf`` against, so a
 bug would have to hit the evaluator, the translators *and* this
 interpreter consistently to go unnoticed.
 """

@@ -3,9 +3,8 @@
 import pytest
 
 from repro.datalog.ast import (Atom, BuiltinLit, Const, Lit, Program, Rule,
-                               Var, delete_pred, delta_base,
-                               fresh_var_factory, insert_pred, is_anonymous,
-                               is_delete_pred, is_delta_pred,
+                               Var, delete_pred, delta_base, insert_pred,
+                               is_anonymous, is_delete_pred, is_delta_pred,
                                is_insert_pred)
 from repro.datalog.parser import parse_program, parse_rule
 
@@ -38,11 +37,6 @@ class TestTerms:
         assert not is_anonymous(Var('X'))
         assert not is_anonymous(Const('_'))
 
-    def test_fresh_var_factory(self):
-        gen = fresh_var_factory('T')
-        assert next(gen) == Var('T0')
-        assert next(gen) == Var('T1')
-
     def test_const_str_quotes_strings(self):
         assert str(Const('a')) == "'a'"
         assert str(Const(3)) == '3'
@@ -54,10 +48,6 @@ class TestAtom:
         atom = Atom('r', (Var('X'), Const(1), Var('Y'), Var('X')))
         assert atom.variables() == (Var('X'), Var('Y'), Var('X'))
         assert atom.var_names() == {'X', 'Y'}
-
-    def test_is_ground(self):
-        assert Atom('r', (Const(1), Const('a'))).is_ground()
-        assert not Atom('r', (Var('X'),)).is_ground()
 
     def test_substitute(self):
         atom = Atom('r', (Var('X'), Var('Y')))
@@ -83,25 +73,14 @@ class TestBuiltin:
 
 class TestRule:
 
-    def test_positive_and_negative_atoms(self):
+    def test_positive_atoms_and_builtins(self):
         rule = parse_rule('h(X) :- r(X), not s(X), X > 1.')
         assert [a.pred for a in rule.positive_atoms()] == ['r']
-        assert [a.pred for a in rule.negative_atoms()] == ['s']
         assert len(rule.builtins()) == 1
 
     def test_variables(self):
         rule = parse_rule('h(X, Y) :- r(X, Z), not s(Y).')
         assert rule.variables() == {'X', 'Y', 'Z'}
-
-    def test_rename_apart(self):
-        rule = parse_rule('h(X) :- r(X, Y).')
-        renamed = rule.rename_apart({'X'})
-        assert 'X' not in renamed.variables()
-        assert 'Y' in renamed.variables()
-
-    def test_rename_apart_noop(self):
-        rule = parse_rule('h(X) :- r(X).')
-        assert rule.rename_apart({'Z'}) is rule
 
     def test_substitution_covers_head_and_body(self):
         rule = parse_rule('h(X) :- r(X), X > 1.')

@@ -3,8 +3,8 @@
 import pytest
 
 from repro.datalog.dependency import (FALSUM, check_nonrecursive,
-                                      dependency_graph, depends_on_view,
-                                      is_nonrecursive, stratify)
+                                      dependency_graph, is_nonrecursive,
+                                      stratify)
 from repro.datalog.parser import parse_program
 from repro.errors import RecursionError_
 
@@ -64,18 +64,3 @@ class TestStratification:
         program = parse_program('v(X) :- r(X).')
         assert stratify(program) == ['v']
 
-
-class TestDependsOnView:
-
-    def test_direct_and_transitive(self):
-        program = parse_program("""
-            a(X) :- v(X).
-            b(X) :- a(X).
-            c(X) :- r(X).
-        """)
-        affected = depends_on_view(program, 'v')
-        assert affected == {'a', 'b'}
-
-    def test_view_absent(self):
-        program = parse_program('a(X) :- r(X).')
-        assert depends_on_view(program, 'missing') == set()

@@ -37,7 +37,7 @@ class TestErrorHierarchy:
                      'FragmentError', 'ContradictionError',
                      'ConstraintViolation', 'ViewUpdateError',
                      'ValidationError', 'TransformationError',
-                     'RecursionError_', 'SolverLimitError'):
+                     'RecursionError_'):
             assert issubclass(getattr(errors, name), ReproError)
 
     def test_contradiction_error_payload(self):

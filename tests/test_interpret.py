@@ -12,7 +12,7 @@ from repro.datalog.parser import parse_program
 from repro.fol.datalog_to_fol import predicate_to_fol
 from repro.fol.formula import (FoAtom, FoCmp, FoConst, FoEq, FoVar, Forall,
                                Not, make_and, make_exists, make_or)
-from repro.fol.interpret import active_domain, answers, satisfies
+from _fo_reference import active_domain, answers, satisfies
 from repro.fol.normalize import to_ranf, to_srnf
 from repro.relational.database import Database
 

@@ -112,9 +112,8 @@ class TestDatabase:
         assert merged['r'] == {(1,), (2,)}
         assert merged['s'] == {(3,)}
 
-    def test_restrict_and_without(self):
+    def test_without(self):
         db = Database.from_dict({'r': {(1,)}, 's': {(2,)}})
-        assert db.restrict(['r']).names() == {'r'}
         assert db.without('r').names() == {'s'}
 
     def test_rename(self):
@@ -128,14 +127,6 @@ class TestDatabase:
     def test_total_size(self):
         db = Database.from_dict({'r': {(1,), (2,)}, 's': {(3,)}})
         assert db.total_size() == 3
-
-    def test_conforms_to(self):
-        schema = DatabaseSchema.build(r={'a': 'int'})
-        Database.from_dict({'r': {(1,)}}).conforms_to(schema)
-        with pytest.raises(SchemaError):
-            Database.from_dict({'r': {('x',)}}).conforms_to(schema)
-        with pytest.raises(SchemaError):
-            Database.from_dict({'unknown': {(1,)}}).conforms_to(schema)
 
 
 class TestGenerators:

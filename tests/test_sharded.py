@@ -136,10 +136,6 @@ class TestConstruction:
             ShardedEngine(union_sources, shards=2,
                           shard_keys={'r1': 'nope'})
 
-    def test_global_shard_out_of_range(self, union_sources):
-        with pytest.raises(SchemaError):
-            ShardedEngine(union_sources, shards=2, global_shard=5)
-
     def test_load_splits_by_key(self, union_sources):
         sharded = ShardedEngine(union_sources, shards=2,
                                 shard_keys={'r1': 'a'})
@@ -177,7 +173,6 @@ class TestPlacement:
     def test_co_partitioned_view_is_shard_local(self, union_strategy):
         _single, sharded = _union_pair(union_strategy)
         assert sharded.placement('v') == 'partitioned'
-        assert sharded.shard_key('v') == 'a'
 
     def test_unkeyed_view_goes_global_and_demotes_bases(
             self, union_strategy):
@@ -510,17 +505,6 @@ class TestPlacement:
             engine.insert('v', (3,))
         assert sharded.database() == single.database()
         assert sharded.rows('v') == frozenset(single.rows('v'))
-
-    def test_unresolved_shard_keys_surface_typos(self, union_strategy):
-        sharded = ShardedEngine(union_strategy.sources, shards=2,
-                                shard_keys={'v': 'a', 'r1': 'a',
-                                            'r2': 'a', 'itemz': 'iid'})
-        for relation, rows in (('r1', [(1,)]), ('r2', [(2,)])):
-            sharded.load(relation, rows)
-        assert sharded.unresolved_shard_keys == ('itemz', 'v')
-        sharded.define_view(union_strategy, validate_first=False)
-        # 'v' resolved by its define_view; the typo remains visible.
-        assert sharded.unresolved_shard_keys == ('itemz',)
 
     def test_drift_replan_uses_cluster_wide_stats(self, union_strategy):
         """Many small shards must not each see 'my local table is 10x

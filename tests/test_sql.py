@@ -9,10 +9,8 @@ from repro.fol.solver import SolverConfig
 from repro.relational.schema import DatabaseSchema, RelationSchema
 from repro.sql.ddl import create_schema, create_table, create_view
 from repro.sql.translate import (POSTGRES, SQLITE, ColumnNamer,
-                                 constraint_to_sql, dialect_by_name,
-                                 plan_to_sql, query_to_sql,
-                                 relevant_predicates, rule_to_select,
-                                 sql_literal)
+                                 constraint_to_sql, plan_to_sql,
+                                 query_to_sql, rule_to_select, sql_literal)
 from repro.sql.triggers import (compile_strategy_to_sql,
                                 constraint_checks_sql, delta_queries_sql,
                                 trigger_program)
@@ -39,12 +37,6 @@ class TestSqlLiterals:
     def test_none_renders_as_null(self):
         assert sql_literal(None) == 'NULL'
         assert sql_literal(None, SQLITE) == 'NULL'
-
-    def test_dialect_lookup(self):
-        assert dialect_by_name('sqlite') is SQLITE
-        assert dialect_by_name('postgresql') is POSTGRES
-        with pytest.raises(TransformationError):
-            dialect_by_name('oracle')
 
 
 class TestQueryTranslation:
@@ -230,11 +222,6 @@ class TestDependencyConePruning:
         sql = query_to_sql(program, '+r')
         assert 'WITH' not in sql and 'aux_a' not in sql
 
-    def test_relevant_predicates_cone(self):
-        program = parse_program(self.PROGRAM)
-        assert relevant_predicates(program, {'+r'}) == {'+r', 'aux_a'}
-        assert relevant_predicates(program, {'-r'}) == {'-r', 'aux_b'}
-
     def test_goal_without_rules_rejected(self):
         program = parse_program('q(X) :- r(X).')
         with pytest.raises(TransformationError):
@@ -289,14 +276,6 @@ class TestPlanToSql:
         program = parse_program('q(X, Z) :- r(X, Y), s(Y, Z).')
         plan = compile_program(program)
         assert plan_to_sql(plan, 'q') == query_to_sql(program, 'q')
-        assert plan.to_sql('q') == query_to_sql(program, 'q')
-
-    def test_plan_lowering_accepts_dialect_name(self):
-        from repro.datalog.plan import compile_program
-        program = parse_program("q(X) :- r(X), X = 'a'.")
-        plan = compile_program(program)
-        assert plan.to_sql('q', dialect='sqlite') \
-            == query_to_sql(program, 'q', dialect=SQLITE)
 
 
 class TestDdl:

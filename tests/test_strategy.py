@@ -88,7 +88,6 @@ class TestIntrospection:
 
     def test_rule_partitions(self, luxury_strategy):
         assert len(luxury_strategy.constraints()) == 1
-        assert len(luxury_strategy.delta_rules()) == 2
         assert len(luxury_strategy.intermediate_rules()) == 1
         assert luxury_strategy.program_size() == 4
 

@@ -338,13 +338,22 @@ class TestOptionSurface:
         assert {name for name, parameter in parameters.items()
                 if parameter.kind is parameter.KEYWORD_ONLY} == {
             'shards', 'backends', 'partitioner', 'shard_keys',
-            'batch_deltas', 'global_shard', 'execution', 'wal_dir',
-            'wal_sync', 'read_replicas', 'read_policy',
-            'replica_max_lag', 'rpc_timeout', 'transient_retries',
-            'retry_backoff', 'retry_backoff_cap', 'retry_max_wait'}
+            'batch_deltas', 'execution', 'wal_dir', 'wal_sync',
+            'read_replicas', 'replica_max_lag', 'rpc_timeout',
+            'transient_retries', 'retry_backoff', 'retry_backoff_cap',
+            'retry_max_wait'}
 
     def test_the_thread_pool_options_are_gone(self, union_sources):
         with pytest.raises(TypeError, match='parallelism'):
             ShardedEngine(union_sources, parallelism=2)
         with pytest.raises(SchemaError, match="'inline' or 'processes'"):
             ShardedEngine(union_sources, execution='threads')
+
+    def test_the_global_shard_and_read_policy_options_are_gone(
+            self, union_sources):
+        """The global shard is shard 0 and replica reads rotate
+        round-robin: neither is an option any more."""
+        with pytest.raises(TypeError, match='global_shard'):
+            ShardedEngine(union_sources, global_shard=1)
+        with pytest.raises(TypeError, match='read_policy'):
+            ShardedEngine(union_sources, read_policy='freshest')
