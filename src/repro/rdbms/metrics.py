@@ -1,12 +1,13 @@
 """Lightweight, thread-safe metrics for the engine's hot paths.
 
 One :class:`MetricsRegistry` per ``Engine`` / ``ShardedEngine`` /
-``ViewServer`` holds three kinds of series:
+``ViewServer`` / ``ReplicaEngine`` / ``ReplicaSet`` / ``PeerNetwork``
+holds three kinds of series:
 
 * **counters** — monotonic integers (``txn.commits``, ``wal.appends``,
   ``retry.attempts``).  Never reset, never decremented.
 * **gauges** — last-write-wins floats for instantaneous state
-  (``replica.in_rotation``, ``replica.lag``).
+  (``peer.peers``, ``peer.links``).
 * **histograms** — streaming latency/size distributions.  Each keeps
   exact ``count``/``sum``/``min``/``max`` plus a bounded reservoir of
   recent samples from which percentiles are computed on demand

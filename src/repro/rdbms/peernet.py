@@ -513,7 +513,6 @@ class PeerNetwork:
             if link.quarantined or link.next_attempt > now:
                 continue
             delivered += self._pump_link(link)
-        self.metrics.gauge('peer.lag', sum(self.lag().values()))
         return delivered
 
     def _pump_link(self, link: _Link) -> int:
@@ -543,7 +542,6 @@ class PeerNetwork:
                         receiver.receive(pending[index + 1])
                     except PeerGap:
                         link.stats['gaps'] += 1
-                        self.metrics.counter('peer.gaps')
                 receiver.receive(delta)
                 if action == 'dup':
                     receiver.receive(delta)   # watermark dedups
@@ -555,7 +553,6 @@ class PeerNetwork:
                 return delivered
             except PeerGap:
                 link.stats['gaps'] += 1
-                self.metrics.counter('peer.gaps')
                 self._record_failure(link)
                 return delivered
             except faults.InjectedFault:
@@ -564,7 +561,6 @@ class PeerNetwork:
             link.acked = delta.lsn
             link.failures = 0
             link.stats['delivered'] += 1
-            self.metrics.counter('peer.deltas_delivered')
             delivered += 1
             index += 1
         return delivered
@@ -572,43 +568,35 @@ class PeerNetwork:
     def _record_failure(self, link: _Link) -> None:
         link.failures += 1
         link.stats['retries'] += 1
-        self.metrics.counter('peer.retries')
         delay = min(self.retry_backoff * (2 ** (link.failures - 1)),
                     self.retry_backoff_cap)
         link.next_attempt = self._clock() + delay
         if link.failures >= self.quarantine_after:
             link.quarantined = True
             link.stats['quarantines'] += 1
-            self.metrics.counter('peer.quarantines')
 
     def settle(self, *, max_rounds: int = 1000) -> bool:
         """Pump until every non-quarantined link is fully acknowledged
         (or ``max_rounds`` elapse).  Waits out backoffs with the
-        injected ``sleep``.  Returns ``True`` when nothing undelivered
-        remains on live links."""
+        injected ``sleep``.  Returns ``True`` once nothing undelivered
+        remains on live links, ``False`` when the rounds run out."""
         for _ in range(max_rounds):
             self.pump()
             waiting = []
-            outstanding = False
+            outstanding = 0
             now = self._clock()
             for link in self.links:
-                if link.quarantined:
+                if link.quarantined or not self.peers[
+                        link.sender].pending(link.view, link.acked):
                     continue
-                if self.peers[link.sender].pending(link.view,
-                                                   link.acked):
-                    outstanding = True
-                    if link.next_attempt > now:
-                        waiting.append(link.next_attempt - now)
+                outstanding += 1
+                if link.next_attempt > now:
+                    waiting.append(link.next_attempt - now)
             if not outstanding:
                 return True
-            if waiting and len(waiting) == sum(
-                    1 for link in self.links if not link.quarantined
-                    and self.peers[link.sender].pending(link.view,
-                                                        link.acked)):
+            if len(waiting) == outstanding:
                 self._sleep(min(waiting))
-        return not any(
-            self.peers[link.sender].pending(link.view, link.acked)
-            for link in self.links if not link.quarantined)
+        return False
 
     # -- recovery ------------------------------------------------------
 

@@ -45,6 +45,7 @@ from pathlib import Path
 
 from repro.rdbms import faults
 from repro.rdbms.engine import Engine
+from repro.rdbms.metrics import MetricsRegistry, merge_snapshots
 from repro.rdbms.wal import (LogPosition, WriteAheadLog, read_records,
                              scan_tail)
 from repro.relational.database import Database
@@ -76,9 +77,12 @@ class ReplicaEngine:
         #: the log position just past the record ``applied_lsn`` names
         #: (None before the first): where the next read resumes
         self._position: LogPosition | None = None
-        self.stats = {'catch_ups': 0, 'records_applied': 0,
-                      'commits_applied': 0, 'catch_up_seconds': 0.0,
-                      'rotations': 0}
+        #: this replica's series, apart from its embedded engine's:
+        #: ``replica.records_applied`` and ``replica.catch_up_seconds``
+        #: (exported from zero), ``replica.rotations``
+        self.metrics = MetricsRegistry()
+        self.metrics.counter('replica.records_applied', 0)
+        self.metrics.counter('replica.catch_up_seconds', 0.0)
 
     @property
     def engine(self) -> Engine:
@@ -136,12 +140,11 @@ class ReplicaEngine:
                     # found a compacted one).
                     header = record.end.start_lsn
                     in_snapshot = True
-                    self.stats['rotations'] += resumed is not None
+                    if resumed is not None:
+                        self.metrics.counter('replica.rotations')
                 self._engine.apply_wal_record(record.kind, record.data)
                 self.applied_lsn, self._position = record.lsn, record.end
                 applied += 1
-                if record.kind == 'commit':
-                    self.stats['commits_applied'] += 1
                 if in_snapshot:
                     if record.kind == 'checkpoint':
                         in_snapshot = False
@@ -150,10 +153,9 @@ class ReplicaEngine:
                 if upto is not None and record.lsn >= upto:
                     break
             if applied:
-                self.stats['records_applied'] += applied
-                self.stats['catch_ups'] += 1
-                self.stats['catch_up_seconds'] += \
-                    time.perf_counter() - started
+                self.metrics.counter('replica.records_applied', applied)
+                self.metrics.counter('replica.catch_up_seconds',
+                                     time.perf_counter() - started)
         return applied
 
     def rows(self, name: str, *, min_lsn: int | None = None):
@@ -197,16 +199,16 @@ class ReplicaSet:
 
     **Degradation.**  A replica whose tail *raises* (truncated log
     file, backend error, injected fault) is quarantined — dropped from
-    the rotation (the monotonic ``stats['quarantines']`` counter ticks,
-    and the live ``stats['quarantined']``/``stats['in_rotation']``
-    gauges move) — and the read retries on the remaining replicas,
-    falling back to the primary when none are left.  A replica whose
-    tail merely *stalls* (catch-up applies nothing and the freshness
-    bound is still unmet) keeps its place in the rotation but the
-    bounded read degrades to the primary (``stats['stalled_reads']``):
-    staleness bounds are honoured, and errors never propagate to the
-    reader.  ``reinstate()`` restores quarantined replicas and the
-    gauges with them.
+    the rotation (the monotonic ``replica.quarantines`` counter ticks,
+    and the ``replica.quarantined``/``replica.in_rotation`` gauges of
+    :meth:`metrics_snapshot` move) — and the read retries on the
+    remaining replicas, falling back to the primary when none are
+    left.  A replica whose tail merely *stalls* (catch-up applies
+    nothing and the freshness bound is still unmet) keeps its place in
+    the rotation but the bounded read degrades to the primary
+    (``replica.stalled_reads``): staleness bounds are honoured, and
+    errors never propagate to the reader.  ``reinstate()`` restores
+    quarantined replicas and the gauges with them.
     """
 
     def __init__(self, primary, replicas, *, max_lag: int = 0):
@@ -216,17 +218,12 @@ class ReplicaSet:
         self._lock = threading.Lock()
         self._cursor = 0
         self._quarantined: list[ReplicaEngine] = []
-        #: ``quarantines`` is a *monotonic counter* (total quarantine
-        #: events, never decremented); ``in_rotation``/``quarantined``
-        #: are *live gauges* that move in both directions as replicas
-        #: leave and re-enter the rotation — ``reinstate()`` restores
-        #: them.  (``quarantined`` was previously counter-shaped: it
-        #: never came back down on reinstate.)
-        self.stats = {'replica_reads': 0, 'primary_reads': 0,
-                      'catch_ups': 0, 'quarantines': 0,
-                      'stalled_reads': 0,
-                      'in_rotation': len(self.replicas),
-                      'quarantined': 0}
+        #: the router's own counters, exported from zero; the rotation
+        #: gauges are read off the rotation by :meth:`metrics_snapshot`
+        self.metrics = MetricsRegistry()
+        for key in ('replica_reads', 'primary_reads', 'catch_ups',
+                    'quarantines', 'stalled_reads'):
+            self.metrics.counter(f'replica.{key}', 0)
 
     def commit_lsn(self) -> int:
         """The primary's newest committed LSN — the token a session
@@ -261,21 +258,21 @@ class ReplicaSet:
             try:
                 if self._unmet(replica, min_lsn):
                     replica.catch_up(upto=min_lsn)
-                    self.stats['catch_ups'] += 1
+                    self.metrics.counter('replica.catch_ups')
                     if self._unmet(replica, min_lsn):
                         # Stalled tail: the bound is unmet and another
                         # pass would apply nothing new.  Degrade this
                         # read to the primary; the replica stays in
                         # rotation (it may recover on its own).
-                        self.stats['stalled_reads'] += 1
+                        self.metrics.counter('replica.stalled_reads')
                         break
                 rows = replica.rows(name)
             except Exception:
                 self.quarantine(replica)
                 continue
-            self.stats['replica_reads'] += 1
+            self.metrics.counter('replica.replica_reads')
             return rows
-        self.stats['primary_reads'] += 1
+        self.metrics.counter('replica.primary_reads')
         return self.primary.rows(name)
 
     def quarantine(self, replica: ReplicaEngine) -> None:
@@ -286,9 +283,7 @@ class ReplicaSet:
             if replica in self.replicas:
                 self.replicas.remove(replica)
                 self._quarantined.append(replica)
-                self.stats['quarantines'] += 1
-                self.stats['in_rotation'] = len(self.replicas)
-                self.stats['quarantined'] = len(self._quarantined)
+                self.metrics.counter('replica.quarantines')
 
     @property
     def quarantined(self) -> tuple:
@@ -306,36 +301,29 @@ class ReplicaSet:
             for one in back:
                 self._quarantined.remove(one)
                 self.replicas.append(one)
-            self.stats['in_rotation'] = len(self.replicas)
-            self.stats['quarantined'] = len(self._quarantined)
         return len(back)
 
     def metrics_snapshot(self) -> dict:
-        """This router's stats in registry-snapshot shape (see
-        rdbms/metrics.py) so a coordinator can fold it into a merged
-        ``metrics()`` view: monotonic series become ``replica.*``
-        counters, the rotation/lag state becomes gauges.  ``lag`` is
-        the worst in-rotation lag at call time (a file tail walks the
-        frames past its cursor, unpickling none).  The counters sum over
-        quarantined replicas too: leaving the rotation must not make a
-        counter go down."""
+        """This router's counters merged with every replica's,
+        quarantined ones included (leaving the rotation must not make a
+        counter go down), plus three gauges read off the rotation now:
+        ``replica.in_rotation``, ``replica.quarantined`` and
+        ``replica.lag``, the worst in-rotation lag (a file tail walks
+        the frames past its cursor, unpickling none).  The shape is
+        rdbms/metrics.py's, so a coordinator folds it into ``metrics()``."""
         with self._lock:
-            stats = dict(self.stats)
             rotation = list(self.replicas)
-            every = rotation + self._quarantined
-        counters = {f'replica.{key}': value
-                    for key, value in stats.items()
-                    if key not in ('in_rotation', 'quarantined')}
-        for key in ('records_applied', 'catch_up_seconds'):
-            counters[f'replica.{key}'] = sum(r.stats[key] for r in every)
+            quarantined = list(self._quarantined)
         gauges = {
-            'replica.in_rotation': float(stats['in_rotation']),
-            'replica.quarantined': float(stats['quarantined']),
+            'replica.in_rotation': float(len(rotation)),
+            'replica.quarantined': float(len(quarantined)),
             'replica.lag': float(max((r.lag() for r in rotation),
                                      default=0)),
         }
-        return {'counters': counters, 'gauges': gauges,
-                'histograms': {}}
+        return merge_snapshots(
+            [self.metrics.snapshot(), {'gauges': gauges}]
+            + [replica.metrics.snapshot()
+               for replica in rotation + quarantined])
 
     def catch_up(self) -> int:
         """Bring every in-rotation replica fully up to date (records

@@ -131,39 +131,29 @@ class ViewServer:
         self._executor: ThreadPoolExecutor | None = None
         self._read_executor: ThreadPoolExecutor | None = None
         self._closed = True
-        #: counters: submissions seen / committed / failed, engine runs,
-        #: runs carrying >1 txn, largest group, individually retried,
-        #: reads served, failures caused by an unavailable shard (the
-        #: ops signal that the cluster — not the workload — is sick)
-        self.stats = {'submitted': 0, 'committed': 0, 'failed': 0,
-                      'groups': 0, 'grouped': 0, 'max_group': 0,
-                      'retried': 0, 'reads': 0, 'shard_failures': 0}
-        #: histograms the plain counters can't carry: the group-size
-        #: distribution (``serve.group_size``) and each grouped engine
-        #: run's latency (``serve.group_seconds``) — merged with the
-        #: engine's own snapshot by :meth:`metrics`.
+        #: every count the server keeps, as ``serve.*`` series:
+        #: counters of submissions seen / committed / failed /
+        #: individually retried, transactions in runs carrying >1
+        #: (``grouped``), reads served, and failures caused by an
+        #: unavailable shard (the ops signal that the cluster — not the
+        #: workload — is sick); histograms of each engine run's group
+        #: size (``group_size``: its count is the runs, its max the
+        #: largest group) and each grouped run's latency
+        #: (``group_seconds``)
         self._metrics = MetricsRegistry()
 
     def metrics(self) -> dict:
-        """One merged snapshot: this server's counters (the ``stats``
-        dict as ``serve.*``), its group-size/latency histograms, and
-        the underlying engine's metrics — ``ShardedEngine.metrics()``
-        when serving a cluster (worker counters included), the plain
-        engine's snapshot otherwise."""
-        served = {'counters': {f'serve.{key}': value
-                               for key, value in self.stats.items()
-                               if key != 'max_group'},
-                  'gauges': {'serve.max_group':
-                             float(self.stats['max_group'])},
-                  'histograms': {}}
-        snapshots = [self._metrics.snapshot(), served]
+        """One merged snapshot: this server's series and the underlying
+        engine's metrics — ``ShardedEngine.metrics()`` when serving a
+        cluster (worker counters included), the plain engine's
+        snapshot otherwise — plus the attached replica set's."""
+        snapshots = [self._metrics.snapshot()]
         engine_metrics = getattr(self.engine, 'metrics', None)
         if callable(engine_metrics):
             snapshots.append(engine_metrics())
         elif hasattr(self.engine, 'metrics_snapshot'):
             snapshots.append(self.engine.metrics_snapshot())
-        if self.replicas is not None and \
-                hasattr(self.replicas, 'metrics_snapshot'):
+        if self.replicas is not None:
             snapshots.append(self.replicas.metrics_snapshot())
         return merge_snapshots(snapshots)
 
@@ -232,7 +222,7 @@ class ViewServer:
             raise SchemaError('server is not running')
         buckets = [(target, list(statements))
                    for target, statements in buckets]
-        self.stats['submitted'] += 1
+        self._metrics.counter('serve.submitted')
         # Admission accounting happens before any suspension point
         # (asyncio is single-threaded: nothing runs between the closed
         # check above and this increment), so stop() sees every
@@ -266,7 +256,7 @@ class ViewServer:
             read = lambda: self.engine.rows(name, min_lsn=min_lsn)    # noqa: E731
         result = await loop.run_in_executor(self._read_executor,
                                             lambda: frozenset(read()))
-        self.stats['reads'] += 1
+        self._metrics.counter('serve.reads')
         return result
 
     def _commit_lsn(self):
@@ -299,22 +289,16 @@ class ViewServer:
 
     async def _run_group(self, loop, group) -> None:
         merged = [bucket for buckets, _ in group for bucket in buckets]
-        self.stats['groups'] += 1
-        self.stats['max_group'] = max(self.stats['max_group'],
-                                      len(group))
-        if len(group) > 1:
-            self.stats['grouped'] += len(group)
         metrics = self._metrics
-        timed = metrics.enabled
-        if timed:
-            metrics.observe('serve.group_size', float(len(group)))
-            started = perf_counter()
+        metrics.observe('serve.group_size', float(len(group)))
+        if len(group) > 1:
+            metrics.counter('serve.grouped', len(group))
+        started = perf_counter()
         try:
             await loop.run_in_executor(self._executor,
                                        self.engine.execute_many, merged)
-            if timed:
-                metrics.observe('serve.group_seconds',
-                                perf_counter() - started)
+            metrics.observe('serve.group_seconds',
+                            perf_counter() - started)
         except Exception as error:
             if len(group) == 1:
                 self._resolve(group[0][1], error=error)
@@ -330,7 +314,7 @@ class ViewServer:
                 except Exception as member_error:
                     self._resolve(future, error=member_error)
                 else:
-                    self.stats['retried'] += 1
+                    self._metrics.counter('serve.retried')
                     self._resolve(future,
                                   receipt=Receipt(group_size=len(group),
                                                   retried=True,
@@ -348,10 +332,10 @@ class ViewServer:
         if future.done():        # the client gave up (cancelled)
             return
         if error is not None:
-            self.stats['failed'] += 1
+            self._metrics.counter('serve.failed')
             if isinstance(error, ShardUnavailableError):
-                self.stats['shard_failures'] += 1
+                self._metrics.counter('serve.shard_failures')
             future.set_exception(error)
         else:
-            self.stats['committed'] += 1
+            self._metrics.counter('serve.committed')
             future.set_result(receipt)

@@ -524,9 +524,9 @@ class TestServeMetrics:
     def test_stats_metrics_coherent_under_mixed_failures(
             self, luxury_strategy):
         """Grouped commit with one constraint violator among three
-        good clients: submitted == committed + failed, the group-size
-        histogram counts exactly stats['groups'] groups, and no
-        submission is counted twice anywhere."""
+        good clients: submitted == committed + failed, every
+        submission sits in exactly one group, and no submission is
+        counted twice anywhere."""
         served = _luxury_engine(luxury_strategy)
         gate = threading.Event()
         real = served.execute_many
@@ -544,31 +544,24 @@ class TestServeMetrics:
             async with ViewServer(served) as server:
                 futures = [asyncio.ensure_future(server.submit(txn))
                            for txn in (good[0], bad, good[1], good[2])]
-                while server.stats['submitted'] < 4:
+                while server._metrics.snapshot()['counters'].get(
+                        'serve.submitted', 0) < 4:
                     await asyncio.sleep(0.01)
                 gate.set()
                 outcomes = await asyncio.gather(*futures,
                                                 return_exceptions=True)
-                return outcomes, dict(server.stats), server.metrics()
+                return outcomes, server.metrics()
 
-        outcomes, stats, merged = asyncio.run(main())
+        outcomes, merged = asyncio.run(main())
         served.execute_many = real
         assert sum(isinstance(o, Receipt) for o in outcomes) == 3
         assert sum(isinstance(o, ConstraintViolation)
                    for o in outcomes) == 1
-        # stats arithmetic: every submission resolved exactly once.
-        assert stats['submitted'] == 4
-        assert stats['committed'] + stats['failed'] == 4
         counters = merged['counters']
-        # ...and the metrics view carries the same numbers.
+        # Every submission resolved exactly once.
         assert counters['serve.submitted'] == 4
-        assert counters['serve.committed'] == stats['committed']
-        assert counters['serve.failed'] == stats['failed']
-        assert counters['serve.retried'] == stats['retried']
-        assert merged['gauges']['serve.max_group'] == \
-            stats['max_group']
+        assert counters['serve.committed'] + counters['serve.failed'] == 4
         group_hist = merged['histograms']['serve.group_size']
-        assert group_hist['count'] == stats['groups']
         # Every submission sits in exactly one group.
         assert group_hist['sum'] == pytest.approx(4.0)
         # group_seconds is only observed for group runs that succeed
@@ -576,9 +569,9 @@ class TestServeMetrics:
         # can never exceed the group count.
         group_seconds = merged['histograms'].get(
             'serve.group_seconds', {'count': 0})
-        assert group_seconds['count'] <= stats['groups']
+        assert group_seconds['count'] <= group_hist['count']
         # The engine's own commits are merged in underneath.
-        assert counters['txn.commits'] >= stats['committed']
+        assert counters['txn.commits'] >= counters['serve.committed']
         served.close()
 
     def test_server_merges_cluster_metrics(self, union_strategy):
@@ -588,11 +581,10 @@ class TestServeMetrics:
             async with ViewServer(sharded) as server:
                 for i in range(3):
                     await server.submit([('v', [Insert((10 + i,))])])
-                return dict(server.stats), server.metrics()
+                return server.metrics()
 
-        stats, merged = asyncio.run(main())
-        counters = merged['counters']
-        assert counters['serve.submitted'] == stats['submitted'] == 3
+        counters = asyncio.run(main())['counters']
+        assert counters['serve.submitted'] == 3
         # One metrics() call spans the whole stack: server counters
         # next to the sharded coordinator's and the shard engines'.
         assert counters['cluster.txns'] >= 3
@@ -657,11 +649,59 @@ class TestReplicaMetrics:
             merged = merge_snapshots([primary.metrics_snapshot(),
                                       router.metrics_snapshot()])
             counters = merged['counters']
-            assert counters['replica.replica_reads'] == \
-                router.stats['replica_reads'] == 1
+            assert counters['replica.replica_reads'] == 1
             assert counters['replica.catch_ups'] >= 1
             assert 'wal.appends' in counters
             assert merged['gauges']['replica.in_rotation'] == 2.0
         finally:
             router.close()
             primary.close()
+
+    def test_sharded_metrics_carry_what_the_benchmark_reads(
+            self, luxury_strategy):
+        """The layered benchmark reads ``replica.replica_reads``,
+        ``replica.records_applied`` and ``replica.lag`` out of
+        ``ShardedEngine.metrics()`` by name with a default of 0, so a
+        renamed series would read as 0 without a word.  It also reports
+        ``plan.compiles`` as the shard engines' compiles: a replica's
+        embedded engine compiles the view too when it replays
+        ``define_view``, and those compiles stay out of the merge."""
+        engine = ShardedEngine(luxury_strategy.sources, shards=2,
+                               shard_keys={'luxuryitems': 'iid',
+                                           'items': 'iid'},
+                               read_replicas=1)
+        try:
+            engine.load('items', [(1, 'watch', 5000), (2, 'ring', 4000)])
+            engine.define_view(luxury_strategy, validate_first=False)
+            engine.insert('luxuryitems', (4, 'yacht', 90_000))
+            assert (4, 'yacht', 90_000) in engine.rows('items')
+            assert (4, 'yacht', 90_000) in engine.rows('luxuryitems')
+            merged = engine.metrics()
+            counters, gauges = merged['counters'], merged['gauges']
+            assert {name for name in counters
+                    if name.startswith('replica.')} == {
+                'replica.replica_reads', 'replica.primary_reads',
+                'replica.catch_ups', 'replica.quarantines',
+                'replica.stalled_reads', 'replica.records_applied',
+                'replica.catch_up_seconds'}
+            assert {name for name in gauges
+                    if name.startswith('replica.')} == {
+                'replica.in_rotation', 'replica.quarantined',
+                'replica.lag'}
+            # Two reads, each fanned out over both shards' replicas.
+            assert counters['replica.replica_reads'] == 4
+            assert counters['replica.primary_reads'] == 0
+            assert counters['replica.records_applied'] > 0
+            assert (gauges['replica.in_rotation'], gauges['replica.lag'],
+                    gauges['replica.quarantined']) == (2.0, 0.0, 0.0)
+            replica_compiles = sum(
+                replica.engine.metrics.snapshot()['counters'].get(
+                    'plan.compiles', 0)
+                for replica_set in engine.replica_sets
+                for replica in replica_set.replicas)
+            assert replica_compiles > 0
+            assert counters['plan.compiles'] == sum(
+                shard.metrics()['counters'].get('plan.compiles', 0)
+                for shard in engine.shards)
+        finally:
+            engine.close()

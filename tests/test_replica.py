@@ -24,6 +24,17 @@ from repro.rdbms.serve import ViewServer
 from repro.rdbms.sharded import ShardedEngine
 
 
+def _series(router) -> dict:
+    """The router's merged snapshot: counters and gauges by name."""
+    snap = router.metrics_snapshot()
+    return {**snap['counters'], **snap['gauges']}
+
+
+def _rotations(replica) -> int:
+    return replica.metrics.snapshot()['counters'].get(
+        'replica.rotations', 0)
+
+
 def _primary(luxury_strategy, path):
     engine = Engine(luxury_strategy.sources, wal=path, wal_sync=False)
     engine.load('items', [(1, 'watch', 5000), (2, 'ring', 4000),
@@ -49,7 +60,8 @@ class TestReplicaEngine:
             assert replica.database() == primary.database()
             assert frozenset(replica.rows('luxuryitems')) \
                 == frozenset(primary.rows('luxuryitems'))
-            assert replica.stats['commits_applied'] >= 1
+            assert replica.metrics.snapshot()['counters'][
+                'replica.records_applied'] == primary.commit_lsn
         finally:
             replica.close()
             primary.close()
@@ -113,14 +125,14 @@ class TestReplicaEngine:
             primary.checkpoint()
             primary.insert('luxuryitems', (5, 'jet', 80_000))
             replica.catch_up()
-            assert replica.stats['rotations'] == 1
+            assert _rotations(replica) == 1
             assert replica.database() == primary.database()
             assert frozenset(replica.rows('luxuryitems')) \
                 == frozenset(primary.rows('luxuryitems'))
             # Back to plain tailing afterwards: no spurious rotations.
             primary.insert('luxuryitems', (6, 'villa', 70_000))
             replica.catch_up()
-            assert replica.stats['rotations'] == 1
+            assert _rotations(replica) == 1
             assert replica.database() == primary.database()
         finally:
             replica.close()
@@ -172,7 +184,7 @@ class TestReplicaEngine:
             snapshot_end = primary.commit_lsn
             primary.insert('luxuryitems', (4, 'yacht', 90_000))
             replica.catch_up(upto=replica.applied_lsn + 1)
-            assert replica.stats['rotations'] == 1
+            assert _rotations(replica) == 1
             assert replica.applied_lsn == snapshot_end
             replica.catch_up()
             assert replica.database() == primary.database()
@@ -198,7 +210,7 @@ class TestReplicaEngine:
             primary.checkpoint()
             primary.insert('luxuryitems', (4, 'yacht', 90_000))
             replica.catch_up()
-            assert replica.stats['rotations'] == 1 + read_between
+            assert _rotations(replica) == 1 + read_between
             assert replica.applied_lsn == primary.commit_lsn
             assert replica.database() == primary.database()
         finally:
@@ -230,7 +242,7 @@ class TestReplicaEngine:
             primary.insert('luxuryitems', (5, 'jet', 80_000))
             assert replica.lag() == 1
             assert replica.catch_up() == 1
-            assert replica.stats['rotations'] == 0
+            assert _rotations(replica) == 0
             assert replica.database() == primary.database()
             assert frozenset(replica.rows('luxuryitems')) \
                 == frozenset(primary.rows('luxuryitems'))
@@ -309,8 +321,9 @@ class TestReplicaSet:
             seen = {id(router._pick()) for _ in range(4)}
             assert len(seen) == 2               # both replicas rotated
             router.read('luxuryitems')
-            assert router.stats['replica_reads'] == 1
-            assert router.stats['primary_reads'] == 0
+            series = _series(router)
+            assert series['replica.replica_reads'] == 1
+            assert series['replica.primary_reads'] == 0
         finally:
             router.close()
             primary.close()
@@ -322,7 +335,7 @@ class TestReplicaSet:
             primary.insert('luxuryitems', (4, 'yacht', 90_000))
             # max_lag=0: an unbounded read may never serve stale rows.
             assert (4, 'yacht', 90_000) in router.read('items')
-            assert router.stats['catch_ups'] >= 1
+            assert _series(router)['replica.catch_ups'] >= 1
         finally:
             router.close()
             primary.close()
@@ -350,7 +363,7 @@ class TestReplicaSet:
         router = ReplicaSet(primary, [])
         try:
             assert (1, 'watch', 5000) in router.read('items')
-            assert router.stats['primary_reads'] == 1
+            assert _series(router)['replica.primary_reads'] == 1
         finally:
             router.close()
             primary.close()
@@ -369,11 +382,12 @@ class TestReplicaSet:
                 rows = router.read('items')      # max_lag=0 → catch-up
             assert (4, 'yacht', 90_000) in rows
             assert plan.fired('replica.catch_up') == 1
-            assert router.stats['quarantines'] == 1   # monotonic
-            assert router.stats['quarantined'] == 1   # live gauge
-            assert router.stats['in_rotation'] == 1
-            assert router.stats['replica_reads'] == 1
-            assert router.stats['primary_reads'] == 0
+            series = _series(router)
+            assert series['replica.quarantines'] == 1   # monotonic
+            assert series['replica.quarantined'] == 1   # live gauge
+            assert series['replica.in_rotation'] == 1
+            assert series['replica.replica_reads'] == 1
+            assert series['replica.primary_reads'] == 0
             assert len(router.quarantined) == 1
             assert len(router.replicas) == 1     # out of the rotation
         finally:
@@ -391,20 +405,24 @@ class TestReplicaSet:
             primary.insert('luxuryitems', (4, 'yacht', 90_000))
             with plan.installed():
                 assert (4, 'yacht', 90_000) in router.read('items')
-            assert router.stats == {
-                'replica_reads': 0, 'primary_reads': 1,
-                'catch_ups': 0, 'quarantines': 1, 'stalled_reads': 0,
-                'in_rotation': 0, 'quarantined': 1}
+            assert router.metrics.snapshot()['counters'] == {
+                'replica.replica_reads': 0, 'replica.primary_reads': 1,
+                'replica.catch_ups': 0, 'replica.quarantines': 1,
+                'replica.stalled_reads': 0}
+            series = _series(router)
+            assert series['replica.in_rotation'] == 0
+            assert series['replica.quarantined'] == 1
             assert router.replicas == []
             # Fault fixed: bring it back, reads route to it again.
             # The live gauges move back; the monotonic counter stays.
             assert router.reinstate() == 1
             assert router.quarantined == ()
-            assert router.stats['quarantined'] == 0
-            assert router.stats['in_rotation'] == 1
-            assert router.stats['quarantines'] == 1
+            series = _series(router)
+            assert series['replica.quarantined'] == 0
+            assert series['replica.in_rotation'] == 1
+            assert series['replica.quarantines'] == 1
             assert (4, 'yacht', 90_000) in router.read('items')
-            assert router.stats['replica_reads'] == 1
+            assert _series(router)['replica.replica_reads'] == 1
         finally:
             router.close()
             primary.close()
@@ -446,15 +464,16 @@ class TestReplicaSet:
             primary.insert('luxuryitems', (4, 'yacht', 90_000))
             with plan.installed():
                 assert (4, 'yacht', 90_000) in router.read('items')
-            assert router.stats['stalled_reads'] == 1
-            assert router.stats['primary_reads'] == 1
-            assert router.stats['quarantines'] == 0
-            assert router.stats['quarantined'] == 0
+            series = _series(router)
+            assert series['replica.stalled_reads'] == 1
+            assert series['replica.primary_reads'] == 1
+            assert series['replica.quarantines'] == 0
+            assert series['replica.quarantined'] == 0
             assert len(router.replicas) == 1     # still in rotation
             # The stall was transient: the next read is served by the
             # (now caught-up) replica.
             assert (4, 'yacht', 90_000) in router.read('items')
-            assert router.stats['replica_reads'] == 1
+            assert _series(router)['replica.replica_reads'] == 1
         finally:
             router.close()
             primary.close()
@@ -525,8 +544,8 @@ class TestShardedReplicas:
             routed = engine.rows('luxuryitems', min_lsn=token)
             assert routed == engine._gather_primary('luxuryitems')
             assert (4, 'yacht', 90_000) in routed
-            assert sum(rs.stats['replica_reads']
-                       for rs in engine.replica_sets) > 0
+            assert engine.metrics()['counters'][
+                'replica.replica_reads'] > 0
         finally:
             engine.close()
 
@@ -595,7 +614,7 @@ class TestServedReads:
                     rows = await server.rows('luxuryitems',
                                              min_lsn=receipt.lsn)
                     assert (4, 'yacht', 90_000) in rows
-                assert server.stats['reads'] == 4
+                assert server.metrics()['counters']['serve.reads'] == 4
 
         try:
             asyncio.run(main())

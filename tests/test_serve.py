@@ -21,6 +21,16 @@ from repro.rdbms.sharded import ShardedEngine
 UNION_KEYS = {'v': 'a', 'r1': 'a', 'r2': 'a'}
 
 
+def _served(server) -> dict:
+    """The server's own series, without the engine's: ``serve.*``
+    counters (absent until first counted) and histograms."""
+    return server._metrics.snapshot()
+
+
+def _submitted(server) -> int:
+    return _served(server)['counters'].get('serve.submitted', 0)
+
+
 def _luxury_engine(luxury_strategy):
     engine = Engine(luxury_strategy.sources)
     engine.load('items', [(1, 'watch', 5000), (2, 'ring', 4000)])
@@ -83,7 +93,7 @@ class TestLifecycle:
             submits = [asyncio.ensure_future(
                 server.submit([('v', [Insert((10 + i,))])]))
                 for i in range(5)]
-            while server.stats['submitted'] < 5:
+            while _submitted(server) < 5:
                 await asyncio.sleep(0)
             await server.stop()
             return await asyncio.gather(*submits)
@@ -113,7 +123,7 @@ class TestLifecycle:
                 for i in range(8)]
             # All eight are accepted (counted) but at most one holds
             # the admission slot; the rest are parked on the semaphore.
-            while server.stats['submitted'] < 8:
+            while _submitted(server) < 8:
                 await asyncio.sleep(0)
             await asyncio.wait_for(server.stop(), timeout=30)
             return await asyncio.wait_for(asyncio.gather(*submits),
@@ -148,7 +158,7 @@ class TestGroupCommit:
     def test_concurrent_submissions_coalesce(self, union_strategy):
         """While one engine run is on the executor, later submissions
         accumulate and commit as one grouped run — observable via
-        ``group_size`` and the stats counters."""
+        ``group_size`` and the server's counters."""
         served = _union_engine(union_strategy)
         direct = _union_engine(union_strategy)
         gate = threading.Event()
@@ -169,20 +179,22 @@ class TestGroupCommit:
                 submits = [asyncio.ensure_future(
                     server.submit([('v', [Insert((20 + i,))])]))
                     for i in range(clients)]
-                while server.stats['submitted'] < clients:
+                while _submitted(server) < clients:
                     await asyncio.sleep(0.01)
                 gate.set()
                 receipts = await asyncio.gather(*submits)
-            return receipts, dict(server.stats)
+            return receipts, _served(server)
 
-        receipts, stats = asyncio.run(main())
+        receipts, served_metrics = asyncio.run(main())
         for i in range(clients):
             direct.execute_many([('v', [Insert((20 + i,))])])
         assert served.database() == direct.database()
-        assert stats['max_group'] > 1
-        assert stats['grouped'] >= stats['max_group']
-        assert stats['committed'] == clients
-        assert stats['groups'] < clients          # batching happened
+        counters = served_metrics['counters']
+        groups = served_metrics['histograms']['serve.group_size']
+        assert groups['max'] > 1
+        assert counters['serve.grouped'] >= groups['max']
+        assert counters['serve.committed'] == clients
+        assert groups['count'] < clients          # batching happened
         assert any(r.group_size > 1 for r in receipts)
         served.close()
         direct.close()
@@ -204,17 +216,18 @@ class TestGroupCommit:
                 submits = [asyncio.ensure_future(
                     server.submit([('v', [Insert((30 + i,))])]))
                     for i in range(clients)]
-                while server.stats['submitted'] < clients:
+                while _submitted(server) < clients:
                     await asyncio.sleep(0.01)
                 gate.set()
                 receipts = await asyncio.gather(*submits)
-            return receipts, dict(server.stats)
+            return receipts, _served(server)
 
-        receipts, stats = asyncio.run(main())
+        receipts, served_metrics = asyncio.run(main())
         assert all(r.group_size == 1 for r in receipts)
-        assert stats['groups'] == clients
-        assert stats['grouped'] == 0
-        assert stats['max_group'] == 1
+        groups = served_metrics['histograms']['serve.group_size']
+        assert groups['count'] == clients
+        assert 'serve.grouped' not in served_metrics['counters']
+        assert groups['max'] == 1
         served.close()
 
     def test_max_inflight_one_serialises_everything(
@@ -228,11 +241,12 @@ class TestGroupCommit:
                 receipts = await asyncio.gather(*[
                     server.submit([('v', [Insert((40 + i,))])])
                     for i in range(5)])
-            return receipts, dict(server.stats)
+            return receipts, _served(server)
 
-        receipts, stats = asyncio.run(main())
+        receipts, served_metrics = asyncio.run(main())
         assert all(r.group_size == 1 for r in receipts)
-        assert stats['max_group'] == 1
+        assert served_metrics['histograms']['serve.group_size'][
+            'max'] == 1
         served.close()
 
 
@@ -260,24 +274,25 @@ class TestAbortIsolation:
             async with ViewServer(served) as server:
                 futures = [asyncio.ensure_future(server.submit(txn))
                            for txn in (good[0], bad, good[1], good[2])]
-                while server.stats['submitted'] < 4:
+                while _submitted(server) < 4:
                     await asyncio.sleep(0.01)
                 gate.set()
                 outcomes = await asyncio.gather(*futures,
                                                 return_exceptions=True)
-            return outcomes, dict(server.stats)
+            return outcomes, _served(server)
 
-        outcomes, stats = asyncio.run(main())
+        outcomes, served_metrics = asyncio.run(main())
         assert isinstance(outcomes[1], ConstraintViolation)
         committed = [o for o in outcomes if isinstance(o, Receipt)]
         assert len(committed) == 3
         for txn in good:
             direct.execute_many(txn)
         assert served.database() == direct.database()
-        assert stats['failed'] == 1
-        assert stats['committed'] == 3
+        counters = served_metrics['counters']
+        assert counters['serve.failed'] == 1
+        assert counters['serve.committed'] == 3
         # The grouped run failed, so peers went through the retry pass.
-        assert stats['retried'] >= 1
+        assert counters['serve.retried'] >= 1
         assert any(r.retried for r in committed)
         served.close()
         direct.close()
@@ -290,12 +305,13 @@ class TestAbortIsolation:
                 with pytest.raises(ConstraintViolation):
                     await server.submit(
                         [('luxuryitems', [Insert((99, 'socks', 8))])])
-                return dict(server.stats)
+                return _served(server)
 
-        stats = asyncio.run(main())
-        assert stats == {'submitted': 1, 'committed': 0, 'failed': 1,
-                         'groups': 1, 'grouped': 0, 'max_group': 1,
-                         'retried': 0, 'reads': 0, 'shard_failures': 0}
+        served_metrics = asyncio.run(main())
+        assert served_metrics['counters'] == {'serve.submitted': 1,
+                                              'serve.failed': 1}
+        groups = served_metrics['histograms']['serve.group_size']
+        assert (groups['count'], groups['max']) == (1, 1)
         served.close()
 
 
