@@ -13,17 +13,18 @@ objects against an EDB:
 * variable bindings are flat slot arrays, not dictionaries: a compiled
   rule never hashes a variable name at run time.
 
-Execution is two-tier.  The *generic* interpreter walks a rule plan's
-step tuple with a recursive cursor — it runs anything, immediately,
-with no setup cost.  A plan that executes a second time is **sealed**:
-:func:`_seal_run` / :func:`_seal_probe` generate a flat Python function
-specialised to that exact rule (slots become locals, binding masks and
-key templates are inlined, the step dispatch disappears) and cache it
-on the plan.  Sealing is what makes the per-transaction delta loops of
-the RDBMS engine cheap — the same immutable plan is shared by every
-thread of the parallel sharded engine, so one seal pays off across all
-shards.  ``REPRO_SEALED=0`` disables sealing (the differential tests
-compare the two tiers).
+Execution is two-tier.  A rule plan is **sealed** before its first
+execution: :func:`_seal_run` / :func:`_seal_probe` generate a flat
+Python function specialised to that exact rule (slots become locals,
+binding masks, key templates and ``=`` tests are inlined — an ordered
+comparison still calls :func:`_compare`'s type guard — and the step
+dispatch disappears) and cache it on the plan.  Sealing is what makes
+the per-transaction delta loops of the RDBMS engine and a view's first
+read over a large base cheap — the same immutable plan is shared by
+every thread of the parallel sharded engine, so one seal pays off
+across all shards.  The *generic* interpreter, which walks a rule
+plan's step tuple with a recursive cursor, is the reference tier:
+``REPRO_SEALED=0`` pins it (the differential tests compare the two).
 
 Semantics are set-based, matching §3.1.  The historical entry points
 (:func:`evaluate`, :func:`evaluate_rule`, :func:`evaluate_query`,
@@ -49,7 +50,7 @@ from repro.relational.database import Database
 
 __all__ = ['evaluate', 'evaluate_rule', 'evaluate_query',
            'holds', 'constraint_violations', 'execute_plan',
-           'execute_constraints', 'IndexedRelation']
+           'execute_goal', 'execute_constraints', 'IndexedRelation']
 
 Row = tuple
 
@@ -96,11 +97,18 @@ class IndexedRelation:
             return
         key_of = itemgetter(*positions)
         index: dict = {}
+        setdefault = index.setdefault
         for row in self.rows:
             key = key_of(row)
-            bucket = index.setdefault(key, row)
+            bucket = setdefault(key, row)
             if bucket is not row:
-                _grow(index, key, bucket, row)
+                # _grow inline, less the dict shape a build never
+                # makes: on a two-valued column nearly every row lands
+                # here.
+                if bucket.__class__ is list:
+                    bucket.append(row)
+                else:
+                    index[key] = [bucket, row]
         self._indexes[positions] = (key_of, index)
 
     def lookup(self, positions: tuple[int, ...], key: tuple
@@ -265,7 +273,7 @@ class _PlanContext:
             rows: set[Row] = set()
             for rule_plan in self.plan.rules_for(name):
                 _run_rule(rule_plan, self, rows)
-            self._store[name] = IndexedRelation(frozenset(rows))
+            self._store[name] = IndexedRelation(rows)
             self._materialized.add(name)
         finally:
             self._in_progress.discard(name)
@@ -298,12 +306,6 @@ class _PlanContext:
 # ---------------------------------------------------------------------------
 
 
-#: Generic runs before a rule plan is sealed into generated code.  One
-#: free run keeps one-shot plans (the validation solver's throwaway
-#: rules) from paying the ~50µs compile; anything the engine executes
-#: per transaction seals on its second use.
-_SEAL_THRESHOLD = 1
-
 #: ``REPRO_SEALED=0`` pins the generic interpreter (reference tier).
 _SEALING = os.environ.get('REPRO_SEALED', '1').strip().lower() \
     not in ('0', 'false', 'off')
@@ -316,40 +318,26 @@ def _run_rule(rule_plan: RulePlan, ctx: _PlanContext, out: set[Row],
     With ``limit``, enumeration stops as soon as ``out`` holds that many
     rows — the early-exit mode constraint checking uses to stop at the
     first witness instead of materialising every violation."""
-    if _SEALING:
-        sealed = rule_plan.sealed
-        if sealed is None:
-            sealed = [0, 0]
-            object.__setattr__(rule_plan, 'sealed', sealed)
-        fn = sealed[0]
-        if fn.__class__ is int:
-            if fn < _SEAL_THRESHOLD:
-                sealed[0] = fn + 1
-                return _run_rule_generic(rule_plan, ctx, out, limit)
-            fn = _seal_run(rule_plan)
-            sealed[0] = fn
-        return fn(ctx, out, limit)
-    return _run_rule_generic(rule_plan, ctx, out, limit)
+    if not _SEALING:
+        return _run_rule_generic(rule_plan, ctx, out, limit)
+    sealed = rule_plan.sealed
+    fn = sealed[0]
+    if fn is None:
+        fn = sealed[0] = _seal_run(rule_plan)
+    return fn(ctx, out, limit)
 
 
 def _probe_rule(rule_plan: RulePlan, ctx: _PlanContext,
                 row: tuple) -> bool:
     """Top-down: can this rule derive ``row``?  Uses the probe schedule,
     compiled with every head variable pre-bound."""
-    if _SEALING:
-        sealed = rule_plan.sealed
-        if sealed is None:
-            sealed = [0, 0]
-            object.__setattr__(rule_plan, 'sealed', sealed)
-        fn = sealed[1]
-        if fn.__class__ is int:
-            if fn < _SEAL_THRESHOLD:
-                sealed[1] = fn + 1
-                return _probe_rule_generic(rule_plan, ctx, row)
-            fn = _seal_probe(rule_plan)
-            sealed[1] = fn
-        return fn(ctx, row)
-    return _probe_rule_generic(rule_plan, ctx, row)
+    if not _SEALING:
+        return _probe_rule_generic(rule_plan, ctx, row)
+    sealed = rule_plan.sealed
+    fn = sealed[1]
+    if fn is None:
+        fn = sealed[1] = _seal_probe(rule_plan)
+    return fn(ctx, row)
 
 
 def _run_rule_generic(rule_plan: RulePlan, ctx: _PlanContext,
@@ -713,6 +701,15 @@ def execute_plan(plan: ExecutionPlan, edb, *, goals=None) -> Database:
             ctx.materialize(pred)
     names = goals if goals is not None else plan.order
     return ctx.snapshot(names)
+
+
+def execute_goal(plan: ExecutionPlan, edb, goal: str) -> set:
+    """Materialise one predicate of ``plan`` over ``edb`` and hand over
+    its rows: the set the rules built, not a copy — the caller owns it
+    (empty when no rule defines ``goal``)."""
+    if goal not in plan.idb:
+        return set()
+    return _PlanContext(edb, plan).relation(goal).rows
 
 
 def execute_constraints(plan: ExecutionPlan, edb, *,

@@ -166,12 +166,13 @@ class RulePlan:
     match_binds: tuple[tuple[int, int], ...]      # (row pos, slot)
     match_checks: tuple[tuple[int, int], ...]     # (row pos, slot)
     probe_steps: tuple[Step, ...]
-    # Executor scratch: the specialised run/probe functions the
-    # evaluator generates lazily on the hot path (see
+    # Executor scratch: ``[run, probe]``, the specialised functions
+    # the evaluator generates on first use (see
     # ``repro.datalog.evaluator._seal_run``).  Not part of the plan's
-    # identity; written once via object.__setattr__ (a benign
-    # last-writer-wins race — every writer produces equivalent code).
-    sealed: object = field(default=None, compare=False, repr=False)
+    # identity; each slot is written once (a benign last-writer-wins
+    # race — every writer produces equivalent code).
+    sealed: list = field(default_factory=lambda: [None, None],
+                         init=False, compare=False, repr=False)
 
     def __getstate__(self):
         # Generated executor functions are not picklable (and are
@@ -182,7 +183,7 @@ class RulePlan:
     def __setstate__(self, state):
         for name, value in state.items():
             object.__setattr__(self, name, value)
-        object.__setattr__(self, 'sealed', None)
+        object.__setattr__(self, 'sealed', [None, None])
 
 
 @dataclass(frozen=True, slots=True)
@@ -230,10 +231,6 @@ class ExecutionPlan:
         ``first_witness``, short-circuit at the first violation."""
         from repro.datalog.evaluator import execute_constraints
         return execute_constraints(self, edb, first_witness=first_witness)
-
-    def holds(self, edb, goal: str) -> bool:
-        from repro.datalog.evaluator import execute_plan
-        return bool(execute_plan(self, edb, goals=(goal,))[goal])
 
 
 # ---------------------------------------------------------------------------

@@ -30,6 +30,7 @@ from abc import ABC, abstractmethod
 from typing import TYPE_CHECKING, Iterable, Mapping, Sequence
 
 from repro.datalog.ast import delete_pred, insert_pred
+from repro.datalog.evaluator import IndexedRelation, execute_goal
 from repro.datalog.pretty import pretty_rule
 from repro.errors import ConstraintViolation
 from repro.relational.database import Database
@@ -72,7 +73,8 @@ class Backend(ABC):
     @abstractmethod
     def load(self, name: str, rows: set) -> None:
         """Replace the contents of base table ``name`` (rows are already
-        schema-validated by the engine)."""
+        schema-validated by the engine).  The caller hands ``rows``
+        over: a backend may keep the set itself."""
 
     def check_storable(self, schema: RelationSchema, rows) -> None:
         """Raise :class:`SchemaError` when a row of ``rows`` (already
@@ -117,7 +119,9 @@ class Backend(ABC):
 
     @abstractmethod
     def store_cache(self, name: str, rows: Iterable[tuple]) -> None:
-        """Store (or replace) the materialisation of view ``name``."""
+        """Store (or replace) the materialisation of view ``name``.
+        The caller hands ``rows`` over: a backend may keep a ``set``
+        itself."""
 
     @abstractmethod
     def drop_cache(self, name: str) -> None:
@@ -168,9 +172,10 @@ class Backend(ABC):
 
     @abstractmethod
     def evaluate_get(self, entry: 'ViewEntry',
-                     sources: Mapping[str, object]) -> frozenset:
+                     sources: Mapping[str, object]) -> Iterable[tuple]:
         """Evaluate the view definition over ``sources`` (a mapping of
-        source name → evaluation handle) and return the view rows."""
+        source name → evaluation handle) and return the view rows, a
+        set or frozenset the caller owns."""
 
     @abstractmethod
     def evaluate_incremental_batch(self, entry: 'ViewEntry',
@@ -224,7 +229,6 @@ class Backend(ABC):
                 for name, handle in sources.items()}
 
     def _frozen_sources(self, sources: Mapping[str, object]) -> Database:
-        from repro.datalog.evaluator import IndexedRelation
         frozen: dict[str, frozenset] = {}
         for name, handle in sources.items():
             resolved = self._eval_input(handle)
@@ -234,11 +238,9 @@ class Backend(ABC):
         return Database(frozen)
 
     def _interp_get(self, entry: 'ViewEntry',
-                    sources: Mapping[str, object]) -> frozenset:
-        name = entry.name
-        output = entry.get_plan.evaluate(self._interp_edb(sources),
-                                         goals=(name,))
-        return output[name]
+                    sources: Mapping[str, object]) -> set:
+        return execute_goal(entry.get_plan, self._interp_edb(sources),
+                            entry.name)
 
     def _interp_incremental(self, entry: 'ViewEntry',
                             sources: Mapping[str, object],

@@ -23,6 +23,12 @@ from repro.relational.schema import DatabaseSchema
 __all__ = ['MemoryBackend']
 
 
+def _owned(rows) -> set:
+    """The set a stored relation keeps: ``rows`` itself when the caller
+    handed over a ``set`` (a load, a first read), else a copy."""
+    return rows if rows.__class__ is set else set(rows)
+
+
 class MemoryBackend(Backend):
     """Mutable indexed sets; evaluation by the compiled-plan interpreter."""
 
@@ -52,7 +58,7 @@ class MemoryBackend(Backend):
         raise SchemaError(f'unknown or unmaterialised relation {name!r}')
 
     def load(self, name: str, rows: set) -> None:
-        table = IndexedRelation(set(rows))
+        table = IndexedRelation(_owned(rows))
         self._apply_index_hints(name, table)
         self._tables[name] = table
 
@@ -77,7 +83,7 @@ class MemoryBackend(Backend):
         return name in self._caches
 
     def store_cache(self, name: str, rows: Iterable[tuple]) -> None:
-        cached = IndexedRelation(set(rows))
+        cached = IndexedRelation(_owned(rows))
         self._apply_index_hints(name, cached)
         self._caches[name] = cached
 
@@ -126,7 +132,7 @@ class MemoryBackend(Backend):
         return self._relation(name)
 
     def evaluate_get(self, entry, sources: Mapping[str, object]
-                     ) -> frozenset:
+                     ) -> set:
         return self._interp_get(entry, sources)
 
     def evaluate_incremental_batch(self, entry,

@@ -17,8 +17,10 @@ Row = tuple
 
 
 def _freeze(rows: Iterable[Row]) -> frozenset:
-    frozen = frozenset(tuple(r) for r in rows)
-    return frozen
+    """``rows`` as a frozenset of tuples, in one pass in C.  A frozenset
+    is taken as frozen already: it cannot hold a list row, the shape
+    the tuple pass exists to convert."""
+    return rows if rows.__class__ is frozenset else frozenset(map(tuple, rows))
 
 
 @dataclass(frozen=True)
@@ -40,7 +42,7 @@ class Database:
 
     @classmethod
     def from_dict(cls, data: Mapping[str, Iterable[Row]]) -> 'Database':
-        return cls({name: _freeze(rows) for name, rows in data.items()})
+        return cls(data)
 
     @classmethod
     def empty(cls) -> 'Database':

@@ -44,8 +44,8 @@ def _union_engine(union_strategy, backend):
 class TestMemoryClose:
 
     def test_close_empties_every_stored_relation(self, luxury_strategy):
-        """Evaluation handles outlive the engine (plan contexts of the
-        first, unsealed executions sit in reference cycles): after
+        """Evaluation handles outlive the engine (plan contexts of
+        generic-tier runs sit in reference cycles): after
         ``close()`` none of them holds a row or an index, so the data
         is freed by reference counting — checked with the cycle
         collector off."""
@@ -72,6 +72,35 @@ class TestMemoryClose:
                 backend.rows('items')        # closed: serves no reads
         finally:
             gc.enable()
+
+
+class TestMemoryOwnership:
+
+    def test_load_and_first_read_keep_the_set_they_are_handed(
+            self, luxury_strategy, monkeypatch):
+        """A bulk load stores the set ``Engine.load`` built, and a first
+        read stores the set the get plan's rules built: no copy of
+        either."""
+        from repro.rdbms.backends import base
+        handed = {}
+        real_load, real_goal = MemoryBackend.load, base.execute_goal
+
+        def load(self, name, rows):
+            handed[name] = rows
+            real_load(self, name, rows)
+
+        def execute_goal(plan, edb, goal):
+            handed[goal] = real_goal(plan, edb, goal)
+            return handed[goal]
+
+        monkeypatch.setattr(MemoryBackend, 'load', load)
+        monkeypatch.setattr(base, 'execute_goal', execute_goal)
+        with Engine(luxury_strategy.sources, backend='memory') as engine:
+            engine.load('items', [(1, 'watch', 5000), (2, 'gum', 5)])
+            engine.define_view(luxury_strategy, validate_first=False)
+            for name in ('items', 'luxuryitems'):
+                assert engine.rows(name) is handed[name]
+            assert engine.rows('luxuryitems') == {(1, 'watch', 5000)}
 
 
 # ---------------------------------------------------------------------------

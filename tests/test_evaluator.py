@@ -104,7 +104,7 @@ class TestNegation:
     def test_underscore_name_bound_elsewhere_is_no_wildcard(
             self, body, sealing, monkeypatch):
         # s(_y, _) binds _y, so the negation reads that value — not "any"
-        # — wherever it stands in the body (the second run is sealed).
+        # — wherever it stands in the body, run after run.
         monkeypatch.setattr(evaluator, '_SEALING', sealing)
         program = parse_program(f'p(X) :- {body}.')
         edb = db(t={(1,), (3,)}, aux={(1, 5), (3, 7)}, s={(7, 0), (9, 0)})
@@ -357,6 +357,32 @@ class TestIndexedRelation:
         for _key_of, index in rel._indexes.values():
             assert not any(bucket.__class__ is dict
                            for bucket in index.values())
+
+    @pytest.mark.parametrize('mask', [(0,), (1,), (2,), (1, 2)],
+                             ids=['unique', 'colliding', 'two-valued',
+                                  'pair'])
+    def test_built_index_matches_one_grown_row_by_row(self, mask):
+        """``ensure_index`` over stored rows gives every key the bucket
+        that adding the same rows one at a time gives — same rows, same
+        order — before and after later discards."""
+        rows = {(i, i // 3, i % 2) for i in range(40)}
+        built = IndexedRelation(set(rows))
+        built.ensure_index(mask)
+        grown = IndexedRelation(set())
+        grown.ensure_index(mask)
+        for row in built.rows:
+            grown.add(row)
+
+        def buckets(rel):
+            return {key: list(rel.lookup(mask, key))
+                    for key in {tuple(row[p] for p in mask)
+                                for row in rows}}
+
+        assert buckets(built) == buckets(grown)
+        for row in sorted(rows)[::7]:
+            built.discard(row)
+            grown.discard(row)
+        assert buckets(built) == buckets(grown)
 
     def test_single_column_mask_is_keyed_by_the_bare_value(self):
         """``1``, ``1.0`` and ``True`` are one key, as under ``==``."""

@@ -280,7 +280,7 @@ class TestSealedExecutor:
     def _both_tiers(self, program, instance, goals=None):
         from repro.datalog import evaluator as ev
         plan = compile_program(program, cache=False)
-        for _ in range(3):        # past the seal threshold
+        for _ in range(3):        # sealed at once; reruns reuse the code
             sealed = plan.evaluate(instance, goals=goals)
             sealed_viol = plan.constraint_violations(instance)
         old = ev._SEALING
@@ -346,7 +346,7 @@ class TestSealedExecutor:
         program = parse_program('v(X) :- r(X, Y), Y > 2.  w(X) :- r(X, 5).')
         plans = [compile_program(program, cache=False) for _ in range(2)]
         for plan in plans:
-            for _ in range(2):          # past the seal threshold
+            for _ in range(2):          # the rerun reuses the sealed code
                 plan.evaluate(db(r={(1, 3), (2, 5)}))
         assert len(compiled) == 2
         for plan in plans:

@@ -101,6 +101,21 @@ class TestDatabase:
         b = Database.from_dict({'r': {(1,)}})
         assert a == b and hash(a) == hash(b)
 
+    def test_from_dict_freezes_each_relation_once(self, monkeypatch):
+        """List rows come out as tuples, in one freezing pass per
+        relation; a frozenset is kept, not copied."""
+        from repro.relational import database
+        calls = []
+        real = database._freeze
+        monkeypatch.setattr(database, '_freeze',
+                            lambda rows: calls.append(rows) or real(rows))
+        kept = frozenset({(3,)})
+        db = Database.from_dict({'r': [[1, 'a'], (2, 'b')], 's': kept})
+        assert len(calls) == 2
+        assert db['r'] == {(1, 'a'), (2, 'b')}
+        assert all(row.__class__ is tuple for row in db['r'])
+        assert db['s'] is kept
+
     def test_with_relation(self):
         db = Database.empty().with_relation('r', {(1,)})
         assert db['r'] == {(1,)}
