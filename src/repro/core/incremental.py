@@ -17,9 +17,15 @@ Two paths are provided:
   only the insertion sets of the source delta relations are kept
   (Proposition 5.1) and renamed back to ``±r``.
 
+Both paths carry the same delta form of the ⊥-constraints
+(:func:`_delta_form`), valid in a steady state: one where the
+constraints held before the update.
+
 The resulting ``∂put`` is an ordinary Datalog program over the EDB
-``S ∪ {v, +v, -v}`` (the LVGN path does not read ``v`` at all); the RDBMS
-layer evaluates it instead of the full putback program on each update.
+``S ∪ {v, +v, -v}`` (the LVGN path reads ``v`` only in the delta form of
+a ⊥-rule that mentions the view more than once); the RDBMS layer
+evaluates it, ⊥-rules first, instead of the full putback program on
+each update.
 """
 
 from __future__ import annotations
@@ -29,7 +35,7 @@ from dataclasses import dataclass
 
 from repro.datalog.ast import (Atom, BuiltinLit, Lit, Literal, Program,
                                Rule, Var, delete_pred, delta_base,
-                               insert_pred, is_delta_pred)
+                               insert_pred, is_anonymous, is_delta_pred)
 from repro.datalog.dependency import stratify
 from repro.datalog.transform import tidy_program
 from repro.errors import FragmentError, TransformationError
@@ -39,66 +45,105 @@ __all__ = ['incrementalize_lvgn', 'incrementalize_general',
 
 
 # ---------------------------------------------------------------------------
-# LVGN shortcut (Lemma 5.2)
+# The delta form of a rule (Lemma 5.2), shared by both paths
 # ---------------------------------------------------------------------------
 
 
-def _substitute_view_deltas(rule: Rule, view: str) -> Rule | None:
-    """The Lemma 5.2 substitution on one rule; None when the rule has no
-    view literal (its contribution is ineffective in a steady state)."""
-    view_lits = [l for l in rule.body
-                 if isinstance(l, Lit) and l.atom.pred == view]
-    if not view_lits:
-        return None
-    if len(view_lits) > 1:
+def _delta_form(rule: Rule, view: str) -> list[Rule]:
+    """Rewrite ``rule`` to read the view delta instead of the view; []
+    when the rule has no view literal (its contribution is ineffective
+    in a steady state).
+
+    For a rule with one view occurrence this is Lemma 5.2's
+    substitution (``v(~t)`` → ``+v(~t)``, ``¬v(~t)`` → ``-v(~t)``).  A
+    ⊥-rule may mention the view k times (a key or a functional
+    dependency): assuming it held before the update, a new witness over
+    the updated view ``v' = (v \\ -v) ∪ +v`` must use an inserted tuple
+    in a positive occurrence or a deleted one in a negated occurrence.
+    So it becomes one rule per occurrence, in which that occurrence
+    reads ``+v`` (positive) or ``-v`` (negated) and every other one
+    reads ``v'``, inlined as alternatives and never materialised:
+    ``v ∧ ¬-v`` or ``+v`` for a positive occurrence, ``¬+v ∧ ¬v`` or
+    ``¬+v ∧ -v`` for a negated one.  This needs ``±v`` to be the
+    effective delta (``+v ∩ v = ∅``, ``-v ⊆ v``), which the engine
+    stages.
+    """
+    occurrences = [i for i, literal in enumerate(rule.body)
+                   if isinstance(literal, Lit) and literal.atom.pred == view]
+    if len(occurrences) > 1 and not rule.is_constraint:
         raise FragmentError(
             f'rule {rule} uses the view more than once; apply the '
             f'general incrementalization instead')
-    new_body: list[Literal] = []
-    for literal in rule.body:
-        if isinstance(literal, Lit) and literal.atom.pred == view:
-            pred = insert_pred(view) if literal.positive \
-                else delete_pred(view)
-            new_body.append(Lit(Atom(pred, literal.atom.args), True))
+    bound = set().union(*(literal.var_names() for literal in rule.body
+                          if isinstance(literal, Lit) and literal.positive))
+    plus, minus = insert_pred(view), delete_pred(view)
+    choices: list[list[tuple[Literal, ...]]] = []     # per body literal
+    deltas: dict[int, Lit] = {}                       # per occurrence
+    for i, literal in enumerate(rule.body):
+        if i not in occurrences:
+            choices.append([(literal,)])
+            continue
+        args = literal.atom.args
+
+        def lit(pred: str, positive: bool = True) -> Lit:
+            return Lit(Atom(pred, args), positive)
+        if literal.positive:
+            deltas[i] = lit(plus)
+            choices.append([(lit(view), lit(minus, False)), (lit(plus),)])
+        elif any(is_anonymous(t) and t.name not in bound for t in args):
+            raise FragmentError(
+                f'rule {rule} negates the view with a wildcard; its '
+                f'delta form is not pointwise')
         else:
-            new_body.append(literal)
-    return Rule(rule.head, tuple(new_body))
+            deltas[i] = lit(minus)
+            choices.append([(lit(plus, False), lit(view, False)),
+                            (lit(plus, False), lit(minus))])
+    rules: list[Rule] = []
+    for i, delta in deltas.items():
+        picks = choices[:i] + [[(delta,)]] + choices[i + 1:]
+        rules.extend(Rule(rule.head, tuple(itertools.chain(*body)))
+                     for body in itertools.product(*picks))
+    return list(dict.fromkeys(rules))     # +v in two occurrences: once
+
+
+def _with_constraints(rules: list[Rule], goals: set[str],
+                      constraints: list[Rule]) -> Program:
+    """Tidy ``rules`` towards ``goals`` and append ``constraints``,
+    keeping every predicate they read."""
+    goals = goals.union(*(rule.body_preds() for rule in constraints))
+    tidied = tidy_program(Program(tuple(rules)), goals)
+    return Program(tidied.rules + tuple(constraints))
+
+
+# ---------------------------------------------------------------------------
+# LVGN shortcut (Lemma 5.2)
+# ---------------------------------------------------------------------------
 
 
 def incrementalize_lvgn(putdelta: Program, view: str) -> Program:
     """Substitute view-delta predicates for view literals (Lemma 5.2).
 
-    Constraint (⊥) rules receive the same substitution: assuming the
-    constraints held before the update, a new violation must involve an
-    inserted tuple (positive ``v`` occurrence) or a deleted one (negated
-    occurrence), so checking the substituted bodies over ``S ∪ ΔV`` is
+    Constraint (⊥) rules get the delta form :func:`_delta_form` derives
+    for both paths.  Its premise is a steady state: the constraints held
+    before the update, so a new violation must involve an inserted
+    tuple (positive ``v`` occurrence) or a deleted one (negated
+    occurrence), and checking the derived bodies over ``S ∪ ΔV`` is
     equivalent to — and much cheaper than — re-checking the whole view.
     """
     rules: list[Rule] = []
+    constraints: list[Rule] = []
     for rule in putdelta.rules:
         if rule.is_constraint:
-            substituted = _substitute_view_deltas(rule, view)
-            if substituted is not None:
-                rules.append(substituted)
             # View-free constraints relate only source relations; the
             # sources are only modified through validated strategies, so
             # the check is delegated to their own update path.
-            continue
-        if not is_delta_pred(rule.head.pred):
+            constraints.extend(_delta_form(rule, view))
+        elif not is_delta_pred(rule.head.pred):
             rules.append(rule)
-            continue
-        substituted = _substitute_view_deltas(rule, view)
-        if substituted is not None:
-            rules.append(substituted)
-    goals = {r.head.pred for r in rules
-             if r.head is not None and is_delta_pred(r.head.pred)}
-    constraints = tuple(r for r in rules if r.is_constraint)
-    # Predicates the substituted constraints read must survive tidying.
-    for rule in constraints:
-        goals |= rule.body_preds()
-    tidied = tidy_program(Program(tuple(
-        r for r in rules if not r.is_constraint)), goals)
-    return Program(tidied.rules + constraints)
+        else:
+            rules.extend(_delta_form(rule, view))
+    goals = {r.head.pred for r in rules if is_delta_pred(r.head.pred)}
+    return _with_constraints(rules, goals, constraints)
 
 
 # ---------------------------------------------------------------------------
@@ -202,7 +247,6 @@ def binarize(program: Program, *, prefix: str = '__b'
         if current is None:
             raise TransformationError(f'cannot binarize rule {rule}')
         # Final projection onto the head.
-        head_vars = [t for t in rule.head.args if isinstance(t, Var)]
         out.append(Rule(rule.head, (Lit(current, True),)))
     return Program(tuple(out))
 
@@ -364,13 +408,7 @@ def _union_deletion_fix(pred: str, rules: list[Rule], derived: list[Rule],
         return derived
     minus_name = pool.minus(pred)
     patched: list[Rule] = []
-    branch_of: dict[int, Rule] = {}
-    # Identify which defining rule each -h rule came from by matching the
-    # order of generation: simpler and robust — add "not in any other
-    # branch's nu" to every -h rule.
-    other_nu_bodies: list[list[Lit]] = []
-    for rule in rules:
-        pass
+    # Add "not in any other branch's nu" to every -h rule.
     for d in derived:
         if d.head.pred != minus_name:
             patched.append(d)
@@ -400,7 +438,10 @@ def incrementalize_general(putdelta: Program, view: str) -> Program:
 
     Returns a program computing the source delta relations ``±r_i`` from
     ``S ∪ {v, +v, -v}``; Proposition 5.1 justifies keeping only the
-    insertion sets of the delta-of-delta relations.
+    insertion sets of the delta-of-delta relations.  The ⊥-rules get
+    the delta form :func:`_delta_form` derives for both paths, under the
+    same steady-state premise (the constraints held before the update);
+    a view-free ⊥-rule is dropped, as in :func:`incrementalize_lvgn`.
     """
     binary = binarize(putdelta.without_constraints())
     changed: set[str] = {view}
@@ -482,7 +523,14 @@ def incrementalize_general(putdelta: Program, view: str) -> Program:
         final.append(Rule(Atom(head_pred, rule.head.args), tuple(body)))
         if head_pred in delta_preds:
             goals.add(head_pred)
-    return tidy_program(Program(tuple(final)), goals)
+    constraints = [derived_rule for rule in putdelta.constraints()
+                   for derived_rule in _delta_form(rule, view)]
+    for rule in constraints:
+        if rule.body_preds() & (changed - {view}):
+            raise TransformationError(
+                f'constraint {rule} reads a predicate the view update '
+                f'changes; its delta form needs that predicate\'s delta')
+    return _with_constraints(final, goals, constraints)
 
 
 def incrementalize(putdelta: Program, view: str, *,

@@ -180,26 +180,24 @@ class Backend(ABC):
     @abstractmethod
     def evaluate_incremental_batch(self, entry: 'ViewEntry',
                                    sources: Mapping[str, object],
-                                   view_handle, delta: Delta, *,
-                                   new_view_rows=None) -> DeltaSet:
+                                   view_handle, delta: Delta) -> DeltaSet:
         """Evaluate ``∂put`` over ``S ∪ {v, +v, -v}`` once for one
-        transaction's *coalesced* view delta; constraint rules carried
-        by the incremental program are checked first (raising
-        :class:`ConstraintViolation`).
+        transaction's *coalesced* view delta; the ⊥-rules it carries
+        are checked first (raising :class:`ConstraintViolation`).
 
-        The engine's batched pipeline composes every staged delta of a
-        view (``Delta.then``) and calls this exactly once per touched
-        view per transaction, with ``delta`` the merged multi-row
-        effective delta — a single statement is a one-element batch.
-        When ``new_view_rows`` is not ``None`` the strategy declares
-        ⊥-constraints that the incremental program does not carry, and
-        the backend must check them against ``(S, V')`` first (raising
-        :class:`ConstraintViolation` before staging ΔS)."""
+        Those ⊥-rules are the delta form :mod:`repro.core.incremental`
+        derives for both incrementalization paths: they read ``±v``,
+        so they hold on ``(S, V')`` only in a steady state — one where
+        the constraints held before the update.  The engine's batched
+        pipeline composes every staged delta of a view (``Delta.then``)
+        and calls this exactly once per touched view per transaction,
+        with ``delta`` the merged multi-row effective delta — a single
+        statement is a one-element batch."""
 
     @abstractmethod
     def evaluate_putback(self, entry: 'ViewEntry',
                          sources: Mapping[str, object],
-                         new_view_rows, *,
+                         view_rows, *,
                          check_constraints: bool = False) -> DeltaSet:
         """Evaluate the full putback program over ``S ∪ {v'}``.
 
@@ -263,15 +261,9 @@ class Backend(ABC):
 
     def _interp_putback(self, entry: 'ViewEntry',
                         sources: Mapping[str, object],
-                        new_view_rows, *,
+                        view_rows, *,
                         check_constraints: bool = False) -> DeltaSet:
         frozen = self._frozen_sources(sources)
         if check_constraints:
-            entry.strategy.check_constraints(frozen, new_view_rows)
-        return entry.strategy.compute_delta(frozen, new_view_rows)
-
-    def _interp_check_constraints(self, entry: 'ViewEntry',
-                                  sources: Mapping[str, object],
-                                  new_view_rows) -> None:
-        entry.strategy.check_constraints(self._frozen_sources(sources),
-                                         new_view_rows)
+            entry.strategy.check_constraints(frozen, view_rows)
+        return entry.strategy.compute_delta(frozen, view_rows)

@@ -13,8 +13,7 @@ from __future__ import annotations
 from typing import Iterable, Mapping
 
 from repro.datalog.evaluator import IndexedRelation
-from repro.datalog.pretty import pretty_rule
-from repro.errors import ConstraintViolation, SchemaError
+from repro.errors import SchemaError
 from repro.rdbms.backends.base import Backend
 from repro.relational.database import Database
 from repro.relational.delta import Delta, DeltaSet
@@ -137,26 +136,15 @@ class MemoryBackend(Backend):
 
     def evaluate_incremental_batch(self, entry,
                                    sources: Mapping[str, object],
-                                   view_handle, delta: Delta, *,
-                                   new_view_rows=None) -> DeltaSet:
+                                   view_handle, delta: Delta) -> DeltaSet:
         """One interpreted pass over the transaction's merged multi-row
         delta: a single plan context (one index/EDB setup) however many
-        statements were coalesced.  The fused full constraint check
-        runs directly over the live evaluation handles — no per-source
-        freezing — and short-circuits at the first witness."""
-        if new_view_rows is not None and entry.strategy.constraints():
-            edb = self._interp_edb(sources)
-            edb[entry.name] = new_view_rows
-            violations = entry.strategy.putdelta_plan \
-                .constraint_violations(edb, first_witness=True)
-            if violations:
-                rule, witness = violations[0]
-                raise ConstraintViolation(pretty_rule(rule), witness)
+        statements were coalesced."""
         return self._interp_incremental(entry, sources, view_handle,
                                         delta)
 
     def evaluate_putback(self, entry, sources: Mapping[str, object],
-                         new_view_rows, *,
+                         view_rows, *,
                          check_constraints: bool = False) -> DeltaSet:
-        return self._interp_putback(entry, sources, new_view_rows,
+        return self._interp_putback(entry, sources, view_rows,
                                     check_constraints=check_constraints)

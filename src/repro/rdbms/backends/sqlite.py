@@ -478,25 +478,20 @@ class SQLiteBackend(Backend):
                 cur.execute(f'DROP TABLE IF EXISTS temp.{table}')
 
     @staticmethod
-    def _check_constraints_on(cur, prog: _ProgramSQL) -> None:
-        # fetchone: SQLite produces witness rows lazily, so the check
-        # short-circuits at the first violation instead of
-        # materialising every witness.
-        for rule, sql in prog.constraint_sql:
-            witness = cur.execute(sql).fetchone()
-            if witness is not None:
-                raise ConstraintViolation(pretty_rule(rule),
-                                          tuple(witness))
-
-    @staticmethod
     def _view_rows_on(cur, prog: _ProgramSQL) -> frozenset:
         (_, sql), = prog.delta_sql
         return frozenset(tuple(r) for r in cur.execute(sql))
 
     def _deltas_on(self, cur, prog: _ProgramSQL, entry,
                    check_constraints: bool) -> DeltaSet:
-        if check_constraints:
-            self._check_constraints_on(cur, prog)
+        # fetchone: SQLite produces witness rows lazily, so the check
+        # short-circuits at the first violation instead of
+        # materialising every witness.
+        for rule, sql in prog.constraint_sql if check_constraints else ():
+            witness = cur.execute(sql).fetchone()
+            if witness is not None:
+                raise ConstraintViolation(pretty_rule(rule),
+                                          tuple(witness))
         output = {goal: {tuple(r) for r in cur.execute(sql)}
                   for goal, sql in prog.delta_sql}
         return DeltaSet.from_database(
@@ -551,15 +546,12 @@ class SQLiteBackend(Backend):
     @_locked
     def evaluate_incremental_batch(self, entry,
                                    sources: Mapping[str, object],
-                                   view_handle, delta: Delta, *,
-                                   new_view_rows=None) -> DeltaSet:
+                                   view_handle, delta: Delta) -> DeltaSet:
         """One SQL pass over the transaction's merged multi-row delta:
         the whole batch of coalesced +v/-v rows fills the staging
         tables with one ``executemany`` per relation and every view
         goal runs one SELECT — no DDL and no per-statement staging
         (asserted by the SQL-trace tests in tests/test_backends.py)."""
-        if new_view_rows is not None:
-            self.check_view_constraints(entry, sources, new_view_rows)
         name = entry.name
         inputs = dict(sources)
         inputs[insert_pred(name)] = delta.insertions
@@ -573,34 +565,17 @@ class SQLiteBackend(Backend):
 
     @_locked
     def evaluate_putback(self, entry, sources: Mapping[str, object],
-                         new_view_rows, *,
+                         view_rows, *,
                          check_constraints: bool = False) -> DeltaSet:
         inputs = dict(sources)
-        inputs[entry.name] = new_view_rows
+        inputs[entry.name] = view_rows
         return self._sql_or_interpreted(
             entry, 'putback', inputs,
             lambda cur, prog: self._deltas_on(cur, prog, entry,
                                               check_constraints),
             lambda: self._interp_putback(
-                entry, sources, new_view_rows,
+                entry, sources, view_rows,
                 check_constraints=check_constraints))
-
-    @_locked
-    def check_view_constraints(self, entry,
-                               sources: Mapping[str, object],
-                               new_view_rows) -> None:
-        """Check the strategy's ⊥-constraints on ``(S, V')`` — the
-        putback program's ⊥-rules, which a general-path ∂put does not
-        carry — raising :class:`ConstraintViolation` on the first."""
-        prog = self._compiled[entry.name].putback
-        if prog is not None and not prog.constraint_sql:
-            return                    # nothing to check: skip staging
-        inputs = dict(sources)
-        inputs[entry.name] = new_view_rows
-        self._sql_or_interpreted(
-            entry, 'putback', inputs, self._check_constraints_on,
-            lambda: self._interp_check_constraints(entry, sources,
-                                                   new_view_rows))
 
     # -- introspection / lifecycle ------------------------------------
 

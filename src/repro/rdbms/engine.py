@@ -638,7 +638,8 @@ class Engine:
         for row in loaded:
             self.schema[name].validate_tuple(row)
         self.backend.check_storable(self.schema[name], loaded)
-        self._wal_append('load', (name, frozenset(loaded)))
+        if self.wal is not None:
+            self._wal_append('load', (name, frozenset(loaded)))
         self.backend.load(name, loaded)
         self._invalidate_dependents({name})
 
@@ -1008,9 +1009,9 @@ class Engine:
 
     def _flush_view(self, working: _Working, name: str) -> None:
         """The trigger pipeline for one view, run once over the
-        composition of its staged deltas: check the ⊥-constraints on
-        the net updated view, evaluate ∂put (or the full putback) over
-        the merged effective delta, and stage — or queue, for source
+        composition of its staged deltas: evaluate ∂put (or the full
+        putback) over the merged effective delta — the compiled program
+        checks its own ⊥-rules first — and stage — or queue, for source
         views — the resulting ΔS."""
         staged = working.pending.pop(name, None)
         if not staged:
@@ -1032,15 +1033,8 @@ class Engine:
         metrics = self.metrics
         flush_started = perf_counter() if metrics.enabled else 0.0
         if entry.use_incremental:
-            new_rows = None
-            if entry.strategy.constraints() \
-                    and not entry.incremental_plan.constraint_plans:
-                # General-path ∂put has no constraint rules: the
-                # backend runs the full check in the same batch pass.
-                new_rows = working.rows(name)
             deltas = self.backend.evaluate_incremental_batch(
-                entry, sources, view_handle, effective,
-                new_view_rows=new_rows)
+                entry, sources, view_handle, effective)
         else:
             deltas = self.backend.evaluate_putback(
                 entry, sources, working.rows(name),

@@ -11,16 +11,19 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.incremental import (binarize, incrementalize,
+from repro.benchsuite.catalog import entry_by_name
+from repro.core.incremental import (_delta_form, binarize, incrementalize,
                                     incrementalize_general,
                                     incrementalize_lvgn)
 from repro.core.strategy import UpdateStrategy
-from repro.datalog.ast import delete_pred, insert_pred, is_delta_pred
+from repro.datalog.ast import (Program, delete_pred, insert_pred,
+                               is_delta_pred)
 from repro.datalog.evaluator import evaluate
 from repro.datalog.parser import parse_program
 from repro.datalog.pretty import pretty
 from repro.relational.database import Database
 from repro.relational.delta import DeltaSet
+from tests.test_put_oracle import GENERAL_PATH
 
 
 def incremental_matches_full(strategy, get_text, source, delta_plus,
@@ -199,3 +202,95 @@ class TestGeneralIncrementalization:
         incremental_matches_full(
             union_strategy, 'v(X) :- r1(X).\nv(X) :- r2(X).', source,
             {(5,)}, {(1,)}, general=True)
+
+
+class TestDeltaConstraints:
+    """The delta form of a ⊥-rule with k view occurrences, shared by
+    both incrementalization paths."""
+
+    SHAPES = (
+        '⊥ :- v(K, A), v(K, B), not A = B.',            # a key
+        '⊥ :- v(X, Y), not v(Y, X).',                   # a negated occurrence
+        '⊥ :- r(X), not v(X, X).',
+        '⊥ :- v(X, Y), r(Y), X > 2.',
+    )
+
+    @staticmethod
+    def _violated(rules, edb) -> bool:
+        from repro.datalog.plan import compile_program
+        plan = compile_program(Program(tuple(rules)), cache=False)
+        return bool(plan.constraint_violations(edb, first_witness=True))
+
+    @pytest.mark.parametrize('shape', SHAPES)
+    def test_delta_form_finds_exactly_the_new_violations(self, shape):
+        """In a steady state (the rule holds on ``v``), the derived
+        rules over ``{v, +v, -v}`` fire exactly when the rule fails
+        on ``v' = (v \\ -v) ∪ +v``."""
+        (rule,) = parse_program(shape).rules
+        derived = _delta_form(rule, 'v')
+        rng = random.Random(shape)
+        pairs = [(a, b) for a in range(4) for b in range(4)]
+        fired = set()
+        for _ in range(1000):
+            view = frozenset(rng.sample(pairs, rng.randint(0, 5)))
+            r = frozenset((x,) for x in range(4) if rng.random() < 0.5)
+            if self._violated([rule], {'v': view, 'r': r}):
+                continue
+            minus = frozenset(t for t in view if rng.random() < 0.3)
+            plus = frozenset(rng.sample(pairs, 3)) - view
+            edb = {'v': view, 'r': r, '+v': plus, '-v': minus}
+            new = {'v': (view - minus) | plus, 'r': r}
+            violated = self._violated([rule], new)
+            assert self._violated(derived, edb) == violated, \
+                (view, plus, minus)
+            fired.add(violated)
+        assert fired == {True, False}
+
+    def test_one_occurrence_is_the_lemma_5_2_substitution(self):
+        (rule,) = parse_program('⊥ :- r(X), not v(X, X).').rules
+        assert [pretty(r) for r in _delta_form(rule, 'v')] \
+            == ['false :- r(X), -v(X, X).']
+
+    def test_key_becomes_one_rule_per_occurrence_and_alternative(self):
+        (rule,) = parse_program(self.SHAPES[0]).rules
+        assert sorted(pretty(r) for r in _delta_form(rule, 'v')) == [
+            'false :- +v(K, A), +v(K, B), not A = B.',
+            'false :- +v(K, A), v(K, B), not -v(K, B), not A = B.',
+            'false :- v(K, A), not -v(K, A), +v(K, B), not A = B.']
+
+    def test_negated_wildcard_rejected(self):
+        from repro.errors import FragmentError
+        (rule,) = parse_program('⊥ :- r(X), not v(X, _).').rules
+        with pytest.raises(FragmentError):
+            _delta_form(rule, 'v')
+
+    def test_general_path_refuses_a_constraint_over_a_changed_predicate(
+            self):
+        """``vt`` depends on the view, so ∂put has no ``vt`` for the ⊥
+        rule to read: the view runs the full putback instead."""
+        from repro.errors import TransformationError
+        putdelta = parse_program("""
+            vt(I) :- v(I, _).
+            ⊥ :- v(I, J), not vt(J).
+            +r(I, J) :- v(I, J), not r(I, J).
+            -r(I, J) :- r(I, J), not vt(I).
+        """)
+        with pytest.raises(TransformationError):
+            incrementalize_general(putdelta, 'v')
+
+    @pytest.mark.parametrize('name', GENERAL_PATH)
+    def test_general_path_checks_every_view_constraint_from_the_delta(
+            self, name):
+        from repro.core.incremental import incrementalize_plan
+        from repro.datalog.plan import ScanStep
+        strategy = entry_by_name(name).strategy()
+        _program, plan = incrementalize_plan(strategy.putdelta, name,
+                                             lvgn=False)
+        expected = [r for rule in strategy.constraints()
+                    for r in _delta_form(rule, name)]
+        assert expected and \
+            [c.rule for c in plan.constraint_plans] == expected
+        for cplan in plan.constraint_plans:
+            first = cplan.rule_plan.steps[0]
+            assert isinstance(first, ScanStep) \
+                and first.pred in {insert_pred(name), delete_pred(name)}

@@ -54,13 +54,12 @@ class GateBackend(MemoryBackend):
         self.release = threading.Event()
 
     def evaluate_incremental_batch(self, entry, sources, view_handle,
-                                   delta, *, new_view_rows=None):
+                                   delta):
         if self.armed:
             self.entered.set()
             assert self.release.wait(WAIT), 'gate never released'
         return super().evaluate_incremental_batch(
-            entry, sources, view_handle, delta,
-            new_view_rows=new_view_rows)
+            entry, sources, view_handle, delta)
 
 
 def build_engine(luxury_strategy, *, execution='inline', backends=None):

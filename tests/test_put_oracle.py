@@ -1,0 +1,150 @@
+"""Runtime put oracle for the general-path (Appendix C) catalog entries.
+
+An engine that runs ∂put must answer every view statement as the
+reference semantics does, on a steady state (the ⊥-constraints hold and
+``put(S, get(S)) = S``): it raises :class:`ConstraintViolation` exactly
+when ``UpdateStrategy.check_constraints(S, V')`` raises, and otherwise
+commits ``UpdateStrategy.put(S, V')``.  The statements are view
+INSERTs, DELETEs and UPDATEs, and transactions that update two view
+rows at once, so ``+v`` and ``-v`` are combined.
+"""
+
+import random
+
+import pytest
+
+from repro.benchsuite.catalog import ALL_ENTRIES, entry_by_name
+from repro.core.lvgn import is_lvgn
+from repro.errors import ConstraintViolation
+from repro.rdbms.engine import Engine
+from repro.relational.database import Database
+from repro.relational.generators import random_database, random_rows
+
+#: The updatable entries whose ∂put is the Appendix-C construction.
+GENERAL_PATH = ('tracks1', 'bstudents', 'all_cars', 'newpc',
+                'activestudents', 'vw_customers', 'poi_view', 'products',
+                'koncerty', 'purchaseview', 'vehicle_view')
+SCALE = 20
+SEEDS = range(6)
+EDITS_PER_STATE = 16
+POOL = 3                # fresh values per view column and state
+
+
+def steady_states(entry, seeds=SEEDS):
+    """``(seed, S)`` for the empty state (seed -1, steady for every
+    entry) and each seed whose random state at ``SCALE`` is steady
+    under the entry's strategy."""
+    strategy = entry.strategy()
+    yield -1, Database()
+    for seed in seeds:
+        state = random_database(entry.sources, entry.sizes(SCALE),
+                                seed=seed, column_pools=entry.column_pools)
+        view = strategy.get(state)
+        try:
+            strategy.check_constraints(state, view)
+        except ConstraintViolation:
+            continue
+        if strategy.put(state, view) == state:
+            yield seed, state
+
+
+def _edit(rng: random.Random, rows: list, pools: list, attributes: tuple):
+    """One random transaction on the view: ``[(method, args), ...]``.
+    Values come from small per-column pools that hold the view's own
+    values, so an edit often collides with a row on a key."""
+    columns = [sorted({row[i] for row in rows} | set(pool), key=repr)
+               for i, pool in enumerate(pools)]
+
+    def where(row):
+        return dict(zip(attributes, row))
+
+    kind = rng.choice(('insert', 'delete', 'update', 'update2')) \
+        if rows else 'insert'
+    if kind == 'insert':
+        return [('insert', (tuple(map(rng.choice, columns)),))]
+    picked = rng.sample(rows, min(len(rows), 2 if kind == 'update2' else 1))
+    if kind == 'delete':
+        return [('delete', (where(picked[0]),))]
+    updates = []
+    for row in picked:
+        column = rng.randrange(len(attributes))
+        updates.append(('update', ({attributes[column]:
+                                    rng.choice(columns[column])},
+                                   where(row))))
+    return updates
+
+
+def _expected_view(view: frozenset, statements, attributes) -> frozenset:
+    """The view after ``statements``, one at a time."""
+    rows = set(view)
+    for method, args in statements:
+        if method == 'insert':
+            rows.add(args[0])
+            continue
+        target = tuple(args[-1][a] for a in attributes)
+        rows.remove(target)
+        if method == 'update':
+            rows.add(tuple(args[0].get(a, value)
+                           for a, value in zip(attributes, target)))
+    return frozenset(rows)
+
+
+def check_entry(name: str, backend: str, seeds=SEEDS,
+                edits: int = EDITS_PER_STATE) -> tuple[int, int]:
+    """Drive ``edits`` random transactions through an engine on each
+    steady state of ``seeds`` and compare every outcome with the
+    reference semantics.  Returns ``(edits compared, rejected)``."""
+    entry = entry_by_name(name)
+    strategy = entry.strategy()
+    compared = rejected = 0
+    for seed, state in steady_states(entry, seeds):
+        rng = random.Random(seed)
+        pools = list(zip(*random_rows(strategy.view, POOL, rng)))
+        with Engine(strategy.sources, backend=backend) as engine:
+            for relation in strategy.sources.names():
+                engine.load(relation, state[relation])
+            engine.define_view(strategy, validate_first=False)
+            assert engine.view(name).use_incremental
+            attributes = engine.view(name).schema.attributes
+            for _ in range(edits):
+                source = engine.database()
+                view = strategy.get(source)
+                if strategy.put(source, view) != source:
+                    break                   # no longer a steady state
+                statements = _edit(rng, sorted(view, key=repr), pools,
+                                   attributes)
+                new_view = _expected_view(view, statements, attributes)
+                try:
+                    strategy.check_constraints(source, new_view)
+                    expected = strategy.put(source, new_view)
+                except ConstraintViolation:
+                    expected = None
+                try:
+                    with engine.transaction() as txn:
+                        for method, args in statements:
+                            getattr(txn, method)(name, *args)
+                except ConstraintViolation:
+                    assert expected is None, \
+                        (name, seed, statements, 'engine rejected')
+                    assert engine.database() == source
+                    rejected += 1
+                else:
+                    assert expected is not None, \
+                        (name, seed, statements, 'engine accepted')
+                    assert engine.database() == expected, \
+                        (name, seed, statements)
+                compared += 1
+    return compared, rejected
+
+
+def test_general_path_list_is_the_catalog():
+    assert set(GENERAL_PATH) == {
+        entry.name for entry in ALL_ENTRIES if entry.expressible
+        and not is_lvgn(entry.strategy().putdelta, entry.name)}
+
+
+@pytest.mark.parametrize('backend', ['memory', 'sqlite'])
+@pytest.mark.parametrize('name', GENERAL_PATH)
+def test_engine_verdict_and_state_match_put(name, backend):
+    compared, _rejected = check_entry(name, backend)
+    assert compared > 0, f'no steady state for {name!r} at n={SCALE}'

@@ -80,8 +80,7 @@ class TestReplicaEngine:
 
             for method in ('evaluate_get',
                            'evaluate_incremental_batch',
-                           'evaluate_putback',
-                           'check_view_constraints'):
+                           'evaluate_putback'):
                 setattr(backend, method, poisoned)
             primary.insert('luxuryitems', (4, 'yacht', 90_000))
             with primary.transaction() as txn:

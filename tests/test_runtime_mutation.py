@@ -1,0 +1,52 @@
+"""Mutation tests for the ∂put derivation: a mutant must fail a test.
+
+Each mutant is applied by monkeypatch to :mod:`repro.core.incremental`
+and names the behavioural test that kills it — a test that passes on
+the real derivation and fails on the mutant.  No syntactic check of
+the derived program counts as a killer.
+"""
+
+import pytest
+
+from repro.core import incremental
+from repro.datalog.ast import Program
+from tests.test_engine import TestConstraints
+from tests.test_put_oracle import check_entry
+
+
+def _without_constraints(derive):
+    def mutant(putdelta, view):
+        return Program(derive(putdelta, view).proper_rules())
+    return mutant
+
+
+def _lvgn_violation(luxury_strategy) -> None:
+    TestConstraints().test_violating_insert_rejected(luxury_strategy, True)
+
+
+def _general_path_oracle(_luxury_strategy) -> None:
+    for backend in ('memory', 'sqlite'):
+        check_entry('vw_customers', backend, seeds=range(2))
+
+
+#: mutant -> (function of :mod:`repro.core.incremental` it replaces,
+#: the mutation, its killer)
+MUTANTS = {
+    # M1: LVGN's ⊥-rules dropped (Lemma 5.2's substitution skipped).
+    'lvgn-constraints-dropped': ('incrementalize_lvgn',
+                                 _without_constraints, _lvgn_violation),
+    # M1's twin: the delta form of the Appendix-C path's ⊥-rules dropped.
+    'general-constraints-dropped': ('incrementalize_general',
+                                    _without_constraints,
+                                    _general_path_oracle),
+}
+
+
+@pytest.mark.parametrize('mutant', MUTANTS)
+def test_mutant_is_killed(mutant, monkeypatch, luxury_strategy):
+    target, mutate, killer = MUTANTS[mutant]
+    killer(luxury_strategy)
+    monkeypatch.setattr(incremental, target,
+                        mutate(getattr(incremental, target)))
+    with pytest.raises((AssertionError, pytest.fail.Exception)):
+        killer(luxury_strategy)
