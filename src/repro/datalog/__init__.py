@@ -11,7 +11,7 @@ from repro.datalog.ast import (Atom, BuiltinLit, Const, Lit, Literal,
 from repro.datalog.dependency import (check_nonrecursive, dependency_graph,
                                       is_nonrecursive, stratify)
 from repro.datalog.evaluator import (constraint_violations, evaluate,
-                                     evaluate_query, execute_plan, holds)
+                                     evaluate_query, execute_plan)
 from repro.datalog.parser import parse_atom, parse_program, parse_rule
 from repro.datalog.plan import (ExecutionPlan, RulePlan, compile_program,
                                 compile_rule)
@@ -24,7 +24,7 @@ __all__ = [
     'Var', 'delete_pred', 'delta_base', 'insert_pred', 'is_anonymous',
     'is_delete_pred', 'is_delta_pred', 'is_insert_pred',
     'check_nonrecursive', 'dependency_graph', 'is_nonrecursive', 'stratify',
-    'constraint_violations', 'evaluate', 'evaluate_query', 'holds',
+    'constraint_violations', 'evaluate', 'evaluate_query',
     'execute_plan', 'ExecutionPlan', 'RulePlan', 'compile_program',
     'compile_rule',
     'parse_atom', 'parse_program', 'parse_rule', 'pretty',

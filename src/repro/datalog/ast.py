@@ -263,10 +263,6 @@ class Rule:
     def is_constraint(self) -> bool:
         return self.head is None
 
-    @property
-    def head_pred(self) -> str | None:
-        return None if self.head is None else self.head.pred
-
     def positive_atoms(self) -> tuple[Atom, ...]:
         return tuple(l.atom for l in self.body
                      if isinstance(l, Lit) and l.positive)

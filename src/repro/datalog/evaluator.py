@@ -27,8 +27,8 @@ plan's step tuple with a recursive cursor, is the reference tier:
 ``REPRO_SEALED=0`` pins it (the differential tests compare the two).
 
 Semantics are set-based, matching §3.1.  The historical entry points
-(:func:`evaluate`, :func:`evaluate_rule`, :func:`evaluate_query`,
-:func:`holds`, :func:`constraint_violations`) are kept as thin wrappers
+(:func:`evaluate`, :func:`evaluate_query`,
+:func:`constraint_violations`) are kept as thin wrappers
 that compile (with memoization) and execute; long-lived callers such as
 the RDBMS engine hold plans directly and skip the compile step
 entirely.
@@ -44,12 +44,11 @@ from typing import Collection
 from repro.datalog.ast import Program, Rule
 from repro.datalog.plan import (CompareStep, ExecutionPlan, NegationStep,
                                 ProbeStep, RulePlan, ScanStep,
-                                compile_program, compile_rule)
+                                compile_program)
 from repro.errors import SchemaError
 from repro.relational.database import Database
 
-__all__ = ['evaluate', 'evaluate_rule', 'evaluate_query',
-           'holds', 'constraint_violations', 'execute_plan',
+__all__ = ['evaluate', 'evaluate_query', 'constraint_violations', 'execute_plan',
            'execute_goal', 'execute_constraints', 'IndexedRelation']
 
 Row = tuple
@@ -766,23 +765,9 @@ def evaluate(program: Program, edb, *,
     return execute_plan(plan, edb, goals=goals)
 
 
-def evaluate_rule(rule: Rule, edb: Database) -> frozenset:
-    """Evaluate a single rule over ``edb`` (body predicates must be EDB)."""
-    rule_plan = compile_rule(rule)
-    ctx = _PlanContext(edb)
-    rows: set[Row] = set()
-    _run_rule(rule_plan, ctx, rows)
-    return frozenset(rows)
-
-
 def evaluate_query(program: Program, edb: Database, goal: str) -> frozenset:
     """Evaluate the Datalog query ``(program, goal)`` (§2.1)."""
     return evaluate(program, edb)[goal]
-
-
-def holds(program: Program, edb: Database, goal: str) -> bool:
-    """True when the goal relation is nonempty over ``edb``."""
-    return bool(evaluate_query(program, edb, goal))
 
 
 def constraint_violations(program: Program, edb

@@ -487,7 +487,7 @@ def compile_rule(rule: Rule, *, idb: frozenset = frozenset(),
     ``idb`` informs the static scheduler which body predicates are
     derived (and therefore lazily materialised) in the enclosing
     program; passing the default compiles the rule as if every body
-    predicate were EDB, which is the :func:`evaluate_rule` contract.
+    predicate were EDB.
     ``stats`` optionally carries observed relation cardinalities to
     break the scheduler's remaining ties.
     """

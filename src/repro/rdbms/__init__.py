@@ -11,8 +11,7 @@ the existing RPC channel)."""
 from repro.rdbms.dml import (Delete, Insert, Statement, Update,
                              derive_view_delta)
 from repro.rdbms.engine import Engine, Transaction, ViewEntry
-from repro.rdbms.metrics import (MetricsRegistry, merge_snapshots,
-                                 summarize_snapshot)
+from repro.rdbms.metrics import MetricsRegistry, merge_snapshots
 from repro.rdbms.peernet import (Peer, PeerCrashed, PeerGap, PeerNetwork,
                                  ShareDelta, converged)
 from repro.rdbms.replica import ReplicaEngine, ReplicaSet
@@ -26,6 +25,6 @@ __all__ = ['Delete', 'Insert', 'Statement', 'Update', 'derive_view_delta',
            'Partitioner', 'HashPartitioner', 'RangePartitioner',
            'Receipt', 'ViewServer', 'WriteAheadLog', 'WalRecord',
            'ReplicaEngine', 'ReplicaSet', 'MetricsRegistry',
-           'merge_snapshots', 'summarize_snapshot',
+           'merge_snapshots',
            'Peer', 'PeerNetwork', 'PeerGap', 'PeerCrashed', 'ShareDelta',
            'converged']

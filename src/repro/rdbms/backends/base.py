@@ -189,21 +189,20 @@ class Backend(ABC):
         derives for both incrementalization paths: they read ``±v``,
         so they hold on ``(S, V')`` only in a steady state — one where
         the constraints held before the update.  The engine's batched
-        pipeline composes every staged delta of a view (``Delta.then``)
-        and calls this exactly once per touched view per transaction,
+        pipeline composes every staged delta of a view
+        (:class:`~repro.relational.delta.Composition`) and calls this exactly once per touched view per transaction,
         with ``delta`` the merged multi-row effective delta — a single
         statement is a one-element batch."""
 
     @abstractmethod
     def evaluate_putback(self, entry: 'ViewEntry',
                          sources: Mapping[str, object],
-                         view_rows, *,
-                         check_constraints: bool = False) -> DeltaSet:
+                         view_rows) -> DeltaSet:
         """Evaluate the full putback program over ``S ∪ {v'}``.
 
-        With ``check_constraints``, the strategy's ⊥-rules are checked
-        against the same staged inputs first (one staging/freeze pass
-        for both steps), raising :class:`ConstraintViolation`."""
+        The strategy's ⊥-rules are checked against the same staged
+        inputs first (one staging/freeze pass for both steps), raising
+        :class:`ConstraintViolation`."""
 
     def close(self) -> None:
         """Release backend resources (the SQLite connection, stored
@@ -261,9 +260,7 @@ class Backend(ABC):
 
     def _interp_putback(self, entry: 'ViewEntry',
                         sources: Mapping[str, object],
-                        view_rows, *,
-                        check_constraints: bool = False) -> DeltaSet:
+                        view_rows) -> DeltaSet:
         frozen = self._frozen_sources(sources)
-        if check_constraints:
-            entry.strategy.check_constraints(frozen, view_rows)
+        entry.strategy.check_constraints(frozen, view_rows)
         return entry.strategy.compute_delta(frozen, view_rows)

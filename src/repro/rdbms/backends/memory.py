@@ -144,7 +144,5 @@ class MemoryBackend(Backend):
                                         delta)
 
     def evaluate_putback(self, entry, sources: Mapping[str, object],
-                         view_rows, *,
-                         check_constraints: bool = False) -> DeltaSet:
-        return self._interp_putback(entry, sources, view_rows,
-                                    check_constraints=check_constraints)
+                         view_rows) -> DeltaSet:
+        return self._interp_putback(entry, sources, view_rows)

@@ -482,12 +482,11 @@ class SQLiteBackend(Backend):
         (_, sql), = prog.delta_sql
         return frozenset(tuple(r) for r in cur.execute(sql))
 
-    def _deltas_on(self, cur, prog: _ProgramSQL, entry,
-                   check_constraints: bool) -> DeltaSet:
+    def _deltas_on(self, cur, prog: _ProgramSQL, entry) -> DeltaSet:
         # fetchone: SQLite produces witness rows lazily, so the check
         # short-circuits at the first violation instead of
         # materialising every witness.
-        for rule, sql in prog.constraint_sql if check_constraints else ():
+        for rule, sql in prog.constraint_sql:
             witness = cur.execute(sql).fetchone()
             if witness is not None:
                 raise ConstraintViolation(pretty_rule(rule),
@@ -559,23 +558,19 @@ class SQLiteBackend(Backend):
         inputs[name] = view_handle
         return self._sql_or_interpreted(
             entry, 'incremental', inputs,
-            lambda cur, prog: self._deltas_on(cur, prog, entry, True),
+            lambda cur, prog: self._deltas_on(cur, prog, entry),
             lambda: self._interp_incremental(entry, sources, view_handle,
                                              delta))
 
     @_locked
     def evaluate_putback(self, entry, sources: Mapping[str, object],
-                         view_rows, *,
-                         check_constraints: bool = False) -> DeltaSet:
+                         view_rows) -> DeltaSet:
         inputs = dict(sources)
         inputs[entry.name] = view_rows
         return self._sql_or_interpreted(
             entry, 'putback', inputs,
-            lambda cur, prog: self._deltas_on(cur, prog, entry,
-                                              check_constraints),
-            lambda: self._interp_putback(
-                entry, sources, view_rows,
-                check_constraints=check_constraints))
+            lambda cur, prog: self._deltas_on(cur, prog, entry),
+            lambda: self._interp_putback(entry, sources, view_rows))
 
     # -- introspection / lifecycle ------------------------------------
 

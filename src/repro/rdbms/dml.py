@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Mapping, Sequence, Union
 
 from repro.errors import SchemaError, ViewUpdateError
-from repro.relational.delta import Delta
+from repro.relational.delta import Composition, Delta
 from repro.relational.schema import RelationSchema
 
 __all__ = ['Insert', 'Delete', 'Update', 'Statement', 'derive_view_delta',
@@ -144,9 +144,10 @@ def _apply_assignments(row: tuple, assignments: Mapping[str, object],
     return tuple(named[a] for a in schema.attributes)
 
 
-class _RunningState:
-    """The view state mid-sequence — ``(current \\ minus) ∪ plus`` —
-    without ever copying ``current`` (it can be a large live table).
+class _RunningState(Composition):
+    """The view state mid-sequence — ``(current \\ deletions) ∪
+    insertions``, the statements' deltas composed so far — without
+    ever copying ``current`` (it can be a large live table).
 
     ``probe(positions, key)`` — :meth:`IndexedRelation.lookup
     <repro.datalog.evaluator.IndexedRelation.lookup>` of the relation
@@ -154,20 +155,13 @@ class _RunningState:
     bucket instead of iterating ``current``; it may answer None for
     "no index after all"."""
 
+    __slots__ = ('current', 'probe', 'metrics')
+
     def __init__(self, current, probe=None, metrics=None):
+        super().__init__()
         self.current = current
         self.probe = probe
         self.metrics = metrics
-        self.plus: set = set()
-        self.minus: set = set()
-
-    def __iter__(self):
-        for row in self.current:
-            if row not in self.minus:
-                yield row
-        for row in self.plus:
-            if row not in self.current:
-                yield row
 
     def matching(self, where, schema: RelationSchema) -> list:
         """Rows satisfying ``where``.  A fully keyed mapping is a
@@ -184,7 +178,8 @@ class _RunningState:
             row = tuple(where[a] for a in schema.attributes)
             return [row] if self.contains(row) else []
         match = compile_where(where, schema)
-        current, plus, minus = self.current, self.plus, self.minus
+        current, plus, minus = \
+            self.current, self.insertions, self.deletions
         # The bucket only narrows the candidates (it holds every row
         # equal to the key under ``==``, since equal values hash
         # equal); ``match`` still decides, exactly as in the scan.
@@ -226,20 +221,9 @@ class _RunningState:
         return self.probe(tuple(position for position, _ in pairs), key)
 
     def contains(self, row: tuple) -> bool:
-        if row in self.plus:
+        if row in self.insertions:
             return True
-        return row in self.current and row not in self.minus
-
-    def apply(self, d_plus, d_minus) -> None:
-        if not d_minus:
-            # Pure insert (the per-statement common case): update in
-            # place instead of rebuilding both sets.
-            self.plus |= d_plus
-            if d_plus:
-                self.minus -= d_plus
-            return
-        self.plus = (self.plus - d_minus) | d_plus
-        self.minus = (self.minus - d_plus) | d_minus
+        return row in self.current and row not in self.deletions
 
 
 def _statement_deltas(statement: Statement, state: _RunningState,
@@ -271,11 +255,9 @@ def derive_view_delta(statements: Sequence[Statement], current,
     """Algorithm 2: fold a statement sequence into one view delta.
 
     Each statement's (δ⁺, δ⁻) is derived against the *running* view state
-    (earlier statements already applied) and merged with
-
-        Δ⁺ ← (Δ⁺ \\ δ⁻) ∪ δ⁺        Δ⁻ ← (Δ⁻ \\ δ⁺) ∪ δ⁻
-
-    so later statements take precedence.  The returned delta is effective
+    (earlier statements already applied) and merged by sequential
+    composition (:class:`~repro.relational.delta.Composition`), so
+    later statements take precedence.  The returned delta is effective
     with respect to ``current`` (insertions not yet present, deletions
     present), and ``current`` is never copied.
 
@@ -299,9 +281,6 @@ def derive_view_delta(statements: Sequence[Statement], current,
         return Delta(frozenset((row,)), _EMPTY_ROWS)
     state = _RunningState(current, probe, metrics)
     for statement in statements:
-        d_plus, d_minus = _statement_deltas(statement, state, schema)
-        state.apply(d_plus, d_minus)
-    return Delta(frozenset(r for r in state.plus
-                           if r not in state.current),
-                 frozenset(r for r in state.minus
-                           if r in state.current))
+        state.then(*_statement_deltas(statement, state, schema))
+    return Delta(frozenset(r for r in state.insertions if r not in current),
+                 frozenset(r for r in state.deletions if r in current))

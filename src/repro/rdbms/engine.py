@@ -33,8 +33,8 @@ in the paper.
 The transaction pipeline is *delta-batched*: statement buckets only
 derive and stage view deltas (Algorithm 2, visible to later statements
 in the same transaction); the staged deltas of each touched view are
-coalesced by sequential composition (:meth:`~repro.relational.delta.
-Delta.then`) and the view's incremental/putback plan runs **once** per
+coalesced by sequential composition (:class:`~repro.relational.delta.
+Composition`) and the view's incremental/putback plan runs **once** per
 transaction over the merged effective delta.  The pending queue drains
 in first-staged (bucket) order — which respects the view dependency
 topology precomputed at ``define_view`` time
@@ -73,11 +73,11 @@ from repro.rdbms.dml import (Delete, Insert, Statement, Update,
 from repro.rdbms.metrics import MetricsRegistry
 from repro.rdbms.wal import WriteAheadLog
 from repro.relational.database import Database
-from repro.relational.delta import Delta
+from repro.relational.delta import Composition, Delta
 from repro.relational.schema import DatabaseSchema, RelationSchema
 
-__all__ = ['Engine', 'Transaction', 'ViewEntry', 'PreparedCommit',
-           'coalesce_buckets', 'unpack_commit']
+__all__ = ['Engine', 'DmlSurface', 'Transaction', 'ViewEntry',
+           'PreparedCommit', 'coalesce_buckets', 'unpack_commit']
 
 #: Re-plan a view's compiled plans when a source relation's observed
 #: cardinality drifts this far (either direction) from the stats the
@@ -188,35 +188,6 @@ def unpack_commit(data: tuple) -> tuple:
     return batch, changed_bases, keep, note
 
 
-class _StagedDelta:
-    """The mutable per-relation accumulator behind ``_Working.deltas``.
-
-    Composing N staged single-row deltas through the immutable
-    :meth:`Delta.then` rebuilds the accumulated frozensets every time —
-    O(N²) on a 100-statement transaction.  This accumulator applies the
-    same composition in place and duck-types the read surface commit
-    and the backends use (``insertions``/``deletions``/``is_empty``);
-    it never escapes the transaction that created it."""
-
-    __slots__ = ('insertions', 'deletions')
-
-    def __init__(self, delta: Delta):
-        self.insertions = set(delta.insertions)
-        self.deletions = set(delta.deletions)
-
-    def then_in_place(self, later: Delta) -> None:
-        """In-place :meth:`Delta.then`: later statements win."""
-        if later.deletions:
-            self.insertions -= later.deletions
-        if later.insertions:
-            self.insertions |= later.insertions
-            self.deletions -= later.insertions
-        self.deletions |= later.deletions
-
-    def is_empty(self) -> bool:
-        return not self.insertions and not self.deletions
-
-
 def coalesce_buckets(batches: Sequence[tuple[str, Sequence[Statement]]]
                      ) -> list[tuple[str, list[Statement]]]:
     """Merge *adjacent* statement buckets on the same target into one.
@@ -256,17 +227,17 @@ class _Working:
 
     def __init__(self, engine: 'Engine'):
         self.engine = engine
-        self.deltas: dict[str, _StagedDelta] = {}
+        self.deltas: dict[str, Composition] = {}
         self.note: object = None
         self.touched_views: set[str] = set()
         self.base_origins: dict[str, set[str]] = {}
         self.view_origins: dict[str, set[str]] = {}
         self._materialized: dict[str, set] = {}
         # Batched translation state, per view with untranslated deltas:
-        # the staged effective deltas in order, the origins that
-        # contributed them, and the pre-delta view state the single
-        # plan run reads as ``v``.
-        self.pending: dict[str, list[Delta]] = {}
+        # the composition of its staged effective deltas, the origins
+        # that contributed them, and the pre-delta view state the
+        # single plan run reads as ``v``.
+        self.pending: dict[str, Composition] = {}
         self.pending_origins: dict[str, set[str]] = {}
         self.pending_state: dict[str, tuple] = {}
 
@@ -337,11 +308,10 @@ class _Working:
         engine.backend.check_storable(
             engine._views[name].schema if is_view else engine.schema[name],
             delta.insertions)
-        prior = self.deltas.get(name)
-        if prior is None:
-            self.deltas[name] = _StagedDelta(delta)
-        else:
-            prior.then_in_place(delta)
+        staged = self.deltas.get(name)
+        if staged is None:
+            staged = self.deltas[name] = Composition()
+        staged.then(delta.insertions, delta.deletions)
         overlay = self._materialized.get(name)
         if overlay is not None:
             overlay -= delta.deletions
@@ -353,7 +323,59 @@ class _Working:
             self.base_origins.setdefault(name, set()).update(origins)
 
 
-class Engine:
+class DmlSurface:
+    """What :class:`Engine` and the sharded engine share above their
+    transaction pipelines: the statement shorthands, each one a
+    one-bucket :meth:`execute_many`, and the checks ``define_view``
+    runs before it compiles anything.  A subclass supplies ``schema``,
+    ``is_view`` and ``execute_many``."""
+
+    def insert(self, target: str, values: tuple) -> None:
+        self.execute(target, [Insert(tuple(values))])
+
+    def delete(self, target: str, where=None) -> None:
+        self.execute(target, [Delete(where)])
+
+    def update(self, target: str, assignments: Mapping[str, object],
+               where=None) -> None:
+        self.execute(target, [Update(assignments, where)])
+
+    def transaction(self) -> 'Transaction':
+        return Transaction(self)
+
+    def execute(self, target: str, statements: Sequence[Statement]) -> None:
+        """Run a statement sequence against one relation, atomically."""
+        self.execute_many([(target, statements)])
+
+    def _certify_view(self, strategy: UpdateStrategy,
+                      report: ValidationReport | None,
+                      validate_first: bool) -> tuple:
+        """``(report, view definition)`` for a new view, or raise: the
+        name must be free, every relation the strategy updates must
+        exist, and the definition is the certified one of ``report``
+        (computed here under ``validate_first``) or, unvalidated,
+        ``strategy.expected_get``."""
+        name = strategy.view.name
+        if name in self.schema or self.is_view(name):
+            raise SchemaError(f'relation {name!r} already exists')
+        for source in strategy.updated_relations():
+            if source not in self.schema and not self.is_view(source):
+                raise SchemaError(
+                    f'view {name!r} updates unknown relation {source!r}')
+        if report is None and validate_first:
+            report = validate(strategy)
+        if report is not None:
+            report.raise_if_invalid()
+            get_program = report.view_definition
+        else:
+            get_program = strategy.expected_get
+        if get_program is None:
+            raise ValidationError(
+                f'no certified view definition available for {name!r}')
+        return report, get_program
+
+
+class Engine(DmlSurface):
     """Base tables + updatable views, with atomic cascading updates.
 
     ``backend`` selects the storage/execution substrate by name
@@ -680,24 +702,8 @@ class Engine:
         name = strategy.view.name
         if exist_ok and name in self._views:
             return self._views[name]
-        if name in self.schema or name in self._views:
-            raise SchemaError(f'relation {name!r} already exists')
-        for source in strategy.updated_relations():
-            if source not in self.schema and source not in self._views:
-                raise SchemaError(
-                    f'view {name!r} updates unknown relation {source!r}')
-        if report is not None:
-            report.raise_if_invalid()
-            get_program = report.view_definition
-        elif validate_first:
-            report = validate(strategy)
-            report.raise_if_invalid()
-            get_program = report.view_definition
-        else:
-            get_program = strategy.expected_get
-        if get_program is None:
-            raise ValidationError(
-                f'no certified view definition available for {name!r}')
+        report, get_program = self._certify_view(strategy, report,
+                                                 validate_first)
 
         metrics = self.metrics
         compile_started = perf_counter() if metrics.enabled else 0.0
@@ -871,25 +877,6 @@ class Engine:
 
     # -- DML -------------------------------------------------------------------
 
-    def insert(self, target: str, values: tuple) -> None:
-        self.execute(target, [Insert(tuple(values))])
-
-    def delete(self, target: str, where=None) -> None:
-        self.execute(target, [Delete(where)])
-
-    def update(self, target: str, assignments: Mapping[str, object],
-               where=None) -> None:
-        self.execute(target, [Update(assignments, where)])
-
-    def transaction(self) -> 'Transaction':
-        return Transaction(self)
-
-    def execute(self, target: str, statements: Sequence[Statement]) -> None:
-        """Run a statement sequence against one relation, atomically."""
-        working = self.begin()
-        self.apply_statements(working, target, statements)
-        self._commit(working)
-
     def execute_many(self, batches: Sequence[tuple[str,
                                                    Sequence[Statement]]],
                      *, note: object = None) -> None:
@@ -975,10 +962,10 @@ class Engine:
         if effective.is_empty():
             return
         if name not in working.pending:
-            working.pending[name] = []
+            working.pending[name] = Composition()
             working.pending_origins[name] = set()
             working.pending_state[name] = working.pre_state(name)
-        working.pending[name].append(effective)
+        working.pending[name].then(effective.insertions, effective.deletions)
         working.pending_origins[name].update(origins)
         working.stage(name, effective, is_view=True, origins=origins)
         if not self.batch_deltas:
@@ -1014,17 +1001,17 @@ class Engine:
         checks its own ⊥-rules first — and stage — or queue, for source
         views — the resulting ΔS."""
         staged = working.pending.pop(name, None)
-        if not staged:
+        if staged is None:
             return
         view_handle, pre_rows = working.pending_state.pop(name)
         origins = working.pending_origins.pop(name)
         entry = self._views[name]
         self._maybe_replan(entry)
-        merged = Delta.compose(staged)
         # Re-projecting onto the pre-delta state drops write-then-undo
         # artifacts of the composition (a row deleted and re-inserted
         # contributes nothing net).
-        effective = merged.effective_on(pre_rows)
+        effective = Delta(staged.insertions,
+                          staged.deletions).effective_on(pre_rows)
         if effective.is_empty():
             return
         sources = {s: working.relation_for_eval(s)
@@ -1037,8 +1024,7 @@ class Engine:
                 entry, sources, view_handle, effective)
         else:
             deltas = self.backend.evaluate_putback(
-                entry, sources, working.rows(name),
-                check_constraints=True)
+                entry, sources, working.rows(name))
         if metrics.enabled:
             metrics.counter('txn.plan_runs')
             metrics.observe('txn.flush_seconds',

@@ -11,7 +11,7 @@ holds three kinds of series:
 * **histograms** — streaming latency/size distributions.  Each keeps
   exact ``count``/``sum``/``min``/``max`` plus a bounded reservoir of
   recent samples from which percentiles are computed on demand
-  (:func:`summarize_latencies`).
+  (:func:`percentile`).
 
 Snapshots are plain dicts (picklable — worker processes ship theirs
 back over the existing RPC channel) and :func:`merge_snapshots` folds
@@ -27,17 +27,14 @@ writes when enabled (``tests/test_metrics.py::TestInstrumentationCost``).
 
 from __future__ import annotations
 
-import statistics
 import threading
-from typing import Iterable, Sequence
+from typing import Sequence
 
 __all__ = [
     'MetricsRegistry',
     'GLOBAL',
     'merge_snapshots',
     'percentile',
-    'summarize_latencies',
-    'summarize_snapshot',
 ]
 
 #: Reservoir low-water mark per histogram.  Aggregates (count/sum/
@@ -185,39 +182,3 @@ def percentile(samples: Sequence[float], q: float) -> float:
     return ordered[low] + (ordered[low + 1] - ordered[low]) * frac
 
 
-def summarize_latencies(seconds: Iterable[float]) -> dict:
-    """Summarise per-operation latencies (in seconds) in milliseconds:
-    P50/P95/P99, mean, max and the sample count."""
-    samples = [s * 1000.0 for s in seconds]
-    return {
-        'n': len(samples),
-        'mean_ms': statistics.fmean(samples),
-        'p50_ms': percentile(samples, 50),
-        'p95_ms': percentile(samples, 95),
-        'p99_ms': percentile(samples, 99),
-        'max_ms': max(samples),
-    }
-
-
-def summarize_snapshot(snapshot: dict) -> dict:
-    """Replace each histogram's raw reservoir with a latency-style
-    percentile summary (JSON/report friendly).  Values are kept in
-    the unit they were observed in; the summary's ``*_ms`` keys
-    therefore read as milliseconds only for seconds-valued series
-    (sizes keep their unit, scaled by 1000 — use ``mean`` instead)."""
-    out = {'counters': dict(snapshot.get('counters', {})),
-           'gauges': dict(snapshot.get('gauges', {})),
-           'histograms': {}}
-    for name, h in snapshot.get('histograms', {}).items():
-        count = h['count']
-        summary = {
-            'count': count,
-            'sum': h['sum'],
-            'min': h['min'],
-            'max': h['max'],
-            'mean': (h['sum'] / count) if count else 0.0,
-        }
-        if h['reservoir']:
-            summary['percentiles'] = summarize_latencies(h['reservoir'])
-        out['histograms'][name] = summary
-    return out

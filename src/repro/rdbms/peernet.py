@@ -325,10 +325,6 @@ class Peer:
         ``(sender, view)`` link — the delivery resume point."""
         return self._watermarks.get((sender, view), 0)
 
-    @property
-    def watermarks(self) -> dict:
-        return dict(self._watermarks)
-
     def receive(self, delta: ShareDelta) -> str:
         """Apply one shipped delta through this peer's own putback
         strategy.  Returns ``'applied'``, ``'duplicate'`` or

@@ -41,11 +41,12 @@ partitioned and pinned.
 **Routing.**  INSERTs route by the inserted row's key; DELETEs route by
 a key-binding WHERE or broadcast; UPDATEs that do not touch the shard
 key broadcast (rows cannot move); UPDATEs that *assign* the shard key
-are derived centrally — the matched rows are gathered from every
-shard's transaction state and re-emitted as per-shard DELETE + INSERT
-statements on the owning shards (``Delta.split`` is the same operation
-at the delta level).  ``get`` answers by scatter-gather union over the
-per-shard view caches.
+are derived centrally — the target's rows are gathered from every
+shard's transaction state, the single engine's ``derive_view_delta``
+derives the UPDATE's delta from them, ``Delta.split`` routes it, and
+each owning shard receives its share as DELETE + INSERT statements.
+``get`` answers by scatter-gather union over the per-shard view
+caches.
 
 **Atomicity.**  A transaction prepares every touched shard first (plan
 runs, ⊥-constraint checks, schema validation — everything that can
@@ -146,7 +147,7 @@ half-committed (ROADMAP item 15).  A process cluster
 *without* ``wal_dir`` recovers its workers the same way, from unsynced
 logs in a temporary directory the engine owns and removes on
 :meth:`ShardedEngine.close` — nothing outlives the engine.
-``commit_lsns()`` and read-replica routing work uniformly across both
+``commit_lsn`` and read-replica routing work uniformly across both
 modes (process-mode replicas tail the shard logs by file path).
 ``rpc_timeout`` turns a *wedged* worker into
 :class:`~repro.errors.ShardUnavailableError` instead of a hung
@@ -167,13 +168,13 @@ from pathlib import Path
 from typing import Iterable, Mapping, Sequence
 
 from repro.core.strategy import UpdateStrategy
-from repro.core.validation import ValidationReport, validate
+from repro.core.validation import ValidationReport
 from repro.errors import SchemaError, ShardUnavailableError
 from repro.rdbms.backends import (create_shard_backends,
                                   shard_backend_specs)
 from repro.rdbms.dml import (Delete, Insert, Statement, Update,
-                             _apply_assignments, compile_where)
-from repro.rdbms.engine import (Engine, PreparedCommit, Transaction,
+                             derive_view_delta)
+from repro.rdbms.engine import (DmlSurface, Engine, PreparedCommit,
                                 ViewEntry, coalesce_buckets, unpack_commit)
 from repro.rdbms.metrics import GLOBAL, MetricsRegistry, merge_snapshots
 from repro.rdbms.placement import (HashPartitioner, Partitioner,
@@ -182,7 +183,6 @@ from repro.rdbms.placement import (HashPartitioner, Partitioner,
 from repro.rdbms.procpool import LocalShard, ProcessPool
 from repro.rdbms.replica import ReplicaEngine, ReplicaSet
 from repro.relational.database import Database
-from repro.relational.delta import Delta
 from repro.relational.schema import DatabaseSchema, RelationSchema
 
 __all__ = ['Partitioner', 'HashPartitioner', 'RangePartitioner',
@@ -222,7 +222,7 @@ class _ClusterTxn:
 # ---------------------------------------------------------------------------
 
 
-class ShardedEngine:
+class ShardedEngine(DmlSurface):
     """N inner engines over key-range partitions, one backend each.
 
     Drop-in for :class:`~repro.rdbms.engine.Engine` on the DML surface
@@ -496,7 +496,7 @@ class ShardedEngine:
 
     def _shard_min_lsns(self, min_lsn) -> list:
         """Normalise a read bound: ``None``, one int for every shard,
-        or a per-shard sequence (what :meth:`commit_lsns` returned)."""
+        or a per-shard sequence (what :attr:`commit_lsn` returned)."""
         if min_lsn is None or isinstance(min_lsn, int):
             return [min_lsn] * self.n_shards
         bounds = list(min_lsn)
@@ -512,7 +512,7 @@ class ShardedEngine:
         With read replicas attached the fan-out lands on them instead
         of the primaries (which then only see the write path);
         ``min_lsn`` (an int, or the per-shard tuple from
-        :meth:`commit_lsns`) is the read-your-writes bound.  A primary's
+        :attr:`commit_lsn`) is the read-your-writes bound.  A primary's
         ``rows`` copies under the shard lock (or is serialised by the
         worker), so an apply phase cannot mutate the rows mid-copy.
         The snapshot is built in one pass over the reads: each
@@ -531,20 +531,15 @@ class ShardedEngine:
         return frozenset(reads[0]) if place is not None \
             else frozenset().union(*reads)
 
-    def commit_lsns(self) -> tuple[int, ...]:
+    @property
+    def commit_lsn(self) -> tuple[int, ...]:
         """Per-shard committed LSNs (zeros where a shard keeps no log:
         in-process shards without ``wal_dir``) — pass the
         tuple back to :meth:`rows` as ``min_lsn`` to read your own
-        writes through the replicas."""
+        writes through the replicas.  :attr:`Engine.commit_lsn`'s name;
+        the sharded commit point is a vector."""
         return tuple(self._scatter((shard, 'commit_lsn')
                                    for shard in self.shards))
-
-    @property
-    def commit_lsn(self) -> tuple[int, ...]:
-        """Alias for :meth:`commit_lsns` (uniform surface with
-        :attr:`Engine.commit_lsn`; the sharded commit point is a
-        vector)."""
-        return self.commit_lsns()
 
     def shard_rows(self, name: str) -> tuple[frozenset, ...]:
         """Per-shard contents of ``name`` (diagnostics and tests)."""
@@ -637,16 +632,8 @@ class ShardedEngine:
         name = strategy.view.name
         if exist_ok and name in self._entries:
             return self._entries[name]
-        if name in self.schema or name in self._entries:
-            raise SchemaError(f'relation {name!r} already exists')
-        for source in strategy.updated_relations():
-            if source not in self.schema and source not in self._entries:
-                raise SchemaError(
-                    f'view {name!r} updates unknown relation {source!r}')
-        if report is None and validate_first:
-            report = validate(strategy)
-        get_program = report.view_definition if report is not None \
-            else strategy.expected_get
+        report, get_program = self._certify_view(strategy, report,
+                                                 validate_first)
         placement, demotions = decide_placement(
             strategy, get_program, self._pending_keys.get(name),
             schema=self.schema, entries=self._entries,
@@ -760,22 +747,6 @@ class ShardedEngine:
         return merge_snapshots(snapshots)
 
     # -- DML -----------------------------------------------------------
-
-    def insert(self, target: str, values: tuple) -> None:
-        self.execute(target, [Insert(tuple(values))])
-
-    def delete(self, target: str, where=None) -> None:
-        self.execute(target, [Delete(where)])
-
-    def update(self, target: str, assignments: Mapping[str, object],
-               where=None) -> None:
-        self.execute(target, [Update(assignments, where)])
-
-    def transaction(self) -> Transaction:
-        return Transaction(self)
-
-    def execute(self, target: str, statements: Sequence[Statement]) -> None:
-        self.execute_many([(target, statements)])
 
     def execute_many(self, batches: Sequence[tuple[str,
                                                    Sequence[Statement]]]
@@ -1066,9 +1037,10 @@ class ShardedEngine:
 
     def _route_moving_update(self, txn: _ClusterTxn, target: str,
                              statement: Update) -> None:
-        """An UPDATE that assigns the shard key: gather the matched
-        rows from every shard's transaction state, apply the
-        assignments centrally into one (Δ⁺, Δ⁻) pair, split it by the
+        """An UPDATE that assigns the shard key: gather the target's
+        rows from every shard's transaction state, derive the UPDATE's
+        (Δ⁺, Δ⁻) from them with the single engine's
+        :func:`~repro.rdbms.dml.derive_view_delta`, split it by the
         partition predicate (:meth:`Delta.split` — deletions route by
         the old row's owner, insertions by the new row's), and re-emit
         each shard's share as DELETE + INSERT statements.
@@ -1076,29 +1048,20 @@ class ShardedEngine:
         The gather is a synchronous read, so every pipelined outcome
         submitted before it must surface first (:meth:`_barrier`) — a
         failed earlier translation stops the derivation exactly where
-        it stops the serial loop.  The per-shard reads themselves stay
-        serial in shard order: each shard's flush errors must
-        interleave with its rows' validation errors the way the serial
-        loop produces them."""
+        it stops the serial loop.  Every shard's read (and so its flush
+        errors) comes before the derivation's own errors, as on a
+        single node, where the flush gate drains before the UPDATE
+        reads its target."""
         schema = self._target_schema(target)
         key_attr = self._keys[target][1]
         pinned = self._where_shard(target, statement.where, key_attr)
         shards = range(self.n_shards) if pinned is None else (pinned,)
         self._barrier(txn)
-        victims: set = set()
-        replacements: set = set()
-        match = compile_where(statement.where, schema)
+        rows: set = set()
         for index in shards:
-            handle = self._handle(txn, index)
-            for row in self.shards[index].txn_rows(handle, target):
-                if not match(row):
-                    continue
-                new_row = _apply_assignments(row, statement.assignments,
-                                             schema)
-                schema.validate_tuple(new_row)
-                victims.add(row)
-                replacements.add(new_row)
-        moved = Delta(replacements, victims)
+            rows.update(self.shards[index].txn_rows(
+                self._handle(txn, index), target))
+        moved = derive_view_delta([statement], rows, schema)
         merged: dict[int, list[Statement]] = {}
         for index, part in sorted(
                 moved.split(self.classifier(target)).items()):

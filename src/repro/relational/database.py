@@ -44,10 +44,6 @@ class Database:
     def from_dict(cls, data: Mapping[str, Iterable[Row]]) -> 'Database':
         return cls(data)
 
-    @classmethod
-    def empty(cls) -> 'Database':
-        return cls({})
-
     # -- access ---------------------------------------------------------------
 
     def __getitem__(self, name: str) -> frozenset:
@@ -61,9 +57,6 @@ class Database:
 
     def names(self) -> set[str]:
         return set(self.relations)
-
-    def total_size(self) -> int:
-        return sum(len(rows) for rows in self.relations.values())
 
     def active_domain(self) -> set:
         """All constants appearing in any tuple of any relation."""
@@ -79,21 +72,6 @@ class Database:
         updated = dict(self.relations)
         updated[name] = _freeze(rows)
         return Database(updated)
-
-    def without(self, *names: str) -> 'Database':
-        return Database({n: rows for n, rows in self.relations.items()
-                         if n not in names})
-
-    def merge(self, other: 'Database') -> 'Database':
-        """Union per-relation; shared names are unioned tuple-wise."""
-        merged = dict(self.relations)
-        for name, rows in other.relations.items():
-            merged[name] = merged.get(name, frozenset()) | rows
-        return Database(merged)
-
-    def rename(self, mapping: Mapping[str, str]) -> 'Database':
-        return Database({mapping.get(n, n): rows
-                         for n, rows in self.relations.items()})
 
     # -- dunder -----------------------------------------------------------------
 

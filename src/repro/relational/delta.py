@@ -2,7 +2,8 @@
 
 A :class:`Delta` is the pair (Δ⁺R, Δ⁻R) of insertions and deletions for one
 relation; a :class:`DeltaSet` collects deltas for a whole database (the
-paper's ΔS).  Application follows set semantics::
+paper's ΔS); a :class:`Composition` folds a sequence of deltas into
+one.  Application follows set semantics::
 
     R' = R ⊕ ΔR = (R \\ Δ⁻R) ∪ Δ⁺R
 
@@ -14,14 +15,14 @@ putback program's result becomes an update.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, Iterator, Mapping, Sequence
+from typing import Iterable, Iterator, Mapping
 
 from repro.datalog.ast import (delta_base, is_delete_pred, is_delta_pred,
                                is_insert_pred)
 from repro.errors import ContradictionError
 from repro.relational.database import Database
 
-__all__ = ['Delta', 'DeltaSet', 'apply_delta']
+__all__ = ['Delta', 'DeltaSet', 'Composition', 'apply_delta']
 
 
 @dataclass(frozen=True)
@@ -67,25 +68,6 @@ class Delta:
             return self          # already fully effective: no new object
         return Delta(insertions, deletions)
 
-    def then(self, later: 'Delta') -> 'Delta':
-        """Sequential composition (the Algorithm 2 merge): the single
-        delta equivalent to applying ``self`` and then ``later``::
-
-            Δ⁺ ← (Δ⁺ \\ δ⁻) ∪ δ⁺        Δ⁻ ← (Δ⁻ \\ δ⁺) ∪ δ⁻
-
-        Later deltas take precedence; when both operands are free of
-        contradictions, so is the composition.  This is how the batched
-        transaction pipeline coalesces a view's staged deltas into the
-        one delta its plan runs over."""
-        if not (later.insertions or later.deletions):
-            return self
-        if not (self.insertions or self.deletions):
-            return later
-        return Delta((self.insertions - later.deletions)
-                     | later.insertions,
-                     (self.deletions - later.insertions)
-                     | later.deletions)
-
     def union(self, other: 'Delta') -> 'Delta':
         return Delta(self.insertions | other.insertions,
                      self.deletions | other.deletions)
@@ -105,40 +87,6 @@ class Delta:
         return {part: Delta(plus.get(part, ()), minus.get(part, ()))
                 for part in set(plus) | set(minus)}
 
-    @classmethod
-    def compose(cls, deltas: Sequence['Delta']) -> 'Delta':
-        """Sequential composition of a whole sequence — ``then`` folded
-        left, but accumulated in two mutable sets so composing N staged
-        single-row deltas costs O(total rows), not O(N²) frozen-set
-        rebuilds.  This is the once-per-transaction merge of the
-        batched pipeline."""
-        if not deltas:
-            return cls()
-        if len(deltas) == 1:
-            return deltas[0]
-        plus = set(deltas[0].insertions)
-        minus = set(deltas[0].deletions)
-        for later in deltas[1:]:
-            if later.deletions:
-                plus -= later.deletions
-            if later.insertions:
-                plus |= later.insertions
-                minus -= later.insertions
-            minus |= later.deletions
-        return cls(plus, minus)
-
-    @classmethod
-    def merge(cls, parts: Iterable['Delta']) -> 'Delta':
-        """Reassemble a delta from disjoint partitions (the inverse of
-        :meth:`split`): a plain union, since no tuple belongs to two
-        partitions."""
-        plus: set = set()
-        minus: set = set()
-        for part in parts:
-            plus |= part.insertions
-            minus |= part.deletions
-        return cls(plus, minus)
-
     def __len__(self) -> int:
         return len(self.insertions) + len(self.deletions)
 
@@ -146,6 +94,40 @@ class Delta:
         parts = [f'+{sorted(self.insertions)}' if self.insertions else '',
                  f'-{sorted(self.deletions)}' if self.deletions else '']
         return ' '.join(p for p in parts if p) or '(no change)'
+
+
+class Composition:
+    """Sequential composition of deltas (the Algorithm 2 merge),
+    accumulated in two mutable sets::
+
+        Δ⁺ ← (Δ⁺ \\ δ⁻) ∪ δ⁺        Δ⁻ ← (Δ⁻ \\ δ⁺) ∪ δ⁻
+
+    :meth:`then` appends one delta; later deltas take precedence, and
+    when every appended delta is free of contradictions, so is the
+    composition.  Composing N single-row deltas costs O(total rows),
+    not the O(N²) of rebuilding frozensets each time.  Algorithm 2's
+    running view state, a transaction's staged deltas and a view's
+    pending queue are each one composition; ``insertions`` /
+    ``deletions`` / ``is_empty`` are the read surface of
+    :class:`Delta`, so commit and the backends read either."""
+
+    __slots__ = ('insertions', 'deletions')
+
+    def __init__(self):
+        self.insertions: set = set()
+        self.deletions: set = set()
+
+    def then(self, insertions, deletions) -> None:
+        if deletions:
+            self.insertions -= deletions
+        if insertions:
+            self.insertions |= insertions
+            self.deletions -= insertions
+        if deletions:
+            self.deletions |= deletions
+
+    def is_empty(self) -> bool:
+        return not self.insertions and not self.deletions
 
 
 @dataclass(frozen=True)
@@ -183,11 +165,6 @@ class DeltaSet:
             deltas[base] = delta
         return cls(deltas)
 
-    @classmethod
-    def single(cls, relation: str, insertions=(), deletions=()) -> 'DeltaSet':
-        return cls({relation: Delta(frozenset(insertions),
-                                    frozenset(deletions))})
-
     # -- access ----------------------------------------------------------
 
     def __getitem__(self, relation: str) -> Delta:
@@ -201,9 +178,6 @@ class DeltaSet:
 
     def is_empty(self) -> bool:
         return all(d.is_empty() for d in self.deltas.values())
-
-    def total_size(self) -> int:
-        return sum(len(d) for d in self.deltas.values())
 
     def contradictions(self) -> dict[str, frozenset]:
         return {name: d.contradictions()
@@ -244,16 +218,6 @@ class DeltaSet:
             for part, piece in delta.split(classifiers[name]).items():
                 parts.setdefault(part, {})[name] = piece
         return {part: DeltaSet(deltas) for part, deltas in parts.items()}
-
-    @classmethod
-    def merge(cls, parts: Iterable['DeltaSet']) -> 'DeltaSet':
-        """Reassemble per-partition delta sets (inverse of
-        :meth:`split`)."""
-        merged: dict[str, Delta] = {}
-        for part in parts:
-            for name in part:
-                merged[name] = merged.get(name, Delta()).union(part[name])
-        return cls(merged)
 
     def __str__(self) -> str:
         if self.is_empty():

@@ -122,7 +122,7 @@ def run_chaos(view: str, seed: int, fault: str) -> bool:
                 # The commit points themselves: every shard's log has
                 # exactly the oracle's LSN — no committed record lost,
                 # none double-appended by the repair path.
-                assert victim.commit_lsns() == oracle.commit_lsns(), (
+                assert victim.commit_lsn == oracle.commit_lsn, (
                     f'LSN vectors diverged under {fault} on {workload!r}')
                 restarted = any(shard.generation > 0
                                 for shard in victim.shards)

@@ -143,7 +143,7 @@ def _check_monotonic(net, previous: dict) -> dict:
     pumps, restarts and retries."""
     snapshot = {}
     for name, peer in net.peers.items():
-        for key, lsn in peer.watermarks.items():
+        for key, lsn in peer._watermarks.items():
             snapshot[(name, 'link', key)] = lsn
         for root, lsn in peer._applied_roots.items():
             snapshot[(name, 'root', root)] = lsn

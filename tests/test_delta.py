@@ -1,12 +1,15 @@
 """Delta relation tests, including property-based algebra checks."""
 
+from functools import reduce
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.errors import ContradictionError
 from repro.relational.database import Database
-from repro.relational.delta import Delta, DeltaSet, apply_delta
+from repro.relational.delta import (Composition, Delta, DeltaSet,
+                                    apply_delta)
 
 
 class TestDelta:
@@ -59,11 +62,11 @@ class TestDeltaSet:
         deltas = DeltaSet({'r': Delta({(1,)}, {(1,)})})
         assert deltas.contradictions() == {'r': frozenset({(1,)})}
         with pytest.raises(ContradictionError):
-            deltas.apply_to(Database.empty())
+            deltas.apply_to(Database())
 
     def test_union(self):
-        a = DeltaSet.single('r', insertions={(1,)})
-        b = DeltaSet.single('r', deletions={(2,)})
+        a = DeltaSet({'r': Delta(insertions={(1,)})})
+        b = DeltaSet({'r': Delta(deletions={(2,)})})
         union = a.union(b)
         assert union['r'].insertions == {(1,)}
         assert union['r'].deletions == {(2,)}
@@ -103,6 +106,23 @@ def test_effective_delta_has_same_effect(base, insertions, deletions):
     assert effective.deletions <= base
 
 
+@given(rows, st.lists(st.tuples(rows, rows), max_size=5))
+@settings(max_examples=200, deadline=None)
+def test_composition_is_sequential_application(base, steps):
+    """Applying the composition once equals applying each delta in
+    turn, and the composition of contradiction-free deltas is
+    contradiction-free."""
+    composed = Composition()
+    expected = base
+    for insertions, deletions in steps:
+        delta = Delta(insertions - deletions, deletions)
+        expected = delta.apply(expected)
+        composed.then(delta.insertions, delta.deletions)
+    result = Delta(composed.insertions, composed.deletions)
+    assert result.apply(base) == expected
+    assert not result.contradictions()
+
+
 # ---------------------------------------------------------------------------
 # Partition split/merge (the sharded engine's routing primitive)
 # ---------------------------------------------------------------------------
@@ -126,7 +146,7 @@ class TestSplitMerge:
         delta = Delta({(i,) for i in range(10)},
                       {(i,) for i in range(20, 25)})
         parts = delta.split(lambda row: row[0] % 3)
-        assert Delta.merge(parts.values()) == delta
+        assert reduce(Delta.union, parts.values(), Delta()) == delta
 
     def test_deltaset_split_merge(self):
         deltas = DeltaSet({'r': Delta({(1,), (2,)}, {(3,)}),
@@ -136,7 +156,7 @@ class TestSplitMerge:
         assert parts[0]['s'].insertions == {(9,)}
         assert parts[0]['r'] == Delta({(2,)}, set())
         assert parts[1]['r'] == Delta({(1,)}, {(3,)})
-        merged = DeltaSet.merge(parts.values())
+        merged = reduce(DeltaSet.union, parts.values())
         assert merged['r'] == deltas['r'] and merged['s'] == deltas['s']
 
 
@@ -146,7 +166,7 @@ def test_split_partitions_are_disjoint_and_complete(insertions, deletions):
     deletions = deletions - insertions
     delta = Delta(insertions, deletions)
     parts = delta.split(lambda row: row[0] % 3)
-    assert Delta.merge(parts.values()) == delta
+    assert reduce(Delta.union, parts.values(), Delta()) == delta
     seen_plus: set = set()
     seen_minus: set = set()
     for part in parts.values():

@@ -25,7 +25,7 @@ class TestZeroArityPredicates:
         program = Program((rule,))
         out = evaluate(program, Database.from_dict({'r': {(1,)}}))
         assert out['flag'] == {()}
-        out_empty = evaluate(program, Database.empty())
+        out_empty = evaluate(program, Database())
         assert out_empty['flag'] == frozenset()
 
 
@@ -54,7 +54,7 @@ class TestErrorHierarchy:
 class TestEmptyAndDegenerateInstances:
 
     def test_put_on_empty_source(self, union_strategy):
-        updated = union_strategy.put(Database.empty(), {(7,)})
+        updated = union_strategy.put(Database(), {(7,)})
         assert updated['r1'] == {(7,)}
 
     def test_put_empty_view_clears_sources(self, union_strategy,

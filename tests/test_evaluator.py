@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 
 from repro.datalog import evaluator
 from repro.datalog.evaluator import (IndexedRelation, constraint_violations,
-                                     evaluate, evaluate_query, holds)
+                                     evaluate, evaluate_query)
 from repro.datalog.parser import parse_program
 from repro.errors import SchemaError
 from repro.relational.database import Database
@@ -156,11 +156,6 @@ class TestQueriesAndConstraints:
     def test_evaluate_query(self):
         program = parse_program('v(X) :- r(X).')
         assert evaluate_query(program, db(r={(1,)}), 'v') == {(1,)}
-
-    def test_holds(self):
-        program = parse_program('v(X) :- r(X).')
-        assert holds(program, db(r={(1,)}), 'v')
-        assert not holds(program, db(), 'v')
 
     def test_constraint_violation_detected(self):
         program = parse_program('⊥ :- r(X), X > 2.')

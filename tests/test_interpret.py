@@ -31,7 +31,7 @@ class TestSatisfies:
         assert not satisfies(db, r('X'), {'X': 2})
 
     def test_equality_and_comparison(self):
-        db = Database.empty()
+        db = Database()
         assert satisfies(db, FoEq(FoConst(3), FoConst(3)))
         assert satisfies(db, FoCmp('<', FoConst(1), FoConst(2)))
         assert not satisfies(db, FoCmp('>=', FoConst(1), FoConst(2)))
@@ -63,7 +63,7 @@ class TestSatisfies:
         assert not satisfies(db, all_big)
 
     def test_formula_constants_join_domain(self):
-        db = Database.empty()
+        db = Database()
         domain = active_domain(db, FoEq(FoVar('X'), FoConst(42)))
         assert 42 in domain
 

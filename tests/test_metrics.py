@@ -31,8 +31,7 @@ from repro.rdbms.dml import Delete, Insert, Update
 from repro.rdbms.engine import Engine
 from repro.rdbms.metrics import (MERGED_RESERVOIR_SIZE, RESERVOIR_SIZE,
                                  MetricsRegistry, merge_snapshots,
-                                 percentile, summarize_latencies,
-                                 summarize_snapshot)
+                                 percentile)
 from repro.rdbms.replica import ReplicaEngine, ReplicaSet
 from repro.rdbms.serve import Receipt, ViewServer
 from repro.rdbms.sharded import ShardedEngine
@@ -158,25 +157,9 @@ class TestRegistry:
         assert hist['count'] == 3 * 2 * RESERVOIR_SIZE
         assert len(hist['reservoir']) == MERGED_RESERVOIR_SIZE
 
-    def test_summarize_replaces_reservoirs_with_percentiles(self):
-        reg = MetricsRegistry()
-        for i in range(1, 101):
-            reg.observe('h', i / 1000.0)        # 1..100 ms
-        reg.counter('c', 7)
-        summary = summarize_snapshot(reg.snapshot())
-        assert summary['counters'] == {'c': 7}
-        hist = summary['histograms']['h']
-        assert 'reservoir' not in hist
-        assert hist['count'] == 100
-        assert hist['mean'] == pytest.approx(0.0505)
-        pct = hist['percentiles']
-        assert pct['n'] == 100
-        assert pct['p50_ms'] == pytest.approx(50.0, abs=1.0)
-        assert pct['p99_ms'] == pytest.approx(99.0, abs=1.5)
-
 
 class TestLatencySummaries:
-    """The P50/P95/P99 estimator behind ``summarize_snapshot``."""
+    """The percentile estimator over a histogram's reservoir."""
 
     def test_percentile_interpolates_linearly(self):
         samples = [10.0, 20.0, 30.0, 40.0, 50.0]
@@ -199,15 +182,6 @@ class TestLatencySummaries:
             percentile([1.0], 101)
         with pytest.raises(ValueError, match=r'\[0, 100\]'):
             percentile([1.0], -1)
-
-    def test_summarize_converts_to_milliseconds(self):
-        summary = summarize_latencies([0.001, 0.002, 0.003, 0.010])
-        assert summary['n'] == 4
-        assert summary['p50_ms'] == pytest.approx(2.5)
-        assert summary['max_ms'] == pytest.approx(10.0)
-        assert summary['mean_ms'] == pytest.approx(4.0)
-        assert summary['p95_ms'] <= summary['p99_ms'] <= \
-            summary['max_ms']
 
 
 # ---------------------------------------------------------------------------

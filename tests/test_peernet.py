@@ -735,11 +735,11 @@ class TestShardedPeers:
             net.peers['s'].engine.execute(VIEW, [Insert(('s:1', 'lab'))])
             assert net.settle()
             assert converged(net.peers.values(), VIEW)
-            watermarks = dict(net.peers['s'].watermarks)
+            watermarks = dict(net.peers['s']._watermarks)
             rows = net.peers['s'].rows(VIEW)
             restarted = net.restart_peer('s')
             assert restarted.rows(VIEW) == rows
-            assert restarted.watermarks == watermarks
+            assert restarted._watermarks == watermarks
             net.peers['a'].engine.execute(VIEW, [Insert(('a:2', 'hq'))])
             assert net.settle()
             assert converged(net.peers.values(), VIEW)

@@ -625,7 +625,7 @@ class TestWalBackedWorkers:
 
     def test_commit_lsns_uniform_across_executions(self, union_strategy,
                                                    tmp_path):
-        """``commit_lsns()`` works identically for inline and process
+        """``commit_lsn`` works identically for inline and process
         execution: same routing → same per-shard LSN vector."""
         inline = self._wal_cluster(union_strategy, tmp_path / 't',
                                    execution='inline')
@@ -634,9 +634,8 @@ class TestWalBackedWorkers:
             for txn in self.TXNS:
                 inline.execute_many(txn)
                 procs.execute_many(txn)
-            assert procs.commit_lsns() == inline.commit_lsns()
-            assert any(procs.commit_lsns())
-            assert procs.commit_lsn == procs.commit_lsns()  # alias
+            assert procs.commit_lsn == inline.commit_lsn
+            assert any(procs.commit_lsn)
         finally:
             inline.close()
             procs.close()
@@ -662,7 +661,7 @@ class TestWalBackedWorkers:
                 victim.execute_many(nxt)         # abort + restart
             victim.execute_many(nxt)             # recovered worker
             assert victim.shards[1].generation == 1
-            assert victim.commit_lsns() == oracle.commit_lsns()
+            assert victim.commit_lsn == oracle.commit_lsn
             assert victim.database() == oracle.database()
             assert frozenset(victim.rows('v')) \
                 == frozenset(oracle.rows('v'))
@@ -733,7 +732,7 @@ class TestWalBackedWorkers:
                 oracle.execute_many(txn)
                 victim.execute_many(txn)        # no exception: repaired
             assert victim.shards[1].generation == 1   # kill DID happen
-            assert victim.commit_lsns() == oracle.commit_lsns()
+            assert victim.commit_lsn == oracle.commit_lsn
             assert victim.database() == oracle.database()
             assert frozenset(victim.rows('v')) \
                 == frozenset(oracle.rows('v'))
@@ -762,7 +761,7 @@ class TestWalBackedWorkers:
                 oracle.execute_many(txn)
                 victim.execute_many(txn)
             assert victim.shards[1].generation == 1
-            assert victim.commit_lsns() == oracle.commit_lsns()
+            assert victim.commit_lsn == oracle.commit_lsn
             assert victim.database() == oracle.database()
         finally:
             oracle.close()
@@ -785,7 +784,7 @@ class TestWalBackedWorkers:
                 oracle.execute_many(txn)
                 victim.execute_many(txn)
             assert victim.shards[1].generation == 1
-            assert victim.commit_lsns() == oracle.commit_lsns()
+            assert victim.commit_lsn == oracle.commit_lsn
             assert victim.database() == oracle.database()
         finally:
             oracle.close()
@@ -829,7 +828,7 @@ class TestOneMessageCommit:
     @staticmethod
     def _assert_converged(oracle, victim, records):
         assert victim.database() == oracle.database()
-        assert victim.commit_lsns() == oracle.commit_lsns()
+        assert victim.commit_lsn == oracle.commit_lsn
         assert victim.shard_rows('v') == oracle.shard_rows('v')
         assert records['victim'] == records['oracle']
 

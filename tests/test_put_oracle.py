@@ -15,6 +15,7 @@ import pytest
 
 from repro.benchsuite.catalog import ALL_ENTRIES, entry_by_name
 from repro.core.lvgn import is_lvgn
+from repro.core.strategyfile import loads_strategy
 from repro.errors import ConstraintViolation
 from repro.rdbms.engine import Engine
 from repro.relational.database import Database
@@ -148,3 +149,51 @@ def test_general_path_list_is_the_catalog():
 def test_engine_verdict_and_state_match_put(name, backend):
     compared, _rejected = check_entry(name, backend)
     assert compared > 0, f'no steady state for {name!r} at n={SCALE}'
+
+
+#: A valid general-path strategy whose union ``u`` is an intermediate
+#: predicate read further down, where every catalog union is a delta
+#: head (Proposition 5.1 then drops the union's deletion rules).  Here
+#: ``-u`` reaches ``-r``: deleting a view row that the other branch
+#: (``s``) still derives must leave ``r`` alone and hide the row
+#: through ``d`` instead.
+UNION_READ_DOWNSTREAM = """
+.source r(x: int).
+.source d(x: int).
+.source s(x: int).
+.view v(x: int).
+
+.get
+v(X) :- r(X), not d(X).
+.end
+
+u(X) :- v(X).
+u(X) :- s(X).
+-r(X) :- r(X), not u(X), not d(X).
++r(X) :- v(X), not r(X).
++d(X) :- r(X), s(X), not v(X), not d(X).
+-d(X) :- d(X), v(X).
+"""
+
+
+@pytest.mark.parametrize('backend', ['memory', 'sqlite'])
+def test_union_read_downstream_matches_put(backend):
+    """Every one-row INSERT and DELETE on a steady state of
+    :data:`UNION_READ_DOWNSTREAM` commits exactly ``put(S, V')``."""
+    strategy = loads_strategy(UNION_READ_DOWNSTREAM)
+    state = Database.from_dict({'r': {(1,), (2,), (3,)}, 'd': {(3,)},
+                                's': {(1,), (3,)}})
+    view = strategy.get(state)
+    assert view == {(1,), (2,)} and strategy.put(state, view) == state
+    edits = [('delete', {'x': x}, view - {(x,)}) for (x,) in view] + \
+        [('insert', (x,), view | {(x,)}) for x in (3, 4)]
+    for method, args, new_view in edits:
+        with Engine(strategy.sources, backend=backend) as engine:
+            for relation in strategy.sources.names():
+                engine.load(relation, state[relation])
+            engine.define_view(strategy, validate_first=False)
+            assert not engine.view('v').lvgn
+            assert engine.view('v').use_incremental
+            getattr(engine, method)('v', args)
+            assert engine.database() == strategy.put(state, new_view), \
+                (method, args)

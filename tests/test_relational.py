@@ -91,10 +91,10 @@ class TestDatabaseSchema:
 class TestDatabase:
 
     def test_missing_relation_is_empty(self):
-        assert Database.empty()['nope'] == frozenset()
+        assert Database()['nope'] == frozenset()
 
     def test_equality_ignores_empty_relations(self):
-        assert Database.from_dict({'r': set()}) == Database.empty()
+        assert Database.from_dict({'r': set()}) == Database()
 
     def test_hash_consistent_with_eq(self):
         a = Database.from_dict({'r': {(1,)}, 's': set()})
@@ -117,31 +117,12 @@ class TestDatabase:
         assert db['s'] is kept
 
     def test_with_relation(self):
-        db = Database.empty().with_relation('r', {(1,)})
+        db = Database().with_relation('r', {(1,)})
         assert db['r'] == {(1,)}
-
-    def test_merge_unions(self):
-        a = Database.from_dict({'r': {(1,)}})
-        b = Database.from_dict({'r': {(2,)}, 's': {(3,)}})
-        merged = a.merge(b)
-        assert merged['r'] == {(1,), (2,)}
-        assert merged['s'] == {(3,)}
-
-    def test_without(self):
-        db = Database.from_dict({'r': {(1,)}, 's': {(2,)}})
-        assert db.without('r').names() == {'s'}
-
-    def test_rename(self):
-        db = Database.from_dict({'r': {(1,)}})
-        assert db.rename({'r': 'q'})['q'] == {(1,)}
 
     def test_active_domain(self):
         db = Database.from_dict({'r': {(1, 'a')}, 's': {(2,)}})
         assert db.active_domain() == {1, 'a', 2}
-
-    def test_total_size(self):
-        db = Database.from_dict({'r': {(1,), (2,)}, 's': {(3,)}})
-        assert db.total_size() == 3
 
 
 class TestGenerators:

@@ -508,7 +508,7 @@ class TestShardedReplicas:
                                replica_max_lag=1_000_000)
         try:
             engine.insert('luxuryitems', (4, 'yacht', 90_000))
-            token = engine.commit_lsns()
+            token = engine.commit_lsn
             assert len(token) == 2 and any(token)
             assert (4, 'yacht', 90_000) \
                 in engine.rows('luxuryitems', min_lsn=token)
@@ -538,7 +538,7 @@ class TestShardedReplicas:
                                   (3, 'cap', 10)])
             engine.define_view(luxury_strategy, validate_first=False)
             engine.insert('luxuryitems', (4, 'yacht', 90_000))
-            token = engine.commit_lsns()
+            token = engine.commit_lsn
             assert len(token) == 2 and any(token)
             routed = engine.rows('luxuryitems', min_lsn=token)
             assert routed == engine._gather_primary('luxuryitems')
@@ -568,7 +568,7 @@ class TestShardedReplicas:
                                   (3, 'cap', 10)])
             engine.define_view(luxury_strategy, validate_first=False)
             seen = engine.rows('luxuryitems',
-                               min_lsn=engine.commit_lsns())
+                               min_lsn=engine.commit_lsn)
             assert type(seen) is frozenset
             assert seen == frozenset().union(
                 *engine.shard_rows('luxuryitems'))
@@ -576,7 +576,7 @@ class TestShardedReplicas:
             engine.insert('luxuryitems', (4, 'yacht', 90_000))
             engine.delete('luxuryitems', where={'iid': 1})
             after = engine.rows('luxuryitems',
-                                min_lsn=engine.commit_lsns())
+                                min_lsn=engine.commit_lsn)
             assert (4, 'yacht', 90_000) in after
             assert (1, 'watch', 5000) not in after
             assert seen == before

@@ -10,6 +10,7 @@ import pytest
 
 from repro.core import incremental
 from repro.datalog.ast import Program
+from tests import test_put_oracle
 from tests.test_engine import TestConstraints
 from tests.test_put_oracle import check_entry
 
@@ -29,6 +30,17 @@ def _general_path_oracle(_luxury_strategy) -> None:
         check_entry('vw_customers', backend, seeds=range(2))
 
 
+def _without_union_guard(_fix):
+    def mutant(pred, rules, derived, pool):
+        return derived
+    return mutant
+
+
+def _union_read_downstream_oracle(_luxury_strategy) -> None:
+    for backend in ('memory', 'sqlite'):
+        test_put_oracle.test_union_read_downstream_matches_put(backend)
+
+
 #: mutant -> (function of :mod:`repro.core.incremental` it replaces,
 #: the mutation, its killer)
 MUTANTS = {
@@ -39,6 +51,12 @@ MUTANTS = {
     'general-constraints-dropped': ('incrementalize_general',
                                     _without_constraints,
                                     _general_path_oracle),
+    # M3: the Appendix-C union guard skipped (a row leaving one union
+    # branch is deleted even when another branch still derives it).
+    # Every catalog union is a delta head, whose deletion rules
+    # Proposition 5.1 drops; only a union read further down sees it.
+    'union-guard-skipped': ('_union_deletion_fix', _without_union_guard,
+                            _union_read_downstream_oracle),
 }
 
 

@@ -808,6 +808,8 @@ class TestScatterGather:
         assert snapshot['r2'] == {(2,), (5,)}
 
     def test_classifier_matches_delta_split(self, union_strategy):
+        from functools import reduce
+
         from repro.relational.delta import Delta
         _single, sharded = _union_pair(union_strategy)
         delta = Delta({(0,), (1,), (5,)}, {(4,)})
@@ -816,4 +818,4 @@ class TestScatterGather:
         assert parts[1].insertions == {(1,)}
         assert parts[2].insertions == {(5,)}
         assert parts[1].deletions == {(4,)}
-        assert Delta.merge(parts.values()) == delta
+        assert reduce(Delta.union, parts.values(), Delta()) == delta

@@ -134,7 +134,7 @@ class TestPutSemantics:
         strategy = UpdateStrategy.parse(
             'v', union_sources, '+r1(X) :- v(X), not r1(X).')
         with pytest.raises(ViewUpdateError):
-            strategy.get(Database.empty())
+            strategy.get(Database())
 
     def test_view_rows_validated(self, luxury_strategy):
         source = Database.from_dict({'items': set()})
