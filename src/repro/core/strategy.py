@@ -250,8 +250,7 @@ class UpdateStrategy:
     def _combined(self, source: Database, view_rows) -> Database:
         if not isinstance(view_rows, (frozenset, set)):
             view_rows = set(view_rows)
-        for row in view_rows:
-            self.view.validate_tuple(tuple(row))
+        self.view.check_rows(view_rows)
         return source.with_relation(self.view.name, view_rows)
 
     def check_constraints(self, source: Database, view_rows) -> None:

@@ -72,9 +72,11 @@ class Backend(ABC):
 
     @abstractmethod
     def load(self, name: str, rows: set) -> None:
-        """Replace the contents of base table ``name`` (rows are already
-        schema-validated by the engine).  The caller hands ``rows``
-        over: a backend may keep the set itself."""
+        """Replace the contents of base table ``name``.  The engine has
+        already checked ``rows`` (plain tuples, valid for the schema,
+        and storable — :meth:`check_storable`) and hands the set over:
+        it is a fresh set no caller holds, and a backend may keep it
+        itself."""
 
     def check_storable(self, schema: RelationSchema, rows) -> None:
         """Raise :class:`SchemaError` when a row of ``rows`` (already

@@ -231,7 +231,7 @@ def _statement_deltas(statement: Statement, state: _RunningState,
     """(δ⁺, δ⁻) of one statement against the running view state."""
     if isinstance(statement, Insert):
         row = tuple(statement.values)
-        schema.validate_tuple(row)
+        schema.check_rows((row,))
         return {row}, set()
     if isinstance(statement, Delete):
         return set(), set(state.matching(statement.where, schema))
@@ -242,7 +242,7 @@ def _statement_deltas(statement: Statement, state: _RunningState,
         replacements = set()
         for row in victims:
             new_row = _apply_assignments(row, statement.assignments, schema)
-            schema.validate_tuple(new_row)
+            schema.check_rows((new_row,))
             replacements.add(new_row)
         # An UPDATE is deletions followed by insertions (App. D).
         return replacements, set(victims) - replacements
@@ -275,7 +275,7 @@ def derive_view_delta(statements: Sequence[Statement], current,
         # The single-tuple INSERT bucket is the hot shape of OLTP-style
         # transactions: skip the running-state machinery entirely.
         row = tuple(statements[0].values)
-        schema.validate_tuple(row)
+        schema.check_rows((row,))
         if row in current:
             return _NO_CHANGE
         return Delta(frozenset((row,)), _EMPTY_ROWS)

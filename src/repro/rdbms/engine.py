@@ -654,12 +654,22 @@ class Engine(DmlSurface):
 
     def load(self, name: str, rows: Iterable[tuple]) -> None:
         """Bulk-load a base table (replacing its contents)."""
+        self.apply_load(name, self.prepare_load(name, rows))
+
+    def prepare_load(self, name: str, rows: Iterable[tuple]) -> set:
+        """Everything :meth:`load` does that can fail, with the log and
+        storage untouched: ``rows`` as the checked set (the schema's
+        types, and what the backend can store) that :meth:`apply_load`
+        then stores."""
         if name in self._views or name not in self.schema:
             raise SchemaError(f'{name!r} is not a base table')
-        loaded = {tuple(r) for r in rows}
-        for row in loaded:
-            self.schema[name].validate_tuple(row)
+        loaded = self.schema[name].loaded_rows(rows)
         self.backend.check_storable(self.schema[name], loaded)
+        return loaded
+
+    def apply_load(self, name: str, loaded: set) -> None:
+        """Store the set :meth:`prepare_load` returned (it is handed
+        over to the backend): the log record first, then the table."""
         if self.wal is not None:
             self._wal_append('load', (name, frozenset(loaded)))
         self.backend.load(name, loaded)
@@ -1077,8 +1087,7 @@ class Engine(DmlSurface):
         # was staged — :meth:`_Working.stage`.)
         for name, delta in working.deltas.items():
             if name not in self._views:
-                for row in delta.insertions:
-                    self.schema[name].validate_tuple(row)
+                self.schema[name].check_rows(delta.insertions)
         changed_bases: set[str] = set()
         batch: list[tuple[str, Delta, bool]] = []
         for name, delta in working.deltas.items():

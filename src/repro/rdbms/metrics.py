@@ -10,8 +10,7 @@ holds three kinds of series:
   (``peer.peers``, ``peer.links``).
 * **histograms** — streaming latency/size distributions.  Each keeps
   exact ``count``/``sum``/``min``/``max`` plus a bounded reservoir of
-  recent samples from which percentiles are computed on demand
-  (:func:`percentile`).
+  recent samples, from which a reader computes percentiles.
 
 Snapshots are plain dicts (picklable — worker processes ship theirs
 back over the existing RPC channel) and :func:`merge_snapshots` folds
@@ -28,13 +27,11 @@ writes when enabled (``tests/test_metrics.py::TestInstrumentationCost``).
 from __future__ import annotations
 
 import threading
-from typing import Sequence
 
 __all__ = [
     'MetricsRegistry',
     'GLOBAL',
     'merge_snapshots',
-    'percentile',
 ]
 
 #: Reservoir low-water mark per histogram.  Aggregates (count/sum/
@@ -160,25 +157,3 @@ def merge_snapshots(snapshots) -> dict:
                                         - MERGED_RESERVOIR_SIZE]
     return {'counters': counters, 'gauges': gauges,
             'histograms': hists}
-
-
-def percentile(samples: Sequence[float], q: float) -> float:
-    """The ``q``-th percentile (``0 <= q <= 100``) of ``samples`` by
-    linear interpolation between closest ranks (NumPy's ``linear``, SQL's
-    ``percentile_cont``): stable for small samples, where the
-    nearest-rank estimator jumps a whole sample at a time."""
-    if not samples:
-        raise ValueError('percentile of an empty sample set')
-    if not 0 <= q <= 100:
-        raise ValueError(f'percentile must be in [0, 100], got {q}')
-    ordered = sorted(samples)
-    if len(ordered) == 1:
-        return ordered[0]
-    rank = (len(ordered) - 1) * (q / 100.0)
-    low = int(rank)
-    frac = rank - low
-    if frac == 0:
-        return ordered[low]
-    return ordered[low] + (ordered[low + 1] - ordered[low]) * frac
-
-

@@ -174,6 +174,7 @@ class WorkerRuntime:
                              wal=wal_path, wal_sync=wal_sync)
         self._workings: dict[int, object] = {}
         self._prepared: dict[int, object] = {}
+        self._load: tuple | None = None
         #: Storage writes (a commit, a bulk load) exclude storage reads,
         #: per shard — what lets an in-process reader on another thread
         #: skip every staging and prepare (uncontended in a worker).
@@ -283,6 +284,18 @@ class WorkerRuntime:
     def load(self, name: str, rows) -> None:
         with self._storage:
             self.engine.load(name, rows)
+
+    def prepare_load(self, name: str, rows) -> None:
+        """A cluster-wide load's first phase: :meth:`Engine.prepare_load`
+        on this shard's share, held for :meth:`apply_load`.  One load
+        is held at a time; a cluster load another shard refused leaves
+        it here until the next one replaces it."""
+        self._load = name, self.engine.prepare_load(name, rows)
+
+    def apply_load(self) -> None:
+        (name, loaded), self._load = self._load, None
+        with self._storage:
+            self.engine.apply_load(name, loaded)
 
     def count(self, name: str) -> int:
         return self.engine.backend.count(name)
@@ -426,8 +439,8 @@ _FAULT_NAMES = {'commit_local': 'prepare_commit'}
 
 #: Calls that may write a shard's log: sending one makes the client
 #: forget the LSN it knew (:attr:`ProcessShard._lsn`).
-_WRITES_LOG = frozenset({'load', 'define_view', 'drop_view', 'commit_batch',
-                         'apply_prepared', 'commit_local'})
+_WRITES_LOG = frozenset({'load', 'apply_load', 'define_view', 'drop_view',
+                         'commit_batch', 'apply_prepared', 'commit_local'})
 
 
 class _RpcChannel:

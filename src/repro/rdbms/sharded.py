@@ -109,8 +109,9 @@ constructor:
   loop.  *Lock*: a reader on another thread (``ViewServer`` has its
   own) never waits behind a transaction's prepare — prepare stages in
   Python; only a commit (``apply_prepared``, the last phase of
-  ``commit_local``) and ``load`` write storage, and they exclude
-  ``rows``/``snapshot`` per shard with a lock.  During the
+  ``commit_local``) and a load (``load``, ``apply_load``) write
+  storage, and they exclude ``rows``/``snapshot`` per shard with a
+  lock.  During the
   brief apply phase consistency is per shard: a multi-shard
   scatter-gather racing the apply may combine shards from either side
   of the commit (cross-shard snapshot isolation for readers is future
@@ -576,18 +577,18 @@ class ShardedEngine(DmlSurface):
         """Bulk-load a base table, splitting the rows across shards."""
         if name in self._entries or name not in self.schema:
             raise SchemaError(f'{name!r} is not a base table')
-        loaded = {tuple(r) for r in rows}
-        # Validate everything BEFORE any shard is replaced, like the
-        # single engine: a bad row must not leave the cluster with a
-        # mix of old and new shard contents.
-        for row in loaded:
-            self.schema[name].validate_tuple(row)
+        loaded = self.schema[name].loaded_rows(rows)
         classify = self.classifier(name)
         shares: dict[int, set] = {i: set() for i in range(self.n_shards)}
         for row in loaded:
             shares[classify(row)].add(row)
-        self._scatter((shard, 'load', name, shares[index])
+        # Every shard checks its share (its backend may refuse a value)
+        # BEFORE any shard is replaced, like the single engine: a bad
+        # row must not leave the cluster with a mix of old and new
+        # shard contents.
+        self._scatter((shard, 'prepare_load', name, shares[index])
                       for index, shard in enumerate(self.shards))
+        self._scatter((shard, 'apply_load') for shard in self.shards)
 
     def close(self) -> None:
         """Close every replica set and every shard — an in-process

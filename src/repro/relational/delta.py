@@ -22,7 +22,7 @@ from repro.datalog.ast import (delta_base, is_delete_pred, is_delta_pred,
 from repro.errors import ContradictionError
 from repro.relational.database import Database
 
-__all__ = ['Delta', 'DeltaSet', 'Composition', 'apply_delta']
+__all__ = ['Delta', 'DeltaSet', 'Composition']
 
 
 @dataclass(frozen=True)
@@ -67,10 +67,6 @@ class Delta:
                 and len(deletions) == len(self.deletions):
             return self          # already fully effective: no new object
         return Delta(insertions, deletions)
-
-    def union(self, other: 'Delta') -> 'Delta':
-        return Delta(self.insertions | other.insertions,
-                     self.deletions | other.deletions)
 
     def split(self, classify) -> dict:
         """Partition the delta by a row predicate: ``classify(row)``
@@ -196,29 +192,6 @@ class DeltaSet:
                                           delta.apply(db[name], name))
         return result
 
-    def effective_on(self, db: Database) -> 'DeltaSet':
-        return DeltaSet({name: delta.effective_on(db[name])
-                         for name, delta in self.deltas.items()
-                         if not delta.effective_on(db[name]).is_empty()})
-
-    def union(self, other: 'DeltaSet') -> 'DeltaSet':
-        merged = dict(self.deltas)
-        for name, delta in other.deltas.items():
-            merged[name] = merged.get(name, Delta()).union(delta)
-        return DeltaSet(merged)
-
-    def split(self, classifiers: Mapping[str, object]) -> dict:
-        """Partition every relation's delta by its own row predicate:
-        ``classifiers[name](row)`` names the partition each tuple of
-        ``name`` belongs to (every relation present in the delta set
-        needs a classifier).  Returns ``{partition: DeltaSet}`` with
-        empty partitions omitted."""
-        parts: dict[object, dict[str, Delta]] = {}
-        for name, delta in self.deltas.items():
-            for part, piece in delta.split(classifiers[name]).items():
-                parts.setdefault(part, {})[name] = piece
-        return {part: DeltaSet(deltas) for part, deltas in parts.items()}
-
     def __str__(self) -> str:
         if self.is_empty():
             return 'ΔS = ∅'
@@ -230,8 +203,3 @@ class DeltaSet:
             for row in sorted(delta.deletions):
                 lines.append(f'-{name}{row}')
         return '\n'.join(lines)
-
-
-def apply_delta(db: Database, deltas: DeltaSet) -> Database:
-    """Functional form of :meth:`DeltaSet.apply_to` (the paper's ⊕)."""
-    return deltas.apply_to(db)

@@ -8,6 +8,7 @@ by SQL generation and the RDBMS layer; Datalog itself is positional.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import lru_cache
 from typing import Iterable, Iterator
 
 from repro.errors import SchemaError
@@ -26,13 +27,6 @@ class AttributeType:
     ALL = (INT, FLOAT, STRING, DATE)
 
     _PYTHON = {INT: int, FLOAT: float, STRING: str, DATE: str}
-
-    @classmethod
-    def python_type(cls, name: str) -> type:
-        try:
-            return cls._PYTHON[name]
-        except KeyError:
-            raise SchemaError(f'unknown attribute type {name!r}') from None
 
 
 @dataclass(frozen=True)
@@ -63,42 +57,89 @@ class RelationSchema:
         if len(set(self.attributes)) != len(self.attributes):
             raise SchemaError(
                 f'relation {self.name!r} has duplicate attribute names')
-        # Row validation runs for every inserted tuple of every
-        # transaction: resolve the python types once, here, instead of
-        # per value per row.  (Plain attributes, not fields — they are
-        # derived, so equality/pickling of the schema is unaffected.)
-        object.__setattr__(self, '_py_types',
-                           tuple(AttributeType.python_type(t)
-                                 for t in self.types))
 
     @property
     def arity(self) -> int:
         return len(self.attributes)
 
     def validate_tuple(self, row: tuple) -> None:
-        """Raise :class:`SchemaError` when ``row`` does not fit."""
+        """Raise :class:`SchemaError` when ``row`` does not fit.  An
+        ``int`` column takes any ``int`` but a ``bool``; a ``float``
+        column any ``int`` or ``float``, ``bool`` included (the
+        historical contract); a ``string`` or ``date`` column any
+        ``str``.  Subclasses count, so an ``IntEnum`` is an ``int``."""
         if len(row) != len(self.attributes):
             raise SchemaError(
                 f'relation {self.name!r} has arity {self.arity} but got a '
                 f'tuple of length {len(row)}: {row!r}')
-        py_types = self._py_types
-        for index, value in enumerate(row):
-            expected = py_types[index]
-            cls = value.__class__
-            if cls is expected:
-                continue                   # the overwhelming fast path
-            if expected is float and isinstance(value, int):
-                continue  # ints (incl. bool, an int subclass — the
-                #           historical contract) are acceptable floats
-            if not isinstance(value, expected) or isinstance(value, bool):
-                raise SchemaError(
-                    f'{self.name}.{self.attributes[index]} expects '
-                    f'{self.types[index]}, got {value!r}')
+        for attribute, kind, value in zip(self.attributes, self.types, row):
+            if not (isinstance(value, (int, float))
+                    if kind == AttributeType.FLOAT
+                    else isinstance(value, AttributeType._PYTHON[kind])
+                    and not isinstance(value, bool)):
+                raise SchemaError(f'{self.name}.{attribute} expects {kind}, '
+                                  f'got {value!r}')
+
+    def check_rows(self, rows) -> None:
+        """Raise :class:`SchemaError` for the first row of ``rows``, in
+        iteration order, that :meth:`validate_tuple` refuses (each row
+        read as a tuple).  One compiled pass per type tuple
+        (:func:`_row_check`) clears a batch of exact tuples whose values
+        have exactly their column's class; any other batch is checked
+        row by row, so the rows accepted and the message raised are
+        :meth:`validate_tuple`'s.  Pass a collection: a refused batch is
+        read twice."""
+        if not _row_check(self.types)(rows):
+            for row in rows:
+                self.validate_tuple(tuple(row))
+
+    def loaded_rows(self, rows) -> set:
+        """``rows`` as a new, checked set of plain tuples: what a bulk
+        load stores.  A ``set``/``frozenset`` is copied in one C pass
+        that keeps its tuples (never the caller's set itself); any
+        other input, or a set holding anything but exact tuples, is
+        rebuilt row by row."""
+        if isinstance(rows, (set, frozenset)):
+            loaded = set(rows)
+            if _row_check(self.types)(loaded):
+                return loaded
+        loaded = {tuple(r) for r in rows}
+        self.check_rows(loaded)
+        return loaded
 
     def __str__(self) -> str:
         cols = ', '.join(f'{a}: {t}'
                          for a, t in zip(self.attributes, self.types))
         return f'{self.name}({cols})'
+
+
+@lru_cache(maxsize=None)
+def _row_check(types: tuple[str, ...]):
+    """The generated ``check(rows) -> bool`` of one type tuple: true
+    when every row is an exact ``tuple`` of ``len(types)`` values, each
+    of exactly its column's class (an ``int`` also in a ``float``
+    column).  False says only "check row by row".  Cached by ``types``
+    here, never on a schema, which is pickled into logs and shipped to
+    worker processes."""
+    values = ''.join(f'a{i}, ' for i in range(len(types)))
+    refused = ' or '.join(
+        f'a{i}.__class__ is not {AttributeType._PYTHON[kind].__name__}'
+        + (f' and a{i}.__class__ is not int'
+           if kind == AttributeType.FLOAT else '')
+        for i, kind in enumerate(types)) or 'False'
+    source = (
+        'def check(rows):\n'
+        '    for row in rows:\n'
+        f'        if row.__class__ is not tuple or len(row) != {len(types)}:\n'
+        '            return False\n'
+        f'        ({values}) = row\n'
+        f'        if {refused}:\n'
+        '            return False\n'
+        '    return True\n')
+    namespace: dict = {}
+    exec(compile(source, f'<row check {",".join(types)}>', 'exec'),
+         namespace)
+    return namespace['check']
 
 
 @dataclass(frozen=True)

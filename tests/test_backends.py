@@ -102,6 +102,23 @@ class TestMemoryOwnership:
                 assert engine.rows(name) is handed[name]
             assert engine.rows('luxuryitems') == {(1, 'watch', 5000)}
 
+    @pytest.mark.parametrize('kind', [set, frozenset])
+    def test_load_copies_the_callers_set_and_keeps_its_tuples(
+            self, luxury_strategy, kind):
+        """A set handed to ``Engine.load`` is copied (a later change to
+        it does not reach the table), but the stored rows are the
+        caller's own tuple objects, not rebuilt ones."""
+        rows = kind({(1, 'watch', 5000), (2, 'gum', 5)})
+        with Engine(luxury_strategy.sources, backend='memory') as engine:
+            engine.load('items', rows)
+            stored = engine.rows('items')
+            assert stored is not rows and stored == rows
+            theirs = {id(row) for row in rows}
+            assert {id(row) for row in stored} == theirs
+            if kind is set:
+                rows.add((3, 'cap', 10))
+                assert (3, 'cap', 10) not in engine.rows('items')
+
 
 # ---------------------------------------------------------------------------
 # Factory / configuration

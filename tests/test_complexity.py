@@ -12,10 +12,41 @@ from repro.benchsuite.workload import build_engine
 from repro.datalog import evaluator
 from repro.datalog.plan import clear_plan_cache
 from repro.rdbms.metrics import GLOBAL
+from repro.relational import schema as schema_mod
+from repro.relational.schema import RelationSchema
 
 
 def _seals() -> int:
     return GLOBAL.snapshot()['counters'].get('plan.seals', 0)
+
+
+class TestBulkLoadRunsOneCompiledCheck:
+    """README, *Bulk load*: a valid load is checked by one compiled
+    pass per relation, generated once per type tuple — never row by
+    row through ``validate_tuple`` — so the checks compiled do not
+    depend on the data's size."""
+
+    @pytest.mark.parametrize('view', FIGURE6_VIEWS)
+    def test_valid_load_never_checks_row_by_row(self, view, monkeypatch):
+        by_row = []
+        real = RelationSchema.validate_tuple
+
+        def counting(self, row):
+            by_row.append(row)
+            return real(self, row)
+
+        monkeypatch.setattr(RelationSchema, 'validate_tuple', counting)
+        entry = entry_by_name(view)
+        compiled = {}
+        for n in (1_000, 10_000):
+            schema_mod._row_check.cache_clear()
+            with build_engine(entry, n, backend='memory') as engine:
+                assert sum(len(engine.rows(name))
+                           for name in entry.sources.names()) >= n
+            compiled[n] = schema_mod._row_check.cache_info().misses
+        assert by_row == []
+        assert compiled[1_000] == compiled[10_000] \
+            == len({rel.types for rel in entry.sources})
 
 
 class TestColdStartRunsSealedCode:

@@ -1,15 +1,12 @@
 """Delta relation tests, including property-based algebra checks."""
 
-from functools import reduce
-
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.errors import ContradictionError
 from repro.relational.database import Database
-from repro.relational.delta import (Composition, Delta, DeltaSet,
-                                    apply_delta)
+from repro.relational.delta import Composition, Delta, DeltaSet
 
 
 class TestDelta:
@@ -54,7 +51,7 @@ class TestDeltaSet:
     def test_apply_example_3_1(self, union_database):
         deltas = DeltaSet({'r1': Delta(insertions={(3,)}),
                            'r2': Delta(deletions={(2,)})})
-        updated = apply_delta(union_database, deltas)
+        updated = deltas.apply_to(union_database)
         assert updated['r1'] == {(1,), (3,)}
         assert updated['r2'] == {(4,)}
 
@@ -63,19 +60,6 @@ class TestDeltaSet:
         assert deltas.contradictions() == {'r': frozenset({(1,)})}
         with pytest.raises(ContradictionError):
             deltas.apply_to(Database())
-
-    def test_union(self):
-        a = DeltaSet({'r': Delta(insertions={(1,)})})
-        b = DeltaSet({'r': Delta(deletions={(2,)})})
-        union = a.union(b)
-        assert union['r'].insertions == {(1,)}
-        assert union['r'].deletions == {(2,)}
-
-    def test_effective_on_database(self):
-        db = Database.from_dict({'r': {(1,)}})
-        deltas = DeltaSet({'r': Delta(insertions={(1,), (2,)})})
-        effective = deltas.effective_on(db)
-        assert effective['r'].insertions == {(2,)}
 
 
 # -- property-based algebra --------------------------------------------------
@@ -128,6 +112,13 @@ def test_composition_is_sequential_application(base, steps):
 # ---------------------------------------------------------------------------
 
 
+def _merged(parts) -> Delta:
+    """The union of ``parts``, insertions and deletions apiece."""
+    parts = list(parts)
+    return Delta(frozenset().union(*(p.insertions for p in parts)),
+                 frozenset().union(*(p.deletions for p in parts)))
+
+
 class TestSplitMerge:
 
     def test_split_by_key_modulus(self):
@@ -146,18 +137,7 @@ class TestSplitMerge:
         delta = Delta({(i,) for i in range(10)},
                       {(i,) for i in range(20, 25)})
         parts = delta.split(lambda row: row[0] % 3)
-        assert reduce(Delta.union, parts.values(), Delta()) == delta
-
-    def test_deltaset_split_merge(self):
-        deltas = DeltaSet({'r': Delta({(1,), (2,)}, {(3,)}),
-                           's': Delta({(9,)}, set())})
-        parts = deltas.split({'r': lambda row: row[0] % 2,
-                              's': lambda row: 0})
-        assert parts[0]['s'].insertions == {(9,)}
-        assert parts[0]['r'] == Delta({(2,)}, set())
-        assert parts[1]['r'] == Delta({(1,)}, {(3,)})
-        merged = reduce(DeltaSet.union, parts.values())
-        assert merged['r'] == deltas['r'] and merged['s'] == deltas['s']
+        assert _merged(parts.values()) == delta
 
 
 @given(rows, rows)
@@ -166,7 +146,7 @@ def test_split_partitions_are_disjoint_and_complete(insertions, deletions):
     deletions = deletions - insertions
     delta = Delta(insertions, deletions)
     parts = delta.split(lambda row: row[0] % 3)
-    assert reduce(Delta.union, parts.values(), Delta()) == delta
+    assert _merged(parts.values()) == delta
     seen_plus: set = set()
     seen_minus: set = set()
     for part in parts.values():

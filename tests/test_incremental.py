@@ -49,7 +49,9 @@ def incremental_matches_full(strategy, get_text, source, delta_plus,
     out = evaluate(dput, edb)
     deltas = DeltaSet.from_database(out,
                                     relations=strategy.updated_relations())
-    incremental = deltas.effective_on(source).apply_to(source)
+    incremental = DeltaSet({
+        name: delta.effective_on(source[name])
+        for name, delta in deltas.deltas.items()}).apply_to(source)
     assert incremental == full, (pretty(dput), deltas)
 
 

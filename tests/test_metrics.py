@@ -30,8 +30,7 @@ from repro.rdbms import sharded as sharded_mod
 from repro.rdbms.dml import Delete, Insert, Update
 from repro.rdbms.engine import Engine
 from repro.rdbms.metrics import (MERGED_RESERVOIR_SIZE, RESERVOIR_SIZE,
-                                 MetricsRegistry, merge_snapshots,
-                                 percentile)
+                                 MetricsRegistry, merge_snapshots)
 from repro.rdbms.replica import ReplicaEngine, ReplicaSet
 from repro.rdbms.serve import Receipt, ViewServer
 from repro.rdbms.sharded import ShardedEngine
@@ -156,32 +155,6 @@ class TestRegistry:
         hist = merged['histograms']['h']
         assert hist['count'] == 3 * 2 * RESERVOIR_SIZE
         assert len(hist['reservoir']) == MERGED_RESERVOIR_SIZE
-
-
-class TestLatencySummaries:
-    """The percentile estimator over a histogram's reservoir."""
-
-    def test_percentile_interpolates_linearly(self):
-        samples = [10.0, 20.0, 30.0, 40.0, 50.0]
-        assert percentile(samples, 0) == 10.0
-        assert percentile(samples, 50) == 30.0
-        assert percentile(samples, 100) == 50.0
-        assert percentile(samples, 25) == 20.0
-        assert percentile(samples, 90) == pytest.approx(46.0)
-
-    def test_percentile_order_independent(self):
-        assert percentile([3.0, 1.0, 2.0], 50) == 2.0
-
-    def test_percentile_single_sample(self):
-        assert percentile([7.5], 99) == 7.5
-
-    def test_percentile_rejects_bad_input(self):
-        with pytest.raises(ValueError, match='empty'):
-            percentile([], 50)
-        with pytest.raises(ValueError, match=r'\[0, 100\]'):
-            percentile([1.0], 101)
-        with pytest.raises(ValueError, match=r'\[0, 100\]'):
-            percentile([1.0], -1)
 
 
 # ---------------------------------------------------------------------------

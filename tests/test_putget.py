@@ -5,6 +5,7 @@ from repro.core.putget import (getput_check_programs, new_source_rules,
 from repro.datalog.evaluator import evaluate
 from repro.datalog.parser import parse_program
 from repro.relational.database import Database
+from repro.relational.delta import DeltaSet
 
 
 class TestNewSourceRules:
@@ -248,5 +249,6 @@ class TestGetPutLaw:
         strategy = _strategy('luxury')
         source = engine.database()
         delta = strategy.compute_delta(source, engine.rows('luxuryitems'))
-        effective = delta.effective_on(source)
+        effective = DeltaSet({name: piece.effective_on(source[name])
+                              for name, piece in delta.deltas.items()})
         assert effective.is_empty(), str(effective)

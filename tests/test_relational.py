@@ -1,10 +1,14 @@
 """Schema, Database and generator tests."""
 
+import pickle
 import random
+from collections import namedtuple
+from enum import IntEnum
 
 import pytest
 
 from repro.errors import SchemaError
+from repro.rdbms.engine import Engine
 from repro.relational.database import Database
 from repro.relational.generators import random_database, random_rows
 from repro.relational.schema import (AttributeType, DatabaseSchema,
@@ -58,6 +62,106 @@ class TestRelationSchema:
     def test_date_stored_as_string(self):
         rel = RelationSchema('r', ('d',), ('date',))
         rel.validate_tuple(('1962-01-01',))
+
+
+class _Color(IntEnum):
+    RED = 1
+
+
+class _Name(str):
+    pass
+
+
+_Row = namedtuple('_Row', 'i f s')
+
+#: Rows for ``t(i int, f float, s string)``: each batch is accepted or
+#: refused by the compiled pass exactly as row-by-row validation does.
+_BATCHES = {
+    'exact': [(1, 1.5, 'a'), (2, 2.5, 'b')],
+    'int in float': [(1, 2, 'a')],
+    'bool in float': [(1, True, 'a')],
+    'bool in int': [(True, 1.0, 'a')],
+    'float in int': [(1.0, 1.0, 'a')],
+    'str in float': [(1, '1.0', 'a')],
+    'None': [(1, 1.0, None)],
+    'IntEnum in int': [(_Color.RED, 1.0, 'a')],
+    'IntEnum in float': [(1, _Color.RED, 'a')],
+    'str subclass': [(1, 1.0, _Name('a'))],
+    'wrong arity': [(1, 1.0, 'a', 'b')],
+    'arity 1': [(1,)],
+    'list rows': [[1, 1.0, 'a'], [2, 2.0, 'b']],
+    'namedtuple rows': [_Row(1, 1.0, 'a')],
+    'namedtuple, wrong type': [_Row(1, 1.0, 2)],
+    'good then bad': [(k, 1.0, 'a') for k in range(50)] + [(50, 1.0, 5)],
+    'two bad rows': [(1, 1.0, 2), ('x', 1.0, 'a'), (3, 3.0, 'c')],
+}
+
+
+def _outcome(action):
+    """None when ``action()`` passes, else its SchemaError's message."""
+    try:
+        action()
+    except SchemaError as error:
+        return str(error)
+    return None
+
+
+class TestRowCheck:
+    """:meth:`RelationSchema.check_rows` (one compiled pass per type
+    tuple) and the bulk load built on it accept exactly the rows
+    :meth:`RelationSchema.validate_tuple` accepts, and raise its
+    message for the same row."""
+
+    schema = RelationSchema('t', ('i', 'f', 's'),
+                            ('int', 'float', 'string'))
+
+    def _row_by_row(self, rows):
+        for row in rows:
+            self.schema.validate_tuple(tuple(row))
+
+    @pytest.mark.parametrize('batch', sorted(_BATCHES))
+    def test_check_rows_matches_validate_tuple(self, batch):
+        rows = _BATCHES[batch]
+        assert _outcome(lambda: self.schema.check_rows(rows)) \
+            == _outcome(lambda: self._row_by_row(rows))
+
+    @pytest.mark.parametrize('batch, given', [
+        (batch, given) for batch in sorted(_BATCHES)
+        for given in ('list', 'generator', 'set')
+        if (batch, given) != ('list rows', 'set')])   # lists: unhashable
+    def test_load_matches_validate_tuple(self, batch, given):
+        rows = _BATCHES[batch]
+        handed = {'list': lambda: list(rows),
+                  'generator': lambda: (row for row in rows),
+                  'set': lambda: set(rows)}[given]
+        reference = {tuple(row) for row in handed()}
+        expected = _outcome(lambda: self._row_by_row(reference))
+        with Engine(DatabaseSchema((self.schema,)),
+                    backend='memory') as engine:
+            assert _outcome(lambda: engine.load('t', handed())) == expected
+            if expected is None:
+                stored = engine.rows('t')
+                assert stored == reference
+                assert {type(row) for row in stored} == {tuple}
+
+    def test_every_arity_compiles(self):
+        for width in range(4):
+            rel = RelationSchema('r', tuple('abcd'[:width]),
+                                 ('int',) * width)
+            rel.check_rows([(7,) * width])
+            with pytest.raises(SchemaError, match='arity'):
+                rel.check_rows([(7,) * (width + 1)])
+
+    def test_schema_pickles_after_its_check_ran(self):
+        schema = DatabaseSchema((self.schema,))
+        schema['t'].check_rows([(1, 1.0, 'a')])
+        with Engine(schema, backend='memory') as engine:
+            engine.load('t', {(1, 1.0, 'a')})
+        clone = pickle.loads(pickle.dumps(schema))
+        assert clone == schema
+        clone['t'].check_rows([(2, 2.0, 'b')])
+        with pytest.raises(SchemaError, match='expects int'):
+            clone['t'].check_rows([(True, 2.0, 'b')])
 
 
 class TestDatabaseSchema:

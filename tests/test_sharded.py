@@ -781,6 +781,27 @@ class TestAtomicity:
             witnesses.append(err.value.witness)
         assert witnesses[0] == witnesses[1]
 
+    @pytest.mark.parametrize('execution', ['inline', 'processes'])
+    def test_unstorable_row_refuses_the_whole_load(self, execution):
+        """A row one shard's backend cannot store (SQLite keeps no
+        integer outside 64 bits) refuses the whole reload before any
+        shard's table is replaced: the cluster keeps its old rows, as
+        a single engine does."""
+        schema = DatabaseSchema.build(t={'k': 'int', 'v': 'int'})
+        with ShardedEngine(schema, shards=2, shard_keys={'t': 'k'},
+                           backends='sqlite',
+                           execution=execution) as sharded:
+            sharded.load('t', [(k, k) for k in range(10)])
+            before = sharded.shard_rows('t')
+            with pytest.raises(SchemaError, match='64 bits'):
+                sharded.load('t', [(k, 100 + k) for k in range(10)]
+                             + [(3, 2 ** 70)])
+            assert sharded.shard_rows('t') == before
+            assert sorted(sharded.rows('t')) == [(k, k) for k in range(10)]
+            sharded.load('t', [(k, 100 + k) for k in range(10)])
+            assert sorted(sharded.rows('t')) \
+                == [(k, 100 + k) for k in range(10)]
+
     def test_schema_error_rolls_back_all_shards(self, union_strategy):
         _single, sharded = _union_pair(union_strategy)
         before = sharded.database()
@@ -808,8 +829,6 @@ class TestScatterGather:
         assert snapshot['r2'] == {(2,), (5,)}
 
     def test_classifier_matches_delta_split(self, union_strategy):
-        from functools import reduce
-
         from repro.relational.delta import Delta
         _single, sharded = _union_pair(union_strategy)
         delta = Delta({(0,), (1,), (5,)}, {(4,)})
@@ -818,4 +837,7 @@ class TestScatterGather:
         assert parts[1].insertions == {(1,)}
         assert parts[2].insertions == {(5,)}
         assert parts[1].deletions == {(4,)}
-        assert reduce(Delta.union, parts.values(), Delta()) == delta
+        assert Delta(frozenset().union(*(p.insertions
+                                         for p in parts.values())),
+                     frozenset().union(*(p.deletions
+                                         for p in parts.values()))) == delta
