@@ -1,9 +1,10 @@
 """Datalog compositions for the GetPut and PutGet checks (§4.3–§4.4).
 
-* :func:`getput_check_programs` — with the view defined by a candidate
+* :func:`getput_check_program` — with the view defined by a candidate
   ``get`` over the source, GetPut holds iff applying the putback program
   leaves every source relation unchanged, i.e. each *effective* delta
-  (eq. 11: ``Δ⁻Ri ∩ Ri`` and ``Δ⁺Ri \\ Ri``) is unsatisfiable.
+  (eq. 11: ``Δ⁻Ri ∩ Ri`` and ``Δ⁺Ri \\ Ri``) is unsatisfiable.  One
+  program carries every delta's goal rule.
 
 * :func:`putget_check_program` — builds the paper's ``putget`` program:
   the putback rules, the ``r_new`` rules materialising ``S ⊕ ΔS``, and the
@@ -19,7 +20,7 @@ from repro.datalog.ast import (Atom, Lit, Program, Rule, Var, delete_pred,
 from repro.datalog.transform import rename_predicates
 from repro.relational.schema import DatabaseSchema
 
-__all__ = ['getput_check_programs', 'putget_check_program',
+__all__ = ['getput_check_program', 'putget_check_program',
            'new_source_rules', 'NEW_SUFFIX', 'PG_EXTRA', 'PG_MISSING']
 
 NEW_SUFFIX = '_new'
@@ -80,19 +81,19 @@ def _retarget_get(get_program: Program, view: str, prefix: str,
     return rename_predicates(get_program, mapping)
 
 
-def getput_check_programs(putdelta: Program, get_program: Program,
-                          view: str, sources: DatabaseSchema
-                          ) -> list[tuple[str, Program]]:
-    """One ``(goal, program)`` satisfiability check per effective delta.
+def getput_check_program(putdelta: Program, get_program: Program,
+                         view: str, sources: DatabaseSchema
+                         ) -> tuple[Program, list[str]]:
+    """The GetPut check program and its goals, one per effective delta.
 
-    The combined program defines the view from the source via ``get`` and
-    runs the putback rules on top; GetPut holds iff every goal is
-    unsatisfiable (over source databases satisfying the constraints).
+    The program defines the view from the source via ``get``, runs the
+    putback rules on top and defines each goal; GetPut holds iff every
+    goal is unsatisfiable (over source databases satisfying the
+    constraints).
     """
     get_rules = _retarget_get(get_program, view, 'gp__', view, {})
     arities = _source_arities(putdelta, sources)
-    checks: list[tuple[str, Program]] = []
-    base_rules = putdelta.rules + get_rules.rules
+    goal_rules: list[Rule] = []
     for pred in sorted(putdelta.delta_preds()):
         base = delta_base(pred)
         args = _vars('G', arities[base])
@@ -105,19 +106,19 @@ def getput_check_programs(putdelta: Program, get_program: Program,
             # Effective insertion: Δ⁺R \ R
             body = (Lit(Atom(pred, args), True),
                     Lit(Atom(base, args), False))
-        program = Program(base_rules + (Rule(Atom(goal, args), body),))
-        checks.append((goal, program))
-    return checks
+        goal_rules.append(Rule(Atom(goal, args), body))
+    return (Program(putdelta.rules + get_rules.rules + tuple(goal_rules)),
+            [rule.head.pred for rule in goal_rules])
 
 
 def putget_check_program(putdelta: Program, get_program: Program,
                          view: str, view_arity: int,
                          sources: DatabaseSchema
-                         ) -> tuple[Program, str, str]:
+                         ) -> tuple[Program, list[str]]:
     """The paper's ``putget`` composition plus the Φ1/Φ2 test predicates.
 
-    Returns ``(program, extra_goal, missing_goal)``; PutGet holds iff both
-    goals are unsatisfiable over ``(S, V)`` instances satisfying the
+    Returns ``(program, [extra_goal, missing_goal])``; PutGet holds iff
+    both goals are unsatisfiable over ``(S, V)`` instances satisfying the
     constraints.
     """
     source_rename, rnew_rules = new_source_rules(putdelta, sources)
@@ -133,4 +134,4 @@ def putget_check_program(putdelta: Program, get_program: Program,
                          Lit(Atom(vnew, args), False)))
     program = Program(putdelta.rules + rnew_rules + get_rules.rules +
                       (extra_rule, missing_rule))
-    return program, PG_EXTRA, PG_MISSING
+    return program, [PG_EXTRA, PG_MISSING]

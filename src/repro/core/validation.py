@@ -26,14 +26,14 @@ from repro.datalog.ast import (Atom, Lit, Program, Rule, Var, delete_pred,
 from repro.datalog.pretty import pretty
 from repro.core.get_derivation import derive_get
 from repro.core.lvgn import FragmentReport, classify
-from repro.core.putget import getput_check_programs, putget_check_program
+from repro.core.putget import getput_check_program, putget_check_program
 from repro.core.strategy import UpdateStrategy
 from repro.errors import ValidationError
-from repro.fol.solver import SolverConfig, check_satisfiable
+from repro.fol.solver import Search, SolverConfig, check_satisfiable
 from repro.relational.database import Database
 
 __all__ = ['CheckResult', 'ValidationReport', 'validate',
-           'well_definedness_programs']
+           'well_definedness_program']
 
 
 @dataclass(frozen=True)
@@ -111,24 +111,25 @@ class ValidationReport:
 # ---------------------------------------------------------------------------
 
 
-def well_definedness_programs(strategy: UpdateStrategy
-                              ) -> list[tuple[str, Program]]:
-    """The ``d_i :- +r_i(~X), -r_i(~X)`` checks of §4.2 (rule (2))."""
+def well_definedness_program(strategy: UpdateStrategy
+                             ) -> tuple[Program, list[str]]:
+    """The ``d_i :- +r_i(~X), -r_i(~X)`` checks of §4.2 (rule (2)): the
+    putdelta program with one goal per relation that has both kinds of
+    delta, and those goals."""
     putdelta = strategy.putdelta
     deltas = putdelta.delta_preds()
     arities = putdelta.arities()
-    checks: list[tuple[str, Program]] = []
+    rules: list[Rule] = []
     for base in sorted({delta_base(p) for p in deltas}):
         plus, minus = insert_pred(base), delete_pred(base)
         if plus not in deltas or minus not in deltas:
             continue  # only one kind of delta: trivially non-contradictory
         args = tuple(Var(f'D{i}') for i in range(arities[plus]))
-        goal = f'__wd_{base}__'
-        rule = Rule(Atom(goal, args),
-                    (Lit(Atom(plus, args), True),
-                     Lit(Atom(minus, args), True)))
-        checks.append((goal, Program(putdelta.rules + (rule,))))
-    return checks
+        rules.append(Rule(Atom(f'__wd_{base}__', args),
+                          (Lit(Atom(plus, args), True),
+                           Lit(Atom(minus, args), True))))
+    return (Program(putdelta.rules + tuple(rules)),
+            [rule.head.pred for rule in rules])
 
 
 # ---------------------------------------------------------------------------
@@ -136,13 +137,18 @@ def well_definedness_programs(strategy: UpdateStrategy
 # ---------------------------------------------------------------------------
 
 
-def _run_check(name: str, goal: str, program: Program, strategy,
-               config: SolverConfig, fail_detail: str) -> CheckResult:
+def _search(family: tuple[Program, list[str]], strategy: UpdateStrategy,
+            config: SolverConfig) -> Search:
+    """The solver work a check program's goals share."""
+    return Search(*family, schema=strategy.sources.extend(strategy.view),
+                  edb_arities={strategy.view.name: strategy.view.arity},
+                  config=config)
+
+
+def _run_check(name: str, goal: str, search: Search,
+               fail_detail: str) -> CheckResult:
     started = time.perf_counter()
-    result = check_satisfiable(
-        program, goal, schema=strategy.sources.extend(strategy.view),
-        edb_arities={strategy.view.name: strategy.view.arity},
-        config=config)
+    result = check_satisfiable(search.program, goal, search=search)
     elapsed = time.perf_counter() - started
     if result.is_sat:
         return CheckResult(name, False, fail_detail, result.witness,
@@ -175,11 +181,11 @@ def validate(strategy: UpdateStrategy, *,
         return report
 
     # -- pass 1: well-definedness ---------------------------------------
-    for goal, program in well_definedness_programs(strategy):
+    search = _search(well_definedness_program(strategy), strategy, config)
+    for goal in search.goals:
         base = goal.strip('_').removeprefix('wd_')
         checks.append(_run_check(
-            f'well-definedness of Δ{base}', goal, program, strategy,
-            config,
+            f'well-definedness of Δ{base}', goal, search,
             f'putdelta can both insert and delete the same {base} tuple'))
         if not checks[-1].passed:
             return finish()
@@ -191,12 +197,13 @@ def validate(strategy: UpdateStrategy, *,
     get_program: Program | None = None
     if strategy.expected_get is not None:
         ok = True
-        for goal, program in getput_check_programs(
-                strategy.putdelta, strategy.expected_get,
-                strategy.view.name, strategy.sources):
+        search = _search(getput_check_program(
+            strategy.putdelta, strategy.expected_get, strategy.view.name,
+            strategy.sources), strategy, config)
+        for goal in search.goals:
             check = _run_check(
                 f'GetPut with expected get ({goal.strip("_")})', goal,
-                program, strategy, config,
+                search,
                 'put modifies a source that already matches the expected '
                 'view')
             checks.append(check)
@@ -249,29 +256,28 @@ def validate(strategy: UpdateStrategy, *,
                 c for c in checks
                 if not c.name.startswith('GetPut with expected get')]
             checks = report.checks
-        for goal, program in getput_check_programs(
-                strategy.putdelta, get_program, strategy.view.name,
-                strategy.sources):
+        search = _search(getput_check_program(
+            strategy.putdelta, get_program, strategy.view.name,
+            strategy.sources), strategy, config)
+        for goal in search.goals:
             check = _run_check(
                 f'GetPut with derived get ({goal.strip("_")})', goal,
-                program, strategy, config,
+                search,
                 'the derived view definition does not satisfy GetPut')
             checks.append(check)
             if not check.passed:
                 return finish()
 
     # -- pass 3: PutGet -------------------------------------------------------
-    program, extra_goal, missing_goal = putget_check_program(
+    search = _search(putget_check_program(
         strategy.putdelta, get_program, strategy.view.name,
-        strategy.view.arity, strategy.sources)
+        strategy.view.arity, strategy.sources), strategy, config)
     checks.append(_run_check(
-        'PutGet (no extra tuples: Φ1)', extra_goal, program, strategy,
-        config,
+        'PutGet (no extra tuples: Φ1)', search.goals[0], search,
         'get(put(S, V)) can contain a tuple outside the updated view'))
     if not checks[-1].passed:
         return finish()
     checks.append(_run_check(
-        'PutGet (no missing tuples: Φ2)', missing_goal, program, strategy,
-        config,
+        'PutGet (no missing tuples: Φ2)', search.goals[1], search,
         'get(put(S, V)) can lose a tuple of the updated view'))
     return finish()

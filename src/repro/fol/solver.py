@@ -27,21 +27,27 @@ SAT answer is always sound):
    would satisfy.  The draws go to the EDB relations in name order, so
    they depend on the program and the configuration only.
 
-Both passes form one stream of candidates, judged in doubling batches
-(1, 2, 4, … candidates) by one plan compiled once per check in
+The unit of work is the *check program*, a :class:`Search`: one
+program carrying the goal rules of a family of checks, each defining a
+fresh predicate no rule reads.  The program is compiled once in
 *world-tagged* form: every relational atom gains a leading world
 variable, every ⊥-rule derives ``#violated(W)``, and a rule with no
 positive atom is guarded by ``#worlds(W)`` (``#`` never occurs in a
 parsed name).  A batch is one database whose facts carry their
-candidate's index as the world, so one run materialises the goal's IDB
-cone bottom-up for every candidate at once, and a second, over the
-worlds where the goal held, finds the violated ones.
+candidate's index as the world, so one run materialises the IDB cones
+of the goals asked for, for every candidate at once, and a second, over
+the worlds where a goal held, finds the violated ones.  Each goal's
+canonical candidates are judged in doubling batches (1, 2, 4, …) of
+their own; the random databases are drawn once per distinct stream and
+judged in one batch for every goal drawing that stream.
 
-The answer is exactly the one-candidate-at-a-time loop's: the first
-candidate :func:`_verify` accepts, with the same ``method`` and
-``instances``.  A world the batch rejects, :func:`_verify` rejects:
-stratified Datalog gives one answer under any evaluation order once
-evaluation completes.  A world the batch accepts is confirmed by
+Each goal's answer is exactly the one-candidate-at-a-time loop's over
+its stream in its one-goal program: the first candidate :func:`_verify`
+accepts, with the same ``method`` and ``instances``.  Its cone and
+clauses never reach another goal's rule, and its random stream is drawn
+from the program less the other goals' rules.  A world the batch
+rejects for a goal, :func:`_verify` rejects: stratified Datalog gives
+one answer under any evaluation order once evaluation completes.  A world the batch accepts is confirmed by
 :func:`_verify` on the plain plan, compiled only when first needed.  A
 batch whose evaluation raises is bisected, and a lone candidate is left
 to :func:`_verify`, which reads an evaluation error as "no witness".
@@ -60,6 +66,7 @@ import operator
 import random
 from dataclasses import dataclass, field
 from enum import Enum
+from functools import cached_property
 from typing import Iterable, Iterator, Sequence
 
 from repro.datalog.ast import (Atom, BuiltinLit, Const, Lit, Literal,
@@ -70,8 +77,8 @@ from repro.errors import ReproError, SchemaError
 from repro.relational.database import Database
 from repro.relational.schema import AttributeType, DatabaseSchema
 
-__all__ = ['SolverConfig', 'SatStatus', 'SatResult', 'check_satisfiable',
-           'unfold_to_clauses', 'Clause']
+__all__ = ['SolverConfig', 'SatStatus', 'SatResult', 'Search',
+           'check_satisfiable', 'unfold_to_clauses', 'Clause']
 
 
 # ---------------------------------------------------------------------------
@@ -247,7 +254,7 @@ def _candidate_partitions(classes: list[str], config: SolverConfig,
 # ---------------------------------------------------------------------------
 
 
-_FRESH_BASE = {'int': 10_000, 'float': 10_000.0, 'string': 'zz'}
+_FRESH_BASE = {'int': 10_000, 'float': 10_000.0}
 
 _OPS = {'=': operator.eq, '<>': operator.ne, '<': operator.lt,
         '<=': operator.le, '>': operator.gt, '>=': operator.ge}
@@ -302,17 +309,21 @@ def _above(low, type_name: str):
     return low + 'z'
 
 
+def _fresh(type_name: str, fresh_index: int):
+    """A value outside the usual constant pools, so negated equalities
+    against constants hold."""
+    if type_name == 'string':
+        return f'zz{fresh_index}'
+    return _FRESH_BASE[type_name] + fresh_index
+
+
 def _synthesize(lowers: list, uppers: list, type_name: str, fresh_index: int):
     """A value satisfying all ``(bound, strict)`` constraints, or None.
 
-    When unconstrained, returns a fresh value outside the usual constant
-    pools (so negated equalities against constants hold).
+    When unconstrained, returns :func:`_fresh`'s value.
     """
     if not lowers and not uppers:
-        base = _FRESH_BASE[type_name]
-        if type_name == 'string':
-            return f'{base}{fresh_index}'
-        return base + fresh_index
+        return _fresh(type_name, fresh_index)
     try:
         low = max(lowers, key=lambda b: b[0]) if lowers else None
         high = min(uppers, key=lambda b: b[0]) if uppers else None
@@ -390,8 +401,10 @@ class _ClosedClause:
     # Per class: (('const', value) | ('var', class), strict?) entries.
     lowers: dict[str, list] = field(default_factory=dict)
     uppers: dict[str, list] = field(default_factory=dict)
-    # Positive atoms as (pred, ((class | None, constant), ...)).
+    # Positive atoms as (pred, (key, ...)): a key is a class, or an
+    # int naming a constant of ``consts``.
     atoms: list[tuple[str, tuple]] = field(default_factory=list)
+    consts: dict[int, object] = field(default_factory=dict)
 
 
 def _close_clause(clause: Clause, types: dict[str, str]
@@ -449,9 +462,14 @@ def _close_clause(clause: Clause, types: dict[str, str]
                 closed.lowers.setdefault(larger[1], []).append(
                     (smaller, strict))
     for atom in clause.pos_atoms:
-        closed.atoms.append((atom.pred, tuple(
-            (None, term.value) if isinstance(term, Const)
-            else (class_of[term.name], None) for term in atom.args)))
+        keys = []
+        for term in atom.args:
+            if isinstance(term, Const):
+                keys.append(len(closed.consts))
+                closed.consts[keys[-1]] = term.value
+            else:
+                keys.append(class_of[term.name])
+        closed.atoms.append((atom.pred, tuple(keys)))
     return closed
 
 
@@ -464,45 +482,52 @@ def _instance(closed: _ClosedClause, blocks: Iterable[Iterable[str]]
     partition).  Values are a function of the merged classes alone, so
     one class structure always yields the same facts."""
     merged = sorted(sorted(block) for block in blocks)
-    name = {cls: block[0] for block in merged for cls in block}
-    value: dict[str, object] = {}
-    for block in merged:
-        consts = [closed.pinned[cls] for cls in block if cls in closed.pinned]
-        if consts:
-            if any(const != consts[0] for const in consts):
-                return None
-            value[block[0]] = consts[0]
-
+    pinned, types = closed.pinned, closed.types
     bounded = closed.lowers or closed.uppers
-    fresh_index = 1
+    full: dict = dict(closed.consts)    # class or constant key -> value
+    # Pinned blocks first, so that a bound by a pinned class is known
+    # whatever the block order.
+    unpinned = []
     for block in merged:
-        if block[0] in value:
+        consts = [pinned[cls] for cls in block if cls in pinned] \
+            if pinned else None
+        if not consts:
+            unpinned.append(block)
             continue
+        for const in consts:
+            if const != consts[0]:
+                return None
+        for cls in block:
+            full[cls] = consts[0]
+    fresh_index = 1
+    for block in unpinned:
         type_name = 'string'
         for cls in block:
-            if cls in closed.types:
-                type_name = closed.types[cls]
+            if cls in types:
+                type_name = types[cls]
                 break
-        # Concrete (value, strict) lower and upper bounds of the merged
-        # class; a bound by a class not yet assigned is left to the
-        # residual check.
-        found: tuple[list, list] = ([], [])
         if bounded:
+            # Concrete (value, strict) lower and upper bounds of the
+            # merged class; a bound by a class not yet assigned is left
+            # to the residual check.
+            found: tuple[list, list] = ([], [])
             for kind, out in zip((closed.lowers, closed.uppers), found):
                 for cls in block:
                     for (tag, other), strict in kind.get(cls, ()):
                         if tag == 'const':
                             out.append((other, strict))
-                        elif name[other] in value:
-                            out.append((value[name[other]], strict))
-        synthesized = _synthesize(*found, type_name, fresh_index)
+                        elif other in full:
+                            out.append((full[other], strict))
+            value = _synthesize(*found, type_name, fresh_index)
+            if value is None:
+                return None
+        else:
+            value = _fresh(type_name, fresh_index)
         fresh_index += 7
-        if synthesized is None:
-            return None
-        value[block[0]] = synthesized
+        for cls in block:
+            full[cls] = value
 
     # Residual checks over the complete assignment.
-    full = {cls: value[name[cls]] for cls in closed.classes}
     for a, b in closed.diseq:
         if full[a] == full[b]:
             return None
@@ -524,10 +549,9 @@ def _instance(closed: _ClosedClause, blocks: Iterable[Iterable[str]]
                         return None
         except TypeError:
             return None
-    return frozenset([
-        (pred, tuple([const if cls is None else full[cls]
-                      for cls, const in terms]))
-        for pred, terms in closed.atoms])
+    value_of_key = full.__getitem__
+    return frozenset([(pred, tuple(map(value_of_key, keys)))
+                      for pred, keys in closed.atoms])
 
 
 def _value_type(declared: AttributeType) -> str:
@@ -598,23 +622,24 @@ class _Worlds:
 
     The batch is one database whose facts carry their candidate's index
     as a leading column, the world; the tagged program evaluates every
-    world at once and apart from the others.  Raises what compiling the
-    program raises: tagging binds the world in every body and adds no
-    recursion, so both compile or neither does."""
+    world at once and apart from the others, for any of the program's
+    goals.  Raises what compiling the program raises: tagging binds the
+    world in every body and adds no recursion, so both compile or
+    neither does."""
 
-    def __init__(self, program: Program, goal: str):
-        self.program, self.goal = program, goal
+    def __init__(self, program: Program):
+        self.program = program
         self.tagged = compile_program(Program(tuple(map(_tag,
                                                         program.rules))))
-        self.goal_cone = self._cone(goal) or (goal,)
-        self.violated_cone = self._cone(_VIOLATED)
+        self.violated_cone = self._cone((_VIOLATED,))
+        self.cones: dict[tuple[str, ...], tuple[str, ...]] = {}
         self.plan: ExecutionPlan | None = None      # untagged, on demand
 
-    def _cone(self, root: str) -> tuple[str, ...]:
-        """The IDB predicates ``root`` depends on, bottom-up: run in this
+    def _cone(self, roots: Iterable[str]) -> tuple[str, ...]:
+        """The IDB predicates ``roots`` depend on, bottom-up: run in this
         order, every probe meets a materialised relation."""
         seen: set[str] = set()
-        stack = [root]
+        stack = list(roots)
         while stack:
             pred = stack.pop()
             if pred in self.tagged.idb and pred not in seen:
@@ -624,43 +649,58 @@ class _Worlds:
                           for body_pred in rule_plan.rule.body_preds()]
         return tuple(pred for pred in self.tagged.order if pred in seen)
 
-    def accepted(self, batch: list[dict[str, set]]) -> list[int]:
-        """The worlds of ``batch`` where the goal holds and no constraint
-        is violated, in order; raises what evaluation raises."""
+    def accepted(self, batch: list[dict[str, set]], goals: Sequence[str]
+                 ) -> dict[str, list[int]]:
+        """Per goal, the worlds of ``batch`` where it holds and no
+        constraint is violated, in order; raises what evaluation
+        raises.  One run over the union of the goals' cones, one over
+        the worlds where any goal held."""
+        goals = tuple(goals)
+        if goals not in self.cones:
+            self.cones[goals] = self._cone(goals) + tuple(
+                goal for goal in goals if goal not in self.tagged.idb)
         edb: dict[str, set] = {_WORLDS: {(world,)
                                          for world in range(len(batch))}}
         for world, candidate in enumerate(batch):
             for pred, rows in candidate.items():
                 edb.setdefault(pred, set()).update(
                     (world,) + row for row in rows)
-        held = {row[0] for row in execute_plan(
-            self.tagged, edb, goals=self.goal_cone)[self.goal]}
-        if held and self.violated_cone:
-            edb = {pred: {row for row in rows if row[0] in held}
+        derived = execute_plan(self.tagged, edb, goals=self.cones[goals])
+        held = {goal: {row[0] for row in derived[goal]} for goal in goals}
+        anywhere = set().union(*held.values())
+        if anywhere and self.violated_cone:
+            edb = {pred: {row for row in rows if row[0] in anywhere}
                    for pred, rows in edb.items()}
-            held -= {row[0] for row in execute_plan(
+            violated = {row[0] for row in execute_plan(
                 self.tagged, edb, goals=self.violated_cone)[_VIOLATED]}
-        return sorted(held)
+            held = {goal: worlds - violated for goal, worlds in held.items()}
+        return {goal: sorted(worlds) for goal, worlds in held.items()}
 
-    def first(self, batch: list[dict[str, set]]) -> int | None:
-        """The index of the first candidate of ``batch`` that
-        :func:`_verify` accepts, or None — why the batch's answer is
-        exactly that is argued in the module docstring."""
+    def first(self, batch: list[dict[str, set]], goals: Sequence[str]
+              ) -> dict[str, int | None]:
+        """Per goal, the index of the first candidate of ``batch`` that
+        :func:`_verify` accepts for it, or None — why the batch's answer
+        is exactly that is argued in the module docstring."""
         try:
-            accepted = self.accepted(batch)
+            accepted = self.accepted(batch, goals)
         except ReproError:
             if len(batch) > 1:
                 half = len(batch) // 2
-                for offset, part in ((0, batch[:half]), (half, batch[half:])):
-                    found = self.first(part)
-                    if found is not None:
-                        return offset + found
-                return None
-            accepted = [0]
-        if accepted and self.plan is None:
+                found = self.first(batch[:half], goals)
+                rest = [goal for goal in goals if found[goal] is None]
+                if rest:
+                    found.update(
+                        (goal, None if world is None else half + world)
+                        for goal, world in self.first(batch[half:],
+                                                      rest).items())
+                return found
+            accepted = {goal: [0] for goal in goals}
+        if any(accepted.values()) and self.plan is None:
             self.plan = compile_program(self.program)
-        return next((world for world in accepted
-                     if _verify(self.plan, self.goal, batch[world])), None)
+        return {goal: next((world for world in worlds
+                            if _verify(self.plan, goal, batch[world])),
+                           None)
+                for goal, worlds in accepted.items()}
 
 
 # ---------------------------------------------------------------------------
@@ -668,8 +708,7 @@ class _Worlds:
 # ---------------------------------------------------------------------------
 
 
-def _value_pool(program: Program, schema: DatabaseSchema | None
-                ) -> dict[str, list]:
+def _value_pool(program: Program) -> dict[str, tuple]:
     pools: dict[str, list] = {'int': [0, 1, 2], 'float': [0.0, 1.5],
                               'string': ['a', 'b', 'c']}
     for const in program.constants():
@@ -681,23 +720,17 @@ def _value_pool(program: Program, schema: DatabaseSchema | None
             pools['float'] += [const.value - 0.5, const.value + 0.5]
         elif isinstance(const.value, str):
             pools['string'] += [const.value + 'z']
-    for name in pools:
-        pools[name] = sorted(set(pools[name]))
-    return pools
+    return {name: tuple(sorted(set(values)))
+            for name, values in pools.items()}
 
 
-def _random_database(rng: random.Random, arities: dict[str, int],
-                     types_by_pred: dict[str, tuple[str, ...]],
-                     pools: dict[str, list], max_size: int
+def _random_database(rng: random.Random, relations: tuple, max_size: int
                      ) -> dict[str, set]:
-    data: dict[str, set] = {}
-    for pred, arity in arities.items():
-        col_types = types_by_pred.get(pred)
-        columns = [pools[col_types[pos] if col_types else 'string']
-                   for pos in range(arity)]
-        data[pred] = {tuple([rng.choice(column) for column in columns])
-                      for _ in range(rng.randint(0, max_size))}
-    return data
+    """Up to ``max_size`` rows per relation of ``relations``, a tuple
+    of ``(pred, value pool per column)`` in draw order."""
+    return {pred: {tuple([rng.choice(column) for column in columns])
+                   for _ in range(rng.randint(0, max_size))}
+            for pred, columns in relations}
 
 
 # ---------------------------------------------------------------------------
@@ -705,42 +738,76 @@ def _random_database(rng: random.Random, arities: dict[str, int],
 # ---------------------------------------------------------------------------
 
 
-def check_satisfiable(program: Program, goal: str, *,
-                      constraints: Program | None = None,
-                      schema: DatabaseSchema | None = None,
-                      edb_arities: dict[str, int] | None = None,
-                      config: SolverConfig | None = None) -> SatResult:
-    """Search for a database making ``goal`` nonempty under constraints.
+class Search:
+    """The solver work that the checks of one program share.
 
-    ``program`` holds the rules (possibly including ⊥ rules, which are
-    treated as constraints together with any in ``constraints``).
-    ``schema`` (optional) supplies column types for value synthesis;
-    ``edb_arities`` (optional) adds EDB relations that should exist in
-    randomized candidates even when no clause mentions them.
-    """
-    config = config or SolverConfig()
+    ``program`` carries one goal rule per check, each defining a fresh
+    predicate that no rule reads.  The search holds the world-tagged
+    plan, the plain plan (compiled when a candidate is first accepted)
+    and the random pass: its ``random_trials`` databases are drawn once
+    per distinct stream and judged for every goal drawing that stream in
+    one batch.  Each goal's canonical pass runs first, in doubling
+    batches of its own.  Nothing outlives the search."""
 
-    constraint_rules = list(program.constraints())
-    if constraints is not None:
-        constraint_rules += list(constraints.constraints())
-    # One program carrying every rule: evaluation-time constraint checking
-    # needs the IDB definitions in scope.
-    all_rules = Program(tuple(program.proper_rules()) +
-                        (tuple(constraints.proper_rules())
-                         if constraints is not None else ()) +
-                        tuple(constraint_rules))
-    eval_program = Program(tuple(dict.fromkeys(all_rules.rules)))
-    try:
-        worlds = _Worlds(eval_program, goal)
-    except ReproError:
-        # No candidate can be evaluated, so none is a witness.
-        return SatResult(SatStatus.UNSAT, None, goal, 'bounded search')
+    def __init__(self, program: Program, goals: Sequence[str], *,
+                 constraints: Program | None = None,
+                 schema: DatabaseSchema | None = None,
+                 edb_arities: dict[str, int] | None = None,
+                 config: SolverConfig | None = None):
+        self.program, self.goals = program, tuple(goals)
+        self.schema, self.edb_arities = schema, edb_arities or {}
+        self.config = config or SolverConfig()
+        # One program carrying every rule, ⊥-rules last: evaluation-time
+        # constraint checking needs the IDB definitions in scope.
+        rules = program.rules + (constraints.rules if constraints else ())
+        self.rules = tuple(dict.fromkeys(
+            [rule for rule in rules if not rule.is_constraint] +
+            [rule for rule in rules if rule.is_constraint]))
+        self.streams: dict[str, tuple] = {}     # goal -> its relations
+        # relations -> (databases, {goal: first witness or None})
+        self.random_passes: dict[tuple, tuple] = {}
 
-    def canonical() -> Iterator[tuple[str, dict[str, set]]]:
+    @cached_property
+    def worlds(self) -> _Worlds | None:
+        """The tagged plan, compiled at the first check; None when the
+        program does not compile."""
+        try:
+            return _Worlds(Program(self.rules))
+        except ReproError:
+            return None
+
+    def check(self, goal: str) -> SatResult:
+        """Search for a database making ``goal`` nonempty."""
+        if self.worlds is None:
+            # No candidate can be evaluated, so none is a witness.
+            return SatResult(SatStatus.UNSAT, None, goal, 'bounded search')
+        # Doubling batches; ``judged`` counts the candidates before the
+        # batch, so a witness's ``instances`` is its position.
+        stream = self._canonical(goal)
+        judged, size = 0, 1
+        while batch := list(itertools.islice(stream, size)):
+            found = self.worlds.first(batch, (goal,))[goal]
+            if found is not None:
+                return SatResult(SatStatus.SAT, Database.from_dict(
+                    batch[found]), goal, 'canonical instance',
+                    judged + found + 1)
+            judged += len(batch)
+            size *= 2
+        databases, found = self._random_pass(goal)
+        if found is not None:
+            return SatResult(SatStatus.SAT, Database.from_dict(
+                databases[found]), goal, 'randomized search',
+                judged + found + 1)
+        return SatResult(SatStatus.UNSAT, None, goal, 'bounded search',
+                         judged + len(databases))
+
+    def _canonical(self, goal: str) -> Iterator[dict[str, set]]:
+        config = self.config
         rng = random.Random(config.seed)
         verified: set[frozenset] = set()
-        for clause in unfold_to_clauses(program, goal, config.max_clauses):
-            closed = _close_clause(clause, _infer_types(schema, clause))
+        for clause in unfold_to_clauses(self.program, goal,
+                                        config.max_clauses):
+            closed = _close_clause(clause, _infer_types(self.schema, clause))
             if closed is None:
                 continue
             for blocks in _candidate_partitions(closed.classes, config, rng):
@@ -751,46 +818,73 @@ def check_satisfiable(program: Program, goal: str, *,
                 candidate: dict[str, set] = {}
                 for pred, row in facts:
                     candidate.setdefault(pred, set()).add(row)
-                yield 'canonical instance', candidate
+                yield candidate
 
-    def randomized() -> Iterator[tuple[str, dict[str, set]]]:
-        # Its own stream, so these instances depend on (program, config)
-        # only and not on how many draws pass 1 happened to make.
-        rng = random.Random(config.seed)
-        arities = dict(program.arities())
-        if constraints is not None:
-            for pred, arity in constraints.arities().items():
-                arities.setdefault(pred, arity)
-        if edb_arities:
-            for pred, arity in edb_arities.items():
-                arities.setdefault(pred, arity)
+    def _stream(self, goal: str) -> tuple:
+        """``goal``'s random relations: the EDB relations of the program
+        less the other goals' rules, in name order, each with the value
+        pool of every column."""
+        others = set(self.goals) - {goal}
+        program = Program(tuple(rule for rule in self.rules
+                                if rule.head is None
+                                or rule.head.pred not in others))
+        arities = {**self.edb_arities, **program.arities()}
+        pools = _value_pool(program)
+        relations = []
         # Sorted: which relation takes which draws must not depend on
         # set order, that is, on PYTHONHASHSEED.
-        edb_names = sorted(set(arities) - eval_program.idb_preds())
-        edb_arities_only = {p: arities[p] for p in edb_names}
-        pools = _value_pool(all_rules, schema)
-        types_by_pred: dict[str, tuple[str, ...]] = {}
-        if schema is not None:
-            for pred in edb_arities_only:
-                base = delta_base(pred)
-                if base in schema:
-                    types_by_pred[pred] = tuple(map(_value_type,
-                                                    schema[base].types))
-        for _ in range(config.random_trials):
-            yield 'randomized search', _random_database(
-                rng, edb_arities_only, types_by_pred, pools,
-                config.max_relation_size)
+        for pred in sorted(set(arities) - program.idb_preds()):
+            base = delta_base(pred)
+            types = map(_value_type, self.schema[base].types) \
+                if self.schema is not None and base in self.schema \
+                else ['string'] * arities[pred]
+            relations.append((pred, tuple(pools[kind] for kind in types)))
+        return tuple(relations)
 
-    # Judge the candidates in doubling batches; ``judged`` counts those
-    # before the batch, so a witness's ``instances`` is its position.
-    stream = itertools.chain(canonical(), randomized())
-    judged, size = 0, 1
-    while batch := list(itertools.islice(stream, size)):
-        found = worlds.first([candidate for _, candidate in batch])
-        if found is not None:
-            method, candidate = batch[found]
-            return SatResult(SatStatus.SAT, Database.from_dict(candidate),
-                             goal, method, judged + found + 1)
-        judged += len(batch)
-        size *= 2
-    return SatResult(SatStatus.UNSAT, None, goal, 'bounded search', judged)
+    def _random_pass(self, goal: str
+                     ) -> tuple[list[dict[str, set]], int | None]:
+        """The random databases of ``goal``'s stream and the index of
+        its first witness among them, judged once for every goal of the
+        search that draws the same stream."""
+        for other in (goal,) + self.goals:
+            if other not in self.streams:
+                self.streams[other] = self._stream(other)
+        relations = self.streams[goal]
+        if relations not in self.random_passes:
+            # Its own rng, so these databases depend on the stream and
+            # the configuration only, not on the canonical pass's draws.
+            rng = random.Random(self.config.seed)
+            databases = [_random_database(rng, relations,
+                                          self.config.max_relation_size)
+                         for _ in range(self.config.random_trials)]
+            sharing = [other for other, drawn in self.streams.items()
+                       if drawn == relations]
+            self.random_passes[relations] = databases, (
+                self.worlds.first(databases, sharing) if databases
+                else dict.fromkeys(sharing))
+        databases, found = self.random_passes[relations]
+        return databases, found[goal]
+
+
+def check_satisfiable(program: Program, goal: str, *,
+                      constraints: Program | None = None,
+                      schema: DatabaseSchema | None = None,
+                      edb_arities: dict[str, int] | None = None,
+                      config: SolverConfig | None = None,
+                      search: Search | None = None) -> SatResult:
+    """Search for a database making ``goal`` nonempty under constraints.
+
+    ``program`` holds the rules (possibly including ⊥ rules, which are
+    treated as constraints together with any in ``constraints``).
+    ``schema`` (optional) supplies column types for value synthesis;
+    ``edb_arities`` (optional) adds EDB relations that should exist in
+    randomized candidates even when no clause mentions them.  ``search``
+    (optional) is a :class:`Search` over ``program`` whose work this
+    check shares with the program's other goals; it replaces the other
+    keywords.  Without it, the check is a search of its own.
+    """
+    if search is None:
+        search = Search(program, (goal,), constraints=constraints,
+                        schema=schema, edb_arities=edb_arities,
+                        config=config)
+    return search.check(goal)

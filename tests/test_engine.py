@@ -726,3 +726,29 @@ class TestLifecycle:
             assert [ref() for ref in alive] == [None, None]
         finally:
             gc.enable()
+
+    @pytest.mark.parametrize('backend', ['memory', 'sqlite'])
+    def test_engine_dropped_without_close_is_freed(self, luxury_strategy,
+                                                   backend):
+        """Dropping the last reference is enough, without ``close()``:
+        no cycle holds the engine, its backend or a stored relation
+        until the next full collection."""
+        import gc
+        import weakref
+        gc.collect()
+        gc.disable()
+        try:
+            engine = Engine(luxury_strategy.sources, backend=backend)
+            engine.load('items', [(1, 'watch', 5000)])
+            engine.define_view(luxury_strategy, validate_first=False)
+            engine.insert('luxuryitems', (2, 'yacht', 90000))
+            with engine.transaction() as txn:
+                txn.update('luxuryitems', {'iname': 'boat'},
+                           where={'iid': 2})
+            assert engine.rows('luxuryitems') == {(1, 'watch', 5000),
+                                                  (2, 'boat', 90000)}
+            alive = [weakref.ref(engine), weakref.ref(engine.backend)]
+            del engine, txn
+            assert [ref() for ref in alive] == [None, None]
+        finally:
+            gc.enable()

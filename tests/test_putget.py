@@ -1,6 +1,6 @@
 """Tests for the GetPut / PutGet composition programs (§4.3–4.4)."""
 
-from repro.core.putget import (getput_check_programs, new_source_rules,
+from repro.core.putget import (getput_check_program, new_source_rules,
                                putget_check_program)
 from repro.datalog.evaluator import evaluate
 from repro.datalog.parser import parse_program
@@ -38,7 +38,7 @@ class TestPutGetComposition:
     def test_putget_program_matches_paper(self, union_strategy):
         # §4.4 lists the exact composed program for Example 4.1; check the
         # composed result semantically: v_new == get(put(S, V)).
-        program, extra, missing = putget_check_program(
+        program, (extra, missing) = putget_check_program(
             union_strategy.putdelta, union_strategy.expected_get, 'v', 1,
             union_strategy.sources)
         edb = Database.from_dict({'r1': {(1,)}, 'r2': {(2,), (4,)},
@@ -55,7 +55,7 @@ class TestPutGetComposition:
         bad = UpdateStrategy.parse('v', union_sources, """
             +r1(X) :- v(X), not r1(X), not r2(X).
         """, expected_get='v(X) :- r1(X).\nv(X) :- r2(X).')
-        program, extra, missing = putget_check_program(
+        program, (extra, missing) = putget_check_program(
             bad.putdelta, bad.expected_get, 'v', 1, bad.sources)
         # Source tuple (9,) not in updated view V={(1,)}: never deleted.
         edb = Database.from_dict({'r1': {(9,)}, 'r2': set(),
@@ -69,7 +69,7 @@ class TestPutGetComposition:
             -r1(X) :- r1(X), not v(X).
             -r2(X) :- r2(X), not v(X).
         """, expected_get='v(X) :- r1(X).\nv(X) :- r2(X).')
-        program, extra, missing = putget_check_program(
+        program, (extra, missing) = putget_check_program(
             bad.putdelta, bad.expected_get, 'v', 1, bad.sources)
         # Inserting (3,) into the view is never propagated.
         edb = Database.from_dict({'r1': set(), 'r2': set(), 'v': {(3,)}})
@@ -80,20 +80,24 @@ class TestPutGetComposition:
 class TestGetPutPrograms:
 
     def test_one_check_per_delta(self, union_strategy):
-        checks = getput_check_programs(
+        program, goals = getput_check_program(
             union_strategy.putdelta, union_strategy.expected_get, 'v',
             union_strategy.sources)
-        goals = {goal for goal, _ in checks}
-        assert goals == {'__gp_ins_r1__', '__gp_del_r1__',
-                         '__gp_del_r2__'}
+        assert set(goals) == {'__gp_ins_r1__', '__gp_del_r1__',
+                              '__gp_del_r2__'}
+        # One program carries every goal; no rule reads one.
+        assert {rule.head.pred for rule in program.rules[-3:]} == set(goals)
+        assert not any(set(goals) & rule.body_preds()
+                       for rule in program.rules)
 
     def test_steady_state_has_no_effective_delta(self, union_strategy):
-        checks = getput_check_programs(
+        program, goals = getput_check_program(
             union_strategy.putdelta, union_strategy.expected_get, 'v',
             union_strategy.sources)
         edb = Database.from_dict({'r1': {(1,)}, 'r2': {(2,)}})
-        for goal, program in checks:
-            assert not evaluate(program, edb)[goal], goal
+        out = evaluate(program, edb)
+        for goal in goals:
+            assert not out[goal], goal
 
     def test_violating_get_produces_witness_rows(self, union_sources):
         from repro.core.strategy import UpdateStrategy
@@ -101,11 +105,11 @@ class TestGetPutPrograms:
         strategy = UpdateStrategy.parse('v', union_sources, """
             -r2(X) :- r2(X), not v(X).
         """, expected_get='v(X) :- r1(X).')
-        checks = getput_check_programs(
+        program, goals = getput_check_program(
             strategy.putdelta, strategy.expected_get, 'v',
             strategy.sources)
         edb = Database.from_dict({'r1': set(), 'r2': {(7,)}})
-        (goal, program), = checks
+        goal, = goals
         assert evaluate(program, edb)[goal] == {(7,)}
 
 

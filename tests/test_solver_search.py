@@ -1,9 +1,9 @@
 """How much work one satisfiability check does, as counts: one plan
-compile per check, each distinct canonical instance judged once, plan
-runs logarithmic in the candidates judged, the batched judge answering
-what a candidate-by-candidate loop answers, and the class-partition
-enumerator reaching exactly the class structures the former
-partition-of-all-variables enumerator reached."""
+compile and one random pass per check program, each distinct canonical
+instance judged once, plan runs logarithmic in the candidates judged,
+the batched judge answering what a candidate-by-candidate loop answers,
+and the class-partition enumerator reaching exactly the class structures
+the former partition-of-all-variables enumerator reached."""
 
 import json
 import math
@@ -37,10 +37,42 @@ def _compile_calls() -> int:
     return info.hits + info.misses
 
 
-def test_one_plan_compile_per_check():
-    """Compiles grow with the number of checks, not of candidates."""
-    strategies = [entry_by_name(name).strategy()
-                  for name in ('luxuryitems', 'outstanding_task')]
+def _check_programs(monkeypatch) -> list:
+    """The check program of every ``check_satisfiable`` call validation
+    makes, in order."""
+    programs: list = []
+    real = solver.check_satisfiable
+
+    def recording(program, goal, **kwargs):
+        programs.append(program)
+        return real(program, goal, **kwargs)
+
+    monkeypatch.setattr('repro.core.validation.check_satisfiable',
+                        recording)
+    return programs
+
+
+def _draws(monkeypatch) -> list:
+    """One entry per random database the solver draws."""
+    drawn: list = []
+    real = solver._random_database
+
+    def counting(*args):
+        drawn.append(None)
+        return real(*args)
+
+    monkeypatch.setattr(solver, '_random_database', counting)
+    return drawn
+
+
+STRATEGIES = ('luxuryitems', 'outstanding_task')
+
+
+def test_one_plan_compile_per_check(monkeypatch):
+    """Compiles grow with the number of check programs, not of checks
+    or of candidates."""
+    strategies = [entry_by_name(name).strategy() for name in STRATEGIES]
+    programs = _check_programs(monkeypatch)
     before = _compile_calls()
     reports = [validate(strategy) for strategy in strategies]
     compiles = _compile_calls() - before
@@ -48,10 +80,69 @@ def test_one_plan_compile_per_check():
     instances = sum(check.instances for report in reports
                     for check in report.checks)
     assert all(report.valid for report in reports)
+    assert len(programs) == checks
+    assert len(set(programs)) < checks
     assert instances > 100 * checks     # thousands of candidates ...
-    assert compiles <= checks + 4       # ... on one plan per check
+    assert compiles <= len(set(programs)) + 4   # ... on one plan each
     check = reports[0].checks[-1]
     assert str(check).endswith(f's, {check.instances} instances)')
+
+
+def test_one_random_pass_per_check_program(monkeypatch):
+    """Every check of one program judges the same ``random_trials``
+    databases, drawn once."""
+    programs = _check_programs(monkeypatch)
+    drawn = _draws(monkeypatch)
+    for name in STRATEGIES:
+        assert validate(entry_by_name(name).strategy()).valid
+    assert len(set(programs)) < len(programs)
+    assert len(drawn) == CONFIG.random_trials * len(set(programs))
+
+
+def test_no_search_state_outlives_a_validation(monkeypatch):
+    """Two validations of one strategy each draw every stream in full:
+    sharing lives and dies with one ``validate`` call."""
+    strategy = entry_by_name('luxuryitems').strategy()
+    programs = _check_programs(monkeypatch)
+    drawn = _draws(monkeypatch)
+    counts = []
+    for _ in range(2):
+        del programs[:], drawn[:]
+        reports = validate(strategy)
+        counts.append((len(drawn), len(set(programs))))
+        assert reports.valid
+    assert counts[0] == counts[1] \
+        == (CONFIG.random_trials * counts[0][1], counts[0][1])
+
+
+def test_program_answers_what_one_goal_programs_answer(monkeypatch):
+    """A search over a program of several goals answers, goal by goal,
+    what the program with that goal's rule alone answers.  ``t`` is read
+    by ``g1`` only, so ``g1`` draws a stream of its own: judged on the
+    stream of the whole program, ``g2`` would be SAT at 36, not UNSAT
+    at 121."""
+    shared = parse_program('p(X) :- r(X), not s(X).  '
+                           '⊥ :- r(X), not u(X).').rules
+    goal_rules = parse_program("g1(X) :- p(X), t(X).  "
+                               "g2(X) :- p(X), X = 'b'.  "
+                               "g3(X) :- s(X), not r(X).").rules
+    search = solver.Search(Program(shared + goal_rules),
+                           [rule.head.pred for rule in goal_rules])
+    drawn = _draws(monkeypatch)
+    answers = {}
+    for rule in goal_rules:
+        goal = rule.head.pred
+        alone = solver.check_satisfiable(Program(shared + (rule,)), goal)
+        shared_answer = search.check(goal)
+        assert (shared_answer.status, shared_answer.method,
+                shared_answer.instances, shared_answer.witness) \
+            == (alone.status, alone.method, alone.instances, alone.witness)
+        answers[goal] = (alone.method, alone.instances)
+    assert answers == {'g1': ('randomized search', 11),
+                       'g2': ('bounded search', 121),
+                       'g3': ('canonical instance', 1)}
+    # Two one-goal checks drew a stream each; the search drew two.
+    assert len(drawn) == 4 * CONFIG.random_trials
 
 
 def test_uncompilable_program_is_bounded_unsat():
@@ -84,12 +175,12 @@ def test_each_canonical_instance_judged_once(monkeypatch):
     nested = [0]            # a raising batch's halves are not new batches
     real_first, real_check = solver._Worlds.first, solver.check_satisfiable
 
-    def recording_first(worlds, batch):
+    def recording_first(worlds, batch, goals):
         if not nested[0]:
             judged.extend(map(_order_preserving_form, batch))
         nested[0] += 1
         try:
-            return real_first(worlds, batch)
+            return real_first(worlds, batch, goals)
         finally:
             nested[0] -= 1
 
@@ -157,10 +248,16 @@ def check_programs(draw):
 @settings(deadline=None, max_examples=300)
 @given(check_programs(), st.lists(CANDIDATE, min_size=1, max_size=40))
 def test_batch_answers_what_a_plain_loop_answers(program, batch):
+    """For one goal, and for every goal of the program judged in one
+    batch (``p`` is read by ``q``; a raising batch is bisected for the
+    goals still unanswered)."""
     plan = compile_program(program)
-    expected = next((index for index, candidate in enumerate(batch)
-                     if solver._verify(plan, 'q', candidate)), None)
-    assert solver._Worlds(program, 'q').first(batch) == expected
+    expected = {goal: next((index for index, candidate in enumerate(batch)
+                            if solver._verify(plan, goal, candidate)), None)
+                for goal in ('q', 'p')}
+    assert solver._Worlds(program).first(batch, ('q',)) \
+        == {'q': expected['q']}
+    assert solver._Worlds(program).first(batch, ('q', 'p')) == expected
 
 
 def _plan_runs(monkeypatch) -> list:
@@ -189,12 +286,12 @@ def test_plan_runs_grow_with_log_of_candidates(monkeypatch):
 def test_raising_candidate_costs_log_runs(monkeypatch):
     batch = [{'r': {(5 + index,)}} for index in range(256)]
     batch[100] = {'r': {('a',)}}
-    worlds = solver._Worlds(parse_program('q(X) :- r(X), X < 5.'), 'q')
+    worlds = solver._Worlds(parse_program('q(X) :- r(X), X < 5.'))
     runs = _plan_runs(monkeypatch)
-    assert worlds.first(batch) is None
+    assert worlds.first(batch, ('q',)) == {'q': None}
     assert len(runs) <= 2 * math.log2(len(batch)) + 2
     batch[200] = {'r': {(4,)}}
-    assert worlds.first(batch) == 200
+    assert worlds.first(batch, ('q',)) == {'q': 200}
 
 
 _SEED_PROBE = '''

@@ -4,7 +4,7 @@ soundness claims, exercised on valid strategies and broken mutations."""
 import pytest
 
 from repro.core.strategy import UpdateStrategy
-from repro.core.validation import validate, well_definedness_programs
+from repro.core.validation import validate, well_definedness_program
 from repro.datalog.evaluator import evaluate
 from repro.errors import ValidationError
 from repro.fol.solver import SolverConfig
@@ -17,9 +17,10 @@ FAST = SolverConfig(random_trials=40)
 class TestWellDefinedness:
 
     def test_programs_only_for_paired_deltas(self, union_strategy):
-        checks = well_definedness_programs(union_strategy)
+        program, goals = well_definedness_program(union_strategy)
         # Only r1 has both +r1 and -r1.
-        assert [goal for goal, _ in checks] == ['__wd_r1__']
+        assert goals == ['__wd_r1__']
+        assert program.rules[:-1] == union_strategy.putdelta.rules
 
     def test_contradictory_strategy_fails(self, union_sources):
         strategy = UpdateStrategy.parse('v', union_sources, """

@@ -10,6 +10,12 @@ stream) must leave this file as it is; regenerate it with
 ``PYTHONPATH=src python tests/test_verdict_golden.py`` only when a
 verdict is meant to change.  Uses nothing but ``validate`` and the public
 evaluator, so the same file checks any earlier commit.
+
+``golden/solver_answers.json`` records, from the same runs, every
+answer of ``check_satisfiable`` in order: goal, status, ``method``,
+``instances`` and the witness as sorted ``repr`` rows.  A change that
+makes the search cheaper must leave every answer as it is, not only the
+verdicts it adds up to.
 """
 
 import json
@@ -27,6 +33,7 @@ from repro.datalog.evaluator import constraint_violations, evaluate
 import test_mutation_soundness as mutants
 
 GOLDEN = Path(__file__).parent / 'golden' / 'validation_verdicts.json'
+ANSWERS = Path(__file__).parent / 'golden' / 'solver_answers.json'
 
 EXPRESSIBLE = [e for e in ALL_ENTRIES if e.expressible]
 
@@ -58,9 +65,43 @@ def _mutant_failures(key: str) -> list[str]:
     return [check.name for check in report.failures()]
 
 
+def _answered(run, *args) -> tuple:
+    """``run(*args)`` and every satisfiability answer it was given."""
+    answers: list = []
+    real = validation.check_satisfiable
+
+    def recording(program, goal, **kwargs):
+        result = real(program, goal, **kwargs)
+        witness = result.witness.relations.items() if result.is_sat else ()
+        answers.append([goal, result.status.value, result.method,
+                        result.instances,
+                        sorted([name, sorted(map(repr, rows))]
+                               for name, rows in witness)])
+        return result
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(validation, 'check_satisfiable', recording)
+        patch.setattr(get_derivation, 'check_satisfiable', recording)
+        return run(*args), answers
+
+
+def _runs() -> dict:
+    """``{'catalog' | 'mutants': {key: (verdict, answers)}}``: one
+    validation of every entry and every mutant."""
+    return {'catalog': {entry.name: _answered(_entry_verdict, entry)
+                        for entry in EXPRESSIBLE},
+            'mutants': {key: _answered(_mutant_failures, key)
+                        for key in sorted(MUTANTS)}}
+
+
 @pytest.fixture(scope='module')
 def golden() -> dict:
     return json.loads(GOLDEN.read_text())
+
+
+@pytest.fixture(scope='module')
+def runs() -> dict:
+    return _runs()
 
 
 def test_golden_covers_catalog_and_mutants(golden):
@@ -71,13 +112,23 @@ def test_golden_covers_catalog_and_mutants(golden):
 
 
 @pytest.mark.parametrize('entry', EXPRESSIBLE, ids=lambda e: e.name)
-def test_catalog_verdict(entry, golden):
-    assert _entry_verdict(entry) == golden['catalog'][entry.name]
+def test_catalog_verdict(entry, golden, runs):
+    assert runs['catalog'][entry.name][0] == golden['catalog'][entry.name]
 
 
 @pytest.mark.parametrize('key', sorted(MUTANTS))
-def test_mutant_failing_checks(key, golden):
-    assert _mutant_failures(key) == golden['mutants'][key]
+def test_mutant_failing_checks(key, golden, runs):
+    assert runs['mutants'][key][0] == golden['mutants'][key]
+
+
+def test_solver_answers(runs):
+    """Every answer of the search, result for result."""
+    answers = json.loads(ANSWERS.read_text())
+    assert sum(map(len, answers['catalog'].values())) \
+        + sum(map(len, answers['mutants'].values())) == 276
+    for kind, table in answers.items():
+        for key, expected in table.items():
+            assert runs[kind][key][1] == expected, key
 
 
 def test_sat_witnesses_verify(monkeypatch):
@@ -105,7 +156,9 @@ def test_sat_witnesses_verify(monkeypatch):
 
 if __name__ == '__main__':
     GOLDEN.parent.mkdir(exist_ok=True)
-    GOLDEN.write_text(json.dumps(
-        {'catalog': {e.name: _entry_verdict(e) for e in EXPRESSIBLE},
-         'mutants': {key: _mutant_failures(key) for key in sorted(MUTANTS)}},
-        indent=1, ensure_ascii=False, sort_keys=True) + '\n')
+    RUNS = _runs()
+    for path, part in ((GOLDEN, 0), (ANSWERS, 1)):
+        path.write_text(json.dumps(
+            {kind: {key: run[part] for key, run in table.items()}
+             for kind, table in RUNS.items()},
+            indent=1, ensure_ascii=False, sort_keys=True) + '\n')
