@@ -533,33 +533,28 @@ def incrementalize_general(putdelta: Program, view: str) -> Program:
     return _with_constraints(final, goals, constraints)
 
 
-def incrementalize(putdelta: Program, view: str, *,
-                   lvgn: bool | None = None) -> Program:
-    """Incrementalize a putback program, choosing the best path.
-
-    ``lvgn=None`` auto-detects fragment membership; the LVGN shortcut is
-    preferred (Lemma 5.2), with the Appendix-C construction as fallback.
+def incrementalize(putdelta: Program, view: str) -> Program:
+    """Incrementalize a putback program, choosing the best path: the
+    LVGN shortcut (Lemma 5.2) when the program is in the fragment, the
+    Appendix-C construction otherwise.
     """
-    if lvgn is None:
-        from repro.core.lvgn import is_lvgn
-        lvgn = is_lvgn(putdelta, view)
-    if lvgn:
+    from repro.core.lvgn import is_lvgn
+    if is_lvgn(putdelta, view):
         return incrementalize_lvgn(putdelta, view)
     return incrementalize_general(putdelta, view)
 
 
-def incrementalize_plan(putdelta: Program, view: str, *,
-                        lvgn: bool | None = None, stats=None):
-    """Incrementalize and *compile* in one shot.
-
-    Returns ``(∂put, plan)`` where ``plan`` is the compiled
-    :class:`~repro.datalog.plan.ExecutionPlan` of the incremental
-    program.  Both artifacts are produced exactly once per strategy —
-    the RDBMS engine stores them in its view registry and reuses them
-    for every subsequent update, so the per-statement cost is pure
-    execution.  ``stats`` (a ``{relation: size}`` mapping) seeds the
-    planner's join order with observed cardinalities.
+def incrementalize_plan(strategy, *, stats=None):
+    """``(∂put, plan)`` of ``strategy``: its incrementalized putback,
+    derived once per strategy
+    (:attr:`~repro.core.strategy.UpdateStrategy.incremental_putdelta`),
+    and that program's compiled
+    :class:`~repro.datalog.plan.ExecutionPlan`.  The RDBMS engine
+    stores both in its view registry and reuses them for every
+    subsequent update, so the per-statement cost is pure execution.
+    ``stats`` (a ``{relation: size}`` mapping) seeds the planner's join
+    order with observed cardinalities.
     """
     from repro.datalog.plan import compile_program
-    program = incrementalize(putdelta, view, lvgn=lvgn)
+    program = strategy.incremental_putdelta
     return program, compile_program(program, stats=stats)

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import textwrap
 from dataclasses import dataclass
+from functools import cached_property
 
 from repro.datalog.ast import (Program, Rule, delta_base, is_delta_pred)
 from repro.datalog.dependency import check_nonrecursive
@@ -225,6 +226,18 @@ class UpdateStrategy:
     def get_plan(self) -> ExecutionPlan | None:
         """The compiled expected view definition, when one was given."""
         return self._get_plan
+
+    @cached_property
+    def incremental_putdelta(self) -> Program:
+        """The incrementalized putback ``∂put`` (§5: the LVGN shortcut
+        of Lemma 5.2, else the Appendix-C construction), derived once
+        per strategy: the SQL trigger compiler, the engine and its
+        re-plan on drifted statistics all read this program, and each
+        compiles it with its own statistics.  A strategy that cannot be
+        incrementalized raises :class:`TransformationError` on every
+        read."""
+        from repro.core.incremental import incrementalize
+        return incrementalize(self.putdelta, self.view.name)
 
     def delta_preds(self) -> set[str]:
         return self.putdelta.delta_preds()

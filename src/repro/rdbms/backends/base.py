@@ -6,10 +6,12 @@ against :class:`~repro.datalog.evaluator.IndexedRelation` objects:
 
 * base-table storage (bulk load, row access, frozen snapshots, applying
   committed deltas in place);
-* materialised view caches (store/drop/apply-delta);
+* materialised view caches (a view's first read evaluates its ``get``
+  into one — :meth:`Backend.materialize` — and commits then maintain
+  it; store/drop);
 * the persistent index hints declared by compiled plans;
-* plan evaluation — the view-definition ``get``, the incrementalized
-  putback ``∂put``, the full putback, and ⊥-constraint checks.
+* plan evaluation — the incrementalized putback ``∂put``, the full
+  putback, and ⊥-constraint checks.
 
 The engine's transaction pipeline is backend-agnostic: it stages deltas
 in Python, hands the backend *evaluation handles* for whatever each
@@ -41,6 +43,14 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle with engine.py
     from repro.rdbms.engine import ViewEntry
 
 __all__ = ['Backend', 'StoredRelation']
+
+
+def _owned(rows) -> set:
+    """The set a stored relation keeps: ``rows`` itself when the caller
+    handed over a ``set`` (a load, a first read), else a copy — a
+    ``frozenset`` (a replayed log record) included, which the in-place
+    updates of a commit could not change."""
+    return rows if rows.__class__ is set else set(rows)
 
 
 class StoredRelation:
@@ -75,8 +85,9 @@ class Backend(ABC):
         """Replace the contents of base table ``name``.  The engine has
         already checked ``rows`` (plain tuples, valid for the schema,
         and storable — :meth:`check_storable`) and hands the set over:
-        it is a fresh set no caller holds, and a backend may keep it
-        itself."""
+        it is a fresh set no caller holds, and a backend keeps it
+        itself (any other iterable — a log record's ``frozenset`` — is
+        copied)."""
 
     def check_storable(self, schema: RelationSchema, rows) -> None:
         """Raise :class:`SchemaError` when a row of ``rows`` (already
@@ -119,11 +130,24 @@ class Backend(ABC):
     def has_cache(self, name: str) -> bool:
         """Is a materialisation of view ``name`` currently stored?"""
 
+    def materialize(self, entry: 'ViewEntry',
+                    sources: Mapping[str, object]) -> None:
+        """Evaluate the view definition of ``entry`` over ``sources``
+        (source name → evaluation handle) and store the result as the
+        view's cache, replacing any — a view's first read, and its
+        re-materialisation after an invalidation.  One call, so a
+        backend with a query engine computes and stores the view
+        without handing its rows to Python (the SQLite backend runs one
+        ``INSERT … SELECT``).  By default the interpreter evaluates the
+        ``get`` plan and :meth:`store_cache` keeps the set its rules
+        built."""
+        self.store_cache(entry.name, self._interp_get(entry, sources))
+
     @abstractmethod
     def store_cache(self, name: str, rows: Iterable[tuple]) -> None:
-        """Store (or replace) the materialisation of view ``name``.
-        The caller hands ``rows`` over: a backend may keep a ``set``
-        itself."""
+        """Store (or replace) the materialisation of view ``name``
+        from rows computed in Python.  The caller hands ``rows`` over:
+        a backend keeps a ``set`` itself."""
 
     @abstractmethod
     def drop_cache(self, name: str) -> None:
@@ -171,13 +195,6 @@ class Backend(ABC):
         an object the interpreter accepts directly (memory hands out its
         persistent :class:`IndexedRelation`) or a :class:`StoredRelation`
         marker the backend resolves itself."""
-
-    @abstractmethod
-    def evaluate_get(self, entry: 'ViewEntry',
-                     sources: Mapping[str, object]) -> Iterable[tuple]:
-        """Evaluate the view definition over ``sources`` (a mapping of
-        source name → evaluation handle) and return the view rows, a
-        set or frozenset the caller owns."""
 
     @abstractmethod
     def evaluate_incremental_batch(self, entry: 'ViewEntry',

@@ -14,18 +14,12 @@ from typing import Iterable, Mapping
 
 from repro.datalog.evaluator import IndexedRelation
 from repro.errors import SchemaError
-from repro.rdbms.backends.base import Backend
+from repro.rdbms.backends.base import Backend, _owned
 from repro.relational.database import Database
 from repro.relational.delta import Delta, DeltaSet
 from repro.relational.schema import DatabaseSchema
 
 __all__ = ['MemoryBackend']
-
-
-def _owned(rows) -> set:
-    """The set a stored relation keeps: ``rows`` itself when the caller
-    handed over a ``set`` (a load, a first read), else a copy."""
-    return rows if rows.__class__ is set else set(rows)
 
 
 class MemoryBackend(Backend):
@@ -129,10 +123,6 @@ class MemoryBackend(Backend):
         """The persistent indexed relation itself — evaluation shares
         its hash indexes, nothing is copied."""
         return self._relation(name)
-
-    def evaluate_get(self, entry, sources: Mapping[str, object]
-                     ) -> set:
-        return self._interp_get(entry, sources)
 
     def evaluate_incremental_batch(self, entry,
                                    sources: Mapping[str, object],

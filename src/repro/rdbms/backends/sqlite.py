@@ -8,7 +8,11 @@ incrementalized putback ``∂put``, the full putback, and every
 ⊥-constraint — are lowered to SQL text **once**, at ``define_view``
 time, then executed on every subsequent update.  The compile-once
 discipline of the plan layer carries over unchanged: ``register_view``
-is the ``CREATE TRIGGER``, statement execution is pure ``SELECT``.
+is the ``CREATE TRIGGER``, a view's first read is one ``INSERT …
+SELECT`` into its cache table (:meth:`SQLiteBackend.materialize`: the
+database computes and stores the view, as the paper's ``CREATE VIEW``
+does, and no row of it passes through Python), and statement execution
+is pure ``SELECT``.
 
 Execution model
 ---------------
@@ -59,7 +63,7 @@ from repro.datalog.ast import (Program, Rule, delete_pred, insert_pred,
                                is_delta_pred)
 from repro.datalog.pretty import pretty_rule
 from repro.errors import ConstraintViolation, ReproError, SchemaError
-from repro.rdbms.backends.base import Backend, StoredRelation
+from repro.rdbms.backends.base import Backend, StoredRelation, _owned
 from repro.relational.database import Database
 from repro.relational.delta import Delta, DeltaSet
 from repro.relational.schema import (AttributeType, DatabaseSchema,
@@ -167,9 +171,10 @@ class SQLiteBackend(Backend):
         self._compiled: dict[str, _CompiledView] = {}
         self._index_hints: dict[str, set[tuple[int, ...]]] = {}
         # One live Python-side row image per stored relation — what
-        # rows() returns.  Built by load / store_cache (or from SQLite
-        # on the first read that finds none) and from then on updated
-        # in place, O(|Δ|), after each successful COMMIT.
+        # rows() returns.  Kept by load / store_cache, read from SQLite
+        # by the first rows() that finds none (a materialised cache),
+        # and from then on updated in place, O(|Δ|), after each
+        # successful COMMIT.
         self._images: dict[str, set] = {}
         for rel in schema:
             self._create_table(rel.name, rel.attributes)
@@ -227,14 +232,15 @@ class SQLiteBackend(Backend):
     def _insert_all(self, cur, name: str, rows) -> None:
         marks = ', '.join('?' * len(self._columns_of(name)))
         cur.executemany(f'INSERT OR IGNORE INTO {sql_table(name)} '
-                        f'VALUES ({marks})', list(rows))
+                        f'VALUES ({marks})', rows)
 
     @_locked
     def load(self, name: str, rows: set) -> None:
+        rows = _owned(rows)
         with self._transaction() as cur:
             cur.execute(f'DELETE FROM {sql_table(name)}')
             self._insert_all(cur, name, rows)
-        self._images[name] = set(rows)
+        self._images[name] = rows
 
     def check_storable(self, schema: RelationSchema, rows) -> None:
         """SQLite's INTEGER is 64 bits wide, a NaN binds as NULL (which
@@ -268,9 +274,8 @@ class SQLiteBackend(Backend):
             if not self._stored(name):
                 raise SchemaError(
                     f'unknown or unmaterialised relation {name!r}')
-            cur = self._conn.execute(
-                f'SELECT * FROM {sql_table(name)}')
-            image = self._images[name] = set(map(tuple, cur))
+            image = self._images[name] = set(self._conn.execute(
+                f'SELECT * FROM {sql_table(name)}'))
         return image
 
     @_locked
@@ -306,18 +311,45 @@ class SQLiteBackend(Backend):
     def has_cache(self, name: str) -> bool:
         return name in self._cache_names
 
-    @_locked
-    def store_cache(self, name: str, rows: Iterable[tuple]) -> None:
-        rows = set(rows)
-        # DDL is transactional in SQLite: a row that fails to bind
-        # brings the replaced table (and its indexes) back.
+    def _replace_cache(self, name: str, fill) -> None:
+        """Drop and re-create the cache table of view ``name``,
+        ``fill(cursor)`` it and build its hinted indexes, in one SQL
+        transaction: DDL is transactional in SQLite, so a failure
+        brings the replaced table (and its indexes) back."""
         with self._transaction() as cur:
             cur.execute(f'DROP TABLE IF EXISTS {sql_table(name)}')
             self._create_table(name, self._columns_of(name))
-            self._insert_all(cur, name, rows)
+            fill(cur)
             self._build_indexes(name)
         self._cache_names.add(name)
+
+    @_locked
+    def store_cache(self, name: str, rows: Iterable[tuple]) -> None:
+        rows = _owned(rows)
+        self._replace_cache(
+            name, lambda cur: self._insert_all(cur, name, rows))
         self._images[name] = rows
+
+    @_locked
+    def materialize(self, entry, sources: Mapping[str, object]) -> None:
+        """The first read of a view whose ``get`` lowered, inside
+        SQLite: the cache table is filled by one ``INSERT OR IGNORE …
+        SELECT`` of the lowered ``get`` (:meth:`_replace_cache`), so no
+        row of the view passes through Python to be stored; the row
+        image is read back by the first :meth:`rows`.  An interpreted
+        ``get`` — or one whose SQL fails now, which is then demoted —
+        stores the interpreter's rows with :meth:`store_cache`."""
+        name = entry.name
+
+        def insert_select(_cursor, prog):
+            (_, sql), = prog.delta_sql
+            self._replace_cache(name, lambda cur: cur.execute(
+                f'INSERT OR IGNORE INTO {sql_table(name)} {sql}'))
+            self._images.pop(name, None)
+
+        self._sql_or_interpreted(entry, 'get', sources, insert_select,
+                                 lambda: Backend.materialize(self, entry,
+                                                             sources))
 
     @_locked
     def drop_cache(self, name: str) -> None:
@@ -477,11 +509,6 @@ class SQLiteBackend(Backend):
             for table in shadows:
                 cur.execute(f'DROP TABLE IF EXISTS temp.{table}')
 
-    @staticmethod
-    def _view_rows_on(cur, prog: _ProgramSQL) -> frozenset:
-        (_, sql), = prog.delta_sql
-        return frozenset(tuple(r) for r in cur.execute(sql))
-
     def _deltas_on(self, cur, prog: _ProgramSQL, entry) -> DeltaSet:
         # fetchone: SQLite produces witness rows lazily, so the check
         # short-circuits at the first violation instead of
@@ -534,13 +561,6 @@ class SQLiteBackend(Backend):
         except sqlite3.Error as exc:
             self._demote(entry.name, label, exc)
             return interpret()
-
-    @_locked
-    def evaluate_get(self, entry, sources: Mapping[str, object]
-                     ) -> frozenset:
-        return self._sql_or_interpreted(
-            entry, 'get', sources, self._view_rows_on,
-            lambda: self._interp_get(entry, sources))
 
     @_locked
     def evaluate_incremental_batch(self, entry,

@@ -502,7 +502,7 @@ class Engine(DmlSurface):
         it replays exactly the deltas the primary computed."""
         if kind == 'load':
             name, rows = data
-            self.backend.load(name, set(rows))
+            self.backend.load(name, rows)
             self._invalidate_dependents({name})
         elif kind == 'define_view':
             strategy, report, use_incremental, stats = data
@@ -617,10 +617,8 @@ class Engine(DmlSurface):
                 return
             entry = self._views[name]
             self._maybe_replan(entry)
-            sources = {s: self.eval_handle(s)
-                       for s in entry.source_names}
-            rows = self.backend.evaluate_get(entry, sources)
-            self.backend.store_cache(name, rows)
+            self.backend.materialize(entry, {s: self.eval_handle(s)
+                                             for s in entry.source_names})
 
     def eval_handle(self, name: str):
         """The backend's evaluation handle for a table or (materialised)
@@ -729,7 +727,7 @@ class Engine(DmlSurface):
         if use_incremental:
             try:
                 incremental_program, incremental_plan = incrementalize_plan(
-                    strategy.putdelta, name, lvgn=lvgn, stats=stats)
+                    strategy, stats=stats)
             except Exception as exc:    # fall back to full put
                 incremental_error = f'{type(exc).__name__}: {exc}'
                 _log.warning('view %r: incrementalization failed, every '
@@ -860,9 +858,7 @@ class Engine(DmlSurface):
             if entry.use_incremental:
                 try:
                     entry.incremental_program, entry.incremental_plan = \
-                        incrementalize_plan(entry.strategy.putdelta,
-                                            entry.name, lvgn=entry.lvgn,
-                                            stats=stats)
+                        incrementalize_plan(entry.strategy, stats=stats)
                 except Exception as exc:  # keep the old incremental plan
                     entry.incremental_error = f'{type(exc).__name__}: {exc}'
                     _log.warning('view %r: re-incrementalization on '

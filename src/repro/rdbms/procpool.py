@@ -736,7 +736,10 @@ class ProcessShard:
         client-side half, kept for repair in :meth:`drain`:
         ``apply_prepared`` takes the whole prepare token (the runtime
         gets its slot id), ``commit_local`` the pre-commit LSN ahead of
-        its buckets."""
+        its buckets.  ``commit_lsn`` is answered here, without a
+        request, while the client knows the LSN (:attr:`_lsn`)."""
+        if method == 'commit_lsn' and self._lsn is not None:
+            return method, args, (True, self._lsn)
         wire = (args[0].txn,) if method == 'apply_prepared' \
             else args[1:] if method == 'commit_local' else args
         if method in _WRITES_LOG:
@@ -803,9 +806,7 @@ class ProcessShard:
         request, client-side: it decides the outcome if no reply comes
         (:meth:`_repair_local`) — asked for first when a call that may
         have written the log left it unknown."""
-        lsn = self._lsn
-        if lsn is None:
-            lsn = self._call('commit_lsn')
+        lsn = self._call('commit_lsn')
         return self.drain(self.submit('commit_local', lsn, buckets))
 
     def _repair_local(self, error: ShardUnavailableError, lsn: int,

@@ -538,7 +538,8 @@ class ShardedEngine(DmlSurface):
         in-process shards without ``wal_dir``) — pass the
         tuple back to :meth:`rows` as ``min_lsn`` to read your own
         writes through the replicas.  :attr:`Engine.commit_lsn`'s name;
-        the sharded commit point is a vector."""
+        the sharded commit point is a vector.  A shard client that
+        drained a commit knows its LSN and sends no request."""
         return tuple(self._scatter((shard, 'commit_lsn')
                                    for shard in self.shards))
 

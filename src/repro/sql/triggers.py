@@ -21,7 +21,6 @@ column; this library executes the equivalent pipeline natively in
 
 from __future__ import annotations
 
-from repro.core.incremental import incrementalize
 from repro.core.strategy import UpdateStrategy
 from repro.datalog.ast import (Program, delete_pred, delta_base,
                                insert_pred)
@@ -86,8 +85,7 @@ def delta_queries_sql(strategy: UpdateStrategy, *,
     from repro.datalog.transform import prune_unreachable, rename_predicates
     view = strategy.view.name
     if incremental:
-        program = Program(incrementalize(strategy.putdelta,
-                                         view).proper_rules())
+        program = Program(strategy.incremental_putdelta.proper_rules())
         extra_cols = {}
     else:
         # The full putback program reads the *updated* view.

@@ -22,6 +22,7 @@ from repro.rdbms.backends import (MemoryBackend, SQLiteBackend,
                                   create_backend, default_backend_kind)
 from repro.rdbms.dml import Delete, Insert, Update, derive_view_delta
 from repro.rdbms.engine import Engine
+from repro.relational.delta import Delta
 from repro.relational.schema import DatabaseSchema, RelationSchema
 
 DIFFERENTIAL_VIEWS = ('luxuryitems', 'officeinfo', 'outstanding_task',
@@ -369,6 +370,65 @@ class TestSQLiteEngine:
 def _table_rows(backend, name: str) -> set:
     return set(map(tuple, backend._conn.execute(
         f'SELECT * FROM "{name}"')))
+
+
+def cache_fills(statements, name: str) -> list[str]:
+    """How each traced ``INSERT`` into table ``name`` got its rows:
+    ``'SELECT'`` for an ``INSERT … SELECT``, ``'VALUES'`` per row bound
+    from Python (an ``executemany`` traces once per row)."""
+    fills = []
+    for sql in statements:
+        match = re.match(rf'INSERT (?:OR IGNORE )?INTO "{name}" (\w+)',
+                         sql)
+        if match:
+            fills.append(match[1])
+    return fills
+
+
+class TestSqliteMaterialize:
+    """A view's first read on SQLite is ``SQLiteBackend.materialize``:
+    the database computes and stores the view with one ``INSERT …
+    SELECT`` into its cache table, and no row of it is bound back from
+    Python; the row image is read once, afterwards."""
+
+    @pytest.mark.parametrize('view', DIFFERENTIAL_VIEWS)
+    def test_first_read_is_one_insert_select(self, view):
+        entry = entry_by_name(view)
+        engine = build_engine(entry, 200, backend='sqlite')
+        reference = build_engine(entry, 200, backend='memory')
+        backend = engine.backend
+        try:
+            assert backend.lowering_fallbacks(view) == []
+            with _traced(backend) as statements:
+                rows = engine.rows(view)
+            assert cache_fills(statements, view) == ['SELECT']
+            assert rows == reference.rows(view) \
+                == _table_rows(backend, view)
+            assert rows and type(rows) is set
+            assert engine.rows(view) is rows
+        finally:
+            engine.close()
+            reference.close()
+
+    def test_load_keeps_a_set_and_copies_a_frozenset(self, union_sources):
+        """The set ``Engine.load`` hands over is kept as the row image
+        itself; a replayed log record's ``frozenset`` is copied into a
+        ``set`` that a commit can update in place."""
+        backend = SQLiteBackend(union_sources)
+        try:
+            rows = {(1,), (2,)}
+            backend.load('r1', rows)
+            assert backend.rows('r1') is rows
+            frozen = frozenset({(3,)})
+            backend.load('r1', frozen)
+            image = backend.rows('r1')
+            assert type(image) is set and image == frozen
+            backend.apply_deltas([('r1', Delta(insertions={(4,)}),
+                                   False)])
+            assert backend.rows('r1') is image == {(3,), (4,)} \
+                == _table_rows(backend, 'r1')
+        finally:
+            backend.close()
 
 
 class TestSqliteRowImage:

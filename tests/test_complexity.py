@@ -14,6 +14,7 @@ from repro.datalog.plan import clear_plan_cache
 from repro.rdbms.metrics import GLOBAL
 from repro.relational import schema as schema_mod
 from repro.relational.schema import RelationSchema
+from tests.test_backends import cache_fills
 
 
 def _seals() -> int:
@@ -82,3 +83,26 @@ class TestColdStartRunsSealedCode:
             seals[n] = _seals() - before
         assert generic == []
         assert seals[1_000] == seals[10_000] > 0
+
+
+class TestSqliteFirstReadStaysInSQL:
+    """README, *Storage backends*: a view's first read on SQLite is one
+    ``INSERT … SELECT`` into its cache table, so the SQL it runs does
+    not depend on the data's size — no row of the view is bound back
+    from Python (an ``executemany`` traces one statement per row)."""
+
+    @pytest.mark.parametrize('view', FIGURE6_VIEWS)
+    def test_first_read_binds_no_view_row(self, view):
+        entry = entry_by_name(view)
+        traced = {}
+        for n in (1_000, 10_000):
+            with build_engine(entry, n, backend='sqlite') as engine:
+                statements = []
+                engine.backend._conn.set_trace_callback(statements.append)
+                try:
+                    assert engine.rows(view)
+                finally:
+                    engine.backend._conn.set_trace_callback(None)
+            assert cache_fills(statements, view) == ['SELECT']
+            traced[n] = len(statements)
+        assert traced[1_000] == traced[10_000]

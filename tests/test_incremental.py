@@ -284,10 +284,11 @@ class TestDeltaConstraints:
     def test_general_path_checks_every_view_constraint_from_the_delta(
             self, name):
         from repro.core.incremental import incrementalize_plan
+        from repro.core.lvgn import is_lvgn
         from repro.datalog.plan import ScanStep
         strategy = entry_by_name(name).strategy()
-        _program, plan = incrementalize_plan(strategy.putdelta, name,
-                                             lvgn=False)
+        assert not is_lvgn(strategy.putdelta, name)
+        _program, plan = incrementalize_plan(strategy)
         expected = [r for rule in strategy.constraints()
                     for r in _delta_form(rule, name)]
         assert expected and \
@@ -296,3 +297,35 @@ class TestDeltaConstraints:
             first = cplan.rule_plan.steps[0]
             assert isinstance(first, ScanStep) \
                 and first.pred in {insert_pred(name), delete_pred(name)}
+
+
+class TestDerivedOncePerStrategy:
+    """``UpdateStrategy.incremental_putdelta`` is derived once per
+    strategy: the SQL trigger compiler, the engine's ``define_view`` and
+    its re-plan on drifted statistics read that one program, each
+    compiling it with its own statistics."""
+
+    def test_validate_compile_define_and_replan_derive_once(
+            self, ced_strategy, monkeypatch):
+        from repro.core import incremental
+        from repro.core.validation import validate
+        from repro.rdbms.engine import Engine
+        from repro.sql import compile_strategy_to_sql
+        derived = []
+        real = incremental.incrementalize
+
+        def counting(putdelta, view, **kwargs):
+            derived.append(view)
+            return real(putdelta, view, **kwargs)
+
+        monkeypatch.setattr(incremental, 'incrementalize', counting)
+        report = validate(ced_strategy)
+        sql = compile_strategy_to_sql(ced_strategy, report.view_definition)
+        assert 'delta_ins_ced' in sql
+        with Engine(ced_strategy.sources, backend='memory') as engine:
+            engine.load('ed', [('e0', 'd0')])
+            entry = engine.define_view(ced_strategy, report=report)
+            engine.load('ed', [(f'e{i}', 'd0') for i in range(50)])
+            assert len(engine.rows('ced')) == 50
+            assert entry.use_incremental and entry.replans == 1
+        assert derived == ['ced']

@@ -324,6 +324,34 @@ class TestProcessShard:
         finally:
             shard.close()
 
+    def test_commit_lsn_is_known_after_a_commit(self, union_strategy,
+                                                tmp_path):
+        """A commit's reply tells the client its shard log's LSN, so
+        ``commit_lsn`` then sends no request; after a call that may
+        write the log (``load``, ``define_view``) it asks the worker
+        exactly once."""
+        shard = ProcessShard(0, union_strategy.sources, 'memory',
+                             wal_path=tmp_path / 'shard-0.wal',
+                             wal_sync=False)
+
+        def sent() -> int:
+            return shard.channel._seq
+
+        try:
+            for write in (lambda: shard.load('r1', [(1,)]),
+                          lambda: shard.define_view(union_strategy)):
+                write()
+                before = sent()
+                lsn = shard.commit_lsn
+                assert sent() == before + 1
+            token = shard.commit_local([('v', [Insert((2,))])])
+            before = sent()
+            assert shard.commit_lsn == token.lsn + 1 == lsn + 1
+            assert sent() == before
+            assert shard.channel.call('commit_lsn') == lsn + 1
+        finally:
+            shard.close()
+
     def test_close_is_idempotent_and_reaps(self, union_sources,
                                            tmp_path):
         shard = ProcessShard(0, union_sources, 'memory',

@@ -78,7 +78,7 @@ class TestReplicaEngine:
             def poisoned(*args, **kwargs):      # pragma: no cover
                 raise AssertionError('replica ran a plan')
 
-            for method in ('evaluate_get',
+            for method in ('materialize',
                            'evaluate_incremental_batch',
                            'evaluate_putback'):
                 setattr(backend, method, poisoned)

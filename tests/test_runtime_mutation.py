@@ -6,6 +6,8 @@ the real derivation and fails on the mutant.  No syntactic check of
 the derived program counts as a killer.
 """
 
+from dataclasses import replace
+
 import pytest
 
 from repro.core import incremental
@@ -22,7 +24,12 @@ def _without_constraints(derive):
 
 
 def _lvgn_violation(luxury_strategy) -> None:
-    TestConstraints().test_violating_insert_rejected(luxury_strategy, True)
+    # ∂put is derived once per strategy object
+    # (UpdateStrategy.incremental_putdelta): each run gets a fresh copy,
+    # as the other killers build theirs from the catalog, so the mutant
+    # derives its own.
+    TestConstraints().test_violating_insert_rejected(
+        replace(luxury_strategy), True)
 
 
 def _general_path_oracle(_luxury_strategy) -> None:

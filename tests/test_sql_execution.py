@@ -28,7 +28,6 @@ from hypothesis import given, strategies as st
 
 from repro.benchsuite.catalog import ALL_ENTRIES
 from repro.core.incremental import incrementalize_plan
-from repro.core.lvgn import is_lvgn
 from repro.datalog.ast import Program, delete_pred, insert_pred
 from repro.datalog.evaluator import evaluate
 from repro.datalog.parser import parse_program
@@ -128,8 +127,7 @@ def test_catalog_programs_execute_as_evaluated(entry, seed):
     assert any(deltas[goal] for goal in strategy.putdelta.delta_preds()), \
         'the drawn view update should reach the base tables'
 
-    incremental, _plan = incrementalize_plan(
-        strategy.putdelta, view, lvgn=is_lvgn(strategy.putdelta, view))
+    incremental, _plan = incrementalize_plan(strategy)
     assert_sql_agrees(incremental,
                       {**base, view: old_view,
                        insert_pred(view): new_view - old_view,
