@@ -21,11 +21,12 @@ from functools import cached_property
 
 from repro.datalog.ast import (Program, Rule, delta_base, is_delta_pred)
 from repro.datalog.dependency import check_nonrecursive
+from repro.datalog.evaluator import execute_deltas
 from repro.datalog.parser import parse_program
 from repro.datalog.plan import ExecutionPlan, compile_program
-from repro.datalog.pretty import pretty, pretty_rule
+from repro.datalog.pretty import pretty
 from repro.datalog.safety import check_program_safety
-from repro.errors import (ConstraintViolation, SchemaError, ViewUpdateError)
+from repro.errors import SchemaError, ViewUpdateError
 from repro.relational.database import Database
 from repro.relational.delta import DeltaSet
 from repro.relational.schema import DatabaseSchema, RelationSchema
@@ -242,9 +243,13 @@ class UpdateStrategy:
     def delta_preds(self) -> set[str]:
         return self.putdelta.delta_preds()
 
-    def updated_relations(self) -> set[str]:
+    def updated_relations(self) -> frozenset:
         """Source relations this strategy may modify."""
-        return {delta_base(p) for p in self.delta_preds()}
+        return self._updated_relations
+
+    @cached_property
+    def _updated_relations(self) -> frozenset:
+        return frozenset(delta_base(p) for p in self.delta_preds())
 
     def constraints(self) -> tuple[Rule, ...]:
         return self.putdelta.constraints()
@@ -260,43 +265,45 @@ class UpdateStrategy:
 
     # -- semantics --------------------------------------------------------------
 
-    def _combined(self, source: Database, view_rows) -> Database:
+    def _combined(self, source, view_rows) -> dict:
+        """``(S, V')`` as the putback plan's input: the relations of
+        ``source`` — a :class:`Database`, or the ``{name: rows}``
+        mapping a backend evaluates over — and ``view_rows``, checked
+        against the view's schema."""
         if not isinstance(view_rows, (frozenset, set)):
             view_rows = set(view_rows)
         self.view.check_rows(view_rows)
-        return source.with_relation(self.view.name, view_rows)
+        relations = source.relations if isinstance(source, Database) \
+            else source
+        return {**relations, self.view.name: view_rows}
 
     def check_constraints(self, source: Database, view_rows) -> None:
         """Raise :class:`ConstraintViolation` when ``(S, V')`` violates a
         declared ⊥-constraint.  The check short-circuits: enumeration
         stops at the first witness of the first violated rule."""
-        instance = self._combined(source, view_rows)
-        violations = self._putdelta_plan.constraint_violations(
-            instance, first_witness=True)
-        if violations:
-            rule, witness = violations[0]
-            raise ConstraintViolation(pretty_rule(rule), witness)
+        execute_deltas(self._putdelta_plan,
+                       self._combined(source, view_rows), ())
 
-    def compute_delta(self, source: Database, view_rows) -> DeltaSet:
-        """Evaluate the putback program: ``putdelta(S, V')`` (§3.1).
+    def compute_delta(self, source, view_rows, *,
+                      check: bool = False) -> DeltaSet:
+        """Evaluate the putback program: ``putdelta(S, V')`` (§3.1) —
+        with ``check``, after :meth:`check_constraints`' check, in the
+        same plan context (one evaluation of what both read).
 
         Runs the memoized plan with the delta predicates as goals, so
         auxiliary predicates that are only probed never materialise.
         """
-        instance = self._combined(source, view_rows)
-        plan = self._putdelta_plan
-        output = plan.evaluate(instance, goals=plan.delta_goals)
-        return DeltaSet.from_database(output,
-                                      relations=self.updated_relations())
+        return execute_deltas(self._putdelta_plan,
+                              self._combined(source, view_rows),
+                              self._updated_relations, check=check)
 
     def put(self, source: Database, view_rows, *,
             enforce_constraints: bool = True) -> Database:
         """The putback transformation: ``put(S, V') = S ⊕ putdelta(S, V')``.
         """
-        if enforce_constraints:
-            self.check_constraints(source, view_rows)
-        delta = self.compute_delta(source, view_rows)
-        return delta.apply_to(source)
+        return self.compute_delta(source, view_rows,
+                                  check=enforce_constraints
+                                  ).apply_to(source)
 
     def get(self, source: Database) -> frozenset:
         """Evaluate the expected view definition over ``source``.

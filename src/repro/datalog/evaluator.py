@@ -26,6 +26,12 @@ across all shards.  The *generic* interpreter, which walks a rule
 plan's step tuple with a recursive cursor, is the reference tier:
 ``REPRO_SEALED=0`` pins it (the differential tests compare the two).
 
+A putback run — the engine's ``∂put`` or full putback, and
+:meth:`~repro.core.strategy.UpdateStrategy.put` — is one call of
+:func:`execute_deltas`: one plan context serves its ⊥-check and its
+delta goals, whose rows become a
+:class:`~repro.relational.delta.DeltaSet` through the plan's goal table.
+
 Semantics are set-based, matching §3.1.  The historical entry points
 (:func:`evaluate`, :func:`evaluate_query`,
 :func:`constraint_violations`) are kept as thin wrappers
@@ -42,14 +48,17 @@ from operator import itemgetter
 from typing import Collection
 
 from repro.datalog.ast import Program, Rule
-from repro.datalog.plan import (CompareStep, ExecutionPlan, NegationStep,
-                                ProbeStep, RulePlan, ScanStep,
-                                compile_program)
-from repro.errors import SchemaError
+from repro.datalog.plan import (BindStep, CompareStep, ExecutionPlan,
+                                NegationStep, ProbeStep, RulePlan,
+                                ScanStep, compile_program)
+from repro.datalog.pretty import pretty_rule
+from repro.errors import ConstraintViolation, SchemaError
 from repro.relational.database import Database
+from repro.relational.delta import DeltaSet
 
 __all__ = ['evaluate', 'evaluate_query', 'constraint_violations', 'execute_plan',
-           'execute_goal', 'execute_constraints', 'IndexedRelation']
+           'execute_goal', 'execute_constraints', 'execute_deltas',
+           'IndexedRelation']
 
 Row = tuple
 
@@ -232,24 +241,21 @@ class _PlanContext:
                  '_probe_cache')
 
     def __init__(self, edb, plan: ExecutionPlan | None = None):
-        self._store: dict[str, IndexedRelation] = {}
-        if isinstance(edb, Database):
-            items = edb.relations.items()
-        else:
-            items = edb.items()
-        for name, rows in items:
-            if isinstance(rows, IndexedRelation):
-                self._store[name] = rows
-            else:
-                self._store[name] = IndexedRelation(rows)
+        items = edb.relations.items() if isinstance(edb, Database) \
+            else edb.items()
+        self._store: dict[str, IndexedRelation] = {
+            name: rows if rows.__class__ is IndexedRelation
+            else IndexedRelation(rows)
+            for name, rows in items}
         self.plan = plan
         self._idb: frozenset = plan.idb if plan is not None else frozenset()
         self._materialized: set[str] = set()
         self._in_progress: set[str] = set()
         self._probe_cache: dict[tuple[str, tuple], bool] = {}
         # Shadowing: IDB names hide same-named EDB input relations.
-        for name in self._idb & set(self._store):
-            del self._store[name]
+        if not self._idb.isdisjoint(self._store):
+            for name in self._idb.intersection(self._store):
+                del self._store[name]
 
     def is_pending_idb(self, name: str) -> bool:
         return name in self._idb and name not in self._materialized
@@ -339,6 +345,31 @@ def _probe_rule(rule_plan: RulePlan, ctx: _PlanContext,
     return fn(ctx, row)
 
 
+def _holds(step, env: list, ctx: _PlanContext) -> bool:
+    """One non-scan step of the generic tier over the bindings ``env``:
+    does the binding pass it?  A :class:`BindStep` assigns its slot and
+    always passes; a fully bound atom of a pending IDB predicate is
+    answered top-down (:meth:`_PlanContext.probe`)."""
+    cls = step.__class__
+    if cls is BindStep:
+        s, c = step.source
+        env[step.slot] = c if s < 0 else env[s]
+        return True
+    if cls is CompareStep:
+        (ls, lc), (rs, rc) = step.left, step.right
+        return _compare(step.op, lc if ls < 0 else env[ls],
+                        rc if rs < 0 else env[rs]) == step.expect
+    key = tuple(c if s < 0 else env[s] for s, c in step.key)
+    if cls is ProbeStep:
+        if ctx.is_pending_idb(step.pred):
+            return ctx.probe(step.pred, key)
+        return ctx.relation(step.pred).contains(key)
+    if len(step.positions) == step.arity and ctx.is_pending_idb(step.pred):
+        return not ctx.probe(step.pred, key)
+    return not ctx.relation(step.pred).exists(step.positions, key,
+                                              step.arity)
+
+
 def _run_rule_generic(rule_plan: RulePlan, ctx: _PlanContext,
                       out: set[Row], limit: int | None = None) -> None:
     """The generic (step-walking) tier of :func:`_run_rule`."""
@@ -351,8 +382,7 @@ def _run_rule_generic(rule_plan: RulePlan, ctx: _PlanContext,
         """Continue the search; False propagates "limit reached"."""
         while i < nsteps:
             step = steps[i]
-            cls = step.__class__
-            if cls is ScanStep:
+            if step.__class__ is ScanStep:
                 key = tuple(c if s < 0 else env[s] for s, c in step.key)
                 relation = ctx.relation(step.pred)
                 checks = step.checks
@@ -366,32 +396,8 @@ def _run_rule_generic(rule_plan: RulePlan, ctx: _PlanContext,
                     if not advance(i + 1):
                         return False
                 return True
-            if cls is ProbeStep:
-                row = tuple(c if s < 0 else env[s] for s, c in step.key)
-                if ctx.is_pending_idb(step.pred):
-                    if not ctx.probe(step.pred, row):
-                        return True
-                elif not ctx.relation(step.pred).contains(row):
-                    return True
-            elif cls is NegationStep:
-                key = tuple(c if s < 0 else env[s] for s, c in step.key)
-                if len(step.positions) == step.arity \
-                        and ctx.is_pending_idb(step.pred):
-                    if ctx.probe(step.pred, key):
-                        return True
-                elif ctx.relation(step.pred).exists(step.positions, key,
-                                                    step.arity):
-                    return True
-            elif cls is CompareStep:
-                s, c = step.left
-                left = c if s < 0 else env[s]
-                s, c = step.right
-                right = c if s < 0 else env[s]
-                if _compare(step.op, left, right) != step.expect:
-                    return True
-            else:                                   # BindStep
-                s, c = step.source
-                env[step.slot] = c if s < 0 else env[s]
+            if not _holds(step, env, ctx):
+                return True
             i += 1
         out.add(tuple(c if s < 0 else env[s] for s, c in head))
         return limit is None or len(out) < limit
@@ -417,8 +423,7 @@ def _probe_rule_generic(rule_plan: RulePlan, ctx: _PlanContext,
     def satisfiable(i: int) -> bool:
         while i < nsteps:
             step = steps[i]
-            cls = step.__class__
-            if cls is ScanStep:
+            if step.__class__ is ScanStep:
                 key = tuple(c if s < 0 else env[s] for s, c in step.key)
                 relation = ctx.relation(step.pred)
                 checks = step.checks
@@ -432,33 +437,8 @@ def _probe_rule_generic(rule_plan: RulePlan, ctx: _PlanContext,
                     if satisfiable(i + 1):
                         return True
                 return False
-            if cls is ProbeStep:
-                probe_row = tuple(c if s < 0 else env[s]
-                                  for s, c in step.key)
-                if ctx.is_pending_idb(step.pred):
-                    if not ctx.probe(step.pred, probe_row):
-                        return False
-                elif not ctx.relation(step.pred).contains(probe_row):
-                    return False
-            elif cls is NegationStep:
-                key = tuple(c if s < 0 else env[s] for s, c in step.key)
-                if len(step.positions) == step.arity \
-                        and ctx.is_pending_idb(step.pred):
-                    if ctx.probe(step.pred, key):
-                        return False
-                elif ctx.relation(step.pred).exists(step.positions, key,
-                                                    step.arity):
-                    return False
-            elif cls is CompareStep:
-                s, c = step.left
-                left = c if s < 0 else env[s]
-                s, c = step.right
-                right = c if s < 0 else env[s]
-                if _compare(step.op, left, right) != step.expect:
-                    return False
-            else:                                   # BindStep
-                s, c = step.source
-                env[step.slot] = c if s < 0 else env[s]
+            if not _holds(step, env, ctx):
+                return False
             i += 1
         return True
 
@@ -714,8 +694,9 @@ def execute_goal(plan: ExecutionPlan, edb, goal: str) -> set:
 def execute_constraints(plan: ExecutionPlan, edb, *,
                         first_witness: bool = False
                         ) -> list[tuple[Rule, tuple]]:
-    """Evaluate the plan's compiled ⊥-rules over ``edb`` and return
-    ``(rule, witness_row)`` pairs for each violated constraint.
+    """Evaluate the plan's compiled ⊥-rules over ``edb`` (or over a
+    plan context already built on it) and return ``(rule,
+    witness_row)`` pairs for each violated constraint.
 
     Nothing is materialised eagerly: constraint bodies demand exactly
     what they need (fully bound auxiliaries are just probed).  With
@@ -726,7 +707,7 @@ def execute_constraints(plan: ExecutionPlan, edb, *,
     """
     if not plan.constraint_plans:
         return []
-    ctx = _PlanContext(edb, plan)
+    ctx = edb if edb.__class__ is _PlanContext else _PlanContext(edb, plan)
     violations: list[tuple[Rule, tuple]] = []
     for constraint in plan.constraint_plans:
         rows: set[Row] = set()
@@ -739,6 +720,27 @@ def execute_constraints(plan: ExecutionPlan, edb, *,
             # key=repr: witness columns may mix value types.
             violations.append((constraint.rule, min(rows, key=repr)))
     return violations
+
+
+def execute_deltas(plan: ExecutionPlan, edb, relations, *,
+                   check: bool = True) -> DeltaSet:
+    """One putback run — ``∂put`` or the full putback — in **one** plan
+    context.  With ``check``, the plan's ⊥-rules run first and the
+    first witness of the first violated rule raises
+    :class:`ConstraintViolation` (the rule text and witness
+    :func:`execute_constraints` reports with ``first_witness``); then
+    the delta goals targeting ``relations`` are materialised in the
+    same context — whatever the check materialised or probed is reused
+    — and become the returned update through the plan's goal table
+    (:meth:`DeltaSet.from_goals`)."""
+    ctx = _PlanContext(edb, plan)
+    if check:
+        for rule, witness in execute_constraints(plan, ctx,
+                                                 first_witness=True):
+            raise ConstraintViolation(pretty_rule(rule), witness)
+    return DeltaSet.from_goals(plan.delta_targets,
+                               lambda goal: ctx.relation(goal).rows,
+                               relations)
 
 
 # ---------------------------------------------------------------------------

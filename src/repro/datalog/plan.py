@@ -50,8 +50,8 @@ from functools import lru_cache
 from typing import Mapping, Sequence
 
 from repro.datalog.ast import (Atom, BuiltinLit, Const, Lit, Literal,
-                               Program, Rule, Var, is_anonymous,
-                               is_delta_pred)
+                               Program, Rule, Var, delta_base, is_anonymous,
+                               is_delta_pred, is_insert_pred)
 from repro.datalog.dependency import stratify
 from repro.datalog.safety import check_program_safety
 from repro.errors import SafetyError
@@ -212,6 +212,10 @@ class ExecutionPlan:
     rule_plans: Mapping[str, tuple[RulePlan, ...]]
     constraint_plans: tuple[ConstraintPlan, ...]
     delta_goals: tuple[str, ...]           # delta predicates, sorted
+    #: ``(goal, relation, is_insertion)`` per delta goal, in
+    #: ``delta_goals`` order: how a goal's rows become a delta
+    #: (:meth:`~repro.relational.delta.DeltaSet.from_goals`)
+    delta_targets: tuple[tuple[str, str, bool], ...]
     intermediate_preds: frozenset          # auxiliary (non-delta) IDB
     index_requirements: frozenset          # {(pred, positions), ...}
 
@@ -598,7 +602,10 @@ def _compile(program: Program, check_safety: bool,
         program=program, order=order, idb=idb,
         rule_plans=rule_plans,
         constraint_plans=constraint_plans,
-        delta_goals=delta_goals, intermediate_preds=intermediate,
+        delta_goals=delta_goals,
+        delta_targets=tuple((goal, delta_base(goal), is_insert_pred(goal))
+                            for goal in delta_goals),
+        intermediate_preds=intermediate,
         index_requirements=_index_requirements(rule_plans,
                                                constraint_plans))
 

@@ -32,9 +32,7 @@ from abc import ABC, abstractmethod
 from typing import TYPE_CHECKING, Iterable, Mapping, Sequence
 
 from repro.datalog.ast import delete_pred, insert_pred
-from repro.datalog.evaluator import IndexedRelation, execute_goal
-from repro.datalog.pretty import pretty_rule
-from repro.errors import ConstraintViolation
+from repro.datalog.evaluator import execute_deltas, execute_goal
 from repro.relational.database import Database
 from repro.relational.delta import Delta, DeltaSet
 from repro.relational.schema import DatabaseSchema, RelationSchema
@@ -209,9 +207,12 @@ class Backend(ABC):
         so they hold on ``(S, V')`` only in a steady state — one where
         the constraints held before the update.  The engine's batched
         pipeline composes every staged delta of a view
-        (:class:`~repro.relational.delta.Composition`) and calls this exactly once per touched view per transaction,
-        with ``delta`` the merged multi-row effective delta — a single
-        statement is a one-element batch."""
+        (:class:`~repro.relational.delta.Composition`) and calls this
+        exactly once per touched view per transaction, with ``delta``
+        that composition, re-projected onto the old view: the merged
+        multi-row effective delta (only its ``insertions`` and
+        ``deletions`` are read) — a single statement is a one-element
+        batch."""
 
     @abstractmethod
     def evaluate_putback(self, entry: 'ViewEntry',
@@ -244,15 +245,6 @@ class Backend(ABC):
         return {name: self._eval_input(handle)
                 for name, handle in sources.items()}
 
-    def _frozen_sources(self, sources: Mapping[str, object]) -> Database:
-        frozen: dict[str, frozenset] = {}
-        for name, handle in sources.items():
-            resolved = self._eval_input(handle)
-            if isinstance(resolved, IndexedRelation):
-                resolved = resolved.rows
-            frozen[name] = frozenset(resolved)
-        return Database(frozen)
-
     def _interp_get(self, entry: 'ViewEntry',
                     sources: Mapping[str, object]) -> set:
         return execute_goal(entry.get_plan, self._interp_edb(sources),
@@ -262,24 +254,15 @@ class Backend(ABC):
                             sources: Mapping[str, object],
                             view_handle, delta: Delta) -> DeltaSet:
         name = entry.name
-        plan = entry.incremental_plan
         edb = self._interp_edb(sources)
         edb[insert_pred(name)] = delta.insertions
         edb[delete_pred(name)] = delta.deletions
         edb[name] = self._eval_input(view_handle)
-        if plan.constraint_plans:
-            violations = plan.constraint_violations(edb,
-                                                    first_witness=True)
-            if violations:
-                rule, witness = violations[0]
-                raise ConstraintViolation(pretty_rule(rule), witness)
-        output = plan.evaluate(edb, goals=plan.delta_goals)
-        return DeltaSet.from_database(
-            output, relations=entry.strategy.updated_relations())
+        return execute_deltas(entry.incremental_plan, edb,
+                              entry.strategy.updated_relations())
 
     def _interp_putback(self, entry: 'ViewEntry',
                         sources: Mapping[str, object],
                         view_rows) -> DeltaSet:
-        frozen = self._frozen_sources(sources)
-        entry.strategy.check_constraints(frozen, view_rows)
-        return entry.strategy.compute_delta(frozen, view_rows)
+        return entry.strategy.compute_delta(self._interp_edb(sources),
+                                            view_rows, check=True)

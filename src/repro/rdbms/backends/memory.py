@@ -128,8 +128,9 @@ class MemoryBackend(Backend):
                                    sources: Mapping[str, object],
                                    view_handle, delta: Delta) -> DeltaSet:
         """One interpreted pass over the transaction's merged multi-row
-        delta: a single plan context (one index/EDB setup) however many
-        statements were coalesced."""
+        delta, however many statements were coalesced: a single plan
+        context (one index/EDB setup) checks the ⊥-rules and evaluates
+        the delta goals (:func:`~repro.datalog.evaluator.execute_deltas`)."""
         return self._interp_incremental(entry, sources, view_handle,
                                         delta)
 

@@ -509,7 +509,10 @@ class SQLiteBackend(Backend):
             for table in shadows:
                 cur.execute(f'DROP TABLE IF EXISTS temp.{table}')
 
-    def _deltas_on(self, cur, prog: _ProgramSQL, entry) -> DeltaSet:
+    @staticmethod
+    def _deltas_on(cur, prog: _ProgramSQL, plan, relations) -> DeltaSet:
+        """Run the lowered ⊥-checks, then the goals that ``plan``'s
+        goal table maps to ``relations`` (:meth:`DeltaSet.from_goals`)."""
         # fetchone: SQLite produces witness rows lazily, so the check
         # short-circuits at the first violation instead of
         # materialising every witness.
@@ -518,11 +521,11 @@ class SQLiteBackend(Backend):
             if witness is not None:
                 raise ConstraintViolation(pretty_rule(rule),
                                           tuple(witness))
-        output = {goal: {tuple(r) for r in cur.execute(sql)}
-                  for goal, sql in prog.delta_sql}
-        return DeltaSet.from_database(
-            Database(output),
-            relations=entry.strategy.updated_relations())
+        sql_of = dict(prog.delta_sql)
+        return DeltaSet.from_goals(
+            plan.delta_targets,
+            lambda goal: {tuple(row) for row in cur.execute(sql_of[goal])},
+            relations)
 
     # -- plan execution -----------------------------------------------
 
@@ -578,7 +581,9 @@ class SQLiteBackend(Backend):
         inputs[name] = view_handle
         return self._sql_or_interpreted(
             entry, 'incremental', inputs,
-            lambda cur, prog: self._deltas_on(cur, prog, entry),
+            lambda cur, prog: self._deltas_on(
+                cur, prog, entry.incremental_plan,
+                entry.strategy.updated_relations()),
             lambda: self._interp_incremental(entry, sources, view_handle,
                                              delta))
 
@@ -589,7 +594,9 @@ class SQLiteBackend(Backend):
         inputs[entry.name] = view_rows
         return self._sql_or_interpreted(
             entry, 'putback', inputs,
-            lambda cur, prog: self._deltas_on(cur, prog, entry),
+            lambda cur, prog: self._deltas_on(
+                cur, prog, entry.strategy.putdelta_plan,
+                entry.strategy.updated_relations()),
             lambda: self._interp_putback(entry, sources, view_rows))
 
     # -- introspection / lifecycle ------------------------------------

@@ -283,16 +283,16 @@ class _Working:
             return self.engine.backend.probe(name, positions, key)
         return None
 
-    def pre_state(self, name: str) -> tuple:
+    def pre_state(self, name: str, rows) -> tuple:
         """``(eval handle, row set)`` of ``name`` *before* any pending
-        delta — what the batched plan run reads as the old view.  For
-        an unstaged view this is the backend's live set (no copy; on
-        every backend it changes only at commit); once staged, a frozen
-        copy is taken so later overlay updates cannot drift under the
-        handle."""
+        delta, given its current ``rows`` — what the batched plan run
+        reads as the old view.  For an unstaged view this is the
+        backend's live set (no copy; on every backend it changes only
+        at commit); once staged, a frozen copy is taken so later
+        overlay updates cannot drift under the handle."""
         if self._unstaged(name):
-            return (self.engine.eval_handle(name), self.engine.rows(name))
-        frozen = frozenset(self.rows(name))
+            return (self.engine.eval_handle(name), rows)
+        frozen = frozenset(rows)
         return (frozen, frozen)
 
     def stage(self, name: str, delta: Delta, *, is_view: bool,
@@ -964,14 +964,16 @@ class Engine(DmlSurface):
         """Stage a view delta (visible to later statements immediately)
         and queue it for the once-per-transaction batched translation;
         in statement-at-a-time mode the translation runs right away."""
-        effective = delta.effective_on(working.rows(name))
+        current = working.rows(name)
+        effective = delta.effective_on(current)
         if effective.is_empty():
             return
-        if name not in working.pending:
-            working.pending[name] = Composition()
+        staged = working.pending.get(name)
+        if staged is None:
+            staged = working.pending[name] = Composition()
             working.pending_origins[name] = set()
-            working.pending_state[name] = working.pre_state(name)
-        working.pending[name].then(effective.insertions, effective.deletions)
+            working.pending_state[name] = working.pre_state(name, current)
+        staged.then(effective.insertions, effective.deletions)
         working.pending_origins[name].update(origins)
         working.stage(name, effective, is_view=True, origins=origins)
         if not self.batch_deltas:
@@ -1015,10 +1017,11 @@ class Engine(DmlSurface):
         self._maybe_replan(entry)
         # Re-projecting onto the pre-delta state drops write-then-undo
         # artifacts of the composition (a row deleted and re-inserted
-        # contributes nothing net).
-        effective = Delta(staged.insertions,
-                          staged.deletions).effective_on(pre_rows)
-        if effective.is_empty():
+        # contributes nothing net).  The composition itself is the
+        # merged delta the backend reads.
+        staged.insertions = staged.insertions - pre_rows
+        staged.deletions &= pre_rows
+        if staged.is_empty():
             return
         sources = {s: working.relation_for_eval(s)
                    for s in entry.source_names}
@@ -1027,7 +1030,7 @@ class Engine(DmlSurface):
         flush_started = perf_counter() if metrics.enabled else 0.0
         if entry.use_incremental:
             deltas = self.backend.evaluate_incremental_batch(
-                entry, sources, view_handle, effective)
+                entry, sources, view_handle, staged)
         else:
             deltas = self.backend.evaluate_putback(
                 entry, sources, working.rows(name))

@@ -281,9 +281,16 @@ class WorkerRuntime:
         with self._storage:
             return self.engine.database()
 
-    def load(self, name: str, rows) -> None:
+    def _with_lsn(self, result) -> tuple:
+        """The reply of a call in :data:`_REPLIES_LSN`: its result and
+        the shard log's LSN after it, which the client keeps
+        (:attr:`ProcessShard._lsn`)."""
+        return result, self.engine.commit_lsn
+
+    def load(self, name: str, rows) -> tuple:
         with self._storage:
             self.engine.load(name, rows)
+        return self._with_lsn(None)
 
     def prepare_load(self, name: str, rows) -> None:
         """A cluster-wide load's first phase: :meth:`Engine.prepare_load`
@@ -292,10 +299,11 @@ class WorkerRuntime:
         it here until the next one replaces it."""
         self._load = name, self.engine.prepare_load(name, rows)
 
-    def apply_load(self) -> None:
+    def apply_load(self) -> tuple:
         (name, loaded), self._load = self._load, None
         with self._storage:
             self.engine.apply_load(name, loaded)
+        return self._with_lsn(None)
 
     def count(self, name: str) -> int:
         return self.engine.backend.count(name)
@@ -315,10 +323,11 @@ class WorkerRuntime:
                                         validate_first=False,
                                         use_incremental=use_incremental,
                                         stats=stats, exist_ok=exist_ok)
-        return entry, created
+        return self._with_lsn((entry, created))
 
-    def drop_view(self, name: str) -> None:
+    def drop_view(self, name: str) -> tuple:
         self.engine.drop_view(name)
+        return self._with_lsn(None)
 
     def ping(self) -> str:
         return 'pong'
@@ -441,6 +450,13 @@ _FAULT_NAMES = {'commit_local': 'prepare_commit'}
 #: forget the LSN it knew (:attr:`ProcessShard._lsn`).
 _WRITES_LOG = frozenset({'load', 'apply_load', 'define_view', 'drop_view',
                          'commit_batch', 'apply_prepared', 'commit_local'})
+
+#: The log writes whose reply is ``(result, LSN after the call)``
+#: (:meth:`WorkerRuntime._with_lsn`): the client learns the LSN back
+#: from the reply itself, so a ``commit_lsn`` after a load or a
+#: definition needs no request.
+_REPLIES_LSN = frozenset({'load', 'apply_load', 'define_view',
+                          'drop_view'})
 
 
 class _RpcChannel:
@@ -642,9 +658,10 @@ class ProcessShard:
         self._rpc_timeout = rpc_timeout
         self._ctx = mp_context
         self._txn_counter = 0
-        #: The shard log's LSN after the last commit this client saw
-        #: through (its prepare token or its reply tells it), ``None``
-        #: once a call that may write the log is sent.  A one-message
+        #: The shard log's LSN after the last log write this client saw
+        #: through (a commit's prepare token or reply, a load's or a
+        #: definition's reply tells it), ``None`` from sending a call
+        #: that may write the log until its reply.  A one-message
         #: commit keeps it as the pre-commit LSN its crash outcome is
         #: decided against.
         self._lsn: int | None = None
@@ -770,6 +787,8 @@ class ProcessShard:
         if method in ('apply_prepared', 'commit_local'):
             committed = args[0] if method == 'apply_prepared' else result
             self._lsn = committed.lsn + (committed.record is not None)
+        elif method in _REPLIES_LSN:
+            result, self._lsn = result
         return result
 
     def _call(self, method: str, *args):

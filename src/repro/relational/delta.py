@@ -7,18 +7,16 @@ one.  Application follows set semantics::
 
     R' = R ⊕ ΔR = (R \\ Δ⁻R) ∪ Δ⁺R
 
-``DeltaSet.from_database`` extracts deltas from a Datalog output database by
-interpreting the ``+r`` / ``-r`` predicate naming convention, which is how a
-putback program's result becomes an update.
+A putback program's result becomes a :class:`DeltaSet` through its
+compiled plan's goal table (:meth:`DeltaSet.from_goals`), which reads the
+``+r`` / ``-r`` naming convention once, when the plan compiles.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, Iterator, Mapping
+from typing import Iterator, Mapping
 
-from repro.datalog.ast import (delta_base, is_delete_pred, is_delta_pred,
-                               is_insert_pred)
 from repro.errors import ContradictionError
 from repro.relational.database import Database
 
@@ -92,6 +90,10 @@ class Delta:
         return ' '.join(p for p in parts if p) or '(no change)'
 
 
+#: The delta of a relation a :class:`DeltaSet` does not change.
+_NO_CHANGE = Delta()
+
+
 class Composition:
     """Sequential composition of deltas (the Algorithm 2 merge),
     accumulated in two mutable sets::
@@ -133,38 +135,32 @@ class DeltaSet:
     deltas: Mapping[str, Delta] = field(default_factory=dict)
 
     def __post_init__(self):
-        object.__setattr__(
-            self, 'deltas',
-            {name: delta for name, delta in dict(self.deltas).items()})
+        object.__setattr__(self, 'deltas', dict(self.deltas))
 
     @classmethod
-    def from_database(cls, db: Database,
-                      relations: Iterable[str] | None = None) -> 'DeltaSet':
-        """Collect ``+r`` / ``-r`` relations of ``db`` into a delta set.
-
-        When ``relations`` is given, only deltas for those base relations are
-        collected; otherwise every delta predicate in ``db`` contributes.
-        """
-        wanted = None if relations is None else set(relations)
-        deltas: dict[str, Delta] = {}
-        for name in db.names():
-            if not is_delta_pred(name):
-                continue
-            base = delta_base(name)
-            if wanted is not None and base not in wanted:
-                continue
-            delta = deltas.get(base, Delta())
-            if is_insert_pred(name):
-                delta = Delta(delta.insertions | db[name], delta.deletions)
-            elif is_delete_pred(name):
-                delta = Delta(delta.insertions, delta.deletions | db[name])
-            deltas[base] = delta
-        return cls(deltas)
+    def from_goals(cls, targets, rows_of, relations) -> 'DeltaSet':
+        """The update a putback program's delta goals make.
+        ``targets`` is the compiled plan's goal table
+        (:attr:`~repro.datalog.plan.ExecutionPlan.delta_targets`):
+        for each goal targeting one of ``relations``, ``rows_of(goal)``
+        becomes that relation's insertions or deletions.  Goals
+        targeting other relations (a derived program's auxiliary
+        ``+r__old``) are never asked for, and a relation left with no
+        rows is left out."""
+        pairs: dict[str, list] = {}
+        for goal, relation, insertion in targets:
+            if relation in relations:
+                rows = rows_of(goal)
+                if rows:
+                    pair = pairs.setdefault(relation, [(), ()])
+                    pair[not insertion] = rows
+        return cls({name: Delta(*pair) for name, pair in pairs.items()})
 
     # -- access ----------------------------------------------------------
 
     def __getitem__(self, relation: str) -> Delta:
-        return self.deltas.get(relation, Delta())
+        delta = self.deltas.get(relation)
+        return _NO_CHANGE if delta is None else delta
 
     def __iter__(self) -> Iterator[str]:
         return iter(self.deltas)

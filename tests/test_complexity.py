@@ -8,10 +8,11 @@ subject, the counts are its evidence.
 import pytest
 
 from repro.benchsuite.catalog import FIGURE6_VIEWS, entry_by_name
-from repro.benchsuite.workload import build_engine
+from repro.benchsuite.workload import build_engine, update_statement
 from repro.datalog import evaluator
 from repro.datalog.plan import clear_plan_cache
 from repro.rdbms.metrics import GLOBAL
+from repro.relational.database import Database
 from repro.relational import schema as schema_mod
 from repro.relational.schema import RelationSchema
 from tests.test_backends import cache_fills
@@ -106,3 +107,37 @@ class TestSqliteFirstReadStaysInSQL:
             assert cache_fills(statements, view) == ['SELECT']
             traced[n] = len(statements)
         assert traced[1_000] == traced[10_000]
+
+
+class TestViewWriteRunsOnePlanContext:
+    """README, *Evaluator hot path*: a one-row view INSERT on memory
+    runs ∂put in **one** plan context — its ⊥-check and its delta goals
+    share it — and builds no :class:`Database` (no frozen snapshot, no
+    intermediate output instance), whatever the base's size."""
+
+    @pytest.mark.parametrize('view', FIGURE6_VIEWS)
+    def test_one_row_insert(self, view, monkeypatch):
+        counts = [{'contexts': 0, 'databases': 0}]     # set-up's sink
+
+        def counting(cls, name, key):
+            real = getattr(cls, name)
+
+            def wrapper(self, *args, **kwargs):
+                counts[-1][key] += 1
+                return real(self, *args, **kwargs)
+            monkeypatch.setattr(cls, name, wrapper)
+
+        counting(evaluator._PlanContext, '__init__', 'contexts')
+        counting(Database, '__post_init__', 'databases')
+        entry = entry_by_name(view)
+        per_size = {}
+        for n in (1_000, 10_000):
+            with build_engine(entry, n, backend='memory') as engine:
+                counts.append({'contexts': 0, 'databases': 0})
+                engine.insert(view, update_statement(entry, engine, 0))
+                counts.append({'contexts': 0, 'databases': 0})
+                engine.insert(view, update_statement(entry, engine, 1))
+                per_size[n] = counts[-1]
+                counts.append({'contexts': 0, 'databases': 0})
+        assert per_size[1_000] == per_size[10_000] \
+            == {'contexts': 1, 'databases': 0}

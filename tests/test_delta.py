@@ -35,19 +35,6 @@ class TestDelta:
 
 class TestDeltaSet:
 
-    def test_from_database(self):
-        out = Database.from_dict({'+r1': {(3,)}, '-r2': {(2,)},
-                                  'aux': {(9,)}})
-        deltas = DeltaSet.from_database(out)
-        assert deltas['r1'].insertions == {(3,)}
-        assert deltas['r2'].deletions == {(2,)}
-        assert 'aux' not in deltas.relations()
-
-    def test_from_database_restricted(self):
-        out = Database.from_dict({'+r1': {(3,)}, '+other': {(1,)}})
-        deltas = DeltaSet.from_database(out, relations={'r1'})
-        assert deltas.relations() == {'r1'}
-
     def test_apply_example_3_1(self, union_database):
         deltas = DeltaSet({'r1': Delta(insertions={(3,)}),
                            'r2': Delta(deletions={(2,)})})

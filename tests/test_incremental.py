@@ -18,8 +18,9 @@ from repro.core.incremental import (_delta_form, binarize, incrementalize,
 from repro.core.strategy import UpdateStrategy
 from repro.datalog.ast import (Program, delete_pred, insert_pred,
                                is_delta_pred)
-from repro.datalog.evaluator import evaluate
+from repro.datalog.evaluator import evaluate, execute_deltas
 from repro.datalog.parser import parse_program
+from repro.datalog.plan import compile_program
 from repro.datalog.pretty import pretty
 from repro.relational.database import Database
 from repro.relational.delta import DeltaSet
@@ -46,9 +47,8 @@ def incremental_matches_full(strategy, get_text, source, delta_plus,
     edb[view] = current
     edb[insert_pred(view)] = delta_plus
     edb[delete_pred(view)] = delta_minus
-    out = evaluate(dput, edb)
-    deltas = DeltaSet.from_database(out,
-                                    relations=strategy.updated_relations())
+    deltas = execute_deltas(compile_program(dput), edb,
+                            strategy.updated_relations(), check=False)
     incremental = DeltaSet({
         name: delta.effective_on(source[name])
         for name, delta in deltas.deltas.items()}).apply_to(source)

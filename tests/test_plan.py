@@ -8,8 +8,10 @@ import pytest
 
 from repro.benchsuite.catalog_qa import QA_ENTRIES
 from repro.core.strategy import UpdateStrategy
-from repro.datalog.evaluator import constraint_violations, evaluate
+from repro.datalog.evaluator import (constraint_violations, evaluate,
+                                     execute_deltas)
 from repro.datalog.parser import parse_program
+from repro.datalog.pretty import pretty_rule
 from repro.datalog.plan import (ExecutionPlan, compile_program,
                                 compile_rule, schedule_body)
 from repro.errors import SafetyError
@@ -94,6 +96,71 @@ class TestCompile:
         rule = parse_program('v(X) :- X > 1, r(X).').rules[0]
         ordered = schedule_body(rule.body)
         assert str(ordered[0]) == 'r(X)'
+
+
+class TestExecuteDeltas:
+    """``execute_deltas``: the ⊥-check and the delta goals of one
+    putback run, in one plan context, turned into deltas through the
+    goal table the plan compiled (``DeltaSet.from_goals``)."""
+
+    PROGRAM = """
+        ⊥ :- v(X), X > 9.
+        +r1(X) :- v(X), not r1(X).
+        -r2(X) :- r2(X), not v(X).
+        +other(X) :- v(X).
+        aux(X) :- r1(X).
+    """
+
+    def test_goal_table_builds_deltas(self):
+        plan = compile_program(parse_program(self.PROGRAM))
+        assert plan.delta_targets == (('+other', 'other', True),
+                                      ('+r1', 'r1', True),
+                                      ('-r2', 'r2', False))
+        deltas = execute_deltas(plan, db(v={(3,)}, r2={(2,)}),
+                                {'r1', 'r2', 'other'})
+        assert deltas['r1'].insertions == {(3,)}
+        assert deltas['r2'].deletions == {(2,)}
+        assert deltas.relations() == {'r1', 'r2', 'other'}
+
+    def test_goals_of_other_relations_are_not_evaluated(self, monkeypatch):
+        from repro.datalog import evaluator
+        plan = compile_program(parse_program(self.PROGRAM), cache=False)
+        run = []
+        real = evaluator._run_rule
+
+        def counting(rule_plan, *args, **kwargs):
+            run.append(rule_plan.rule.head.pred)
+            return real(rule_plan, *args, **kwargs)
+        monkeypatch.setattr(evaluator, '_run_rule', counting)
+        deltas = execute_deltas(plan, db(v={(3,)}, r1={(3,)}), {'r1'})
+        assert deltas.relations() == set()      # nothing left to insert
+        assert [pred for pred in run if pred[0] in '+-'] == ['+r1']
+
+    def test_violation_matches_first_witness_check(self):
+        from repro.errors import ConstraintViolation
+        plan = compile_program(parse_program(self.PROGRAM))
+        edb = db(v={(3,), (12,)})
+        (rule, witness), = plan.constraint_violations(edb,
+                                                      first_witness=True)
+        with pytest.raises(ConstraintViolation) as raised:
+            execute_deltas(plan, edb, {'r1'})
+        assert raised.value.witness == witness
+        assert raised.value.constraint == pretty_rule(rule)
+        assert execute_deltas(plan, edb, {'r1'}, check=False)['r1'] \
+            .insertions == {(3,), (12,)}
+
+    def test_one_context_for_check_and_goals(self, monkeypatch):
+        from repro.datalog import evaluator
+        contexts = []
+        real = evaluator._PlanContext.__init__
+
+        def counting(self, *args, **kwargs):
+            contexts.append(self)
+            real(self, *args, **kwargs)
+        monkeypatch.setattr(evaluator._PlanContext, '__init__', counting)
+        plan = compile_program(parse_program(self.PROGRAM))
+        execute_deltas(plan, db(v={(3,)}), {'r1', 'r2'})
+        assert len(contexts) == 1
 
 
 class TestExecution:

@@ -197,3 +197,53 @@ def test_union_read_downstream_matches_put(backend):
             getattr(engine, method)('v', args)
             assert engine.database() == strategy.put(state, new_view), \
                 (method, args)
+
+
+#: Base writes under a defined view that break one of its ⊥-rules:
+#: ``(entry, loaded state, base insert, view insert after it)``.
+UNSTEADY_BASE_WRITES = {
+    # ⊥ :- stock(P, Q), not has_name(P).
+    'products': ({'product_names': {(1, 'a')}, 'stock': {(1, 5)}},
+                 ('stock', (2, 7)), (3, 'c', 4)),
+    # The view's key P → C: a second purchase 10 of another customer.
+    'purchaseview': ({'purchases': {(10, 1, 5, '2020-01-01')},
+                      'customers2': {(1, 'a'), (2, 'b')}},
+                     ('purchases', (10, 2, 5, '2020-01-01')),
+                     (11, 1, 'a', 6)),
+}
+
+
+@pytest.mark.xfail(strict=True, reason='a base write under a defined '
+                   "view is not checked against the view's ⊥-rules, "
+                   'so it can commit a state that is not steady')
+@pytest.mark.parametrize('name', UNSTEADY_BASE_WRITES)
+@pytest.mark.parametrize('backend', ['memory', 'sqlite'])
+def test_base_write_keeps_the_state_steady(backend, name):
+    """Every committed state is steady: a base write that would break
+    the view's ⊥-rules is refused, and the view statement after it is
+    answered as ``put`` answers it."""
+    strategy = entry_by_name(name).strategy()
+    loaded, (base, row), view_row = UNSTEADY_BASE_WRITES[name]
+    with Engine(strategy.sources, backend=backend) as engine:
+        for relation in strategy.sources.names():
+            engine.load(relation, loaded.get(relation, ()))
+        engine.define_view(strategy, validate_first=False)
+        try:
+            engine.insert(base, row)
+        except ConstraintViolation:
+            pass
+        state = engine.database()
+        view = strategy.get(state)
+        try:
+            strategy.check_constraints(state, view)
+        except ConstraintViolation as error:
+            pytest.fail(f'{base} insert {row} committed a state that is '
+                        f'not steady: {error}')
+        try:
+            expected = strategy.put(state, view | {view_row})
+        except ConstraintViolation:
+            with pytest.raises(ConstraintViolation):
+                engine.insert(name, view_row)
+        else:
+            engine.insert(name, view_row)
+            assert engine.database() == expected

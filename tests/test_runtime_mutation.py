@@ -11,7 +11,7 @@ from dataclasses import replace
 import pytest
 
 from repro.core import incremental
-from repro.datalog.ast import Program
+from repro.datalog.ast import Program, insert_pred
 from tests import test_put_oracle
 from tests.test_engine import TestConstraints
 from tests.test_put_oracle import check_entry
@@ -35,6 +35,23 @@ def _lvgn_violation(luxury_strategy) -> None:
 def _general_path_oracle(_luxury_strategy) -> None:
     for backend in ('memory', 'sqlite'):
         check_entry('vw_customers', backend, seeds=range(2))
+
+
+def _without_view_insertions(derive):
+    def mutant(putdelta, view):
+        def reads_only_plus_view(rule) -> bool:
+            return rule.head is not None \
+                and rule.head.pred == f'{view}__nu' \
+                and [getattr(literal, 'atom', None) and literal.atom.pred
+                     for literal in rule.body] == [insert_pred(view)]
+        return Program(tuple(rule for rule in derive(putdelta, view).rules
+                             if not reads_only_plus_view(rule)))
+    return mutant
+
+
+def _purchaseview_oracle(_luxury_strategy) -> None:
+    for backend in ('memory', 'sqlite'):
+        check_entry('purchaseview', backend, seeds=range(2))
 
 
 def _without_union_guard(_fix):
@@ -64,6 +81,11 @@ MUTANTS = {
     # Proposition 5.1 drops; only a union read further down sees it.
     'union-guard-skipped': ('_union_deletion_fix', _without_union_guard,
                             _union_read_downstream_oracle),
+    # M4: the Appendix-C ν-rule ``v__nu :- +v`` dropped (the view's
+    # post-state loses its inserted rows).
+    'view-insertions-dropped': ('incrementalize_general',
+                                _without_view_insertions,
+                                _purchaseview_oracle),
 }
 
 
