@@ -13,14 +13,25 @@ witnesses (every candidate is checked by exact bottom-up evaluation, so a
 SAT answer is always sound):
 
 1. **Canonical-instance enumeration** — the query is unfolded into clauses
-   (conjunctions of positive EDB atoms, builtins, and negated checks);
-   each clause's ``=`` builtins are applied once, the ways of merging the
-   resulting variable classes are enumerated (every partition, up to a
-   size cap), comparison constraints are solved by synthesizing witness
-   values, and the frozen positive atoms become a candidate database —
-   judged once per check, however many clauses and partitions reach
-   it.  This mirrors the canonical-database argument underlying GNFO's
-   finite model property and finds tiny witnesses fast.
+   (conjunctions of positive EDB atoms, builtins, and negated checks).
+   Each clause is compiled once into a template: its ``=`` builtins are
+   applied, the resulting equality classes become *slots*, and every
+   other builtin and every positive atom reads fixed positions of a
+   value row (one value per slot, then the clause's constants).  A way
+   of merging classes is a partition of the slots, drawn from a table of
+   the partitions of n slots in one fixed order, built once per process
+   (every partition up to a size cap; above ``max_partition_vars``
+   classes, the identity, the pair merges and a random sample).  A
+   partition putting two different pins or a disequal pair in one block
+   is dropped before any value is built, and still counts against the
+   cap.  Every other block takes its pin, or by its rank among the
+   unpinned blocks a fresh value (a witness synthesized for the bounds
+   of a clause with comparisons), so a candidate is a function of its
+   class structure alone: its facts, one ``(relation, row)`` pair per
+   positive atom, are judged once per check, however many clauses and
+   partitions reach them.  This mirrors the canonical-database argument
+   underlying GNFO's finite model property and finds tiny witnesses
+   fast.
 2. **Randomized search** — random small databases over the program's
    constant pool plus fresh values, as a safety net for clauses whose
    canonical instance violates a constraint that a different instance
@@ -34,9 +45,10 @@ fresh predicate no rule reads.  The program is compiled once in
 variable, every ⊥-rule derives ``#violated(W)``, and a rule with no
 positive atom is guarded by ``#worlds(W)`` (``#`` never occurs in a
 parsed name).  A batch is one database whose facts carry their
-candidate's index as the world, so one run materialises the IDB cones
-of the goals asked for, for every candidate at once, and a second, over
-the worlds where a goal held, finds the violated ones.  Each goal's
+candidate's index as the world, built in one pass over the candidates'
+facts, so one run materialises the IDB cones of the goals asked for,
+for every candidate at once, and a second, over the worlds where a goal
+held, finds the violated ones.  Each goal's
 canonical candidates are judged in doubling batches (1, 2, 4, …) of
 their own; the random databases are drawn once per distinct stream and
 judged in one batch for every goal drawing that stream.
@@ -47,10 +59,11 @@ accepts, with the same ``method`` and ``instances``.  Its cone and
 clauses never reach another goal's rule, and its random stream is drawn
 from the program less the other goals' rules.  A world the batch
 rejects for a goal, :func:`_verify` rejects: stratified Datalog gives
-one answer under any evaluation order once evaluation completes.  A world the batch accepts is confirmed by
-:func:`_verify` on the plain plan, compiled only when first needed.  A
-batch whose evaluation raises is bisected, and a lone candidate is left
-to :func:`_verify`, which reads an evaluation error as "no witness".
+one answer under any evaluation order once evaluation completes.  A
+world the batch accepts is confirmed by :func:`_verify` on the plain
+plan, compiled only when first needed.  A batch whose evaluation raises
+is bisected, and a lone candidate is left to :func:`_verify`, which
+reads an evaluation error as "no witness".
 
 A ``SAT`` verdict carries the witness database.  An ``UNSAT`` verdict is
 *bounded*: no model exists within the explored space.  For LVGN-Datalog
@@ -61,13 +74,14 @@ the fragment it mirrors the paper's semi-decision via a theorem prover.
 
 from __future__ import annotations
 
+import collections
+import functools
 import itertools
 import operator
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
-from functools import cached_property
-from typing import Iterable, Iterator, Sequence
+from typing import Collection, Iterable, Iterator, Sequence
 
 from repro.datalog.ast import (Atom, BuiltinLit, Const, Lit, Literal,
                                Program, Rule, Var, delta_base)
@@ -210,7 +224,7 @@ def unfold_to_clauses(program: Program, goal: str,
 # ---------------------------------------------------------------------------
 
 
-def _set_partitions(items: list[str]) -> Iterator[list[list[str]]]:
+def _set_partitions(items: list[int]) -> Iterator[list[list[int]]]:
     """All partitions of ``items`` (Bell-number many), smallest blocks
     first for the singleton partition to come out early."""
     if not items:
@@ -225,28 +239,51 @@ def _set_partitions(items: list[str]) -> Iterator[list[list[str]]]:
                    partition[i + 1:])
 
 
-def _candidate_partitions(classes: list[str], config: SolverConfig,
-                          rng: random.Random
-                          ) -> Iterator[list[list[str]]]:
-    """Ways of merging a clause's equality-closed variable classes."""
-    if len(classes) <= config.max_partition_vars:
-        yield from itertools.islice(_set_partitions(classes),
-                                    config.max_partitions_per_clause)
+#: A partition of slots ``0 … n-1``: each slot's block label, the blocks
+#: numbered in order of their least slot, and each block as a bitmask of
+#: its slots, in label order.
+_Partition = tuple[tuple[int, ...], tuple[int, ...]]
+
+
+def _partition(blocks: Iterable[list[int]]) -> _Partition:
+    blocks = sorted(blocks, key=min)
+    labels = [0] * sum(map(len, blocks))
+    for label, block in enumerate(blocks):
+        for slot in block:
+            labels[slot] = label
+    return tuple(labels), tuple(sum(1 << slot for slot in block)
+                                for block in blocks)
+
+
+@functools.lru_cache(maxsize=None)
+def _partitions(size: int, limit: int) -> tuple[_Partition, ...]:
+    """The first ``limit`` partitions of ``size`` slots, in
+    :func:`_set_partitions`' order: a table that depends on its
+    arguments alone, built once per process."""
+    return tuple(map(_partition, itertools.islice(
+        _set_partitions(list(range(size))), limit)))
+
+
+def _candidate_partitions(size: int, config: SolverConfig,
+                          rng: random.Random) -> Iterator[_Partition]:
+    """Ways of merging a clause's ``size`` equality-closed classes."""
+    if size <= config.max_partition_vars:
+        yield from _partitions(size, config.max_partitions_per_clause)
         return
     # Too many classes for exhaustive enumeration: identity partition,
     # all single-pair merges, and a handful of random coarser partitions.
-    yield [[c] for c in classes]
-    for a, b in itertools.combinations(classes, 2):
-        merged = [[x] for x in classes if x not in (a, b)]
-        yield merged + [[a, b]]
+    slots = range(size)
+    yield _partition([[c] for c in slots])
+    for a, b in itertools.combinations(slots, 2):
+        yield _partition([[x] for x in slots if x not in (a, b)] + [[a, b]])
     for _ in range(32):
-        blocks: list[list[str]] = []
-        for c in classes:
+        blocks: list[list[int]] = []
+        for c in slots:
             if blocks and rng.random() < 0.35:
                 rng.choice(blocks).append(c)
             else:
                 blocks.append([c])
-        yield blocks
+        yield _partition(blocks)
 
 
 # ---------------------------------------------------------------------------
@@ -369,189 +406,179 @@ def _respects(value, lowers: list, uppers: list) -> bool:
 # ---------------------------------------------------------------------------
 
 
-class _UnionFind:
-
-    def __init__(self, items: Iterable[str]):
-        self.parent = {i: i for i in items}
-
-    def find(self, x: str) -> str:
-        while self.parent[x] != x:
-            self.parent[x] = self.parent[self.parent[x]]
-            x = self.parent[x]
-        return x
-
-    def union(self, a: str, b: str) -> None:
-        ra, rb = self.find(a), self.find(b)
-        if ra != rb:
-            self.parent[ra] = rb
+#: The value of a block not valued yet.
+_FREE = object()
 
 
-@dataclass
-class _ClosedClause:
-    """A clause with its ``=`` builtins applied once: the variable classes
-    they induce (named by their least member) and every other builtin read
-    over those classes, so nothing here depends on the partition tried."""
+class _Template:
+    """A clause with its ``=`` builtins applied once, compiled for the
+    partitions of its equality classes; nothing here depends on the
+    partition tried.
 
-    classes: list[str]
-    pinned: dict[str, object] = field(default_factory=dict)  # class = const
-    types: dict[str, str] = field(default_factory=dict)
-    # class <> class, class <> constant
-    diseq: list[tuple[str, str]] = field(default_factory=list)
-    diseq_const: list[tuple[str, object]] = field(default_factory=list)
-    # Per class: (('const', value) | ('var', class), strict?) entries.
-    lowers: dict[str, list] = field(default_factory=dict)
-    uppers: dict[str, list] = field(default_factory=dict)
-    # Positive atoms as (pred, (key, ...)): a key is a class, or an
-    # int naming a constant of ``consts``.
-    atoms: list[tuple[str, tuple]] = field(default_factory=list)
-    consts: dict[int, object] = field(default_factory=dict)
+    The classes are slots ``0 … size-1``, in order of their least
+    variable.  A *value row* holds one value per slot, then the clause's
+    ``consts``.  ``pins`` maps a slot to its constant and ``kinds`` to
+    its inferred type; ``diseq`` holds row positions that must differ,
+    ``comparisons`` ``(smaller, larger, strict?)`` row positions, and
+    ``atoms`` each positive atom's relation and its row getter."""
+
+    def __init__(self, size: int, pins: dict[int, object],
+                 kinds: dict[int, str], consts: tuple, diseq: list,
+                 comparisons: list, atoms: list):
+        self.size, self.consts, self.diseq = size, consts, diseq
+        self.comparisons, self.atoms = comparisons, atoms
+        # Slot pairs that no block may hold: two different pins (a pin
+        # unequal to itself, a NaN, clashes with its own slot), or a
+        # disequality.  A partition merging one yields no instance.
+        self.clashes = [(a, b) for (a, p), (b, q) in
+                        itertools.combinations_with_replacement(
+                            pins.items(), 2) if p != q]
+        self.clashes += [pair for pair in diseq if max(pair) < size]
+        # A block takes the pin and the type of its least slot that has
+        # one: a slot's bit -> its pin, its type, and the bitmasks of the
+        # pinned and of the typed slots.
+        self.pin_of = {1 << slot: pin for slot, pin in pins.items()}
+        self.kind_of = {1 << slot: kind for slot, kind in kinds.items()}
+        self.pinned, self.typed = sum(self.pin_of), sum(self.kind_of)
+        fresh = {kind: [_fresh(kind, 1 + 7 * rank) for rank in range(size)]
+                 for kind in {'string', *kinds.values()}}
+        # A block's fresh values, by its rank among unpinned blocks.
+        self.fresh = functools.cache(lambda mask: fresh[self._kind(mask)])
+
+    def _pin(self, mask: int):
+        pinned = mask & self.pinned
+        return self.pin_of[pinned & -pinned] if pinned else _FREE
+
+    def _kind(self, mask: int) -> str:
+        typed = mask & self.typed
+        return self.kind_of[typed & -typed] if typed else 'string'
+
+    def facts(self, partition: _Partition) -> frozenset | None:
+        """The canonical instance with the slots of each block of
+        ``partition`` merged: the positive atoms as ``(pred, row)``
+        facts, or None when no values honour the builtins (caller tries
+        the next partition).  A block takes its pin; otherwise, by its
+        rank among the unpinned blocks in order of least slot, a
+        :func:`_fresh` value of its type, or :func:`_synthesize`'s for a
+        clause with comparisons — pinned blocks are valued first, so a
+        bound by one is known whatever the block order."""
+        labels, masks = partition
+        for a, b in self.clashes:
+            if labels[a] == labels[b]:
+                return None
+        if not self.pinned and not self.comparisons:
+            # Every block is unpinned: its rank is its label.
+            value = list(map(operator.getitem, map(self.fresh, masks),
+                             range(len(masks))))
+        else:
+            value, rank = list(map(self._pin, masks)), 0
+            for label, mask in enumerate(masks):
+                if value[label] is not _FREE:
+                    continue
+                if not self.comparisons:
+                    value[label] = self.fresh(mask)[rank]
+                else:
+                    value[label] = self._bounded(labels, value, mask, rank)
+                    if value[label] is None:
+                        return None
+                rank += 1
+        row = tuple(map(value.__getitem__, labels)) + self.consts
+        for a, b in self.diseq:
+            if row[a] == row[b]:
+                return None
+        try:
+            for smaller, larger, strict in self.comparisons:
+                if row[larger] < row[smaller] \
+                        or (strict and row[larger] == row[smaller]):
+                    return None
+        except TypeError:
+            return None
+        return frozenset([(pred, get(row)) for pred, get in self.atoms])
+
+    def _bounded(self, labels: tuple[int, ...], value: list, mask: int,
+                 rank: int):
+        """A value for the block ``mask`` within its concrete bounds, by
+        the block's slots in order; a bound by a block not yet valued is
+        left to the residual check."""
+        row = tuple(map(value.__getitem__, labels)) + self.consts
+        slots = [slot for slot in range(self.size) if mask >> slot & 1]
+        lowers = [(row[low], strict) for slot in slots
+                  for low, high, strict in self.comparisons
+                  if high == slot and row[low] is not _FREE]
+        uppers = [(row[high], strict) for slot in slots
+                  for low, high, strict in self.comparisons
+                  if low == slot and row[high] is not _FREE]
+        return _synthesize(lowers, uppers, self._kind(mask), 1 + 7 * rank)
 
 
 def _close_clause(clause: Clause, types: dict[str, str]
-                  ) -> _ClosedClause | None:
-    """Equality-close ``clause``; None when its builtins are inconsistent
-    whatever the partition."""
+                  ) -> _Template | None:
+    """Equality-close ``clause`` and compile its template; None when its
+    builtins are inconsistent whatever the partition."""
     variables = sorted(clause.variables())
-    uf = _UnionFind(variables)
+    root = {var: var for var in variables}       # union-find forest
+
+    def find(var: str) -> str:
+        while root[var] != var:
+            var = root[var]
+        return var
+
     others: list[BuiltinLit] = []
     for b in clause.builtins:
         blt = b if b.positive else b.normalized()
         if blt.op == '=' and isinstance(blt.left, Var) \
                 and isinstance(blt.right, Var):
-            uf.union(blt.left.name, blt.right.name)
+            root[find(blt.left.name)] = find(blt.right.name)
         else:
             others.append(blt)
-    least: dict[str, str] = {}
-    class_of = {var: least.setdefault(uf.find(var), var)
-                for var in variables}
-    closed = _ClosedClause(sorted(least.values()))
+    # Variables in order: a class is first met at its least variable.
+    slot_of_root: dict[str, int] = {}
+    slot = {var: slot_of_root.setdefault(find(var), len(slot_of_root))
+            for var in variables}
+    kinds: dict[int, str] = {}
     for var in variables:
         if var in types:
-            closed.types.setdefault(class_of[var], types[var])
+            kinds.setdefault(slot[var], types[var])
+    consts: list = []
 
-    def operand(term):
-        if isinstance(term, Const):
-            return ('const', term.value)
-        return ('var', class_of[term.name])
+    def position(term) -> int:
+        if isinstance(term, Var):
+            return slot[term.name]
+        consts.append(term.value)
+        return len(slot_of_root) + len(consts) - 1
 
+    pins: dict[int, object] = {}
+    diseq: list[tuple[int, int]] = []
+    comparisons: list[tuple[int, int, bool]] = []
     for blt in others:
-        left, right = operand(blt.left), operand(blt.right)
-        if left[0] == right[0] == 'const':
-            if not _OPS[blt.op](left[1], right[1]):
+        left, right = blt.left, blt.right
+        if isinstance(left, Const) and isinstance(right, Const):
+            if not _OPS[blt.op](left.value, right.value):
                 return None
-        elif blt.op in ('=', '<>'):
-            if left[0] == right[0]:             # only '<>' relates two classes
-                if left[1] == right[1]:
-                    return None
-                closed.diseq.append((left[1], right[1]))
-                continue
-            cls, const = (left[1], right[1]) if left[0] == 'var' \
-                else (right[1], left[1])
-            if blt.op == '<>':
-                closed.diseq_const.append((cls, const))
-            elif closed.pinned.setdefault(cls, const) != const:
+        elif blt.op == '=':         # a class = class is closed already
+            var, const = (left, right) if isinstance(right, Const) \
+                else (right, left)
+            if pins.setdefault(slot[var.name], const.value) != const.value:
                 return None
+        elif blt.op == '<>':
+            pair = (position(left), position(right))
+            if pair[0] == pair[1]:
+                return None
+            diseq.append(pair)
         else:
-            strict = blt.op in ('<', '>')
             smaller, larger = (left, right) if blt.op in ('<', '<=') \
                 else (right, left)
-            if smaller[0] == 'var':
-                closed.uppers.setdefault(smaller[1], []).append(
-                    (larger, strict))
-            if larger[0] == 'var':
-                closed.lowers.setdefault(larger[1], []).append(
-                    (smaller, strict))
+            comparisons.append((position(smaller), position(larger),
+                                blt.op in ('<', '>')))
+    atoms = []
     for atom in clause.pos_atoms:
-        keys = []
-        for term in atom.args:
-            if isinstance(term, Const):
-                keys.append(len(closed.consts))
-                closed.consts[keys[-1]] = term.value
-            else:
-                keys.append(class_of[term.name])
-        closed.atoms.append((atom.pred, tuple(keys)))
-    return closed
-
-
-def _instance(closed: _ClosedClause, blocks: Iterable[Iterable[str]]
-              ) -> frozenset | None:
-    """The canonical instance of ``closed`` with every block of ``blocks``
-    merged into one class: its positive atoms as ``(pred, row)`` facts
-    over values honouring pinned constants, disequalities and
-    comparisons; None when inconsistent (caller tries the next
-    partition).  Values are a function of the merged classes alone, so
-    one class structure always yields the same facts."""
-    merged = sorted(sorted(block) for block in blocks)
-    pinned, types = closed.pinned, closed.types
-    bounded = closed.lowers or closed.uppers
-    full: dict = dict(closed.consts)    # class or constant key -> value
-    # Pinned blocks first, so that a bound by a pinned class is known
-    # whatever the block order.
-    unpinned = []
-    for block in merged:
-        consts = [pinned[cls] for cls in block if cls in pinned] \
-            if pinned else None
-        if not consts:
-            unpinned.append(block)
-            continue
-        for const in consts:
-            if const != consts[0]:
-                return None
-        for cls in block:
-            full[cls] = consts[0]
-    fresh_index = 1
-    for block in unpinned:
-        type_name = 'string'
-        for cls in block:
-            if cls in types:
-                type_name = types[cls]
-                break
-        if bounded:
-            # Concrete (value, strict) lower and upper bounds of the
-            # merged class; a bound by a class not yet assigned is left
-            # to the residual check.
-            found: tuple[list, list] = ([], [])
-            for kind, out in zip((closed.lowers, closed.uppers), found):
-                for cls in block:
-                    for (tag, other), strict in kind.get(cls, ()):
-                        if tag == 'const':
-                            out.append((other, strict))
-                        elif other in full:
-                            out.append((full[other], strict))
-            value = _synthesize(*found, type_name, fresh_index)
-            if value is None:
-                return None
-        else:
-            value = _fresh(type_name, fresh_index)
-        fresh_index += 7
-        for cls in block:
-            full[cls] = value
-
-    # Residual checks over the complete assignment.
-    for a, b in closed.diseq:
-        if full[a] == full[b]:
-            return None
-    for cls, const in closed.diseq_const:
-        if full[cls] == const:
-            return None
-    if bounded:
-        try:
-            for cls, entries in closed.lowers.items():
-                for other, strict in entries:
-                    low = other[1] if other[0] == 'const' else full[other[1]]
-                    if full[cls] < low or (strict and full[cls] == low):
-                        return None
-            for cls, entries in closed.uppers.items():
-                for other, strict in entries:
-                    high = other[1] if other[0] == 'const' \
-                        else full[other[1]]
-                    if full[cls] > high or (strict and full[cls] == high):
-                        return None
-        except TypeError:
-            return None
-    value_of_key = full.__getitem__
-    return frozenset([(pred, tuple(map(value_of_key, keys)))
-                      for pred, keys in closed.atoms])
+        keys = [position(term) for term in atom.args]
+        # ``itemgetter`` of one position gives the bare value: slice.
+        atoms.append((atom.pred, operator.itemgetter(*keys) if len(keys) > 1
+                      else operator.itemgetter(slice(keys[0], keys[0] + 1)
+                                               if keys else slice(0))))
+    return _Template(len(slot_of_root), pins, kinds, tuple(consts), diseq,
+                     comparisons, atoms)
 
 
 def _value_type(declared: AttributeType) -> str:
@@ -588,12 +615,24 @@ def _infer_types(schema: DatabaseSchema | None,
 # ---------------------------------------------------------------------------
 
 
-def _verify(plan: ExecutionPlan, goal: str,
-            candidate: dict[str, set]) -> bool:
+#: A candidate database: its ``(pred, row)`` facts.
+_Facts = Iterable[tuple[str, tuple]]
+
+
+def _relations(facts: _Facts, names: Iterable[str] = ()) -> dict[str, set]:
+    """``facts`` as ``{pred: rows}``, with every relation of ``names``."""
+    relations: dict[str, set] = {name: set() for name in names}
+    for pred, row in facts:
+        relations.setdefault(pred, set()).add(row)
+    return relations
+
+
+def _verify(plan: ExecutionPlan, goal: str, candidate: _Facts) -> bool:
     """Exact check: the goal is derivable and no constraint is violated."""
+    edb = _relations(candidate)
     try:
-        return bool(execute_plan(plan, candidate, goals=(goal,))[goal]) \
-            and not execute_constraints(plan, candidate)
+        return bool(execute_plan(plan, edb, goals=(goal,))[goal]) \
+            and not execute_constraints(plan, edb)
     except ReproError:
         return False
 
@@ -615,6 +654,18 @@ def _tag(rule: Rule) -> Rule:
         body = (Lit(Atom(_WORLDS, (_WORLD,))),) + body
     head = Atom(_VIOLATED, ()) if rule.head is None else rule.head
     return Rule(Atom(head.pred, (_WORLD,) + head.args), body)
+
+
+def _tagged(batch: Sequence[_Facts], worlds: Collection[int]
+            ) -> dict[str, set]:
+    """The world-tagged database of ``batch``'s candidates at ``worlds``,
+    built in one pass over their facts."""
+    edb: dict[str, set] = collections.defaultdict(set)
+    edb[_WORLDS] = {(world,) for world in worlds}
+    for world in worlds:
+        for pred, row in batch[world]:
+            edb[pred].add((world,) + row)
+    return edb
 
 
 class _Worlds:
@@ -649,7 +700,7 @@ class _Worlds:
                           for body_pred in rule_plan.rule.body_preds()]
         return tuple(pred for pred in self.tagged.order if pred in seen)
 
-    def accepted(self, batch: list[dict[str, set]], goals: Sequence[str]
+    def accepted(self, batch: Sequence[_Facts], goals: Sequence[str]
                  ) -> dict[str, list[int]]:
         """Per goal, the worlds of ``batch`` where it holds and no
         constraint is violated, in order; raises what evaluation
@@ -659,24 +710,18 @@ class _Worlds:
         if goals not in self.cones:
             self.cones[goals] = self._cone(goals) + tuple(
                 goal for goal in goals if goal not in self.tagged.idb)
-        edb: dict[str, set] = {_WORLDS: {(world,)
-                                         for world in range(len(batch))}}
-        for world, candidate in enumerate(batch):
-            for pred, rows in candidate.items():
-                edb.setdefault(pred, set()).update(
-                    (world,) + row for row in rows)
-        derived = execute_plan(self.tagged, edb, goals=self.cones[goals])
+        derived = execute_plan(self.tagged, _tagged(batch, range(len(batch))),
+                               goals=self.cones[goals])
         held = {goal: {row[0] for row in derived[goal]} for goal in goals}
         anywhere = set().union(*held.values())
         if anywhere and self.violated_cone:
-            edb = {pred: {row for row in rows if row[0] in anywhere}
-                   for pred, rows in edb.items()}
             violated = {row[0] for row in execute_plan(
-                self.tagged, edb, goals=self.violated_cone)[_VIOLATED]}
+                self.tagged, _tagged(batch, anywhere),
+                goals=self.violated_cone)[_VIOLATED]}
             held = {goal: worlds - violated for goal, worlds in held.items()}
         return {goal: sorted(worlds) for goal, worlds in held.items()}
 
-    def first(self, batch: list[dict[str, set]], goals: Sequence[str]
+    def first(self, batch: Sequence[_Facts], goals: Sequence[str]
               ) -> dict[str, int | None]:
         """Per goal, the index of the first candidate of ``batch`` that
         :func:`_verify` accepts for it, or None — why the batch's answer
@@ -725,12 +770,12 @@ def _value_pool(program: Program) -> dict[str, tuple]:
 
 
 def _random_database(rng: random.Random, relations: tuple, max_size: int
-                     ) -> dict[str, set]:
+                     ) -> frozenset:
     """Up to ``max_size`` rows per relation of ``relations``, a tuple
     of ``(pred, value pool per column)`` in draw order."""
-    return {pred: {tuple([rng.choice(column) for column in columns])
-                   for _ in range(rng.randint(0, max_size))}
-            for pred, columns in relations}
+    return frozenset([(pred, tuple([rng.choice(column) for column in columns]))
+                      for pred, columns in relations
+                      for _ in range(rng.randint(0, max_size))])
 
 
 # ---------------------------------------------------------------------------
@@ -767,7 +812,7 @@ class Search:
         # relations -> (databases, {goal: first witness or None})
         self.random_passes: dict[tuple, tuple] = {}
 
-    @cached_property
+    @functools.cached_property
     def worlds(self) -> _Worlds | None:
         """The tagged plan, compiled at the first check; None when the
         program does not compile."""
@@ -789,36 +834,36 @@ class Search:
             found = self.worlds.first(batch, (goal,))[goal]
             if found is not None:
                 return SatResult(SatStatus.SAT, Database.from_dict(
-                    batch[found]), goal, 'canonical instance',
+                    _relations(batch[found])), goal, 'canonical instance',
                     judged + found + 1)
             judged += len(batch)
             size *= 2
         databases, found = self._random_pass(goal)
         if found is not None:
-            return SatResult(SatStatus.SAT, Database.from_dict(
-                databases[found]), goal, 'randomized search',
-                judged + found + 1)
+            # A random database holds every relation of its stream.
+            return SatResult(SatStatus.SAT, Database.from_dict(_relations(
+                databases[found], (pred for pred, _ in self.streams[goal]))),
+                goal, 'randomized search', judged + found + 1)
         return SatResult(SatStatus.UNSAT, None, goal, 'bounded search',
                          judged + len(databases))
 
-    def _canonical(self, goal: str) -> Iterator[dict[str, set]]:
+    def _canonical(self, goal: str) -> Iterator[frozenset]:
         config = self.config
         rng = random.Random(config.seed)
         verified: set[frozenset] = set()
         for clause in unfold_to_clauses(self.program, goal,
                                         config.max_clauses):
-            closed = _close_clause(clause, _infer_types(self.schema, clause))
-            if closed is None:
+            template = _close_clause(clause,
+                                     _infer_types(self.schema, clause))
+            if template is None:
                 continue
-            for blocks in _candidate_partitions(closed.classes, config, rng):
-                facts = _instance(closed, blocks)
+            for partition in _candidate_partitions(template.size, config,
+                                                   rng):
+                facts = template.facts(partition)
                 if facts is None or facts in verified:
                     continue
                 verified.add(facts)
-                candidate: dict[str, set] = {}
-                for pred, row in facts:
-                    candidate.setdefault(pred, set()).add(row)
-                yield candidate
+                yield facts
 
     def _stream(self, goal: str) -> tuple:
         """``goal``'s random relations: the EDB relations of the program
@@ -841,8 +886,7 @@ class Search:
             relations.append((pred, tuple(pools[kind] for kind in types)))
         return tuple(relations)
 
-    def _random_pass(self, goal: str
-                     ) -> tuple[list[dict[str, set]], int | None]:
+    def _random_pass(self, goal: str) -> tuple[list[frozenset], int | None]:
         """The random databases of ``goal``'s stream and the index of
         its first witness among them, judged once for every goal of the
         search that draws the same stream."""

@@ -399,9 +399,13 @@ class SQLiteBackend(Backend):
                                          label='get',
                                          compiled=compiled)
         if entry.incremental_program is not None:
+            # Only the goals a putback run asks for (DeltaSet.from_goals),
+            # not a derived ∂put's auxiliary ``±r__old`` / ``+__bN``.
             compiled.incremental = self._lower_query(
                 entry.incremental_program, namer,
-                goals=entry.incremental_plan.delta_goals,
+                goals=[goal for goal, relation, _ in
+                       entry.incremental_plan.delta_targets
+                       if relation in entry.strategy.updated_relations()],
                 label='incremental putback', compiled=compiled)
         compiled.putback = self._lower_query(
             entry.strategy.putdelta, namer,

@@ -365,10 +365,8 @@ class Peer:
         statements = [Delete(dict(zip(attributes, row)))
                       for row in delta.deletions]
         statements += [Insert(row) for row in delta.insertions]
-        previous = self._applying_origins
-        previous_root = self._applying_root
-        self._applying_origins = delta.origins
-        self._applying_root = delta.root
+        previous = self._applying_origins, self._applying_root
+        self._applying_origins, self._applying_root = delta.origins, delta.root
         try:
             if self._embedded:
                 before = self.engine.commit_lsn
@@ -383,8 +381,7 @@ class Peer:
                 self.engine.execute_many([(delta.view, statements)])
                 self._sidecar_ack(note)
         finally:
-            self._applying_origins = previous
-            self._applying_root = previous_root
+            self._applying_origins, self._applying_root = previous
         self._watermarks[key] = delta.lsn
         if delta.root is not None:
             self._advance_root(delta.root)
@@ -399,12 +396,15 @@ class Peer:
 
     def pending(self, view: str, after: int) -> list:
         """Outbox records above ``after`` — what a link still owes its
-        receiver."""
-        return [delta for delta in self._tail[view]
-                if delta.lsn > after]
+        receiver.  The tail is in LSN order (it is only appended to), so
+        a scan back from its newest record stops at the first one
+        delivered: k + 1 records read for k owed, whatever its length."""
+        tail = self._tail[view]
+        return tail[next((end for end in range(len(tail), 0, -1)
+                          if tail[end - 1].lsn <= after), 0):]
 
     def rows(self, view: str) -> frozenset:
-        return frozenset(tuple(row) for row in self.engine.rows(view))
+        return frozenset(self.engine.rows(view))
 
     def close(self) -> None:
         listeners = getattr(self.engine, 'commit_listeners', None)

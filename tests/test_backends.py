@@ -190,6 +190,21 @@ class TestSQLiteEngine:
         assert any(key.startswith('incremental:') for key in compiled)
         assert all('SELECT' in sql for sql in compiled.values())
 
+    def test_only_the_goals_a_putback_runs_are_lowered(self):
+        """A derived ∂put lowers one goal per updated relation and sign:
+        its auxiliary ``±r__old`` / ``+__bN`` goals are never asked for
+        (``DeltaSet.from_goals``), so they are not compiled either."""
+        entry = entry_by_name('purchaseview')
+        with build_engine(entry, 20, incremental=True,
+                          backend='sqlite') as engine:
+            assert engine.view(entry.name).incremental_error is None
+            goals = [key for key in engine.backend.compiled_sql(entry.name)
+                     if key.startswith('incremental:')
+                     and not key.startswith('incremental:⊥')]
+        assert sorted(goals) == [
+            'incremental:+customers2', 'incremental:+purchases',
+            'incremental:-customers2', 'incremental:-purchases']
+
     def test_snapshot_round_trip_types(self, union_sources):
         schema = union_sources.extend()
         backend = SQLiteBackend(schema)

@@ -141,3 +141,46 @@ class TestViewWriteRunsOnePlanContext:
                 counts.append({'contexts': 0, 'databases': 0})
         assert per_size[1_000] == per_size[10_000] \
             == {'contexts': 1, 'databases': 0}
+
+
+class TestPeerPendingReadsWhatIsOwed:
+    """``Peer.pending``'s docstring: a link's pending records are found
+    by a scan back from the newest outbox record, so ``pump``,
+    ``settle`` and ``lag`` read k + 1 records for k owed, not the whole
+    outbox tail."""
+
+    def test_pending_reads_k_plus_one_records(self, tmp_path):
+        from repro.rdbms.dml import Insert
+        from repro.rdbms.peernet import Peer
+        from tests.test_peernet import VIEW, plain_factory
+
+        class Counted:
+            """A published delta whose ``lsn`` reads are counted."""
+            reads = 0
+
+            def __init__(self, delta):
+                self.delta = delta
+
+            @property
+            def lsn(self):
+                Counted.reads += 1
+                return self.delta.lsn
+
+        owed, reads = 3, {}
+        for n in (100, 1_000):
+            peer = Peer('a', plain_factory, tmp_path / str(n),
+                        shares=(VIEW,))
+            try:
+                for i in range(n):      # one publication each
+                    peer.engine.execute(VIEW, [Insert((f'w{i}', 'o'))])
+                tail = peer._tail[VIEW]
+                assert len(tail) == n
+                tail[:] = map(Counted, tail)
+                after = tail[-owed - 1].delta.lsn
+                Counted.reads = 0
+                assert [d.delta for d in peer.pending(VIEW, after)] \
+                    == [d.delta for d in tail[-owed:]]
+                reads[n] = Counted.reads
+            finally:
+                peer.close()
+        assert reads[100] == reads[1_000] <= owed + 1

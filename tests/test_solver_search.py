@@ -2,8 +2,10 @@
 compile and one random pass per check program, each distinct canonical
 instance judged once, plan runs logarithmic in the candidates judged,
 the batched judge answering what a candidate-by-candidate loop answers,
-and the class-partition enumerator reaching exactly the class structures
-the former partition-of-all-variables enumerator reached."""
+the class-partition enumerator reaching exactly the class structures
+the former partition-of-all-variables enumerator reached, and a clause's
+template yielding, partition by partition, what the former
+class-by-class construction yielded."""
 
 import json
 import math
@@ -23,6 +25,7 @@ from repro.datalog.plan import compile_program, plan_cache_info
 from repro.fol import solver
 from repro.fol.solver import Clause, SolverConfig
 
+import _partition_reference as reference
 from _partition_reference import (closed_blocks, deterministic_prefix,
                                   variable_partitions)
 
@@ -160,13 +163,13 @@ def _order_preserving_form(candidate) -> frozenset:
     def fresh(value):
         return value.startswith('zz') if isinstance(value, str) \
             else value >= 10_000
-    values = {value for rows in candidate.values() for row in rows
-              for value in row if fresh(value)}
+    values = {value for _, row in candidate for value in row
+              if fresh(value)}
     rank = {value: ('fresh', type(value).__name__, index)
             for index, value in enumerate(
                 sorted(values, key=lambda v: (type(v).__name__, v)))}
     return frozenset((pred, tuple(rank.get(value, value) for value in row))
-                     for pred, rows in candidate.items() for row in rows)
+                     for pred, row in candidate)
 
 
 def test_each_canonical_instance_judged_once(monkeypatch):
@@ -231,9 +234,11 @@ CONSTRAINTS = parse_program('⊥ :- r(X, Y), s(X), Y < 2.  '
                             '⊥ :- s(X), not p(X).').rules
 # 'a' raises SchemaError wherever it meets ``<``.
 VALUE = st.sampled_from([0, 1, 2, 3, 4, 6, 'a'])
-CANDIDATE = st.fixed_dictionaries({
-    'r': st.sets(st.tuples(VALUE, VALUE), max_size=3),
-    's': st.sets(st.tuples(VALUE), max_size=2)})
+CANDIDATE = st.builds(
+    lambda r, s: frozenset([('r', row) for row in r] +
+                           [('s', row) for row in s]),
+    st.sets(st.tuples(VALUE, VALUE), max_size=3),
+    st.sets(st.tuples(VALUE), max_size=2))
 
 
 @st.composite
@@ -284,13 +289,13 @@ def test_plan_runs_grow_with_log_of_candidates(monkeypatch):
 
 
 def test_raising_candidate_costs_log_runs(monkeypatch):
-    batch = [{'r': {(5 + index,)}} for index in range(256)]
-    batch[100] = {'r': {('a',)}}
+    batch = [frozenset({('r', (5 + index,))}) for index in range(256)]
+    batch[100] = frozenset({('r', ('a',))})
     worlds = solver._Worlds(parse_program('q(X) :- r(X), X < 5.'))
     runs = _plan_runs(monkeypatch)
     assert worlds.first(batch, ('q',)) == {'q': None}
     assert len(runs) <= 2 * math.log2(len(batch)) + 2
-    batch[200] = {'r': {(4,)}}
+    batch[200] = frozenset({('r', (4,))})
     assert worlds.first(batch, ('q',)) == {'q': 200}
 
 
@@ -360,16 +365,31 @@ def clauses(draw, min_vars, max_vars):
     return Clause(tuple(atoms), tuple(builtins), ())
 
 
-def _new_structures(clause, seed=0):
-    """``{class structure: instance}`` as the solver enumerates them."""
-    closed = solver._close_clause(clause, solver._infer_types(None, clause))
+def _new_structures(clause, config=CONFIG, seed=0):
+    """``[(class structure, instance or None)]`` as the solver enumerates
+    them, or None when the clause closes to no instance; a structure's
+    classes are named as in ``reference.close_clause``."""
+    types = solver._infer_types(None, clause)
+    template = solver._close_clause(clause, types)
+    if template is None:
+        return None
+    classes = reference.close_clause(clause, types).classes
+    return [(frozenset(frozenset(cls for slot, cls in enumerate(classes)
+                                 if mask >> slot & 1) for mask in masks),
+             template.facts((labels, masks)))
+            for labels, masks in solver._candidate_partitions(
+                template.size, config, random.Random(seed))]
+
+
+def _reference_structures(clause, config=CONFIG, seed=0):
+    """The same, by the former class-by-class construction."""
+    closed = reference.close_clause(clause, solver._infer_types(None, clause))
     if closed is None:
         return None
-    partitions = solver._candidate_partitions(closed.classes, CONFIG,
-                                              random.Random(seed))
-    return closed, {frozenset(map(frozenset, blocks)):
-                    solver._instance(closed, blocks)
-                    for blocks in partitions}
+    return [(frozenset(map(frozenset, blocks)),
+             reference.instance(closed, blocks))
+            for blocks in reference.class_partitions(
+                closed.classes, config, random.Random(seed))]
 
 
 def _old_structures(clause, seed=0):
@@ -385,12 +405,42 @@ def test_same_instances_up_to_seven_variables(clause):
     old = _old_structures(clause)
     if new is None:
         return
-    closed, structures = new
+    structures = dict(new)
     assert set(structures) == set(old)
     # An instance is a function of its class structure alone, so equal
     # structure sets are equal candidate sets — fresh values included.
+    closed = reference.close_clause(clause, solver._infer_types(None, clause))
     for blocks in old:
-        assert solver._instance(closed, blocks) == structures[blocks]
+        assert reference.instance(closed, blocks) == structures[blocks]
+
+
+@settings(deadline=None, max_examples=300)
+@given(clauses(1, 11), st.sampled_from([CONFIG, CONFIG.scaled_down()]))
+def test_partitions_yield_the_former_instances_in_order(clause, config):
+    """Partition by partition, the template yields what the former
+    construction yielded, in its order and at the same raw index: a
+    partition the template refuses before building values (two pins or
+    a disequal pair in one block) is one the former construction
+    yielded None for, and it still counts against the cap — 64 under
+    ``scaled_down()``, which binds from six classes on."""
+    assert _new_structures(clause, config) \
+        == _reference_structures(clause, config)
+
+
+def test_refused_partitions_count_against_the_cap():
+    """Six classes, two pinned apart: of the first 64 partitions (of
+    203), those merging ``A`` and ``B`` yield nothing, and the 64th is
+    still the last one tried."""
+    clause = Clause((Atom('r', tuple(map(Var, 'ABCDEF'))),),
+                    (BuiltinLit('=', Var('A'), Const(1)),
+                     BuiltinLit('=', Var('B'), Const(2))), ())
+    config = CONFIG.scaled_down()
+    new = _new_structures(clause, config)
+    assert len(new) == config.max_partitions_per_clause
+    refused = [blocks for blocks, facts in new if facts is None]
+    assert refused and all(any({'A', 'B'} <= block for block in blocks)
+                           for blocks in refused)
+    assert new == _reference_structures(clause, config)
 
 
 @settings(deadline=None)
@@ -399,20 +449,20 @@ def test_superset_above_seven_variables(clause):
     new = _new_structures(clause)
     if new is None:
         return
-    closed, structures = new
     old = _old_structures(clause)
+    closed = reference.close_clause(clause, solver._infer_types(None, clause))
     if len(closed.classes) > CONFIG.max_partition_vars:
         # Both sides sample; only the part that is not drawn is comparable.
         old = old[:deterministic_prefix(sorted(clause.variables()))]
-    assert set(old) <= set(structures)
+    assert set(old) <= {blocks for blocks, _ in new}
 
 
 def test_instance_ignores_block_order():
     clause = Clause((Atom('r', (Var('A'), Var('B'), Var('C'))),),
                     (BuiltinLit('<', Var('A'), Const(5)),), ())
-    closed = solver._close_clause(clause, {})
-    assert solver._instance(closed, [['A'], ['C', 'B']]) \
-        == solver._instance(closed, [['B', 'C'], ['A']]) \
+    template = solver._close_clause(clause, {})
+    assert template.facts(solver._partition([[0], [2, 1]])) \
+        == template.facts(solver._partition([[1, 2], [0]])) \
         == frozenset({('r', (4, 'zz8', 'zz8'))})
 
 
