@@ -15,11 +15,13 @@ Two paths are provided:
   rules (join/selection, negation, projection, union) derive insertion and
   deletion deltas for every predicate affected by the view, and finally
   only the insertion sets of the source delta relations are kept
-  (Proposition 5.1) and renamed back to ``±r``.
+  (Proposition 5.1), under the names ``±r``.  A predicate's pre-update
+  value is the predicate itself, as the view's is ``v``: no renamed
+  copy of the old state is derived.
 
-Both paths carry the same delta form of the ⊥-constraints
-(:func:`_delta_form`), valid in a steady state: one where the
-constraints held before the update.
+Both paths rest on a steady state, one where ``put(S, get(S)) = S``
+and the constraints held before the update; both carry the same delta
+form of the ⊥-constraints (:func:`_delta_form`).
 
 The resulting ``∂put`` is an ordinary Datalog program over the EDB
 ``S ∪ {v, +v, -v}`` (the LVGN path reads ``v`` only in the delta form of
@@ -31,11 +33,10 @@ each update.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 
 from repro.datalog.ast import (Atom, BuiltinLit, Lit, Literal, Program,
-                               Rule, Var, delete_pred, delta_base,
-                               insert_pred, is_anonymous, is_delta_pred)
+                               Rule, Var, delete_pred, insert_pred,
+                               is_anonymous, is_delta_pred)
 from repro.datalog.dependency import stratify
 from repro.datalog.transform import tidy_program
 from repro.errors import FragmentError, TransformationError
@@ -106,6 +107,17 @@ def _delta_form(rule: Rule, view: str) -> list[Rule]:
     return list(dict.fromkeys(rules))     # +v in two occurrences: once
 
 
+def _refuse_delta_reads(putdelta: Program) -> None:
+    """Both paths derive their deltas under the names ``±r``, so a
+    putdelta body that reads a delta predicate has no ∂put: raise
+    :class:`TransformationError` naming the rule."""
+    for rule in putdelta.proper_rules():
+        if any(map(is_delta_pred, rule.body_preds())):
+            raise TransformationError(
+                f'rule {rule} reads a delta predicate, whose name the '
+                f'derived delta takes')
+
+
 def _with_constraints(rules: list[Rule], goals: set[str],
                       constraints: list[Rule]) -> Program:
     """Tidy ``rules`` towards ``goals`` and append ``constraints``,
@@ -129,7 +141,10 @@ def incrementalize_lvgn(putdelta: Program, view: str) -> Program:
     tuple (positive ``v`` occurrence) or a deleted one (negated
     occurrence), and checking the derived bodies over ``S ∪ ΔV`` is
     equivalent to — and much cheaper than — re-checking the whole view.
+    A putdelta body that reads a delta predicate is refused
+    (:func:`_refuse_delta_reads`): Lemma 5.2 would drop it as view-free.
     """
+    _refuse_delta_reads(putdelta)
     rules: list[Rule] = []
     constraints: list[Rule] = []
     for rule in putdelta.rules:
@@ -256,273 +271,146 @@ def binarize(program: Program, *, prefix: str = '__b'
 # ---------------------------------------------------------------------------
 
 
-@dataclass
-class _NamePool:
-    """Naming scheme for the derived predicates of one incrementalization:
-    ``+p``/``-p`` for delta sets, ``p__nu`` for post-state relations, and
-    ``p__old`` for the pre-update value of affected IDB predicates (the
-    view's own pre-state is just the EDB relation ``v``)."""
-
-    changed: set[str]
-    view: str
-
-    def nu(self, pred: str) -> str:
-        return f'{pred}__nu' if pred in self.changed else pred
-
-    def old(self, pred: str) -> str:
-        if pred in self.changed and pred != self.view:
-            return f'{pred}__old'
-        return pred
-
-    def plus(self, pred: str) -> str:
-        return insert_pred(pred)
-
-    def minus(self, pred: str) -> str:
-        return delete_pred(pred)
-
-
-def _figure7_rules(rule: Rule, pool: _NamePool) -> list[Rule]:
-    """Apply the matching Figure-7 template to one binarized rule.
-
-    Produces rules for ``+h``, ``-h`` and ``h__nu`` where ``h`` is the rule
-    head.  Union is handled by emitting per-rule contributions — for the
-    deletion case the "not in the other branch" literal references the
-    predicate's *other* defining rules, which the caller assembles.
+def _figure7_rules(rule: Rule, changed: set[str]) -> list[Rule]:
+    """Figure 7's rules for one binarized rule of a changed head ``h``:
+    its contributions to ``+h``, ``-h`` and the post-state ``h__nu``.
+    A predicate's own name is its pre-update value, and ``p__nu`` is
+    the post-state of a changed ``p``.  A rule that reads nothing
+    changed only copies itself into ``h__nu``.  Union deletions are
+    guarded by :func:`_union_deletion_fix`.
     """
     head = rule.head
-    h = head.pred
-    plus_h = Atom(pool.plus(h), head.args)
-    minus_h = Atom(pool.minus(h), head.args)
-    nu_h = Atom(pool.nu(h), head.args)
-    body = list(rule.body)
-    rel_lits = [l for l in body if isinstance(l, Lit)]
-    builtins = [l for l in body if isinstance(l, BuiltinLit)]
-    out: list[Rule] = []
+    rels = [literal for literal in rule.body if isinstance(literal, Lit)]
+    builtins = tuple(literal for literal in rule.body
+                     if isinstance(literal, BuiltinLit))
 
-    def lit(atom: Atom, positive=True) -> Lit:
-        return Lit(atom, positive)
+    def nu(pred: str) -> str:
+        return f'{pred}__nu' if pred in changed else pred
 
-    def renamed(atom: Atom, name: str) -> Atom:
-        return Atom(name, atom.args)
+    def derive(name: str, *body: Lit) -> Rule:
+        return Rule(Atom(name, head.args), body + builtins)
 
-    if len(rel_lits) == 1 and rel_lits[0].positive:
-        r1 = rel_lits[0].atom
-        changed = r1.pred in pool.changed or \
-            delta_base(r1.pred) in pool.changed
+    def lit(name: str, atom: Atom, positive: bool = True) -> Lit:
+        return Lit(Atom(name, atom.args), positive)
+
+    if not rels or not rels[0].positive or len(rels) > 2:
+        raise TransformationError(
+            f'rule {rule} is not in a Figure-7 shape; binarize first')
+    if not rule.body_preds() & changed:
+        return [Rule(Atom(nu(head.pred), head.args), rule.body)]
+    r1 = rels[0].atom
+    plus, minus = insert_pred(head.pred), delete_pred(head.pred)
+    if len(rels) == 1:
+        # Selection, or projection: a tuple leaves h only when no r1
+        # tuple over it is left.
         head_vars = {t.name for t in head.args if isinstance(t, Var)}
         body_vars = {t.name for t in r1.args if isinstance(t, Var)}
-        is_projection = head_vars < body_vars
-        if not changed:
-            return []
-        if is_projection:
-            # Projection template (¬h reads the *pre-update* value).
-            anon = Atom(pool.nu(r1.pred), tuple(
-                t if isinstance(t, Var) and t.name in head_vars
-                else Var(f'_anon_pj_{i}')
-                for i, t in enumerate(r1.args)))
-            old_head = Atom(pool.old(h), head.args)
-            out.append(Rule(plus_h,
-                            tuple([lit(renamed(r1, pool.plus(r1.pred)))] +
-                                  builtins + [lit(old_head, False)])))
-            out.append(Rule(minus_h,
-                            tuple([lit(renamed(r1, pool.minus(r1.pred)))] +
-                                  builtins + [lit(anon, False)])))
-            out.append(Rule(nu_h, tuple([lit(renamed(r1, pool.nu(r1.pred)))]
-                                        + builtins)))
-        else:
-            # Selection / copy (union branches fall out of per-rule calls;
-            # the caller patches deletion rules for multi-rule heads).
-            out.append(Rule(plus_h,
-                            tuple([lit(renamed(r1, pool.plus(r1.pred)))] +
-                                  builtins)))
-            out.append(Rule(minus_h,
-                            tuple([lit(renamed(r1, pool.minus(r1.pred)))] +
-                                  builtins)))
-            out.append(Rule(nu_h, tuple([lit(renamed(r1, pool.nu(r1.pred)))]
-                                        + builtins)))
-        return out
-
-    if len(rel_lits) == 2 and rel_lits[0].positive \
-            and not rel_lits[1].positive:
-        r1, r2 = rel_lits[0].atom, rel_lits[1].atom
-        r1_changed = r1.pred in pool.changed
-        r2_changed = r2.pred in pool.changed
-        if not (r1_changed or r2_changed):
-            return []
-        # Negation template (plain occurrences read the pre-update state).
-        if r1_changed:
-            out.append(Rule(minus_h, tuple(
-                [lit(renamed(r1, pool.minus(r1.pred))),
-                 lit(renamed(r2, pool.old(r2.pred)), False)] + builtins)))
-            out.append(Rule(plus_h, tuple(
-                [lit(renamed(r1, pool.plus(r1.pred))),
-                 lit(renamed(r2, pool.nu(r2.pred)), False)] + builtins)))
-        if r2_changed:
-            out.append(Rule(minus_h, tuple(
-                [lit(renamed(r1, pool.old(r1.pred))),
-                 lit(renamed(r2, pool.plus(r2.pred)))] + builtins)))
-            out.append(Rule(plus_h, tuple(
-                [lit(renamed(r1, pool.nu(r1.pred))),
-                 lit(renamed(r2, pool.minus(r2.pred)))] + builtins)))
-        out.append(Rule(nu_h, tuple(
-            [lit(renamed(r1, pool.nu(r1.pred))),
-             lit(renamed(r2, pool.nu(r2.pred)), False)] + builtins)))
-        return out
-
-    if len(rel_lits) == 2 and rel_lits[0].positive and rel_lits[1].positive:
-        r1, r2 = rel_lits[0].atom, rel_lits[1].atom
-        r1_changed = r1.pred in pool.changed
-        r2_changed = r2.pred in pool.changed
-        if not (r1_changed or r2_changed):
-            return []
-        # Join template.
-        if r1_changed:
-            out.append(Rule(minus_h, tuple(
-                [lit(renamed(r1, pool.minus(r1.pred))),
-                 lit(renamed(r2, pool.old(r2.pred)))] + builtins)))
-            out.append(Rule(plus_h, tuple(
-                [lit(renamed(r1, pool.plus(r1.pred))),
-                 lit(renamed(r2, pool.nu(r2.pred)))] + builtins)))
-        if r2_changed:
-            out.append(Rule(minus_h, tuple(
-                [lit(renamed(r1, pool.old(r1.pred))),
-                 lit(renamed(r2, pool.minus(r2.pred)))] + builtins)))
-            out.append(Rule(plus_h, tuple(
-                [lit(renamed(r1, pool.nu(r1.pred))),
-                 lit(renamed(r2, pool.plus(r2.pred)))] + builtins)))
-        out.append(Rule(nu_h, tuple(
-            [lit(renamed(r1, pool.nu(r1.pred))),
-             lit(renamed(r2, pool.nu(r2.pred)))] + builtins)))
-        return out
-
-    raise TransformationError(
-        f'rule {rule} is not in a Figure-7 shape; binarize first')
+        left = [Lit(Atom(nu(r1.pred), tuple(
+            t if isinstance(t, Var) and t.name in head_vars
+            else Var(f'_anon_pj_{i}') for i, t in enumerate(r1.args))),
+            False)] if head_vars < body_vars else []
+        return [derive(plus, lit(insert_pred(r1.pred), r1)),
+                derive(minus, lit(delete_pred(r1.pred), r1), *left),
+                derive(nu(head.pred), lit(nu(r1.pred), r1))]
+    # Join, or negation: a negated r2 takes a tuple from h when r2
+    # gains one, and gives one back when r2 loses it.
+    r2, positive = rels[1].atom, rels[1].positive
+    gain, lose = (insert_pred, delete_pred) if positive \
+        else (delete_pred, insert_pred)
+    out: list[Rule] = []
+    if r1.pred in changed:
+        out += [derive(minus, lit(delete_pred(r1.pred), r1),
+                       lit(r2.pred, r2, positive)),
+                derive(plus, lit(insert_pred(r1.pred), r1),
+                       lit(nu(r2.pred), r2, positive))]
+    if r2.pred in changed:
+        out += [derive(minus, lit(r1.pred, r1), lit(lose(r2.pred), r2)),
+                derive(plus, lit(nu(r1.pred), r1), lit(gain(r2.pred), r2))]
+    return out + [derive(nu(head.pred), lit(nu(r1.pred), r1),
+                         lit(nu(r2.pred), r2, positive))]
 
 
-def _union_deletion_fix(pred: str, rules: list[Rule], derived: list[Rule],
-                        pool: _NamePool) -> list[Rule]:
-    """For a predicate with multiple defining rules (union), a deletion
-    from one branch only deletes from the union when the tuple is not
-    produced by any *other* branch's new state (Figure 7, Union)."""
+def _union_deletion_fix(rules: list[Rule],
+                        derived: list[Rule]) -> list[Rule]:
+    """A tuple leaves a union ``h`` of several ``rules`` only when no
+    branch derives it in the post-state (Figure 7, Union): every ``-h``
+    rule gains ``not h__nu``."""
     if len(rules) <= 1:
         return derived
-    minus_name = pool.minus(pred)
-    patched: list[Rule] = []
-    # Add "not in any other branch's nu" to every -h rule.
-    for d in derived:
-        if d.head.pred != minus_name:
-            patched.append(d)
-            continue
-        extra: list[Lit] = []
-        for other in rules:
-            # Guard against deleting a tuple still derivable elsewhere:
-            # ¬ other_branch__nu(head args).  Branch bodies with their own
-            # variables need projection; binarized unions are single-atom
-            # copies, so the head args align with the branch atom args.
-            body_lits = [l for l in other.body if isinstance(l, Lit)]
-            if len(body_lits) != 1 or not body_lits[0].positive:
-                continue
-            atom = body_lits[0].atom
-            if d.body and isinstance(d.body[0], Lit) and \
-                    delta_base(d.body[0].atom.pred).replace('__nu', '') \
-                    == atom.pred:
-                continue  # same branch
-            source = Atom(pool.nu(atom.pred), d.head.args)
-            extra.append(Lit(source, False))
-        patched.append(Rule(d.head, d.body + tuple(extra)))
-    return patched
+    pred = rules[0].head.pred
+    return [Rule(d.head, d.body + (Lit(Atom(f'{pred}__nu', d.head.args),
+                                       False),))
+            if d.head.pred == delete_pred(pred) else d for d in derived]
 
 
 def incrementalize_general(putdelta: Program, view: str) -> Program:
     """Appendix-C incrementalization for arbitrary NR-Datalog strategies.
 
     Returns a program computing the source delta relations ``±r_i`` from
-    ``S ∪ {v, +v, -v}``; Proposition 5.1 justifies keeping only the
-    insertion sets of the delta-of-delta relations.  The ⊥-rules get
-    the delta form :func:`_delta_form` derives for both paths, under the
-    same steady-state premise (the constraints held before the update);
-    a view-free ⊥-rule is dropped, as in :func:`incrementalize_lvgn`.
+    ``S ∪ {v, +v, -v}``.  The putback is binarized (Lemma C.1), and
+    every rule reading the view, directly or not, gets Figure 7's
+    rules.  A predicate's pre-update value is the predicate itself: the
+    EDB holds the old sources and view, and the original rules of every
+    auxiliary stay in the program.  Only the delta heads ``±r`` give up
+    their names, to their derived insertion sets (Proposition 5.1): the
+    insertion set of ``±r`` *is* the new ``±r``, and its deletion set is
+    dropped.  So a putdelta rule whose body reads a delta predicate
+    would read the new ``±r``; it is refused
+    (:func:`_refuse_delta_reads`), and the engine runs the full putback.
+
+    No derived insertion is guarded by a pre-state (Figure 7's
+    projection template reads ``not h``, the old ``h``), and on a
+    *steady* state (``put(S, get(S)) = S``, the constraints hold) none
+    needs to be:
+
+    * every derived ``+p`` lies in the new ``p`` and holds all of
+      new ``p`` \\ old ``p``; every derived ``-p`` is disjoint from the
+      new ``p`` and holds all of old ``p`` \\ new ``p``.  ``±v`` is
+      effective, and each template keeps both bounds, so ``+p`` may
+      repeat a tuple already in ``p`` and ``-p`` may name one never in
+      it;
+    * for a delta head, old ``+r`` ⊆ S and old ``-r`` is disjoint
+      from S, or ``put(S, get(S))`` would differ from S.  A tuple of
+      new ``±r`` missing from the derived ``±r`` is in old ``±r``, so
+      already in (or already out of) S; the new ``+r`` and ``-r`` are
+      disjoint by well-definedness.  So applying the derived deltas
+      to S gives ``put(S, V')``.
+
+    The ⊥-rules get the delta form :func:`_delta_form` derives for both
+    paths, under the same premise; a view-free ⊥-rule is dropped, as in
+    :func:`incrementalize_lvgn`.
     """
+    _refuse_delta_reads(putdelta)
     binary = binarize(putdelta.without_constraints())
     changed: set[str] = {view}
-    # Propagate change through the dependency order.
     order = stratify(binary)
     for pred in order:
-        for rule in binary.rules_for(pred):
-            if rule.body_preds() & changed:
-                changed.add(pred)
-                break
-    pool = _NamePool(changed=changed, view=view)
-
-    derived: list[Rule] = []
-    # Pre-update copies of every affected IDB predicate: the original
-    # rules, reading the old view and the old versions of affected
-    # auxiliaries.  Projection templates reference these.
-    for pred in order:
-        if pred not in changed or pred == view:
-            continue
-        for rule in binary.rules_for(pred):
-            body = []
-            for literal in rule.body:
-                if isinstance(literal, Lit):
-                    body.append(Lit(Atom(pool.old(literal.atom.pred),
-                                         literal.atom.args),
-                                    literal.positive))
-                else:
-                    body.append(literal)
-            derived.append(Rule(Atom(pool.old(pred), rule.head.args),
-                                tuple(body)))
+        if any(rule.body_preds() & changed
+               for rule in binary.rules_for(pred)):
+            changed.add(pred)
+    derived = [rule for rule in binary.rules
+               if not (rule.head.pred in changed
+                       and is_delta_pred(rule.head.pred))]
     # ν-rules for the view itself: v__nu = (v \ -v) ∪ +v.
-    arities = binary.arities()
-    if view in arities:
-        args = tuple(Var(f'VN{i}') for i in range(arities[view]))
-        nu = Atom(pool.nu(view), args)
-        derived.append(Rule(nu, (Lit(Atom(view, args), True),
-                                 Lit(Atom(delete_pred(view), args),
-                                     False))))
-        derived.append(Rule(nu, (Lit(Atom(insert_pred(view), args),
-                                     True),)))
-
+    arity = binary.arities().get(view)
+    if arity is not None:
+        args = tuple(Var(f'VN{i}') for i in range(arity))
+        nu = Atom(f'{view}__nu', args)
+        derived += [Rule(nu, (Lit(Atom(view, args), True),
+                              Lit(Atom(delete_pred(view), args), False))),
+                    Rule(nu, (Lit(Atom(insert_pred(view), args), True),))]
     for pred in order:
-        if pred not in changed or pred == view:
-            continue
-        rules = list(binary.rules_for(pred))
-        pred_rules: list[Rule] = []
-        for rule in rules:
-            pred_rules.extend(_figure7_rules(rule, pool))
-        pred_rules = _union_deletion_fix(pred, rules, pred_rules, pool)
-        derived.extend(pred_rules)
-
-    # Keep unchanged auxiliary definitions (they are still referenced).
-    for rule in binary.rules:
-        if rule.head is not None and rule.head.pred not in changed:
-            derived.append(rule)
-
-    # Step 4: the insertion sets of the delta relations become the final
-    # deltas (Proposition 5.1): rename +(±r) back to ±r and drop -(±r).
-    final: list[Rule] = []
-    goals: set[str] = set()
+        if pred in changed and pred != view:
+            rules = list(binary.rules_for(pred))
+            derived += _union_deletion_fix(
+                rules, [d for rule in rules
+                        for d in _figure7_rules(rule, changed)])
+    # Proposition 5.1: +(±r) becomes ±r; nothing reads -(±r) or ±r__nu.
     delta_preds = putdelta.delta_preds()
-    rename: dict[str, str] = {}
-    drop: set[str] = set()
-    for dp in delta_preds:
-        rename[insert_pred(dp)] = dp          # '+(+r)' -> '+r', '+(-r)' -> '-r'
-        drop.add(delete_pred(dp))             # '-(±r)' is redundant
-        drop.add(f'{dp}__nu')
-    for rule in derived:
-        if rule.head.pred in drop:
-            continue
-        head_pred = rename.get(rule.head.pred, rule.head.pred)
-        body = []
-        for literal in rule.body:
-            if isinstance(literal, Lit) and literal.atom.pred in rename:
-                body.append(Lit(Atom(rename[literal.atom.pred],
-                                     literal.atom.args), literal.positive))
-            else:
-                body.append(literal)
-        final.append(Rule(Atom(head_pred, rule.head.args), tuple(body)))
-        if head_pred in delta_preds:
-            goals.add(head_pred)
+    rename = {insert_pred(dp): dp for dp in delta_preds}
+    final = [Rule(Atom(rename.get(rule.head.pred, rule.head.pred),
+                       rule.head.args), rule.body) for rule in derived]
+    goals = {rule.head.pred for rule in final} & delta_preds
     constraints = [derived_rule for rule in putdelta.constraints()
                    for derived_rule in _delta_form(rule, view)]
     for rule in constraints:

@@ -400,7 +400,7 @@ class SQLiteBackend(Backend):
                                          compiled=compiled)
         if entry.incremental_program is not None:
             # Only the goals a putback run asks for (DeltaSet.from_goals),
-            # not a derived ∂put's auxiliary ``±r__old`` / ``+__bN``.
+            # not a derived ∂put's auxiliary deltas such as ``+__bN``.
             compiled.incremental = self._lower_query(
                 entry.incremental_program, namer,
                 goals=[goal for goal, relation, _ in

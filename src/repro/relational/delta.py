@@ -145,7 +145,7 @@ class DeltaSet:
         for each goal targeting one of ``relations``, ``rows_of(goal)``
         becomes that relation's insertions or deletions.  Goals
         targeting other relations (a derived program's auxiliary
-        ``+r__old``) are never asked for, and a relation left with no
+        ``+__bN``) are never asked for, and a relation left with no
         rows is left out."""
         pairs: dict[str, list] = {}
         for goal, relation, insertion in targets:

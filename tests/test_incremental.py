@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.benchsuite.catalog import entry_by_name
+from repro.benchsuite.catalog import ALL_ENTRIES, entry_by_name
 from repro.core.incremental import (_delta_form, binarize, incrementalize,
                                     incrementalize_general,
                                     incrementalize_lvgn)
@@ -204,6 +204,39 @@ class TestGeneralIncrementalization:
         incremental_matches_full(
             union_strategy, 'v(X) :- r1(X).\nv(X) :- r2(X).', source,
             {(5,)}, {(1,)}, general=True)
+
+    @pytest.mark.parametrize('derive', [incrementalize_lvgn,
+                                        incrementalize_general])
+    def test_a_rule_reading_a_delta_predicate_is_refused(self, derive):
+        """∂put names the derived insertion set of ``±r`` as ``±r``, so
+        a putdelta body reading ``+r`` cannot be derived: the error
+        names the rule."""
+        from repro.core.strategyfile import loads_strategy
+        from repro.errors import TransformationError
+        from tests.test_put_oracle import READS_A_DELTA
+        strategy = loads_strategy(READS_A_DELTA['lvgn'])
+        with pytest.raises(TransformationError,
+                           match=r'\+log\(X\) :- \+r\(X\), not log\(X\)'):
+            derive(strategy.putdelta, 'v')
+
+
+class TestNoPreStateCopies:
+    """A predicate's pre-update value is its own name: no derived ∂put
+    defines or reads a renamed ``__old`` copy of one."""
+
+    def test_no_dput_names_an_old_copy(self):
+        entries = [entry for entry in ALL_ENTRIES if entry.expressible]
+        assert len(entries) == 31
+        for entry in entries:
+            program = entry.strategy().incremental_putdelta
+            assert not [pred for pred in program.all_preds()
+                        if pred.endswith('__old')], entry.name
+
+    @pytest.mark.parametrize('name', GENERAL_PATH)
+    def test_no_trigger_sql_names_an_old_copy(self, name):
+        from repro.sql import compile_strategy_to_sql
+        sql = compile_strategy_to_sql(entry_by_name(name).strategy())
+        assert '__old' not in sql
 
 
 class TestDeltaConstraints:

@@ -176,6 +176,29 @@ u(X) :- s(X).
 """
 
 
+def _one_row_edits_match_put(strategy, state, inserts, backend):
+    """Every one-row DELETE of a view row and INSERT of each row of
+    ``inserts``, each on a fresh engine loaded with the steady
+    ``state``, commits exactly ``put(S, V')``.  Returns the view's
+    registry entry of the last engine."""
+    name = strategy.view.name
+    view = strategy.get(state)
+    assert strategy.put(state, view) == state
+    edits = [('delete', row, view - {row}) for row in sorted(view)] + \
+        [('insert', row, view | {row}) for row in inserts]
+    for method, row, new_view in edits:
+        with Engine(strategy.sources, backend=backend) as engine:
+            for relation in strategy.sources.names():
+                engine.load(relation, state[relation])
+            entry = engine.define_view(strategy, validate_first=False)
+            args = dict(zip(entry.schema.attributes, row)) \
+                if method == 'delete' else row
+            getattr(engine, method)(name, args)
+            assert engine.database() == strategy.put(state, new_view), \
+                (method, row)
+    return entry
+
+
 @pytest.mark.parametrize('backend', ['memory', 'sqlite'])
 def test_union_read_downstream_matches_put(backend):
     """Every one-row INSERT and DELETE on a steady state of
@@ -183,20 +206,46 @@ def test_union_read_downstream_matches_put(backend):
     strategy = loads_strategy(UNION_READ_DOWNSTREAM)
     state = Database.from_dict({'r': {(1,), (2,), (3,)}, 'd': {(3,)},
                                 's': {(1,), (3,)}})
-    view = strategy.get(state)
-    assert view == {(1,), (2,)} and strategy.put(state, view) == state
-    edits = [('delete', {'x': x}, view - {(x,)}) for (x,) in view] + \
-        [('insert', (x,), view | {(x,)}) for x in (3, 4)]
-    for method, args, new_view in edits:
-        with Engine(strategy.sources, backend=backend) as engine:
-            for relation in strategy.sources.names():
-                engine.load(relation, state[relation])
-            engine.define_view(strategy, validate_first=False)
-            assert not engine.view('v').lvgn
-            assert engine.view('v').use_incremental
-            getattr(engine, method)('v', args)
-            assert engine.database() == strategy.put(state, new_view), \
-                (method, args)
+    assert strategy.get(state) == {(1,), (2,)}
+    entry = _one_row_edits_match_put(strategy, state, [(3,), (4,)],
+                                     backend)
+    assert not entry.lvgn and entry.use_incremental
+
+
+_LOGGED = """
+.source r(x: int).
+.source log(x: int).
+.view v(x: int).
+
+.get
+v(X) :- r(X).
+.end
+
+-r(X) :- r(X), not v(X).
++log(X) :- +r(X), not log(X).
+"""
+
+#: Valid strategies whose putdelta reads a delta predicate: ``log``
+#: records each row the view inserts into ``r``.  ∂put names the
+#: derived insertion set ``+r``, so neither path derives the ``+log``
+#: rule (Lemma 5.2 would drop it as view-free), and the engine runs the
+#: full putback.  The view in an auxiliary rule (``vr``) puts the
+#: second strategy outside LVGN.
+READS_A_DELTA = {
+    'lvgn': _LOGGED + '+r(X) :- v(X), not r(X).\n',
+    'general': _LOGGED + 'vr(X) :- v(X).\n+r(X) :- vr(X), not r(X).\n'}
+
+
+@pytest.mark.parametrize('backend', ['memory', 'sqlite'])
+@pytest.mark.parametrize('path', READS_A_DELTA)
+def test_a_putdelta_reading_a_delta_runs_the_full_putback(path, backend):
+    strategy = loads_strategy(READS_A_DELTA[path])
+    state = Database.from_dict({'r': {(1,), (2,)}, 'log': {(1,), (3,)}})
+    entry = _one_row_edits_match_put(strategy, state, [(3,), (4,)],
+                                     backend)
+    assert entry.lvgn == (path == 'lvgn') and not entry.use_incremental
+    assert 'TransformationError' in entry.incremental_error \
+        and '+log(X) :- +r(X)' in entry.incremental_error
 
 
 #: Base writes under a defined view that break one of its ⊥-rules:

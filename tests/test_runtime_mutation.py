@@ -11,7 +11,8 @@ from dataclasses import replace
 import pytest
 
 from repro.core import incremental
-from repro.datalog.ast import Program, insert_pred
+from repro.datalog.ast import (Atom, Lit, Program, Rule, delete_pred,
+                               insert_pred)
 from tests import test_put_oracle
 from tests.test_engine import TestConstraints
 from tests.test_put_oracle import check_entry
@@ -55,7 +56,7 @@ def _purchaseview_oracle(_luxury_strategy) -> None:
 
 
 def _without_union_guard(_fix):
-    def mutant(pred, rules, derived, pool):
+    def mutant(rules, derived):
         return derived
     return mutant
 
@@ -63,6 +64,42 @@ def _without_union_guard(_fix):
 def _union_read_downstream_oracle(_luxury_strategy) -> None:
     for backend in ('memory', 'sqlite'):
         test_put_oracle.test_union_read_downstream_matches_put(backend)
+
+
+def _without_projection_guard(figure7):
+    def mutant(rule, changed):
+        minus = delete_pred(rule.head.pred)
+        return [Rule(d.head, tuple(
+            literal for literal in d.body if not (
+                isinstance(literal, Lit) and not literal.positive
+                and literal.atom.pred.endswith('__nu'))))
+            if d.head.pred == minus else d
+            for d in figure7(rule, changed)]
+    return mutant
+
+
+def _negation_signs_swapped(figure7):
+    def mutant(rule, changed):
+        derived = figure7(rule, changed)
+        negated = [literal.atom.pred for literal in rule.body
+                   if isinstance(literal, Lit) and not literal.positive]
+        if not negated:
+            return derived
+        r2, = negated
+        swap = {insert_pred(r2): delete_pred(r2),
+                delete_pred(r2): insert_pred(r2)}
+        return [Rule(d.head, tuple(
+            Lit(Atom(swap.get(literal.atom.pred, literal.atom.pred),
+                     literal.atom.args), literal.positive)
+            if isinstance(literal, Lit) else literal
+            for literal in d.body)) for d in derived]
+    return mutant
+
+
+def _without_unchanged_post_state(figure7):
+    def mutant(rule, changed):
+        return figure7(rule, changed) if rule.body_preds() & changed else []
+    return mutant
 
 
 #: mutant -> (function of :mod:`repro.core.incremental` it replaces,
@@ -86,6 +123,22 @@ MUTANTS = {
     'view-insertions-dropped': ('incrementalize_general',
                                 _without_view_insertions,
                                 _purchaseview_oracle),
+    # M6: the projection template's deletion guard ``not r1__nu(~X, _)``
+    # dropped (a tuple leaves h although another r1 tuple still
+    # projects onto it).
+    'projection-guard-dropped': ('_figure7_rules',
+                                 _without_projection_guard,
+                                 _general_path_oracle),
+    # M7: the merged join/negation template reads a negated r2's
+    # deltas with a positive r2's signs.
+    'negation-signs-swapped': ('_figure7_rules', _negation_signs_swapped,
+                               _general_path_oracle),
+    # M8: a changed union's branch that reads nothing changed is left
+    # out of the union's post-state ``h__nu``, which the union guard
+    # reads.
+    'unchanged-branch-post-state-dropped': ('_figure7_rules',
+                                            _without_unchanged_post_state,
+                                            _union_read_downstream_oracle),
 }
 
 
