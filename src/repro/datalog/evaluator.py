@@ -15,10 +15,13 @@ objects against an EDB:
 
 Execution is two-tier.  A rule plan is **sealed** before its first
 execution: :func:`_seal_run` / :func:`_seal_probe` generate a flat
-Python function specialised to that exact rule (slots become locals,
-binding masks, key templates and ``=`` tests are inlined — an ordered
-comparison still calls :func:`_compare`'s type guard — and the step
-dispatch disappears) and cache it on the plan.  Sealing is what makes
+Python function specialised to that exact rule (slots become locals and
+only the ones something reads are assigned; binding masks, key
+templates, ``=`` tests and ordered comparisons against an ``int``,
+``float`` or ``str`` constant are inlined — any other comparison calls
+:func:`_compare`'s type guard; a fully bound atom of a relation outside
+the plan's IDB is one set-membership test; the step dispatch
+disappears) and cache it on the plan.  Sealing is what makes
 the per-transaction delta loops of the RDBMS engine and a view's first
 read over a large base cheap — the same immutable plan is shared by
 every thread of the parallel sharded engine, so one seal pays off
@@ -68,9 +71,10 @@ class IndexedRelation:
 
     Fully-bound probes short-circuit to set membership so they never pay
     an index build.  Instances can be *persistent* (owned by the RDBMS
-    engine and shared across evaluations): :meth:`add` / :meth:`discard`
-    keep every built index consistent under mutation, so repeated
-    incremental updates pay O(|Δ| · #indexes), not O(|R|).
+    engine and shared across evaluations): :meth:`update` /
+    :meth:`difference_update` apply a delta's rows in one call and keep
+    every built index consistent, so repeated incremental updates pay
+    O(|Δ| · #indexes), not O(|R|).
 
     Index layout (compact: most buckets of a persistent index hold one
     row): a mask's index maps the row's values at the mask — the bare
@@ -110,9 +114,9 @@ class IndexedRelation:
             key = key_of(row)
             bucket = setdefault(key, row)
             if bucket is not row:
-                # _grow inline, less the dict shape a build never
-                # makes: on a two-valued column nearly every row lands
-                # here.
+                # :meth:`update`'s growth, less the dict shape a build
+                # never makes: on a two-valued column nearly every row
+                # lands here.
                 if bucket.__class__ is list:
                     bucket.append(row)
                 else:
@@ -146,48 +150,61 @@ class IndexedRelation:
 
     # -- persistent-mode mutation (requires ``rows`` to be a set) -------
 
-    def add(self, row: tuple) -> None:
-        if row in self.rows:
+    def update(self, rows) -> None:
+        """Add every row of ``rows`` (a set) not stored yet, keeping
+        every index current: one call per delta, O(|rows| · #indexes)."""
+        stored = self.rows
+        indexes = self._indexes.values()
+        if not indexes:
+            stored.update(rows)
             return
-        self.rows.add(row)
-        for key_of, index in self._indexes.values():
-            key = key_of(row)
-            bucket = index.setdefault(key, row)
-            if bucket is not row:
-                _grow(index, key, bucket, row)
+        for row in rows:
+            if row in stored:
+                continue
+            stored.add(row)
+            for key_of, index in indexes:
+                key = key_of(row)
+                bucket = index.setdefault(key, row)
+                if bucket is row:
+                    continue
+                if bucket.__class__ is list:
+                    bucket.append(row)
+                elif bucket.__class__ is dict:
+                    bucket[row] = None
+                else:
+                    index[key] = [bucket, row]
 
-    def discard(self, row: tuple) -> None:
-        if row not in self.rows:
+    def difference_update(self, rows) -> None:
+        """Remove every stored row of ``rows`` (a set), keeping every
+        index current: one call per delta, O(|rows| · #indexes)."""
+        stored = self.rows
+        indexes = self._indexes.values()
+        if not indexes:
+            stored.difference_update(rows)
             return
-        self.rows.discard(row)
-        for key_of, index in self._indexes.values():
-            key = key_of(row)
-            bucket = index[key]
-            if bucket.__class__ is list:
-                # First delete from this bucket: re-key it by row, once.
-                bucket = index[key] = dict.fromkeys(bucket)
-            if bucket.__class__ is dict:
-                del bucket[row]
-                if len(bucket) == 1:
-                    index[key], = bucket
-            else:
-                del index[key]
+        for row in rows:
+            if row not in stored:
+                continue
+            stored.discard(row)
+            for key_of, index in indexes:
+                key = key_of(row)
+                bucket = index[key]
+                if bucket.__class__ is list:
+                    # First delete from this bucket: re-key it by row,
+                    # once.
+                    bucket = index[key] = dict.fromkeys(bucket)
+                if bucket.__class__ is dict:
+                    del bucket[row]
+                    if len(bucket) == 1:
+                        index[key], = bucket
+                else:
+                    del index[key]
 
     def clear(self) -> None:
         """Drop every row and every index in place — whoever still
         holds this handle holds nothing."""
         self.rows = frozenset()
         self._indexes = {}
-
-
-def _grow(index: dict, key, bucket, row: tuple) -> None:
-    """Add ``row`` to the occupied ``bucket`` of ``index[key]``."""
-    if bucket.__class__ is list:
-        bucket.append(row)
-    elif bucket.__class__ is dict:
-        bucket[row] = None
-    else:
-        index[key] = [bucket, row]
 
 
 class _Unbound:
@@ -452,16 +469,18 @@ def _probe_rule_generic(rule_plan: RulePlan, ctx: _PlanContext,
 # A sealed rule is one flat Python function: scans become ``for`` loops,
 # filters become ``if`` guards, slots become locals.  The code mirrors
 # the generic tier statement for statement — including the dynamic
-# pending-IDB dispatch, since the same RulePlan may execute under
-# contexts with different materialisation states — so the two tiers are
-# observationally identical (asserted by the differential tests in
-# ``tests/test_plan.py`` and the fuzz oracle under ``REPRO_SEALED=0``).
+# pending-IDB dispatch for IDB atoms, since the same RulePlan may
+# execute under contexts with different materialisation states — so the
+# two tiers are observationally identical (asserted by the differential
+# tests in ``tests/test_plan.py`` and the fuzz oracle under
+# ``REPRO_SEALED=0``).
 
 
 class _Emitter:
     """Tiny indented-source builder for the rule code generators."""
 
-    def __init__(self):
+    def __init__(self, idb: frozenset):
+        self.idb = idb
         self.lines: list[str] = []
         self.preamble: list[str] = []      # emitted at function start
         self.indent = 0
@@ -516,10 +535,54 @@ class _Emitter:
         return memo[1] if memo is not None else self.const(pred)
 
 
-def _emit_steps(em: _Emitter, steps, success: str) -> None:
+def _reads(steps, operands=()) -> set[int]:
+    """The slots ``steps`` (and the extra ``(slot, const)``
+    ``operands``) read: a slot nothing reads is never assigned."""
+    pairs = list(operands)
+    for step in steps:
+        cls = step.__class__
+        if cls is CompareStep:
+            pairs += (step.left, step.right)
+        elif cls is BindStep:
+            pairs.append(step.source)
+        else:
+            pairs += step.key
+    return {slot for slot, _ in pairs if slot >= 0}
+
+
+#: Constant classes an ordered comparison compares inline: a value of
+#: the class ``_compare`` accepts against it compares directly.
+_INLINE_ORDER = {int: ('int', 'float'), float: ('int', 'float'),
+                 str: ('str',)}
+
+
+def _comparison(em: _Emitter, step: CompareStep) -> str:
+    """The test of a :class:`CompareStep` as an expression.  An ordered
+    comparison of a slot against an ``int``, ``float`` or ``str``
+    constant runs inline behind a class test; any other value (a
+    ``bool``, a subclass, a mixed type) goes to :func:`_compare`, which
+    decides — and raises — as always."""
+    left, right = em.operand(step.left), em.operand(step.right)
+    if step.op == '=':
+        return f'{left} {"==" if step.expect else "!="} {right}'
+    call = f'_compare({em.const(step.op)}, {left}, {right})'
+    (ls, lc), (rs, rc) = step.left, step.right
+    slot, const = (ls, rc) if rs < 0 <= ls else (rs, lc) if ls < 0 <= rs \
+        else (None, None)
+    classes = _INLINE_ORDER.get(const.__class__)
+    if slot is not None and classes:
+        guard = ' or '.join(f's{slot}.__class__ is {name}'
+                            for name in classes)
+        call = f'({left} {step.op} {right} if {guard} else {call})'
+    return call if step.expect else f'not {call}'
+
+
+def _emit_steps(em: _Emitter, steps, success: str, reads: set) -> None:
     """Generate the nested loop/guard pyramid for ``steps``; the
     ``success`` snippet runs at full depth once per satisfying
-    binding.  Mirrors the generic tier's step semantics exactly."""
+    binding.  Mirrors the generic tier's step semantics exactly; only
+    slots in ``reads`` are assigned, and a fully bound atom of a
+    predicate outside the rule's IDB is a plain membership test."""
     for step in steps:
         cls = step.__class__
         if cls is ScanStep:
@@ -538,15 +601,20 @@ def _emit_steps(em: _Emitter, steps, success: str) -> None:
                 em.emit('continue')
                 em.indent -= 1
             for pos, slot in step.free:
-                em.emit(f's{slot} = {row}[{pos}]')
+                if slot in reads:
+                    em.emit(f's{slot} = {row}[{pos}]')
         elif cls is ProbeStep or cls is NegationStep:
             negated = cls is NegationStep
             if negated and len(step.positions) != step.arity:
                 rel = em.relation(step.pred)
-                key = em.key_tuple(step.key)
-                em.emit(f'if not {rel}.exists('
-                        f'{em.const(step.positions)}, {key}, '
-                        f'{step.arity}):')
+                em.emit(f'if not {rel}.lookup({em.const(step.positions)}, '
+                        f'{em.key_tuple(step.key)}):')
+                em.indent += 1
+                continue
+            test = 'not in' if negated else 'in'
+            if step.pred not in em.idb:
+                rel = em.relation(step.pred)
+                em.emit(f'if {em.key_tuple(step.key)} {test} {rel}.rows:')
                 em.indent += 1
                 continue
             # Fully bound membership, answered top-down while the
@@ -569,19 +637,9 @@ def _emit_steps(em: _Emitter, steps, success: str) -> None:
             em.emit(f'if not {key}:' if negated else f'if {key}:')
             em.indent += 1
         elif cls is CompareStep:
-            left = em.operand(step.left)
-            right = em.operand(step.right)
-            if step.op == '=':
-                op = '==' if step.expect else '!='
-                em.emit(f'if {left} {op} {right}:')
-            elif step.expect:
-                em.emit(f'if _compare({em.const(step.op)}, '
-                        f'{left}, {right}):')
-            else:
-                em.emit(f'if not _compare({em.const(step.op)}, '
-                        f'{left}, {right}):')
+            em.emit(f'if {_comparison(em, step)}:')
             em.indent += 1
-        else:                                   # BindStep
+        elif step.slot in reads:                # BindStep
             em.emit(f's{step.slot} = {em.operand(step.source)}')
     em.emit(success)
 
@@ -624,10 +682,12 @@ def _seal_run(rule_plan: RulePlan):
     """Generate the bottom-up executor for one rule plan:
     ``fn(ctx, out, limit)`` adding head rows to ``out``."""
     _count_seal()
-    em = _Emitter()
+    em = _Emitter(rule_plan.idb)
+    em.preamble.append('_add = out.add')
     head = ('(' + ', '.join(em.operand(pair) for pair in rule_plan.head)
             + (',)' if len(rule_plan.head) == 1 else ')'))
-    _emit_steps(em, rule_plan.steps, f'out.add({head})')
+    _emit_steps(em, rule_plan.steps, f'_add({head})',
+                _reads(rule_plan.steps, rule_plan.head))
     em.emit('if limit is not None and len(out) >= limit:')
     em.indent += 1
     em.emit('return')
@@ -639,21 +699,24 @@ def _seal_probe(rule_plan: RulePlan):
     """Generate the top-down prober for one rule plan:
     ``fn(ctx, row) -> bool``."""
     _count_seal()
-    em = _Emitter()
+    em = _Emitter(rule_plan.idb)
+    steps = rule_plan.probe_steps
+    reads = _reads(steps) | {slot for _, slot in rule_plan.match_checks}
     for pos, value in rule_plan.match_consts:
         em.emit(f'if row[{pos}] != {em.const(value)}:')
         em.indent += 1
         em.emit('return False')
         em.indent -= 1
     for pos, slot in rule_plan.match_binds:
-        em.emit(f's{slot} = row[{pos}]')
+        if slot in reads:
+            em.emit(f's{slot} = row[{pos}]')
     for pos, slot in rule_plan.match_checks:
         em.emit(f'if row[{pos}] != s{slot}:')
         em.indent += 1
         em.emit('return False')
         em.indent -= 1
     base_indent = em.indent
-    _emit_steps(em, rule_plan.probe_steps, 'return True')
+    _emit_steps(em, steps, 'return True', reads)
     em.indent = base_indent
     em.emit('return False')
     return _compile_factory(em, '_probe', 'ctx, row',

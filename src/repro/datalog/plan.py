@@ -10,6 +10,10 @@ redo on every call:
   binding mask: variables become integer slots, atom arguments become
   (slot | constant) key templates, and repeated-variable consistency
   checks are pre-extracted;
+* unfolding of a negated pass-through atom ``not p(t̄)`` — ``p``'s one
+  rule reads one relation outside the IDB — into a negation of that
+  relation (:func:`_pass_throughs`), one index probe instead of a
+  top-down run of ``p``'s rule;
 * declaration of the hash-index masks the plan will probe at run time
   (``index_requirements``), so long-lived engines can build persistent
   indexes ahead of the first update;
@@ -47,6 +51,7 @@ from __future__ import annotations
 import threading
 from dataclasses import dataclass, field
 from functools import lru_cache
+from itertools import count
 from typing import Mapping, Sequence
 
 from repro.datalog.ast import (Atom, BuiltinLit, Const, Lit, Literal,
@@ -156,6 +161,8 @@ class RulePlan:
     ``probe_steps`` is the alternative schedule used for top-down
     probes, compiled with every head variable pre-bound.  The probe
     preamble (``match_*``) maps a candidate head row onto the slots.
+    ``rule`` is the source text, also when a negated pass-through atom
+    was compiled unfolded (:func:`_pass_throughs`).
     """
 
     rule: Rule
@@ -166,6 +173,9 @@ class RulePlan:
     match_binds: tuple[tuple[int, int], ...]      # (row pos, slot)
     match_checks: tuple[tuple[int, int], ...]     # (row pos, slot)
     probe_steps: tuple[Step, ...]
+    #: The IDB the rule was compiled against: a fully bound atom of any
+    #: other predicate is a plain membership test when sealed.
+    idb: frozenset = frozenset()
     # Executor scratch: ``[run, probe]``, the specialised functions
     # the evaluator generates on first use (see
     # ``repro.datalog.evaluator._seal_run``).  Not part of the plan's
@@ -484,8 +494,64 @@ def _compile_steps(body: Sequence[Literal], slots: _Slots,
     return tuple(steps)
 
 
+def _pass_throughs(program: Program, idb: frozenset) -> dict[str, Rule]:
+    """The IDB predicates ``p`` whose one rule is ``p(X̄) :- r(Ȳ)``: a
+    single positive atom over a relation outside ``idb``, distinct head
+    variables, each occurring in ``Ȳ``, and no variable repeated in
+    ``Ȳ``.  ``p(t̄)`` then holds exactly when some ``r`` row matches
+    ``Ȳ`` with ``X̄ := t̄`` — one index probe, no rule to run."""
+    found = {}
+    for pred in idb:
+        rules = program.rules_for(pred)
+        if len(rules) != 1 or len(rules[0].body) != 1:
+            continue
+        (rule,), (literal,) = rules, rules[0].body
+        if not isinstance(literal, Lit) or not literal.positive \
+                or literal.atom.pred in idb:
+            continue
+        head = [t.name for t in rule.head.args if isinstance(t, Var)]
+        body = [t.name for t in literal.atom.args if isinstance(t, Var)]
+        if len(head) == len(rule.head.args) == len(set(head)) \
+                and len(body) == len(set(body)) and set(head) <= set(body):
+            found[pred] = rule
+    return found
+
+
+def _unfold(body: Sequence[Literal],
+            pass_throughs: Mapping[str, Rule]) -> tuple[Literal, ...]:
+    """``body`` with each ``not p(t̄)`` of a pass-through ``p`` replaced
+    by ``not r(ū)``: ``ū`` is ``Ȳ`` with each head variable replaced by
+    its argument in ``t̄`` and each existential variable by a fresh
+    anonymous one, which the negation reads as a wildcard.  Fresh names
+    are ``_u0``, ``_u1``, … skipping the names ``body`` uses."""
+    taken = {var.name for literal in body for var in literal.variables()}
+    names = (f'_u{i}' for i in count())
+
+    def fresh() -> Var:
+        return Var(next(name for name in names if name not in taken))
+
+    unfolded = []
+    for literal in body:
+        rule = pass_throughs.get(literal.atom.pred) \
+            if isinstance(literal, Lit) and not literal.positive else None
+        if rule is None:
+            unfolded.append(literal)
+            continue
+        binding = {t.name: arg
+                   for t, arg in zip(rule.head.args, literal.atom.args)}
+        source = rule.body[0].atom
+        args = tuple(term if isinstance(term, Const)
+                     else binding[term.name] if term.name in binding
+                     else fresh()
+                     for term in source.args)
+        unfolded.append(Lit(Atom(source.pred, args), positive=False))
+    return tuple(unfolded)
+
+
 def compile_rule(rule: Rule, *, idb: frozenset = frozenset(),
-                 stats: Mapping[str, int] | None = None) -> RulePlan:
+                 stats: Mapping[str, int] | None = None,
+                 pass_throughs: Mapping[str, Rule] | None = None
+                 ) -> RulePlan:
     """Compile one (non-constraint) rule against a fixed slot layout.
 
     ``idb`` informs the static scheduler which body predicates are
@@ -493,22 +559,26 @@ def compile_rule(rule: Rule, *, idb: frozenset = frozenset(),
     program; passing the default compiles the rule as if every body
     predicate were EDB.
     ``stats`` optionally carries observed relation cardinalities to
-    break the scheduler's remaining ties.
+    break the scheduler's remaining ties.  A negated atom of a
+    predicate in ``pass_throughs`` (:func:`_pass_throughs`) compiles
+    to a negation of its source relation (:func:`_unfold`).
     """
     if rule.head is None:
         raise ValueError('constraint rules are compiled via the program '
                          'planner, not compile_rule')
+    body = _unfold(rule.body, pass_throughs) if pass_throughs \
+        else rule.body
     slots = _Slots()
     # Deterministic layout: head variables first, then body variables in
     # source order — independent of either schedule.
     for term in rule.head.args:
         if isinstance(term, Var):
             slots.slot(term.name)
-    for literal in rule.body:
+    for literal in body:
         for var in literal.variables():
             slots.slot(var.name)
 
-    steps = _compile_steps(rule.body, slots, frozenset(), idb, stats)
+    steps = _compile_steps(body, slots, frozenset(), idb, stats)
     head: list[tuple[int, object]] = []
     for term in rule.head.args:
         if isinstance(term, Const):
@@ -529,26 +599,29 @@ def compile_rule(rule: Rule, *, idb: frozenset = frozenset(),
         else:
             head_bound.add(term.name)
             match_binds.append((pos, slots.slot(term.name)))
-    probe_steps = _compile_steps(rule.body, slots, frozenset(head_bound),
+    probe_steps = _compile_steps(body, slots, frozenset(head_bound),
                                  idb, stats)
     return RulePlan(rule=rule, nslots=len(slots), steps=steps,
                     head=tuple(head), match_consts=tuple(match_consts),
                     match_binds=tuple(match_binds),
                     match_checks=tuple(match_checks),
-                    probe_steps=probe_steps)
+                    probe_steps=probe_steps, idb=idb)
 
 
 def _compile_constraint(rule: Rule, idb: frozenset,
-                        stats: Mapping[str, int] | None = None
+                        stats: Mapping[str, int] | None = None,
+                        pass_throughs: Mapping[str, Rule] | None = None
                         ) -> ConstraintPlan:
     """Rewrite ``⊥ :- body`` into a witness query over the body's named
     variables (anonymous variables stay unbound inside negations and
-    cannot appear in the witness)."""
+    cannot appear in the witness).  ``rule`` stays the source text, so
+    a violation names the rule as written."""
     names = sorted(n for n in rule.variables() if not n.startswith('_'))
     probe = Rule(Atom('__viol__', tuple(Var(n) for n in names)), rule.body)
     return ConstraintPlan(rule=rule,
-                          rule_plan=compile_rule(probe, idb=idb,
-                                                 stats=stats))
+                          rule_plan=compile_rule(
+                              probe, idb=idb, stats=stats,
+                              pass_throughs=pass_throughs))
 
 
 # ---------------------------------------------------------------------------
@@ -591,11 +664,14 @@ def _compile(program: Program, check_safety: bool,
     stats = dict(stats_key) if stats_key else None
     order = tuple(stratify(proper))        # rejects recursion up front
     idb = frozenset(proper.idb_preds())
-    rule_plans = {pred: tuple(compile_rule(rule, idb=idb, stats=stats)
+    pass_throughs = _pass_throughs(proper, idb)
+    rule_plans = {pred: tuple(compile_rule(rule, idb=idb, stats=stats,
+                                           pass_throughs=pass_throughs)
                               for rule in proper.rules_for(pred))
                   for pred in order}
-    constraint_plans = tuple(_compile_constraint(rule, idb, stats)
-                             for rule in program.constraints())
+    constraint_plans = tuple(
+        _compile_constraint(rule, idb, stats, pass_throughs)
+        for rule in program.constraints())
     delta_goals = tuple(sorted(p for p in idb if is_delta_pred(p)))
     intermediate = frozenset(p for p in idb if not is_delta_pred(p))
     return ExecutionPlan(

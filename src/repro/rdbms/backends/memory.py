@@ -65,10 +65,10 @@ class MemoryBackend(Backend):
     def apply_deltas(self, deltas) -> None:
         for name, delta, is_cache in deltas:
             relation = (self._caches if is_cache else self._tables)[name]
-            for row in delta.deletions:
-                relation.discard(row)
-            for row in delta.insertions:
-                relation.add(row)
+            if delta.deletions:
+                relation.difference_update(delta.deletions)
+            if delta.insertions:
+                relation.update(delta.insertions)
 
     # -- view caches --------------------------------------------------
 

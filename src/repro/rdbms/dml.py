@@ -60,8 +60,8 @@ class Update:
 
 Statement = Union[Insert, Delete, Update]
 
-#: Shared empties for the hot single-statement paths (Delta is
-#: immutable, so the instances are safe to share).
+#: Shared empties for the all-INSERT path (Delta is immutable, so the
+#: instances are safe to share).
 _EMPTY_ROWS = frozenset()
 _NO_CHANGE = Delta()
 
@@ -228,11 +228,8 @@ class _RunningState(Composition):
 
 def _statement_deltas(statement: Statement, state: _RunningState,
                       schema: RelationSchema) -> tuple[set, set]:
-    """(δ⁺, δ⁻) of one statement against the running view state."""
-    if isinstance(statement, Insert):
-        row = tuple(statement.values)
-        schema.check_rows((row,))
-        return {row}, set()
+    """(δ⁺, δ⁻) of one DELETE or UPDATE against the running view
+    state (INSERTs arrive in runs: :func:`derive_view_delta`)."""
     if isinstance(statement, Delete):
         return set(), set(state.matching(statement.where, schema))
     if isinstance(statement, Update):
@@ -257,30 +254,44 @@ def derive_view_delta(statements: Sequence[Statement], current,
     Each statement's (δ⁺, δ⁻) is derived against the *running* view state
     (earlier statements already applied) and merged by sequential
     composition (:class:`~repro.relational.delta.Composition`), so
-    later statements take precedence.  The returned delta is effective
-    with respect to ``current`` (insertions not yet present, deletions
-    present), and ``current`` is never copied.
+    later statements take precedence.  A maximal run of consecutive
+    INSERTs is one step: its rows are checked in one
+    :meth:`~RelationSchema.check_rows` pass, in statement order (the
+    first refused row raises), and composed as one δ⁺ — which is what
+    composing them one by one gives.  A bucket of INSERTs only is that
+    one run against ``current``.  The returned delta is effective with
+    respect to ``current`` (insertions not yet present, deletions
+    present), and ``current`` — a ``set`` or ``frozenset`` — is never
+    copied.
 
-    ``current`` is any sized row collection with fast membership.  When
-    it is the row set of an :class:`~repro.datalog.evaluator.
-    IndexedRelation`, pass that relation's ``lookup`` as ``probe`` and
-    column→value WHEREs read one hash bucket instead of iterating
-    ``current`` (a ``probe`` that returns None sends that statement
-    back to the scan); the derived delta is the same either way.
-    ``metrics`` (a :class:`~repro.rdbms.metrics.MetricsRegistry`)
+    When ``current`` is the row set of an :class:`~repro.datalog.
+    evaluator.IndexedRelation`, pass that relation's ``lookup`` as
+    ``probe`` and column→value WHEREs read one hash bucket instead of
+    iterating ``current`` (a ``probe`` that returns None sends that
+    statement back to the scan); the derived delta is the same either
+    way.  ``metrics`` (a :class:`~repro.rdbms.metrics.MetricsRegistry`)
     counts, per UPDATE/DELETE statement, which path answered its
     WHERE: ``dml.where_probes`` or ``dml.where_scans``.
     """
-    if len(statements) == 1 and isinstance(statements[0], Insert):
-        # The single-tuple INSERT bucket is the hot shape of OLTP-style
-        # transactions: skip the running-state machinery entirely.
-        row = tuple(statements[0].values)
-        schema.check_rows((row,))
-        if row in current:
-            return _NO_CHANGE
-        return Delta(frozenset((row,)), _EMPTY_ROWS)
-    state = _RunningState(current, probe, metrics)
+    state = None
+    run = []
     for statement in statements:
+        if isinstance(statement, Insert):
+            run.append(tuple(statement.values))
+            continue
+        if state is None:
+            state = _RunningState(current, probe, metrics)
+        if run:
+            schema.check_rows(run)
+            state.then(set(run), ())
+            run = []
         state.then(*_statement_deltas(statement, state, schema))
-    return Delta(frozenset(r for r in state.insertions if r not in current),
-                 frozenset(r for r in state.deletions if r in current))
+    if state is None:
+        schema.check_rows(run)
+        inserted = frozenset(run).difference(current)
+        return Delta(inserted, _EMPTY_ROWS) if inserted else _NO_CHANGE
+    if run:
+        schema.check_rows(run)
+        state.then(set(run), ())
+    return Delta(state.insertions.difference(current),
+                 {row for row in state.deletions if row in current})

@@ -139,11 +139,12 @@ class ViewEntry:
         return self.strategy.view
 
     def plans(self) -> tuple[ExecutionPlan, ...]:
-        """Every plan this view can run (for index pre-building)."""
-        plans = [self.get_plan, self.strategy.putdelta_plan]
-        if self.incremental_plan is not None:
-            plans.append(self.incremental_plan)
-        return tuple(plans)
+        """The plans this view runs (for index pre-building): the get
+        plan and ∂put, or the full putback when ∂put is not used — an
+        index only a plan that never runs reads would still cost every
+        write its maintenance."""
+        return (self.get_plan, self.incremental_plan if self.use_incremental
+                else self.strategy.putdelta_plan)
 
 
 @dataclass

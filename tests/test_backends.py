@@ -1108,6 +1108,48 @@ def _run_workload(view: str, backend: str) -> Engine:
     return engine
 
 
+class TestIndexHintsFollowThePlansRun:
+    """An engine pre-builds the indexes of the plans a view runs: the
+    get plan and ∂put, or the full putback when ∂put is not used.  On
+    ``vw_brands`` the full putback alone probes the view on its
+    two-valued tag column ``(2,)``."""
+
+    @staticmethod
+    def _stored_masks(engine, name) -> set:
+        backend = engine.backend
+        engine.rows(name)                       # the cache is stored
+        if backend.kind == 'memory':
+            return set(backend.eval_handle(name)._indexes)
+        prefix = f'ix_{name}_'
+        return {tuple(int(p) for p in index[len(prefix):].split('_'))
+                for index, _table, _sql in _indexes(backend)
+                if index.startswith(prefix)}
+
+    @pytest.mark.parametrize('backend', ['memory', 'sqlite'])
+    @pytest.mark.parametrize('incremental', [True, False])
+    def test_only_the_running_plans_are_indexed(self, backend,
+                                                incremental):
+        entry = entry_by_name('vw_brands')
+        with build_engine(entry, 60, backend=backend,
+                          incremental=incremental) as engine:
+            view = engine.view('vw_brands')
+            assert view.use_incremental is incremental
+            putback_only = {
+                mask for pred, mask
+                in view.strategy.putdelta_plan.index_requirements
+                if pred == 'vw_brands'}
+            assert putback_only == {(2,)}
+            hinted = engine.backend._index_hints.get('vw_brands', set())
+            stored = self._stored_masks(engine, 'vw_brands')
+            if incremental:
+                assert not {mask for pred, mask
+                            in view.incremental_plan.index_requirements
+                            if pred == 'vw_brands'} & putback_only
+                assert not putback_only & (hinted | stored)
+            else:
+                assert putback_only <= hinted & stored
+
+
 class TestCrossBackendDifferential:
 
     @pytest.mark.parametrize('view', DIFFERENTIAL_VIEWS)

@@ -272,14 +272,15 @@ class TestProbeEqualsScan:
         rows = {(k, 'x', 0.0) for k in range(6)}
         relation = IndexedRelation(set(rows))
         relation.ensure_index((1,))
-        relation.discard((0, 'x', 0.0))        # re-keys the bucket by row
+        # Re-keys the bucket by row:
+        relation.difference_update({(0, 'x', 0.0)})
         bucket = relation.lookup((1,), ('x',))
         assert bucket.__class__ is dict
         state = _RunningState(relation.rows, probe=relation.lookup)
         matched = state.matching({'s': 'x'}, WIDE)
         assert matched.__class__ is list and matched is not bucket
         for row in matched:
-            relation.discard(row)
+            relation.difference_update({row})
         assert sorted(matched) == sorted(rows - {(0, 'x', 0.0)})
         assert not relation.rows and not relation._indexes[(1,)][1]
 
@@ -296,6 +297,86 @@ class TestProbeEqualsScan:
         except SchemaError:
             pass                         # the unknown column, from row 1
         assert rows.iterations == 1 and not relation._indexes
+
+
+# -- INSERT runs ≡ the statement-at-a-time fold -------------------------
+#
+# ``derive_view_delta`` checks and composes a run of consecutive INSERTs
+# as one step.  The reference below derives every statement alone,
+# against the running state materialised as a set.
+
+_RUN_ROWS = st.tuples(st.integers(0, 2), st.sampled_from(['x', 'y']),
+                      st.sampled_from([0.0, 1.5]))
+_RUN_WHERES = st.one_of(
+    st.builds(lambda k: {'k': k}, st.integers(0, 2)),
+    st.builds(lambda s: {'s': s}, st.sampled_from(['x', 'y'])),
+    st.builds(lambda r: dict(zip(WIDE.attributes, r)), _RUN_ROWS),
+    st.just(None))
+_RUN_STATEMENTS = st.lists(st.one_of(
+    st.builds(Insert, _RUN_ROWS), st.builds(Insert, _RUN_ROWS),
+    st.builds(Insert, _RUN_ROWS),
+    st.sampled_from([Insert((1, 'x')),                   # wrong arity
+                     Insert(('bad', 'x', 1.0))]),        # wrong type
+    st.builds(Delete, _RUN_WHERES),
+    st.builds(Update, st.sampled_from([{'s': 'z'}, {'k': 2}, {'f': 0.0},
+                                       {'k': 'bad'}]), _RUN_WHERES)),
+    min_size=1, max_size=12)
+
+
+def _statement_fold(statements, current):
+    """(Δ⁺, Δ⁻) of ``statements`` one at a time, or the first error."""
+    state = set(current)
+    try:
+        for statement in statements:
+            if isinstance(statement, Insert):
+                WIDE.validate_tuple(statement.values)
+                state.add(statement.values)
+                continue
+            victims = {row for row in state
+                       if match_where(row, statement.where, WIDE)}
+            state -= victims
+            if isinstance(statement, Update):
+                for row in victims:
+                    named = dict(zip(WIDE.attributes, row))
+                    named.update(statement.assignments)
+                    new_row = tuple(named[a] for a in WIDE.attributes)
+                    WIDE.validate_tuple(new_row)
+                    state.add(new_row)
+    except SchemaError as error:
+        return type(error), str(error)
+    return state - current, current - state
+
+
+class TestInsertRunsEqualTheStatementFold:
+
+    @given(st.lists(_RUN_ROWS, max_size=8), _RUN_STATEMENTS)
+    def test_same_delta_or_same_first_error(self, rows, statements):
+        """Duplicate rows, a row deleted and inserted again, and a
+        refused row inside a run included."""
+        current = frozenset(rows)
+        expected = _statement_fold(statements, current)
+        assert _outcome(statements, current) == expected
+
+    @pytest.mark.parametrize('backend', ['memory', 'sqlite'])
+    @given(rows=st.lists(_RUN_ROWS, max_size=8),
+           statements=_RUN_STATEMENTS)
+    def test_engine_applies_the_fold(self, backend, rows, statements):
+        """The same through an engine's own table, its hash indexes or
+        SQLite's answering the WHEREs: the table ends as the fold says,
+        or the statement's error leaves it as it was."""
+        expected = _statement_fold(statements, frozenset(rows))
+        if expected[0] is not SchemaError:
+            plus, minus = expected
+            expected = (set(rows) - minus) | plus
+        with Engine(DatabaseSchema([WIDE]), backend=backend) as engine:
+            engine.load('w', set(rows))
+            try:
+                engine.execute('w', statements)
+                outcome = set(engine.rows('w'))
+            except SchemaError as error:
+                assert engine.rows('w') == set(rows)
+                outcome = type(error), str(error)
+        assert outcome == expected
 
 
 # -- the same, through a memory engine, as counts ------------------------

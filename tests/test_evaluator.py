@@ -287,38 +287,38 @@ class TestIndexedRelation:
     def test_add_maintains_indexes(self):
         rel = IndexedRelation({(1, 'a')})
         assert set(rel.lookup((0,), (1,))) == {(1, 'a')}
-        rel.add((1, 'b'))
+        rel.update({(1, 'b')})
         assert set(rel.lookup((0,), (1,))) == {(1, 'a'), (1, 'b')}
 
     def test_discard_maintains_indexes(self):
         rel = IndexedRelation({(1, 'a'), (1, 'b')})
         rel.lookup((0,), (1,))
-        rel.discard((1, 'a'))
+        rel.difference_update({(1, 'a')})
         assert set(rel.lookup((0,), (1,))) == {(1, 'b')}
-        rel.discard((1, 'b'))
+        rel.difference_update({(1, 'b')})
         assert rel.lookup((0,), (1,)) == ()
 
     def test_add_existing_is_noop(self):
         rel = IndexedRelation({(1,)})
-        rel.add((1,))
+        rel.update({(1,)})
         assert rel.rows == {(1,)}
 
     def test_bucket_keeps_insertion_order_across_shrink_and_regrow(self):
         rel = IndexedRelation(set())
         rel.ensure_index((0,))
         for tag in 'abc':
-            rel.add((1, tag))
+            rel.update({(1, tag)})
         assert list(rel.lookup((0,), (1,))) == [(1, 'a'), (1, 'b'),
                                                 (1, 'c')]
-        rel.discard((1, 'a'))
-        rel.discard((1, 'b'))
+        rel.difference_update({(1, 'a')})
+        rel.difference_update({(1, 'b')})
         assert list(rel.lookup((0,), (1,))) == [(1, 'c')]
-        rel.add((1, 'd'))
-        rel.add((1, 'a'))
+        rel.update({(1, 'd')})
+        rel.update({(1, 'a')})
         assert list(rel.lookup((0,), (1,))) == [(1, 'c'), (1, 'd'),
                                                 (1, 'a')]
-        rel.discard((1, 'd'))              # list -> dict, order kept
-        rel.add((1, 'e'))
+        rel.difference_update({(1, 'd')})  # list -> dict, order kept
+        rel.update({(1, 'e')})
         bucket = rel.lookup((0,), (1,))
         assert bucket.__class__ is dict
         assert list(bucket) == [(1, 'c'), (1, 'a'), (1, 'e')]
@@ -334,7 +334,7 @@ class TestIndexedRelation:
         newest_first = list(rel.lookup((1,), ('same',)))[::-1]
         _Counted.calls = 0
         for row in newest_first:
-            rel.discard(row)
+            rel.difference_update({row})
         assert _Counted.calls <= k
         assert not rel.rows and not rel._indexes[(1,)][1]
 
@@ -348,7 +348,7 @@ class TestIndexedRelation:
         for mask in ((0,), (1,), (0, 1)):
             rel.ensure_index(mask)
         for row in rows[half:]:
-            rel.add(row)
+            rel.update({row})
         for _key_of, index in rel._indexes.values():
             assert not any(bucket.__class__ is dict
                            for bucket in index.values())
@@ -366,7 +366,7 @@ class TestIndexedRelation:
         grown = IndexedRelation(set())
         grown.ensure_index(mask)
         for row in built.rows:
-            grown.add(row)
+            grown.update({row})
 
         def buckets(rel):
             return {key: list(rel.lookup(mask, key))
@@ -375,8 +375,8 @@ class TestIndexedRelation:
 
         assert buckets(built) == buckets(grown)
         for row in sorted(rows)[::7]:
-            built.discard(row)
-            grown.discard(row)
+            built.difference_update({row})
+            grown.difference_update({row})
         assert buckets(built) == buckets(grown)
 
     def test_single_column_mask_is_keyed_by_the_bare_value(self):
@@ -430,13 +430,13 @@ class TestIndexedRelation:
                 if r not in rel.rows:
                     for rows in order.values():
                         rows.append(r)
-                rel.add(r)
+                rel.update({r})
             else:
                 for built_mask, rows in order.items():
                     if r in rows:
                         rows.remove(r)
                         touched.add((built_mask, key_of(built_mask, r)))
-                rel.discard(r)
+                rel.difference_update({r})
             for touched_mask, key in list(touched):
                 bucket = bucket_of(touched_mask, key)
                 if bucket is None or bucket.__class__ is tuple:

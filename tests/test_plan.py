@@ -3,6 +3,7 @@ plan-vs-wrapper equivalence on the benchsuite QA catalog, and
 index-requirement declarations."""
 
 import dataclasses
+import enum
 
 import pytest
 
@@ -12,9 +13,10 @@ from repro.datalog.evaluator import (constraint_violations, evaluate,
                                      execute_deltas)
 from repro.datalog.parser import parse_program
 from repro.datalog.pretty import pretty_rule
-from repro.datalog.plan import (ExecutionPlan, compile_program,
-                                compile_rule, schedule_body)
-from repro.errors import SafetyError
+from repro.datalog.plan import (ExecutionPlan, NegationStep,
+                                compile_program, compile_rule,
+                                schedule_body)
+from repro.errors import SafetyError, SchemaError
 from repro.rdbms.engine import Engine
 from repro.relational.database import Database
 from repro.relational.generators import random_database
@@ -23,6 +25,11 @@ from repro.relational.schema import DatabaseSchema
 
 def db(**relations):
     return Database.from_dict(relations)
+
+
+class _Level(enum.IntEnum):
+    LOW = 1
+    HIGH = 3
 
 
 class TestCompile:
@@ -344,21 +351,34 @@ class TestSealedExecutor:
     identical to the generic step interpreter — same rows, same
     constraint witnesses, same limit behavior."""
 
-    def _both_tiers(self, program, instance, goals=None):
+    @staticmethod
+    def _outcome(plan, instance, goals, raises):
+        """Rows and violations (all, and the first witness) of ``plan``
+        over ``instance`` — or, when the case ``raises``, the
+        ``SchemaError`` it may raise, as (class, message)."""
+        try:
+            return (plan.evaluate(instance, goals=goals),
+                    plan.constraint_violations(instance),
+                    plan.constraint_violations(instance,
+                                               first_witness=True))
+        except SchemaError as error:
+            if not raises:
+                raise
+            return type(error), str(error)
+
+    def _both_tiers(self, program, instance, goals=None, raises=False):
         from repro.datalog import evaluator as ev
         plan = compile_program(program, cache=False)
         for _ in range(3):        # sealed at once; reruns reuse the code
-            sealed = plan.evaluate(instance, goals=goals)
-            sealed_viol = plan.constraint_violations(instance)
+            sealed = self._outcome(plan, instance, goals, raises)
         old = ev._SEALING
         ev._SEALING = False
         try:
-            generic = plan.evaluate(instance, goals=goals)
-            generic_viol = plan.constraint_violations(instance)
+            generic = self._outcome(plan, instance, goals, raises)
         finally:
             ev._SEALING = old
         assert sealed == generic
-        assert sealed_viol == generic_viol
+        return plan, sealed
 
     @pytest.mark.parametrize('entry',
                              [e for e in QA_ENTRIES if e.expressible],
@@ -421,6 +441,94 @@ class TestSealedExecutor:
                 rule_plan = plan.rule_plans[pred][0]
                 assert rule_plan.sealed[0].__code__.co_filename \
                     == f'<sealed {rule_plan.rule}>'
+
+    @pytest.mark.parametrize('comparison', [
+        'X > 2', 'X <= 2', 'not X < 2', 'X >= 2.5', 'X < 2.5',
+        "X > 'm'", "X <= 'm'", '2 < X', "'m' >= X"])
+    @pytest.mark.parametrize('values', [
+        [0, 1, 2, 3, 4], [0.5, 2.0, 2.5, 3.5], ['a', 'm', 'z'],
+        [True], [_Level.HIGH, _Level.LOW, 3], [1, 'm'], ['m', 2.5]],
+        ids=['int', 'float', 'str', 'bool', 'IntEnum', 'mixed',
+             'mixed-str-first'])
+    def test_ordered_comparison_against_a_constant(self, comparison,
+                                                   values):
+        """Inline or through ``_compare``, the sealed tier keeps the
+        generic one's rows and its ``SchemaError``s: a ``bool`` or a
+        mixed-type pair raises, an ``IntEnum`` compares as an int."""
+        text = f"""
+            v(X) :- r(X), {comparison}.
+            ⊥ :- r(X), {comparison}.
+        """
+        self._both_tiers(parse_program(text),
+                         db(r={(value,) for value in values}), raises=True)
+
+    def test_edb_probe_beside_a_pending_idb_probe(self):
+        """A fully bound atom of an input relation is a membership test;
+        one of a pending IDB predicate is answered top-down, and its
+        negation too — in one rule, in both tiers."""
+        plan, (rows, violations, _first) = self._both_tiers(parse_program("""
+            aux(X, Y) :- r(X, Y), Y > 1.
+            v(X, Y) :- s(X, Y), r(X, Y), aux(X, Y), not t(X).
+            w(X) :- s(X, Y), not aux(X, Y), t(Y).
+            ⊥ :- s(X, Y), r(X, Y), not aux(X, Y), not t(Y).
+        """), db(r={(1, 2), (2, 1), (3, 3), (4, 0)},
+                s={(1, 2), (2, 1), (3, 3), (4, 4)}, t={(3,), (4,)}))
+        assert rows['v'] == {(1, 2)} and rows['w'] == {(4,)}
+        assert [w for _rule, w in violations] == [(2, 1)]
+        assert plan.rule_plans['v'][0].idb == plan.idb
+
+    def test_unfolded_negation_with_constant_and_wildcard(self):
+        """``not p(t̄)`` of a pass-through ``p(X, Y) :- r(X, _, Y, 'k')``
+        runs as a negation of ``r``: the body's constant keys its
+        position, an existential position and a wildcard of ``t̄`` are
+        left out of the key, a constant of ``t̄`` keys its own."""
+        plan, (rows, violations, first) = self._both_tiers(parse_program("""
+            p(X, Y) :- r(X, _, Y, 'k').
+            v(X, Y) :- s(X, Y), not p(X, Y).
+            w(X) :- s(X, _), not p(X, _).
+            u(X) :- s(X, _), not p(X, 3).
+            ⊥ :- s(X, Y), not p(X, _), X > 3.
+        """), db(r={(1, 'a', 2, 'k'), (1, 'b', 3, 'x'), (2, 'c', 3, 'k'),
+                   (5, 'd', 1, 'k')},
+                s={(1, 2), (1, 3), (2, 3), (4, 5), (6, 1)}))
+        assert rows['v'] == {(1, 3), (4, 5), (6, 1)}
+        assert rows['w'] == {(4,), (6,)}
+        assert rows['u'] == {(1,), (4,), (6,)}
+        assert [w for _rule, w in violations] == [(4, 5)]
+        assert [w for _rule, w in first] in ([(4, 5)], [(6, 1)])
+        negations = {rule: [(step.pred, step.positions, step.key)
+                            for step in rule_plan.steps
+                            if isinstance(step, NegationStep)]
+                     for rule, rule_plan in
+                     [(pred, plan.rule_plans[pred][0])
+                      for pred in ('v', 'w', 'u')]
+                     + [('⊥', plan.constraint_plans[0].rule_plan)]}
+        assert negations == {
+            'v': [('r', (0, 2, 3), ((0, None), (1, None), (-1, 'k')))],
+            'w': [('r', (0, 3), ((0, None), (-1, 'k')))],
+            'u': [('r', (0, 2, 3), ((0, None), (-1, 3), (-1, 'k')))],
+            '⊥': [('r', (0, 3), ((0, None), (-1, 'k')))]}
+        # The violation still names the rule as written.
+        assert pretty_rule(plan.constraint_plans[0].rule) \
+            == 'false :- s(X, Y), not p(X, _anon4), X > 3.'
+
+    @pytest.mark.parametrize('text', [
+        'q(X, Y) :- r(X, Y).  p(X) :- q(X, _).',       # over an IDB
+        'p(X) :- r(X, X).',                             # repeated in Ȳ
+        'p(X, X) :- r(X, _).',                          # repeated head
+        'p(X) :- r(X, 1), r(X, _).',                    # two atoms
+        'p(X) :- r(X, _).  p(X) :- r(_, X).',           # two rules
+    ], ids=['idb-source', 'repeated-body-variable', 'repeated-head',
+            'two-atoms', 'two-rules'])
+    def test_other_shapes_are_not_unfolded(self, text):
+        arity = 2 if text.startswith('p(X, X)') else 1
+        args = ', '.join(['X'] * arity)
+        plan, _outcome = self._both_tiers(
+            parse_program(text + f' v(X) :- s(X), not p({args}).'),
+            db(r={(1, 1), (2, 3), (3, 1)}, s={(1,), (2,), (4,)}))
+        step, = [step for step in plan.rule_plans['v'][0].steps
+                 if isinstance(step, NegationStep)]
+        assert step.pred == 'p'
 
     def test_repro_sealed_env_disables(self, monkeypatch):
         import subprocess, sys
