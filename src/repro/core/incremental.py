@@ -65,9 +65,11 @@ def _delta_form(rule: Rule, view: str) -> list[Rule]:
     reads ``+v`` (positive) or ``-v`` (negated) and every other one
     reads ``v'``, inlined as alternatives and never materialised:
     ``v ∧ ¬-v`` or ``+v`` for a positive occurrence, ``¬+v ∧ ¬v`` or
-    ``¬+v ∧ -v`` for a negated one.  This needs ``±v`` to be the
-    effective delta (``+v ∩ v = ∅``, ``-v ⊆ v``), which the engine
-    stages.
+    ``¬+v ∧ -v`` for a negated one.  This needs ``+v`` and ``-v`` to
+    be disjoint, as the engine stages them; a row of ``+v`` already in
+    ``v`` or of ``-v`` not in it is still inside (outside) ``v'``, so
+    it only re-derives a witness the state already had — none, on a
+    steady state.
     """
     occurrences = [i for i, literal in enumerate(rule.body)
                    if isinstance(literal, Lit) and literal.atom.pred == view]

@@ -13,7 +13,7 @@ objects against an EDB:
 * variable bindings are flat slot arrays, not dictionaries: a compiled
   rule never hashes a variable name at run time.
 
-Execution is two-tier.  A rule plan is **sealed** before its first
+A rule plan is **sealed** before its first
 execution: :func:`_seal_run` / :func:`_seal_probe` generate a flat
 Python function specialised to that exact rule (slots become locals and
 only the ones something reads are assigned; binding masks, key
@@ -25,9 +25,10 @@ disappears) and cache it on the plan.  Sealing is what makes
 the per-transaction delta loops of the RDBMS engine and a view's first
 read over a large base cheap — the same immutable plan is shared by
 every thread of the parallel sharded engine, so one seal pays off
-across all shards.  The *generic* interpreter, which walks a rule
-plan's step tuple with a recursive cursor, is the reference tier:
-``REPRO_SEALED=0`` pins it (the differential tests compare the two).
+across all shards.  Sealed code is the only tier: the *generic*
+interpreter, which walks a rule plan's step tuple with a recursive
+cursor, is the test suite's reference (``tests/_generic_tier.py``), and
+the differential tests run every rule through both.
 
 A putback run — the engine's ``∂put`` or full putback, and
 :meth:`~repro.core.strategy.UpdateStrategy.put` — is one call of
@@ -45,7 +46,6 @@ entirely.
 
 from __future__ import annotations
 
-import os
 from functools import lru_cache
 from operator import itemgetter
 from typing import Collection
@@ -207,16 +207,6 @@ class IndexedRelation:
         self._indexes = {}
 
 
-class _Unbound:
-    __slots__ = ()
-
-    def __repr__(self):
-        return '<unbound>'
-
-
-_UNBOUND = _Unbound()
-
-
 def _compare(op: str, left, right) -> bool:
     """Evaluate a builtin comparison, guarding against cross-type compares."""
     if op == '=':
@@ -328,11 +318,6 @@ class _PlanContext:
 # ---------------------------------------------------------------------------
 
 
-#: ``REPRO_SEALED=0`` pins the generic interpreter (reference tier).
-_SEALING = os.environ.get('REPRO_SEALED', '1').strip().lower() \
-    not in ('0', 'false', 'off')
-
-
 def _run_rule(rule_plan: RulePlan, ctx: _PlanContext, out: set[Row],
               limit: int | None = None) -> None:
     """Run one compiled rule bottom-up, adding head rows to ``out``.
@@ -340,8 +325,6 @@ def _run_rule(rule_plan: RulePlan, ctx: _PlanContext, out: set[Row],
     With ``limit``, enumeration stops as soon as ``out`` holds that many
     rows — the early-exit mode constraint checking uses to stop at the
     first witness instead of materialising every violation."""
-    if not _SEALING:
-        return _run_rule_generic(rule_plan, ctx, out, limit)
     sealed = rule_plan.sealed
     fn = sealed[0]
     if fn is None:
@@ -353,113 +336,11 @@ def _probe_rule(rule_plan: RulePlan, ctx: _PlanContext,
                 row: tuple) -> bool:
     """Top-down: can this rule derive ``row``?  Uses the probe schedule,
     compiled with every head variable pre-bound."""
-    if not _SEALING:
-        return _probe_rule_generic(rule_plan, ctx, row)
     sealed = rule_plan.sealed
     fn = sealed[1]
     if fn is None:
         fn = sealed[1] = _seal_probe(rule_plan)
     return fn(ctx, row)
-
-
-def _holds(step, env: list, ctx: _PlanContext) -> bool:
-    """One non-scan step of the generic tier over the bindings ``env``:
-    does the binding pass it?  A :class:`BindStep` assigns its slot and
-    always passes; a fully bound atom of a pending IDB predicate is
-    answered top-down (:meth:`_PlanContext.probe`)."""
-    cls = step.__class__
-    if cls is BindStep:
-        s, c = step.source
-        env[step.slot] = c if s < 0 else env[s]
-        return True
-    if cls is CompareStep:
-        (ls, lc), (rs, rc) = step.left, step.right
-        return _compare(step.op, lc if ls < 0 else env[ls],
-                        rc if rs < 0 else env[rs]) == step.expect
-    key = tuple(c if s < 0 else env[s] for s, c in step.key)
-    if cls is ProbeStep:
-        if ctx.is_pending_idb(step.pred):
-            return ctx.probe(step.pred, key)
-        return ctx.relation(step.pred).contains(key)
-    if len(step.positions) == step.arity and ctx.is_pending_idb(step.pred):
-        return not ctx.probe(step.pred, key)
-    return not ctx.relation(step.pred).exists(step.positions, key,
-                                              step.arity)
-
-
-def _run_rule_generic(rule_plan: RulePlan, ctx: _PlanContext,
-                      out: set[Row], limit: int | None = None) -> None:
-    """The generic (step-walking) tier of :func:`_run_rule`."""
-    steps = rule_plan.steps
-    nsteps = len(steps)
-    head = rule_plan.head
-    env = [_UNBOUND] * rule_plan.nslots
-
-    def advance(i: int) -> bool:
-        """Continue the search; False propagates "limit reached"."""
-        while i < nsteps:
-            step = steps[i]
-            if step.__class__ is ScanStep:
-                key = tuple(c if s < 0 else env[s] for s, c in step.key)
-                relation = ctx.relation(step.pred)
-                checks = step.checks
-                free = step.free
-                for row in relation.lookup(step.positions, key):
-                    if checks and any(row[a] != row[b]
-                                      for a, b in checks):
-                        continue
-                    for pos, slot in free:
-                        env[slot] = row[pos]
-                    if not advance(i + 1):
-                        return False
-                return True
-            if not _holds(step, env, ctx):
-                return True
-            i += 1
-        out.add(tuple(c if s < 0 else env[s] for s, c in head))
-        return limit is None or len(out) < limit
-
-    advance(0)
-
-
-def _probe_rule_generic(rule_plan: RulePlan, ctx: _PlanContext,
-                        row: tuple) -> bool:
-    """The generic (step-walking) tier of :func:`_probe_rule`."""
-    for pos, value in rule_plan.match_consts:
-        if row[pos] != value:
-            return False
-    env = [_UNBOUND] * rule_plan.nslots
-    for pos, slot in rule_plan.match_binds:
-        env[slot] = row[pos]
-    for pos, slot in rule_plan.match_checks:
-        if row[pos] != env[slot]:
-            return False
-    steps = rule_plan.probe_steps
-    nsteps = len(steps)
-
-    def satisfiable(i: int) -> bool:
-        while i < nsteps:
-            step = steps[i]
-            if step.__class__ is ScanStep:
-                key = tuple(c if s < 0 else env[s] for s, c in step.key)
-                relation = ctx.relation(step.pred)
-                checks = step.checks
-                free = step.free
-                for candidate in relation.lookup(step.positions, key):
-                    if checks and any(candidate[a] != candidate[b]
-                                      for a, b in checks):
-                        continue
-                    for pos, slot in free:
-                        env[slot] = candidate[pos]
-                    if satisfiable(i + 1):
-                        return True
-                return False
-            if not _holds(step, env, ctx):
-                return False
-            i += 1
-        return True
-
-    return satisfiable(0)
 
 
 # ---------------------------------------------------------------------------
@@ -468,12 +349,12 @@ def _probe_rule_generic(rule_plan: RulePlan, ctx: _PlanContext,
 #
 # A sealed rule is one flat Python function: scans become ``for`` loops,
 # filters become ``if`` guards, slots become locals.  The code mirrors
-# the generic tier statement for statement — including the dynamic
-# pending-IDB dispatch for IDB atoms, since the same RulePlan may
-# execute under contexts with different materialisation states — so the
-# two tiers are observationally identical (asserted by the differential
-# tests in ``tests/test_plan.py`` and the fuzz oracle under
-# ``REPRO_SEALED=0``).
+# the generic tier (``tests/_generic_tier.py``) statement for statement
+# — including the dynamic pending-IDB dispatch for IDB atoms, since the
+# same RulePlan may execute under contexts with different
+# materialisation states — so the two tiers are observationally
+# identical (asserted by the differential tests in
+# ``tests/test_plan.py`` and ``tests/test_evaluator.py``).
 
 
 class _Emitter:

@@ -209,10 +209,9 @@ class Backend(ABC):
         pipeline composes every staged delta of a view
         (:class:`~repro.relational.delta.Composition`) and calls this
         exactly once per touched view per transaction, with ``delta``
-        that composition, re-projected onto the old view: the merged
-        multi-row effective delta (only its ``insertions`` and
-        ``deletions`` are read) — a single statement is a one-element
-        batch."""
+        that composition: the merged multi-row delta (only its
+        ``insertions`` and ``deletions`` are read, and they are
+        disjoint) — a single statement is a one-element batch."""
 
     @abstractmethod
     def evaluate_putback(self, entry: 'ViewEntry',

@@ -45,9 +45,9 @@ instead of O(#statements × plan cost)); pending translations are
 forced early only when a later bucket touches a relation one of them
 could still write — or reads as a source.  Constraint checks
 consequently see the transaction's *net* effect — SQL's
-deferred-constraint semantics.  ``Engine(..., batch_deltas=False)``
-restores statement-at-a-time translation (one plan run per bucket),
-the reference the differential fuzz compares the batched pipeline to.
+deferred-constraint semantics, the one the paper's ``put(S, V')``
+states: a transaction commits ``put(S, V')`` for its net view ``V'``
+(``tests/test_put_oracle.py`` holds the engine to exactly that).
 """
 
 from __future__ import annotations
@@ -197,14 +197,11 @@ def coalesce_buckets(batches: Sequence[tuple[str, Sequence[Statement]]]
     fold is associative: two back-to-back buckets on the same target
     derive exactly the composition one concatenated bucket derives
     (each statement still sees the running state of everything before
-    it).  Under the batched pipeline nothing observes the bucket
-    boundary — translation and constraint checks are deferred to commit
-    either way — so this is pure overhead removal: a transaction built
-    as N single-statement buckets (the OLTP shape) pays one routing,
-    derivation and staging pass instead of N.  Statement-at-a-time mode
-    must NOT coalesce: there a bucket boundary *is* the translation
-    boundary, and merging would change which intermediate states get
-    constraint-checked."""
+    it).  Nothing observes the bucket boundary — translation and
+    constraint checks are deferred to commit either way — so this is
+    pure overhead removal: a transaction built as N single-statement
+    buckets (the OLTP shape) pays one routing, derivation and staging
+    pass instead of N."""
     out: list[tuple[str, list[Statement]]] = []
     for target, statements in batches:
         if out and out[-1][0] == target:
@@ -236,11 +233,11 @@ class _Working:
         self._materialized: dict[str, set] = {}
         # Batched translation state, per view with untranslated deltas:
         # the composition of its staged effective deltas, the origins
-        # that contributed them, and the pre-delta view state the
-        # single plan run reads as ``v``.
+        # that contributed them, and the eval handle of the pre-delta
+        # view the single plan run reads as ``v``.
         self.pending: dict[str, Composition] = {}
         self.pending_origins: dict[str, set[str]] = {}
-        self.pending_state: dict[str, tuple] = {}
+        self.pending_view: dict[str, object] = {}
 
     def rows(self, name: str):
         """Current contents of ``name`` as seen inside the transaction.
@@ -284,17 +281,16 @@ class _Working:
             return self.engine.backend.probe(name, positions, key)
         return None
 
-    def pre_state(self, name: str, rows) -> tuple:
-        """``(eval handle, row set)`` of ``name`` *before* any pending
-        delta, given its current ``rows`` — what the batched plan run
-        reads as the old view.  For an unstaged view this is the
-        backend's live set (no copy; on every backend it changes only
-        at commit); once staged, a frozen copy is taken so later
-        overlay updates cannot drift under the handle."""
+    def pre_view(self, name: str, rows):
+        """The eval handle of ``name`` *before* any pending delta,
+        given its current ``rows`` — what the batched plan run reads as
+        the old view.  For an unstaged view this is the backend's
+        stored relation (no copy; on every backend it changes only at
+        commit); once staged, a frozen copy is taken so later overlay
+        updates cannot drift under the handle."""
         if self._unstaged(name):
-            return (self.engine.eval_handle(name), rows)
-        frozen = frozenset(rows)
-        return (frozen, frozen)
+            return self.engine.eval_handle(name)
+        return frozenset(rows)
 
     def stage(self, name: str, delta: Delta, *, is_view: bool,
               origins: Iterable[str]) -> None:
@@ -386,22 +382,14 @@ class Engine(DmlSurface):
     keeps persistent hash indexes on tables and view caches — the role
     PostgreSQL's B-tree indexes play in the paper's Figure 6 experiment;
     the SQLite backend maintains real SQL indexes instead.
-
-    ``batch_deltas`` (default on) coalesces each view's staged deltas
-    and runs its plan once per transaction; ``False`` restores
-    statement-at-a-time translation — one plan run per statement
-    bucket, with constraints checked against every intermediate state
-    (immediate rather than deferred semantics).
     """
 
     def __init__(self, schema: DatabaseSchema,
                  backend: str | Backend | None = None, *,
-                 batch_deltas: bool = True,
                  wal: 'str | WriteAheadLog | None' = None,
                  wal_sync: bool = True):
         self.schema = schema
         self.backend = create_backend(backend, schema)
-        self.batch_deltas = batch_deltas
         self._views: dict[str, ViewEntry] = {}
         # Durability: with a WAL attached, every committed transaction
         # appends its PreparedCommit batch *before* storage is touched
@@ -894,9 +882,7 @@ class Engine(DmlSurface):
         — it becomes durable atomically with the deltas."""
         working = self.begin()
         working.note = note
-        if self.batch_deltas:
-            batches = coalesce_buckets(batches)
-        for target, statements in batches:
+        for target, statements in coalesce_buckets(batches):
             self.apply_statements(working, target, statements)
         self._commit(working)
 
@@ -963,8 +949,7 @@ class Engine(DmlSurface):
     def _defer_view_delta(self, working: _Working, name: str,
                           delta: Delta, origins: Iterable[str]) -> None:
         """Stage a view delta (visible to later statements immediately)
-        and queue it for the once-per-transaction batched translation;
-        in statement-at-a-time mode the translation runs right away."""
+        and queue it for the once-per-transaction batched translation."""
         current = working.rows(name)
         effective = delta.effective_on(current)
         if effective.is_empty():
@@ -973,20 +958,17 @@ class Engine(DmlSurface):
         if staged is None:
             staged = working.pending[name] = Composition()
             working.pending_origins[name] = set()
-            working.pending_state[name] = working.pre_state(name, current)
+            working.pending_view[name] = working.pre_view(name, current)
         staged.then(effective.insertions, effective.deletions)
         working.pending_origins[name].update(origins)
         working.stage(name, effective, is_view=True, origins=origins)
-        if not self.batch_deltas:
-            self._flush_view(working, name)
 
     def _flush_for_read(self, working: _Working, target: str) -> None:
         """Conflict gate for statement-order visibility: a bucket on
         ``target`` both reads and writes it, so if any pending view
         could still *write* ``target`` (the bucket must see that write)
         or *reads* it as a source (the pending plan run must not see
-        the bucket's write), drain the pending queue first — exactly
-        the state statement-at-a-time translation would be in."""
+        the bucket's write), drain the pending queue first."""
         for name in working.pending:
             entry = self._views[name]
             if target in entry.update_closure \
@@ -996,10 +978,10 @@ class Engine(DmlSurface):
 
     def _flush_pending(self, working: _Working) -> None:
         """Drain the pending queue, one plan run per view, in
-        first-staged (bucket) order — the order statement-at-a-time
-        translation runs in; each flush recurses depth-first into its
-        cascades.  The update graph is acyclic (strategies only update
-        already-defined relations), so the drain terminates."""
+        first-staged (bucket) order; each flush recurses depth-first
+        into its cascades.  The update graph is acyclic (strategies
+        only update already-defined relations), so the drain
+        terminates."""
         while working.pending:
             self._flush_view(working, next(iter(working.pending)))
 
@@ -1012,18 +994,15 @@ class Engine(DmlSurface):
         staged = working.pending.pop(name, None)
         if staged is None:
             return
-        view_handle, pre_rows = working.pending_state.pop(name)
+        view_handle = working.pending_view.pop(name)
         origins = working.pending_origins.pop(name)
         entry = self._views[name]
         self._maybe_replan(entry)
-        # Re-projecting onto the pre-delta state drops write-then-undo
-        # artifacts of the composition (a row deleted and re-inserted
-        # contributes nothing net).  The composition itself is the
-        # merged delta the backend reads.
-        staged.insertions = staged.insertions - pre_rows
-        staged.deletions &= pre_rows
-        if staged.is_empty():
-            return
+        # The composition is the merged delta the backend reads.  It
+        # may keep a row written and undone since the view was queued
+        # (in -v but not in v, or in +v and already in v).  Such a row
+        # is still outside v' (a -v row) or inside it (a +v row), which
+        # is all a ∂put rule asks of ±v on a steady state.
         sources = {s: working.relation_for_eval(s)
                    for s in entry.source_names}
 
@@ -1046,14 +1025,12 @@ class Engine(DmlSurface):
             if rel_delta.is_empty():
                 continue
             if relation in self._views:
-                # Cascades translate depth-first, exactly as
-                # statement-at-a-time recursion does — only *bucket*
-                # deltas are coalesced across the transaction.  (In
-                # statement-at-a-time mode the defer flushes itself.)
+                # Cascades translate depth-first: only *bucket* deltas
+                # are coalesced across the transaction, and a view
+                # queued after this one reads what the cascade writes.
                 self._defer_view_delta(working, relation, rel_delta,
                                        origins=origins)
-                if self.batch_deltas:
-                    self._flush_view(working, relation)
+                self._flush_view(working, relation)
             elif relation in self.schema:
                 working.stage(relation, rel_delta, is_view=False,
                               origins=origins)

@@ -162,15 +162,14 @@ class WorkerRuntime:
     one over its pipe (:func:`serve_connection`); an in-process shard
     calls one directly (:class:`InlineChannel`)."""
 
-    def __init__(self, schema, backend_spec, *, batch_deltas: bool = True,
-                 wal_path=None, wal_sync: bool = True):
+    def __init__(self, schema, backend_spec, *, wal_path=None,
+                 wal_sync: bool = True):
         # With ``wal_path`` the worker owns its shard's log: the engine
         # appends each commit before storage (the commit point) and —
         # when the log already has records, i.e. this is a restart —
         # replays the committed prefix right here in the constructor.
         self.engine = Engine(schema,
                              backend=create_backend(backend_spec, schema),
-                             batch_deltas=batch_deltas,
                              wal=wal_path, wal_sync=wal_sync)
         self._workings: dict[int, object] = {}
         self._prepared: dict[int, object] = {}
@@ -412,9 +411,8 @@ def serve_connection(runtime: WorkerRuntime, conn) -> None:
                 break
 
 
-def _worker_main(conn, index: int, schema, backend_spec,
-                 batch_deltas: bool, wal_path, wal_sync: bool,
-                 generation: int) -> None:
+def _worker_main(conn, index: int, schema, backend_spec, wal_path,
+                 wal_sync: bool, generation: int) -> None:
     """Process entry point: drop inherited sibling pipe ends, build the
     engine *in this process* (replaying the shard's WAL when it has
     records), serve until told to stop."""
@@ -426,9 +424,8 @@ def _worker_main(conn, index: int, schema, backend_spec,
             inherited.close()
         except OSError:  # pragma: no cover - already closed
             pass
-    runtime = WorkerRuntime(schema, backend_spec,
-                            batch_deltas=batch_deltas,
-                            wal_path=wal_path, wal_sync=wal_sync)
+    runtime = WorkerRuntime(schema, backend_spec, wal_path=wal_path,
+                            wal_sync=wal_sync)
     try:
         serve_connection(runtime, conn)
     finally:
@@ -646,13 +643,11 @@ class ProcessShard:
     :class:`ShardUnavailableError`."""
 
     def __init__(self, index: int, schema, backend_spec, *, wal_path,
-                 batch_deltas: bool = True, mp_context=None,
-                 wal_sync: bool = True,
+                 mp_context=None, wal_sync: bool = True,
                  rpc_timeout: float | None = None):
         self.index = index
         self._schema = schema
         self._spec = backend_spec
-        self._batch_deltas = batch_deltas
         self._wal_path = wal_path
         self._wal_sync = wal_sync
         self._rpc_timeout = rpc_timeout
@@ -688,8 +683,7 @@ class ProcessShard:
         process = context.Process(
             target=_worker_main,
             args=(child_conn, self.index, self._schema, self._spec,
-                  self._batch_deltas, Path(self._wal_path),
-                  self._wal_sync, self.generation),
+                  Path(self._wal_path), self._wal_sync, self.generation),
             name=f'repro-shard-{self.index}', daemon=True)
         # Registered before the fork, so the worker closes its inherited
         # duplicate of this end too: a coordinator that dies then
@@ -945,8 +939,8 @@ class LocalShard(ProcessShard):
 
     def _spawn(self) -> None:
         self.runtime = WorkerRuntime(
-            self._schema, self._spec, batch_deltas=self._batch_deltas,
-            wal_path=self._wal_path, wal_sync=self._wal_sync)
+            self._schema, self._spec, wal_path=self._wal_path,
+            wal_sync=self._wal_sync)
         self.channel = InlineChannel(self.runtime)
 
     def restart(self) -> None:
@@ -987,8 +981,8 @@ class ProcessPool:
     pid-guarded ``weakref.finalize``, which Python also runs atexit)."""
 
     def __init__(self, schema, backend_specs: Sequence, *,
-                 wal_paths: Sequence, batch_deltas: bool = True,
-                 wal_sync: bool = True, rpc_timeout: float | None = None):
+                 wal_paths: Sequence, wal_sync: bool = True,
+                 rpc_timeout: float | None = None):
         context = _default_context()
         for spec in backend_specs:      # all of them, before any fork
             _check_backend_spec(spec)
@@ -998,8 +992,8 @@ class ProcessPool:
                 f'{len(wal_paths)} for {len(backend_specs)} shards')
         self.shards = tuple(
             ProcessShard(index, schema, spec, wal_path=wal_path,
-                         batch_deltas=batch_deltas, mp_context=context,
-                         wal_sync=wal_sync, rpc_timeout=rpc_timeout)
+                         mp_context=context, wal_sync=wal_sync,
+                         rpc_timeout=rpc_timeout)
             for index, (spec, wal_path)
             in enumerate(zip(backend_specs, wal_paths)))
         self._finalizer = weakref.finalize(

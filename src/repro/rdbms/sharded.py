@@ -69,7 +69,7 @@ per-transaction slots).  Every phase is *submit to each shard, drain
 in serial order, raise the first error after draining all*: the order
 tokens are drained in is the order the serial loop would have run the
 calls, so the first error raised is the serial-identical one no matter
-which shard failed first (the fuzz oracle's ``sharded-batched`` and
+which shard failed first (the fuzz oracle's ``sharded`` and
 ``sharded-procs`` axes pin this).  The protocol:
 
 ======================  ==========  ==================================
@@ -272,7 +272,6 @@ class ShardedEngine(DmlSurface):
                  backends=None,
                  partitioner: Partitioner | None = None,
                  shard_keys: Mapping[str, str | int] | None = None,
-                 batch_deltas: bool = True,
                  execution: str = 'inline',
                  wal_dir=None,
                  wal_sync: bool = True,
@@ -313,7 +312,6 @@ class ShardedEngine(DmlSurface):
             raise SchemaError(
                 f'partitioner covers {self.partitioner.n_shards} shards '
                 f'but {shards} were requested')
-        self.batch_deltas = batch_deltas
         self.execution = execution
         self._transient_retries = transient_retries
         self._retry_backoff = retry_backoff
@@ -360,16 +358,15 @@ class ShardedEngine(DmlSurface):
             #: GC and interpreter exit
             self._reaper = ProcessPool(
                 schema, shard_backend_specs(backends, shards),
-                wal_paths=wal_paths, batch_deltas=batch_deltas,
-                wal_sync=wal_sync, rpc_timeout=rpc_timeout)
+                wal_paths=wal_paths, wal_sync=wal_sync,
+                rpc_timeout=rpc_timeout)
             self.shards = self._reaper.shards
             #: the inner engines live in the workers under process
             #: execution; in-process introspection goes via .engines
             self.engines: tuple[Engine, ...] = ()
         else:
             self.shards = tuple(
-                LocalShard(index, schema, backend,
-                           batch_deltas=batch_deltas, wal_path=path,
+                LocalShard(index, schema, backend, wal_path=path,
                            wal_sync=wal_sync)
                 for index, (backend, path) in enumerate(zip(
                     create_shard_backends(backends, schema, shards),
@@ -791,8 +788,7 @@ class ShardedEngine(DmlSurface):
         *succeed*), so what reaches the caller from apply is a genuine
         partial-commit report.  Nor is a one-message commit whose
         outcome its shard's log could not decide."""
-        if self.batch_deltas:
-            batches = coalesce_buckets(batches)
+        batches = coalesce_buckets(batches)
         metrics = self._metrics
         attempts = 0
         waited = 0.0

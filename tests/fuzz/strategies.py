@@ -14,22 +14,19 @@ paper's §6.2.2 protocol); statements mix
 * UPDATEs of constraint-neutral columns, and UPDATEs *of the shard
   key* (rows change owner under the sharded engine),
 * direct base-table DML mixed into the same transaction,
-* deliberately constraint-violating single-statement transactions, so
-  the raise behavior is differentially checked too.
+* deliberately constraint-violating view INSERTs, one per violating
+  transaction, at any position in it, so the raise behavior is
+  differentially checked too.
 
-Batched translation checks constraints against the transaction's *net*
-effect (deferred semantics) while statement-at-a-time checks every
-intermediate state, so a transiently-violating-then-repaired
-multi-statement transaction may legitimately diverge between the two
-modes — that difference is by design (PR 3), not a bug the oracle
-should flag.  The generator therefore keeps every statement it emits
-valid at its position: violating inserts are always transaction-final
-(nothing after them can repair), and for the inclusion-constrained
-entry (``outstanding_task``) view inserts and key moves draw only from
-the *live* ``flow`` tid pool — maintained through generated base-table
-DML — while ``flow``-deleting base buckets are themselves deferred to
-transaction-final position so no later statement can transiently
-violate against the shrunk pool.
+Every configuration checks ⊥-constraints against a transaction's net
+effect, so a violation a later statement repairs commits everywhere,
+and the put axis of ``test_differential`` holds view-only transactions
+to ``put(S, V')``.  What the generator still restricts, it restricts
+to keep transactions worth running: view inserts are valid at their
+position unless they are the violating one, and for the
+inclusion-constrained entry (``outstanding_task``) view inserts and
+key moves draw only from the *live* ``flow`` tid pool — maintained
+through generated base-table DML — so most transactions commit.
 """
 
 from __future__ import annotations
@@ -228,11 +225,8 @@ def random_workload(view: str, seed: int) -> Workload:
             else dict(zip(view_attrs, rng.choice(inserted)))
         return Update({key_col: new_key}, where)
 
-    def base_bucket() -> tuple[str, list[Statement]] | None:
-        """A direct base-table bucket, or ``None`` when the draw is a
-        ``flow`` delete (those are returned via ``flow_tail`` and run
-        transaction-final, so no later view statement can transiently
-        violate against the shrunk inclusion pool)."""
+    def base_bucket() -> tuple[str, list[Statement]]:
+        """A direct base-table bucket."""
         name = rng.choice(entry.sources.names())
         schema = entry.sources[name]
         if rng.random() < 0.6:
@@ -246,12 +240,9 @@ def random_workload(view: str, seed: int) -> Workload:
             return (name, [Delete({schema.attributes[0]:
                                    _fresh_key(view, next(counter))})])
         victim = rng.choice(rows)
-        bucket = (name, [Delete(dict(zip(schema.attributes, victim)))])
         if flow_pool is not None and name == 'flow':
             flow_pool.delete(victim)
-            flow_tail.append(bucket)
-            return None
-        return bucket
+        return (name, [Delete(dict(zip(schema.attributes, victim)))])
 
     transactions: list = []
     for _ in range(rng.randint(1, 4)):
@@ -262,31 +253,26 @@ def random_workload(view: str, seed: int) -> Workload:
         pool_snapshot = dict(flow_pool.counts) if violating \
             and flow_pool is not None else None
         buckets: list = []
-        flow_tail: list = []
         if not violating or rng.random() < 0.5:
             for _bucket in range(rng.randint(1, 3)):
                 if rng.random() < 0.2:
-                    bucket = base_bucket()
-                    if bucket is not None:
-                        buckets.append(bucket)
+                    buckets.append(base_bucket())
                 else:
                     statements = [view_statement()
                                   for _ in range(rng.randint(1, 4))]
                     buckets.append((view, statements))
         if violating:
-            # The violating insert is always the FINAL statement: a
-            # fresh row nothing earlier can repair, so deferred
-            # (batched) and immediate (stmt) constraint semantics
-            # agree that the transaction dies — while any clean
-            # buckets before it exercise the multi-shard abort.
+            # A fresh violating row, anywhere in the transaction: the
+            # clean buckets around it exercise the multi-shard abort,
+            # and a later statement may repair it (a DELETE of
+            # everything), which commits.
             row = _violating_view_row(view, flow_pool, next(counter),
                                       rng)
-            buckets.append((view, [Insert(row)]))
+            buckets.insert(rng.randint(0, len(buckets)),
+                           (view, [Insert(row)]))
             expects_violations = True
             if pool_snapshot is not None:
                 flow_pool.counts = pool_snapshot
-        else:
-            buckets.extend(flow_tail)
         transactions.append(buckets)
     return Workload(view=view, seed=seed, data=data,
                     transactions=transactions,
@@ -363,48 +349,31 @@ def build_engines(workload: Workload, *,
     """The differential configuration matrix, loaded with the
     workload's base data and the view materialised.
 
-    The core matrix covers memory-vs-SQLite × batched-vs-stmt ×
-    sharded-vs-single × inline-vs-processes × replicated-vs-direct
-    with six entries (one per axis endpoint — ``sharded-batched``
-    drives mixed-backend shards inline, ``sharded-procs`` the same
-    shards as overlapped worker *processes*, ``replica`` serves every
-    read from a WAL-fed :class:`_ReplicatedEngine` replica);
-    ``extended`` completes the cross with the remaining costly
-    combinations for the deep (``REPRO_FUZZ=long``) runs.
+    The core matrix covers memory-vs-SQLite × sharded-vs-single ×
+    inline-vs-processes × replicated-vs-direct with five entries (one
+    per axis endpoint — ``sharded`` drives mixed-backend shards
+    inline, ``sharded-procs`` the same shards as overlapped worker
+    *processes*, ``replica`` serves every read from a WAL-fed
+    :class:`_ReplicatedEngine` replica); ``extended`` adds a cluster of
+    SQLite shards only, for the deep (``REPRO_FUZZ=long``) runs.
     """
     strategy = _strategy(workload.view)
     configs: dict[str, object] = {}
 
-    def single(backend: str, batch: bool) -> Engine:
-        return Engine(strategy.sources, backend=backend,
-                      batch_deltas=batch)
-
-    def sharded(batch: bool) -> ShardedEngine:
-        return ShardedEngine(strategy.sources,
-                             backends=list(SHARD_BACKENDS),
+    def sharded(backends=SHARD_BACKENDS, **options) -> ShardedEngine:
+        return ShardedEngine(strategy.sources, backends=list(backends),
                              shard_keys=SHARD_KEYS[workload.view],
-                             batch_deltas=batch)
-
-    def procs(batch: bool) -> ShardedEngine:
-        return ShardedEngine(strategy.sources,
-                             backends=list(SHARD_BACKENDS),
-                             shard_keys=SHARD_KEYS[workload.view],
-                             batch_deltas=batch,
-                             execution='processes')
+                             **options)
 
     # Process-backed engines fork FIRST, before any other config has
     # opened SQLite connections the child would pointlessly inherit.
-    configs['sharded-procs'] = procs(True)
-    if extended:
-        configs['sharded-procs-stmt'] = procs(False)
-    configs['memory-batched'] = single('memory', True)
+    configs['sharded-procs'] = sharded(execution='processes')
+    configs['memory'] = Engine(strategy.sources, backend='memory')
     configs['replica'] = _ReplicatedEngine(strategy)
-    configs['memory-stmt'] = single('memory', False)
-    configs['sqlite-batched'] = single('sqlite', True)
-    configs['sharded-batched'] = sharded(True)
+    configs['sqlite'] = Engine(strategy.sources, backend='sqlite')
+    configs['sharded'] = sharded()
     if extended:
-        configs['sqlite-stmt'] = single('sqlite', False)
-        configs['sharded-stmt'] = sharded(False)
+        configs['sharded-sqlite'] = sharded(('sqlite',) * 3)
 
     for engine in configs.values():
         for name in strategy.sources.names():

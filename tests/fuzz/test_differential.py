@@ -1,16 +1,25 @@
 """The differential oracle: every execution mode commits bit-identical
-state, or raises the same error, on randomized workloads.
+state, or raises the same error, on randomized workloads — and the
+reference engine commits what ``put`` says.
 
 Configurations compared (see ``strategies.build_engines``): memory vs
-SQLite storage, batched vs statement-at-a-time translation, sharded
-(3 mixed-backend shards) vs single engine, overlapped process-per-shard
-workers (``execution='processes'``) vs everything in-process, and a WAL-fed
-read replica (reads served from delta shipping, never from plan
-re-execution) vs direct execution.  After every transaction the
-committed base tables, the materialised view caches, and the
-raised-error behavior must agree across all of them; at workload end
-the replica's log is additionally replayed into a fresh engine (crash
-recovery) which must land on the same state.
+SQLite storage, sharded (3 mixed-backend shards) vs single engine,
+overlapped process-per-shard workers (``execution='processes'``) vs
+everything in-process, and a WAL-fed read replica (reads served from
+delta shipping, never from plan re-execution) vs direct execution.
+After every transaction the committed base tables, the materialised
+view caches, and the raised-error behavior must agree across all of
+them; at workload end the replica's log is additionally replayed into a
+fresh engine (crash recovery) which must land on the same state.
+
+The put axis holds the reference engine to the specification: a
+transaction of view statements only, run on a steady state ``S``
+(the ⊥-constraints hold and ``put(S, get(S)) = S``), raises exactly
+when ``check_constraints(S, V')`` raises and otherwise commits
+``put(S, V')``, where ``V'`` is the view after its statements under
+set semantics.  Transactions on a state that is not steady (a base
+write under the view can leave one, ROADMAP item 22) are skipped;
+:data:`PUT_AXIS` counts both, and the run's summary reports them.
 
 Profiles: CI runs the bounded smoke (``--hypothesis-profile=ci``);
 ``REPRO_FUZZ=long`` selects the deep profile locally (≥200 generated
@@ -20,38 +29,87 @@ under every profile via ``@example``.
 
 from __future__ import annotations
 
+from collections import Counter
+
 import pytest
 
 hypothesis = pytest.importorskip('hypothesis')
 from hypothesis import example, given, settings, strategies as st  # noqa: E402
 
-from repro.errors import ReproError                                # noqa: E402
+from repro.errors import ConstraintViolation, ReproError           # noqa: E402
+from repro.rdbms.dml import Delete, Insert                         # noqa: E402
 
-from .strategies import (FUZZ_VIEWS, Workload, build_engines,      # noqa: E402
-                         random_workload)
+from tests.test_put_oracle import expected_view, is_steady         # noqa: E402
+
+from .strategies import (FUZZ_VIEWS, Workload, _strategy,          # noqa: E402
+                         build_engines, random_workload)
 
 #: Pinned reproductions that stay in every profile (the seed corpus).
-#: 23709 once produced a flow-delete → transiently-violating-insert →
-#: repair sequence the generator must no longer emit.
 SEED_CORPUS = [('luxuryitems', 7), ('luxuryitems', 1031),
                ('officeinfo', 3), ('officeinfo', 512),
                ('outstanding_task', 11), ('outstanding_task', 4097),
                ('outstanding_task', 23709),
                ('vw_brands', 23), ('vw_brands', 2048)]
 
+#: View-only transactions the put axis checked (``rejected``: of them,
+#: those ``put`` refuses), and those it skipped because their
+#: pre-state was not steady, over the whole session.
+PUT_AXIS: Counter = Counter()
+
+_NOT_CHECKED = object()
+
+
+def _as_call(statement) -> tuple:
+    """A DML statement as the ``(method, args)`` pair
+    :func:`~tests.test_put_oracle.expected_view` reads."""
+    if isinstance(statement, Insert):
+        return 'insert', (statement.values,)
+    if isinstance(statement, Delete):
+        return 'delete', (statement.where,)
+    return 'update', (statement.assignments, statement.where)
+
+
+def put_expectation(strategy, state, transaction):
+    """What ``put`` says ``transaction`` commits on ``state``:
+    ``put(S, V')``, or None when ``check_constraints(S, V')`` raises.
+    ``_NOT_CHECKED`` for a transaction that writes a base table, or
+    whose pre-state is not steady (counted as a skip)."""
+    view = strategy.view.name
+    if any(target != view for target, _ in transaction):
+        return _NOT_CHECKED
+    if not is_steady(strategy, state):
+        PUT_AXIS['skipped'] += 1
+        return _NOT_CHECKED
+    PUT_AXIS['checked'] += 1
+    new_view = expected_view(
+        strategy.get(state),
+        [_as_call(statement) for _, statements in transaction
+         for statement in statements],
+        strategy.view.attributes)
+    try:
+        strategy.check_constraints(state, new_view)
+    except ConstraintViolation:
+        PUT_AXIS['rejected'] += 1
+        return None
+    return strategy.put(state, new_view)
+
 
 def run_differential(workload: Workload, *, extended: bool = False,
-                     reference: str = 'memory-batched',
+                     reference: str = 'memory',
                      keep_engines: bool = False) -> dict:
     """Execute the workload on every configuration, asserting identical
-    outcomes after each transaction.  Engines are closed on the way out
+    outcomes after each transaction, and the reference's outcome
+    against ``put`` on the put axis.  Engines are closed on the way out
     (they hold worker processes and SQLite connections); pass
     ``keep_engines`` for extra assertions on live engines — the caller
     then owns the close."""
     engines = build_engines(workload, extended=extended)
     view = workload.view
+    strategy = _strategy(view)
     try:
         for number, transaction in enumerate(workload.transactions):
+            expected = put_expectation(
+                strategy, engines[reference].database(), transaction)
             outcomes: dict[str, str | None] = {}
             for name, engine in engines.items():
                 try:
@@ -64,6 +122,16 @@ def run_differential(workload: Workload, *, extended: bool = False,
                 f'transaction #{number}: {outcomes}')
             reference_state = (engines[reference].database(),
                                frozenset(engines[reference].rows(view)))
+            if expected is None:
+                assert outcomes[reference] == 'ConstraintViolation', (
+                    f'put rejects {workload!r} transaction #{number}, '
+                    f'{reference} gave {outcomes[reference]}')
+            elif expected is not _NOT_CHECKED:
+                assert outcomes[reference] is None \
+                    and reference_state[0] == expected, (
+                        f'{reference} differs from put on {workload!r} '
+                        f'transaction #{number} '
+                        f'(outcome {outcomes[reference]})')
             for name, engine in engines.items():
                 state = (engine.database(),
                          frozenset(engine.rows(view)))
@@ -96,10 +164,10 @@ def run_differential(workload: Workload, *, extended: bool = False,
 @example(view='vw_brands', seed=23)
 @settings(deadline=None)
 def test_all_modes_agree(view, seed):
-    """The core matrix: memory/SQLite × batched/stmt × sharded/single
-    × inline/processes leave identical committed base tables and view
-    caches, and raise identically, on every generated transaction
-    sequence."""
+    """The core matrix: memory/SQLite × sharded/single ×
+    inline/processes × replicated/direct leave identical committed base
+    tables and view caches, and raise identically, on every generated
+    transaction sequence; view-only transactions commit ``put(S, V')``."""
     run_differential(random_workload(view, seed))
 
 
@@ -109,7 +177,7 @@ def test_all_modes_agree(view, seed):
 @example(view='outstanding_task', seed=4097)
 @settings(deadline=None)
 def test_extended_matrix_agrees(view, seed):
-    """The completed cross (adds sqlite-stmt and sharded-stmt)."""
+    """The core matrix plus a cluster of SQLite shards only."""
     run_differential(random_workload(view, seed), extended=True)
 
 
@@ -127,9 +195,8 @@ def test_seed_corpus_deterministic(view, seed):
         # Sharded placement really was shard-local — the partitioned
         # paths (routing, scatter-gather, fan-back) were exercised, not
         # the global-fallback degenerate case.
-        assert engines['sharded-batched'].placement(view) \
-            == 'partitioned'
-        assert engines['sharded-batched'].execution == 'inline'
+        assert engines['sharded'].placement(view) == 'partitioned'
+        assert engines['sharded'].execution == 'inline'
         # The process-backed engine really ran with worker processes
         # (and shard-local placement), not a degenerate fallback.
         assert engines['sharded-procs'].execution == 'processes'
@@ -159,3 +226,12 @@ def test_violating_workloads_raise_everywhere():
             break
     assert found, 'no violating workload in the first 60 seeds'
     run_differential(workload)
+
+
+def test_put_axis_checks_view_transactions():
+    """A corpus workload gives the put axis view-only transactions on
+    steady states to check, one of which ``put`` rejects."""
+    before = Counter(PUT_AXIS)
+    run_differential(random_workload('luxuryitems', 7))
+    assert PUT_AXIS['checked'] - before['checked'] == 2
+    assert PUT_AXIS['rejected'] - before['rejected'] == 1

@@ -1161,28 +1161,27 @@ class TestCrossBackendDifferential:
 
     @pytest.mark.parametrize('view', DIFFERENTIAL_VIEWS)
     def test_batched_transaction_identical_states(self, view):
-        """A many-statement batched transaction leaves both backends —
-        and both translation modes — in the same state."""
+        """A many-statement batched transaction leaves both backends in
+        the state ``put(S, V')`` gives for its net view ``V'``."""
         entry = entry_by_name(view)
-        engines = {}
+        strategy = entry.strategy()
         for backend in ('memory', 'sqlite'):
-            for batch in (True, False):
-                engine = build_engine(entry, 300, incremental=True,
-                                      backend=backend)
-                engine.batch_deltas = batch
-                engine.rows(view)
-                with engine.transaction() as txn:
-                    for i in range(8):
-                        txn.insert(view,
-                                   update_statement(entry, engine, i))
-                    victim = update_statement(entry, engine, 3)
-                    attrs = engine.view(view).schema.attributes
-                    txn.delete(view, where=dict(zip(attrs, victim)))
-                engines[(backend, batch)] = engine
-        reference = engines[('memory', False)]
-        for key, engine in engines.items():
-            assert engine.database() == reference.database(), key
-            assert engine.rows(view) == reference.rows(view), key
+            engine = build_engine(entry, 300, incremental=True,
+                                  backend=backend)
+            state = engine.database()
+            new_view = set(engine.rows(view))
+            with engine.transaction() as txn:
+                for i in range(8):
+                    row = update_statement(entry, engine, i)
+                    txn.insert(view, row)
+                    new_view.add(row)
+                victim = update_statement(entry, engine, 3)
+                attrs = engine.view(view).schema.attributes
+                txn.delete(view, where=dict(zip(attrs, victim)))
+                new_view.discard(victim)
+            assert engine.database() == strategy.put(state, new_view), \
+                backend
+            assert engine.rows(view) == new_view, backend
 
     def test_batch_over_a_crowded_tag_bucket(self):
         """One ``execute_many`` through ``vw_brands``' tag index, whose

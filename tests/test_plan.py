@@ -21,6 +21,7 @@ from repro.rdbms.engine import Engine
 from repro.relational.database import Database
 from repro.relational.generators import random_database
 from repro.relational.schema import DatabaseSchema
+from tests import _generic_tier as generic_tier
 
 
 def db(**relations):
@@ -367,16 +368,11 @@ class TestSealedExecutor:
             return type(error), str(error)
 
     def _both_tiers(self, program, instance, goals=None, raises=False):
-        from repro.datalog import evaluator as ev
         plan = compile_program(program, cache=False)
         for _ in range(3):        # sealed at once; reruns reuse the code
             sealed = self._outcome(plan, instance, goals, raises)
-        old = ev._SEALING
-        ev._SEALING = False
-        try:
+        with generic_tier.installed():
             generic = self._outcome(plan, instance, goals, raises)
-        finally:
-            ev._SEALING = old
         assert sealed == generic
         return plan, sealed
 
@@ -399,7 +395,6 @@ class TestSealedExecutor:
         self._both_tiers(program, instance)
 
     def test_sealed_first_witness_limit(self):
-        from repro.datalog import evaluator as ev
         program = parse_program('⊥ :- r(X), X > 10.')
         plan = compile_program(program, cache=False)
         instance = db(r={(i,) for i in range(100)})
@@ -409,19 +404,15 @@ class TestSealedExecutor:
         assert len(sealed) == 1
         rule, witness = sealed[0]
         assert witness[0] > 10
-        # The sealed run functions really are installed and shared
-        # (unless the whole run pins the generic tier).
-        if ev._SEALING:
-            rule_plan = plan.constraint_plans[0].rule_plan
-            assert callable(rule_plan.sealed[0])
+        # The sealed run functions really are installed and shared.
+        rule_plan = plan.constraint_plans[0].rule_plan
+        assert callable(rule_plan.sealed[0])
 
     def test_rule_sealed_in_two_plans_compiles_once(self, monkeypatch):
         """A rule sealed again in another plan reuses the compiled code,
         and each generated function still names its own rule."""
         from repro.datalog import evaluator as ev
         from repro.datalog.plan import clear_plan_cache
-        if not ev._SEALING:
-            pytest.skip('the whole run pins the generic tier')
         compiled = []
 
         def counting(source, *args):
@@ -529,13 +520,3 @@ class TestSealedExecutor:
         step, = [step for step in plan.rule_plans['v'][0].steps
                  if isinstance(step, NegationStep)]
         assert step.pred == 'p'
-
-    def test_repro_sealed_env_disables(self, monkeypatch):
-        import subprocess, sys
-        code = ('from repro.datalog import evaluator as ev; '
-                'print(ev._SEALING)')
-        out = subprocess.run(
-            [sys.executable, '-c', code],
-            env={'PYTHONPATH': 'src', 'REPRO_SEALED': '0'},
-            capture_output=True, text=True, cwd='.')
-        assert out.stdout.strip() == 'False'

@@ -1,7 +1,7 @@
 """Rollback/abort coverage: a failing transaction must leave base
 tables, materialised view caches, AND planner bookkeeping exactly as
-they were — on both storage backends, in both translation modes, and
-across every shard a sharded transaction touched."""
+they were — on both storage backends, on the ∂put path and the full
+putback, and across every shard a sharded transaction touched."""
 
 import pytest
 
@@ -10,15 +10,15 @@ from repro.rdbms.engine import Engine
 from repro.rdbms.sharded import ShardedEngine
 
 BACKENDS = ('memory', 'sqlite')
-MODES = (True, False)          # batch_deltas
+MODES = (True, False)          # use_incremental
 
 
-def _luxury_engine(luxury_strategy, backend, batch):
-    engine = Engine(luxury_strategy.sources, backend=backend,
-                    batch_deltas=batch)
+def _luxury_engine(luxury_strategy, backend, incremental):
+    engine = Engine(luxury_strategy.sources, backend=backend)
     engine.load('items', [(1, 'watch', 5000), (2, 'ring', 4000),
                           (3, 'cap', 10)])
-    engine.define_view(luxury_strategy, validate_first=False)
+    engine.define_view(luxury_strategy, validate_first=False,
+                       use_incremental=incremental)
     engine.rows('luxuryitems')        # materialise the cache
     return engine
 
@@ -32,10 +32,10 @@ def _planner_state(engine, view):
 class TestSingleEngineRollback:
 
     @pytest.mark.parametrize('backend', BACKENDS)
-    @pytest.mark.parametrize('batch', MODES)
+    @pytest.mark.parametrize('incremental', MODES)
     def test_constraint_mid_transaction(self, luxury_strategy, backend,
-                                        batch):
-        engine = _luxury_engine(luxury_strategy, backend, batch)
+                                        incremental):
+        engine = _luxury_engine(luxury_strategy, backend, incremental)
         before_db = engine.database()
         before_view = frozenset(engine.rows('luxuryitems'))
         before_planner = _planner_state(engine, 'luxuryitems')
@@ -78,21 +78,21 @@ class TestSingleEngineRollback:
 
 class TestShardedRollback:
 
-    def _sharded(self, luxury_strategy, batch=True):
+    def _sharded(self, luxury_strategy, incremental=True):
         sharded = ShardedEngine(luxury_strategy.sources,
                                 backends=['memory', 'sqlite', 'memory'],
                                 shard_keys={'luxuryitems': 'iid',
-                                            'items': 'iid'},
-                                batch_deltas=batch)
+                                            'items': 'iid'})
         sharded.load('items', [(1, 'watch', 5000), (2, 'ring', 4000)])
-        sharded.define_view(luxury_strategy, validate_first=False)
+        sharded.define_view(luxury_strategy, validate_first=False,
+                            use_incremental=incremental)
         sharded.rows('luxuryitems')
         return sharded
 
-    @pytest.mark.parametrize('batch', MODES)
+    @pytest.mark.parametrize('incremental', MODES)
     def test_abort_rolls_back_every_touched_shard(self, luxury_strategy,
-                                                  batch):
-        sharded = self._sharded(luxury_strategy, batch)
+                                                  incremental):
+        sharded = self._sharded(luxury_strategy, incremental)
         before_db = sharded.database()
         before_shards = sharded.shard_rows('items')
         before_caches = sharded.shard_rows('luxuryitems')

@@ -1,9 +1,11 @@
-"""Mutation tests for the ∂put derivation: a mutant must fail a test.
+"""Mutation tests for the ∂put derivation and the batched pipeline
+that runs it: a mutant must fail a test.
 
-Each mutant is applied by monkeypatch to :mod:`repro.core.incremental`
-and names the behavioural test that kills it — a test that passes on
-the real derivation and fails on the mutant.  No syntactic check of
-the derived program counts as a killer.
+Each mutant is applied by monkeypatch to a function of
+:mod:`repro.core.incremental` or a method of
+:class:`~repro.rdbms.engine.Engine`, and names the behavioural test
+that kills it — a test that passes on the real code and fails on the
+mutant.  No syntactic check of the derived program counts as a killer.
 """
 
 from dataclasses import replace
@@ -13,9 +15,12 @@ import pytest
 from repro.core import incremental
 from repro.datalog.ast import (Atom, Lit, Program, Rule, delete_pred,
                                insert_pred)
-from tests import test_put_oracle
+from repro.rdbms.engine import Engine
+from tests import test_engine, test_put_oracle
 from tests.test_engine import TestConstraints
 from tests.test_put_oracle import check_entry
+
+BACKENDS = ('memory', 'sqlite')
 
 
 def _without_constraints(derive):
@@ -24,17 +29,17 @@ def _without_constraints(derive):
     return mutant
 
 
-def _lvgn_violation(luxury_strategy) -> None:
+def _lvgn_violation(request) -> None:
     # ∂put is derived once per strategy object
     # (UpdateStrategy.incremental_putdelta): each run gets a fresh copy,
     # as the other killers build theirs from the catalog, so the mutant
     # derives its own.
     TestConstraints().test_violating_insert_rejected(
-        replace(luxury_strategy), True)
+        replace(request.getfixturevalue('luxury_strategy')), True)
 
 
-def _general_path_oracle(_luxury_strategy) -> None:
-    for backend in ('memory', 'sqlite'):
+def _general_path_oracle(_request) -> None:
+    for backend in BACKENDS:
         check_entry('vw_customers', backend, seeds=range(2))
 
 
@@ -50,8 +55,8 @@ def _without_view_insertions(derive):
     return mutant
 
 
-def _purchaseview_oracle(_luxury_strategy) -> None:
-    for backend in ('memory', 'sqlite'):
+def _purchaseview_oracle(_request) -> None:
+    for backend in BACKENDS:
         check_entry('purchaseview', backend, seeds=range(2))
 
 
@@ -61,8 +66,8 @@ def _without_union_guard(_fix):
     return mutant
 
 
-def _union_read_downstream_oracle(_luxury_strategy) -> None:
-    for backend in ('memory', 'sqlite'):
+def _union_read_downstream_oracle(_request) -> None:
+    for backend in BACKENDS:
         test_put_oracle.test_union_read_downstream_matches_put(backend)
 
 
@@ -102,51 +107,95 @@ def _without_unchanged_post_state(figure7):
     return mutant
 
 
-#: mutant -> (function of :mod:`repro.core.incremental` it replaces,
-#: the mutation, its killer)
+def _without_read_flush(_flush_for_read):
+    def mutant(self, working, target):
+        return None
+    return mutant
+
+
+def _base_read_after_view_write(request) -> None:
+    pipeline = test_engine.TestBatchedPipeline()
+    for backend in BACKENDS:
+        pipeline.test_base_read_forces_pending_flush(
+            request.getfixturevalue('union_strategy'), backend)
+
+
+def _cascades_queued(flush_view):
+    """Only the outermost flush translates: a cascade stays queued
+    behind the views already pending."""
+    running = []
+
+    def mutant(self, working, name):
+        if running:
+            return
+        running.append(name)
+        try:
+            flush_view(self, working, name)
+        finally:
+            running.pop()
+    return mutant
+
+
+def _cascade_before_later_view(_request) -> None:
+    pipeline = test_engine.TestBatchedPipeline()
+    for backend in BACKENDS:
+        pipeline.test_cascades_translate_depth_first(backend)
+
+
+#: mutant -> (module or class whose attribute it replaces, the
+#: attribute, the mutation, its killer)
 MUTANTS = {
     # M1: LVGN's ⊥-rules dropped (Lemma 5.2's substitution skipped).
-    'lvgn-constraints-dropped': ('incrementalize_lvgn',
+    'lvgn-constraints-dropped': (incremental, 'incrementalize_lvgn',
                                  _without_constraints, _lvgn_violation),
     # M1's twin: the delta form of the Appendix-C path's ⊥-rules dropped.
-    'general-constraints-dropped': ('incrementalize_general',
+    'general-constraints-dropped': (incremental, 'incrementalize_general',
                                     _without_constraints,
                                     _general_path_oracle),
     # M3: the Appendix-C union guard skipped (a row leaving one union
     # branch is deleted even when another branch still derives it).
     # Every catalog union is a delta head, whose deletion rules
     # Proposition 5.1 drops; only a union read further down sees it.
-    'union-guard-skipped': ('_union_deletion_fix', _without_union_guard,
+    'union-guard-skipped': (incremental, '_union_deletion_fix',
+                            _without_union_guard,
                             _union_read_downstream_oracle),
     # M4: the Appendix-C ν-rule ``v__nu :- +v`` dropped (the view's
     # post-state loses its inserted rows).
-    'view-insertions-dropped': ('incrementalize_general',
+    'view-insertions-dropped': (incremental, 'incrementalize_general',
                                 _without_view_insertions,
                                 _purchaseview_oracle),
     # M6: the projection template's deletion guard ``not r1__nu(~X, _)``
     # dropped (a tuple leaves h although another r1 tuple still
     # projects onto it).
-    'projection-guard-dropped': ('_figure7_rules',
+    'projection-guard-dropped': (incremental, '_figure7_rules',
                                  _without_projection_guard,
                                  _general_path_oracle),
     # M7: the merged join/negation template reads a negated r2's
     # deltas with a positive r2's signs.
-    'negation-signs-swapped': ('_figure7_rules', _negation_signs_swapped,
+    'negation-signs-swapped': (incremental, '_figure7_rules',
+                               _negation_signs_swapped,
                                _general_path_oracle),
     # M8: a changed union's branch that reads nothing changed is left
     # out of the union's post-state ``h__nu``, which the union guard
     # reads.
-    'unchanged-branch-post-state-dropped': ('_figure7_rules',
+    'unchanged-branch-post-state-dropped': (incremental, '_figure7_rules',
                                             _without_unchanged_post_state,
                                             _union_read_downstream_oracle),
+    # M10: a base bucket reads a table a pending view translation
+    # would still write, without that translation running first.
+    'read-flush-skipped': (Engine, '_flush_for_read', _without_read_flush,
+                           _base_read_after_view_write),
+    # M11: a cascade is queued behind the pending views instead of
+    # translated depth-first.
+    'cascades-queued': (Engine, '_flush_view', _cascades_queued,
+                        _cascade_before_later_view),
 }
 
 
 @pytest.mark.parametrize('mutant', MUTANTS)
-def test_mutant_is_killed(mutant, monkeypatch, luxury_strategy):
-    target, mutate, killer = MUTANTS[mutant]
-    killer(luxury_strategy)
-    monkeypatch.setattr(incremental, target,
-                        mutate(getattr(incremental, target)))
+def test_mutant_is_killed(mutant, monkeypatch, request):
+    owner, name, mutate, killer = MUTANTS[mutant]
+    killer(request)
+    monkeypatch.setattr(owner, name, mutate(getattr(owner, name)))
     with pytest.raises((AssertionError, pytest.fail.Exception)):
-        killer(luxury_strategy)
+        killer(request)

@@ -338,7 +338,7 @@ class TestOptionSurface:
         assert {name for name, parameter in parameters.items()
                 if parameter.kind is parameter.KEYWORD_ONLY} == {
             'shards', 'backends', 'partitioner', 'shard_keys',
-            'batch_deltas', 'execution', 'wal_dir', 'wal_sync',
+            'execution', 'wal_dir', 'wal_sync',
             'read_replicas', 'replica_max_lag', 'rpc_timeout',
             'transient_retries', 'retry_backoff', 'retry_backoff_cap',
             'retry_max_wait'}
@@ -348,6 +348,14 @@ class TestOptionSurface:
             ShardedEngine(union_sources, parallelism=2)
         with pytest.raises(SchemaError, match="'inline' or 'processes'"):
             ShardedEngine(union_sources, execution='threads')
+
+    def test_the_statement_at_a_time_option_is_gone(self, union_sources):
+        """Every transaction is translated once per view over its net
+        view delta: there is no second translation mode to ask for."""
+        with pytest.raises(TypeError, match='batch_deltas'):
+            Engine(union_sources, batch_deltas=False)
+        with pytest.raises(TypeError, match='batch_deltas'):
+            ShardedEngine(union_sources, batch_deltas=False)
 
     def test_the_global_shard_and_read_policy_options_are_gone(
             self, union_sources):
