@@ -250,10 +250,10 @@ class _PlanContext:
     def __init__(self, edb, plan: ExecutionPlan | None = None):
         items = edb.relations.items() if isinstance(edb, Database) \
             else edb.items()
-        self._store: dict[str, IndexedRelation] = {
-            name: rows if rows.__class__ is IndexedRelation
-            else IndexedRelation(rows)
-            for name, rows in items}
+        self._store = store = {}
+        for name, rows in items:
+            store[name] = rows if rows.__class__ is IndexedRelation \
+                else IndexedRelation(rows)
         self.plan = plan
         self._idb: frozenset = plan.idb if plan is not None else frozenset()
         self._materialized: set[str] = set()
@@ -268,7 +268,7 @@ class _PlanContext:
         return name in self._idb and name not in self._materialized
 
     def relation(self, name: str) -> IndexedRelation:
-        if self.is_pending_idb(name):
+        if name in self._idb and name not in self._materialized:
             self.materialize(name)
         rel = self._store.get(name)
         if rel is None:
@@ -283,7 +283,7 @@ class _PlanContext:
         self._in_progress.add(name)
         try:
             rows: set[Row] = set()
-            for rule_plan in self.plan.rules_for(name):
+            for rule_plan in self.plan.rule_plans.get(name, ()):
                 _run_rule(rule_plan, self, rows)
             self._store[name] = IndexedRelation(rows)
             self._materialized.add(name)
@@ -393,11 +393,13 @@ class _Emitter:
         return '(' + ', '.join(parts) + (',)' if len(parts) == 1 else ')')
 
     def relation(self, pred: str) -> str:
-        """The memoised relation handle for ``pred``: fetched via
-        ``ctx.relation`` at this step position on first reach (the same
-        laziness as the generic tier — an unreached step never
-        materialises), then reused by every later iteration and every
-        deeper step."""
+        """The memoised relation handle for ``pred``: fetched at this
+        step position on first reach (the same laziness as the generic
+        tier — an unreached step never materialises), then reused by
+        every later iteration and every deeper step.  A relation the
+        context already stores is read from its store; only a missing
+        one (a pending IDB predicate, an absent input) costs a call of
+        ``ctx.relation``."""
         memo = self._rel_memo.get(pred)
         if memo is None:
             name = self.fresh('_r')
@@ -407,7 +409,7 @@ class _Emitter:
         name, cname = memo
         self.emit(f'if {name} is None:')
         self.indent += 1
-        self.emit(f'{name} = ctx.relation({cname})')
+        self.emit(f'{name} = ctx._store.get({cname}) or ctx.relation({cname})')
         self.indent -= 1
         return name
 

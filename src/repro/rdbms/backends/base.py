@@ -22,8 +22,8 @@ Two implementations ship: :class:`~repro.rdbms.backends.memory.
 MemoryBackend` (indexed Python sets, the original engine substrate) and
 :class:`~repro.rdbms.backends.sqlite.SQLiteBackend` (tables in SQLite,
 plans lowered to SQL once per view).  The interpreted execution paths
-live here as ``_interp_*`` helpers so every backend can fall back to
-them for programs its native execution cannot express.
+are the base class's default evaluation methods, so every backend can
+fall back to them for programs its native execution cannot express.
 """
 
 from __future__ import annotations
@@ -31,7 +31,6 @@ from __future__ import annotations
 from abc import ABC, abstractmethod
 from typing import TYPE_CHECKING, Iterable, Mapping, Sequence
 
-from repro.datalog.ast import delete_pred, insert_pred
 from repro.datalog.evaluator import execute_deltas, execute_goal
 from repro.relational.database import Database
 from repro.relational.delta import Delta, DeltaSet
@@ -139,7 +138,8 @@ class Backend(ABC):
         ``INSERT … SELECT``).  By default the interpreter evaluates the
         ``get`` plan and :meth:`store_cache` keeps the set its rules
         built."""
-        self.store_cache(entry.name, self._interp_get(entry, sources))
+        self.store_cache(entry.name, execute_goal(entry.get_plan, sources,
+                                                  entry.name))
 
     @abstractmethod
     def store_cache(self, name: str, rows: Iterable[tuple]) -> None:
@@ -194,7 +194,6 @@ class Backend(ABC):
         persistent :class:`IndexedRelation`) or a :class:`StoredRelation`
         marker the backend resolves itself."""
 
-    @abstractmethod
     def evaluate_incremental_batch(self, entry: 'ViewEntry',
                                    sources: Mapping[str, object],
                                    view_handle, delta: Delta) -> DeltaSet:
@@ -211,9 +210,17 @@ class Backend(ABC):
         exactly once per touched view per transaction, with ``delta``
         that composition: the merged multi-row delta (only its
         ``insertions`` and ``deletions`` are read, and they are
-        disjoint) — a single statement is a one-element batch."""
+        disjoint) — a single statement is a one-element batch.
 
-    @abstractmethod
+        By default the interpreter runs it over the handles as they
+        are: one plan context checks the ⊥-rules and evaluates the
+        delta goals (:func:`~repro.datalog.evaluator.execute_deltas`)."""
+        plus, minus = entry.delta_names
+        return execute_deltas(
+            entry.incremental_plan,
+            {**sources, entry.name: view_handle, plus: delta.insertions,
+             minus: delta.deletions}, entry.updated)
+
     def evaluate_putback(self, entry: 'ViewEntry',
                          sources: Mapping[str, object],
                          view_rows) -> DeltaSet:
@@ -221,47 +228,11 @@ class Backend(ABC):
 
         The strategy's ⊥-rules are checked against the same staged
         inputs first (one staging/freeze pass for both steps), raising
-        :class:`ConstraintViolation`."""
+        :class:`ConstraintViolation`.  By default the interpreter runs
+        it."""
+        return entry.strategy.compute_delta(sources, view_rows, check=True)
 
     def close(self) -> None:
         """Release backend resources (the SQLite connection, stored
         rows).  A closed backend serves no reads; row sets :meth:`rows`
         handed out earlier stay valid for their holder."""
-
-    # -- interpreted execution (shared fallback) ----------------------
-    #
-    # These run the compiled ExecutionPlans through the in-process
-    # interpreter.  MemoryBackend uses them as its primary execution
-    # path; other backends fall back to them for programs their native
-    # lowering cannot express.
-
-    def _eval_input(self, handle):
-        """Resolve an evaluation handle into something the interpreter
-        reads (rows or an IndexedRelation).  Identity by default."""
-        return handle
-
-    def _interp_edb(self, sources: Mapping[str, object]) -> dict:
-        return {name: self._eval_input(handle)
-                for name, handle in sources.items()}
-
-    def _interp_get(self, entry: 'ViewEntry',
-                    sources: Mapping[str, object]) -> set:
-        return execute_goal(entry.get_plan, self._interp_edb(sources),
-                            entry.name)
-
-    def _interp_incremental(self, entry: 'ViewEntry',
-                            sources: Mapping[str, object],
-                            view_handle, delta: Delta) -> DeltaSet:
-        name = entry.name
-        edb = self._interp_edb(sources)
-        edb[insert_pred(name)] = delta.insertions
-        edb[delete_pred(name)] = delta.deletions
-        edb[name] = self._eval_input(view_handle)
-        return execute_deltas(entry.incremental_plan, edb,
-                              entry.strategy.updated_relations())
-
-    def _interp_putback(self, entry: 'ViewEntry',
-                        sources: Mapping[str, object],
-                        view_rows) -> DeltaSet:
-        return entry.strategy.compute_delta(self._interp_edb(sources),
-                                            view_rows, check=True)

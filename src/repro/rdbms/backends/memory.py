@@ -10,13 +10,12 @@ slot-machine interpreter of :mod:`repro.datalog.evaluator`.
 
 from __future__ import annotations
 
-from typing import Iterable, Mapping
+from typing import Iterable
 
 from repro.datalog.evaluator import IndexedRelation
 from repro.errors import SchemaError
 from repro.rdbms.backends.base import Backend, _owned
 from repro.relational.database import Database
-from repro.relational.delta import Delta, DeltaSet
 from repro.relational.schema import DatabaseSchema
 
 __all__ = ['MemoryBackend']
@@ -44,10 +43,13 @@ class MemoryBackend(Backend):
             relation.ensure_index(positions)
 
     def _relation(self, name: str) -> IndexedRelation:
-        if name in self._tables:
-            return self._tables[name]
-        if name in self._caches:
-            return self._caches[name]
+        # An IndexedRelation is always true: one expression, no nested
+        # call on the hit paths.
+        return self._tables.get(name) or self._caches.get(name) \
+            or self._missing(name)
+
+    @staticmethod
+    def _missing(name: str):
         raise SchemaError(f'unknown or unmaterialised relation {name!r}')
 
     def load(self, name: str, rows: set) -> None:
@@ -56,7 +58,8 @@ class MemoryBackend(Backend):
         self._tables[name] = table
 
     def rows(self, name: str):
-        return self._relation(name).rows
+        return (self._tables.get(name) or self._caches.get(name)
+                or self._missing(name)).rows
 
     def snapshot(self) -> Database:
         return Database({name: frozenset(rel.rows)
@@ -119,21 +122,9 @@ class MemoryBackend(Backend):
 
     # -- plan execution -----------------------------------------------
 
-    def eval_handle(self, name: str):
-        """The persistent indexed relation itself — evaluation shares
-        its hash indexes, nothing is copied."""
-        return self._relation(name)
-
-    def evaluate_incremental_batch(self, entry,
-                                   sources: Mapping[str, object],
-                                   view_handle, delta: Delta) -> DeltaSet:
-        """One interpreted pass over the transaction's merged multi-row
-        delta, however many statements were coalesced: a single plan
-        context (one index/EDB setup) checks the ⊥-rules and evaluates
-        the delta goals (:func:`~repro.datalog.evaluator.execute_deltas`)."""
-        return self._interp_incremental(entry, sources, view_handle,
-                                        delta)
-
-    def evaluate_putback(self, entry, sources: Mapping[str, object],
-                         view_rows) -> DeltaSet:
-        return self._interp_putback(entry, sources, view_rows)
+    #: The persistent indexed relation itself — evaluation shares its
+    #: hash indexes, nothing is copied.  Plans run interpreted
+    #: (:class:`Backend`'s default evaluation): ∂put is one pass over
+    #: the transaction's merged multi-row delta, however many
+    #: statements were coalesced, in a single plan context.
+    eval_handle = _relation

@@ -59,8 +59,8 @@ from contextlib import contextmanager
 from dataclasses import dataclass, field
 from typing import Iterable, Mapping
 
-from repro.datalog.ast import (Program, Rule, delete_pred, insert_pred,
-                               is_delta_pred)
+from repro.datalog.ast import Program, Rule, is_delta_pred
+from repro.datalog.evaluator import execute_deltas
 from repro.datalog.pretty import pretty_rule
 from repro.errors import ConstraintViolation, ReproError, SchemaError
 from repro.rdbms.backends.base import Backend, StoredRelation, _owned
@@ -347,9 +347,9 @@ class SQLiteBackend(Backend):
                 f'INSERT OR IGNORE INTO {sql_table(name)} {sql}'))
             self._images.pop(name, None)
 
-        self._sql_or_interpreted(entry, 'get', sources, insert_select,
-                                 lambda: Backend.materialize(self, entry,
-                                                             sources))
+        self._sql_or_interpreted(
+            entry, 'get', sources, insert_select,
+            lambda: Backend.materialize(self, entry, self._readable(sources)))
 
     @_locked
     def drop_cache(self, name: str) -> None:
@@ -405,7 +405,7 @@ class SQLiteBackend(Backend):
                 entry.incremental_program, namer,
                 goals=[goal for goal, relation, _ in
                        entry.incremental_plan.delta_targets
-                       if relation in entry.strategy.updated_relations()],
+                       if relation in entry.updated],
                 label='incremental putback', compiled=compiled)
         compiled.putback = self._lower_query(
             entry.strategy.putdelta, namer,
@@ -536,11 +536,12 @@ class SQLiteBackend(Backend):
     def eval_handle(self, name: str):
         return StoredRelation(name)
 
-    def _eval_input(self, handle):
-        """Interpreter fallback: resolve stored-table markers to rows."""
-        if isinstance(handle, StoredRelation):
-            return self.rows(handle.name)
-        return handle
+    def _readable(self, handles: Mapping[str, object]) -> dict:
+        """Interpreter fallback: stored-table markers resolved to
+        rows."""
+        return {name: self.rows(handle.name)
+                if isinstance(handle, StoredRelation) else handle
+                for name, handle in handles.items()}
 
     def _demote(self, view: str, label: str, exc: Exception) -> None:
         """Compiled SQL failed at *execution* time: permanently route
@@ -578,18 +579,15 @@ class SQLiteBackend(Backend):
         tables with one ``executemany`` per relation and every view
         goal runs one SELECT — no DDL and no per-statement staging
         (asserted by the SQL-trace tests in tests/test_backends.py)."""
-        name = entry.name
-        inputs = dict(sources)
-        inputs[insert_pred(name)] = delta.insertions
-        inputs[delete_pred(name)] = delta.deletions
-        inputs[name] = view_handle
+        plus, minus = entry.delta_names
+        inputs = {**sources, entry.name: view_handle,
+                  plus: delta.insertions, minus: delta.deletions}
         return self._sql_or_interpreted(
             entry, 'incremental', inputs,
             lambda cur, prog: self._deltas_on(
-                cur, prog, entry.incremental_plan,
-                entry.strategy.updated_relations()),
-            lambda: self._interp_incremental(entry, sources, view_handle,
-                                             delta))
+                cur, prog, entry.incremental_plan, entry.updated),
+            lambda: execute_deltas(entry.incremental_plan,
+                                   self._readable(inputs), entry.updated))
 
     @_locked
     def evaluate_putback(self, entry, sources: Mapping[str, object],
@@ -599,9 +597,9 @@ class SQLiteBackend(Backend):
         return self._sql_or_interpreted(
             entry, 'putback', inputs,
             lambda cur, prog: self._deltas_on(
-                cur, prog, entry.strategy.putdelta_plan,
-                entry.strategy.updated_relations()),
-            lambda: self._interp_putback(entry, sources, view_rows))
+                cur, prog, entry.strategy.putdelta_plan, entry.updated),
+            lambda: Backend.evaluate_putback(
+                self, entry, self._readable(sources), view_rows))
 
     # -- introspection / lifecycle ------------------------------------
 

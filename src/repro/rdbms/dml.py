@@ -10,8 +10,9 @@ earlier ones.
 
 from __future__ import annotations
 
+from collections.abc import Callable, Mapping, Sequence
 from dataclasses import dataclass, field
-from typing import Callable, Mapping, Sequence, Union
+from typing import Union
 
 from repro.errors import SchemaError, ViewUpdateError
 from repro.relational.delta import Composition, Delta
@@ -141,7 +142,7 @@ def _apply_assignments(row: tuple, assignments: Mapping[str, object],
             raise SchemaError(
                 f'unknown column {attr!r} in SET for {schema.name!r}')
         named[attr] = value(dict(named)) if callable(value) else value
-    return tuple(named[a] for a in schema.attributes)
+    return tuple(map(named.__getitem__, schema.attributes))
 
 
 class _RunningState(Composition):
@@ -155,13 +156,13 @@ class _RunningState(Composition):
     bucket instead of iterating ``current``; it may answer None for
     "no index after all"."""
 
-    __slots__ = ('current', 'probe', 'metrics')
+    __slots__ = ('current', 'probe', 'counters')
 
-    def __init__(self, current, probe=None, metrics=None):
+    def __init__(self, current, probe=None, counters=None):
         super().__init__()
         self.current = current
         self.probe = probe
-        self.metrics = metrics
+        self.counters = counters
 
     def matching(self, where, schema: RelationSchema) -> list:
         """Rows satisfying ``where``.  A fully keyed mapping is a
@@ -170,12 +171,13 @@ class _RunningState(Composition):
         exactly those columns — O(matches) — when a ``probe`` was
         given; everything else (callable, ``None``, an unknown column,
         an unhashable value, no index) iterates ``current``."""
-        metrics = self.metrics
-        if isinstance(where, Mapping) and \
-                set(where) == set(schema.attributes):
-            if metrics is not None:
-                metrics.counter('dml.where_probes')
-            row = tuple(where[a] for a in schema.attributes)
+        counters = self.counters
+        # (``dict`` first: an ABC check is a Python call.)
+        mapping = where.__class__ is dict or isinstance(where, Mapping)
+        if mapping and set(where) == set(schema.attributes):
+            if counters is not None:
+                counters.append('dml.where_probes')
+            row = tuple(map(where.__getitem__, schema.attributes))
             return [row] if self.contains(row) else []
         match = compile_where(where, schema)
         current, plus, minus = \
@@ -183,9 +185,9 @@ class _RunningState(Composition):
         # The bucket only narrows the candidates (it holds every row
         # equal to the key under ``==``, since equal values hash
         # equal); ``match`` still decides, exactly as in the scan.
-        candidates = self._bucket(where, schema)
-        if metrics is not None:
-            metrics.counter('dml.where_scans' if candidates is None
+        candidates = self._bucket(where, schema) if mapping else None
+        if counters is not None:
+            counters.append('dml.where_scans' if candidates is None
                             else 'dml.where_probes')
         if candidates is None:
             candidates = current
@@ -198,27 +200,26 @@ class _RunningState(Composition):
                         if row not in current and match(row)]
         return matched
 
-    def _bucket(self, where, schema: RelationSchema):
+    def _bucket(self, where: Mapping, schema: RelationSchema):
         """The rows of ``current`` a column→value ``where`` can match,
         from the hash index on its column set — or None when only a
         scan can answer it."""
-        if self.probe is None or not where \
-                or not isinstance(where, Mapping):
+        if self.probe is None or not where:
             return None
         attributes = schema.attributes
         try:
-            pairs = sorted((attributes.index(attr), expected)
-                           for attr, expected in where.items())
+            pairs = sorted([(attributes.index(attr), expected)
+                            for attr, expected in where.items()])
         except ValueError:
             # Unknown column: the scan raises lazily, per row, and
             # stays silent on an empty relation.
             return None
-        key = tuple(expected for _, expected in pairs)
+        positions, key = zip(*pairs)
         try:
             hash(key)
         except TypeError:
             return None
-        return self.probe(tuple(position for position, _ in pairs), key)
+        return self.probe(positions, key)
 
     def contains(self, row: tuple) -> bool:
         if row in self.insertions:
@@ -248,7 +249,7 @@ def _statement_deltas(statement: Statement, state: _RunningState,
 
 def derive_view_delta(statements: Sequence[Statement], current,
                       schema: RelationSchema, *, probe=None,
-                      metrics=None) -> Delta:
+                      counters: list | None = None) -> Delta:
     """Algorithm 2: fold a statement sequence into one view delta.
 
     Each statement's (δ⁺, δ⁻) is derived against the *running* view state
@@ -269,9 +270,11 @@ def derive_view_delta(statements: Sequence[Statement], current,
     ``probe`` and column→value WHEREs read one hash bucket instead of
     iterating ``current`` (a ``probe`` that returns None sends that
     statement back to the scan); the derived delta is the same either
-    way.  ``metrics`` (a :class:`~repro.rdbms.metrics.MetricsRegistry`)
-    counts, per UPDATE/DELETE statement, which path answered its
-    WHERE: ``dml.where_probes`` or ``dml.where_scans``.
+    way.  ``counters``, a list, gets the name of the path that
+    answered each UPDATE/DELETE statement's WHERE appended —
+    ``dml.where_probes`` or ``dml.where_scans`` — for the caller to
+    record (the engine ticks them with its transaction's other
+    counters, :meth:`~repro.rdbms.metrics.MetricsRegistry.record`).
     """
     state = None
     run = []
@@ -280,7 +283,7 @@ def derive_view_delta(statements: Sequence[Statement], current,
             run.append(tuple(statement.values))
             continue
         if state is None:
-            state = _RunningState(current, probe, metrics)
+            state = _RunningState(current, probe, counters)
         if run:
             schema.check_rows(run)
             state.then(set(run), ())

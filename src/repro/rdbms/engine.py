@@ -48,6 +48,14 @@ consequently see the transaction's *net* effect — SQL's
 deferred-constraint semantics, the one the paper's ``put(S, V')``
 states: a transaction commits ``put(S, V')`` for its net view ``V'``
 (``tests/test_put_oracle.py`` holds the engine to exactly that).
+
+A one-row write should cost its rules and little else (the paper
+deploys a strategy as one trigger per view, §6.1), so the frame around
+the plan run resolves each fact once per transaction: one record per
+touched relation (:class:`_Touched` — view entry, schema, stored rows,
+evaluation handle, staged and pending deltas), ∂put's inputs named at
+``define_view``, and the transaction's timings and counts recorded in
+one registry call at commit.
 """
 
 from __future__ import annotations
@@ -63,10 +71,9 @@ from repro.core.incremental import incrementalize_plan
 from repro.core.lvgn import is_lvgn
 from repro.core.strategy import UpdateStrategy
 from repro.core.validation import ValidationReport, validate
-from repro.datalog.ast import Program
+from repro.datalog.ast import Program, delete_pred, insert_pred
 from repro.datalog.plan import ExecutionPlan, compile_program
-from repro.errors import (ContradictionError, SchemaError, ValidationError,
-                          ViewUpdateError)
+from repro.errors import SchemaError, ValidationError
 from repro.rdbms.backends import Backend, create_backend
 from repro.rdbms.dml import (Delete, Insert, Statement, Update,
                              derive_view_delta)
@@ -129,14 +136,19 @@ class ViewEntry:
     #: runs the O(|S|) full putback, or keeps its previous ∂put plan on
     #: a re-plan); None when it never did.
     incremental_error: str | None = None
+    # Named once here rather than on every flush: the view's schema,
+    # ∂put's staged inputs ``+v`` / ``-v``, and the relations its
+    # delta goals may write.
+    schema: RelationSchema = field(init=False)
+    name: str = field(init=False)
+    delta_names: tuple[str, str] = field(init=False)
+    updated: frozenset = field(init=False)
 
-    @property
-    def name(self) -> str:
-        return self.strategy.view.name
-
-    @property
-    def schema(self) -> RelationSchema:
-        return self.strategy.view
+    def __post_init__(self):
+        self.schema = self.strategy.view
+        self.name = self.schema.name
+        self.delta_names = (insert_pred(self.name), delete_pred(self.name))
+        self.updated = self.strategy.updated_relations()
 
     def plans(self) -> tuple[ExecutionPlan, ...]:
         """The plans this view runs (for index pre-building): the get
@@ -161,6 +173,12 @@ class PreparedCommit:
     #: atomically with the delta it acknowledges).  Replay collects
     #: notes into ``Engine.replayed_notes`` without interpreting them.
     note: object = None
+    #: What the transaction measured up to its prepare, recorded with
+    #: the commit's own sample in one registry call
+    #: (:meth:`Engine.apply_prepared`): ``(histogram, seconds)`` pairs
+    #: and the names of counters to tick.
+    samples: list = field(default_factory=list, repr=False, compare=False)
+    counters: list = field(default_factory=list, repr=False, compare=False)
 
     def wal_record(self) -> tuple:
         """The frozen ``commit`` record payload for this batch — what
@@ -211,11 +229,59 @@ def coalesce_buckets(batches: Sequence[tuple[str, Sequence[Statement]]]
     return out
 
 
+class _Touched:
+    """One relation's share of a transaction, resolved once — when the
+    transaction first reads or writes the relation: its view entry
+    (None for a base table) and schema, the backend's evaluation handle
+    and stored rows (fetched on the first read: a relation that is only
+    evaluated over never has its rows handed to Python), and what the
+    transaction staged on it.
+
+    ``delta`` is everything staged on the relation, ``overlay`` the
+    stored rows with it applied (built only when the relation is read
+    again after staging), and ``origins`` who staged it.  A view also
+    carries its *pending* share for the batched pipeline: the staged
+    but untranslated delta ∂put runs over, the origins that staged it,
+    and ``pre``, the evaluation handle of the view before it — what
+    the single plan run reads as the old ``v``.  A staged delta is
+    held as it arrives (a frozen :class:`Delta`); a
+    :class:`Composition` is built only when a second one comes."""
+
+    __slots__ = ('entry', 'schema', 'stored', 'handle', 'delta', 'overlay',
+                 'origins', 'pending', 'pending_origins', 'pre')
+
+    def __init__(self, entry, schema, handle):
+        self.entry = entry
+        self.schema = schema
+        self.handle = handle
+        self.stored = None
+        self.delta = None
+        self.overlay = None
+        self.origins = set()
+        self.pending = None
+        self.pending_origins = None
+        self.pre = None
+
+
+def _then(staged, delta):
+    """``staged`` followed by ``delta``: a :class:`Composition` of the
+    two — ``staged`` itself once it is one."""
+    if staged.__class__ is not Composition:
+        staged = Composition(staged.insertions, staged.deletions)
+    staged.then(delta.insertions, delta.deletions)
+    return staged
+
+
+#: The origin of a base-table bucket's writes.
+_DIRECT = ('<direct>',)
+
+
 class _Working:
-    """Uncommitted transaction state: accumulated per-relation deltas, a
-    lazy materialisation overlay for relations re-read after staging,
-    and the per-view *pending* queue of staged-but-untranslated deltas
-    the batched pipeline drains once per transaction.
+    """Uncommitted transaction state: one :class:`_Touched` record per
+    relation the transaction has read or written, the queue of views
+    with a pending (staged but untranslated) delta that the batched
+    pipeline drains once per transaction, and what the transaction
+    measured but has not yet recorded.
 
     Each staged write is tagged with its *origins* (the top-level DML
     targets, or ``'<direct>'`` for base-table DML) so commit can decide
@@ -225,19 +291,32 @@ class _Working:
 
     def __init__(self, engine: 'Engine'):
         self.engine = engine
-        self.deltas: dict[str, Composition] = {}
+        self.touched: dict[str, _Touched] = {}
+        # Views with a pending delta, in first-staged (bucket) order.
+        self.pending: dict[str, _Touched] = {}
         self.note: object = None
-        self.touched_views: set[str] = set()
-        self.base_origins: dict[str, set[str]] = {}
-        self.view_origins: dict[str, set[str]] = {}
-        self._materialized: dict[str, set] = {}
-        # Batched translation state, per view with untranslated deltas:
-        # the composition of its staged effective deltas, the origins
-        # that contributed them, and the eval handle of the pre-delta
-        # view the single plan run reads as ``v``.
-        self.pending: dict[str, Composition] = {}
-        self.pending_origins: dict[str, set[str]] = {}
-        self.pending_view: dict[str, object] = {}
+        # ``(histogram, seconds)`` samples and counter names, recorded
+        # in one registry call at commit (or when the transaction is
+        # abandoned: Engine.abort).
+        self.samples: list = []
+        self.counters: list = []
+
+    def touch(self, name: str) -> _Touched:
+        """``name``'s record, resolved on first use: a view's cache is
+        materialised here, once per transaction."""
+        engine = self.engine
+        entry = engine._views.get(name)
+        if entry is not None:
+            schema = entry.schema
+            if not engine.backend.has_cache(name):
+                engine._ensure_view_cache(name)
+        else:
+            schema = engine._bases.get(name)
+            if schema is None:
+                raise SchemaError(f'unknown relation {name!r}')
+        touched = self.touched[name] = _Touched(
+            entry, schema, engine.backend.eval_handle(name))
+        return touched
 
     def rows(self, name: str):
         """Current contents of ``name`` as seen inside the transaction.
@@ -246,78 +325,45 @@ class _Working:
         in place by :meth:`stage` (O(|Δ|) per statement, not O(|R|)).
         Treat the result as read-only; it is the backend's live set
         (:meth:`Backend.rows`) or the transaction's mutable overlay."""
-        overlay = self._materialized.get(name)
-        if overlay is not None:
-            return overlay
-        baseline = self.engine.rows(name)
-        delta = self.deltas.get(name)
-        if delta is None or delta.is_empty():
-            return baseline
-        overlay = set(baseline)
-        overlay -= delta.deletions
-        overlay |= delta.insertions
-        self._materialized[name] = overlay
+        touched = self.touched.get(name) or self.touch(name)
+        stored = touched.stored
+        if stored is None:
+            stored = touched.stored = self.engine.backend.rows(name)
+        delta = touched.delta
+        if delta is None:
+            return stored
+        overlay = touched.overlay
+        if overlay is None:
+            overlay = touched.overlay = set(stored)
+            overlay -= delta.deletions
+            overlay |= delta.insertions
         return overlay
-
-    def _unstaged(self, name: str) -> bool:
-        """Does the transaction still read ``name`` straight from the
-        backend's storage (nothing staged, no copied overlay)?"""
-        delta = self.deltas.get(name)
-        return (delta is None or delta.is_empty()) \
-            and name not in self._materialized
-
-    def relation_for_eval(self, name: str):
-        """What evaluation should read for ``name``: the backend's
-        stored relation when unstaged, else the staged rows."""
-        if self._unstaged(name):
-            return self.engine.eval_handle(name)
-        return self.rows(name)
 
     def probe(self, name: str, positions: tuple[int, ...], key: tuple):
         """:meth:`Backend.probe` while :meth:`rows` is still the stored
         relation; None (no index: scan) once it is the transaction's
         copied overlay, a plain set."""
-        if self._unstaged(name):
+        if self.touched[name].delta is None:
             return self.engine.backend.probe(name, positions, key)
         return None
 
-    def pre_view(self, name: str, rows):
-        """The eval handle of ``name`` *before* any pending delta,
-        given its current ``rows`` — what the batched plan run reads as
-        the old view.  For an unstaged view this is the backend's
-        stored relation (no copy; on every backend it changes only at
-        commit); once staged, a frozen copy is taken so later overlay
-        updates cannot drift under the handle."""
-        if self._unstaged(name):
-            return self.engine.eval_handle(name)
-        return frozenset(rows)
-
-    def stage(self, name: str, delta: Delta, *, is_view: bool,
-              origins: Iterable[str]) -> None:
-        clash = delta.contradictions()
-        if clash:
-            raise ContradictionError(name, clash)
+    def stage(self, touched: _Touched, delta, origins) -> None:
+        """Stage ``delta`` — effective on the relation's current rows,
+        so free of contradictions — on ``touched``'s relation."""
+        touched.origins.update(origins)
+        if not (delta.insertions or delta.deletions):
+            return
         # Everything a commit logs and applies was staged here first:
         # refuse now what the backend cannot hold — once the log has
         # the row it is too late, and a view row would otherwise fail
         # to bind when the backend stages it for ∂put.
-        engine = self.engine
-        engine.backend.check_storable(
-            engine._views[name].schema if is_view else engine.schema[name],
-            delta.insertions)
-        staged = self.deltas.get(name)
-        if staged is None:
-            staged = self.deltas[name] = Composition()
-        staged.then(delta.insertions, delta.deletions)
-        overlay = self._materialized.get(name)
+        self.engine.backend.check_storable(touched.schema, delta.insertions)
+        staged = touched.delta
+        touched.delta = delta if staged is None else _then(staged, delta)
+        overlay = touched.overlay
         if overlay is not None:
             overlay -= delta.deletions
             overlay |= delta.insertions
-        if is_view:
-            self.touched_views.add(name)
-            self.view_origins.setdefault(name, set()).update(origins)
-        else:
-            self.base_origins.setdefault(name, set()).update(origins)
 
 
 class DmlSurface:
@@ -390,6 +436,8 @@ class Engine(DmlSurface):
                  wal_sync: bool = True):
         self.schema = schema
         self.backend = create_backend(backend, schema)
+        self._bases: dict[str, RelationSchema] = {
+            relation.name: relation for relation in schema}
         self._views: dict[str, ViewEntry] = {}
         # Durability: with a WAL attached, every committed transaction
         # appends its PreparedCommit batch *before* storage is touched
@@ -614,7 +662,7 @@ class Engine(DmlSurface):
         view — what compiled plans read when the relation is unstaged."""
         if name in self._views:
             self._ensure_view_cache(name)
-        elif name not in self.schema:
+        elif name not in self._bases:
             raise SchemaError(f'unknown relation {name!r}')
         return self.backend.eval_handle(name)
 
@@ -631,7 +679,7 @@ class Engine(DmlSurface):
         """
         if name in self._views:
             self._ensure_view_cache(name)
-        elif name not in self.schema:
+        elif name not in self._bases:
             raise SchemaError(f'unknown relation {name!r}')
         return self.backend.rows(name)
 
@@ -820,10 +868,12 @@ class Engine(DmlSurface):
         """
         if self.backend.kind != 'memory':
             return
+        # The sampling count needs no lock: a lost increment only moves
+        # the next probe by one flush.
+        entry.drift_probes += 1
+        if (entry.drift_probes - 1) % REPLAN_CHECK_INTERVAL:
+            return
         with self._plan_lock:
-            entry.drift_probes += 1
-            if (entry.drift_probes - 1) % REPLAN_CHECK_INTERVAL:
-                return
             factor = REPLAN_DRIFT_FACTOR
             stats = None
             drifted = False
@@ -882,24 +932,45 @@ class Engine(DmlSurface):
         — it becomes durable atomically with the deltas."""
         working = self.begin()
         working.note = note
-        for target, statements in coalesce_buckets(batches):
-            self.apply_statements(working, target, statements)
-        self._commit(working)
+        try:
+            for target, statements in coalesce_buckets(batches):
+                self.apply_statements(working, target, statements)
+            prepared = self.prepare_commit(working)
+        except BaseException:
+            self.abort(working)
+            raise
+        self.apply_prepared(prepared)
 
     # -- the reusable transaction pipeline ---------------------------------
     #
     # A transaction is: ``begin()`` → ``apply_statements(...)`` per
     # statement bucket → ``prepare_commit()`` (everything that can
     # raise: pending translations, constraint checks, schema
-    # validation) → ``apply_prepared()`` (pure storage writes).  The
-    # sharded engine drives several engines through these pieces in
-    # lock-step — prepare on every touched shard first, apply only once
-    # all shards prepared — which is what makes a multi-shard abort
-    # leave every shard untouched.
+    # validation) → ``apply_prepared()`` (pure storage writes), or
+    # ``abort()`` instead of the last step.  The sharded engine drives
+    # several engines through these pieces in lock-step — prepare on
+    # every touched shard first, apply only once all shards prepared —
+    # which is what makes a multi-shard abort leave every shard
+    # untouched.
+    #
+    # Each phase appends its timing to the transaction
+    # (``txn.apply_seconds`` per bucket, ``txn.flush_seconds`` and
+    # ``txn.plan_runs`` per plan run, ``txn.prepare_seconds`` per
+    # prepare); the commit adds its own and records them all with one
+    # registry call, and ``abort`` records what an abandoned
+    # transaction measured.
 
     def begin(self) -> _Working:
         """Open uncommitted transaction state (one per transaction)."""
         return _Working(self)
+
+    def abort(self, working: _Working) -> None:
+        """Abandon an open transaction.  Storage was never touched, so
+        nothing is undone: only what the transaction measured so far is
+        recorded."""
+        if working.samples or working.counters:
+            self.metrics.record(working.samples, working.counters)
+            working.samples, working.counters = [], []
 
     def flush_reads(self, working: _Working, target: str) -> None:
         """Make ``target`` consistent for an out-of-band read inside
@@ -914,54 +985,53 @@ class Engine(DmlSurface):
         """Run one statement bucket against ``working`` (derive and
         stage deltas; no storage is touched until commit)."""
         metrics = self.metrics
-        if not metrics.enabled:
-            return self._apply_statements(working, target, statements)
-        started = perf_counter()
+        started = perf_counter() if metrics.enabled else None
         try:
-            return self._apply_statements(working, target, statements)
+            if target not in self._views and target not in self._bases:
+                raise SchemaError(f'unknown relation {target!r}')
+            if not statements:
+                return
+            # Statement-order visibility: before this bucket reads
+            # ``target``, translate any pending view delta that could
+            # still write it (none is pending for the first bucket).
+            if working.pending:
+                self._flush_for_read(working, target)
+            touched = working.touched.get(target) or working.touch(target)
+            # Algorithm 2's delta is effective on the rows it was
+            # derived against: staged as it is.
+            delta = derive_view_delta(
+                statements, working.rows(target), touched.schema,
+                probe=partial(working.probe, target),
+                counters=working.counters if started is not None else None)
+            if touched.entry is None:
+                working.stage(touched, delta, _DIRECT)
+            elif delta.insertions or delta.deletions:
+                self._defer_view_delta(working, touched, delta, (target,))
         finally:
-            metrics.observe('txn.apply_seconds',
-                            perf_counter() - started)
+            if started is not None:
+                working.samples.append(('txn.apply_seconds',
+                                        perf_counter() - started))
 
-    def _apply_statements(self, working: _Working, target: str,
-                          statements: Sequence[Statement]) -> None:
-        if target not in self._views and target not in self.schema:
-            raise SchemaError(f'unknown relation {target!r}')
-        if not statements:
-            return
-        # Statement-order visibility: before this bucket reads
-        # ``target``, translate any pending view delta that could still
-        # write it (a no-op for the common same-view statement runs).
-        self._flush_for_read(working, target)
-        is_view = target in self._views
-        schema = self._views[target].schema if is_view \
-            else self.schema[target]
-        delta = derive_view_delta(statements, working.rows(target), schema,
-                                  probe=partial(working.probe, target),
-                                  metrics=self.metrics)
-        if not is_view:
-            working.stage(target, delta, is_view=False,
-                          origins=('<direct>',))
-        elif not delta.is_empty():
-            self._defer_view_delta(working, target, delta,
-                                   origins=(target,))
-
-    def _defer_view_delta(self, working: _Working, name: str,
-                          delta: Delta, origins: Iterable[str]) -> None:
-        """Stage a view delta (visible to later statements immediately)
-        and queue it for the once-per-transaction batched translation."""
-        current = working.rows(name)
-        effective = delta.effective_on(current)
-        if effective.is_empty():
-            return
-        staged = working.pending.get(name)
-        if staged is None:
-            staged = working.pending[name] = Composition()
-            working.pending_origins[name] = set()
-            working.pending_view[name] = working.pre_view(name, current)
-        staged.then(effective.insertions, effective.deletions)
-        working.pending_origins[name].update(origins)
-        working.stage(name, effective, is_view=True, origins=origins)
+    def _defer_view_delta(self, working: _Working, view: _Touched,
+                          delta: Delta, origins) -> None:
+        """Stage a view delta — non-empty and effective on the view's
+        current rows — visible to later statements at once, and queue
+        it for the once-per-transaction batched translation."""
+        if view.pending is None:
+            name = view.entry.name
+            # The view before the pending delta: the stored relation
+            # while unstaged (on every backend it changes only at
+            # commit), else a frozen copy, so that later overlay
+            # updates cannot drift under the handle.
+            view.pre = view.handle if view.delta is None \
+                else frozenset(working.rows(name))
+            view.pending = delta
+            view.pending_origins = set(origins)
+            working.pending[name] = view
+        else:
+            view.pending = _then(view.pending, delta)
+            view.pending_origins.update(origins)
+        working.stage(view, delta, origins)
 
     def _flush_for_read(self, working: _Working, target: str) -> None:
         """Conflict gate for statement-order visibility: a bucket on
@@ -969,8 +1039,8 @@ class Engine(DmlSurface):
         could still *write* ``target`` (the bucket must see that write)
         or *reads* it as a source (the pending plan run must not see
         the bucket's write), drain the pending queue first."""
-        for name in working.pending:
-            entry = self._views[name]
+        for view in working.pending.values():
+            entry = view.entry
             if target in entry.update_closure \
                     or target in entry.source_names:
                 self._flush_pending(working)
@@ -982,113 +1052,113 @@ class Engine(DmlSurface):
         into its cascades.  The update graph is acyclic (strategies
         only update already-defined relations), so the drain
         terminates."""
-        while working.pending:
-            self._flush_view(working, next(iter(working.pending)))
+        pending = working.pending
+        while pending:
+            self._flush_view(working, next(iter(pending)))
 
     def _flush_view(self, working: _Working, name: str) -> None:
         """The trigger pipeline for one view, run once over the
-        composition of its staged deltas: evaluate ∂put (or the full
+        composition of its pending deltas: evaluate ∂put (or the full
         putback) over the merged effective delta — the compiled program
         checks its own ⊥-rules first — and stage — or queue, for source
         views — the resulting ΔS."""
-        staged = working.pending.pop(name, None)
-        if staged is None:
+        view = working.pending.pop(name, None)
+        if view is None:
             return
-        view_handle = working.pending_view.pop(name)
-        origins = working.pending_origins.pop(name)
-        entry = self._views[name]
+        staged, origins, view_handle = \
+            view.pending, view.pending_origins, view.pre
+        view.pending = view.pending_origins = view.pre = None
+        entry = view.entry
         self._maybe_replan(entry)
-        # The composition is the merged delta the backend reads.  It
-        # may keep a row written and undone since the view was queued
-        # (in -v but not in v, or in +v and already in v).  Such a row
-        # is still outside v' (a -v row) or inside it (a +v row), which
-        # is all a ∂put rule asks of ±v on a steady state.
-        sources = {s: working.relation_for_eval(s)
-                   for s in entry.source_names}
+        # The merged delta may keep a row written and undone since the
+        # view was queued (in -v but not in v, or in +v and already in
+        # v).  Such a row is still outside v' (a -v row) or inside it
+        # (a +v row), which is all a ∂put rule asks of ±v on a steady
+        # state.  Each source is read from storage while unstaged.
+        touched = working.touched
+        sources = {}
+        for source in entry.source_names:
+            record = touched.get(source) or working.touch(source)
+            sources[source] = record.handle if record.delta is None \
+                else working.rows(source)
 
         metrics = self.metrics
-        flush_started = perf_counter() if metrics.enabled else 0.0
+        started = perf_counter() if metrics.enabled else None
         if entry.use_incremental:
             deltas = self.backend.evaluate_incremental_batch(
                 entry, sources, view_handle, staged)
         else:
             deltas = self.backend.evaluate_putback(
                 entry, sources, working.rows(name))
-        if metrics.enabled:
-            metrics.counter('txn.plan_runs')
-            metrics.observe('txn.flush_seconds',
-                            perf_counter() - flush_started)
+        if started is not None:
+            working.samples.append(('txn.flush_seconds',
+                                    perf_counter() - started))
+            working.counters.append('txn.plan_runs')
 
-        for relation in sorted(deltas.relations()):
-            rel_delta = deltas[relation].effective_on(
-                working.rows(relation))
-            if rel_delta.is_empty():
+        # The goals write only relations the strategy updates, each of
+        # which ``define_view`` checked exists.
+        for relation, delta in sorted(deltas.deltas.items()):
+            record = touched.get(relation) or working.touch(relation)
+            delta = delta.effective_on(working.rows(relation))
+            if not (delta.insertions or delta.deletions):
                 continue
-            if relation in self._views:
+            if record.entry is not None:
                 # Cascades translate depth-first: only *bucket* deltas
                 # are coalesced across the transaction, and a view
                 # queued after this one reads what the cascade writes.
-                self._defer_view_delta(working, relation, rel_delta,
-                                       origins=origins)
+                self._defer_view_delta(working, record, delta, origins)
                 self._flush_view(working, relation)
-            elif relation in self.schema:
-                working.stage(relation, rel_delta, is_view=False,
-                              origins=origins)
             else:
-                raise ViewUpdateError(
-                    f'strategy for {name!r} updates unknown relation '
-                    f'{relation!r}')
+                working.stage(record, delta, origins)
 
     def prepare_commit(self, working: _Working) -> 'PreparedCommit':
         """Everything commit does that can *fail*: drain the pending
         view translations (plan runs, ⊥-constraint checks) and validate
         every inserted base row — with storage still untouched.  The
         returned :class:`PreparedCommit` is then applied with
-        :meth:`apply_prepared`; abandoning it aborts the transaction
-        with no cleanup needed."""
-        metrics = self.metrics
-        if not metrics.enabled:
-            return self._prepare_commit(working)
-        started = perf_counter()
+        :meth:`apply_prepared`; abandoning it (:meth:`abort`) aborts
+        the transaction with no cleanup needed."""
+        started = perf_counter() if self.metrics.enabled else None
         try:
-            return self._prepare_commit(working)
-        finally:
-            metrics.observe('txn.prepare_seconds',
-                            perf_counter() - started)
-
-    def _prepare_commit(self, working: _Working) -> 'PreparedCommit':
-        self._flush_pending(working)
-        # Validate every inserted base row before touching storage, so a
-        # schema error cannot leave a half-applied transaction behind.
-        # (Whether the backend can hold them was asked when each delta
-        # was staged — :meth:`_Working.stage`.)
-        for name, delta in working.deltas.items():
-            if name not in self._views:
-                self.schema[name].check_rows(delta.insertions)
-        changed_bases: set[str] = set()
-        batch: list[tuple[str, Delta, bool]] = []
-        for name, delta in working.deltas.items():
-            if delta.is_empty():
-                continue
-            if name in self._views:
-                if self.backend.has_cache(name):
+            self._flush_pending(working)
+            # One pass over the touched relations.  Every inserted base
+            # row is validated before storage is touched, so a schema
+            # error cannot leave a half-applied transaction behind
+            # (whether the backend can hold them was asked when each
+            # delta was staged — :meth:`_Working.stage`).
+            batch: list[tuple[str, object, bool]] = []
+            changed_bases: set[str] = set()
+            views: list[_Touched] = []
+            for name, touched in working.touched.items():
+                delta = touched.delta
+                if delta is None:
+                    continue
+                if touched.entry is None:
+                    touched.schema.check_rows(delta.insertions)
+                    batch.append((name, delta, False))
+                    changed_bases.add(name)
+                else:
+                    # A staged view was materialised when first touched.
                     batch.append((name, delta, True))
-            else:
-                batch.append((name, delta, False))
-                changed_bases.add(name)
-        # A touched view's cache stays valid only when every write under
-        # it came from its own update pipeline(s).
-        keep: set[str] = set()
-        for view in working.touched_views:
-            entry = self._views[view]
-            own = working.view_origins.get(view, set())
-            foreign = set()
-            for base in entry.base_closure & changed_bases:
-                foreign |= working.base_origins.get(base, set()) - own
-            if not foreign:
-                keep.add(view)
-        return PreparedCommit(batch=batch, changed_bases=changed_bases,
-                              keep=keep, note=working.note)
+                    views.append(touched)
+            # A touched view's cache stays valid only when every write
+            # under it came from its own update pipeline(s).
+            keep: set[str] = set()
+            for view in views:
+                own = view.origins
+                for base in view.entry.base_closure & changed_bases:
+                    if working.touched[base].origins - own:
+                        break
+                else:
+                    keep.add(view.entry.name)
+            return PreparedCommit(batch=batch, changed_bases=changed_bases,
+                                  keep=keep, note=working.note,
+                                  samples=working.samples,
+                                  counters=working.counters)
+        finally:
+            if started is not None:
+                working.samples.append(('txn.prepare_seconds',
+                                        perf_counter() - started))
 
     def apply_prepared(self, prepared: 'PreparedCommit') -> None:
         """Apply a prepared transaction: one backend delta batch plus
@@ -1101,17 +1171,19 @@ class Engine(DmlSurface):
         it replays the transaction, a crash before it aborts cleanly
         (committed-prefix semantics)."""
         metrics = self.metrics
-        started = perf_counter() if metrics.enabled else 0.0
+        started = perf_counter() if metrics.enabled else None
         if prepared.batch:
             if self.wal is not None and not self._wal_replaying:
                 self.wal.append('commit', prepared.wal_record())
             self.backend.apply_deltas(prepared.batch)
-        self._invalidate_dependents(prepared.changed_bases,
-                                    keep=prepared.keep)
-        if metrics.enabled:
-            metrics.counter('txn.commits')
-            metrics.observe('txn.commit_seconds',
-                            perf_counter() - started)
+        if prepared.changed_bases:
+            self._invalidate_dependents(prepared.changed_bases,
+                                        keep=prepared.keep)
+        if started is not None:
+            prepared.samples.append(('txn.commit_seconds',
+                                     perf_counter() - started))
+            prepared.counters.append('txn.commits')
+            metrics.record(prepared.samples, prepared.counters)
         # Post-commit hooks (peer delta publication).  Never during
         # replay: recovery rebuilds state, it must not re-publish — the
         # peer layer reconciles missed publications from its own outbox
@@ -1120,13 +1192,8 @@ class Engine(DmlSurface):
             for listener in self.commit_listeners:
                 listener((prepared,))
 
-    def _commit(self, working: _Working) -> None:
-        self.apply_prepared(self.prepare_commit(working))
-
     def _invalidate_dependents(self, changed_bases: set[str],
                                keep: set[str] = frozenset()) -> None:
-        if not changed_bases:
-            return
         for view, entry in self._views.items():
             if view in keep:
                 continue

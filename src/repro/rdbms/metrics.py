@@ -77,29 +77,41 @@ class MetricsRegistry:
 
     def observe(self, name: str, value: float) -> None:
         """Record one sample into the histogram ``name``."""
+        self.record(((name, value),))
+
+    def record(self, samples, counters=()) -> None:
+        """Record ``samples`` — ``(histogram, value)`` pairs — and add
+        one to each counter named in ``counters``, under one lock: a
+        transaction's phase timings and counts in one call."""
         if not self.enabled:
             return
         with self._lock:
-            hist = self._hists.get(name)
-            if hist is None:
-                hist = self._hists[name] = {
-                    'count': 0, 'sum': 0.0,
-                    'min': value, 'max': value,
-                    'reservoir': [],
-                }
-            hist['count'] += 1
-            hist['sum'] += value
-            if value < hist['min']:
-                hist['min'] = value
-            if value > hist['max']:
-                hist['max'] = value
-            reservoir = hist['reservoir']
-            if len(reservoir) >= 2 * RESERVOIR_SIZE:
-                # Keep the most recent window (recency is what
-                # operators want from latency percentiles), trimming
-                # half at a time so appends stay amortised O(1).
-                del reservoir[:RESERVOIR_SIZE]
-            reservoir.append(value)
+            hists = self._hists
+            for name, value in samples:
+                hist = hists.get(name)
+                if hist is None:
+                    hist = hists[name] = {
+                        'count': 0, 'sum': 0.0,
+                        'min': value, 'max': value,
+                        'reservoir': [],
+                    }
+                hist['count'] += 1
+                hist['sum'] += value
+                if value < hist['min']:
+                    hist['min'] = value
+                if value > hist['max']:
+                    hist['max'] = value
+                reservoir = hist['reservoir']
+                if len(reservoir) >= 2 * RESERVOIR_SIZE:
+                    # Keep the most recent window (recency is what
+                    # operators want from latency percentiles),
+                    # trimming half at a time so appends stay
+                    # amortised O(1).
+                    del reservoir[:RESERVOIR_SIZE]
+                reservoir.append(value)
+            counts = self._counters
+            for name in counters:
+                counts[name] = counts.get(name, 0) + 1
 
     # -- read side --------------------------------------------------
 

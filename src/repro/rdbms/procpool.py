@@ -247,11 +247,15 @@ class WorkerRuntime:
         worker process each phase fires ``worker.dispatch`` under its
         two-phase name, so a fault rule addresses it either way."""
         working = self.engine.begin()
-        for target, statements in buckets:
-            _phase('apply_statements')
-            self.engine.apply_statements(working, target, statements)
-        _phase('prepare_commit')
-        prepared, token = self._prepare(0, working)
+        try:
+            for target, statements in buckets:
+                _phase('apply_statements')
+                self.engine.apply_statements(working, target, statements)
+            _phase('prepare_commit')
+            prepared, token = self._prepare(0, working)
+        except BaseException:
+            self.engine.abort(working)
+            raise
         _phase('apply_prepared')
         self._apply(self.engine.apply_prepared, prepared)
         return token
@@ -267,8 +271,10 @@ class WorkerRuntime:
     def abort(self, txn: int) -> None:
         """Drop a transaction's staged state (storage was never
         touched: abandoning the working/prepared slots IS rollback)."""
-        self._workings.pop(txn, None)
+        working = self._workings.pop(txn, None)
         self._prepared.pop(txn, None)
+        if working is not None:
+            self.engine.abort(working)
 
     # -- storage / catalog --------------------------------------------
 

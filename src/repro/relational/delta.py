@@ -104,16 +104,18 @@ class Composition:
     when every appended delta is free of contradictions, so is the
     composition.  Composing N single-row deltas costs O(total rows),
     not the O(N²) of rebuilding frozensets each time.  Algorithm 2's
-    running view state, a transaction's staged deltas and a view's
-    pending queue are each one composition; ``insertions`` /
-    ``deletions`` / ``is_empty`` are the read surface of
-    :class:`Delta`, so commit and the backends read either."""
+    running view state is one composition, and so are a relation's
+    staged deltas and a view's pending deltas once a transaction has
+    a second one (``Composition(first.insertions, first.deletions)``
+    starts from the first); ``insertions`` / ``deletions`` /
+    ``is_empty`` are the read surface of :class:`Delta`, so commit
+    and the backends read either."""
 
     __slots__ = ('insertions', 'deletions')
 
-    def __init__(self):
-        self.insertions: set = set()
-        self.deletions: set = set()
+    def __init__(self, insertions=(), deletions=()):
+        self.insertions: set = set(insertions)
+        self.deletions: set = set(deletions)
 
     def then(self, insertions, deletions) -> None:
         if deletions:

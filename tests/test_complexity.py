@@ -14,7 +14,7 @@ from repro.benchsuite.catalog import FIGURE6_VIEWS, entry_by_name
 from repro.benchsuite.workload import build_engine, update_statement
 from repro.datalog import evaluator
 from repro.datalog.plan import clear_plan_cache
-from repro.rdbms.dml import Insert
+from repro.rdbms.dml import Delete, Insert, Update
 from repro.rdbms.metrics import GLOBAL
 from repro.relational.database import Database
 from repro.relational import schema as schema_mod
@@ -162,16 +162,23 @@ class TestViewInsertIsSetAtATime:
     call per stored relation on apply — so a row more in the bucket
     costs a bounded number of Python calls (an index probe of a
     negated source atom: one per row on ``officeinfo``, two on
-    ``outstanding_task``), and a one-row INSERT costs no more than it
-    did before the bucket became a set, at either base size."""
+    ``outstanding_task``), and a one-row INSERT, UPDATE by key or
+    DELETE by key costs a pinned number of calls, the same at either
+    base size."""
 
     #: Python calls per extra row of a warm INSERT bucket.
     PER_ROW = {'luxuryitems': 0, 'officeinfo': 1, 'outstanding_task': 2,
                'vw_brands': 0}
-    #: Python calls of a warm one-row INSERT when the bucket was
-    #: derived, evaluated and applied row by row.
-    ONE_ROW = {'luxuryitems': 142, 'officeinfo': 142,
-               'outstanding_task': 167, 'vw_brands': 175}
+    #: Python calls of a warm one-row INSERT, UPDATE of the view's
+    #: second column (one no ⊥-rule reads) by key, and DELETE by key:
+    #: the transaction's frame — one record per touched relation, one
+    #: registry call — plus its generated rule code.
+    ONE_ROW = {'luxuryitems': 66, 'officeinfo': 65,
+               'outstanding_task': 73, 'vw_brands': 87}
+    ONE_ROW_UPDATE = {'luxuryitems': 85, 'officeinfo': 85,
+                      'outstanding_task': 99, 'vw_brands': 106}
+    ONE_ROW_DELETE = {'luxuryitems': 79, 'officeinfo': 78,
+                      'outstanding_task': 91, 'vw_brands': 100}
 
     @pytest.mark.parametrize('view', FIGURE6_VIEWS)
     def test_calls_per_row(self, view):
@@ -193,6 +200,47 @@ class TestViewInsertIsSetAtATime:
         assert (buckets[1] - buckets[0]) / 100 <= self.PER_ROW[view]
 
 
+    @pytest.mark.parametrize('view', FIGURE6_VIEWS)
+    def test_one_row_update_and_delete_by_key(self, view):
+        entry = entry_by_name(view)
+        counts = {}
+        for n in (1_000, 10_000):
+            with build_engine(entry, n, backend='memory') as engine:
+                rows = _keyed_rows(entry, engine, 4)
+                for row in rows:
+                    engine.insert(view, row)
+                key, column = engine.view(view).schema.attributes[:2]
+                # Warm: the first UPDATE and DELETE seal their code.
+                engine.update(view, {column: 'w0'}, where={key: rows[0][0]})
+                engine.delete(view, where={key: rows[1][0]})
+                counts[n] = (
+                    _python_calls(engine.execute_many, [(view, [Update(
+                        {column: 'w1'}, {key: rows[2][0]})])]),
+                    _python_calls(engine.execute_many, [(view, [Delete(
+                        {key: rows[3][0]})])]))
+                assert rows[2][:1] + ('w1',) + rows[2][2:] \
+                    in engine.rows(view)
+                assert rows[3] not in engine.rows(view)
+        update, delete = counts[1_000]
+        assert counts[1_000] == counts[10_000]
+        assert update <= self.ONE_ROW_UPDATE[view]
+        assert delete <= self.ONE_ROW_DELETE[view]
+
+
+def _keyed_rows(entry, engine, count: int) -> list:
+    """``count`` insertable view rows whose keys (first column) are
+    distinct and held by no stored view row."""
+    rows = [update_statement(entry, engine, i) for i in range(count)]
+    if entry.name == 'outstanding_task':
+        # The template takes any task id in ``flow`` (the ID
+        # constraint), the same one for every row: use ids no open task
+        # has yet.
+        taken = {row[0] for row in engine.rows(entry.name)}
+        free = sorted({tid for tid, _ in engine.rows('flow')} - taken)
+        rows = [(tid,) + row[1:] for tid, row in zip(free, rows)]
+    return rows
+
+
 class TestPeerPendingReadsWhatIsOwed:
     """``Peer.pending``'s docstring: a link's pending records are found
     by a scan back from the newest outbox record, so ``pump``,
@@ -200,7 +248,7 @@ class TestPeerPendingReadsWhatIsOwed:
     outbox tail."""
 
     def test_pending_reads_k_plus_one_records(self, tmp_path):
-        from repro.rdbms.dml import Insert
+        from repro.rdbms.dml import Delete, Insert, Update
         from repro.rdbms.peernet import Peer
         from tests.test_peernet import VIEW, plain_factory
 

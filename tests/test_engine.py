@@ -144,7 +144,7 @@ class TestTransactions:
 
 class TestExecuteManyBatches:
     """Multi-target transactions: interleaved view+base writes, the
-    keep-cache origin logic of ``Engine._commit``, and mid-batch
+    keep-cache origin logic of ``Engine.prepare_commit``, and mid-batch
     rollback."""
 
     def test_interleaved_view_and_base_batches(self, union_strategy):

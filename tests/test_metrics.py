@@ -188,6 +188,43 @@ class TestEngineMetrics:
         finally:
             engine.close()
 
+    def test_each_series_counts_its_phase(self, luxury_strategy):
+        """Recording a transaction in one registry call keeps every
+        series' count: ``txn.apply_seconds`` once per bucket,
+        ``txn.flush_seconds`` and ``txn.plan_runs`` once per plan run,
+        ``txn.prepare_seconds`` once per prepare — a rejected one
+        included — and ``txn.commit_seconds`` and ``txn.commits`` once
+        per commit."""
+        histograms = ('txn.apply_seconds', 'txn.flush_seconds',
+                      'txn.prepare_seconds', 'txn.commit_seconds')
+
+        def counts():
+            snap = engine.metrics_snapshot()
+            seen = {name: snap['histograms'].get(name, {}).get('count', 0)
+                    for name in histograms}
+            for name in ('txn.plan_runs', 'txn.commits'):
+                seen[name] = snap['counters'].get(name, 0)
+            return seen
+
+        engine = _luxury_engine(luxury_strategy)
+        try:
+            before = counts()
+            engine.insert('luxuryitems', (3, 'yacht', 90_000))
+            # Two buckets: the base bucket drains the view's pending
+            # translation first, so one plan run.
+            engine.execute_many([
+                ('luxuryitems', [Insert((4, 'tiara', 70_000))]),
+                ('items', [Insert((7, 'vase', 30))])])
+            with pytest.raises(ConstraintViolation):
+                engine.insert('luxuryitems', (5, 'socks', 8))
+            after = counts()
+        finally:
+            engine.close()
+        assert {name: after[name] - before[name] for name in after} == {
+            'txn.apply_seconds': 4, 'txn.flush_seconds': 2,
+            'txn.plan_runs': 2, 'txn.prepare_seconds': 3,
+            'txn.commit_seconds': 2, 'txn.commits': 2}
+
     def test_wal_stats_folded_into_snapshot(self, luxury_strategy,
                                             tmp_path):
         engine = Engine(luxury_strategy.sources,
@@ -258,11 +295,12 @@ class TestInstrumentationCost:
     """What the hooks cost one transaction, as counts: a disabled
     registry is an attribute load per site — no clock read in
     ``rdbms/engine.py``, no registry call — and an enabled one makes a
-    pinned number of each."""
+    pinned number of each: two clock reads per phase, and one registry
+    call for the whole transaction."""
 
     @pytest.mark.parametrize('enabled, expected', [
         (False, {}),
-        (True, {'perf_counter': 8, 'observe': 4, 'counter': 2})])
+        (True, {'perf_counter': 8, 'record': 1})])
     def test_calls_per_view_insert(self, luxury_strategy, monkeypatch,
                                    enabled, expected):
         calls = {}
@@ -281,7 +319,7 @@ class TestInstrumentationCost:
                 engine.insert('luxuryitems', (iid, 'yacht', 90_000))
             engine.metrics.enabled = enabled
             count_calls(engine_mod, 'perf_counter')
-            for method in ('counter', 'gauge', 'observe'):
+            for method in ('counter', 'gauge', 'observe', 'record'):
                 count_calls(MetricsRegistry, method)
             engine.insert('luxuryitems', (5, 'tiara', 70_000))
         finally:
@@ -323,15 +361,23 @@ class TestShardedMetrics:
         sharded.load('items', [(1, 'watch', 5000)])
         sharded.define_view(luxury_strategy, validate_first=False)
         try:
-            before = sharded.metrics()['counters']
+            before = sharded.metrics()
+
+            def prepares(snapshot):
+                return snapshot['histograms'].get(
+                    'txn.prepare_seconds', {}).get('count', 0)
+
             with pytest.raises(ConstraintViolation):
                 sharded.execute_many(
                     [('luxuryitems', [Insert((9, 'socks', 8))])])
-            counters = sharded.metrics()['counters']
+            after = sharded.metrics()
+            counters = after['counters']
             assert counters['cluster.aborts'] == \
-                before.get('cluster.aborts', 0) + 1
+                before['counters'].get('cluster.aborts', 0) + 1
             assert counters.get('cluster.txns', 0) == \
-                before.get('cluster.txns', 0)
+                before['counters'].get('cluster.txns', 0)
+            # The shard's rejected prepare is still recorded.
+            assert prepares(after) == prepares(before) + 1
         finally:
             sharded.close()
 

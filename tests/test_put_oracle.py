@@ -21,6 +21,7 @@ from repro.benchsuite.catalog import ALL_ENTRIES, entry_by_name
 from repro.core.lvgn import is_lvgn
 from repro.core.strategyfile import loads_strategy
 from repro.errors import ConstraintViolation
+from repro.rdbms.dml import Delete, Insert
 from repro.rdbms.engine import Engine
 from repro.relational.database import Database
 from repro.relational.generators import random_database, random_rows
@@ -357,3 +358,44 @@ def test_base_write_keeps_the_state_steady(backend, name):
         else:
             engine.insert(name, view_row)
             assert engine.database() == expected
+
+
+#: A base bucket, then a view bucket that deletes the row the base
+#: bucket wrote: ``(strategy fixture, loaded state, transaction)``.
+#: The view bucket reads get(S) of the working state, so the row is
+#: deleted from the view and, by the putback, from the base.
+BASE_THEN_VIEW = {
+    'union': ('union_strategy', {'r1': {(1,)}, 'r2': {(2,)}},
+              [('r2', [Insert((8,))]), ('v', [Delete({'a': 8})])]),
+    'luxuryitems': ('luxury_strategy', {'items': {(1, 'a', 2000)}},
+                    [('items', [Insert((9, 'z', 5000))]),
+                     ('luxuryitems', [Delete({'iid': 9})])]),
+}
+
+
+@pytest.mark.xfail(strict=True, raises=AssertionError,
+                   reason="a view bucket reads the view cache plus the "
+                   "transaction's view deltas, not the base writes "
+                   'staged before it in the same transaction')
+@pytest.mark.parametrize('warm', [False, True], ids=['cold', 'warm'])
+@pytest.mark.parametrize('case', BASE_THEN_VIEW)
+@pytest.mark.parametrize('backend', ['memory', 'sqlite'])
+def test_view_bucket_sees_earlier_base_write(backend, case, warm,
+                                             request):
+    """A view statement sees the base writes before it in the same
+    transaction, as the paper's ``INSTEAD OF`` trigger over a
+    ``CREATE VIEW`` does (§6.1): the transaction commits the state it
+    started from."""
+    fixture, loaded, transaction = BASE_THEN_VIEW[case]
+    strategy = request.getfixturevalue(fixture)
+    with Engine(strategy.sources, backend=backend) as engine:
+        for relation, rows in loaded.items():
+            engine.load(relation, rows)
+        engine.define_view(strategy, validate_first=False)
+        before = engine.database()
+        if warm:
+            engine.rows(strategy.view.name)
+        engine.execute_many(transaction)
+        assert engine.database() == before
+        assert set(engine.rows(strategy.view.name)) \
+            == strategy.get(before)
