@@ -41,16 +41,23 @@ def build_engine(entry: BenchmarkEntry, n: int, *, seed: int = 7,
 
 
 def _fresh_insert(entry_name: str, engine: Engine, index: int) -> tuple:
-    """A view tuple that is insertable under the entry's constraints."""
+    """A view tuple that is insertable under the entry's constraints:
+    the same tuple for the same ``index`` and loaded data, whatever this
+    function's earlier tuples did to the engine."""
     if entry_name == 'luxuryitems':
         return (10_000_000 + index, f'bench_item_{index}', 5000 + index)
     if entry_name == 'officeinfo':
         return (f'bench_person_{index}', f'office_{index}')
     if entry_name == 'outstanding_task':
         # The ID constraint requires the task id to appear in `flow`.
-        flow = engine.rows('flow')
-        tid = next(iter(flow))[0]
-        return (tid, f'bench_task_{index}', f'owner_{index}', 1)
+        # Ids no loaded open task holds, in sorted order, give distinct
+        # tuples distinct keys until they run out.
+        held = {row[0] for row in engine.rows('tasks')
+                if row[5] == 'open' and not row[1].startswith('bench_task_')}
+        flow = sorted({row[0] for row in engine.rows('flow')})
+        free = [tid for tid in flow if tid not in held] or flow
+        return (free[index % len(free)], f'bench_task_{index}',
+                f'owner_{index}', 1)
     if entry_name == 'vw_brands':
         return (10_000_000 + index, f'bench_brand_{index}', 'domestic')
     raise KeyError(f'no insert template for {entry_name!r}')

@@ -28,7 +28,7 @@ from repro.datalog.pretty import pretty
 from repro.datalog.safety import check_program_safety
 from repro.errors import SchemaError, ViewUpdateError
 from repro.relational.database import Database
-from repro.relational.delta import DeltaSet
+from repro.relational.delta import Delta, DeltaSet
 from repro.relational.schema import DatabaseSchema, RelationSchema
 
 __all__ = ['UpdateStrategy']
@@ -90,7 +90,6 @@ def _infer_view_schema(program: Program, get_program: Program | None,
                             var_types.setdefault(a.name,
                                                  _const_type(b.value))
             for atom in atoms:
-                from repro.datalog.ast import delta_base
                 base = delta_base(atom.pred)
                 if base not in sources:
                     continue
@@ -265,7 +264,7 @@ class UpdateStrategy:
 
     # -- semantics --------------------------------------------------------------
 
-    def _combined(self, source, view_rows) -> dict:
+    def putback_input(self, source, view_rows) -> dict:
         """``(S, V')`` as the putback plan's input: the relations of
         ``source`` — a :class:`Database`, or the ``{name: rows}``
         mapping a backend evaluates over — and ``view_rows``, checked
@@ -282,7 +281,7 @@ class UpdateStrategy:
         declared ⊥-constraint.  The check short-circuits: enumeration
         stops at the first witness of the first violated rule."""
         execute_deltas(self._putdelta_plan,
-                       self._combined(source, view_rows), ())
+                       self.putback_input(source, view_rows), ())
 
     def compute_delta(self, source, view_rows, *,
                       check: bool = False) -> DeltaSet:
@@ -293,9 +292,10 @@ class UpdateStrategy:
         Runs the memoized plan with the delta predicates as goals, so
         auxiliary predicates that are only probed never materialise.
         """
-        return execute_deltas(self._putdelta_plan,
-                              self._combined(source, view_rows),
-                              self._updated_relations, check=check)
+        pairs = execute_deltas(self._putdelta_plan,
+                               self.putback_input(source, view_rows),
+                               self._updated_relations, check=check)
+        return DeltaSet({name: Delta(*pair) for name, pair in pairs.items()})
 
     def put(self, source: Database, view_rows, *,
             enforce_constraints: bool = True) -> Database:

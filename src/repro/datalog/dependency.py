@@ -48,7 +48,10 @@ def is_nonrecursive(program: Program) -> bool:
 
 
 def check_nonrecursive(program: Program) -> None:
-    graph = dependency_graph(program)
+    _check_acyclic(dependency_graph(program))
+
+
+def _check_acyclic(graph: nx.DiGraph) -> None:
     try:
         cycle = nx.find_cycle(graph)
     except nx.NetworkXNoCycle:
@@ -63,10 +66,10 @@ def stratify(program: Program) -> list[str]:
     """Topological evaluation order of the program's IDB predicates.
 
     EDB predicates are omitted (they are inputs).  Raises
-    :class:`RecursionError_` on recursion.
+    :class:`RecursionError_` on recursion, found on the same graph the
+    order is read from (built once).
     """
-    check_nonrecursive(program)
     graph = dependency_graph(program)
+    _check_acyclic(graph)
     idb = program.idb_preds()
-    order = [p for p in nx.topological_sort(graph) if p in idb]
-    return order
+    return [p for p in nx.topological_sort(graph) if p in idb]

@@ -32,9 +32,13 @@ the differential tests run every rule through both.
 
 A putback run — the engine's ``∂put`` or full putback, and
 :meth:`~repro.core.strategy.UpdateStrategy.put` — is one call of
-:func:`execute_deltas`: one plan context serves its ⊥-check and its
-delta goals, whose rows become a
-:class:`~repro.relational.delta.DeltaSet` through the plan's goal table.
+:func:`execute_deltas`, and code is sealed per plan as well as per
+rule: the first run of a plan for a set of target relations generates
+one function (:func:`_seal_putback`) that checks every ⊥-rule up to its
+first witness, then runs each wanted delta goal's rules inline and
+returns ``{relation: (insertions, deletions)}``.  A plan context is
+built only when one of those rules reads an IDB predicate (Appendix C's
+``v__nu``), which keeps the context's top-down dispatch.
 
 Semantics are set-based, matching §3.1.  The historical entry points
 (:func:`evaluate`, :func:`evaluate_query`,
@@ -50,14 +54,13 @@ from functools import lru_cache
 from operator import itemgetter
 from typing import Collection
 
-from repro.datalog.ast import Program, Rule
+from repro.datalog.ast import Program, Rule, is_delta_pred
 from repro.datalog.plan import (BindStep, CompareStep, ExecutionPlan,
                                 NegationStep, ProbeStep, RulePlan,
                                 ScanStep, compile_program)
 from repro.datalog.pretty import pretty_rule
 from repro.errors import ConstraintViolation, SchemaError
 from repro.relational.database import Database
-from repro.relational.delta import DeltaSet
 
 __all__ = ['evaluate', 'evaluate_query', 'constraint_violations', 'execute_plan',
            'execute_goal', 'execute_constraints', 'execute_deltas',
@@ -301,7 +304,7 @@ class _PlanContext:
         if cached is not None:
             return cached
         result = False
-        for rule_plan in self.plan.rules_for(name):
+        for rule_plan in self.plan.rule_plans.get(name, ()):
             if _probe_rule(rule_plan, self, row):
                 result = True
                 break
@@ -344,17 +347,24 @@ def _probe_rule(rule_plan: RulePlan, ctx: _PlanContext,
 
 
 # ---------------------------------------------------------------------------
-# Sealed execution: per-rule generated code
+# Sealed execution: per-rule and per-plan generated code
 # ---------------------------------------------------------------------------
 #
 # A sealed rule is one flat Python function: scans become ``for`` loops,
-# filters become ``if`` guards, slots become locals.  The code mirrors
-# the generic tier (``tests/_generic_tier.py``) statement for statement
-# — including the dynamic pending-IDB dispatch for IDB atoms, since the
-# same RulePlan may execute under contexts with different
+# filters become ``if`` guards, slots become locals.  A sealed putback
+# run is the same pyramids, one per ⊥-rule and wanted delta rule, in one
+# function per plan and target set: its inputs are read from the run's
+# mapping once, and a plan context exists only for IDB reads.  The code
+# mirrors the generic tier (``tests/_generic_tier.py``) statement for
+# statement — including the dynamic pending-IDB dispatch for IDB atoms,
+# since the same RulePlan may execute under contexts with different
 # materialisation states — so the two tiers are observationally
 # identical (asserted by the differential tests in
-# ``tests/test_plan.py`` and ``tests/test_evaluator.py``).
+# ``tests/test_plan.py`` and ``tests/test_evaluator.py``).  One
+# deliberate difference in form: a rule's outermost scan of a delta
+# input (``+v`` / ``-v``, small by construction) with constants is a
+# filtered loop over its rows, where the generic tier probes an index
+# it would first have to build.
 
 
 class _Emitter:
@@ -409,13 +419,73 @@ class _Emitter:
         name, cname = memo
         self.emit(f'if {name} is None:')
         self.indent += 1
+        self.context()
         self.emit(f'{name} = ctx._store.get({cname}) or ctx.relation({cname})')
         self.indent -= 1
         return name
 
+    def context(self) -> None:
+        """Make ``ctx``, the plan context, available at this point:
+        a sealed rule is handed one."""
+
     def pred_const(self, pred: str) -> str:
         memo = self._rel_memo.get(pred)
         return memo[1] if memo is not None else self.const(pred)
+
+    # What a step reads: the handle it probes, the rows it iterates.
+    index = relation
+
+    def rows(self, pred: str) -> str:
+        return f'{self.relation(pred)}.rows'
+
+
+class _PlanEmitter(_Emitter):
+    """The emitter of a sealed putback run ``fn(edb)`` of ``plan``: a
+    relation outside the IDB is read from ``edb`` once, at the
+    function's start (its rows; the handle itself, or an
+    :class:`IndexedRelation` over the rows built at the first step that
+    probes it), and an IDB predicate through ``ctx`` as in a sealed
+    rule — a plan context built when the run first reaches one."""
+
+    def __init__(self, plan: ExecutionPlan):
+        super().__init__(plan.idb)
+        self.plan = plan
+        self._inputs: dict[str, tuple[str, str]] = {}
+        self.indexed = self.const(IndexedRelation)
+        self.empty = self.const(frozenset())
+        self._new_context = None
+
+    def context(self) -> None:
+        if self._new_context is None:
+            self.preamble.insert(0, 'ctx = None')
+            self._new_context = (f'{self.const(_PlanContext)}(edb, '
+                                 f'{self.const(self.plan)})')
+        self.emit('if ctx is None:')
+        self.emit(f'    ctx = {self._new_context}')
+
+    def _input(self, pred: str) -> tuple[str, str]:
+        names = self._inputs.get(pred)
+        if names is None:
+            handle, rows = names = self._inputs[pred] = \
+                self.fresh('_i'), self.fresh('_x')
+            self.preamble += [
+                f'{handle} = edb.get({self.const(pred)}, {self.empty})',
+                f'{rows} = {handle}.rows if {handle}.__class__ is '
+                f'{self.indexed} else {handle}']
+        return names
+
+    def index(self, pred: str) -> str:
+        if pred in self.idb:
+            return self.relation(pred)
+        handle, rows = self._input(pred)
+        self.emit(f'if {handle}.__class__ is not {self.indexed}:')
+        self.emit(f'    {handle} = {self.indexed}({rows})')
+        return handle
+
+    def rows(self, pred: str) -> str:
+        if pred in self.idb:
+            return super().rows(pred)
+        return self._input(pred)[1]
 
 
 def _reads(steps, operands=()) -> set[int]:
@@ -465,19 +535,30 @@ def _emit_steps(em: _Emitter, steps, success: str, reads: set) -> None:
     ``success`` snippet runs at full depth once per satisfying
     binding.  Mirrors the generic tier's step semantics exactly; only
     slots in ``reads`` are assigned, and a fully bound atom of a
-    predicate outside the rule's IDB is a plain membership test."""
-    for step in steps:
+    predicate outside the rule's IDB is a plain membership test.  The
+    first step, a scan of a delta input on some positions, filters its
+    rows in the loop instead (the generic tier's index would be built
+    for that one scan)."""
+    for i, step in enumerate(steps):
         cls = step.__class__
         if cls is ScanStep:
-            rel = em.relation(step.pred)
             row = em.fresh('_t')
-            if step.positions:
-                source = (f'{rel}.lookup({em.const(step.positions)}, '
+            filtered = i == 0 and step.positions \
+                and is_delta_pred(step.pred) and step.pred not in em.idb
+            if step.positions and not filtered:
+                source = (f'{em.index(step.pred)}.lookup('
+                          f'{em.const(step.positions)}, '
                           f'{em.key_tuple(step.key)})')
             else:
-                source = f'{rel}.rows'
+                source = em.rows(step.pred)
             em.emit(f'for {row} in {source}:')
             em.indent += 1
+            if filtered:
+                test = ' or '.join(f'{row}[{pos}] != {em.operand(pair)}'
+                                   for pos, pair in zip(step.positions,
+                                                        step.key))
+                em.emit(f'if {test}:')
+                em.emit('    continue')
             for a, b in step.checks:
                 em.emit(f'if {row}[{a}] != {row}[{b}]:')
                 em.indent += 1
@@ -489,15 +570,15 @@ def _emit_steps(em: _Emitter, steps, success: str, reads: set) -> None:
         elif cls is ProbeStep or cls is NegationStep:
             negated = cls is NegationStep
             if negated and len(step.positions) != step.arity:
-                rel = em.relation(step.pred)
+                rel = em.index(step.pred)
                 em.emit(f'if not {rel}.lookup({em.const(step.positions)}, '
                         f'{em.key_tuple(step.key)}):')
                 em.indent += 1
                 continue
             test = 'not in' if negated else 'in'
             if step.pred not in em.idb:
-                rel = em.relation(step.pred)
-                em.emit(f'if {em.key_tuple(step.key)} {test} {rel}.rows:')
+                rows = em.rows(step.pred)
+                em.emit(f'if {em.key_tuple(step.key)} {test} {rows}:')
                 em.indent += 1
                 continue
             # Fully bound membership, answered top-down while the
@@ -508,14 +589,14 @@ def _emit_steps(em: _Emitter, steps, success: str, reads: set) -> None:
             pred = em.pred_const(step.pred)
             key = em.fresh('_k')
             em.emit(f'{key} = {em.key_tuple(step.key)}')
+            em.context()
             em.emit(f'if ctx.is_pending_idb({pred}):')
             em.indent += 1
             em.emit(f'{key} = ctx.probe({pred}, {key})')
             em.indent -= 1
             em.emit('else:')
             em.indent += 1
-            rel = em.relation(step.pred)
-            em.emit(f'{key} = {key} in {rel}.rows')
+            em.emit(f'{key} = {key} in {em.rows(step.pred)}')
             em.indent -= 1
             em.emit(f'if not {key}:' if negated else f'if {key}:')
             em.indent += 1
@@ -567,8 +648,7 @@ def _seal_run(rule_plan: RulePlan):
     _count_seal()
     em = _Emitter(rule_plan.idb)
     em.preamble.append('_add = out.add')
-    head = ('(' + ', '.join(em.operand(pair) for pair in rule_plan.head)
-            + (',)' if len(rule_plan.head) == 1 else ')'))
+    head = em.key_tuple(rule_plan.head)
     _emit_steps(em, rule_plan.steps, f'_add({head})',
                 _reads(rule_plan.steps, rule_plan.head))
     em.emit('if limit is not None and len(out) >= limit:')
@@ -606,6 +686,46 @@ def _seal_probe(rule_plan: RulePlan):
                             str(rule_plan.rule))
 
 
+def _seal_putback(plan: ExecutionPlan, relations: frozenset, check: bool):
+    """Generate one putback run of ``plan`` for the delta goals that
+    target ``relations``: ``fn(edb) -> {relation: (insertions,
+    deletions)}``, relations in sorted order and each with a row.  With
+    ``check``, every ⊥-rule runs first and its first witness raises
+    :class:`ConstraintViolation`; each rule is one pyramid of
+    :func:`_emit_steps` at the function's top level."""
+    _count_seal()
+    em = _PlanEmitter(plan)
+
+    def emit_rule(rule_plan: RulePlan, success: str) -> None:
+        _emit_steps(em, rule_plan.steps, success.format(
+            em.key_tuple(rule_plan.head)),
+            _reads(rule_plan.steps, rule_plan.head))
+        em.indent = 0
+
+    for constraint in plan.constraint_plans if check else ():
+        emit_rule(constraint.rule_plan,
+                  f'raise {em.const(ConstraintViolation)}('
+                  f'{em.const(pretty_rule(constraint.rule))}, {{}})')
+    pairs: dict[str, list[str]] = {}
+    for goal, relation, insertion in plan.delta_targets:
+        if relation in relations:
+            out = em.fresh('_o')
+            em.preamble += [f'{out} = set()', f'{out}_add = {out}.add']
+            pairs.setdefault(relation, [em.empty, em.empty])[
+                not insertion] = out
+            for rule_plan in plan.rule_plans[goal]:
+                emit_rule(rule_plan, f'{out}_add({{}})')
+    em.emit('out = {}')
+    for relation in sorted(pairs):
+        insertions, deletions = pairs[relation]
+        em.emit(f'if {insertions} or {deletions}:')
+        em.emit(f'    out[{em.const(relation)}] = '
+                f'({insertions}, {deletions})')
+    em.emit('return out')
+    return _compile_factory(em, '_putback', 'edb',
+                            f'putback of {", ".join(sorted(pairs))}')
+
+
 # ---------------------------------------------------------------------------
 # Plan-level execution
 # ---------------------------------------------------------------------------
@@ -640,20 +760,20 @@ def execute_goal(plan: ExecutionPlan, edb, goal: str) -> set:
 def execute_constraints(plan: ExecutionPlan, edb, *,
                         first_witness: bool = False
                         ) -> list[tuple[Rule, tuple]]:
-    """Evaluate the plan's compiled ⊥-rules over ``edb`` (or over a
-    plan context already built on it) and return ``(rule,
-    witness_row)`` pairs for each violated constraint.
+    """Evaluate the plan's compiled ⊥-rules over ``edb`` and return
+    ``(rule, witness_row)`` pairs for each violated constraint.
 
     Nothing is materialised eagerly: constraint bodies demand exactly
     what they need (fully bound auxiliaries are just probed).  With
     ``first_witness``, each rule's enumeration stops at its first
     witness and the whole check stops at the first violated rule — the
-    short-circuit the engine's per-transaction check uses, at the cost
-    of a search-order-dependent (rather than canonical) witness row.
+    short-circuit a putback run's check makes (:func:`execute_deltas`),
+    at the cost of a search-order-dependent (rather than canonical)
+    witness row.
     """
     if not plan.constraint_plans:
         return []
-    ctx = edb if edb.__class__ is _PlanContext else _PlanContext(edb, plan)
+    ctx = _PlanContext(edb, plan)
     violations: list[tuple[Rule, tuple]] = []
     for constraint in plan.constraint_plans:
         rows: set[Row] = set()
@@ -669,24 +789,23 @@ def execute_constraints(plan: ExecutionPlan, edb, *,
 
 
 def execute_deltas(plan: ExecutionPlan, edb, relations, *,
-                   check: bool = True) -> DeltaSet:
-    """One putback run — ``∂put`` or the full putback — in **one** plan
-    context.  With ``check``, the plan's ⊥-rules run first and the
-    first witness of the first violated rule raises
-    :class:`ConstraintViolation` (the rule text and witness
-    :func:`execute_constraints` reports with ``first_witness``); then
-    the delta goals targeting ``relations`` are materialised in the
-    same context — whatever the check materialised or probed is reused
-    — and become the returned update through the plan's goal table
-    (:meth:`DeltaSet.from_goals`)."""
-    ctx = _PlanContext(edb, plan)
-    if check:
-        for rule, witness in execute_constraints(plan, ctx,
-                                                 first_witness=True):
-            raise ConstraintViolation(pretty_rule(rule), witness)
-    return DeltaSet.from_goals(plan.delta_targets,
-                               lambda goal: ctx.relation(goal).rows,
-                               relations)
+                   check: bool = True) -> dict:
+    """One putback run — ``∂put`` or the full putback — over ``edb``:
+    ``{relation: (insertions, deletions)}`` for each of ``relations``
+    the plan's delta goals write a row of, in sorted order (the rows of
+    a goal the plan does not have are an empty ``frozenset``).  With
+    ``check``, the plan's ⊥-rules run first and the first witness of
+    the first violated rule raises :class:`ConstraintViolation` (the
+    rule text and witness :func:`execute_constraints` reports with
+    ``first_witness``).  The run is one function sealed for the plan
+    and ``(relations, check)`` at its first call
+    (:func:`_seal_putback`); the goals of other relations (a derived
+    program's auxiliary ``+__bN``) are never run."""
+    key = (frozenset(relations), check)
+    run = plan.sealed.get(key)
+    if run is None:
+        run = plan.sealed[key] = _seal_putback(plan, *key)
+    return run(edb.relations if isinstance(edb, Database) else edb)
 
 
 # ---------------------------------------------------------------------------

@@ -224,10 +224,25 @@ class ExecutionPlan:
     delta_goals: tuple[str, ...]           # delta predicates, sorted
     #: ``(goal, relation, is_insertion)`` per delta goal, in
     #: ``delta_goals`` order: how a goal's rows become a delta
-    #: (:meth:`~repro.relational.delta.DeltaSet.from_goals`)
+    #: (:func:`~repro.datalog.evaluator.execute_deltas`)
     delta_targets: tuple[tuple[str, str, bool], ...]
     intermediate_preds: frozenset          # auxiliary (non-delta) IDB
     index_requirements: frozenset          # {(pred, positions), ...}
+    # Executor scratch: ``{(relations, check): run}``, the putback runs
+    # the evaluator generates on first use (see
+    # ``repro.datalog.evaluator.execute_deltas``); not part of the
+    # plan's identity, and written like ``RulePlan.sealed``.
+    sealed: dict = field(default_factory=dict, init=False, compare=False,
+                         repr=False)
+
+    def __getstate__(self):
+        # Generated functions are not picklable: strip them.
+        state = dict(self.__dict__)
+        del state['sealed']
+        return state
+
+    def __setstate__(self, state):
+        self.__dict__.update(state, sealed={})
 
     def rules_for(self, pred: str) -> tuple[RulePlan, ...]:
         return self.rule_plans.get(pred, ())

@@ -33,7 +33,7 @@ from typing import TYPE_CHECKING, Iterable, Mapping, Sequence
 
 from repro.datalog.evaluator import execute_deltas, execute_goal
 from repro.relational.database import Database
-from repro.relational.delta import Delta, DeltaSet
+from repro.relational.delta import Delta
 from repro.relational.schema import DatabaseSchema, RelationSchema
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle with engine.py
@@ -196,10 +196,13 @@ class Backend(ABC):
 
     def evaluate_incremental_batch(self, entry: 'ViewEntry',
                                    sources: Mapping[str, object],
-                                   view_handle, delta: Delta) -> DeltaSet:
+                                   view_handle, delta: Delta) -> dict:
         """Evaluate ``∂put`` over ``S ∪ {v, +v, -v}`` once for one
         transaction's *coalesced* view delta; the ⊥-rules it carries
-        are checked first (raising :class:`ConstraintViolation`).
+        are checked first (raising :class:`ConstraintViolation`).  The
+        result is :func:`~repro.datalog.evaluator.execute_deltas`':
+        ``{relation: (insertions, deletions)}``, relations in sorted
+        order, each with a row.
 
         Those ⊥-rules are the delta form :mod:`repro.core.incremental`
         derives for both incrementalization paths: they read ``±v``,
@@ -213,7 +216,7 @@ class Backend(ABC):
         disjoint) — a single statement is a one-element batch.
 
         By default the interpreter runs it over the handles as they
-        are: one plan context checks the ⊥-rules and evaluates the
+        are: one sealed function checks the ⊥-rules and evaluates the
         delta goals (:func:`~repro.datalog.evaluator.execute_deltas`)."""
         plus, minus = entry.delta_names
         return execute_deltas(
@@ -223,14 +226,17 @@ class Backend(ABC):
 
     def evaluate_putback(self, entry: 'ViewEntry',
                          sources: Mapping[str, object],
-                         view_rows) -> DeltaSet:
-        """Evaluate the full putback program over ``S ∪ {v'}``.
+                         view_rows) -> dict:
+        """Evaluate the full putback program over ``S ∪ {v'}``, with
+        :meth:`evaluate_incremental_batch`'s result.
 
         The strategy's ⊥-rules are checked against the same staged
         inputs first (one staging/freeze pass for both steps), raising
         :class:`ConstraintViolation`.  By default the interpreter runs
         it."""
-        return entry.strategy.compute_delta(sources, view_rows, check=True)
+        return execute_deltas(entry.strategy.putdelta_plan,
+                              entry.strategy.putback_input(sources, view_rows),
+                              entry.updated)
 
     def close(self) -> None:
         """Release backend resources (the SQLite connection, stored

@@ -59,13 +59,14 @@ from contextlib import contextmanager
 from dataclasses import dataclass, field
 from typing import Iterable, Mapping
 
-from repro.datalog.ast import Program, Rule, is_delta_pred
+from repro.datalog.ast import (Program, Rule, delta_base, is_delta_pred,
+                               is_insert_pred)
 from repro.datalog.evaluator import execute_deltas
 from repro.datalog.pretty import pretty_rule
 from repro.errors import ConstraintViolation, ReproError, SchemaError
 from repro.rdbms.backends.base import Backend, StoredRelation, _owned
 from repro.relational.database import Database
-from repro.relational.delta import Delta, DeltaSet
+from repro.relational.delta import Delta
 from repro.relational.schema import (AttributeType, DatabaseSchema,
                                      RelationSchema)
 from repro.sql.translate import (SQLITE, ColumnNamer, constraint_to_sql,
@@ -399,7 +400,7 @@ class SQLiteBackend(Backend):
                                          label='get',
                                          compiled=compiled)
         if entry.incremental_program is not None:
-            # Only the goals a putback run asks for (DeltaSet.from_goals),
+            # Only the goals a putback run asks for (execute_deltas),
             # not a derived ∂put's auxiliary deltas such as ``+__bN``.
             compiled.incremental = self._lower_query(
                 entry.incremental_program, namer,
@@ -514,9 +515,11 @@ class SQLiteBackend(Backend):
                 cur.execute(f'DROP TABLE IF EXISTS temp.{table}')
 
     @staticmethod
-    def _deltas_on(cur, prog: _ProgramSQL, plan, relations) -> DeltaSet:
-        """Run the lowered ⊥-checks, then the goals that ``plan``'s
-        goal table maps to ``relations`` (:meth:`DeltaSet.from_goals`)."""
+    def _deltas_on(cur, prog: _ProgramSQL) -> dict:
+        """Run the lowered ⊥-checks, then the lowered goals — those a
+        putback run asks for (:meth:`register_view`) — into the
+        interpreter's :func:`~repro.datalog.evaluator.execute_deltas`
+        result."""
         # fetchone: SQLite produces witness rows lazily, so the check
         # short-circuits at the first violation instead of
         # materialising every witness.
@@ -525,11 +528,12 @@ class SQLiteBackend(Backend):
             if witness is not None:
                 raise ConstraintViolation(pretty_rule(rule),
                                           tuple(witness))
-        sql_of = dict(prog.delta_sql)
-        return DeltaSet.from_goals(
-            plan.delta_targets,
-            lambda goal: {tuple(row) for row in cur.execute(sql_of[goal])},
-            relations)
+        pairs: dict[str, list] = {}
+        for goal, sql in prog.delta_sql:
+            pair = pairs.setdefault(delta_base(goal), [frozenset()] * 2)
+            pair[not is_insert_pred(goal)] = set(map(tuple, cur.execute(sql)))
+        return {relation: tuple(pair)
+                for relation, pair in sorted(pairs.items()) if any(pair)}
 
     # -- plan execution -----------------------------------------------
 
@@ -573,7 +577,7 @@ class SQLiteBackend(Backend):
     @_locked
     def evaluate_incremental_batch(self, entry,
                                    sources: Mapping[str, object],
-                                   view_handle, delta: Delta) -> DeltaSet:
+                                   view_handle, delta: Delta) -> dict:
         """One SQL pass over the transaction's merged multi-row delta:
         the whole batch of coalesced +v/-v rows fills the staging
         tables with one ``executemany`` per relation and every view
@@ -583,21 +587,16 @@ class SQLiteBackend(Backend):
         inputs = {**sources, entry.name: view_handle,
                   plus: delta.insertions, minus: delta.deletions}
         return self._sql_or_interpreted(
-            entry, 'incremental', inputs,
-            lambda cur, prog: self._deltas_on(
-                cur, prog, entry.incremental_plan, entry.updated),
+            entry, 'incremental', inputs, self._deltas_on,
             lambda: execute_deltas(entry.incremental_plan,
                                    self._readable(inputs), entry.updated))
 
     @_locked
     def evaluate_putback(self, entry, sources: Mapping[str, object],
-                         view_rows) -> DeltaSet:
-        inputs = dict(sources)
-        inputs[entry.name] = view_rows
+                         view_rows) -> dict:
+        inputs = {**sources, entry.name: view_rows}
         return self._sql_or_interpreted(
-            entry, 'putback', inputs,
-            lambda cur, prog: self._deltas_on(
-                cur, prog, entry.strategy.putdelta_plan, entry.updated),
+            entry, 'putback', inputs, self._deltas_on,
             lambda: Backend.evaluate_putback(
                 self, entry, self._readable(sources), view_rows))
 

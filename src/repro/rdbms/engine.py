@@ -1082,8 +1082,7 @@ class Engine(DmlSurface):
             sources[source] = record.handle if record.delta is None \
                 else working.rows(source)
 
-        metrics = self.metrics
-        started = perf_counter() if metrics.enabled else None
+        started = perf_counter() if self.metrics.enabled else None
         if entry.use_incremental:
             deltas = self.backend.evaluate_incremental_batch(
                 entry, sources, view_handle, staged)
@@ -1096,10 +1095,12 @@ class Engine(DmlSurface):
             working.counters.append('txn.plan_runs')
 
         # The goals write only relations the strategy updates, each of
-        # which ``define_view`` checked exists.
-        for relation, delta in sorted(deltas.deltas.items()):
+        # which ``define_view`` checked exists; their rows are staged
+        # as far as they change the relation.
+        for relation, (insertions, deletions) in deltas.items():
             record = touched.get(relation) or working.touch(relation)
-            delta = delta.effective_on(working.rows(relation))
+            rows = working.rows(relation)
+            delta = Delta(insertions - rows, deletions & rows)
             if not (delta.insertions or delta.deletions):
                 continue
             if record.entry is not None:

@@ -7,9 +7,10 @@ one.  Application follows set semantics::
 
     R' = R ⊕ ΔR = (R \\ Δ⁻R) ∪ Δ⁺R
 
-A putback program's result becomes a :class:`DeltaSet` through its
-compiled plan's goal table (:meth:`DeltaSet.from_goals`), which reads the
-``+r`` / ``-r`` naming convention once, when the plan compiles.
+A putback run's result — ``{relation: (insertions, deletions)}`` from
+:func:`~repro.datalog.evaluator.execute_deltas`, which reads the
+``+r`` / ``-r`` naming convention once, when the plan compiles — is the
+``deltas`` of a :class:`DeltaSet` once each pair is a :class:`Delta`.
 """
 
 from __future__ import annotations
@@ -138,25 +139,6 @@ class DeltaSet:
 
     def __post_init__(self):
         object.__setattr__(self, 'deltas', dict(self.deltas))
-
-    @classmethod
-    def from_goals(cls, targets, rows_of, relations) -> 'DeltaSet':
-        """The update a putback program's delta goals make.
-        ``targets`` is the compiled plan's goal table
-        (:attr:`~repro.datalog.plan.ExecutionPlan.delta_targets`):
-        for each goal targeting one of ``relations``, ``rows_of(goal)``
-        becomes that relation's insertions or deletions.  Goals
-        targeting other relations (a derived program's auxiliary
-        ``+__bN``) are never asked for, and a relation left with no
-        rows is left out."""
-        pairs: dict[str, list] = {}
-        for goal, relation, insertion in targets:
-            if relation in relations:
-                rows = rows_of(goal)
-                if rows:
-                    pair = pairs.setdefault(relation, [(), ()])
-                    pair[not insertion] = rows
-        return cls({name: Delta(*pair) for name, pair in pairs.items()})
 
     # -- access ----------------------------------------------------------
 

@@ -2,34 +2,69 @@
 the sealed tier of :mod:`repro.datalog.evaluator` is tested against.
 
 A rule plan runs here by walking its step tuple with a recursive
-cursor over a slot array — no generated code.  :func:`installed` routes
-every rule of every plan run inside the block through this tier, so a
-test can run one plan on both tiers and compare the outcomes
-(``tests/test_plan.py``, ``tests/test_evaluator.py``).
+cursor over a slot array — no generated code — and a putback run
+(``execute_deltas``) in one plan context that materialises each wanted
+delta goal.  :func:`installed` routes every rule of every plan run
+inside the block through this tier, so a test can run one plan on both
+tiers and compare the outcomes (``tests/test_plan.py``,
+``tests/test_evaluator.py``).
 """
 
 from __future__ import annotations
 
+import sys
 from contextlib import contextmanager
 
 from repro.datalog import evaluator
 from repro.datalog.evaluator import Row, _compare, _PlanContext
-from repro.datalog.plan import (BindStep, CompareStep, ProbeStep,
-                                RulePlan, ScanStep)
+from repro.datalog.plan import (BindStep, CompareStep, ExecutionPlan,
+                                ProbeStep, RulePlan, ScanStep)
+from repro.datalog.pretty import pretty_rule
+from repro.errors import ConstraintViolation
 
 __all__ = ['installed']
 
 
 @contextmanager
 def installed():
-    """Run every rule on the generic tier inside the block."""
+    """Run every rule, and every putback run, on the generic tier
+    inside the block.  ``execute_deltas`` is replaced wherever a loaded
+    module imported it."""
     sealed = evaluator._run_rule, evaluator._probe_rule
     evaluator._run_rule = _run_rule_generic
     evaluator._probe_rule = _probe_rule_generic
+    run = evaluator.execute_deltas
+    importers = [module for module in list(sys.modules.values())
+                 if vars(module).get('execute_deltas') is run]
+    for module in importers:
+        module.execute_deltas = _execute_deltas_generic
     try:
         yield
     finally:
         evaluator._run_rule, evaluator._probe_rule = sealed
+        for module in importers:
+            module.execute_deltas = run
+
+
+def _execute_deltas_generic(plan: ExecutionPlan, edb, relations, *,
+                            check: bool = True) -> dict:
+    """The generic tier of ``execute_deltas``: one plan context runs
+    the ⊥-rules to their first witness, then materialises each delta
+    goal that targets ``relations``."""
+    ctx = _PlanContext(edb, plan)
+    for constraint in plan.constraint_plans if check else ():
+        witnesses: set[Row] = set()
+        _run_rule_generic(constraint.rule_plan, ctx, witnesses, limit=1)
+        if witnesses:
+            raise ConstraintViolation(pretty_rule(constraint.rule),
+                                      *witnesses)
+    pairs: dict[str, list] = {}
+    for goal, relation, insertion in plan.delta_targets:
+        if relation in relations:
+            pair = pairs.setdefault(relation, [frozenset(), frozenset()])
+            pair[not insertion] = ctx.relation(goal).rows
+    return {relation: tuple(pairs[relation]) for relation in sorted(pairs)
+            if any(pairs[relation])}
 
 
 class _Unbound:

@@ -193,7 +193,7 @@ class TestSQLiteEngine:
     def test_only_the_goals_a_putback_runs_are_lowered(self):
         """A derived ∂put lowers one goal per updated relation and sign:
         its auxiliary delta goals (``+__bN``) are never asked for
-        (``DeltaSet.from_goals``), so they are not compiled either."""
+        (``execute_deltas``), so they are not compiled either."""
         entry = entry_by_name('purchaseview')
         with build_engine(entry, 20, incremental=True,
                           backend='sqlite') as engine:

@@ -23,7 +23,7 @@ from repro.datalog.parser import parse_program
 from repro.datalog.plan import compile_program
 from repro.datalog.pretty import pretty
 from repro.relational.database import Database
-from repro.relational.delta import DeltaSet
+from repro.relational.delta import Delta, DeltaSet
 from tests.test_put_oracle import GENERAL_PATH
 
 
@@ -50,8 +50,8 @@ def incremental_matches_full(strategy, get_text, source, delta_plus,
     deltas = execute_deltas(compile_program(dput), edb,
                             strategy.updated_relations(), check=False)
     incremental = DeltaSet({
-        name: delta.effective_on(source[name])
-        for name, delta in deltas.deltas.items()}).apply_to(source)
+        name: Delta(*pair).effective_on(source[name])
+        for name, pair in deltas.items()}).apply_to(source)
     assert incremental == full, (pretty(dput), deltas)
 
 

@@ -11,12 +11,14 @@ from repro.benchsuite.catalog_qa import QA_ENTRIES
 from repro.core.strategy import UpdateStrategy
 from repro.datalog.evaluator import (constraint_violations, evaluate,
                                      execute_deltas)
+from repro.datalog.ast import delete_pred, insert_pred
 from repro.datalog.parser import parse_program
 from repro.datalog.pretty import pretty_rule
 from repro.datalog.plan import (ExecutionPlan, NegationStep,
                                 compile_program, compile_rule,
                                 schedule_body)
-from repro.errors import SafetyError, SchemaError
+from repro.errors import (ConstraintViolation, SafetyError, SchemaError,
+                          TransformationError)
 from repro.rdbms.engine import Engine
 from repro.relational.database import Database
 from repro.relational.generators import random_database
@@ -108,8 +110,9 @@ class TestCompile:
 
 class TestExecuteDeltas:
     """``execute_deltas``: the ⊥-check and the delta goals of one
-    putback run, in one plan context, turned into deltas through the
-    goal table the plan compiled (``DeltaSet.from_goals``)."""
+    putback run, in one function sealed for the plan, turned into
+    ``(insertions, deletions)`` pairs through the goal table the plan
+    compiled."""
 
     PROGRAM = """
         ⊥ :- v(X), X > 9.
@@ -126,23 +129,19 @@ class TestExecuteDeltas:
                                       ('-r2', 'r2', False))
         deltas = execute_deltas(plan, db(v={(3,)}, r2={(2,)}),
                                 {'r1', 'r2', 'other'})
-        assert deltas['r1'].insertions == {(3,)}
-        assert deltas['r2'].deletions == {(2,)}
-        assert deltas.relations() == {'r1', 'r2', 'other'}
+        assert deltas == {'other': ({(3,)}, frozenset()),
+                          'r1': ({(3,)}, frozenset()),
+                          'r2': (frozenset(), {(2,)})}
+        assert list(deltas) == ['other', 'r1', 'r2']
 
-    def test_goals_of_other_relations_are_not_evaluated(self, monkeypatch):
-        from repro.datalog import evaluator
-        plan = compile_program(parse_program(self.PROGRAM), cache=False)
-        run = []
-        real = evaluator._run_rule
-
-        def counting(rule_plan, *args, **kwargs):
-            run.append(rule_plan.rule.head.pred)
-            return real(rule_plan, *args, **kwargs)
-        monkeypatch.setattr(evaluator, '_run_rule', counting)
-        deltas = execute_deltas(plan, db(v={(3,)}, r1={(3,)}), {'r1'})
-        assert deltas.relations() == set()      # nothing left to insert
-        assert [pred for pred in run if pred[0] in '+-'] == ['+r1']
+    def test_goals_of_other_relations_are_not_evaluated(self):
+        # +bad compares an int with 'a': running it would raise.
+        plan = compile_program(parse_program(
+            self.PROGRAM + "+bad(X) :- v(X), X > 'a'."), cache=False)
+        with pytest.raises(SchemaError):
+            execute_deltas(plan, db(v={(3,)}), {'bad'})
+        assert execute_deltas(plan, db(v={(3,)}, r1={(3,)}),
+                              {'r1', 'r2'}) == {}
 
     def test_violation_matches_first_witness_check(self):
         from repro.errors import ConstraintViolation
@@ -155,9 +154,11 @@ class TestExecuteDeltas:
         assert raised.value.witness == witness
         assert raised.value.constraint == pretty_rule(rule)
         assert execute_deltas(plan, edb, {'r1'}, check=False)['r1'] \
-            .insertions == {(3,), (12,)}
+            == ({(3,), (12,)}, frozenset())
 
     def test_one_context_for_check_and_goals(self, monkeypatch):
+        """A run whose rules read no IDB predicate builds no plan
+        context; one whose ⊥-check and goals read one shares one."""
         from repro.datalog import evaluator
         contexts = []
         real = evaluator._PlanContext.__init__
@@ -168,7 +169,28 @@ class TestExecuteDeltas:
         monkeypatch.setattr(evaluator._PlanContext, '__init__', counting)
         plan = compile_program(parse_program(self.PROGRAM))
         execute_deltas(plan, db(v={(3,)}), {'r1', 'r2'})
+        assert contexts == []
+        plan = compile_program(parse_program("""
+            ⊥ :- v(X), not keep(X).
+            keep(X) :- r1(X), X < 9.
+            +r2(X) :- v(X), keep(X), not r2(X).
+        """))
+        edb = db(v={(3,)}, r1={(3,), (4,)})
+        assert execute_deltas(plan, edb, {'r2'}) == {'r2': ({(3,)},
+                                                            frozenset())}
         assert len(contexts) == 1
+
+    def test_generic_tier_routes_the_putback_run(self):
+        """``tests/_generic_tier.installed()`` runs a putback through
+        the generic tier: no plan function is sealed inside it, and the
+        outcome is the sealed run's."""
+        plan = compile_program(parse_program(self.PROGRAM), cache=False)
+        edb = db(v={(3,)}, r2={(2,)})
+        with generic_tier.installed():
+            generic = execute_deltas(plan, edb, {'r1', 'r2'})
+        assert plan.sealed == {}
+        assert execute_deltas(plan, edb, {'r1', 'r2'}) == generic
+        assert plan.sealed
 
 
 class TestExecution:
@@ -261,7 +283,8 @@ class TestStatisticsSeeding:
 
 def _qa_instances(entry, n=40):
     """(program, instance) pairs exercising the entry's putback program
-    on a random source instance in steady state and under a deletion."""
+    on a random source instance in steady state and under a deletion,
+    and its ∂put deleting that row and inserting it back."""
     strategy = entry.strategy()
     data = random_database(strategy.sources, entry.sizes(n), seed=11,
                            column_pools=entry.column_pools)
@@ -269,9 +292,15 @@ def _qa_instances(entry, n=40):
     steady = data.with_relation(entry.name, view_rows)
     yield strategy.putdelta, steady
     if view_rows:
-        shrunk = set(view_rows)
-        shrunk.discard(min(view_rows, key=repr))
-        yield strategy.putdelta, data.with_relation(entry.name, shrunk)
+        row = min(view_rows, key=repr)
+        shrunk = data.with_relation(entry.name, view_rows - {row})
+        yield strategy.putdelta, shrunk
+        try:
+            dput = strategy.incremental_putdelta
+        except TransformationError:
+            return
+        yield dput, steady.with_relation(delete_pred(entry.name), {row})
+        yield dput, shrunk.with_relation(insert_pred(entry.name), {row})
 
 
 @pytest.mark.parametrize('entry', [e for e in QA_ENTRIES if e.expressible],
@@ -353,15 +382,28 @@ class TestSealedExecutor:
     constraint witnesses, same limit behavior."""
 
     @staticmethod
-    def _outcome(plan, instance, goals, raises):
+    def _putback(plan, instance):
+        """The putback run of every goal of ``plan`` over ``instance``,
+        unchecked and checked (a violation as its rule and witness)."""
+        relations = {relation for _, relation, _ in plan.delta_targets}
+        unchecked = execute_deltas(plan, instance, relations, check=False)
+        try:
+            checked = execute_deltas(plan, instance, relations)
+        except ConstraintViolation as violation:
+            checked = violation.constraint, violation.witness
+        return unchecked, checked
+
+    def _outcome(self, plan, instance, goals, raises):
         """Rows and violations (all, and the first witness) of ``plan``
-        over ``instance`` — or, when the case ``raises``, the
-        ``SchemaError`` it may raise, as (class, message)."""
+        over ``instance``, and its putback run — or, when the case
+        ``raises``, the ``SchemaError`` it may raise, as (class,
+        message)."""
         try:
             return (plan.evaluate(instance, goals=goals),
                     plan.constraint_violations(instance),
                     plan.constraint_violations(instance,
-                                               first_witness=True))
+                                               first_witness=True),
+                    self._putback(plan, instance))
         except SchemaError as error:
             if not raises:
                 raise
@@ -433,6 +475,30 @@ class TestSealedExecutor:
                 assert rule_plan.sealed[0].__code__.co_filename \
                     == f'<sealed {rule_plan.rule}>'
 
+    def test_putback_sealed_in_two_plans_compiles_once(self, monkeypatch):
+        """A putback run is sealed once per plan and target set, and an
+        equal plan reuses the compiled code."""
+        from repro.datalog import evaluator as ev
+        from repro.datalog.plan import clear_plan_cache
+        compiled = []
+
+        def counting(source, *args):
+            compiled.append(source)
+            return compile(source, *args)
+
+        clear_plan_cache()
+        monkeypatch.setattr(ev, 'compile', counting, raising=False)
+        program = parse_program('⊥ :- v(X), X > 9.  +r(X) :- v(X), '
+                                'not r(X).  -r(X) :- r(X), not v(X).')
+        plans = [compile_program(program, cache=False) for _ in range(2)]
+        for plan in plans:
+            for _ in range(2):
+                assert execute_deltas(plan, db(v={(1,)}, r={(2,)}),
+                                      {'r'}) == {'r': ({(1,)}, {(2,)})}
+            assert set(plan.sealed) == {(frozenset({'r'}), True)}
+        assert len(compiled) == 1
+        assert plans[0].sealed != plans[1].sealed   # bound per plan
+
     @pytest.mark.parametrize('comparison', [
         'X > 2', 'X <= 2', 'not X < 2', 'X >= 2.5', 'X < 2.5',
         "X > 'm'", "X <= 'm'", '2 < X', "'m' >= X"])
@@ -457,7 +523,7 @@ class TestSealedExecutor:
         """A fully bound atom of an input relation is a membership test;
         one of a pending IDB predicate is answered top-down, and its
         negation too — in one rule, in both tiers."""
-        plan, (rows, violations, _first) = self._both_tiers(parse_program("""
+        plan, (rows, violations, *_) = self._both_tiers(parse_program("""
             aux(X, Y) :- r(X, Y), Y > 1.
             v(X, Y) :- s(X, Y), r(X, Y), aux(X, Y), not t(X).
             w(X) :- s(X, Y), not aux(X, Y), t(Y).
@@ -473,7 +539,8 @@ class TestSealedExecutor:
         runs as a negation of ``r``: the body's constant keys its
         position, an existential position and a wildcard of ``t̄`` are
         left out of the key, a constant of ``t̄`` keys its own."""
-        plan, (rows, violations, first) = self._both_tiers(parse_program("""
+        plan, (rows, violations, first, _) = self._both_tiers(
+            parse_program("""
             p(X, Y) :- r(X, _, Y, 'k').
             v(X, Y) :- s(X, Y), not p(X, Y).
             w(X) :- s(X, _), not p(X, _).

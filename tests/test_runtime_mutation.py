@@ -2,10 +2,11 @@
 that runs it: a mutant must fail a test.
 
 Each mutant is applied by monkeypatch to a function of
-:mod:`repro.core.incremental` or a method of
-:class:`~repro.rdbms.engine.Engine`, and names the behavioural test
-that kills it — a test that passes on the real code and fails on the
-mutant.  No syntactic check of the derived program counts as a killer.
+:mod:`repro.core.incremental` or :mod:`repro.datalog.evaluator` or a
+method of :class:`~repro.rdbms.engine.Engine`, and names the
+behavioural test that kills it — a test that passes on the real code
+and fails on the mutant.  No syntactic check of the derived program
+counts as a killer.
 """
 
 from dataclasses import replace
@@ -13,8 +14,10 @@ from dataclasses import replace
 import pytest
 
 from repro.core import incremental
+from repro.datalog import evaluator
 from repro.datalog.ast import (Atom, Lit, Program, Rule, delete_pred,
                                insert_pred)
+from repro.datalog.plan import clear_plan_cache
 from repro.rdbms.engine import Engine
 from tests import test_engine, test_put_oracle
 from tests.test_engine import TestConstraints
@@ -142,6 +145,25 @@ def _cascade_before_later_view(_request) -> None:
         pipeline.test_cascades_translate_depth_first(backend)
 
 
+def _unchecked_putback(seal):
+    """The sealed putback run leaves its ⊥-rules out."""
+    def mutant(plan, relations, check):
+        return seal(plan, relations, False)
+    return mutant
+
+
+def _sealed_lvgn_violation(request) -> None:
+    # The putback run is sealed once per plan, and plans are shared
+    # through the plan cache: the run seals afresh, on the backend that
+    # interprets ∂put, and leaves nothing it sealed behind.
+    request.getfixturevalue('monkeypatch').setenv('REPRO_BACKEND', 'memory')
+    clear_plan_cache()
+    try:
+        _lvgn_violation(request)
+    finally:
+        clear_plan_cache()
+
+
 #: mutant -> (module or class whose attribute it replaces, the
 #: attribute, the mutation, its killer)
 MUTANTS = {
@@ -189,6 +211,10 @@ MUTANTS = {
     # translated depth-first.
     'cascades-queued': (Engine, '_flush_view', _cascades_queued,
                         _cascade_before_later_view),
+    # M12: the sealed putback run skips its ⊥-rules.
+    'putback-constraints-skipped': (evaluator, '_seal_putback',
+                                    _unchecked_putback,
+                                    _sealed_lvgn_violation),
 }
 
 
