@@ -104,12 +104,14 @@ class IndexedRelation:
     def contains(self, row: tuple) -> bool:
         return row in self.rows
 
-    def ensure_index(self, positions: tuple[int, ...]) -> None:
-        """Build the hash index for ``positions`` now (a no-op when it
-        already exists).  The engine calls this ahead of time for every
-        mask a view's compiled plan declares."""
-        if not positions or positions in self._indexes:
-            return
+    def ensure_index(self, positions: tuple[int, ...]) -> tuple | None:
+        """Build the hash index for ``positions`` now, unless it exists,
+        and return its ``(key getter, {key: bucket})`` entry (``None``
+        for no positions).  The engine calls this ahead of time for
+        every mask a view's compiled plan declares."""
+        entry = self._indexes.get(positions)
+        if entry is not None or not positions:
+            return entry
         key_of = itemgetter(*positions)
         index: dict = {}
         setdefault = index.setdefault
@@ -124,7 +126,8 @@ class IndexedRelation:
                     bucket.append(row)
                 else:
                     index[key] = [bucket, row]
-        self._indexes[positions] = (key_of, index)
+        entry = self._indexes[positions] = (key_of, index)
+        return entry
 
     def lookup(self, positions: tuple[int, ...], key: tuple
                ) -> Collection[Row]:
@@ -133,10 +136,7 @@ class IndexedRelation:
         while iterating it)."""
         if not positions:
             return self.rows
-        entry = self._indexes.get(positions)
-        if entry is None:
-            self.ensure_index(positions)
-            entry = self._indexes[positions]
+        entry = self._indexes.get(positions) or self.ensure_index(positions)
         bucket = entry[1].get(key[0] if len(positions) == 1 else key)
         if bucket is None:
             return ()
@@ -378,6 +378,7 @@ class _Emitter:
         self.consts: list[object] = []
         self._uniq = 0
         self._rel_memo: dict[str, tuple[str, str]] = {}
+        self._index_memo: dict[tuple, str] = {}
 
     def emit(self, line: str) -> None:
         self.lines.append('    ' * self.indent + line)
@@ -437,6 +438,22 @@ class _Emitter:
 
     def rows(self, pred: str) -> str:
         return f'{self.relation(pred)}.rows'
+
+    def index_keys(self, pred: str, positions: tuple[int, ...]) -> str:
+        """The ``{key: bucket}`` dict of ``pred``'s hash index on
+        ``positions``, fetched — the index built if missing — with the
+        handle, once per call of the generated function.  A key is in
+        it exactly when a row matches: a bucket is deleted with its
+        last row."""
+        handle, mask = self.index(pred), self.const(positions)
+        name = self._index_memo.get((pred, positions))
+        if name is None:
+            name = self._index_memo[pred, positions] = self.fresh('_d')
+            self.preamble.append(f'{name} = None')
+        self.emit(f'if {name} is None:')
+        self.emit(f'    {name} = ({handle}._indexes.get({mask}) or '
+                  f'{handle}.ensure_index({mask}))[1]')
+        return name
 
 
 class _PlanEmitter(_Emitter):
@@ -534,8 +551,10 @@ def _emit_steps(em: _Emitter, steps, success: str, reads: set) -> None:
     """Generate the nested loop/guard pyramid for ``steps``; the
     ``success`` snippet runs at full depth once per satisfying
     binding.  Mirrors the generic tier's step semantics exactly; only
-    slots in ``reads`` are assigned, and a fully bound atom of a
-    predicate outside the rule's IDB is a plain membership test.  The
+    slots in ``reads`` are assigned, a fully bound atom of a predicate
+    outside the rule's IDB is a plain membership test, and a partly
+    bound negated atom a key test on its index's dict
+    (:meth:`_Emitter.index_keys`).  The
     first step, a scan of a delta input on some positions, filters its
     rows in the loop instead (the generic tier's index would be built
     for that one scan)."""
@@ -570,9 +589,13 @@ def _emit_steps(em: _Emitter, steps, success: str, reads: set) -> None:
         elif cls is ProbeStep or cls is NegationStep:
             negated = cls is NegationStep
             if negated and len(step.positions) != step.arity:
-                rel = em.index(step.pred)
-                em.emit(f'if not {rel}.lookup({em.const(step.positions)}, '
-                        f'{em.key_tuple(step.key)}):')
+                if step.positions:
+                    keys = em.index_keys(step.pred, step.positions)
+                    key = em.key_tuple(step.key) if len(step.key) > 1 \
+                        else em.operand(step.key[0])
+                    em.emit(f'if {key} not in {keys}:')
+                else:                       # every column a wildcard
+                    em.emit(f'if not {em.rows(step.pred)}:')
                 em.indent += 1
                 continue
             test = 'not in' if negated else 'in'

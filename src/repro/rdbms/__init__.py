@@ -4,9 +4,9 @@ DESIGN.md).
 
 Observability: every engine owns a
 :class:`~repro.rdbms.metrics.MetricsRegistry`; ``Engine`` exposes
-``metrics_snapshot()``, ``ShardedEngine``/``ViewServer`` expose a
-merged ``metrics()`` (worker processes ship their counters back over
-the existing RPC channel)."""
+``metrics_snapshot()``, ``ShardedEngine`` exposes a merged
+``metrics()`` (worker processes ship their counters back over the
+existing RPC channel)."""
 
 from repro.rdbms.dml import (Delete, Insert, Statement, Update,
                              derive_view_delta)
@@ -15,7 +15,6 @@ from repro.rdbms.metrics import MetricsRegistry, merge_snapshots
 from repro.rdbms.peernet import (Peer, PeerCrashed, PeerGap, PeerNetwork,
                                  ShareDelta, converged)
 from repro.rdbms.replica import ReplicaEngine, ReplicaSet
-from repro.rdbms.serve import Receipt, ViewServer
 from repro.rdbms.sharded import (HashPartitioner, Partitioner,
                                  RangePartitioner, ShardedEngine)
 from repro.rdbms.wal import WalRecord, WriteAheadLog
@@ -23,7 +22,7 @@ from repro.rdbms.wal import WalRecord, WriteAheadLog
 __all__ = ['Delete', 'Insert', 'Statement', 'Update', 'derive_view_delta',
            'Engine', 'Transaction', 'ViewEntry', 'ShardedEngine',
            'Partitioner', 'HashPartitioner', 'RangePartitioner',
-           'Receipt', 'ViewServer', 'WriteAheadLog', 'WalRecord',
+           'WriteAheadLog', 'WalRecord',
            'ReplicaEngine', 'ReplicaSet', 'MetricsRegistry',
            'merge_snapshots',
            'Peer', 'PeerNetwork', 'PeerGap', 'PeerCrashed', 'ShareDelta',

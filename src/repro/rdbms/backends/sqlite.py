@@ -117,7 +117,7 @@ _INT64_MIN, _INT64_MAX = -2 ** 63, 2 ** 63 - 1
 
 def _locked(method):
     """Run a backend method under the instance mutex, the only way the
-    connection is used: the threads sharing one backend (a server's
+    connection is used: any caller's threads sharing one backend (its
     readers and its writer) take turns on it, and each commit's update
     of the Python-side row images is one step for the other methods.
     A closed backend refuses with :class:`SchemaError`."""

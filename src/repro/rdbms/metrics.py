@@ -1,8 +1,8 @@
 """Lightweight, thread-safe metrics for the engine's hot paths.
 
 One :class:`MetricsRegistry` per ``Engine`` / ``ShardedEngine`` /
-``ViewServer`` / ``ReplicaEngine`` / ``ReplicaSet`` / ``PeerNetwork``
-holds three kinds of series:
+``ReplicaEngine`` / ``ReplicaSet`` / ``PeerNetwork`` holds three kinds
+of series:
 
 * **counters** — monotonic integers (``txn.commits``, ``wal.appends``,
   ``retry.attempts``).  Never reset, never decremented.

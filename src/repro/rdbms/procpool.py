@@ -588,13 +588,12 @@ class InlineChannel:
     when its token is drained — over a runtime on the caller's heap:
     every call executes inside ``submit``, on the calling thread, and
     the token *is* its stored ``(ok, payload)`` outcome.  No thread is
-    ever created and nothing ever waits in a queue, so a reader on
-    another thread (:class:`~repro.rdbms.serve.ViewServer` has its own)
-    is never held up by a transaction's staging or prepare — they run
-    in Python; only the runtime's storage writes and reads exclude each
-    other, per shard.  No fault site fires here: the injection hooks
-    (``rpc.send``, ``worker.dispatch``) belong to the process
-    transport."""
+    ever created and nothing ever waits in a queue, so a reader on any
+    caller's other thread is never held up by a transaction's staging
+    or prepare — they run in Python; only the runtime's storage writes
+    and reads exclude each other, per shard.  No fault site fires here:
+    the injection hooks (``rpc.send``, ``worker.dispatch``) belong to
+    the process transport."""
 
     dead = None                         # this transport cannot die
 

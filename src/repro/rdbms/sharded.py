@@ -106,13 +106,12 @@ constructor:
 * ``'inline'`` — **in-process** (:class:`LocalShard`, the default):
   the runtime lives on the coordinator's heap and every call runs
   inside ``submit``, on the calling thread — a scatter *is* the serial
-  loop.  *Lock*: a reader on another thread (``ViewServer`` has its
-  own) never waits behind a transaction's prepare — prepare stages in
-  Python; only a commit (``apply_prepared``, the last phase of
-  ``commit_local``) and a load (``load``, ``apply_load``) write
-  storage, and they exclude ``rows``/``snapshot`` per shard with a
-  lock.  During the
-  brief apply phase consistency is per shard: a multi-shard
+  loop.  *Lock*: a reader on any caller's other thread never waits
+  behind a transaction's prepare — prepare stages in Python; only a
+  commit (``apply_prepared``, the last phase of ``commit_local``) and
+  a load (``load``, ``apply_load``) write storage, and they exclude
+  ``rows``/``snapshot`` per shard with a lock.  During the brief
+  apply phase consistency is per shard: a multi-shard
   scatter-gather racing the apply may combine shards from either side
   of the commit (cross-shard snapshot isolation for readers is future
   work).  *Liveness*: the transport cannot die — ``alive`` is always

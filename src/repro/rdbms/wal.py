@@ -198,11 +198,9 @@ class WriteAheadLog:
     """Append-only durable log with monotonic LSNs.
 
     ``sync=True`` (the default) fsyncs every append — one fsync per
-    *transaction*, which group commit naturally amortises across
-    clients since a served group is a single engine transaction and
-    therefore a single record.  ``sync=False`` trades durability of
-    the OS page cache for speed (tests, benchmarks, replicas of a
-    primary that is itself durable).
+    *transaction*, whose commit is a single record.  ``sync=False``
+    trades durability of the OS page cache for speed (tests,
+    benchmarks, replicas of a primary that is itself durable).
 
     Opening an existing file recovers it: the tail is scanned, a torn
     final record is truncated (see module docstring), and appends

@@ -549,8 +549,8 @@ class TestSqliteRowImage:
             reopened.close()
 
     def test_readers_copy_the_live_set_while_a_writer_commits(self):
-        """Four threads snapshot the view (the copy ``ViewServer.rows``
-        makes — atomic for a real ``set`` under the GIL) while the
+        """Four threads snapshot the view (``frozenset(rows)``, a copy
+        atomic for a real ``set`` under the GIL) while the
         writer commits 300 INSERTs: no snapshot raises, each lies
         between the initial and the final view."""
         entry = entry_by_name('luxuryitems')

@@ -2,20 +2,15 @@
 concurrency, bounded reservoirs, snapshot merging) and the hook sites
 up the stack — single engine phase timings, WAL stat fold-in, sharded
 cluster merging across threads and worker processes (restart and
-retry traffic included), the serving front-end's stats/metrics
-coherence under grouped commits with mixed failures, and the replica
-router's quarantine/reinstate gauges.
+retry traffic included), and the replica router's
+quarantine/reinstate gauges.
 
 The drift properties under test: every transaction is counted exactly
 once at each level (no double counting when worker snapshots are
 merged with the coordinator's), monotonic counters never move
 backwards across worker restarts, and live gauges reconverge after
-quarantine/reinstate while their monotonic twins keep the history.
+quarantine/reinstate while their monotonic twins keep the history."""
 
-No pytest-asyncio in the image: server tests are plain sync functions
-driving ``asyncio.run`` (the test_serve.py idiom)."""
-
-import asyncio
 import os
 import signal
 import threading
@@ -32,7 +27,6 @@ from repro.rdbms.engine import Engine
 from repro.rdbms.metrics import (MERGED_RESERVOIR_SIZE, RESERVOIR_SIZE,
                                  MetricsRegistry, merge_snapshots)
 from repro.rdbms.replica import ReplicaEngine, ReplicaSet
-from repro.rdbms.serve import Receipt, ViewServer
 from repro.rdbms.sharded import ShardedEngine
 
 UNION_KEYS = {'v': 'a', 'r1': 'a', 'r2': 'a'}
@@ -505,84 +499,6 @@ class TestShardedMetrics:
         finally:
             del sharded._execute_cluster
             sharded.close()
-
-
-# ---------------------------------------------------------------------------
-# Serving front-end: stats and metrics agree under concurrency
-# ---------------------------------------------------------------------------
-
-
-class TestServeMetrics:
-
-    def test_stats_metrics_coherent_under_mixed_failures(
-            self, luxury_strategy):
-        """Grouped commit with one constraint violator among three
-        good clients: submitted == committed + failed, every
-        submission sits in exactly one group, and no submission is
-        counted twice anywhere."""
-        served = _luxury_engine(luxury_strategy)
-        gate = threading.Event()
-        real = served.execute_many
-
-        def gated(buckets):
-            gate.wait(timeout=10)
-            return real(buckets)
-
-        served.execute_many = gated
-        good = [[('luxuryitems', [Insert((10 + i, f'good{i}', 3000))])]
-                for i in range(3)]
-        bad = [('luxuryitems', [Insert((99, 'socks', 8))])]
-
-        async def main():
-            async with ViewServer(served) as server:
-                futures = [asyncio.ensure_future(server.submit(txn))
-                           for txn in (good[0], bad, good[1], good[2])]
-                while server._metrics.snapshot()['counters'].get(
-                        'serve.submitted', 0) < 4:
-                    await asyncio.sleep(0.01)
-                gate.set()
-                outcomes = await asyncio.gather(*futures,
-                                                return_exceptions=True)
-                return outcomes, server.metrics()
-
-        outcomes, merged = asyncio.run(main())
-        served.execute_many = real
-        assert sum(isinstance(o, Receipt) for o in outcomes) == 3
-        assert sum(isinstance(o, ConstraintViolation)
-                   for o in outcomes) == 1
-        counters = merged['counters']
-        # Every submission resolved exactly once.
-        assert counters['serve.submitted'] == 4
-        assert counters['serve.committed'] + counters['serve.failed'] == 4
-        group_hist = merged['histograms']['serve.group_size']
-        # Every submission sits in exactly one group.
-        assert group_hist['sum'] == pytest.approx(4.0)
-        # group_seconds is only observed for group runs that succeed
-        # (the failed group's latency is not a commit latency), so it
-        # can never exceed the group count.
-        group_seconds = merged['histograms'].get(
-            'serve.group_seconds', {'count': 0})
-        assert group_seconds['count'] <= group_hist['count']
-        # The engine's own commits are merged in underneath.
-        assert counters['txn.commits'] >= counters['serve.committed']
-        served.close()
-
-    def test_server_merges_cluster_metrics(self, union_strategy):
-        sharded = _union_cluster(union_strategy)
-
-        async def main():
-            async with ViewServer(sharded) as server:
-                for i in range(3):
-                    await server.submit([('v', [Insert((10 + i,))])])
-                return server.metrics()
-
-        counters = asyncio.run(main())['counters']
-        assert counters['serve.submitted'] == 3
-        # One metrics() call spans the whole stack: server counters
-        # next to the sharded coordinator's and the shard engines'.
-        assert counters['cluster.txns'] >= 3
-        assert counters['txn.commits'] >= 3
-        sharded.close()
 
 
 # ---------------------------------------------------------------------------

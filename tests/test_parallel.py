@@ -11,10 +11,9 @@ tests pin:
   coordinator drains prepares in first-touched order);
 * an abort after a sibling shard already prepared leaves every shard
   untouched;
-* readers on other threads (``ViewServer`` has its own) are never
-  blocked by an in-flight transaction's prepare phase and observe
-  pre-transaction state (only the apply phase takes the per-shard
-  locks);
+* readers on other threads are never blocked by an in-flight
+  transaction's prepare phase and observe pre-transaction state (only
+  the apply phase takes the per-shard locks);
 * SQLite storage works from whichever thread calls, on the backend's
   one connection (the thread-affinity regression);
 * the planner's caches are safe under concurrent compiles and re-plans.
@@ -272,8 +271,8 @@ class TestSQLiteThreadAffinity:
 
     def test_sqlite_shard_from_worker_thread(self, luxury_strategy):
         """A SQLite shard driven from a thread other than the one that
-        built it (a ``ViewServer`` writer, say) used to die with
-        SQLite's cross-thread ProgrammingError."""
+        built it (a writer thread beside the caller's, say) used to
+        die with SQLite's cross-thread ProgrammingError."""
         engine = build_engine(luxury_strategy,
                               backends=['sqlite', 'sqlite'])
         with ThreadPoolExecutor(1) as pool:
@@ -304,12 +303,10 @@ class TestSQLiteThreadAffinity:
 
     def test_one_connection_across_server_threads(self, luxury_strategy,
                                                   monkeypatch):
-        """A ``ViewServer``'s committer thread and its two reader
-        threads, all busy at once, share the backend's connection:
-        ``sqlite3.connect`` runs once, in the constructor."""
-        import asyncio
+        """A committer thread and two reader threads, all busy at
+        once, share the backend's connection: ``sqlite3.connect`` runs
+        once, in the constructor."""
         import sqlite3
-        from repro.rdbms.serve import ViewServer
         connect = sqlite3.connect
         calls = []
 
@@ -322,18 +319,32 @@ class TestSQLiteThreadAffinity:
         engine.load('items', BASE_ROWS)
         engine.define_view(luxury_strategy, validate_first=False)
         inserted = {(20 + i, f'gem{i}', 6000 + i) for i in range(8)}
+        failures: list = []
 
-        async def main():
-            async with ViewServer(engine, read_threads=2) as server:
-                await asyncio.gather(
-                    *(server.submit([('luxuryitems', [Insert(row)])])
-                      for row in sorted(inserted)),
-                    *(server.rows(name) for name in ('luxuryitems',
-                                                     'items') * 4))
-                return await server.rows('luxuryitems')
+        def commit():
+            try:
+                for row in sorted(inserted):
+                    engine.execute_many([('luxuryitems', [Insert(row)])])
+            except Exception as exc:                # noqa: BLE001
+                failures.append(exc)
 
+        def read():
+            try:
+                for name in ('luxuryitems', 'items') * 4:
+                    frozenset(engine.rows(name))
+            except Exception as exc:                # noqa: BLE001
+                failures.append(exc)
+
+        threads = [threading.Thread(target=commit)] + [
+            threading.Thread(target=read) for _ in range(2)]
         try:
-            assert inserted <= asyncio.run(main())
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+            assert not any(thread.is_alive() for thread in threads)
+            assert not failures
+            assert inserted <= frozenset(engine.rows('luxuryitems'))
         finally:
             engine.close()
         assert len(calls) == 1

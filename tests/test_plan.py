@@ -9,7 +9,8 @@ import pytest
 
 from repro.benchsuite.catalog_qa import QA_ENTRIES
 from repro.core.strategy import UpdateStrategy
-from repro.datalog.evaluator import (constraint_violations, evaluate,
+from repro.datalog.evaluator import (IndexedRelation,
+                                     constraint_violations, evaluate,
                                      execute_deltas)
 from repro.datalog.ast import delete_pred, insert_pred
 from repro.datalog.parser import parse_program
@@ -435,6 +436,29 @@ class TestSealedExecutor:
         instance = db(r={(i, i % 7) for i in range(100)},
                       s={(i,) for i in range(0, 100, 3)})
         self._both_tiers(program, instance)
+
+    def test_partly_bound_negation_after_a_bucket_empties(self):
+        """A partly bound negated atom is a key test on its index's
+        dict, an all-wildcard one a test of the relation's emptiness:
+        the sealed tier agrees with the generic one on each shape, also
+        over a persistent relation whose bucket a delete emptied."""
+        program = parse_program("""
+            a(X) :- p(X), not q(X, _).
+            b(X) :- p(X), not q(_, X).
+            c(X) :- p(X), not q(_, _).
+            ⊥ :- p(X), X > 2, not q(X, _).
+        """)
+        q = IndexedRelation({(1, 2), (2, 3), (3, 1)})
+        q.ensure_index((0,))
+        instance = {'p': {(1,), (2,), (3,)}, 'q': q}
+        _, (rows, violations, *_) = self._both_tiers(program, instance)
+        assert rows['a'] == rows['b'] == rows['c'] == frozenset()
+        assert violations == []
+        q.difference_update({(3, 1)})
+        _, (rows, violations, *_) = self._both_tiers(program, instance)
+        assert (rows['a'], rows['b'], rows['c']) == (
+            {(3,)}, {(1,)}, frozenset())
+        assert len(violations) == 1
 
     def test_sealed_first_witness_limit(self):
         program = parse_program('⊥ :- r(X), X > 10.')

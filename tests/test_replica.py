@@ -1,15 +1,13 @@
 """Read-replica tests: WAL-tailing catch-up, the never-runs-plans
 property (deltas go straight to the backend, the ∂put/get plans ran
 only on the primary), read-your-writes under ``min_lsn``, routing
-policies, sharded replica fan-out, and the asyncio front-end's
-routed ``rows()`` with ``Receipt.lsn``.
+policies and sharded replica fan-out.
 
 The randomized bit-identity proof (replica == reference across every
 execution mode, including post-SIGKILL replay) lives in
 ``tests/fuzz/test_differential.py``; these are the deterministic
 anchors."""
 
-import asyncio
 import types
 
 import pytest
@@ -20,7 +18,6 @@ from repro.rdbms.dml import Insert
 from repro.rdbms.engine import Engine
 from repro.rdbms.replica import ReplicaEngine, ReplicaSet
 from repro.rdbms.wal import encode_record, read_records
-from repro.rdbms.serve import ViewServer
 from repro.rdbms.sharded import ShardedEngine
 
 
@@ -591,64 +588,3 @@ class TestShardedReplicas:
                           shard_keys={'luxuryitems': 'iid',
                                       'items': 'iid'},
                           read_replicas=-1)
-
-
-class TestServedReads:
-
-    def test_receipt_lsn_reads_own_write_through_replicas(
-            self, luxury_strategy, tmp_path):
-        primary = _primary(luxury_strategy, tmp_path / 'p.wal')
-        replicas = [ReplicaEngine(luxury_strategy.sources, primary.wal)
-                    for _ in range(2)]
-        router = ReplicaSet(primary, replicas, max_lag=1_000_000)
-        router.catch_up()
-
-        async def main():
-            async with ViewServer(primary, replicas=router,
-                                  read_threads=2) as server:
-                receipt = await server.submit(
-                    [('luxuryitems', [Insert((4, 'yacht', 90_000))])])
-                assert receipt.lsn == primary.commit_lsn
-                for _ in range(4):
-                    rows = await server.rows('luxuryitems',
-                                             min_lsn=receipt.lsn)
-                    assert (4, 'yacht', 90_000) in rows
-                assert server.metrics()['counters']['serve.reads'] == 4
-
-        try:
-            asyncio.run(main())
-        finally:
-            router.close()
-            primary.close()
-
-    def test_rows_without_replicas_reads_engine(self, luxury_strategy,
-                                                tmp_path):
-        primary = _primary(luxury_strategy, tmp_path / 'p.wal')
-
-        async def main():
-            async with ViewServer(primary) as server:
-                rows = await server.rows('luxuryitems')
-                assert (1, 'watch', 5000) in rows
-
-        try:
-            asyncio.run(main())
-        finally:
-            primary.close()
-
-    def test_rows_requires_running_server(self, luxury_strategy,
-                                          tmp_path):
-        primary = _primary(luxury_strategy, tmp_path / 'p.wal')
-        server = ViewServer(primary)
-        try:
-            with pytest.raises(SchemaError, match='not running'):
-                asyncio.run(server.rows('luxuryitems'))
-        finally:
-            primary.close()
-
-    def test_read_threads_validated(self, luxury_strategy, tmp_path):
-        primary = _primary(luxury_strategy, tmp_path / 'p.wal')
-        try:
-            with pytest.raises(SchemaError, match='read_threads'):
-                ViewServer(primary, read_threads=0)
-        finally:
-            primary.close()
