@@ -245,38 +245,37 @@ class _PlanContext:
     IDB relations are materialised *on demand*: a scan of a predicate
     materialises it (and its dependencies), while fully-bound probes of
     an unmaterialised predicate are answered top-down without
-    materialising anything."""
+    materialising anything.  An input that is not yet an
+    :class:`IndexedRelation` is wrapped in one on its first read, so a
+    run that scans its delta sets directly never pays the wrap.  IDB
+    names hide same-named inputs."""
 
-    __slots__ = ('_store', 'plan', '_idb', '_materialized', '_in_progress',
-                 '_probe_cache')
+    __slots__ = ('_inputs', '_store', 'plan', '_idb', '_materialized',
+                 '_in_progress', '_probe_cache')
 
     def __init__(self, edb, plan: ExecutionPlan | None = None):
-        items = edb.relations.items() if isinstance(edb, Database) \
-            else edb.items()
-        self._store = store = {}
-        for name, rows in items:
-            store[name] = rows if rows.__class__ is IndexedRelation \
-                else IndexedRelation(rows)
+        self._inputs = edb.relations if isinstance(edb, Database) else edb
         self.plan = plan
-        self._idb: frozenset = plan.idb if plan is not None else frozenset()
+        self._idb = idb = plan.idb if plan is not None else frozenset()
+        self._store = store = {}
+        for name, rows in self._inputs.items():
+            if rows.__class__ is IndexedRelation and name not in idb:
+                store[name] = rows
         self._materialized: set[str] = set()
         self._in_progress: set[str] = set()
         self._probe_cache: dict[tuple[str, tuple], bool] = {}
-        # Shadowing: IDB names hide same-named EDB input relations.
-        if not self._idb.isdisjoint(self._store):
-            for name in self._idb.intersection(self._store):
-                del self._store[name]
 
     def is_pending_idb(self, name: str) -> bool:
         return name in self._idb and name not in self._materialized
 
     def relation(self, name: str) -> IndexedRelation:
-        if name in self._idb and name not in self._materialized:
-            self.materialize(name)
         rel = self._store.get(name)
         if rel is None:
-            rel = IndexedRelation(frozenset())
-            self._store[name] = rel
+            if name in self._idb:
+                self.materialize(name)
+                return self._store[name]
+            rel = self._store[name] = IndexedRelation(
+                self._inputs.get(name, frozenset()))
         return rel
 
     def materialize(self, name: str) -> None:
@@ -312,8 +311,9 @@ class _PlanContext:
         return result
 
     def snapshot(self, names) -> Database:
-        return Database({name: frozenset(self._store[name].rows)
-                         for name in names if name in self._store})
+        return Database({name: frozenset(self.relation(name).rows)
+                         for name in names
+                         if name in self._store or name in self._inputs})
 
 
 # ---------------------------------------------------------------------------

@@ -104,7 +104,16 @@ class ShardUnavailableError(ReproError):
     request was outstanding.  The cluster transaction that hit it is
     rolled back on every other shard; the pool restarts the worker so
     the *next* transaction finds a serving (catalog-recovered) shard.
+
+    ``applied`` is the caller's contract for re-runs.  ``False`` means
+    the abort was clean: no shard committed any of the transaction, and
+    the caller may run it again.  ``True`` means the failure came after
+    a shard may have committed (the apply phase, or a one-message
+    commit its log could not decide), so the transaction must not be
+    run again.
     """
+
+    applied: bool = False
 
     def __init__(self, shard: int, reason: str = ''):
         message = f'shard {shard} worker is unavailable'

@@ -15,13 +15,11 @@ from repro.rdbms.metrics import MetricsRegistry, merge_snapshots
 from repro.rdbms.peernet import (Peer, PeerCrashed, PeerGap, PeerNetwork,
                                  ShareDelta, converged)
 from repro.rdbms.replica import ReplicaEngine, ReplicaSet
-from repro.rdbms.sharded import (HashPartitioner, Partitioner,
-                                 RangePartitioner, ShardedEngine)
+from repro.rdbms.sharded import ShardedEngine
 from repro.rdbms.wal import WalRecord, WriteAheadLog
 
 __all__ = ['Delete', 'Insert', 'Statement', 'Update', 'derive_view_delta',
            'Engine', 'Transaction', 'ViewEntry', 'ShardedEngine',
-           'Partitioner', 'HashPartitioner', 'RangePartitioner',
            'WriteAheadLog', 'WalRecord',
            'ReplicaEngine', 'ReplicaSet', 'MetricsRegistry',
            'merge_snapshots',

@@ -5,7 +5,7 @@ One :class:`MetricsRegistry` per ``Engine`` / ``ShardedEngine`` /
 of series:
 
 * **counters** — monotonic integers (``txn.commits``, ``wal.appends``,
-  ``retry.attempts``).  Never reset, never decremented.
+  ``cluster.aborts``).  Never reset, never decremented.
 * **gauges** — last-write-wins floats for instantaneous state
   (``peer.peers``, ``peer.links``).
 * **histograms** — streaming latency/size distributions.  Each keeps

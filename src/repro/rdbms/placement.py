@@ -1,11 +1,11 @@
 """Static placement analysis for the sharded engine.
 
 Two questions are answered here, both without touching a shard:
-*where does a row live* (:class:`Partitioner` and its two
-implementations map a shard-key value to a shard index) and *may a view
-be routed shard-locally* (:func:`decide_placement`).  A view is
-shard-local when every relation its putback can reach is partitioned on
-the same-named attribute **and** its programs are key-aligned
+*where does a row live* (:func:`shard_of` hashes a shard-key value to
+a shard index) and *may a view be routed shard-locally*
+(:func:`decide_placement`).  A view is shard-local when every relation
+its putback can reach is partitioned on the same-named attribute
+**and** its programs are key-aligned
 (:func:`key_aligned`); otherwise it falls back to the documented global
 placement and its base tables are demoted with it.  The functions take
 the coordinator's catalog explicitly — schema, view entries, placement
@@ -16,9 +16,7 @@ map, key positions and attributes — and mutate nothing, so
 from __future__ import annotations
 
 import zlib
-from abc import ABC, abstractmethod
-from bisect import bisect_right
-from typing import Mapping, Sequence
+from typing import Mapping
 
 from repro.core.strategy import UpdateStrategy
 from repro.datalog.ast import (Lit, Program, Rule, Var, delta_base,
@@ -27,83 +25,44 @@ from repro.errors import SchemaError
 from repro.rdbms.engine import ViewEntry
 from repro.relational.schema import DatabaseSchema, RelationSchema
 
-__all__ = ['Partitioner', 'HashPartitioner', 'RangePartitioner',
-           'decide_placement', 'key_aligned', 'resolve_key']
+__all__ = ['decide_placement', 'key_aligned', 'resolve_key', 'shard_of']
 
 
 # ---------------------------------------------------------------------------
-# Partitioners
+# Hash placement
 # ---------------------------------------------------------------------------
 
 
-class Partitioner(ABC):
-    """Maps a shard-key *value* to a shard index in ``[0, n_shards)``.
+def shard_of(value, n_shards: int) -> int:
+    """The shard in ``[0, n_shards)`` owning rows whose key equals
+    ``value``: numbers by modulus, everything else by CRC-32 of its
+    ``repr`` — deliberately *not* Python's built-in ``hash``, whose
+    string seed changes per process and would make two runs (or a
+    differential test against a persisted SQLite shard) disagree about
+    row ownership.
 
-    Implementations must respect value equality: ``x == y`` implies
-    ``shard_of(x) == shard_of(y)`` — WHERE clauses match rows with
-    ``==`` (where ``1 == 1.0 == True``), so a partitioner that told
-    equal values apart would route a keyed statement away from the
-    rows it matches."""
-
-    def __init__(self, n_shards: int):
-        if n_shards < 1:
-            raise SchemaError(f'need at least one shard, got {n_shards}')
-        self.n_shards = n_shards
-
-    @abstractmethod
-    def shard_of(self, value) -> int:
-        """The shard owning rows whose key equals ``value``."""
-
-
-class HashPartitioner(Partitioner):
-    """Stable hash partitioning: numbers by modulus, everything else
-    by CRC-32 of its ``repr`` — deliberately *not* Python's built-in
-    ``hash``, whose string seed changes per process and would make two
-    runs (or a differential test against a persisted SQLite shard)
-    disagree about row ownership.  Numeric values that compare equal
-    (``1``/``1.0``/``True``) normalise to the same shard."""
-
-    def shard_of(self, value) -> int:
-        # Normalise every numeric type onto one representative so
-        # ==-equal values (True/1/1.0/Decimal(1), and inf/Decimal
-        # ('Infinity') via the float step) share a shard; non-numerics
-        # fall through to the repr hash.
-        if isinstance(value, complex) and value.imag == 0:
-            value = value.real
-        if not isinstance(value, str):
-            try:
-                as_int = int(value)
-                if as_int == value:
-                    return as_int % self.n_shards
-            except (TypeError, ValueError, OverflowError):
-                pass
-            try:
-                value = float(value)
-            except (TypeError, ValueError, OverflowError):
-                pass
-        return zlib.crc32(repr(value).encode('utf-8')) % self.n_shards
-
-
-class RangePartitioner(Partitioner):
-    """Explicit key-range partitioning over ``len(boundaries) + 1``
-    shards: shard 0 owns values below ``boundaries[0]``, shard *i* owns
-    ``boundaries[i-1] <= value < boundaries[i]``, the last shard owns
-    the rest.  Boundaries must be sorted and mutually comparable with
-    every key value (one key type per partitioned schema)."""
-
-    def __init__(self, boundaries: Sequence):
-        boundaries = tuple(boundaries)
-        if list(boundaries) != sorted(boundaries) or \
-                any(a == b for a, b in zip(boundaries, boundaries[1:])):
-            raise SchemaError(f'range boundaries must be strictly '
-                              f'increasing, got {boundaries!r} (a '
-                              f'duplicate boundary would declare a '
-                              f'shard that can never own a row)')
-        super().__init__(len(boundaries) + 1)
-        self.boundaries = boundaries
-
-    def shard_of(self, value) -> int:
-        return bisect_right(self.boundaries, value)
+    Equal values route equally: ``x == y`` implies ``shard_of(x, n) ==
+    shard_of(y, n)`` — WHERE clauses match rows with ``==`` (where
+    ``1 == 1.0 == True``), so a placement that told equal values apart
+    would route a keyed statement away from the rows it matches."""
+    # Normalise every numeric type onto one representative so
+    # ==-equal values (True/1/1.0/Decimal(1), and inf/Decimal
+    # ('Infinity') via the float step) share a shard; non-numerics
+    # fall through to the repr hash.
+    if isinstance(value, complex) and value.imag == 0:
+        value = value.real
+    if not isinstance(value, str):
+        try:
+            as_int = int(value)
+            if as_int == value:
+                return as_int % n_shards
+        except (TypeError, ValueError, OverflowError):
+            pass
+        try:
+            value = float(value)
+        except (TypeError, ValueError, OverflowError):
+            pass
+    return zlib.crc32(repr(value).encode('utf-8')) % n_shards
 
 
 # ---------------------------------------------------------------------------

@@ -57,7 +57,9 @@ the fork.  A dead worker (killed, crashed, broken pipe) — or a *wedged*
 one, surfaced by the per-call RPC timeout — appears as
 :class:`~repro.errors.ShardUnavailableError`; the coordinator aborts
 the cluster transaction on every other shard and restarts the worker so
-the next transaction finds a serving shard.
+the next transaction finds a serving shard.  Nothing re-runs the
+aborted transaction: the error reaches the caller, whose re-run is
+safe exactly when the error's ``applied`` is false.
 
 **Durability.**  Every worker has a log: ``wal_path`` (threaded down
 from ``ShardedEngine(wal_dir=...)``, or a directory the engine owns
@@ -837,7 +839,7 @@ class ProcessShard:
         the pre-transaction state, so the request is sent once more
         and its outcome is the transaction's.  Anything else leaves the
         outcome unknown: ``error`` is re-raised marked ``applied``, so
-        the transaction is never retried."""
+        the caller does not run the transaction again."""
         try:
             self.restart()
             recovered = self.channel.call('commit_lsn')

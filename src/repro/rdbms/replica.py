@@ -12,14 +12,13 @@ protocol.
 
 :class:`ReplicaSet` routes reads over a primary and N replicas:
 
-* unbounded reads rotate round-robin over the replicas;
+* reads rotate round-robin over the replicas;
 * ``min_lsn=`` per read — the read-your-writes bound: a session that
   committed at LSN n passes ``min_lsn=n`` and is guaranteed to never
   observe a replica behind its own write (the routed replica catches
   up first if needed);
-* ``max_lag`` — bounded staleness for reads without a ``min_lsn``
-  bound: a replica more than ``max_lag`` records behind catches up
-  before serving.
+* a read without a ``min_lsn`` bound never serves stale rows: a
+  replica behind the log catches up before serving.
 
 Replicas tail the log either in-process (sharing the primary's
 :class:`~repro.rdbms.wal.WriteAheadLog` instance for an exact lag
@@ -185,12 +184,11 @@ class ReplicaEngine:
 class ReplicaSet:
     """Read-routing over one primary and its replicas.
 
-    Reads rotate round-robin over the replicas.  ``max_lag`` bounds
-    staleness (a routed replica further behind catches up before
-    serving); ``read(..., min_lsn=n)`` additionally guarantees
-    read-your-writes for a session that committed at LSN n.  Writes
-    never route here — they stay on the primary, whose WAL feeds every
-    replica.
+    Reads rotate round-robin over the replicas.  A routed replica
+    behind the log catches up before serving; ``read(..., min_lsn=n)``
+    instead waits only for LSN n, which guarantees read-your-writes for
+    a session that committed there.  Writes never route here — they
+    stay on the primary, whose WAL feeds every replica.
 
     ``primary`` is any object exposing ``rows(name)`` and a
     ``commit_lsn`` attribute — an in-process
@@ -211,10 +209,9 @@ class ReplicaSet:
     quarantined replicas and the gauges with them.
     """
 
-    def __init__(self, primary, replicas, *, max_lag: int = 0):
+    def __init__(self, primary, replicas):
         self.primary = primary
         self.replicas = list(replicas)
-        self.max_lag = max_lag
         self._lock = threading.Lock()
         self._cursor = 0
         self._quarantined: list[ReplicaEngine] = []
@@ -240,11 +237,10 @@ class ReplicaSet:
 
     def _unmet(self, replica: ReplicaEngine, min_lsn: int | None) -> bool:
         """Whether ``replica`` misses a read's freshness bound: behind
-        ``min_lsn`` when given, else more than ``max_lag`` records
-        behind the log (a negative ``max_lag`` bounds nothing)."""
+        ``min_lsn`` when given, else behind the log at all."""
         if min_lsn is not None:
             return replica.applied_lsn < min_lsn
-        return self.max_lag >= 0 and replica.lag() > self.max_lag
+        return replica.lag() > 0
 
     def read(self, name: str, *, min_lsn: int | None = None):
         """Route one read.  Serves from the primary when the set has no

@@ -1,4 +1,4 @@
-"""A sharded engine over key-range partitions of the base tables.
+"""A sharded engine over hash partitions of the base tables.
 
 The paper's putback strategies are *deterministic* Datalog programs, so
 a sharded deployment must produce bit-identical source updates to a
@@ -14,9 +14,9 @@ engine's reusable transaction pipeline (``apply_statements`` /
 it.
 
 **Partitioning.**  ``shard_keys`` declares, per relation (and per
-view), the attribute whose value a :class:`Partitioner` maps to a shard
-index: :class:`HashPartitioner` (stable modular/CRC hashing) or
-:class:`RangePartitioner` (an explicit ordered range map).  A view is
+view), the attribute whose value
+:func:`~repro.rdbms.placement.shard_of` hashes to a shard index
+(numbers by modulus, anything else by CRC-32 of its ``repr``).  A view is
 *shard-local* when it declares a shard key and every relation its
 putback can reach — its ``update_closure``, its sources, and the base
 tables transitively underneath — is partitioned on the **same-named**
@@ -151,9 +151,10 @@ logs in a temporary directory the engine owns and removes on
 modes (process-mode replicas tail the shard logs by file path).
 ``rpc_timeout`` turns a *wedged* worker into
 :class:`~repro.errors.ShardUnavailableError` instead of a hung
-coordinator, and ``transient_retries`` re-runs a cluster transaction
-that aborted cleanly on a worker failure (never one whose apply phase
-partially committed).  Fault injection for all of this lives in
+coordinator.  The engine never re-runs a transaction itself: a
+:class:`~repro.errors.ShardUnavailableError` whose ``applied`` is
+false reports a clean abort, and the caller may run the transaction
+again.  Fault injection for all of this lives in
 :mod:`repro.rdbms.faults`.
 """
 
@@ -177,16 +178,13 @@ from repro.rdbms.dml import (Delete, Insert, Statement, Update,
 from repro.rdbms.engine import (DmlSurface, Engine, PreparedCommit,
                                 ViewEntry, coalesce_buckets, unpack_commit)
 from repro.rdbms.metrics import GLOBAL, MetricsRegistry, merge_snapshots
-from repro.rdbms.placement import (HashPartitioner, Partitioner,
-                                   RangePartitioner, decide_placement,
-                                   resolve_key)
+from repro.rdbms.placement import decide_placement, resolve_key, shard_of
 from repro.rdbms.procpool import LocalShard, ProcessPool
 from repro.rdbms.replica import ReplicaEngine, ReplicaSet
 from repro.relational.database import Database
 from repro.relational.schema import DatabaseSchema, RelationSchema
 
-__all__ = ['Partitioner', 'HashPartitioner', 'RangePartitioner',
-           'LocalShard', 'ShardedEngine']
+__all__ = ['LocalShard', 'ShardedEngine']
 
 
 def _remove_owned_logs(path: str, owner_pid: int) -> None:
@@ -223,7 +221,7 @@ class _ClusterTxn:
 
 
 class ShardedEngine(DmlSurface):
-    """N inner engines over key-range partitions, one backend each.
+    """N inner engines over hash partitions, one backend each.
 
     Drop-in for :class:`~repro.rdbms.engine.Engine` on the DML surface
     (``insert``/``delete``/``update``/``execute``/``execute_many``/
@@ -232,15 +230,13 @@ class ShardedEngine(DmlSurface):
     Parameters
     ----------
     shards:
-        Shard count (default 2; inferred from ``backends`` or
-        ``partitioner`` when those are given).
+        Shard count (default 2; inferred from ``backends`` when that
+        is a sequence).
     backends:
         Per-shard storage — ``None``/a kind name for uniform shards, or
         a sequence mixing kinds and prebuilt Backend instances (hot
         shards in memory, cold shards in SQLite files); resolved by
         :func:`repro.rdbms.backends.create_shard_backends`.
-    partitioner:
-        A :class:`Partitioner` (default :class:`HashPartitioner`).
     shard_keys:
         ``{relation_or_view: attribute name (or position)}`` — the
         declared shard key of each partitioned relation.  Relations
@@ -257,72 +253,36 @@ class ShardedEngine(DmlSurface):
         worker (alive but stuck) no longer blocks the coordinator
         forever.  ``None`` waits indefinitely (the pre-timeout
         behaviour).
-    transient_retries:
-        Retry a cluster transaction up to this many times after a
-        worker failure that aborted it *cleanly* (prepare-phase death,
-        dropped RPC — the abort rolled every shard back and the dead
-        worker was restarted).  An apply-phase failure that may have
-        partially committed is never retried.  ``retry_backoff`` is the
-        initial sleep between attempts, doubling each retry.
     """
 
     def __init__(self, schema: DatabaseSchema, *,
                  shards: int | None = None,
                  backends=None,
-                 partitioner: Partitioner | None = None,
                  shard_keys: Mapping[str, str | int] | None = None,
                  execution: str = 'inline',
                  wal_dir=None,
                  wal_sync: bool = True,
                  read_replicas: int = 0,
-                 replica_max_lag: int = 0,
-                 rpc_timeout: float | None = 120.0,
-                 transient_retries: int = 0,
-                 retry_backoff: float = 0.05,
-                 retry_backoff_cap: float = 2.0,
-                 retry_max_wait: float = 15.0):
+                 rpc_timeout: float | None = 120.0):
         if execution not in ('inline', 'processes'):
             raise SchemaError(f"execution must be 'inline' or "
                               f"'processes', got {execution!r}")
-        if transient_retries < 0:
-            raise SchemaError(f'transient_retries must be >= 0, '
-                              f'got {transient_retries}')
-        if retry_backoff_cap <= 0:
-            raise SchemaError(f'retry_backoff_cap must be > 0, '
-                              f'got {retry_backoff_cap}')
-        if retry_max_wait <= 0:
-            raise SchemaError(f'retry_max_wait must be > 0, '
-                              f'got {retry_max_wait}')
         if read_replicas < 0:
             raise SchemaError(f'read_replicas must be >= 0, '
                               f'got {read_replicas}')
         if shards is None:
-            if partitioner is not None:
-                shards = partitioner.n_shards
-            elif backends is not None and \
+            if backends is not None and \
                     not isinstance(backends, str) and \
                     hasattr(backends, '__len__'):
                 shards = len(backends)
             else:
                 shards = 2
+        if shards < 1:
+            raise SchemaError(f'need at least one shard, got {shards}')
         self.schema = schema
-        self.partitioner = partitioner or HashPartitioner(shards)
-        if self.partitioner.n_shards != shards:
-            raise SchemaError(
-                f'partitioner covers {self.partitioner.n_shards} shards '
-                f'but {shards} were requested')
         self.execution = execution
-        self._transient_retries = transient_retries
-        self._retry_backoff = retry_backoff
-        # The exponential backoff is bounded twice (the uncapped
-        # doubling could sleep for minutes at large transient_retries):
-        # no single sleep exceeds ``retry_backoff_cap`` and the summed
-        # sleeps never exceed ``retry_max_wait`` — the budget runs out
-        # before the attempt count does, the retry loop gives up.
-        self._retry_backoff_cap = retry_backoff_cap
-        self._retry_max_wait = retry_max_wait
         #: coordinator-side instrumentation: cluster phase timings
-        #: (route/prepare/apply), transaction counts, retry traffic.
+        #: (route/prepare/apply) and transaction counts.
         #: :meth:`metrics` merges this with every shard's own snapshot.
         self._metrics = MetricsRegistry()
         #: Post-commit hooks, with ``Engine.commit_listeners``'
@@ -395,8 +355,7 @@ class ShardedEngine(DmlSurface):
             self.replica_sets = tuple(
                 ReplicaSet(primary,
                            [ReplicaEngine(schema, feed)
-                            for _ in range(read_replicas)],
-                           max_lag=replica_max_lag)
+                            for _ in range(read_replicas)])
                 for primary, feed in zip(primaries, feeds))
         self._entries: dict[str, ViewEntry] = {}
         #: relation/view -> None (partitioned) or the pinned shard index
@@ -485,9 +444,8 @@ class ShardedEngine(DmlSurface):
         place = self._placement_of(name)
         if place is not None:
             return lambda row: place
-        key = self._keys[name][0]
-        shard_of = self.partitioner.shard_of
-        return lambda row: shard_of(row[key])
+        key, n_shards = self._keys[name][0], self.n_shards
+        return lambda row: shard_of(row[key], n_shards)
 
     # -- storage access ------------------------------------------------
 
@@ -777,45 +735,19 @@ class ShardedEngine(DmlSurface):
         failure (including a worker death) aborts the transaction on
         every shard and restarts dead workers before re-raising.
 
-        ``transient_retries`` re-runs the transaction after a
-        :class:`ShardUnavailableError` that aborted it *cleanly* —
-        nothing was committed anywhere, and the restarted worker
-        recovered its full committed state from its log, so a fresh
-        attempt is exactly a new transaction.  A failure in the apply
-        phase is never retried: sibling shards may already have applied
-        (and the repair path has already made every repairable case
-        *succeed*), so what reaches the caller from apply is a genuine
-        partial-commit report.  Nor is a one-message commit whose
-        outcome its shard's log could not decide."""
-        batches = coalesce_buckets(batches)
-        metrics = self._metrics
-        attempts = 0
-        waited = 0.0
-        while True:
-            try:
-                tokens = self._execute_cluster(batches)
-                break
-            except ShardUnavailableError as error:
-                if getattr(error, 'applied', False) \
-                        or attempts >= self._transient_retries:
-                    if attempts:
-                        metrics.counter('retry.giveups')
-                    raise
-                # Exponential backoff, bounded per attempt and in
-                # total: an uncapped 2**n sleep at large
-                # transient_retries would park the coordinator for
-                # minutes on a shard that is simply gone.
-                delay = min(self._retry_backoff * (2 ** attempts),
-                            self._retry_backoff_cap)
-                if waited + delay > self._retry_max_wait:
-                    metrics.counter('retry.giveups')
-                    raise
-                attempts += 1
-                waited += delay
-                metrics.counter('retry.attempts')
-                time.sleep(delay)
-        # Outside the retry loop: a listener's failure is not the
-        # transaction's, which has committed.
+        A :class:`ShardUnavailableError` whose ``applied`` is false
+        aborted the transaction *cleanly*: nothing was committed
+        anywhere, and the restarted worker recovered its full committed
+        state from its log, so the caller may run the transaction again
+        as a new one.  ``applied`` is true after a failure in the apply
+        phase — sibling shards may already have applied (and the repair
+        path has already made every repairable case *succeed*), so what
+        reaches the caller from apply is a genuine partial-commit
+        report — and after a one-message commit whose outcome its
+        shard's log could not decide."""
+        tokens = self._execute_cluster(coalesce_buckets(batches))
+        # A listener's failure is not the transaction's, which has
+        # committed.
         commits = tuple(PreparedCommit(*unpack_commit(token.record))
                         for token in tokens if token.record is not None)
         if commits:
@@ -823,8 +755,8 @@ class ShardedEngine(DmlSurface):
                 listener(commits)
 
     def _execute_cluster(self, batches) -> list:
-        """One attempt of the routed commit (see :meth:`execute_many`);
-        returns the touched shards' prepare tokens."""
+        """The routed commit (see :meth:`execute_many`); returns the
+        touched shards' prepare tokens."""
         metrics = self._metrics
         timed = metrics.enabled
         started = time.perf_counter() if timed else 0.0
@@ -872,8 +804,8 @@ class ShardedEngine(DmlSurface):
             # Apply carries the single engine's storage trust (see
             # above): no compensation, but a worker that died here is
             # restarted so the cluster keeps serving.  Mark the error
-            # as apply-phase so the transient-retry wrapper never
-            # re-runs a transaction that may have partially committed.
+            # as apply-phase: the transaction may have partially
+            # committed, and the caller must not re-run it.
             self._restart_dead()
             if isinstance(error, ShardUnavailableError):
                 error.applied = True
@@ -975,6 +907,7 @@ class ShardedEngine(DmlSurface):
             self._queue(txn, place, target, statements)
             return
         key_pos, key_attr = self._keys[target]
+        n_shards = self.n_shards
         per_shard: dict[int, list[Statement]] = {}
 
         def stage(index: int, statement: Statement) -> None:
@@ -982,7 +915,7 @@ class ShardedEngine(DmlSurface):
 
         def stage_by_where(statement: Delete | Update) -> None:
             routed = self._where_shard(target, statement.where, key_attr)
-            for index in range(self.n_shards) if routed is None \
+            for index in range(n_shards) if routed is None \
                     else (routed,):
                 stage(index, statement)
 
@@ -994,8 +927,7 @@ class ShardedEngine(DmlSurface):
                     # validation produces the canonical SchemaError.
                     stage(0, statement)
                 else:
-                    stage(self.partitioner.shard_of(row[key_pos]),
-                          statement)
+                    stage(shard_of(row[key_pos], n_shards), statement)
             elif isinstance(statement, Delete):
                 stage_by_where(statement)
             elif isinstance(statement, Update):
@@ -1024,7 +956,7 @@ class ShardedEngine(DmlSurface):
         data-dependent behavior."""
         if isinstance(where, Mapping) and key_attr in where and \
                 set(where) <= set(self._target_schema(target).attributes):
-            return self.partitioner.shard_of(where[key_attr])
+            return shard_of(where[key_attr], self.n_shards)
         return None
 
     def _target_schema(self, target: str) -> RelationSchema:

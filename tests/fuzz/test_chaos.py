@@ -28,7 +28,7 @@ import pytest
 hypothesis = pytest.importorskip('hypothesis')
 from hypothesis import example, given, settings, strategies as st  # noqa: E402
 
-from repro.errors import ReproError                                # noqa: E402
+from repro.errors import ReproError, ShardUnavailableError         # noqa: E402
 from repro.rdbms import faults                                     # noqa: E402
 from repro.rdbms.sharded import ShardedEngine                      # noqa: E402
 
@@ -54,6 +54,10 @@ SEED_CORPUS = [('luxuryitems', 7, 'kill-apply'),
                ('vw_brands', 7, 'kill-apply'),
                ('vw_brands', 7, 'kill-prepare')]
 
+#: How many times the victim's caller re-runs a cleanly aborted
+#: transaction.
+RERUNS = 3
+
 
 def _plan_for(fault: str, seed: int) -> faults.FaultPlan:
     shard = seed % 3
@@ -68,6 +72,25 @@ def _plan_for(fault: str, seed: int) -> faults.FaultPlan:
     else:
         raise KeyError(fault)
     return plan
+
+
+def _outcome(engine, transaction, before=None) -> str | None:
+    """Run ``transaction``: ``None`` when it commits, else the name of
+    the error it raises.  Given ``before``, the engine's state now, a
+    clean abort (``ShardUnavailableError`` whose ``applied`` is false)
+    must leave that state as it was, and the transaction is run again,
+    up to :data:`RERUNS` times, as a caller of the cluster may."""
+    for attempt in range(RERUNS + 1):
+        try:
+            engine.execute_many(transaction)
+            return None
+        except ShardUnavailableError as error:
+            if before is None or error.applied or attempt == RERUNS:
+                return type(error).__name__
+            assert engine.database() == before, \
+                'a clean abort changed the committed state'
+        except ReproError as error:
+            return type(error).__name__
 
 
 def run_chaos(view: str, seed: int, fault: str) -> bool:
@@ -87,9 +110,7 @@ def run_chaos(view: str, seed: int, fault: str) -> bool:
                                    shard_keys=SHARD_KEYS[view],
                                    execution='processes',
                                    wal_dir=base / 'victim',
-                                   wal_sync=False,
-                                   transient_retries=3,
-                                   retry_backoff=0.01)
+                                   wal_sync=False)
             oracle = ShardedEngine(strategy.sources, shards=3,
                                    shard_keys=SHARD_KEYS[view],
                                    execution='inline',
@@ -101,20 +122,17 @@ def run_chaos(view: str, seed: int, fault: str) -> bool:
                         engine.load(name, workload.data[name])
                     engine.define_view(strategy, validate_first=False)
                     engine.rows(view)
+                state = victim.database()
                 for number, transaction in enumerate(
                         workload.transactions):
-                    outcomes = {}
-                    for name, engine in (('victim', victim),
-                                         ('oracle', oracle)):
-                        try:
-                            engine.execute_many(transaction)
-                            outcomes[name] = None
-                        except ReproError as error:
-                            outcomes[name] = type(error).__name__
+                    outcomes = {'victim': _outcome(victim, transaction,
+                                                   state),
+                                'oracle': _outcome(oracle, transaction)}
                     assert outcomes['victim'] == outcomes['oracle'], (
                         f'divergent raise behavior under {fault} on '
                         f'{workload!r} transaction #{number}: {outcomes}')
-                    assert victim.database() == oracle.database(), (
+                    state = victim.database()
+                    assert state == oracle.database(), (
                         f'committed state diverged under {fault} on '
                         f'{workload!r} transaction #{number}')
                     assert frozenset(victim.rows(view)) \

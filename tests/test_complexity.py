@@ -177,9 +177,9 @@ class TestViewInsertIsSetAtATime:
     ONE_ROW = {'luxuryitems': 44, 'officeinfo': 44,
                'outstanding_task': 47, 'vw_brands': 47}
     ONE_ROW_UPDATE = {'luxuryitems': 63, 'officeinfo': 64,
-                      'outstanding_task': 75, 'vw_brands': 66}
+                      'outstanding_task': 73, 'vw_brands': 66}
     ONE_ROW_DELETE = {'luxuryitems': 57, 'officeinfo': 58,
-                      'outstanding_task': 69, 'vw_brands': 60}
+                      'outstanding_task': 67, 'vw_brands': 60}
 
     @pytest.mark.parametrize('view', FIGURE6_VIEWS)
     def test_calls_per_row(self, view):

@@ -18,10 +18,8 @@ from collections import Counter
 
 import pytest
 
-from repro.errors import ConstraintViolation, ShardUnavailableError
+from repro.errors import ConstraintViolation
 from repro.rdbms import engine as engine_mod
-from repro.rdbms import procpool
-from repro.rdbms import sharded as sharded_mod
 from repro.rdbms.dml import Delete, Insert, Update
 from repro.rdbms.engine import Engine
 from repro.rdbms.metrics import (MERGED_RESERVOIR_SIZE, RESERVOIR_SIZE,
@@ -342,7 +340,6 @@ class TestShardedMetrics:
             # The per-shard engines' commits are merged in on top.
             assert counters['txn.commits'] >= \
                 before.get('txn.commits', 0) + 5
-            assert counters.get('retry.attempts', 0) == 0
             assert counters.get('cluster.aborts', 0) == \
                 before.get('cluster.aborts', 0)
         finally:
@@ -439,67 +436,6 @@ class TestShardedMetrics:
         finally:
             sharded.close()
 
-    def test_transient_retry_attempts_counted(self, union_strategy,
-                                              monkeypatch):
-        """The masked-death retry (test_procpool idiom): the client
-        sees success, the metrics see the retry traffic."""
-        original = Engine.prepare_commit
-
-        def dying(self, working):
-            if procpool.WORKER_INDEX == 1:
-                os._exit(1)
-            return original(self, working)
-
-        monkeypatch.setattr(Engine, 'prepare_commit', dying)
-        sharded = ShardedEngine(union_strategy.sources, shards=3,
-                                shard_keys=UNION_KEYS,
-                                execution='processes',
-                                transient_retries=2,
-                                retry_backoff=0.01)
-        monkeypatch.undo()
-        try:
-            sharded.load('r1', [(0,), (1,), (2,)])
-            sharded.define_view(union_strategy, validate_first=False)
-            sharded.execute_many(
-                [('v', [Insert((3,)), Insert((4,)), Insert((5,))])])
-            counters = sharded.metrics()['counters']
-            assert counters['retry.attempts'] >= 1
-            assert counters.get('retry.giveups', 0) == 0
-        finally:
-            sharded.close()
-
-    def test_giveup_counted_and_backoff_capped(self, union_strategy,
-                                               monkeypatch):
-        """A permanently unavailable cluster: every sleep is clamped
-        to retry_backoff_cap, the loop gives up once the summed waits
-        would exceed retry_max_wait, and both attempts and the give-up
-        land in the metrics."""
-        delays = []
-        monkeypatch.setattr(sharded_mod.time, 'sleep', delays.append)
-        sharded = _union_cluster(union_strategy,
-                                 transient_retries=10,
-                                 retry_backoff=1.0,
-                                 retry_backoff_cap=0.25,
-                                 retry_max_wait=0.6)
-
-        def unavailable(batches):
-            raise ShardUnavailableError('injected outage')
-
-        sharded._execute_cluster = unavailable
-        try:
-            with pytest.raises(ShardUnavailableError,
-                               match='injected outage'):
-                sharded.execute_many([('v', [Insert((10,))])])
-            # backoff would be 1.0, 2.0, ... — the cap clamps every
-            # sleep to 0.25 and the 0.6 budget allows exactly two.
-            assert delays == [0.25, 0.25]
-            counters = sharded.metrics()['counters']
-            assert counters['retry.attempts'] == 2
-            assert counters['retry.giveups'] == 1
-        finally:
-            del sharded._execute_cluster
-            sharded.close()
-
 
 # ---------------------------------------------------------------------------
 # Replica router: monotonic quarantines vs live rotation gauges
@@ -508,14 +444,14 @@ class TestShardedMetrics:
 
 class TestReplicaMetrics:
 
-    def _set(self, luxury_strategy, tmp_path, n=2, **kwargs):
+    def _set(self, luxury_strategy, tmp_path, n=2):
         primary = Engine(luxury_strategy.sources,
                          wal=tmp_path / 'p.wal', wal_sync=False)
         primary.load('items', [(1, 'watch', 5000), (2, 'ring', 4000)])
         primary.define_view(luxury_strategy, validate_first=False)
         replicas = [ReplicaEngine(luxury_strategy.sources, primary.wal)
                     for _ in range(n)]
-        return primary, ReplicaSet(primary, replicas, **kwargs)
+        return primary, ReplicaSet(primary, replicas)
 
     def test_quarantine_reinstate_gauges_reconverge(
             self, luxury_strategy, tmp_path):
@@ -549,11 +485,10 @@ class TestReplicaMetrics:
 
     def test_router_snapshot_merges_into_engine_view(
             self, luxury_strategy, tmp_path):
-        primary, router = self._set(luxury_strategy, tmp_path,
-                                    max_lag=0)
+        primary, router = self._set(luxury_strategy, tmp_path)
         try:
             primary.insert('luxuryitems', (4, 'yacht', 90_000))
-            # max_lag=0: the read forces a catch-up before serving.
+            # A replica behind the log catches up before serving.
             assert (4, 'yacht', 90_000) in router.read('items')
             merged = merge_snapshots([primary.metrics_snapshot(),
                                       router.metrics_snapshot()])

@@ -30,12 +30,12 @@ from repro.errors import ConstraintViolation, SchemaError
 from repro.rdbms.backends.memory import MemoryBackend
 from repro.rdbms.dml import Delete, Insert
 from repro.rdbms.engine import Engine
-from repro.rdbms.sharded import RangePartitioner, ShardedEngine
+from repro.rdbms.sharded import ShardedEngine
 
 WAIT = 10.0         # generous upper bound; normal runs take milliseconds
 
-BASE_ROWS = [(1, 'watch', 5000), (2, 'ring', 4000),
-             (101, 'vase', 3000), (102, 'clock', 2500)]
+BASE_ROWS = [(2, 'watch', 5000), (4, 'ring', 4000),
+             (203, 'vase', 3000), (205, 'clock', 2500)]
 
 
 class GateBackend(MemoryBackend):
@@ -62,16 +62,18 @@ class GateBackend(MemoryBackend):
 
 
 def build_engine(luxury_strategy, *, execution='inline', backends=None):
-    """Two range shards of ``luxuryitems``: iid < 100 on shard 0."""
+    """Two hash shards of ``luxuryitems``: an even iid on shard 0, an
+    odd one on shard 1."""
     engine = ShardedEngine(
         luxury_strategy.sources,
-        partitioner=RangePartitioner([100]),
         backends=backends,
         shard_keys={'luxuryitems': 'iid', 'items': 'iid'},
         execution=execution)
     engine.load('items', BASE_ROWS)
     engine.define_view(luxury_strategy, validate_first=False)
     engine.rows('luxuryitems')
+    assert [{row[0] % 2 for row in part}
+            for part in engine.shard_rows('items')] == [{0}, {1}]
     return engine
 
 
@@ -91,12 +93,12 @@ class TestParallelEquivalence:
         parallel = build_engine(luxury_strategy, execution='processes')
         serial = build_engine(luxury_strategy)
         txns = [
-            [('luxuryitems', [Insert((7, 'tiara', 9000))]),
-             ('luxuryitems', [Insert((107, 'bust', 8000))])],
-            [('luxuryitems', [Delete({'iid': 7})]),
-             ('items', [Insert((150, 'statue', 1500))])],
-            [('luxuryitems', [Insert((8, 'orb', 7000)),
-                              Delete({'iid': 107})])],
+            [('luxuryitems', [Insert((14, 'tiara', 9000))]),
+             ('luxuryitems', [Insert((215, 'bust', 8000))])],
+            [('luxuryitems', [Delete({'iid': 14})]),
+             ('items', [Insert((301, 'statue', 1500))])],
+            [('luxuryitems', [Insert((16, 'orb', 7000)),
+                              Delete({'iid': 215})])],
         ]
         for txn in txns:
             serial.execute_many(txn)
@@ -130,8 +132,8 @@ class TestDeterministicFirstViolation:
         first-touched and its witness must surface — from the serial
         loop and from overlapped workers alike, even though the workers
         may finish in either order."""
-        txn = [('luxuryitems', [Insert((150, 'cheap_hi', 10))]),
-               ('luxuryitems', [Insert((50, 'cheap_lo', 20))])]
+        txn = [('luxuryitems', [Insert((301, 'cheap_hi', 10))]),
+               ('luxuryitems', [Insert((100, 'cheap_lo', 20))])]
         witnesses = {self._witness(luxury_strategy, execution, txn)
                      for execution in EXECUTIONS}
         assert len(witnesses) == 1
@@ -143,9 +145,9 @@ class TestDeterministicFirstViolation:
         created first, so its violation wins over shard 0's — the
         serial first-staged drain order, preserved by the scatter's
         drain order."""
-        txn = [('luxuryitems', [Insert((150, 'cheap_hi', 10))]),
-               ('items', [Insert((160, 'plain', 50))]),
-               ('luxuryitems', [Insert((50, 'cheap_lo', 20))])]
+        txn = [('luxuryitems', [Insert((301, 'cheap_hi', 10))]),
+               ('items', [Insert((321, 'plain', 50))]),
+               ('luxuryitems', [Insert((100, 'cheap_lo', 20))])]
         witnesses = {self._witness(luxury_strategy, execution, txn)
                      for execution in EXECUTIONS}
         assert len(witnesses) == 1
@@ -171,8 +173,8 @@ class TestMidFlightAbort:
         def transaction():
             try:
                 engine.execute_many([
-                    ('luxuryitems', [Insert((9, 'valid', 6000))]),
-                    ('luxuryitems', [Insert((109, 'cheap', 5))]),
+                    ('luxuryitems', [Insert((18, 'valid', 6000))]),
+                    ('luxuryitems', [Insert((219, 'cheap', 5))]),
                 ])
             except ConstraintViolation as err:
                 failed['error'] = err
@@ -189,7 +191,7 @@ class TestMidFlightAbort:
         assert engine.database() == before
         assert engine.rows('luxuryitems') == before_view
         for shard in engine.shard_rows('items'):
-            assert not shard & {(9, 'valid', 6000), (109, 'cheap', 5)}
+            assert not shard & {(18, 'valid', 6000), (219, 'cheap', 5)}
         engine.close()
 
 
@@ -207,7 +209,7 @@ class TestConcurrentReads:
         gated.armed = True
         runner = threading.Thread(
             target=engine.execute_many,
-            args=([('luxuryitems', [Insert((10, 'crown', 9999))])],))
+            args=([('luxuryitems', [Insert((20, 'crown', 9999))])],))
         runner.start()
         assert gated.entered.wait(WAIT)
         # The transaction is mid-prepare on shard 0 right now.
@@ -218,7 +220,7 @@ class TestConcurrentReads:
         assert not runner.is_alive()
         gated.armed = False
         assert engine.rows('luxuryitems') \
-            == before_view | {(10, 'crown', 9999)}
+            == before_view | {(20, 'crown', 9999)}
         engine.close()
 
 
@@ -252,8 +254,8 @@ class TestTrueOverlap:
         try:
             for n in range(30):
                 txn = [('luxuryitems',
-                        [Insert((n + 10, f'a{n}', 2000 + n)),
-                         Insert((n + 210, f'b{n}', 3000 + n))])]
+                        [Insert((2 * n + 20, f'a{n}', 2000 + n)),
+                         Insert((2 * n + 421, f'b{n}', 3000 + n))])]
                 sharded.execute_many(txn)
                 single.execute_many(txn)
         finally:
@@ -277,10 +279,10 @@ class TestSQLiteThreadAffinity:
                               backends=['sqlite', 'sqlite'])
         with ThreadPoolExecutor(1) as pool:
             pool.submit(engine.execute_many, [
-                ('luxuryitems', [Insert((12, 'fan', 4000))]),
-                ('luxuryitems', [Insert((112, 'lamp', 4500))]),
+                ('luxuryitems', [Insert((24, 'fan', 4000))]),
+                ('luxuryitems', [Insert((225, 'lamp', 4500))]),
             ]).result()
-        assert {(12, 'fan', 4000), (112, 'lamp', 4500)} \
+        assert {(24, 'fan', 4000), (225, 'lamp', 4500)} \
             <= engine.rows('luxuryitems')
         engine.close()
 

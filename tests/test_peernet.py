@@ -24,6 +24,7 @@ from repro.rdbms.dml import Delete, Insert
 from repro.rdbms.engine import Engine
 from repro.rdbms.peernet import (Peer, PeerCrashed, PeerGap, PeerNetwork,
                                  ShareDelta, converged)
+from repro.rdbms.placement import shard_of
 from repro.rdbms.sharded import ShardedEngine
 from repro.rdbms.wal import WriteAheadLog
 from repro.core.strategy import UpdateStrategy
@@ -784,10 +785,12 @@ class TestShardedPeers:
         net, writer, reader = self._writer_and_reader(tmp_path,
                                                       execution)
         try:
-            shard_of = writer.engine.partitioner.shard_of
+            shards = writer.engine.n_shards
             names = [f's:{i}' for i in range(64)]
-            first = next(name for name in names if shard_of(name) == 0)
-            second = next(name for name in names if shard_of(name) == 1)
+            first = next(name for name in names
+                         if shard_of(name, shards) == 0)
+            second = next(name for name in names
+                          if shard_of(name, shards) == 1)
             writer.engine.execute_many([
                 (VIEW, [Insert((first, 'lab'))]),
                 ('works', [Insert((second, 'hq', 'p', 'e'))])])

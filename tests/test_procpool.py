@@ -54,6 +54,19 @@ def _procs_pair(union_strategy, shards=3):
     return single, sharded
 
 
+def _clean_abort_then_rerun(engine, txn, before=None) -> None:
+    """Run ``txn``, which a worker failure aborts cleanly — the error
+    says so (``applied`` is false) and every shard holds what it held
+    ``before`` (default: read now) — then run it again, as the caller
+    of a clean abort may."""
+    before = engine.database() if before is None else before
+    with pytest.raises(ShardUnavailableError) as failure:
+        engine.execute_many(txn)
+    assert failure.value.applied is False
+    assert engine.database() == before
+    engine.execute_many(txn)
+
+
 # ---------------------------------------------------------------------------
 # Wire protocol: every RPC message type round-trips through pickle
 # ---------------------------------------------------------------------------
@@ -493,11 +506,11 @@ class TestProcessExecution:
         finally:
             sharded.close()
 
-    def test_transient_retry_masks_prepare_death(self, union_strategy,
-                                                 monkeypatch):
+    def test_prepare_death_is_a_clean_abort_the_caller_reruns(
+            self, union_strategy, monkeypatch):
         """A worker killed mid-prepare aborts the transaction cleanly;
-        with ``transient_retries`` the coordinator restarts it and
-        re-runs — the client never sees the failure."""
+        the coordinator restarts it, and the caller's re-run of the
+        same transaction commits."""
         original = Engine.prepare_commit
 
         def dying(self, working):
@@ -508,37 +521,35 @@ class TestProcessExecution:
         monkeypatch.setattr(Engine, 'prepare_commit', dying)
         sharded = ShardedEngine(union_strategy.sources, shards=3,
                                 shard_keys=UNION_KEYS,
-                                execution='processes',
-                                transient_retries=2,
-                                retry_backoff=0.01)
+                                execution='processes')
         monkeypatch.undo()
         try:
             sharded.load('r1', [(0,), (1,), (2,)])
             sharded.define_view(union_strategy, validate_first=False)
-            sharded.execute_many(
-                [('v', [Insert((3,)), Insert((4,)), Insert((5,))])])
+            _clean_abort_then_rerun(sharded, [
+                ('v', [Insert((3,)), Insert((4,)), Insert((5,))])])
+            assert sharded.shards[1].generation == 1
             assert frozenset(sharded.rows('v')) == \
                 frozenset({(0,), (1,), (2,), (3,), (4,), (5,)})
         finally:
             sharded.close()
 
-    def test_dropped_rpc_is_retried_transparently(self, union_strategy):
+    def test_dropped_rpc_is_a_clean_abort_the_caller_reruns(
+            self, union_strategy):
         """A dropped RPC frame (coordinator-side send failure) breaks
-        the channel exactly like a real ``OSError``; the retry layer
-        restarts the worker and the transaction commits."""
+        the channel exactly like a real ``OSError``: a clean abort, the
+        worker is restarted, and the caller's re-run commits."""
         sharded = ShardedEngine(union_strategy.sources, shards=3,
                                 shard_keys=UNION_KEYS,
-                                execution='processes',
-                                transient_retries=1,
-                                retry_backoff=0.01)
+                                execution='processes')
         plan = faults.FaultPlan()
         plan.drop_rpc(shard=2, method='prepare_commit')
         try:
             sharded.load('r1', [(0,), (1,), (2,)])
             sharded.define_view(union_strategy, validate_first=False)
             with plan.installed():   # rpc.send fires coordinator-side
-                sharded.execute_many(
-                    [('v', [Insert((3,)), Insert((4,)), Insert((5,))])])
+                _clean_abort_then_rerun(sharded, [
+                    ('v', [Insert((3,)), Insert((4,)), Insert((5,))])])
             assert plan.fired('rpc.send') == 1
             assert frozenset(sharded.rows('v')) == \
                 frozenset({(0,), (1,), (2,), (3,), (4,), (5,)})
@@ -977,19 +988,19 @@ class TestOneMessageCommit:
                                               tmp_path):
         """``rpc.send`` addresses the one request by the phase it
         carries, ``prepare_commit``.  A send that fails never reached
-        the worker: a clean abort, which ``transient_retries`` masks."""
+        the worker: a clean abort, and the caller's re-run commits."""
         plan = faults.FaultPlan()
         plan.drop_rpc(shard=1, method='prepare_commit', hit=2)
-        oracle, victim, records = self._pair(
-            union_strategy, tmp_path, transient_retries=1,
-            retry_backoff=0.01)
+        oracle, victim, records = self._pair(union_strategy, tmp_path)
         try:
             with plan.installed():      # rpc.send fires coordinator-side
-                for txn in self.LOCAL:
+                for index, txn in enumerate(self.LOCAL):
                     oracle.execute_many(txn)
-                    victim.execute_many(txn)
+                    if index == 1:      # shard 1's second commit request
+                        _clean_abort_then_rerun(victim, txn)
+                    else:
+                        victim.execute_many(txn)
             assert plan.fired('rpc.send') == 1
-            assert victim.metrics()['counters']['retry.attempts'] == 1
             self._assert_converged(oracle, victim, records)
         finally:
             oracle.close()
@@ -1004,7 +1015,8 @@ class TestOwnedLogs:
     (never with a worker)."""
 
     COMMITTED = TestWalBackedWorkers.TXNS[:3]
-    NEXT = TestWalBackedWorkers.TXNS[3]
+    #: a key-moving UPDATE whose row leaves shard 0 for shard 1
+    NEXT = [('v', [Update({'a': 13}, {'a': 9})])]
 
     def _ready(self, engine, union_strategy):
         engine.load('r1', [(0,), (1,), (2,)])
@@ -1021,33 +1033,29 @@ class TestOwnedLogs:
                           shard_keys=UNION_KEYS, execution='processes',
                           **kwargs), union_strategy)
 
-    @pytest.mark.parametrize('transient_retries', [0, 1])
-    def test_sigkill_loses_no_committed_transaction(
-            self, union_strategy, transient_retries):
-        """Three commits, then one worker is SIGKILLed: the next
-        transaction fails with ``ShardUnavailableError`` (or is retried
-        behind the caller's back), and the restarted worker has every
-        one of the three commits — state equals the single engine's."""
+    @pytest.mark.parametrize('shard', [0, 1])
+    def test_sigkill_loses_no_committed_transaction(self, union_strategy,
+                                                    shard):
+        """Three commits, then the worker of ``shard`` — the one the
+        next transaction moves a row out of, or the one it moves the
+        row into — is SIGKILLed: that transaction aborts cleanly with
+        ``ShardUnavailableError``, the restarted worker has every one
+        of the three commits, and the caller's re-run commits — state
+        equals the single engine's."""
         single = self._single(union_strategy)
-        sharded = self._cluster(union_strategy,
-                                transient_retries=transient_retries,
-                                retry_backoff=0.01)
+        sharded = self._cluster(union_strategy)
         try:
             for txn in self.COMMITTED:
                 single.execute_many(txn)
                 sharded.execute_many(txn)
             committed = single.database()
-            os.kill(sharded.shards[1].process.pid, signal.SIGKILL)
-            sharded.shards[1].process.join(5)
-            if transient_retries:
-                sharded.execute_many(self.NEXT)     # masked
-            else:
-                with pytest.raises(ShardUnavailableError):
-                    sharded.execute_many(self.NEXT)
-                assert sharded.database() == committed
-                sharded.execute_many(self.NEXT)
+            assert (9,) in sharded.shard_rows('v')[0]
+            os.kill(sharded.shards[shard].process.pid, signal.SIGKILL)
+            sharded.shards[shard].process.join(5)
+            _clean_abort_then_rerun(sharded, self.NEXT, committed)
             single.execute_many(self.NEXT)
-            assert sharded.shards[1].generation == 1
+            assert (13,) in sharded.shard_rows('v')[1]
+            assert sharded.shards[shard].generation == 1
             assert sharded.database() == single.database()
             assert frozenset(sharded.rows('v')) \
                 == frozenset(single.rows('v'))

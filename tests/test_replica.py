@@ -303,15 +303,14 @@ class TestReplicaEngine:
 
 class TestReplicaSet:
 
-    def _set(self, luxury_strategy, tmp_path, n=2, **kwargs):
+    def _set(self, luxury_strategy, tmp_path, n=2):
         primary = _primary(luxury_strategy, tmp_path / 'p.wal')
         replicas = [ReplicaEngine(luxury_strategy.sources, primary.wal)
                     for _ in range(n)]
-        return primary, ReplicaSet(primary, replicas, **kwargs)
+        return primary, ReplicaSet(primary, replicas)
 
     def test_round_robin_spreads_reads(self, luxury_strategy, tmp_path):
-        primary, router = self._set(luxury_strategy, tmp_path,
-                                    max_lag=1_000_000)
+        primary, router = self._set(luxury_strategy, tmp_path)
         try:
             router.catch_up()
             seen = {id(router._pick()) for _ in range(4)}
@@ -325,11 +324,11 @@ class TestReplicaSet:
             primary.close()
 
     def test_max_lag_bounds_staleness(self, luxury_strategy, tmp_path):
-        primary, router = self._set(luxury_strategy, tmp_path, n=1,
-                                    max_lag=0)
+        """The lag a read tolerates is zero: a read without a
+        ``min_lsn`` bound never serves stale rows."""
+        primary, router = self._set(luxury_strategy, tmp_path, n=1)
         try:
             primary.insert('luxuryitems', (4, 'yacht', 90_000))
-            # max_lag=0: an unbounded read may never serve stale rows.
             assert (4, 'yacht', 90_000) in router.read('items')
             assert _series(router)['replica.catch_ups'] >= 1
         finally:
@@ -338,17 +337,20 @@ class TestReplicaSet:
 
     def test_read_your_writes_via_commit_lsn(self, luxury_strategy,
                                              tmp_path):
-        primary, router = self._set(luxury_strategy, tmp_path,
-                                    max_lag=1_000_000)
+        primary, router = self._set(luxury_strategy, tmp_path)
         try:
             router.catch_up()
             primary.insert('luxuryitems', (4, 'yacht', 90_000))
             token = router.commit_lsn()
+            primary.insert('luxuryitems', (5, 'jet', 95_000))
             # Every routed read at the session's token sees the write,
-            # whichever replica the rotation lands on.
+            # whichever replica the rotation lands on, and catches up
+            # no further than the token.
             for _ in range(4):
                 assert (4, 'yacht', 90_000) \
                     in router.read('luxuryitems', min_lsn=token)
+            assert all(replica.applied_lsn == token
+                       for replica in router.replicas)
         finally:
             router.close()
             primary.close()
@@ -375,7 +377,7 @@ class TestReplicaSet:
         try:
             primary.insert('luxuryitems', (4, 'yacht', 90_000))
             with plan.installed():
-                rows = router.read('items')      # max_lag=0 → catch-up
+                rows = router.read('items')      # behind → catch-up
             assert (4, 'yacht', 90_000) in rows
             assert plan.fired('replica.catch_up') == 1
             series = _series(router)
@@ -428,8 +430,7 @@ class TestReplicaSet:
         """Regression: every ``replica.*`` counter of
         ``metrics_snapshot()`` is monotonic — quarantining a replica
         takes it out of the rotation, not out of the totals."""
-        primary, router = self._set(luxury_strategy, tmp_path, n=2,
-                                    max_lag=1_000_000)
+        primary, router = self._set(luxury_strategy, tmp_path, n=2)
         try:
             for iid in range(4, 9):
                 primary.insert('luxuryitems', (iid, f'item{iid}', 90_000))
@@ -489,8 +490,7 @@ class TestShardedReplicas:
 
     def test_routed_scatter_gather_matches_primary(self,
                                                    luxury_strategy):
-        engine = self._sharded(luxury_strategy, read_replicas=2,
-                               replica_max_lag=0)
+        engine = self._sharded(luxury_strategy, read_replicas=2)
         try:
             assert len(engine.replica_sets) == 2
             engine.insert('luxuryitems', (4, 'yacht', 90_000))
@@ -501,8 +501,7 @@ class TestShardedReplicas:
             engine.close()
 
     def test_commit_lsns_vector_read_your_writes(self, luxury_strategy):
-        engine = self._sharded(luxury_strategy, read_replicas=1,
-                               replica_max_lag=1_000_000)
+        engine = self._sharded(luxury_strategy, read_replicas=1)
         try:
             engine.insert('luxuryitems', (4, 'yacht', 90_000))
             token = engine.commit_lsn
@@ -529,7 +528,7 @@ class TestShardedReplicas:
                                            'items': 'iid'},
                                execution='processes',
                                wal_dir=tmp_path, wal_sync=False,
-                               read_replicas=1, replica_max_lag=0)
+                               read_replicas=1)
         try:
             engine.load('items', [(1, 'watch', 5000), (2, 'ring', 4000),
                                   (3, 'cap', 10)])
@@ -558,8 +557,7 @@ class TestShardedReplicas:
         engine = ShardedEngine(luxury_strategy.sources, shards=2,
                                shard_keys=keys, execution=execution,
                                wal_dir=tmp_path, wal_sync=False,
-                               read_replicas=1,
-                               replica_max_lag=1_000_000)
+                               read_replicas=1)
         try:
             engine.load('items', [(1, 'watch', 5000), (2, 'ring', 4000),
                                   (3, 'cap', 10)])

@@ -1,4 +1,4 @@
-"""Sharded engine tests: partitioners, placement rules, statement
+"""Sharded engine tests: hash placement, placement rules, statement
 routing (including cross-shard key moves), scatter-gather reads, mixed
 per-shard backends, aggregated planner stats, and multi-shard
 atomicity.  The randomized equivalence proof lives in
@@ -11,8 +11,8 @@ from repro.core.strategy import UpdateStrategy
 from repro.errors import ConstraintViolation, SchemaError
 from repro.rdbms.backends import MemoryBackend, SQLiteBackend
 from repro.rdbms.engine import Engine
-from repro.rdbms.sharded import (HashPartitioner, RangePartitioner,
-                                 ShardedEngine)
+from repro.rdbms.placement import shard_of
+from repro.rdbms.sharded import ShardedEngine
 from repro.relational.schema import DatabaseSchema
 
 UNION_KEYS = {'v': 'a', 'r1': 'a', 'r2': 'a'}
@@ -45,61 +45,36 @@ def _luxury_sharded(luxury_strategy, backends=('memory', 'sqlite',
 class TestPartitioners:
 
     def test_hash_int_is_modular(self):
-        part = HashPartitioner(4)
-        assert [part.shard_of(i) for i in range(8)] == [0, 1, 2, 3,
-                                                        0, 1, 2, 3]
+        assert [shard_of(i, 4) for i in range(8)] == [0, 1, 2, 3,
+                                                      0, 1, 2, 3]
 
     def test_hash_strings_stable_and_in_range(self):
-        part = HashPartitioner(3)
-        shards = {s: part.shard_of(s) for s in ('alice', 'bob', 'carol')}
-        assert all(0 <= v < 3 for v in shards.values())
-        # Stability: same mapping on a fresh partitioner (no process
-        # hash seed involvement).
-        again = HashPartitioner(3)
-        assert {s: again.shard_of(s) for s in shards} == shards
-
-    def test_range_partitioner(self):
-        part = RangePartitioner([10, 20])
-        assert part.n_shards == 3
-        assert part.shard_of(-5) == 0
-        assert part.shard_of(10) == 1
-        assert part.shard_of(19) == 1
-        assert part.shard_of(20) == 2
-
-    def test_range_boundaries_must_be_sorted(self):
-        with pytest.raises(SchemaError):
-            RangePartitioner([20, 10])
-
-    def test_range_boundaries_must_be_strictly_increasing(self):
-        """A duplicate boundary would declare a shard that can never
-        own a row."""
-        with pytest.raises(SchemaError, match='strictly increasing'):
-            RangePartitioner([5, 5])
+        """CRC-32 of the ``repr``, never the process-seeded ``hash``:
+        the mapping is pinned, so every run and every process agrees
+        on row ownership."""
+        assert {s: shard_of(s, 3) for s in ('alice', 'bob', 'carol')} \
+            == {'alice': 0, 'bob': 2, 'carol': 2}
 
     def test_equal_values_route_equally(self):
         """x == y must imply shard_of(x) == shard_of(y): WHERE clauses
         match rows with ==, where 1 == 1.0 == True == Decimal(1)."""
         from decimal import Decimal
         from fractions import Fraction
-        part = HashPartitioner(3)
-        assert part.shard_of(1) == part.shard_of(1.0) \
-            == part.shard_of(True) == part.shard_of(Decimal(1))
-        assert part.shard_of(0) == part.shard_of(0.0) == part.shard_of(False)
-        assert part.shard_of(4.0) == part.shard_of(4)
-        assert part.shard_of(1.5) == part.shard_of(Decimal('1.5')) \
-            == part.shard_of(Fraction(3, 2))
-        assert part.shard_of(float('inf')) \
-            == part.shard_of(Decimal('Infinity'))
-        assert part.shard_of(complex(1, 0)) == part.shard_of(1)
-        assert part.shard_of('1') != 'unrouted'   # strings stay strings
-        ranged = RangePartitioner([2, 5])
-        assert ranged.shard_of(1) == ranged.shard_of(1.0) \
-            == ranged.shard_of(True)
+        assert shard_of(1, 3) == shard_of(1.0, 3) \
+            == shard_of(True, 3) == shard_of(Decimal(1), 3)
+        assert shard_of(0, 3) == shard_of(0.0, 3) == shard_of(False, 3)
+        assert shard_of(4.0, 3) == shard_of(4, 3)
+        assert shard_of(1.5, 3) == shard_of(Decimal('1.5'), 3) \
+            == shard_of(Fraction(3, 2), 3)
+        assert shard_of(float('inf'), 3) \
+            == shard_of(Decimal('Infinity'), 3)
+        assert shard_of(complex(1, 0), 3) == shard_of(1, 3)
+        assert shard_of('1', 3) != 'unrouted'   # strings stay strings
 
-    def test_partitioner_shard_count_must_match(self, union_sources):
-        with pytest.raises(SchemaError):
-            ShardedEngine(union_sources, shards=4,
-                          partitioner=RangePartitioner([10]))
+    @pytest.mark.parametrize('shards', [0, -1])
+    def test_at_least_one_shard(self, union_sources, shards):
+        with pytest.raises(SchemaError, match='at least one shard'):
+            ShardedEngine(union_sources, shards=shards)
 
 
 class TestConstruction:
@@ -110,11 +85,6 @@ class TestConstruction:
         assert sharded.n_shards == 3
         kinds = [type(e.backend) for e in sharded.engines]
         assert kinds == [MemoryBackend, SQLiteBackend, MemoryBackend]
-
-    def test_shard_count_inferred_from_partitioner(self, union_sources):
-        sharded = ShardedEngine(union_sources,
-                                partitioner=RangePartitioner([3, 6]))
-        assert sharded.n_shards == 3
 
     def test_backend_count_mismatch_rejected(self, union_sources):
         with pytest.raises(SchemaError):

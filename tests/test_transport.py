@@ -21,7 +21,9 @@ from repro.errors import ConstraintViolation, SchemaError
 from repro.rdbms.backends import MemoryBackend
 from repro.rdbms.dml import Delete, Insert, Update
 from repro.rdbms.engine import Engine, unpack_commit
+from repro.rdbms.peernet import PeerNetwork
 from repro.rdbms.procpool import LocalShard, ProcessShard
+from repro.rdbms.replica import ReplicaSet
 from repro.rdbms.sharded import ShardedEngine
 
 UNION_KEYS = {'v': 'a', 'r1': 'a', 'r2': 'a'}
@@ -329,19 +331,43 @@ class TestCoordinatorCrash:
             in self._outcomes({(7,), (8,)})
 
 
+def _keywords(function) -> set[str]:
+    parameters = inspect.signature(function).parameters
+    return {name for name, parameter in parameters.items()
+            if parameter.kind is parameter.KEYWORD_ONLY}
+
+
 class TestOptionSurface:
+    """Every keyword doubles the configurations the oracles must
+    cover: adding one is a deliberate diff to a pinned set here."""
 
     def test_sharded_engine_keyword_set_is_pinned(self):
-        """Every keyword doubles the configurations the oracles must
-        cover: adding one is a deliberate diff to this set."""
-        parameters = inspect.signature(ShardedEngine.__init__).parameters
-        assert {name for name, parameter in parameters.items()
-                if parameter.kind is parameter.KEYWORD_ONLY} == {
-            'shards', 'backends', 'partitioner', 'shard_keys',
-            'execution', 'wal_dir', 'wal_sync',
-            'read_replicas', 'replica_max_lag', 'rpc_timeout',
-            'transient_retries', 'retry_backoff', 'retry_backoff_cap',
-            'retry_max_wait'}
+        assert _keywords(ShardedEngine.__init__) == {
+            'shards', 'backends', 'shard_keys', 'execution', 'wal_dir',
+            'wal_sync', 'read_replicas', 'rpc_timeout'}
+
+    def test_replica_set_and_peer_network_keyword_sets_are_pinned(self):
+        assert list(inspect.signature(ReplicaSet.__init__).parameters) \
+            == ['self', 'primary', 'replicas']
+        assert _keywords(ReplicaSet.__init__) == set()
+        assert _keywords(PeerNetwork.__init__) == {
+            'retry_backoff', 'retry_backoff_cap', 'quarantine_after',
+            'clock', 'sleep'}
+
+    @pytest.mark.parametrize('option', [
+        'partitioner', 'replica_max_lag', 'transient_retries',
+        'retry_backoff', 'retry_backoff_cap', 'retry_max_wait'])
+    def test_the_retry_partitioner_and_staleness_options_are_gone(
+            self, union_sources, option):
+        """A cleanly aborted transaction reaches the caller, placement
+        is the one hash, and a replica read never serves stale rows:
+        none of them is an option any more."""
+        with pytest.raises(TypeError, match=option):
+            ShardedEngine(union_sources, **{option: None})
+
+    def test_the_replica_staleness_bound_is_gone(self):
+        with pytest.raises(TypeError, match='max_lag'):
+            ReplicaSet(None, [], max_lag=0)
 
     def test_the_thread_pool_options_are_gone(self, union_sources):
         with pytest.raises(TypeError, match='parallelism'):
