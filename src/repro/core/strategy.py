@@ -231,9 +231,9 @@ class UpdateStrategy:
     def incremental_putdelta(self) -> Program:
         """The incrementalized putback ``∂put`` (§5: the LVGN shortcut
         of Lemma 5.2, else the Appendix-C construction), derived once
-        per strategy: the SQL trigger compiler, the engine and its
-        re-plan on drifted statistics all read this program, and each
-        compiles it with its own statistics.  A strategy that cannot be
+        per strategy: the SQL trigger compiler and the engine (again on
+        a re-plan, ``drop_view`` + ``define_view``) read this program,
+        and each compiles it with its own statistics.  A strategy that cannot be
         incrementalized raises :class:`TransformationError` on every
         read."""
         from repro.core.incremental import incrementalize

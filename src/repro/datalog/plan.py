@@ -711,7 +711,7 @@ def _compile_cached(program: Program, check_safety: bool,
 #: consistent under CPython, but two threads missing on the same key
 #: would each run a full compile and race to publish distinct (equal)
 #: plan objects — under the parallel sharded engine two shards
-#: re-planning the same view must share ONE plan, both for the
+#: compiling the same view must share ONE plan, both for the
 #: compile-once guarantee and so per-plan executor caches are not
 #: duplicated.  RLock: a compile may itself request another cached
 #: compile (``incrementalize_plan`` lowers through ``compile_program``).
@@ -733,7 +733,7 @@ def compile_program(program: Program, *, check_safety: bool = True,
     time so scheduling ties break toward the estimated-smallest scan.
 
     The cached path is thread-safe: concurrent callers (per-shard
-    worker threads re-planning the same view) are serialised by
+    engines compiling the same view) are serialised by
     ``_COMPILE_LOCK`` and observe the same plan instance.
     """
     stats_key = _freeze_stats(stats)

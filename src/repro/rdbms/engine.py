@@ -86,20 +86,8 @@ from repro.relational.schema import DatabaseSchema, RelationSchema
 __all__ = ['Engine', 'DmlSurface', 'Transaction', 'ViewEntry',
            'PreparedCommit', 'coalesce_buckets', 'unpack_commit']
 
-#: Re-plan a view's compiled plans when a source relation's observed
-#: cardinality drifts this far (either direction) from the stats the
-#: plans were seeded with.
-REPLAN_DRIFT_FACTOR = 10.0
-
-#: How often the drift check actually samples the statistics provider:
-#: on the first translation after (re)seeding, then every N-th.  A 10×
-#: drift develops over many transactions, and sampling every flush
-#: would put an O(#relations) count pass — cluster-wide, under the
-#: sharded engine — on the per-transaction hot path.
-REPLAN_CHECK_INTERVAL = 16
-
 #: Off the transaction path: only a view falling back from ∂put to the
-#: full putback (at ``define_view`` or a drift re-plan) logs here.
+#: full putback (at ``define_view``) logs here.
 _log = logging.getLogger(__name__)
 
 
@@ -112,7 +100,10 @@ class ViewEntry:
     ``update``/``execute_many`` batch — the engine's analogue of the
     SQL triggers BIRDS installs ahead of time.  Backends may compile
     further (the SQLite backend lowers these plans to SQL in its
-    ``register_view`` hook).
+    ``register_view`` hook).  Join orders follow the cardinalities seen
+    at that moment and are not revisited as tables grow or shrink:
+    ``drop_view`` + ``define_view`` re-seeds them from the current
+    counts.
     """
 
     strategy: UpdateStrategy
@@ -126,15 +117,8 @@ class ViewEntry:
     base_closure: frozenset  # base tables transitively underneath
     update_closure: frozenset  # relations the putback can write,
     #                            transitively through view sources
-    # Cardinalities the current plans were seeded with, how many times
-    # drift forced a recompilation, and how many drift probes have run
-    # since the last (re)seed (see Engine._maybe_replan).
-    stats_seed: Mapping[str, int] = field(default_factory=dict)
-    replans: int = 0
-    drift_probes: int = 0
-    #: Why incrementalization last failed for this view (the view then
-    #: runs the O(|S|) full putback, or keeps its previous ∂put plan on
-    #: a re-plan); None when it never did.
+    #: Why incrementalization failed for this view (the view then runs
+    #: the O(|S|) full putback); None when it did not.
     incremental_error: str | None = None
     # Named once here rather than on every flush: the view's schema,
     # ∂put's staged inputs ``+v`` / ``-v``, and the relations its
@@ -450,32 +434,23 @@ class Engine(DmlSurface):
         self.wal = wal
         self._wal_replaying = False
         self._wal_defines: dict[str, tuple] = {}
-        # Serialises the two catalog-mutating side paths that a
-        # concurrent reader can race with a transaction on: lazy view
-        # materialisation (two threads both missing the cache) and the
-        # drift re-plan (two threads swapping a ViewEntry's plans and
-        # ``replans``/``drift_probes`` counters).  The transaction
-        # pipeline itself holds no engine-global mutable state — one
-        # engine is driven by at most one transaction at a time, which
-        # is what the parallel sharded engine's per-shard fan-out
-        # guarantees.
+        # One committer at a time: :meth:`execute_many` holds this
+        # from ``begin`` to ``apply_prepared``, so no transaction
+        # prepares against a state another is about to change.  It is
+        # taken before ``_plan_lock``, never inside it.
+        self._commit_lock = threading.Lock()
+        # Lazy view materialisation, which a concurrent reader can race
+        # a transaction on: two threads both missing the cache build it
+        # once.
         self._plan_lock = threading.RLock()
-        #: Where planner statistics come from — both the seed at
-        #: ``define_view`` time and the drift check/re-seed in
-        #: :meth:`_maybe_replan`.  A coordinator embedding this engine
-        #: (the sharded engine) overrides it with cluster-wide
-        #: aggregated counts, so one shard's local sizes never drive a
-        #: join order or a spurious re-plan.  None means this engine's
-        #: own :meth:`_relation_stats` — not stored here as a bound
-        #: method, a reference cycle that would keep a dropped engine
-        #: (and its backend's rows) alive until a full collection.
-        self.stats_provider = None
         #: Post-commit hooks: each callable receives a sequence of
         #: applied :class:`PreparedCommit` objects — ``(prepared,)``
         #: here, one per shard that applied on a sharded engine — after
         #: storage is updated, only for a non-empty batch and never
         #: during WAL replay (recovery must not re-publish).  The peer
-        #: network subscribes here to ship committed view deltas.
+        #: network subscribes here to ship committed view deltas.  Hooks
+        #: run under the commit lock, so one must not commit on the
+        #: engine that calls it.
         self.commit_listeners: list = []
         #: Durable notes collected while replaying the WAL (from
         #: note-carrying commit records and standalone ``note``
@@ -489,7 +464,7 @@ class Engine(DmlSurface):
         #: records survives log compaction.
         self.checkpoint_extras: list = []
         #: Hot-path instrumentation (see rdbms/metrics.py): transaction
-        #: phase timings, plan compiles/replans, WAL append latency.
+        #: phase timings, plan compiles, WAL append latency.
         #: ``engine.metrics.enabled = False`` turns every hook into a
         #: single attribute check (pinned as call counts by
         #: ``tests/test_metrics.py::TestInstrumentationCost``).
@@ -653,7 +628,6 @@ class Engine(DmlSurface):
             if self.backend.has_cache(name):
                 return
             entry = self._views[name]
-            self._maybe_replan(entry)
             self.backend.materialize(entry, {s: self.eval_handle(s)
                                              for s in entry.source_names})
 
@@ -735,10 +709,14 @@ class Engine(DmlSurface):
         The strategy must be valid; pass a precomputed ``report`` to skip
         re-validation, or ``validate_first=False`` to trust the caller
         (the expected_get is then required and used as the view
-        definition).  ``stats`` overrides the observed cardinalities the
-        planner seeds join orders with — the sharded engine passes
-        cluster-wide aggregated counts here, since any one shard's local
-        sizes under-estimate the relation.  ``exist_ok`` adopts an
+        definition).  The plans compiled here are the view's for its
+        lifetime; their join orders are seeded with the current
+        cardinalities (re-seed by ``drop_view`` + ``define_view``).
+        ``stats`` overrides those cardinalities — the sharded engine
+        passes cluster-wide aggregated counts here, since any one
+        shard's local sizes under-estimate the relation, and WAL replay
+        the logged ones, so that recovery and replicas compile the same
+        plans.  ``exist_ok`` adopts an
         already-registered view of the same name instead of raising —
         the restart idiom for engines recovered from a WAL, whose
         replay re-registered the catalog before the caller's setup code
@@ -757,7 +735,7 @@ class Engine(DmlSurface):
                                              set(self._views))))
         lvgn = is_lvgn(strategy.putdelta, name)
         if stats is None:
-            stats = self._planner_stats()
+            stats = self._relation_stats()
         incremental_program = None
         incremental_plan = None
         incremental_error = None
@@ -792,7 +770,6 @@ class Engine(DmlSurface):
                           source_names=source_names,
                           base_closure=frozenset(closure),
                           update_closure=frozenset(update_closure),
-                          stats_seed=dict(stats),
                           incremental_error=incremental_error)
         self._views[name] = entry
         try:
@@ -837,10 +814,6 @@ class Engine(DmlSurface):
             self._wal_defines.pop(name, None)
             self._wal_append('drop_view', name)
 
-    def _planner_stats(self) -> dict[str, int]:
-        """Cardinalities from :attr:`stats_provider`, else local."""
-        return (self.stats_provider or self._relation_stats)()
-
     def _relation_stats(self) -> dict[str, int]:
         """Observed cardinalities the planner seeds its join order with:
         current base-table sizes plus any already-materialised view."""
@@ -850,65 +823,6 @@ class Engine(DmlSurface):
             if self.backend.has_cache(view):
                 stats[view] = self.backend.count(view)
         return stats
-
-    def _maybe_replan(self, entry: ViewEntry) -> None:
-        """Re-seed the view's compiled plans when a source relation's
-        size has drifted >10× from the cardinalities they were planned
-        with (the ROADMAP's "plan-level statistics" open item).
-
-        Memory backend only: its join orders are fixed at compile time.
-        The SQL lowering takes one thing from the static schedule — the
-        staged deltas ``+v``/``-v`` are listed first and SQLite is made
-        to keep them outermost (``CROSS JOIN``), which no cardinality
-        drift changes; how the stored relations inside that loop are
-        reached is SQLite's own optimizer's choice at every execution.
-        Plans are immutable and the compile is memoized, so re-planning
-        is just swapping the entry's plan references — in-flight
-        evaluations are unaffected.
-        """
-        if self.backend.kind != 'memory':
-            return
-        # The sampling count needs no lock: a lost increment only moves
-        # the next probe by one flush.
-        entry.drift_probes += 1
-        if (entry.drift_probes - 1) % REPLAN_CHECK_INTERVAL:
-            return
-        with self._plan_lock:
-            factor = REPLAN_DRIFT_FACTOR
-            stats = None
-            drifted = False
-            for rel in entry.source_names:
-                if rel in self._views and not self.backend.has_cache(rel):
-                    continue
-                if stats is None:
-                    stats = self._planner_stats()
-                if rel not in stats:
-                    continue
-                seeded = max(entry.stats_seed.get(rel, 0), 1)
-                current = max(stats[rel], 1)
-                if current >= factor * seeded \
-                        or seeded >= factor * current:
-                    drifted = True
-                    break
-            if not drifted:
-                return
-            entry.get_plan = compile_program(entry.get_program,
-                                             stats=stats)
-            if entry.use_incremental:
-                try:
-                    entry.incremental_program, entry.incremental_plan = \
-                        incrementalize_plan(entry.strategy, stats=stats)
-                except Exception as exc:  # keep the old incremental plan
-                    entry.incremental_error = f'{type(exc).__name__}: {exc}'
-                    _log.warning('view %r: re-incrementalization on '
-                                 'drifted statistics failed, keeping the '
-                                 'previous ∂put plan (%s)', entry.name,
-                                 entry.incremental_error)
-            entry.stats_seed = dict(stats)
-            entry.replans += 1
-            entry.drift_probes = 0
-            self.metrics.counter('plan.replans')
-            self._register_index_hints(entry)
 
     def _register_index_hints(self, entry: ViewEntry) -> None:
         """Pre-build the persistent access structures the view's
@@ -929,17 +843,20 @@ class Engine(DmlSurface):
 
         ``note`` attaches an opaque durable sidecar to the
         transaction's commit record (see :class:`PreparedCommit.note`)
-        — it becomes durable atomically with the deltas."""
-        working = self.begin()
-        working.note = note
-        try:
-            for target, statements in coalesce_buckets(batches):
-                self.apply_statements(working, target, statements)
-            prepared = self.prepare_commit(working)
-        except BaseException:
-            self.abort(working)
-            raise
-        self.apply_prepared(prepared)
+        — it becomes durable atomically with the deltas.  Calls on one
+        engine commit one at a time, each preparing against the state
+        the previous one left."""
+        with self._commit_lock:
+            working = self.begin()
+            working.note = note
+            try:
+                for target, statements in coalesce_buckets(batches):
+                    self.apply_statements(working, target, statements)
+                prepared = self.prepare_commit(working)
+            except BaseException:
+                self.abort(working)
+                raise
+            self.apply_prepared(prepared)
 
     # -- the reusable transaction pipeline ---------------------------------
     #
@@ -1069,7 +986,6 @@ class Engine(DmlSurface):
             view.pending, view.pending_origins, view.pre
         view.pending = view.pending_origins = view.pre = None
         entry = view.entry
-        self._maybe_replan(entry)
         # The merged delta may keep a row written and undone since the
         # view was queued (in -v but not in v, or in +v and already in
         # v).  Such a row is still outside v' (a -v row) or inside it

