@@ -547,14 +547,19 @@ def _comparison(em: _Emitter, step: CompareStep) -> str:
     return call if step.expect else f'not {call}'
 
 
+def _index_key(em: _Emitter, key) -> str:
+    """A key of an index's dict: the bare value for one position."""
+    return em.key_tuple(key) if len(key) > 1 else em.operand(key[0])
+
+
 def _emit_steps(em: _Emitter, steps, success: str, reads: set) -> None:
     """Generate the nested loop/guard pyramid for ``steps``; the
     ``success`` snippet runs at full depth once per satisfying
     binding.  Mirrors the generic tier's step semantics exactly; only
     slots in ``reads`` are assigned, a fully bound atom of a predicate
     outside the rule's IDB is a plain membership test, and a partly
-    bound negated atom a key test on its index's dict
-    (:meth:`_Emitter.index_keys`).  The
+    bound scan or membership test reads its index's dict
+    (:meth:`_Emitter.index_keys`) inline: a bucket, or a key test.  The
     first step, a scan of a delta input on some positions, filters its
     rows in the loop instead (the generic tier's index would be built
     for that one scan)."""
@@ -565,9 +570,15 @@ def _emit_steps(em: _Emitter, steps, success: str, reads: set) -> None:
             filtered = i == 0 and step.positions \
                 and is_delta_pred(step.pred) and step.pred not in em.idb
             if step.positions and not filtered:
-                source = (f'{em.index(step.pred)}.lookup('
-                          f'{em.const(step.positions)}, '
-                          f'{em.key_tuple(step.key)})')
+                # ``IndexedRelation.lookup``'s bucket shapes: a list, a
+                # dict, or one bare row.
+                keys = em.index_keys(step.pred, step.positions)
+                bucket = em.fresh('_b')
+                em.emit(f'{bucket} = {keys}.get({_index_key(em, step.key)})')
+                em.emit(f'if {bucket} is not None:')
+                em.indent += 1
+                source = (f'{bucket} if {bucket}.__class__ is list or '
+                          f'{bucket}.__class__ is dict else ({bucket},)')
             else:
                 source = em.rows(step.pred)
             em.emit(f'for {row} in {source}:')
@@ -588,17 +599,15 @@ def _emit_steps(em: _Emitter, steps, success: str, reads: set) -> None:
                     em.emit(f's{slot} = {row}[{pos}]')
         elif cls is ProbeStep or cls is NegationStep:
             negated = cls is NegationStep
-            if negated and len(step.positions) != step.arity:
+            test = 'not in' if negated else 'in'
+            if len(step.positions) != step.arity:
                 if step.positions:
                     keys = em.index_keys(step.pred, step.positions)
-                    key = em.key_tuple(step.key) if len(step.key) > 1 \
-                        else em.operand(step.key[0])
-                    em.emit(f'if {key} not in {keys}:')
+                    em.emit(f'if {_index_key(em, step.key)} {test} {keys}:')
                 else:                       # every column a wildcard
-                    em.emit(f'if not {em.rows(step.pred)}:')
+                    em.emit(f'if {"not " * negated}{em.rows(step.pred)}:')
                 em.indent += 1
                 continue
-            test = 'not in' if negated else 'in'
             if step.pred not in em.idb:
                 rows = em.rows(step.pred)
                 em.emit(f'if {em.key_tuple(step.key)} {test} {rows}:')

@@ -10,10 +10,11 @@ redo on every call:
   binding mask: variables become integer slots, atom arguments become
   (slot | constant) key templates, and repeated-variable consistency
   checks are pre-extracted;
-* unfolding of a negated pass-through atom ``not p(t̄)`` — ``p``'s one
-  rule reads one relation outside the IDB — into a negation of that
-  relation (:func:`_pass_throughs`), one index probe instead of a
-  top-down run of ``p``'s rule;
+* compiling a membership test of a pass-through atom ``p(t̄)`` —
+  ``p``'s one rule reads one relation outside the IDB — negated, or
+  positive and fully bound, into a test on that relation
+  (:func:`_pass_throughs`): one index probe instead of a top-down run
+  of ``p``'s rule;
 * declaration of the hash-index masks the plan will probe at run time
   (``index_requirements``), so long-lived engines can build persistent
   indexes ahead of the first update;
@@ -51,7 +52,6 @@ from __future__ import annotations
 import threading
 from dataclasses import dataclass, field
 from functools import lru_cache
-from itertools import count
 from typing import Mapping, Sequence
 
 from repro.datalog.ast import (Atom, BuiltinLit, Const, Lit, Literal,
@@ -106,11 +106,13 @@ class ScanStep:
 @dataclass(frozen=True, slots=True)
 class ProbeStep:
     """Membership test of a fully bound positive atom (top-down for
-    pending IDB predicates — no materialisation)."""
+    pending IDB predicates — no materialisation), or of a pass-through
+    atom's source relation at ``positions``, the others wildcards."""
 
     pred: str
     arity: int
-    key: tuple[tuple[int, object], ...]   # covers all argument positions
+    positions: tuple[int, ...]
+    key: tuple[tuple[int, object], ...]
 
 
 @dataclass(frozen=True, slots=True)
@@ -161,8 +163,8 @@ class RulePlan:
     ``probe_steps`` is the alternative schedule used for top-down
     probes, compiled with every head variable pre-bound.  The probe
     preamble (``match_*``) maps a candidate head row onto the slots.
-    ``rule`` is the source text, also when a negated pass-through atom
-    was compiled unfolded (:func:`_pass_throughs`).
+    ``rule`` is the source text, also when a pass-through atom was
+    compiled as a test on its source (:func:`_pass_throughs`).
     """
 
     rule: Rule
@@ -419,8 +421,7 @@ def _operand(term, slots: _Slots, bound: set[str]) -> tuple[int, object]:
     return (slots.slot(term.name), None)
 
 
-def _compile_positive(atom: Atom, slots: _Slots,
-                      bound: set[str]) -> ScanStep | ProbeStep:
+def _compile_scan(atom: Atom, slots: _Slots, bound: set[str]) -> ScanStep:
     positions: list[int] = []
     key: list[tuple[int, object]] = []
     free: list[tuple[int, int]] = []
@@ -438,30 +439,41 @@ def _compile_positive(atom: Atom, slots: _Slots,
         else:
             seen[term.name] = pos
             free.append((pos, slots.slot(term.name)))
-    if not free and not checks:
-        return ProbeStep(atom.pred, atom.arity, tuple(key))
     return ScanStep(atom.pred, atom.arity, tuple(positions), tuple(key),
                     tuple(free), tuple(checks))
 
 
-def _compile_negated(atom: Atom, slots: _Slots,
-                     bound: set[str]) -> NegationStep:
+def _membership(atom: Atom, slots: _Slots, bound: set[str],
+                through: Rule | None) -> tuple:
+    """``(pred, arity, positions, key)`` of a membership test of
+    ``atom`` (a fully bound positive atom, or a negated one reached with
+    every variable the body binds bound): a constant or a bound variable
+    keys its position, and an anonymous variable nothing binds is a
+    wildcard.  For a pass-through ``p`` (``through``, its rule
+    ``p(X̄) :- r(Ȳ)``), the test is on ``r`` at ``Ȳ`` with each head
+    variable replaced by its argument in ``atom`` and each existential
+    variable a wildcard."""
+    source, terms = atom, atom.args
+    if through is not None:
+        binding = {var.name: arg
+                   for var, arg in zip(through.head.args, atom.args)}
+        source = through.body[0].atom
+        terms = [term if isinstance(term, Const) else binding.get(term.name)
+                 for term in source.args]
     positions: list[int] = []
     key: list[tuple[int, object]] = []
-    for pos, term in enumerate(atom.args):
+    for pos, term in enumerate(terms):
         if isinstance(term, Const):
-            positions.append(pos)
             key.append((CONST, term.value))
-        elif term.name in bound:
-            positions.append(pos)
+        elif term is not None and term.name in bound:
             key.append((slots.slot(term.name), None))
-        elif is_anonymous(term):
+        elif term is None or is_anonymous(term):
             continue                       # wildcard column
         else:
             raise SafetyError(f'negated atom {atom} reached with unbound '
                               f'variable {term}')
-    return NegationStep(atom.pred, atom.arity, tuple(positions),
-                        tuple(key))
+        positions.append(pos)
+    return source.pred, source.arity, tuple(positions), tuple(key)
 
 
 def _compile_builtin(literal: BuiltinLit, slots: _Slots,
@@ -492,19 +504,22 @@ def _compile_builtin(literal: BuiltinLit, slots: _Slots,
 def _compile_steps(body: Sequence[Literal], slots: _Slots,
                    initial_bound: frozenset,
                    idb: frozenset,
-                   stats: Mapping[str, int] | None = None
+                   stats: Mapping[str, int] | None,
+                   pass_throughs: Mapping[str, Rule]
                    ) -> tuple[Step, ...]:
     ordered = schedule_static(body, initial_bound, idb, stats)
     bound: set[str] = set(initial_bound)
     steps: list[Step] = []
     for literal in ordered:
-        if isinstance(literal, Lit):
-            if literal.positive:
-                steps.append(_compile_positive(literal.atom, slots, bound))
-            else:
-                steps.append(_compile_negated(literal.atom, slots, bound))
-        else:
+        if isinstance(literal, BuiltinLit):
             steps.append(_compile_builtin(literal, slots, bound))
+        elif literal.positive and not literal.var_names() <= bound:
+            steps.append(_compile_scan(literal.atom, slots, bound))
+        else:
+            test = ProbeStep if literal.positive else NegationStep
+            steps.append(test(*_membership(
+                literal.atom, slots, bound,
+                pass_throughs.get(literal.atom.pred))))
         bound |= _binds(literal)
     return tuple(steps)
 
@@ -532,37 +547,6 @@ def _pass_throughs(program: Program, idb: frozenset) -> dict[str, Rule]:
     return found
 
 
-def _unfold(body: Sequence[Literal],
-            pass_throughs: Mapping[str, Rule]) -> tuple[Literal, ...]:
-    """``body`` with each ``not p(t̄)`` of a pass-through ``p`` replaced
-    by ``not r(ū)``: ``ū`` is ``Ȳ`` with each head variable replaced by
-    its argument in ``t̄`` and each existential variable by a fresh
-    anonymous one, which the negation reads as a wildcard.  Fresh names
-    are ``_u0``, ``_u1``, … skipping the names ``body`` uses."""
-    taken = {var.name for literal in body for var in literal.variables()}
-    names = (f'_u{i}' for i in count())
-
-    def fresh() -> Var:
-        return Var(next(name for name in names if name not in taken))
-
-    unfolded = []
-    for literal in body:
-        rule = pass_throughs.get(literal.atom.pred) \
-            if isinstance(literal, Lit) and not literal.positive else None
-        if rule is None:
-            unfolded.append(literal)
-            continue
-        binding = {t.name: arg
-                   for t, arg in zip(rule.head.args, literal.atom.args)}
-        source = rule.body[0].atom
-        args = tuple(term if isinstance(term, Const)
-                     else binding[term.name] if term.name in binding
-                     else fresh()
-                     for term in source.args)
-        unfolded.append(Lit(Atom(source.pred, args), positive=False))
-    return tuple(unfolded)
-
-
 def compile_rule(rule: Rule, *, idb: frozenset = frozenset(),
                  stats: Mapping[str, int] | None = None,
                  pass_throughs: Mapping[str, Rule] | None = None
@@ -574,26 +558,27 @@ def compile_rule(rule: Rule, *, idb: frozenset = frozenset(),
     program; passing the default compiles the rule as if every body
     predicate were EDB.
     ``stats`` optionally carries observed relation cardinalities to
-    break the scheduler's remaining ties.  A negated atom of a
-    predicate in ``pass_throughs`` (:func:`_pass_throughs`) compiles
-    to a negation of its source relation (:func:`_unfold`).
+    break the scheduler's remaining ties.  A negated, or a positive and
+    fully bound, atom of a predicate in ``pass_throughs``
+    (:func:`_pass_throughs`) compiles to a test on its source relation
+    (:func:`_membership`).
     """
     if rule.head is None:
         raise ValueError('constraint rules are compiled via the program '
                          'planner, not compile_rule')
-    body = _unfold(rule.body, pass_throughs) if pass_throughs \
-        else rule.body
+    pass_throughs = pass_throughs or {}
     slots = _Slots()
     # Deterministic layout: head variables first, then body variables in
     # source order — independent of either schedule.
     for term in rule.head.args:
         if isinstance(term, Var):
             slots.slot(term.name)
-    for literal in body:
+    for literal in rule.body:
         for var in literal.variables():
             slots.slot(var.name)
 
-    steps = _compile_steps(body, slots, frozenset(), idb, stats)
+    steps = _compile_steps(rule.body, slots, frozenset(), idb, stats,
+                           pass_throughs)
     head: list[tuple[int, object]] = []
     for term in rule.head.args:
         if isinstance(term, Const):
@@ -614,8 +599,8 @@ def compile_rule(rule: Rule, *, idb: frozenset = frozenset(),
         else:
             head_bound.add(term.name)
             match_binds.append((pos, slots.slot(term.name)))
-    probe_steps = _compile_steps(body, slots, frozenset(head_bound),
-                                 idb, stats)
+    probe_steps = _compile_steps(rule.body, slots, frozenset(head_bound),
+                                 idb, stats, pass_throughs)
     return RulePlan(rule=rule, nslots=len(slots), steps=steps,
                     head=tuple(head), match_consts=tuple(match_consts),
                     match_binds=tuple(match_binds),
@@ -653,7 +638,7 @@ def _index_requirements(rule_plans, constraint_plans) -> frozenset:
         for step in steps:
             if isinstance(step, ScanStep) and step.positions:
                 masks.add((step.pred, step.positions))
-            elif isinstance(step, NegationStep) \
+            elif isinstance(step, (ProbeStep, NegationStep)) \
                     and 0 < len(step.positions) < step.arity:
                 masks.add((step.pred, step.positions))
 

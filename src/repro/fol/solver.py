@@ -49,9 +49,11 @@ candidate's index as the world, built in one pass over the candidates'
 facts, so one run materialises the IDB cones of the goals asked for,
 for every candidate at once, and a second, over the worlds where a goal
 held, finds the violated ones.  Each goal's
-canonical candidates are judged in doubling batches (1, 2, 4, …) of
-their own; the random databases are drawn once per distinct stream and
-judged in one batch for every goal drawing that stream.
+canonical candidates are judged in doubling batches of their own (16,
+32, 64, …: a tagged run's fixed cost is two plan runs, whatever the
+batch holds, so the first batch is not one candidate); the random
+databases are drawn once per distinct stream and judged in one batch
+for every goal drawing that stream.
 
 Each goal's answer is exactly the one-candidate-at-a-time loop's over
 its stream in its one-goal program: the first candidate :func:`_verify`
@@ -772,15 +774,37 @@ def _value_pool(program: Program) -> dict[str, tuple]:
 def _random_database(rng: random.Random, relations: tuple, max_size: int
                      ) -> frozenset:
     """Up to ``max_size`` rows per relation of ``relations``, a tuple
-    of ``(pred, value pool per column)`` in draw order."""
-    return frozenset([(pred, tuple([rng.choice(column) for column in columns]))
-                      for pred, columns in relations
-                      for _ in range(rng.randint(0, max_size))])
+    of ``(pred, value pool per column)`` in draw order.  A row count and
+    a value are drawn as ``rng.randint`` and ``rng.choice`` draw them —
+    ``n.bit_length()`` bits of ``rng.getrandbits``, again while the draw
+    is not below ``n`` — without a Python call per draw."""
+    getrandbits, counts = rng.getrandbits, max_size + 1
+    facts = []
+    for pred, columns in relations:
+        count = getrandbits(counts.bit_length())
+        while count >= counts:
+            count = getrandbits(counts.bit_length())
+        for _ in range(count):
+            row = []
+            for pool in columns:
+                size = len(pool)
+                drawn = getrandbits(size.bit_length())
+                while drawn >= size:
+                    drawn = getrandbits(size.bit_length())
+                row.append(pool[drawn])
+            facts.append((pred, tuple(row)))
+    return frozenset(facts)
 
 
 # ---------------------------------------------------------------------------
 # Entry point
 # ---------------------------------------------------------------------------
+
+
+#: The first canonical batch of a goal.  A tagged run's cost is mostly
+#: fixed (two plan runs, whatever the batch holds), and doubling from
+#: one spent most of a catalog pass's runs on 1–8 candidates.
+_FIRST_BATCH = 16
 
 
 class Search:
@@ -792,7 +816,8 @@ class Search:
     and the random pass: its ``random_trials`` databases are drawn once
     per distinct stream and judged for every goal drawing that stream in
     one batch.  Each goal's canonical pass runs first, in doubling
-    batches of its own.  Nothing outlives the search."""
+    batches of its own from ``_FIRST_BATCH`` candidates (16, 32, 64,
+    …).  Nothing outlives the search."""
 
     def __init__(self, program: Program, goals: Sequence[str], *,
                  constraints: Program | None = None,
@@ -827,9 +852,10 @@ class Search:
             # No candidate can be evaluated, so none is a witness.
             return SatResult(SatStatus.UNSAT, None, goal, 'bounded search')
         # Doubling batches; ``judged`` counts the candidates before the
-        # batch, so a witness's ``instances`` is its position.
+        # batch, so a witness's ``instances`` is its position, whatever
+        # the batch sizes.
         stream = self._canonical(goal)
-        judged, size = 0, 1
+        judged, size = 0, _FIRST_BATCH
         while batch := list(itertools.islice(stream, size)):
             found = self.worlds.first(batch, (goal,))[goal]
             if found is not None:

@@ -81,7 +81,8 @@ def _holds(step, env: list, ctx: _PlanContext) -> bool:
     """One non-scan step of the generic tier over the bindings ``env``:
     does the binding pass it?  A :class:`BindStep` assigns its slot and
     always passes; a fully bound atom of a pending IDB predicate is
-    answered top-down (:meth:`_PlanContext.probe`)."""
+    answered top-down (:meth:`_PlanContext.probe`), any other atom by
+    :meth:`IndexedRelation.exists`."""
     cls = step.__class__
     if cls is BindStep:
         s, c = step.source
@@ -92,14 +93,12 @@ def _holds(step, env: list, ctx: _PlanContext) -> bool:
         return _compare(step.op, lc if ls < 0 else env[ls],
                         rc if rs < 0 else env[rs]) == step.expect
     key = tuple(c if s < 0 else env[s] for s, c in step.key)
-    if cls is ProbeStep:
-        if ctx.is_pending_idb(step.pred):
-            return ctx.probe(step.pred, key)
-        return ctx.relation(step.pred).contains(key)
     if len(step.positions) == step.arity and ctx.is_pending_idb(step.pred):
-        return not ctx.probe(step.pred, key)
-    return not ctx.relation(step.pred).exists(step.positions, key,
+        held = ctx.probe(step.pred, key)
+    else:
+        held = ctx.relation(step.pred).exists(step.positions, key,
                                               step.arity)
+    return held if cls is ProbeStep else not held
 
 
 def _run_rule_generic(rule_plan: RulePlan, ctx: _PlanContext,

@@ -131,6 +131,32 @@ class TestViewWriteRunsOnePlanContext:
         assert per_size[1_000] == per_size[10_000] \
             == {'contexts': 0, 'databases': 0}
 
+    @pytest.mark.parametrize('view', FIGURE6_VIEWS)
+    def test_one_row_update_and_delete_by_key(self, view, monkeypatch):
+        """Nor does an UPDATE or a DELETE by key: a fully bound
+        pass-through atom (``inflow(T)`` in ``outstanding_task``'s
+        ``-tasks`` rule) is one probe of its source, not a top-down run
+        that needs a plan context."""
+        contexts = []
+        real = evaluator._PlanContext.__init__
+
+        def counting(self, *args):
+            contexts.append(self)
+            real(self, *args)
+        monkeypatch.setattr(evaluator._PlanContext, '__init__', counting)
+        entry = entry_by_name(view)
+        with build_engine(entry, 1_000, backend='memory') as engine:
+            rows = [update_statement(entry, engine, i) for i in range(4)]
+            for row in rows:
+                engine.insert(view, row)
+            key, column = engine.view(view).schema.attributes[:2]
+            engine.update(view, {column: 'w0'}, where={key: rows[0][0]})
+            engine.delete(view, where={key: rows[1][0]})
+            contexts.clear()
+            engine.update(view, {column: 'w1'}, where={key: rows[2][0]})
+            engine.delete(view, where={key: rows[3][0]})
+            assert contexts == []
+
 
 def _python_calls(function, *args) -> int:
     """How many Python functions ``function(*args)`` calls, itself
@@ -162,8 +188,8 @@ class TestViewInsertIsSetAtATime:
     layer — one row check and one composition in Algorithm 2, one
     ∂put run whose per-row work is generated code, one index-keeping
     call per stored relation on apply — so a row more in the bucket
-    costs no Python call (a partly bound negated atom is a membership
-    test on its index's dict), and a one-row INSERT, UPDATE by key or
+    costs no Python call (a partly bound scan or membership test reads
+    its index's dict inline), and a one-row INSERT, UPDATE by key or
     DELETE by key costs a pinned number of calls, the same at either
     base size."""
 
@@ -176,10 +202,10 @@ class TestViewInsertIsSetAtATime:
     #: registry call — plus one sealed putback run and what it calls.
     ONE_ROW = {'luxuryitems': 43, 'officeinfo': 43,
                'outstanding_task': 46, 'vw_brands': 46}
-    ONE_ROW_UPDATE = {'luxuryitems': 62, 'officeinfo': 63,
-                      'outstanding_task': 72, 'vw_brands': 65}
-    ONE_ROW_DELETE = {'luxuryitems': 56, 'officeinfo': 57,
-                      'outstanding_task': 66, 'vw_brands': 59}
+    ONE_ROW_UPDATE = {'luxuryitems': 62, 'officeinfo': 62,
+                      'outstanding_task': 65, 'vw_brands': 65}
+    ONE_ROW_DELETE = {'luxuryitems': 56, 'officeinfo': 56,
+                      'outstanding_task': 59, 'vw_brands': 59}
 
     @pytest.mark.parametrize('view', FIGURE6_VIEWS)
     def test_calls_per_row(self, view):
@@ -226,6 +252,43 @@ class TestViewInsertIsSetAtATime:
         assert counts[1_000] == counts[10_000]
         assert update <= self.ONE_ROW_UPDATE[view]
         assert delete <= self.ONE_ROW_DELETE[view]
+
+
+class TestValidationJudgesInBatches:
+    """``fol/solver.py``'s module docstring: a goal's canonical
+    candidates are judged in doubling batches from 16, so validating
+    the 31 expressible Table 1 entries costs a pinned number of judge
+    runs (``_Worlds.accepted``) and of solver plan runs
+    (``execute_plan`` / ``execute_constraints``: two per judge run at
+    most, plus the exact checks of accepted candidates).  Starting each
+    goal at one candidate took 1 373 judge runs and 1 679 plan runs."""
+
+    JUDGE_RUNS = 797
+    PLAN_RUNS = 1_057
+
+    def test_catalog_validation_runs(self, monkeypatch):
+        from repro.benchsuite.catalog import ALL_ENTRIES
+        from repro.core.validation import validate
+        from repro.fol import solver
+        counts = {'judge': 0, 'plan': 0}
+
+        def counting(owner, name, key):
+            real = getattr(owner, name)
+
+            def wrapper(*args, **kwargs):
+                counts[key] += 1
+                return real(*args, **kwargs)
+            monkeypatch.setattr(owner, name, wrapper)
+
+        counting(solver._Worlds, 'accepted', 'judge')
+        counting(solver, 'execute_plan', 'plan')
+        counting(solver, 'execute_constraints', 'plan')
+        entries = [entry for entry in ALL_ENTRIES if entry.expressible]
+        assert len(entries) == 31
+        for entry in entries:
+            validate(entry.strategy())
+        assert counts['judge'] <= self.JUDGE_RUNS
+        assert counts['plan'] <= self.PLAN_RUNS
 
 
 class TestPeerPendingReadsWhatIsOwed:

@@ -15,7 +15,7 @@ from repro.datalog.evaluator import (IndexedRelation,
 from repro.datalog.ast import delete_pred, insert_pred
 from repro.datalog.parser import parse_program
 from repro.datalog.pretty import pretty_rule
-from repro.datalog.plan import (ExecutionPlan, NegationStep,
+from repro.datalog.plan import (ExecutionPlan, NegationStep, ProbeStep,
                                 compile_program, compile_rule,
                                 schedule_body)
 from repro.errors import (ConstraintViolation, SafetyError, SchemaError,
@@ -460,6 +460,26 @@ class TestSealedExecutor:
             {(3,)}, {(1,)}, frozenset())
         assert len(violations) == 1
 
+    def test_partly_bound_scan_reads_each_bucket_shape(self):
+        """A partly bound scan reads its index's dict inline: a bare
+        row, a list and a dict bucket (after a delete) each yield their
+        rows, a missing key none — as the generic tier's ``lookup``."""
+        program = parse_program("""
+            v(X, Y) :- p(X), q(X, Y).
+            w(Y) :- p(X), q(X, Y), q(Y, X).
+        """)
+        q = IndexedRelation({(1, 1), (2, 1), (2, 2), (2, 3), (3, 2)})
+        q.ensure_index((0,))
+        instance = {'p': {(1,), (2,), (4,)}, 'q': q}
+        _, (rows, *_) = self._both_tiers(program, instance)
+        assert rows['v'] == {(1, 1), (2, 1), (2, 2), (2, 3)}
+        assert rows['w'] == {(1,), (2,), (3,)}
+        q.difference_update({(2, 2)})           # the list becomes a dict
+        assert q._indexes[(0,)][1][2].__class__ is dict
+        _, (rows, *_) = self._both_tiers(program, instance)
+        assert rows['v'] == {(1, 1), (2, 1), (2, 3)}
+        assert rows['w'] == {(1,), (3,)}
+
     def test_sealed_first_witness_limit(self):
         program = parse_program('⊥ :- r(X), X > 10.')
         plan = compile_program(program, cache=False)
@@ -593,6 +613,38 @@ class TestSealedExecutor:
         # The violation still names the rule as written.
         assert pretty_rule(plan.constraint_plans[0].rule) \
             == 'false :- s(X, Y), not p(X, _anon4), X > 3.'
+
+    def test_bound_positive_pass_through_probes_its_source(self):
+        """A fully bound positive ``p(t̄)`` of a pass-through
+        ``p(X, Y) :- r(X, _, Y, 'k')`` is one probe of ``r`` on the
+        body's constant and the head's positions; an atom that binds a
+        variable still scans ``p``."""
+        plan, (rows, violations, *_) = self._both_tiers(parse_program("""
+            p(X, Y) :- r(X, _, Y, 'k').
+            v(X, Y) :- s(X, Y), p(X, Y).
+            w(X) :- s(X, _), p(X, 3).
+            u(X, Y) :- s(X, _), p(X, Y).
+            ⊥ :- s(X, Y), p(X, Y), X > 4.
+        """), db(r={(1, 'a', 2, 'k'), (1, 'b', 3, 'x'), (2, 'c', 3, 'k'),
+                   (5, 'd', 1, 'k')},
+                s={(1, 2), (1, 3), (2, 3), (4, 5), (5, 1)}))
+        assert rows['v'] == {(1, 2), (2, 3), (5, 1)}
+        assert rows['w'] == {(2,)}
+        assert rows['u'] == {(1, 2), (2, 3), (5, 1)}
+        assert [w for _rule, w in violations] == [(5, 1)]
+        probes = {pred: [(step.pred, step.positions, step.key)
+                         for step in rule_plan.steps
+                         if isinstance(step, ProbeStep)]
+                  for pred, rule_plan in
+                  [(pred, plan.rule_plans[pred][0])
+                   for pred in ('v', 'w', 'u')]
+                  + [('⊥', plan.constraint_plans[0].rule_plan)]}
+        assert probes == {
+            'v': [('r', (0, 2, 3), ((0, None), (1, None), (-1, 'k')))],
+            'w': [('r', (0, 2, 3), ((0, None), (-1, 3), (-1, 'k')))],
+            'u': [],
+            '⊥': [('r', (0, 2, 3), ((0, None), (1, None), (-1, 'k')))]}
+        assert ('r', (0, 2, 3)) in plan.index_requirements
 
     @pytest.mark.parametrize('text', [
         'q(X, Y) :- r(X, Y).  p(X) :- q(X, _).',       # over an IDB
